@@ -20,6 +20,7 @@ from typing import Optional
 
 from .artin import hilbert_function, jet, nilpotency_index, socle
 from .errors import JetMetricError, PresentationSyntaxError
+from .exactcore import ExtensionField, finite_field
 from .hilbert import euler_characteristic, hilbert_series
 from .iso import SearchBudget, Witness
 from .metric import defpair_distance, jet_distance, limit_jets
@@ -47,9 +48,9 @@ def _enc_decimal(s: str, digits: int = LOG2_DIGITS) -> dict:
     return {"decimal": s, "digits": digits}
 
 
-def _scalar_str(c) -> str:
-    if isinstance(c, tuple):
-        return "(" + ",".join(str(v) for v in c) + ")"
+def _scalar_str(field, c) -> str:
+    if isinstance(field, ExtensionField):
+        return "(" + ",".join(str(v) for v in field.coeffs(c)) + ")"
     return str(c)
 
 
@@ -59,10 +60,10 @@ def _mono_str(mono, varnames) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _vec_str(vec, basis, varnames) -> str:
+def _vec_str(vec, field, basis, varnames) -> str:
     terms = []
     for c, mono in zip(vec, basis):
-        s = _scalar_str(c)
+        s = _scalar_str(field, c)
         if s == "0":
             continue
         m = _mono_str(mono, varnames)
@@ -70,11 +71,14 @@ def _vec_str(vec, basis, varnames) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _enc_witness(w: Optional[Witness], basis, src_vars, dst_vars) -> Optional[dict]:
+def _enc_witness(w: Optional[Witness], B, src_vars, dst_vars) -> Optional[dict]:
     if w is None:
         return None
+    # the images live in B's field extended ext_multiple times
+    fld = B.field if w.ext_multiple == 1 else \
+        finite_field(B.field.p, B.field.desc.m * w.ext_multiple)
     return {"ext_multiple": w.ext_multiple,
-            "images": {v: _vec_str(img, basis, dst_vars)
+            "images": {v: _vec_str(img, fld, B.basis, dst_vars)
                        for v, img in zip(src_vars, w.images)}}
 
 
@@ -92,7 +96,7 @@ def _enc_per_order(per_order, p: Presentation, q: Presentation, algebras) -> lis
                  "separator": _enc_separator(v.separator)}
         if v.witness is not None and n in algebras:
             _, B = algebras[n]
-            entry["witness"] = _enc_witness(v.witness, B.basis, p.vars, q.vars)
+            entry["witness"] = _enc_witness(v.witness, B, p.vars, q.vars)
         if v.search_bounds is not None:
             entry["search_bounds"] = v.search_bounds
         out.append(entry)

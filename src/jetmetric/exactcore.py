@@ -2,9 +2,13 @@
 
 Three coefficient fields are supported: the rationals, prime fields F_p and
 extension fields F_{p^m} given by an irreducible monic minimal polynomial.
-Field elements are plain Python values (``Fraction``, ``int``, ``tuple`` of
-ints) operated on through a :class:`Field` object, so hot loops never pay for
-per-element wrappers; a :class:`Scalar` wrapper exists for API boundaries.
+Field elements are plain Python values operated on through a :class:`Field`
+object, so hot loops never pay for per-element wrappers: ``Fraction`` over Q,
+``int`` residues over F_p, and over F_{p^m} the ``int`` code
+c_0 + c_1 p + ... + c_{m-1} p^{m-1} of c_0 + c_1 a + ... + c_{m-1} a^{m-1}.
+Extension fields of at most TABLE_MAX_ORDER elements compute through
+log/antilog and Zech tables built once per field; larger ones through
+digit polynomials.  :func:`field_from_desc` builds each field once.
 
 Row reduction follows the first-nonzero pivot rule with columns processed left
 to right, which makes every echelon form (and therefore every quotient basis
@@ -16,8 +20,10 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -120,30 +126,68 @@ def _fp_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
     return _fp_divmod(a, mod, p)[1]
 
 
+def _digits(code: int, p: int, m: int) -> list[int]:
+    """Base-p digits of code, least significant first, padded to length m."""
+    out = []
+    for _ in range(m):
+        code, r = divmod(code, p)
+        out.append(r)
+    return out
+
+
 def _fp_monic_polys(deg: int, p: int) -> Iterable[list[int]]:
     # all monic polynomials of the given degree, in integer-encoding order of
     # the low coefficients (c_0 least significant)
-    total = p**deg
-    for code in range(total):
-        c = []
-        v = code
-        for _ in range(deg):
-            c.append(v % p)
-            v //= p
-        yield c + [1]
+    for code in range(p**deg):
+        yield _digits(code, p, deg) + [1]
+
+
+def _fp_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    out, base = [1], _fp_mod(base, mod, p)
+    while e:
+        if e & 1:
+            out = _fp_mod(_fp_mul(out, base, p), mod, p)
+        e >>= 1
+        if e:
+            base = _fp_mod(_fp_mul(base, base, p), mod, p)
+    return out
+
+
+def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+    while b:
+        a, b = b, _fp_mod(a, b, p)
+    return a
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def _fp_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    deg = len(poly) - 1
+    """Rabin's test for a monic f of degree m: x^(p^m) = x mod f, and
+    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r dividing m."""
+    f = _fp_trim(list(poly))
+    deg = len(f) - 1
     if deg < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for cand in _fp_monic_polys(d, p):
-            if not _fp_mod(poly, cand, p):
-                return False
-    return True
+    frob = [[0, 1]]                     # frob[k] = x^(p^k) mod f
+    for _ in range(deg):
+        frob.append(_fp_powmod(frob[-1], p, f, p))
+    if _fp_mod(_fp_sub(frob[deg], [0, 1], p), f, p):
+        return False
+    return all(len(_fp_gcd(f, _fp_sub(frob[deg // r], [0, 1], p), p)) == 1
+               for r in _prime_factors(deg))
 
 
+@lru_cache(maxsize=None)
 def canonical_minpoly(p: int, m: int) -> tuple[int, ...]:
     """First irreducible monic polynomial of degree m over F_p, by integer encoding."""
     for cand in _fp_monic_polys(m, p):
@@ -178,9 +222,6 @@ class Field:
     def vec_zero(self, n: int) -> list:
         z = self.zero()
         return [z] * n
-
-    def vec_add(self, u: Sequence, v: Sequence) -> list:
-        return [self.add(a, b) for a, b in zip(u, v)]
 
     def vec_sub(self, u: Sequence, v: Sequence) -> list:
         return [self.sub(a, b) for a, b in zip(u, v)]
@@ -286,8 +327,26 @@ class PrimeField(Field):
         return self.p
 
 
+# Fields of at most this many elements do their arithmetic through tables
+# built once per field: lists of this length (log, Zech) and twice it
+# (antilog), filled by one walk over the multiplicative group.  At 2^12
+# elements the build takes 10-20 ms on a 2-core Xeon host and the tables
+# under 1 MiB; larger fields, which the search and the base changes of this
+# package rarely reach, use digit-polynomial arithmetic.
+TABLE_MAX_ORDER = 1 << 12
+
+
 class ExtensionField(Field):
-    """F_{p^m} with elements as coefficient tuples (c_0, ..., c_{m-1}) over F_p."""
+    """F_{p^m} = F_p[a]/(minpoly) with elements as integer codes.
+
+    The element c_0 + c_1 a + ... + c_{m-1} a^{m-1} (0 <= c_i < p) has the
+    code c_0 + c_1 p + ... + c_{m-1} p^{m-1}, so :meth:`elements` is
+    ``range(p^m)`` and an element of the prime subfield is its own ``int``.
+    Up to TABLE_MAX_ORDER elements, ``mul`` and ``inv`` are log/antilog
+    lookups and ``add``/``sub``/``neg`` are XOR (p = 2) or Zech-logarithm
+    lookups (odd p); larger fields multiply and add the base-p digits as
+    polynomials modulo the minimal polynomial.
+    """
 
     def __init__(self, p: int, m: int, minpoly: Sequence[int] | None = None):
         if not _is_prime(p):
@@ -304,84 +363,42 @@ class ExtensionField(Field):
         self.p = p
         self.m = m
         self.minpoly = mp
+        self.order = p**m
         self.desc = FieldDesc(kind="extension-field", p=p, m=m, minpoly=mp)
-        # reduction table: a^k for k in [m, 2m-2] as length-m tuples
-        self._red: list[tuple[int, ...]] = []
-        cur = [(-c) % p for c in mp[:-1]]  # a^m
-        self._red.append(tuple(cur))
-        for _ in range(m - 2):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                top = self._red[0]
-                nxt = [(x + lead * t) % p for x, t in zip(nxt, top)]
-            cur = nxt
-            self._red.append(tuple(cur))
+        if self.order > TABLE_MAX_ORDER:
+            self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
+            self.mul, self.inv = self._mul_digits, self._inv_digits
+            return
+        self._build_tables()
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = _identity
+        else:
+            self.add, self.sub, self.neg = self._add_zech, self._sub_zech, self._neg_zech
+        self.mul, self.inv = self._mul_log, self._inv_log
 
     def zero(self):
-        return (0,) * self.m
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.m - 1)
+        return 1
 
     def generator(self):
-        return tuple(1 if i == 1 else 0 for i in range(self.m))
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        p, m = self.p, self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = self._red[k - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
-
-    def inv(self, a):
-        # extended Euclid in F_p[x] against the minimal polynomial
-        p = self.p
-        if all(x == 0 for x in a):
-            raise ZeroDivisionError("inverse of zero")
-        r0, r1 = list(self.minpoly), _fp_trim(list(a))
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
-        # r0 is the gcd, a nonzero constant since the minimal polynomial is irreducible
-        scale = pow(r0[0], p - 2, p)
-        out = [(c * scale) % p for c in t0]
-        out = out[: self.m] + [0] * max(0, self.m - len(out))
-        return tuple(out)
+        return self.p
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return a == 0
 
     def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.m - 1)
+        return n % self.p
+
+    def coeffs(self, a) -> tuple[int, ...]:
+        """The digits (c_0, ..., c_{m-1}) of the element a = sum c_i a^i."""
+        return tuple(_digits(a, self.p, self.m))
 
     def to_str(self, a) -> str:
         terms = []
-        for i, c in enumerate(a):
+        for i, c in enumerate(self.coeffs(a)):
             if c == 0:
                 continue
             if i == 0:
@@ -391,23 +408,119 @@ class ExtensionField(Field):
                 terms.append(pw if c == 1 else f"{c}*{pw}")
         return "+".join(terms) if terms else "0"
 
-    def elements(self) -> Iterable[tuple[int, ...]]:
+    def elements(self) -> Iterable[int]:
         """All field elements in integer-encoding order (c_0 least significant)."""
-        p, m = self.p, self.m
-        for code in range(p**m):
-            v = code
-            out = []
-            for _ in range(m):
-                out.append(v % p)
-                v //= p
-            yield tuple(out)
+        return range(self.order)
 
-    @property
-    def order(self) -> int:
-        return self.p**self.m
+    # -- digit-polynomial arithmetic --------------------------------------
+
+    def _code(self, digits: Sequence[int]) -> int:
+        out = 0
+        for c in reversed(digits):
+            out = out * self.p + c
+        return out
+
+    def _add_digits(self, a, b):
+        p, m = self.p, self.m
+        return self._code([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))])
+
+    def _sub_digits(self, a, b):
+        return self._add_digits(a, self._neg_digits(b))
+
+    def _neg_digits(self, a):
+        p = self.p
+        return self._code([(-x) % p for x in _digits(a, p, self.m)])
+
+    def _mul_digits(self, a, b):
+        p, m = self.p, self.m
+        prod = _fp_mul(_fp_trim(_digits(a, p, m)), _fp_trim(_digits(b, p, m)), p)
+        return self._code(_fp_mod(prod, self.minpoly, p))
+
+    def _inv_digits(self, a):
+        # extended Euclid in F_p[x] against the minimal polynomial
+        p = self.p
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        r0, r1 = list(self.minpoly), _fp_trim(_digits(a, p, self.m))
+        t0, t1 = [], [1]
+        while r1:
+            q, r = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
+        # r0 is the gcd, a nonzero constant since the minimal polynomial is irreducible
+        scale = pow(r0[0], p - 2, p)
+        return self._code([(c * scale) % p for c in t0])
+
+    def _pow_digits(self, a, e: int):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_digits(out, a)
+            a = self._mul_digits(a, a)
+            e >>= 1
+        return out
+
+    # -- table arithmetic --------------------------------------------------
+
+    def _build_tables(self) -> None:
+        p, m, n = self.p, self.m, self.order - 1
+        g = next(c for c in range(p, self.order)
+                 if all(self._pow_digits(c, n // r) != 1 for r in _prime_factors(n)))
+        # times-g as an F_p-linear map: the digits of g * a^i for each i
+        cols = [_digits(self._mul_digits(p**i, g), p, m) for i in range(m)]
+        exp = [0] * (2 * n)     # doubled so that log a + log b needs no reduction
+        log = [0] * (n + 1)
+        x = 1
+        for k in range(n):
+            exp[k] = exp[k + n] = x
+            log[x] = k
+            acc = [0] * m
+            for c, col in zip(_digits(x, p, m), cols):
+                if c:
+                    for j, d in enumerate(col):
+                        acc[j] += c * d
+            x = self._code([v % p for v in acc])
+        self._n, self._exp, self._log = n, exp, log
+        if p != 2:
+            # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0
+            plus_one = [c + 1 if c % p != p - 1 else c + 1 - p for c in exp[:n]]
+            self._zech = [log[c] if c else -1 for c in plus_one]
+
+    def _mul_log(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
+
+    def _inv_log(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._n - self._log[a]]
+
+    def _add_zech(self, a, b):
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]     # a negative index wraps modulo n
+        return 0 if z < 0 else self._exp[la + z]
+
+    def _neg_zech(self, a):
+        # -1 = g^(n/2)
+        return 0 if a == 0 else self._exp[self._log[a] + self._n // 2]
+
+    def _sub_zech(self, a, b):
+        return self._add_zech(a, self._neg_zech(b))
+
+
+def _identity(a):
+    return a
 
 
 _RATIONALS = RationalField()
+_FIELDS: dict[FieldDesc, Field] = {}
 
 
 def rationals() -> RationalField:
@@ -415,50 +528,30 @@ def rationals() -> RationalField:
 
 
 def field_from_desc(desc: FieldDesc) -> Field:
-    if desc.kind == "rationals":
-        return _RATIONALS
-    if desc.kind == "prime-field":
-        return PrimeField(desc.p)  # type: ignore[arg-type]
-    if desc.kind == "extension-field":
-        return ExtensionField(desc.p, desc.m, desc.minpoly)  # type: ignore[arg-type]
-    raise FieldError(f"unknown field kind {desc.kind!r}")
+    """The field a description names, built once per description: an
+    extension field's irreducibility check and tables cost far more than
+    the arithmetic of a typical caller."""
+    got = _FIELDS.get(desc)
+    if got is None:
+        if desc.kind == "rationals":
+            got = _RATIONALS
+        elif desc.kind == "prime-field":
+            got = PrimeField(desc.p)  # type: ignore[arg-type]
+        elif desc.kind == "extension-field":
+            got = ExtensionField(desc.p, desc.m, desc.minpoly)  # type: ignore[arg-type]
+        else:
+            raise FieldError(f"unknown field kind {desc.kind!r}")
+        got = _FIELDS.setdefault(got.desc, got)
+        _FIELDS[desc] = got
+    return got
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field — convenience wrapper for API edges."""
-
-    field: Field
-    value: object
-
-    def _check(self, other: "Scalar"):
-        if self.field != other.field:
-            raise FieldError("scalars from different fields")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __str__(self) -> str:
-        return self.field.to_str(self.value)
+def finite_field(p: int, m: int) -> Field:
+    """F_{p^m} with the canonical minimal polynomial; the prime field for m = 1."""
+    if m == 1:
+        return field_from_desc(FieldDesc(kind="prime-field", p=p, m=1))
+    return field_from_desc(FieldDesc(kind="extension-field", p=p, m=m,
+                                     minpoly=canonical_minpoly(p, m)))
 
 
 # ---------------------------------------------------------------------------

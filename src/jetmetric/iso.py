@@ -29,10 +29,10 @@ from .artin import ArtinAlgebra, hf_by_degree_count, nilpotency_index, socle
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError
 from .exactcore import (
     ExactMatrix,
-    ExtensionField,
     Field,
     PrimeField,
     RationalField,
+    finite_field,
 )
 from .poly import TruncatedQuotient, mono_deg
 from .presentation import poly_to_str
@@ -134,7 +134,7 @@ def embed_scalar(src: Field, dst: Field, root, c):
     if isinstance(src, PrimeField):
         return dst.from_int(c)
     out = dst.zero()
-    for coeff in reversed(c):
+    for coeff in reversed(src.coeffs(c)):
         out = dst.add(dst.mul(out, root), dst.from_int(coeff))
     return out
 
@@ -165,7 +165,7 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
         raise FieldError(f"extension degree {m_prime} is not a multiple of {m}")
     if m_prime == m:
         return A
-    dst = ExtensionField(f.p, m_prime) if m_prime > 1 else PrimeField(f.p)
+    dst = finite_field(f.p, m_prime)
     root = embedding_root(f, dst)
 
     def emb(c):
@@ -313,7 +313,7 @@ def _lift_images(w: Witness, m0: int, mult: int, dstf: Field) -> list[list]:
     if w.ext_multiple == mult:
         return w.images
     deg = m0 * w.ext_multiple
-    src: Field = PrimeField(dstf.p) if deg == 1 else ExtensionField(dstf.p, deg)
+    src = finite_field(dstf.p, deg)
     root = embedding_root(src, dstf)
     return [[embed_scalar(src, dstf, root, c) for c in img] for img in w.images]
 

@@ -112,6 +112,10 @@ def _split_statements(tokens: list[Token]) -> list[list[Token]]:
 # ---------------------------------------------------------------------------
 # polynomial expression parser (recursive descent)
 
+# Each parenthesis level costs the recursive descent four stack frames, so
+# the nesting bound keeps a parse far inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _ExprParser:
     """Parses  expr := ['-'] term (('+'|'-') term)*
@@ -128,6 +132,7 @@ class _ExprParser:
         self.nvars = len(varnames)
         self.varpos = {v: i for i, v in enumerate(varnames)}
         self.allow_generator = allow_generator
+        self.depth = 0
 
     def _peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -138,6 +143,23 @@ class _ExprParser:
             last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
             return PresentationSyntaxError(msg, last.line, last.col + len(last.text))
         return PresentationSyntaxError(msg, t.line, t.col)
+
+    def _open_paren(self) -> bool:
+        """Consume a '(' if one is next, refusing nesting past MAX_NESTING."""
+        t = self._peek()
+        if t is None or t.kind != "SYM" or t.text != "(":
+            return False
+        if self.depth == MAX_NESTING:
+            raise PresentationSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col)
+        self.depth += 1
+        self.i += 1
+        return True
+
+    def _close_paren(self, msg: str) -> None:
+        if not self._accept_sym(")"):
+            raise self._err(msg)
+        self.depth -= 1
 
     def _accept_sym(self, s: str) -> bool:
         t = self._peek()
@@ -174,12 +196,10 @@ class _ExprParser:
             if t is not None and t.kind == "INT":
                 self.i += 1
                 return base.pow(int(t.text))
-            if t is not None and t.kind == "SYM" and t.text == "(":
+            if self._open_paren():
                 where = t
-                self.i += 1
                 e = self._parse_int_expr()
-                if not self._accept_sym(")"):
-                    raise self._err("expected ')' closing the exponent")
+                self._close_paren("expected ')' closing the exponent")
                 if e < 0:
                     raise PresentationSyntaxError(f"negative exponent {e}",
                                                   where.line, where.col)
@@ -209,11 +229,9 @@ class _ExprParser:
         if t is not None and t.kind == "INT":
             self.i += 1
             return int(t.text)
-        if t is not None and t.kind == "SYM" and t.text == "(":
-            self.i += 1
+        if self._open_paren():
             v = self._parse_int_expr()
-            if not self._accept_sym(")"):
-                raise self._err("expected ')'")
+            self._close_paren("expected ')'")
             return v
         raise self._err("expected integer in exponent")
 
@@ -245,11 +263,9 @@ class _ExprParser:
             if name == "a" and self.allow_generator:
                 return Poly.constant(self.field, self.nvars, self.field.generator())
             raise PresentationSyntaxError(f"unknown name {name!r}", t.line, t.col)
-        if t.kind == "SYM" and t.text == "(":
-            self.i += 1
+        if self._open_paren():
             inner = self.parse_expr()
-            if not self._accept_sym(")"):
-                raise self._err("expected ')'")
+            self._close_paren("expected ')'")
             return inner
         raise PresentationSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
 
@@ -331,7 +347,8 @@ def _parse_field(tokens: list[Token], i: int) -> tuple[Field, int]:
         coeffs = [0] * (mp_poly.degree() + 1)
         for mono, c in mp_poly.terms.items():
             coeffs[mono[0]] = c
-        return ExtensionField(p, deg, coeffs), i
+        return field_from_desc(FieldDesc(kind="extension-field", p=p, m=deg,
+                                         minpoly=tuple(coeffs))), i
     return PrimeField(p), i
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .artin import ArtinAlgebra, jet, socle
 from .errors import GradingError, InternalInconsistencyError
-from .exactcore import ExactMatrix, Scalar
+from .exactcore import ExactMatrix
 from .hilbert import hilbert_series
 from .poly import DEFAULT_CAPACITY, Monomial, mono_deg, mono_mul
 from .presentation import Presentation
@@ -75,6 +75,7 @@ class _Frame:
         self.by_degree: list[list[int]] = [[] for _ in range(top + 1)]
         for idx, d in enumerate(degs):
             self.by_degree[d].append(idx)
+        self._products: dict[tuple[int, Monomial], list] = {}
 
     def comp(self, d: int) -> list[int]:
         return self.by_degree[d] if 0 <= d < len(self.by_degree) else []
@@ -85,54 +86,63 @@ class _Frame:
     def hf(self, d: int) -> int:
         return self.comp_dim(d)
 
-    def mult_mono(self, mono: Monomial, vec: Sequence[Scalar], src_deg: int
-                  ) -> list[Scalar]:
+    def mult_mono(self, mono: Monomial, vec: Sequence, src_deg: int) -> list:
         """Multiply a degree-src_deg component vector by a monomial."""
-        A, fld = self.A, self.field
+        fld = self.field
         dst = src_deg + mono_deg(mono)
-        dst_idx = self.comp(dst)
-        out = fld.vec_zero(len(dst_idx))
-        if not dst_idx:
+        out = fld.vec_zero(self.comp_dim(dst))
+        if not out:
             return out
-        pos_of = {b: t for t, b in enumerate(dst_idx)}
-        src_idx = self.comp(src_deg)
-        for pos, c in enumerate(vec):
+        add, mul = fld.add, fld.mul
+        for b, c in zip(self.comp(src_deg), vec):
             if fld.is_zero(c):
                 continue
-            full = A.reduce_monomial(mono_mul(A.basis[src_idx[pos]], mono))
-            for b, t in pos_of.items():
-                out[t] = fld.add(out[t], fld.mul(c, full[b]))
+            for t, w in self._product(b, mono, dst):
+                out[t] = add(out[t], mul(c, w))
         return out
+
+    def _product(self, b: int, mono: Monomial, dst: int) -> list[tuple[int, object]]:
+        """Nonzero (position, value) entries of basis[b] * mono in the
+        degree-dst component, cached for the frame's lifetime."""
+        key = (b, mono)
+        got = self._products.get(key)
+        if got is None:
+            A, fld = self.A, self.field
+            full = A.reduce_monomial(mono_mul(A.basis[b], mono))
+            got = [(t, full[i]) for t, i in enumerate(self.comp(dst))
+                   if not fld.is_zero(full[i])]
+            self._products[key] = got
+        return got
 
 
 class _Reducer:
-    """Incremental row reduction for membership tests in a growing span."""
+    """Incremental row reduction for membership tests in a growing span.
+
+    Each pivot row is stored as its nonzero (column, value) pairs, scaled
+    so that the pivot entry is one, so reducing touches only those."""
 
     def __init__(self, field):
         self.field = field
-        self.rows: dict[int, list[Scalar]] = {}
+        self.rows: dict[int, list[tuple[int, object]]] = {}
 
-    def _reduce(self, v: list[Scalar]) -> Optional[tuple[int, list[Scalar]]]:
+    def add(self, v: Sequence) -> bool:
+        """Insert v unless it lies in the span; True when v was inserted."""
         fld = self.field
+        is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
         v = list(v)
         for c in range(len(v)):
-            if fld.is_zero(v[c]):
+            coef = v[c]
+            if is_zero(coef):
                 continue
             row = self.rows.get(c)
             if row is None:
-                inv = fld.div(fld.one(), v[c])
-                return c, [fld.mul(inv, x) for x in v]
-            coef = v[c]
-            v = [fld.sub(x, fld.mul(coef, r)) for x, r in zip(v, row)]
-        return None
-
-    def add(self, v: Sequence[Scalar]) -> bool:
-        hit = self._reduce(list(v))
-        if hit is None:
-            return False
-        c, row = hit
-        self.rows[c] = row
-        return True
+                inv = fld.inv(coef)
+                self.rows[c] = [(i, mul(inv, x)) for i, x in enumerate(v[c:], c)
+                                if not is_zero(x)]
+                return True
+            for i, r in row:
+                v[i] = sub(v[i], mul(coef, r))
+        return False
 
 
 def _element_mult(frame: _Frame, mono: Monomial, elem: Element,
@@ -147,9 +157,9 @@ def _element_mult(frame: _Frame, mono: Monomial, elem: Element,
 
 
 def _flatten(frame: _Frame, elem: Element, deg: int,
-             shifts: Sequence[int]) -> list[Scalar]:
+             shifts: Sequence[int]) -> list:
     fld = frame.field
-    out: list[Scalar] = []
+    out: list = []
     for k, s in enumerate(shifts):
         c = deg - s
         n = frame.comp_dim(c) if c >= 0 else 0
@@ -178,7 +188,7 @@ def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
         if not dom:
             continue
         cod_dim = sum(frame.comp_dim(j - s) for s in prev_shifts if j - s >= 0)
-        cols: list[list[Scalar]] = []
+        cols: list[list] = []
         for k, b in dom:
             img = _element_mult(frame, frame.A.basis[b], gens[k],
                                 shifts[k], prev_shifts)

@@ -334,8 +334,8 @@ def test_criterion_13_invariants_survive_base_change():
             ladder = [A, base_change(A, 2), base_change(A, 4)]
             hfs = [hf_by_degree_count(B) for B in ladder]
             socles = [socle(B)[0] for B in ladder]
-            bettis = [[betti_residue_field(B, 4).rank(i) for i in range(5)]
-                      for B in ladder]
+            resolutions = [betti_residue_field(B, 4) for B in ladder]
+            bettis = [[res.rank(i) for i in range(5)] for res in resolutions]
             assert hfs[0] == hfs[1] == hfs[2], p.vars
             assert socles[0] == socles[1] == socles[2], p.vars
             assert bettis[0] == bettis[1] == bettis[2], p.vars

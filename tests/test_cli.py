@@ -148,3 +148,14 @@ def test_negative_order_reports_structured_error():
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["type"] == "RangeError"
+
+
+def test_deeply_nested_input_exits_one_without_traceback(tmp_path):
+    deep = tmp_path / "deep.pres"
+    deep.write_text("ring Q[x]\ngraded\nideal: " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetmetric.cli", "jets", str(deep), "--order", "2"],
+        capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetmetric import exactcore
 from jetmetric.errors import FieldError
 from jetmetric.exactcore import (
     ExactMatrix,
     ExtensionField,
     FieldDesc,
     PrimeField,
+    _fp_is_irreducible,
+    _fp_mod,
+    _fp_monic_polys,
     canonical_minpoly,
     field_from_desc,
+    finite_field,
     rank_gf2,
     rationals,
 )
@@ -56,6 +61,134 @@ def test_extension_field_every_nonzero_element_invertible():
         if F.is_zero(e):
             continue
         assert F.mul(e, F.inv(e)) == F.one()
+
+
+class TupleField:
+    """Reference F_{p^m}: elements as digit tuples (c_0, ..., c_{m-1}),
+    schoolbook products reduced by the minimal polynomial, inverses by
+    search."""
+
+    def __init__(self, p, m, minpoly):
+        self.p, self.m, self.minpoly = p, m, minpoly
+
+    def from_code(self, code):
+        out = []
+        for _ in range(self.m):
+            code, r = divmod(code, self.p)
+            out.append(r)
+        return tuple(out)
+
+    def elements(self):
+        return [self.from_code(c) for c in range(self.p ** self.m)]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(2 * m - 2, m - 1, -1):   # a^k = a^(k-m) * (a^m - minpoly)
+            c = prod[k]
+            for i in range(m + 1):
+                prod[k - m + i] = (prod[k - m + i] - c * self.minpoly[i]) % p
+        return tuple(prod[:m])
+
+    def inv(self, a):
+        one = self.from_code(1)
+        return next(b for b in self.elements() if self.mul(a, b) == one)
+
+    def to_str(self, a):
+        terms = []
+        for i, c in enumerate(a):
+            if c:
+                pw = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
+                terms.append(str(c) if not pw else (pw if c == 1 else f"{c}*{pw}"))
+        return "+".join(terms) if terms else "0"
+
+
+SMALL_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+def _digit_path_field(monkeypatch, p, m):
+    monkeypatch.setattr(exactcore, "TABLE_MAX_ORDER", 1)
+    F = ExtensionField(p, m)
+    monkeypatch.undo()
+    assert F.mul == F._mul_digits
+    return F
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_coded_field_matches_tuple_reference_on_every_pair(p, m, monkeypatch):
+    F = ExtensionField(p, m)
+    slow = _digit_path_field(monkeypatch, p, m)
+    R = TupleField(p, m, F.minpoly)
+    assert list(F.elements()) == list(range(p ** m))
+    assert [F.coeffs(c) for c in F.elements()] == R.elements()
+    code = {e: c for c, e in enumerate(R.elements())}
+    for a, ta in enumerate(R.elements()):
+        assert F.to_str(a) == R.to_str(ta)
+        assert F.neg(a) == slow.neg(a) == code[R.neg(ta)]
+        if a:
+            assert F.inv(a) == slow.inv(a) == code[R.inv(ta)]
+        for b, tb in enumerate(R.elements()):
+            assert F.add(a, b) == slow.add(a, b) == code[R.add(ta, tb)]
+            assert F.sub(a, b) == slow.sub(a, b) == code[R.sub(ta, tb)]
+            assert F.mul(a, b) == slow.mul(a, b) == code[R.mul(ta, tb)]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_prime_subfield_codes_are_their_int_values(p, m):
+    F = ExtensionField(p, m)
+    assert (F.zero(), F.one(), F.generator()) == (0, 1, p)
+    for n in range(-2 * p, 2 * p):
+        assert F.from_int(n) == n % p
+        assert F.coeffs(F.from_int(n)) == (n % p,) + (0,) * (m - 1)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_digit_path_serves_fields_above_the_table_bound():
+    F = ExtensionField(31, 6)
+    assert F.order > exactcore.TABLE_MAX_ORDER
+    a = F.generator()
+    x = F.add(F.mul(a, a), F.from_int(5))
+    assert F.mul(x, F.inv(x)) == F.one()
+    assert F.sub(x, x) == F.zero()
+    assert F.add(x, F.neg(x)) == F.zero()
+
+
+def test_fields_are_built_once_per_description():
+    d = FieldDesc("extension-field", p=2, m=4, minpoly=canonical_minpoly(2, 4))
+    assert field_from_desc(d) is field_from_desc(d) is finite_field(2, 4)
+    assert finite_field(3, 1) is field_from_desc(FieldDesc("prime-field", p=3))
+
+
+def _irreducible_by_trial_division(poly, p):
+    deg = len(poly) - 1
+    return deg >= 1 and all(_fp_mod(poly, cand, p)
+                            for d in range(1, deg // 2 + 1)
+                            for cand in _fp_monic_polys(d, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rabin_test_agrees_with_trial_division(p):
+    for m in range(1, 5):
+        first = None
+        for poly in _fp_monic_polys(m, p):
+            expected = _irreducible_by_trial_division(poly, p)
+            assert _fp_is_irreducible(poly, p) == expected, poly
+            if expected and first is None:
+                first = tuple(poly)
+        assert canonical_minpoly(p, m) == first
 
 
 def test_canonical_minpoly_is_deterministic_and_irreducible():

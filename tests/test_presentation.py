@@ -93,6 +93,17 @@ def test_error_carries_line_and_column():
         pytest.fail("expected a syntax error")
 
 
+def test_deep_nesting_is_a_syntax_error_not_a_recursion_error():
+    from jetmetric.presentation import MAX_NESTING
+    ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_presentation(f"ring Q[x]\ngraded\nideal: {ok}").gens[0].degree() == 1
+    for expr in ["(" * 3000 + "x" + ")" * 3000,
+                 "x^" + "(" * 3000 + "1" + ")" * 3000]:
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse_presentation(f"ring Q[x]\ngraded\nideal: {expr}")
+        assert err.value.line == 3 and err.value.column > MAX_NESTING
+
+
 def test_print_parse_roundtrip_fixed_cases():
     texts = [
         "ring Q[x, y]\nlocal\nideal: y^2 - x^3",
