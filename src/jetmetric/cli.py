@@ -20,9 +20,9 @@ from typing import Optional
 
 from .artin import hilbert_function, jet, nilpotency_index, socle
 from .errors import JetMetricError, PresentationSyntaxError
-from .exactcore import ExtensionField, finite_field
+from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
-from .iso import SearchBudget, Witness
+from .iso import SearchBudget, Witness, witness_field
 from .metric import defpair_distance, jet_distance, limit_jets
 from .poly import DEFAULT_CAPACITY
 from .presentation import FamilyTemplate, Presentation, parse_presentation
@@ -74,9 +74,7 @@ def _vec_str(vec, field, basis, varnames) -> str:
 def _enc_witness(w: Optional[Witness], B, src_vars, dst_vars) -> Optional[dict]:
     if w is None:
         return None
-    # the images live in B's field extended ext_multiple times
-    fld = B.field if w.ext_multiple == 1 else \
-        finite_field(B.field.p, B.field.desc.m * w.ext_multiple)
+    fld = witness_field(B, w)
     return {"ext_multiple": w.ext_multiple,
             "images": {v: _vec_str(img, fld, B.basis, dst_vars)
                        for v, img in zip(src_vars, w.images)}}

@@ -8,7 +8,7 @@ object, so hot loops never pay for per-element wrappers: ``Fraction`` over Q,
 c_0 + c_1 p + ... + c_{m-1} p^{m-1} of c_0 + c_1 a + ... + c_{m-1} a^{m-1}.
 Extension fields of at most TABLE_MAX_ORDER elements compute through
 log/antilog and Zech tables built once per field; larger ones through
-digit polynomials.  :func:`field_from_desc` builds each field once.
+base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
 
 Row reduction follows the first-nonzero pivot rule with columns processed left
 to right, which makes every echelon form (and therefore every quotient basis
@@ -330,9 +330,11 @@ class PrimeField(Field):
 # Fields of at most this many elements do their arithmetic through tables
 # built once per field: lists of this length (log, Zech) and twice it
 # (antilog), filled by one walk over the multiplicative group.  At 2^12
-# elements the build takes 10-20 ms on a 2-core Xeon host and the tables
-# under 1 MiB; larger fields, which the search and the base changes of this
-# package rarely reach, use digit-polynomial arithmetic.
+# elements the build takes 20-30 ms on a 2-core Xeon host and the tables
+# under 1 MiB.  Larger fields use digit arithmetic on the same codes: there
+# a product costs 3-10 us, an odd-characteristic sum 1-2 us and an inverse
+# 15-80 us on that host (F_2^13 to F_31^6), against 0.1-0.4 us for each
+# through the tables.
 TABLE_MAX_ORDER = 1 << 12
 
 
@@ -342,10 +344,11 @@ class ExtensionField(Field):
     The element c_0 + c_1 a + ... + c_{m-1} a^{m-1} (0 <= c_i < p) has the
     code c_0 + c_1 p + ... + c_{m-1} p^{m-1}, so :meth:`elements` is
     ``range(p^m)`` and an element of the prime subfield is its own ``int``.
-    Up to TABLE_MAX_ORDER elements, ``mul`` and ``inv`` are log/antilog
-    lookups and ``add``/``sub``/``neg`` are XOR (p = 2) or Zech-logarithm
-    lookups (odd p); larger fields multiply and add the base-p digits as
-    polynomials modulo the minimal polynomial.
+    For p = 2, ``add``/``sub``/``neg`` are XOR at every size.  Up to
+    TABLE_MAX_ORDER elements, ``mul`` and ``inv`` are log/antilog lookups
+    and, for odd p, ``add``/``sub``/``neg`` are Zech-logarithm lookups.
+    Larger fields add digit by digit, multiply the digits packed into one
+    ``int`` (Kronecker substitution) and invert by extended Euclid.
     """
 
     def __init__(self, p: int, m: int, minpoly: Sequence[int] | None = None):
@@ -365,17 +368,17 @@ class ExtensionField(Field):
         self.minpoly = mp
         self.order = p**m
         self.desc = FieldDesc(kind="extension-field", p=p, m=m, minpoly=mp)
+        self._init_digits()
         if self.order > TABLE_MAX_ORDER:
             self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
             self.mul, self.inv = self._mul_digits, self._inv_digits
-            return
-        self._build_tables()
+        else:
+            self._build_tables()
+            self.add, self.sub, self.neg = self._add_zech, self._sub_zech, self._neg_zech
+            self.mul, self.inv = self._mul_log, self._inv_log
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = _identity
-        else:
-            self.add, self.sub, self.neg = self._add_zech, self._sub_zech, self._neg_zech
-        self.mul, self.inv = self._mul_log, self._inv_log
 
     def zero(self):
         return 0
@@ -412,29 +415,83 @@ class ExtensionField(Field):
         """All field elements in integer-encoding order (c_0 least significant)."""
         return range(self.order)
 
-    # -- digit-polynomial arithmetic --------------------------------------
+    # -- digit arithmetic ---------------------------------------------------
 
-    def _code(self, digits: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(digits):
-            out = out * self.p + c
+    def _init_digits(self) -> None:
+        p, m = self.p, self.m
+        self._place = [p**i for i in range(m)]
+        # A product is taken on digits packed into slot-bit fields of one int
+        # (Kronecker substitution); a slot holds at most (2m-1)(p-1)^2.
+        slot = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+        self._slot, self._slot_mask = slot, (1 << slot) - 1
+        self._low_mask = (1 << (slot * m)) - 1
+        # packed digits of a^k for m <= k <= 2m-2, so a product reduces
+        # without polynomial division
+        red, cur = [], [(-c) % p for c in self.minpoly[:-1]]
+        for _ in range(m - 1):
+            red.append(cur)
+            lead, cur = cur[-1], [0] + cur[:-1]
+            if lead:
+                cur = [(x + lead * t) % p for x, t in zip(cur, red[0])]
+        self._red = [sum(c << (slot * i) for i, c in enumerate(row)) for row in red]
+
+    def _pack(self, a: int) -> int:
+        p, slot = self.p, self._slot
+        out = shift = 0
+        while a:
+            a, c = divmod(a, p)
+            out |= c << shift
+            shift += slot
         return out
 
     def _add_digits(self, a, b):
-        p, m = self.p, self.m
-        return self._code([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))])
+        # a + b as integers, less p^(i+1) at every digit position that carries
+        p = self.p
+        s = a + b
+        for w in self._place:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            if x + y >= p:
+                s -= p * w
+        return s
 
     def _sub_digits(self, a, b):
-        return self._add_digits(a, self._neg_digits(b))
+        p = self.p
+        s = a - b
+        for w in self._place:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            if x < y:
+                s += p * w
+        return s
 
     def _neg_digits(self, a):
         p = self.p
-        return self._code([(-x) % p for x in _digits(a, p, self.m)])
+        s = -a
+        for w in self._place:
+            a, x = divmod(a, p)
+            if x:
+                s += p * w
+        return s
 
     def _mul_digits(self, a, b):
-        p, m = self.p, self.m
-        prod = _fp_mul(_fp_trim(_digits(a, p, m)), _fp_trim(_digits(b, p, m)), p)
-        return self._code(_fp_mod(prod, self.minpoly, p))
+        if a == 0 or b == 0:
+            return 0
+        p, slot, mask = self.p, self._slot, self._slot_mask
+        prod = self._pack(a) * self._pack(b)
+        low, high = prod & self._low_mask, prod >> (slot * self.m)
+        for red in self._red:
+            if not high:
+                break
+            c = (high & mask) % p
+            if c:
+                low += c * red
+            high >>= slot
+        out = 0
+        for w in self._place:
+            out += (low & mask) % p * w
+            low >>= slot
+        return out
 
     def _inv_digits(self, a):
         # extended Euclid in F_p[x] against the minimal polynomial
@@ -449,7 +506,7 @@ class ExtensionField(Field):
             t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
         # r0 is the gcd, a nonzero constant since the minimal polynomial is irreducible
         scale = pow(r0[0], p - 2, p)
-        return self._code([(c * scale) % p for c in t0])
+        return sum((c * scale) % p * w for c, w in zip(t0, self._place))
 
     def _pow_digits(self, a, e: int):
         out = 1
@@ -463,23 +520,16 @@ class ExtensionField(Field):
     # -- table arithmetic --------------------------------------------------
 
     def _build_tables(self) -> None:
-        p, m, n = self.p, self.m, self.order - 1
+        p, n = self.p, self.order - 1
         g = next(c for c in range(p, self.order)
                  if all(self._pow_digits(c, n // r) != 1 for r in _prime_factors(n)))
-        # times-g as an F_p-linear map: the digits of g * a^i for each i
-        cols = [_digits(self._mul_digits(p**i, g), p, m) for i in range(m)]
         exp = [0] * (2 * n)     # doubled so that log a + log b needs no reduction
         log = [0] * (n + 1)
         x = 1
         for k in range(n):
             exp[k] = exp[k + n] = x
             log[x] = k
-            acc = [0] * m
-            for c, col in zip(_digits(x, p, m), cols):
-                if c:
-                    for j, d in enumerate(col):
-                        acc[j] += c * d
-            x = self._code([v % p for v in acc])
+            x = self._mul_digits(x, g)
         self._n, self._exp, self._log = n, exp, log
         if p != 2:
             # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0

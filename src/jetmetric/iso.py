@@ -195,6 +195,16 @@ class Witness:
     ext_multiple: int = 1     # base-change factor applied to both sides
 
 
+def witness_field(B: ArtinAlgebra, w: Witness) -> Field:
+    """The field the coordinates of w's images lie in: B's field after the
+    base change w records."""
+    f = B.field
+    if w.ext_multiple == 1:
+        return f
+    m = 1 if isinstance(f, PrimeField) else f.m
+    return finite_field(f.p, m * w.ext_multiple)
+
+
 @dataclass
 class IsoVerdict:
     status: str                                            # ISO | NOT_ISO | UNKNOWN

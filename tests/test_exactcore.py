@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -156,14 +157,27 @@ def test_prime_subfield_codes_are_their_int_values(p, m):
         F.inv(0)
 
 
-def test_digit_path_serves_fields_above_the_table_bound():
-    F = ExtensionField(31, 6)
+@pytest.mark.parametrize("p,m", [(2, 13), (3, 8), (31, 4), (7, 5), (32003, 2)])
+def test_fields_above_the_table_bound_match_tuple_reference(p, m):
+    F = ExtensionField(p, m)
     assert F.order > exactcore.TABLE_MAX_ORDER
-    a = F.generator()
-    x = F.add(F.mul(a, a), F.from_int(5))
-    assert F.mul(x, F.inv(x)) == F.one()
-    assert F.sub(x, x) == F.zero()
-    assert F.add(x, F.neg(x)) == F.zero()
+    R = TupleField(p, m, F.minpoly)
+
+    def enc(t):
+        return sum(c * p ** i for i, c in enumerate(t))
+
+    rng = random.Random(p * 100 + m)
+    top = p ** m - 1
+    samples = [0, 1, p - 1, p, top] + [rng.randrange(p ** m) for _ in range(200)]
+    for a, b in zip(samples, samples[1:] + samples[:1]):
+        ta, tb = R.from_code(a), R.from_code(b)
+        assert F.add(a, b) == enc(R.add(ta, tb))
+        assert F.sub(a, b) == enc(R.sub(ta, tb))
+        assert F.neg(a) == enc(R.neg(ta))
+        assert F.mul(a, b) == enc(R.mul(ta, tb))
+        assert F.to_str(a) == R.to_str(ta)
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
 
 
 def test_fields_are_built_once_per_description():

@@ -12,6 +12,7 @@ from jetmetric.iso import (
     invert_witness,
     project_witness,
     verify_witness,
+    witness_field,
 )
 from jetmetric.presentation import parse_presentation
 
@@ -147,6 +148,8 @@ def test_extension_search_finds_f9_iso():
     v2 = _decide(A, B, SearchBudget(ext_degree_max=2, effort=400_000))
     assert v2.status == "ISO"
     assert v2.witness.ext_multiple == 2
+    assert witness_field(B, v2.witness) is base_change(B, 2).field
+    assert witness_field(B, Witness(images=[], ext_multiple=1)) is B.field
 
 
 def test_base_change_preserves_hilbert_function():
