@@ -10,12 +10,12 @@ Extension fields of at most TABLE_MAX_ORDER elements compute through
 log/antilog and Zech tables built once per field; larger ones through
 base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
 
-Row reduction follows the first-nonzero pivot rule with columns processed left
-to right, which makes every echelon form (and therefore every quotient basis
-built on top of it) canonical and reproducible.  Over the rationals the
-forward pass is fraction-free (integer rows, periodic gcd normalization);
-over finite fields it is plain Gaussian elimination.  No floating point
-anywhere.
+Row reduction returns the reduced row echelon form, with pivots the leftmost
+nonzero columns, so every echelon form (and therefore every quotient basis
+built on top of it) is canonical and reproducible.  Over Q and F_p it runs on
+rows of Python ints (fraction-free Gauss-Jordan, one division per entry at
+the end); over F_{p^m} it is plain Gauss-Jordan in the field's arithmetic.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import FieldError
@@ -209,6 +209,17 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def pow(self, a, e: int):
+        """a^e for e >= 0, by repeated squaring."""
+        out = self.one()
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
+
     def eq(self, a, b) -> bool:
         return a == b
 
@@ -242,12 +253,16 @@ class Field:
         return f"Field({self.desc.label()})"
 
 
+# Fractions are immutable, so every zero the rationals hand out can be one object.
+_ZERO = Fraction(0)
+
+
 class RationalField(Field):
     def __init__(self):
         self.desc = FieldDesc(kind="rationals")
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
         return Fraction(1)
@@ -369,11 +384,10 @@ class ExtensionField(Field):
         self.order = p**m
         self.desc = FieldDesc(kind="extension-field", p=p, m=m, minpoly=mp)
         self._init_digits()
-        if self.order > TABLE_MAX_ORDER:
-            self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
-            self.mul, self.inv = self._mul_digits, self._inv_digits
-        else:
-            self._build_tables()
+        self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
+        self.mul, self.inv = self._mul_digits, self._inv_digits
+        if self.order <= TABLE_MAX_ORDER:
+            self._build_tables()        # walks the group with the digit product
             self.add, self.sub, self.neg = self._add_zech, self._sub_zech, self._neg_zech
             self.mul, self.inv = self._mul_log, self._inv_log
         if p == 2:
@@ -508,28 +522,24 @@ class ExtensionField(Field):
         scale = pow(r0[0], p - 2, p)
         return sum((c * scale) % p * w for c, w in zip(t0, self._place))
 
-    def _pow_digits(self, a, e: int):
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_digits(out, a)
-            a = self._mul_digits(a, a)
-            e >>= 1
-        return out
+    def primitive_element(self) -> int:
+        """The smallest code that generates the multiplicative group."""
+        n = self.order - 1
+        return next(c for c in range(self.p, self.order)
+                    if all(self.pow(c, n // r) != 1 for r in _prime_factors(n)))
 
     # -- table arithmetic --------------------------------------------------
 
     def _build_tables(self) -> None:
         p, n = self.p, self.order - 1
-        g = next(c for c in range(p, self.order)
-                 if all(self._pow_digits(c, n // r) != 1 for r in _prime_factors(n)))
+        g = self.primitive_element()
         exp = [0] * (2 * n)     # doubled so that log a + log b needs no reduction
         log = [0] * (n + 1)
         x = 1
         for k in range(n):
             exp[k] = exp[k + n] = x
             log[x] = k
-            x = self._mul_digits(x, g)
+            x = self.mul(x, g)
         self._n, self._exp, self._log = n, exp, log
         if p != 2:
             # zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0
@@ -624,7 +634,13 @@ class RrefResult:
 
 
 class ExactMatrix:
-    """Dense exact matrix over a :class:`Field`; rows are plain lists of raw values."""
+    """Dense exact matrix over a :class:`Field`; rows are plain lists of raw values.
+
+    :meth:`rref` over Q and F_p converts the rows to Python ints (clearing
+    denominators over Q, reducing mod p over F_p) and eliminates them with
+    :func:`_rref_int`; over F_{p^m}, whose codes are not int arithmetic, it
+    uses :func:`_rref_generic`.
+    """
 
     def __init__(self, field: Field, rows: list[list], ncols: int):
         self.field = field
@@ -645,9 +661,10 @@ class ExactMatrix:
         return len(self.rows)
 
     def rref(self) -> RrefResult:
-        if isinstance(self.field, RationalField):
-            return _rref_rational(self.rows, self.ncols)
-        return _rref_generic(self.field, self.rows, self.ncols)
+        f = self.field
+        if isinstance(f, (RationalField, PrimeField)):
+            return _rref_int(self.rows, self.ncols, f.desc.characteristic)
+        return _rref_generic(f, self.rows, self.ncols)
 
     def rank(self) -> int:
         return self.rref().rank
@@ -672,19 +689,10 @@ class ExactMatrix:
             basis.append(vec)
         return basis
 
-    def mul_vec(self, vec: Sequence) -> list:
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero()
-            for a, x in zip(row, vec):
-                if not (f.is_zero(a) or f.is_zero(x)):
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
-
 
 def _rref_generic(field: Field, in_rows: list[list], ncols: int) -> RrefResult:
+    """RREF by Gauss-Jordan in the field's own arithmetic, for F_{p^m}; the
+    tests compare :func:`_rref_int` against it over Q and F_p."""
     rows = [list(r) for r in in_rows if not field.vec_is_zero(r)]
     pivots: list[int] = []
     piv_r = 0
@@ -712,74 +720,79 @@ def _rref_generic(field: Field, in_rows: list[list], ncols: int) -> RrefResult:
     return RrefResult(rows=rows[:piv_r], pivots=pivots, ncols=ncols)
 
 
-def _row_to_int(row: Sequence) -> list[int] | None:
-    """Clear denominators of a rational row; returns integer row of the same span."""
-    den = 1
-    for a in row:
-        if isinstance(a, Fraction):
-            den = den * a.denominator // gcd(den, a.denominator)
-    out = [int(a * den) if isinstance(a, Fraction) else int(a) * den for a in row]
-    g = 0
-    for a in out:
-        g = gcd(g, abs(a))
-    if g == 0:
-        return None
-    if g > 1:
-        out = [a // g for a in out]
-    return out
+def _int_row(row: Sequence, p: int) -> list[int] | None:
+    """An integer row with the span of ``row``, or None for a zero row.
 
-
-def _rref_rational(in_rows: list[list], ncols: int) -> RrefResult:
-    """RREF over Q: fraction-free integer forward pass, exact back substitution.
-
-    Each combined row is renormalized by its gcd to keep entries bounded
-    (the "periodic normalization" that makes Bareiss-style growth manageable).
+    Over F_p entries are reduced mod p.  Over Q (p = 0) denominators are
+    cleared and the content divided out, reading only the nonzero entries;
+    the shared zero that :meth:`RationalField.zero` returns is skipped by
+    identity, which costs far less than a ``Fraction`` comparison.
     """
-    rows: list[list[int]] = []
-    for r in in_rows:
-        ir = _row_to_int(r)
-        if ir is not None:
-            rows.append(ir)
+    if p:
+        out = [a % p for a in row]
+        return out if any(out) else None
+    nz = [i for i, a in enumerate(row) if a is not _ZERO and a]
+    if not nz:
+        return None
+    den = lcm(*[row[i].denominator for i in nz])
+    out = [0] * len(row)
+    for i in nz:
+        a = row[i]
+        out[i] = a.numerator * (den // a.denominator)
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
+    """RREF over Q (p = 0) or F_p on rows of Python ints.
+
+    A forward pass and a back pass clear each pivot column with the
+    fraction-free combination lead*x - c*y; a combined row is divided by its
+    gcd over Q and reduced mod p over F_p.  Each entry is divided by its
+    row's pivot once, at the end: ``Fraction(v, lead)`` over Q,
+    ``v * lead^-1 mod p`` over F_p.
+    """
+    rows = [r for r in (_int_row(r, p) for r in in_rows) if r is not None]
+
+    def combine(cur: list[int], prow: list[int], col: int, start: int) -> list[int]:
+        # cur and prow vanish before start; prow[col] is the pivot to clear with
+        lead, c = prow[col], cur[col]
+        pairs = zip(cur[start:], prow[start:])
+        if p:
+            return cur[:start] + [(lead * x - c * y) % p for x, y in pairs]
+        new = [lead * x - c * y for x, y in pairs]
+        g = gcd(*new)
+        return cur[:start] + ([v // g for v in new] if g > 1 else new)
+
     pivots: list[int] = []
-    piv_r = 0
     for col in range(ncols):
-        sel = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        prow = rows[piv_r]
-        p = prow[col]
-        for r in range(piv_r + 1, len(rows)):
-            a = rows[r][col]
-            if a == 0:
-                continue
-            cur = rows[r]
-            new = [p * x - a * y for x, y in zip(cur, prow)]
-            g = 0
-            for v in new:
-                g = gcd(g, abs(v))
-            if g > 1:
-                new = [v // g for v in new]
-            rows[r] = new
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(rows):
+        top = len(pivots)
+        if top == len(rows):
             break
-    # back substitution on the pivot rows, producing exact rational RREF
-    red: list[list[Fraction]] = [[Fraction(v) for v in rows[i]] for i in range(piv_r)]
-    for i in range(piv_r - 1, -1, -1):
-        pc = pivots[i]
-        lead = red[i][pc]
-        red[i] = [a / lead for a in red[i]]
-        for j in range(i):
-            c = red[j][pc]
-            if c != 0:
-                red[j] = [a - c * b for a, b in zip(red[j], red[i])]
-    return RrefResult(rows=red, pivots=pivots, ncols=ncols)
+        hits = [r for r in range(top, len(rows)) if rows[r][col]]
+        if not hits:
+            continue
+        # rows top..hits[0]-1 vanish at col, so the swap leaves hits[1:] in place
+        rows[top], rows[hits[0]] = rows[hits[0]], rows[top]
+        prow = rows[top]
+        for r in hits[1:]:
+            rows[r] = combine(rows[r], prow, col, col)
+        pivots.append(col)
+    rank = len(pivots)
+    rows = rows[:rank]
+    for i in range(rank - 1, 0, -1):
+        pc, prow = pivots[i], rows[i]
+        for j in [j for j in range(i) if rows[j][pc]]:
+            rows[j] = combine(rows[j], prow, pc, pivots[j])
+    out: list[list] = []
+    for row, pc in zip(rows, pivots):
+        lead = row[pc]
+        if p:
+            inv = pow(lead, -1, p)
+            out.append([v * inv % p for v in row])
+        else:
+            out.append([Fraction(v, lead) if v else _ZERO for v in row])
+    return RrefResult(rows=out, pivots=pivots, ncols=ncols)
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -54,7 +54,6 @@ class InvariantSignature:
     socle_dim: int
     embdim: int
     mult_rank_profile: tuple[int, ...]
-    betti_prefix: Optional[tuple[int, ...]] = None
 
 
 def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
@@ -141,16 +140,31 @@ def embed_scalar(src: Field, dst: Field, root, c):
 
 def embedding_root(src: Field, dst: Field):
     """First root (in element-encoding order) of the source minimal polynomial
-    inside the destination field; defines the canonical embedding."""
+    inside the destination field; defines the canonical embedding.
+
+    The roots lie in the subfield of order p^m, whose nonzero elements are
+    the powers of beta = gamma^((q-1)/(p^m-1)) for a primitive gamma of the
+    destination; they are the m Frobenius conjugates r^(p^i) of any one root.
+    """
     if isinstance(src, PrimeField):
         return dst.one()
     mp = src.desc.minpoly
-    for cand in dst.elements():
+
+    def value(x):
         acc = dst.zero()
         for coeff in reversed(mp):
-            acc = dst.add(dst.mul(acc, cand), dst.from_int(coeff))
-        if dst.is_zero(acc):
-            return cand
+            acc = dst.add(dst.mul(acc, x), dst.from_int(coeff))
+        return acc
+
+    beta = dst.pow(dst.primitive_element(), (dst.order - 1) // (src.order - 1))
+    x = dst.one()
+    for _ in range(src.order - 1):
+        if dst.is_zero(value(x)):
+            conjugates = [x]
+            for _ in range(src.m - 1):
+                conjugates.append(dst.pow(conjugates[-1], src.p))
+            return min(conjugates)
+        x = dst.mul(x, beta)
     raise FieldError("minimal polynomial has no root in the target field")
 
 

@@ -12,6 +12,7 @@ pivots at y^2 and stores nf(y^2) = x^3).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -248,17 +249,15 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
         red = ExactMatrix(field, rows, n_mono).rref()
     else:
         red = ExactMatrix(field, [], n_mono).rref()
-    pivot_set = set(red.pivots)
-    basis = [m for i, m in enumerate(monos) if i not in pivot_set]
-    basis_pos = {m: j for j, m in enumerate(basis)}
+    free = red.free_columns()
+    basis = [monos[c] for c in free]
+    neg, is_zero = field.neg, field.is_zero
     nf: dict[Monomial, list] = {}
     for row, pc in zip(red.rows, red.pivots):
-        vec = [zero] * len(basis)
-        for c in range(pc + 1, n_mono):
-            v = row[c]
-            if not field.is_zero(v) and monos[c] in basis_pos:
-                vec[basis_pos[monos[c]]] = field.neg(v)
-        nf[monos[pc]] = vec
+        # a reduced row vanishes at every other pivot column and before pc
+        start = bisect_left(free, pc)
+        tail = [row[c] for c in free[start:]]
+        nf[monos[pc]] = [zero] * start + [zero if is_zero(v) else neg(v) for v in tail]
     return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis,
                              nf=nf, pivots=[monos[p] for p in red.pivots])
 

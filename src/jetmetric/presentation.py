@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
@@ -39,7 +40,7 @@ from .exactcore import (
     field_from_desc,
     rationals,
 )
-from .poly import Poly, grlex_key, mono_deg
+from .poly import DEFAULT_CAPACITY, Poly, grlex_key, mono_deg
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +192,27 @@ class _ExprParser:
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
-        if self._accept_sym("^"):
-            t = self._peek()
-            if t is not None and t.kind == "INT":
-                self.i += 1
-                return base.pow(int(t.text))
-            if self._open_paren():
-                where = t
-                e = self._parse_int_expr()
-                self._close_paren("expected ')' closing the exponent")
-                if e < 0:
-                    raise PresentationSyntaxError(f"negative exponent {e}",
-                                                  where.line, where.col)
-                return base.pow(e)
+        caret = self._peek()
+        if not self._accept_sym("^"):
+            return base
+        t = self._peek()
+        if t is not None and t.kind == "INT":
+            self.i += 1
+            e = int(t.text)
+        elif self._open_paren():
+            e = self._parse_int_expr()
+            self._close_paren("expected ')' closing the exponent")
+            if e < 0:
+                raise PresentationSyntaxError(f"negative exponent {e}", t.line, t.col)
+        else:
             raise self._err("expected integer exponent after '^'")
-        return base
+        # a t-term base to the e has at most C(t-1+e, e) terms
+        nterms = len(base.terms)
+        if nterms > 1 and comb(nterms - 1 + e, e) > DEFAULT_CAPACITY:
+            raise PresentationSyntaxError(
+                f"power of a {nterms}-term polynomial to {e} may have more than "
+                f"{DEFAULT_CAPACITY} terms", caret.line, caret.col)
+        return base.pow(e)
 
     def _parse_int_expr(self) -> int:
         """Constant integer arithmetic inside a parenthesized exponent."""

@@ -159,3 +159,14 @@ def test_deeply_nested_input_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"
+
+
+def test_oversized_power_exits_one_without_traceback(tmp_path):
+    big = tmp_path / "big.pres"
+    big.write_text("ring Q[x, y, z]\nideal: (x + y + z)^90\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetmetric.cli", "jets", str(big), "--order", "2"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"

@@ -15,6 +15,7 @@ from jetmetric.exactcore import (
     _fp_is_irreducible,
     _fp_mod,
     _fp_monic_polys,
+    _rref_generic,
     canonical_minpoly,
     field_from_desc,
     finite_field,
@@ -234,6 +235,10 @@ def test_rref_known_matrix_over_q():
     assert res.pivots == [0, 1]
 
 
+def _mul_vec(F, rows, vec):
+    return [F.sum(F.mul(a, x) for a, x in zip(row, vec)) for row in rows]
+
+
 def test_kernel_basis_members_are_killed_by_the_matrix():
     F = PrimeField(3)
     rows = [[1, 2, 0, 1], [0, 1, 1, 1]]
@@ -241,7 +246,7 @@ def test_kernel_basis_members_are_killed_by_the_matrix():
     ker = M.kernel_basis()
     assert len(ker) == 2
     for v in ker:
-        assert all(F.is_zero(c) for c in M.mul_vec(v))
+        assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))
 
 
 def test_rank_gf2_bitmask():
@@ -275,7 +280,7 @@ def test_kernel_vectors_lie_in_kernel_over_q(mat):
     F = rationals()
     M = ExactMatrix(F, rows, n)
     for v in M.kernel_basis():
-        assert all(F.is_zero(c) for c in M.mul_vec(v))
+        assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
@@ -285,3 +290,80 @@ def test_gf2_rank_matches_generic_path(a, b, c):
     F = PrimeField(2)
     rows = [[(r >> j) & 1 for j in range(8)] for r in ints]
     assert rank_gf2(ints) == ExactMatrix(F, rows, 8).rank()
+
+
+# -- the integer-row kernel against the field-generic elimination
+
+_BIG = 2**64
+_q_entry = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(_BIG, 4 * _BIG).map(lambda v: v if v % 2 else -v),
+    st.builds(Fraction, st.integers(-4 * _BIG, 4 * _BIG), st.integers(1, _BIG)),
+)
+
+
+@st.composite
+def _dependent_rows(draw, entry, combine):
+    """A matrix whose later rows may be zero, copies or combinations of earlier ones."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rows: list[list] = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([combine(x, k, y) for x, y in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    return rows, n
+
+
+def _assert_same_rref(F, rows, n):
+    got = ExactMatrix(F, rows, n).rref()
+    want = _rref_generic(F, rows, n)
+    assert got.pivots == want.pivots
+    assert got.rows == want.rows
+    assert got.ncols == n
+    return got
+
+
+_SHAPES = [([[3, Fraction(-1, 2), 0, _BIG + 1]], 4),          # 1 x n
+           ([[Fraction(2, 3)], [0], [-_BIG]], 1),             # m x 1
+           ([[0, 0, 0], [0, 0, 0]], 3),                       # all zero
+           ([], 5),                                           # no rows
+           ([[1, 2], [2, 4], [Fraction(1, 2), 1]], 2)]        # rank one
+
+
+@given(_dependent_rows(_q_entry, lambda x, k, y: Fraction(x) + k * Fraction(y)))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_generic_rref_over_q(mat):
+    rows, n = mat
+    got = _assert_same_rref(rationals(), rows, n)
+    assert all(type(v) is Fraction for row in got.rows for v in row)
+
+
+def test_integer_kernel_matches_generic_rref_on_edge_shapes():
+    for rows, n in _SHAPES:
+        got = _assert_same_rref(rationals(), rows, n)
+        assert all(type(v) is Fraction for row in got.rows for v in row)
+        int_rows = [[Fraction(v).numerator for v in row] for row in rows]
+        for p in (2, 3, 32003):
+            _assert_same_rref(PrimeField(p), int_rows, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_matches_generic_rref_over_fp(p, data):
+    entry = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p),
+                      st.integers(_BIG, 2 * _BIG))
+    rows, n = data.draw(_dependent_rows(entry, lambda x, k, y: x + k * y))
+    got = _assert_same_rref(PrimeField(p), rows, n)
+    assert all(type(v) is int and 0 <= v < p for row in got.rows for v in row)

@@ -7,6 +7,7 @@ from jetmetric.iso import (
     base_change,
     compose_witnesses,
     decide_isomorphism,
+    embedding_root,
     find_separator,
     invariant_signature,
     invert_witness,
@@ -14,6 +15,7 @@ from jetmetric.iso import (
     verify_witness,
     witness_field,
 )
+from jetmetric.exactcore import TABLE_MAX_ORDER, _is_prime, finite_field
 from jetmetric.presentation import parse_presentation
 
 BUDGET = SearchBudget(ext_degree_max=1, effort=200_000)
@@ -150,6 +152,27 @@ def test_extension_search_finds_f9_iso():
     assert v2.witness.ext_multiple == 2
     assert witness_field(B, v2.witness) is base_change(B, 2).field
     assert witness_field(B, Witness(images=[], ext_multiple=1)) is B.field
+
+
+def _first_root_by_scan(src, dst):
+    # every element of dst in code order, the minimal polynomial evaluated at each
+    for cand in dst.elements():
+        acc = dst.zero()
+        for coeff in reversed(src.desc.minpoly):
+            acc = dst.add(dst.mul(acc, cand), dst.from_int(coeff))
+        if dst.is_zero(acc):
+            return cand
+    raise AssertionError("no root")
+
+
+def test_embedding_root_matches_scan_of_the_whole_field():
+    cases = [(p, m, n) for p in range(2, 65) if _is_prime(p)
+             for n in range(2, 13) if p**n <= TABLE_MAX_ORDER
+             for m in range(2, n + 1) if n % m == 0]
+    assert len(cases) > 30
+    for p, m, n in cases:
+        src, dst = finite_field(p, m), finite_field(p, n)
+        assert embedding_root(src, dst) == _first_root_by_scan(src, dst), (p, m, n)
 
 
 def test_base_change_preserves_hilbert_function():

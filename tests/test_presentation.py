@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,22 @@ def test_deep_nesting_is_a_syntax_error_not_a_recursion_error():
         with pytest.raises(PresentationSyntaxError) as err:
             parse_presentation(f"ring Q[x]\ngraded\nideal: {expr}")
         assert err.value.line == 3 and err.value.column > MAX_NESTING
+
+
+def test_power_with_too_many_terms_is_refused_at_the_caret():
+    from jetmetric.poly import DEFAULT_CAPACITY
+    ring = "ring Q[a,b,c,d,e,f,g,x,y,z]\ngraded\nideal: "
+    # seven terms to the 7th: C(13, 7) = 1716 terms fit; to the 8th: C(14, 8) = 3003 do not
+    assert len(parse_presentation(ring + "(a+b+c+d+e+f+g)^7").gens[0].terms) == 1716
+    for expr in ["(a+b+c+d+e+f+g)^8", "(x+y+z)^90", "(x+y+z)^(45*2)", "x*(x+y)^2001"]:
+        start = time.process_time()
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse_presentation(ring + expr)
+        assert time.process_time() - start < 0.1
+        assert (err.value.line, err.value.column) == (3, 8 + expr.index("^"))
+        assert str(DEFAULT_CAPACITY) in str(err.value)
+    # one term to any power is one term
+    assert parse_presentation(ring + "(2*x)^5000").gens[0].degree() == 5000
 
 
 def test_print_parse_roundtrip_fixed_cases():
