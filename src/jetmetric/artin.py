@@ -7,6 +7,14 @@ monomial concatenation followed by a normal-form lookup; products of basis
 pairs are memoized on first use instead of being tabulated up front, which
 keeps large jets affordable.
 
+Every algebra map into an ArtinAlgebra (evaluating relations at generator
+images, the linear map of an isomorphism witness, composing witnesses) goes
+through one mechanism: `monomial_map(images)` is a memoized function from a
+monomial to its coordinate vector, seeded with 1 and the generator images,
+and `combine` sums c * image(m) over a polynomial's or a vector's terms.  A
+new monomial is reached from its nearest memoized divisor (lowering the last
+nonzero exponent) and then costs one multiply.
+
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
 jet of the localization — no standard-basis machinery is needed.
@@ -14,13 +22,14 @@ jet of the localization — no standard-basis machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
 from .exactcore import ExactMatrix, Field
 from .poly import (
     DEFAULT_CAPACITY,
+    Monomial,
     Poly,
     TruncatedQuotient,
     count_monomials_below,
@@ -29,6 +38,9 @@ from .poly import (
     truncated_quotient,
 )
 from .presentation import Presentation
+
+# coordinates of the image of each monomial under an algebra map
+MonomialMap = Callable[[Monomial], list]
 
 
 @dataclass
@@ -142,34 +154,58 @@ class ArtinAlgebra:
         cols = [self.multiply(u, self.unit_vec(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def power(self, u: Sequence, k: int) -> list:
-        out = self.one_vec()
-        for _ in range(k):
-            out = self.multiply(out, u)
-        return out
+    # -- algebra maps ------------------------------------------------------
 
-    def evaluate(self, g: Poly, images: Sequence[Sequence]) -> list:
-        """Evaluate the polynomial g at algebra elements (one per variable)."""
-        f = self.field
-        out = f.vec_zero(self.dim)
-        pow_cache: dict[tuple[int, int], list] = {}
+    def monomial_map(self, images: Sequence[Sequence]) -> MonomialMap:
+        """Memoized map from a monomial x^a to the coordinates of the product
+        of images[k]^a_k, with images[k] the coordinates of the image of x_k.
 
-        def var_pow(k: int, e: int) -> list:
-            got = pow_cache.get((k, e))
-            if got is None:
-                got = self.power(list(images[k]), e)
-                pow_cache[(k, e)] = got
+        A new monomial lowers its last nonzero exponent until it reaches a
+        memoized divisor and multiplies back up, memoizing every step, so it
+        costs one multiply; the walk is a loop, so high powers stay flat.
+        """
+        gens = [list(img) for img in images]
+        r = len(gens)
+        memo: dict[Monomial, list] = {(0,) * r: self.one_vec()}
+        for k, img in enumerate(gens):
+            memo[tuple(int(i == k) for i in range(r))] = img
+
+        def image(mono: Monomial) -> list:
+            got = memo.get(mono)
+            if got is not None:
+                return got
+            e = list(mono)
+            path: list[tuple[Monomial, int]] = []
+            k = r - 1
+            while got is None:
+                while not e[k]:
+                    k -= 1
+                path.append((tuple(e), k))
+                e[k] -= 1
+                got = memo.get(tuple(e))
+            for m, k in reversed(path):
+                got = self.multiply(got, gens[k])
+                memo[m] = got
             return got
 
-        for mono, c in g.terms.items():
-            term = self.one_vec()
-            for k, e in enumerate(mono):
-                if e:
-                    term = self.multiply(term, var_pow(k, e))
-            for i, w in enumerate(term):
+        return image
+
+    def combine(self, terms: Iterable[tuple[Monomial, object]],
+                image: MonomialMap) -> list:
+        """Coordinates of the sum of c * image(m) over the (m, c) pairs."""
+        f = self.field
+        out = f.vec_zero(self.dim)
+        for m, c in terms:
+            if f.is_zero(c):
+                continue
+            for i, w in enumerate(image(m)):
                 if not f.is_zero(w):
                     out[i] = f.add(out[i], f.mul(c, w))
         return out
+
+    def evaluate(self, g: Poly, image: MonomialMap) -> list:
+        """Evaluate the polynomial g under a monomial map into this algebra."""
+        return self.combine(g.terms.items(), image)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +344,6 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
         cap *= 2  # defensive; the colength bound should already suffice
     origin = AlgebraOrigin(presentation=p, order=n, kind="defpair", internal_cap=cap)
     A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
-    A.tuple_images = [A.evaluate(t, [A.var_image(k) for k in range(p.nvars)])
-                      for t in p.tuple]
+    image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])
+    A.tuple_images = [A.evaluate(t, image) for t in p.tuple]
     return A

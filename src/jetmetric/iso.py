@@ -25,7 +25,7 @@ from itertools import permutations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .artin import ArtinAlgebra, hf_by_degree_count, nilpotency_index, socle
+from .artin import ArtinAlgebra, MonomialMap, hf_by_degree_count, nilpotency_index, socle
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError
 from .exactcore import (
     ExactMatrix,
@@ -174,7 +174,7 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     f = A.field
     if isinstance(f, RationalField):
         raise FieldError("base change along extensions of Q is out of scope")
-    m = 1 if isinstance(f, PrimeField) else f.m
+    m = f.desc.m
     if m_prime % m != 0:
         raise FieldError(f"extension degree {m_prime} is not a multiple of {m}")
     if m_prime == m:
@@ -215,8 +215,7 @@ def witness_field(B: ArtinAlgebra, w: Witness) -> Field:
     f = B.field
     if w.ext_multiple == 1:
         return f
-    m = 1 if isinstance(f, PrimeField) else f.m
-    return finite_field(f.p, m * w.ext_multiple)
+    return finite_field(f.p, f.desc.m * w.ext_multiple)
 
 
 @dataclass
@@ -227,67 +226,36 @@ class IsoVerdict:
     search_bounds: Optional[dict] = None
 
 
-def linear_map_matrix(A: ArtinAlgebra, B: ArtinAlgebra, images: Sequence[Sequence]) -> list[list]:
+def linear_map_matrix(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> list[list]:
     """Row-major matrix (B.dim x A.dim) of the linear map sending the class of
-    each basis monomial x^a of A to the corresponding product of images."""
-    f = B.field
-    cols: list[list] = []
-    cache: dict[tuple[int, int], list] = {}
-
-    def img_pow(k: int, e: int) -> list:
-        got = cache.get((k, e))
-        if got is None:
-            got = B.power(list(images[k]), e)
-            cache[(k, e)] = got
-        return got
-
-    for mono in A.basis:
-        vec = B.one_vec()
-        for k, e in enumerate(mono):
-            if e:
-                vec = B.multiply(vec, img_pow(k, e))
-        cols.append(vec)
+    each basis monomial of A to its value under the monomial map `image`."""
+    cols = [image(mono) for mono in A.basis]
     return [[cols[j][i] for j in range(A.dim)] for i in range(B.dim)]
 
 
-def apply_linear_map(A: ArtinAlgebra, B: ArtinAlgebra, images: Sequence[Sequence],
+def apply_linear_map(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
                      v: Sequence) -> list:
-    """Image of the element v of A under the map defined by the images."""
-    f = B.field
-    out = f.vec_zero(B.dim)
-    cache: dict[tuple[int, int], list] = {}
+    """Image of the element v of A under the monomial map `image` into B."""
+    return B.combine(zip(A.basis, v), image)
 
-    def img_pow(k: int, e: int) -> list:
-        got = cache.get((k, e))
-        if got is None:
-            got = B.power(list(images[k]), e)
-            cache[(k, e)] = got
-        return got
 
-    for j, c in enumerate(v):
-        if A.field.is_zero(c):
-            continue
-        vec = B.one_vec()
-        for k, e in enumerate(A.basis[j]):
-            if e:
-                vec = B.multiply(vec, img_pow(k, e))
-        for i, w in enumerate(vec):
-            if not f.is_zero(w):
-                out[i] = f.add(out[i], f.mul(c, w))
-    return out
+def _extend(A: ArtinAlgebra, ext_multiple: int) -> ArtinAlgebra:
+    """A with its extension degree multiplied by ext_multiple, the base
+    change a witness records."""
+    if ext_multiple == 1:
+        return A
+    if isinstance(A.field, RationalField):
+        raise FieldError("rational witnesses never carry an extension")
+    return base_change(A, A.field.desc.m * ext_multiple)
 
 
 def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
     """Mechanical check that w defines an isomorphism A -> B (after the
     recorded base change): images lie in the maximal ideal, relations die,
     the truncation ideal dies, and the induced linear map is bijective."""
-    if w.ext_multiple != 1:
-        f = A.field
-        if isinstance(f, RationalField):
-            return False
-        m = 1 if isinstance(f, PrimeField) else f.m
-        A = base_change(A, m * w.ext_multiple)
-        B = base_change(B, m * w.ext_multiple)
+    if w.ext_multiple != 1 and isinstance(A.field, RationalField):
+        return False
+    A, B = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
     if A.dim != B.dim:
         return False
     if A.dim == 0:
@@ -300,35 +268,24 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
             return False
     if nilpotency_index(B) > A.cap:
         return False
+    image = B.monomial_map(w.images)
     for rel in A.relations:
-        if not B.field.vec_is_zero(B.evaluate(rel, w.images)):
+        if not B.field.vec_is_zero(B.evaluate(rel, image)):
             return False
-    L = linear_map_matrix(A, B, w.images)
+    L = linear_map_matrix(A, B, image)
     return ExactMatrix(B.field, L, A.dim).rank() == A.dim
 
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
     """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
-    A0, B0 = A, B
-    if w.ext_multiple != 1:
-        f = A.field
-        m = 1 if isinstance(f, PrimeField) else f.m
-        A0 = base_change(A, m * w.ext_multiple)
-        B0 = base_change(B, m * w.ext_multiple)
-    L = linear_map_matrix(A0, B0, w.images)     # B0.dim x A0.dim, square
-    f = B0.field
-    n = A0.dim
-    # solve L * X = I by rref of [L | I]
-    aug = [list(L[i]) + [f.one() if i == j else f.zero() for j in range(n)]
-           for i in range(n)]
-    red = ExactMatrix(f, aug, 2 * n).rref()
-    inv_rows = [row[n:] for row in red.rows]
-    images = []
-    for k in range(B0.nvars):
-        target = B0.var_image(k)              # class of y_k in B0
-        img = [f.sum(f.mul(inv_rows[i][j], target[j]) for j in range(n))
-               for i in range(n)]
-        images.append(img)
+    A0, B0 = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
+    L = linear_map_matrix(A0, B0, B0.monomial_map(w.images))  # square, invertible
+    n, r = A0.dim, B0.nvars
+    targets = [B0.var_image(k) for k in range(r)]              # classes of y_k
+    # solve L * X = [targets] by rref of [L | targets], which ends in [I | X]
+    aug = [list(L[i]) + [t[i] for t in targets] for i in range(n)]
+    red = ExactMatrix(B0.field, aug, n + r).rref()
+    images = [[row[n + k] for row in red.rows] for k in range(r)]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 
 
@@ -346,19 +303,12 @@ def compose_witnesses(A: ArtinAlgebra, B: ArtinAlgebra, C: ArtinAlgebra,
                       w1: Witness, w2: Witness) -> Witness:
     """Witness for A -> C obtained by following w1: A -> B with w2: B -> C."""
     mult = lcm(w1.ext_multiple, w2.ext_multiple)
-    f = A.field
-    if mult != 1:
-        if isinstance(f, RationalField):
-            raise FieldError("rational witnesses never carry an extension")
-        m0 = 1 if isinstance(f, PrimeField) else f.m
-        Be = base_change(B, m0 * mult)
-        Ce = base_change(C, m0 * mult)
-        w1i = _lift_images(w1, m0, mult, Be.field)
-        w2i = _lift_images(w2, m0, mult, Ce.field)
-        images = [apply_linear_map(Be, Ce, w2i, img) for img in w1i]
-    else:
-        images = [apply_linear_map(B, C, w2.images, img) for img in w1.images]
-    return Witness(images=images, ext_multiple=mult)
+    B, C = _extend(B, mult), _extend(C, mult)
+    m0 = A.field.desc.m
+    image = C.monomial_map(_lift_images(w2, m0, mult, C.field))
+    return Witness(images=[apply_linear_map(B, C, image, img)
+                           for img in _lift_images(w1, m0, mult, B.field)],
+                   ext_multiple=mult)
 
 
 def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Witness:
@@ -367,27 +317,11 @@ def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Wi
     each basis monomial of B_high to its normal form in B_low.  (For plain
     jets this is coordinate truncation by degree; for deformation pairs the
     ideals genuinely grow, so reduction is needed.)"""
-    if w.ext_multiple != 1:
-        f = B_high.field
-        if isinstance(f, RationalField):
-            raise FieldError("rational witnesses never carry an extension")
-        m = 1 if isinstance(f, PrimeField) else f.m
-        B_high = base_change(B_high, m * w.ext_multiple)
-        B_low = base_change(B_low, m * w.ext_multiple)
+    B_high, B_low = _extend(B_high, w.ext_multiple), _extend(B_low, w.ext_multiple)
     if not set(B_low.basis) <= set(B_high.basis):
         raise InternalInconsistencyError("jet bases are not nested")
-    f = B_low.field
-    images = []
-    for img in w.images:
-        vec = f.vec_zero(B_low.dim)
-        for j, c in enumerate(img):
-            if f.is_zero(c):
-                continue
-            red = B_low.reduce_monomial(B_high.basis[j])
-            for i, r in enumerate(red):
-                if not f.is_zero(r):
-                    vec[i] = f.add(vec[i], f.mul(c, r))
-        images.append(vec)
+    images = [B_low.combine(zip(B_high.basis, img), B_low.reduce_monomial)
+              for img in w.images]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 
 
@@ -448,14 +382,15 @@ class _Searcher:
         lin_rows = [[img[i] for i in self.lin_idx] for img in images]
         if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != self.embdim:
             return False
+        image = B.monomial_map(images)
         for rel in A.relations:
-            if not f.vec_is_zero(B.evaluate(rel, images)):
+            if not f.vec_is_zero(B.evaluate(rel, image)):
                 return False
         if self.tuple_constraint:
             for va, vb in zip(A.tuple_images, B.tuple_images):
-                if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, images, va), vb)):
+                if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, image, va), vb)):
                     return False
-        L = linear_map_matrix(A, B, images)
+        L = linear_map_matrix(A, B, image)
         return ExactMatrix(f, L, A.dim).rank() == A.dim
 
     def _try(self, images: list[list]) -> Optional[Witness]:
@@ -484,10 +419,11 @@ class _Searcher:
         if r != self.B.nvars or r > 6:
             return
         f = self.field
-        var_vecs = [self.B.var_image(k) for k in range(r)]
+        scaled = [[f.vec_scale(c, self.B.var_image(k)) for c in QQ_SCALINGS]
+                  for k in range(r)]
         for perm in permutations(range(r)):
-            for scals in product(QQ_SCALINGS, repeat=r):
-                yield [f.vec_scale(scals[k], var_vecs[perm[k]]) for k in range(r)]
+            for scals in product(range(len(QQ_SCALINGS)), repeat=r):
+                yield [scaled[perm[k]][scals[k]] for k in range(r)]
 
     def _vec_from_digits(self, digits: list, idx: list[int]) -> list:
         v = self.field.vec_zero(self.B.dim)
@@ -615,7 +551,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
                                          "candidates_tried": tried_total,
                                          "space_exhausted": False})
 
-    m0 = 1 if isinstance(f, PrimeField) else f.m
+    m0 = f.desc.m
     exhausted_all = True
     ext_tried = 0
     for k in range(1, budget.ext_degree_max + 1):

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
 from .exactcore import ExactMatrix, Field, PrimeField, rank_gf2
@@ -143,9 +142,6 @@ class Poly:
             k >>= 1
         return out
 
-    def mul_monomial(self, m: Monomial) -> "Poly":
-        return Poly(self.field, self.nvars, {mono_mul(t, m): c for t, c in self.terms.items()})
-
     def truncate_below(self, degmax: int) -> "Poly":
         return Poly(self.field, self.nvars,
                     {m: c for m, c in self.terms.items() if mono_deg(m) < degmax})
@@ -234,12 +230,11 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     for g in gens:
         if g.is_zero():
             continue
-        ordg = g.order()
-        for u in monomials_below(nvars, max(cap - ordg, 0)):
-            h = g.mul_monomial(u)
+        for u in monos[:count_monomials_below(nvars, cap - g.order())]:
             row = [zero] * n_mono
             nonzero = False
-            for m, c in h.terms.items():
+            for t, c in g.terms.items():
+                m = mono_mul(t, u)
                 if mono_deg(m) < cap:
                     row[index[m]] = c
                     nonzero = True
@@ -286,18 +281,17 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
         if e > d:
             continue
         for u in monomials_of_degree(nvars, d - e):
-            h = g.mul_monomial(u)
             if use_gf2:
                 bits = 0
-                for m, c in h.terms.items():
+                for t, c in g.terms.items():
                     if c % 2:
-                        bits |= 1 << index[m]
+                        bits |= 1 << index[mono_mul(t, u)]
                 if bits:
                     rows_int.append(bits)
             else:
                 row = [zero] * len(cols)
-                for m, c in h.terms.items():
-                    row[index[m]] = c
+                for t, c in g.terms.items():
+                    row[index[mono_mul(t, u)]] = c
                 rows_gen.append(row)
     if use_gf2:
         rank = rank_gf2(rows_int)

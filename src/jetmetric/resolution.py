@@ -168,6 +168,18 @@ def _flatten(frame: _Frame, elem: Element, deg: int,
     return out
 
 
+def _span_reducer(frame: _Frame, gen_shifts: Sequence[int], gens: Sequence[Element],
+                  deg: int, shifts: Sequence[int]) -> _Reducer:
+    """A _Reducer seeded with the degree-deg multiples u * g of the given
+    generators (degrees gen_shifts) of a module with the given shifts."""
+    red = _Reducer(frame.field)
+    for d, g in zip(gen_shifts, gens):
+        for u in frame.comp(deg - d):
+            red.add(_flatten(frame, _element_mult(frame, frame.A.basis[u], g, d, shifts),
+                             deg, shifts))
+    return red
+
+
 def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
                  shifts: Sequence[int], gens: Sequence[Element],
                  dcap: int) -> tuple[list[int], list[Element], bool]:
@@ -199,12 +211,7 @@ def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
             continue
         kernel_seen = True
 
-        red = _Reducer(fld)
-        for t, d in enumerate(new_shifts):
-            for u in frame.comp(j - d):
-                shifted = _element_mult(frame, frame.A.basis[u],
-                                        new_gens[t], d, shifts)
-                red.add(_flatten(frame, shifted, j, shifts))
+        red = _span_reducer(frame, new_shifts, new_gens, j, shifts)
         offsets: list[Optional[tuple[int, int]]] = []
         pos = 0
         for k, s in enumerate(shifts):
@@ -237,12 +244,7 @@ def _minimalize(frame: _Frame, candidates: list[tuple[int, Element]],
     shifts: list[int] = []
     kept: list[Element] = []
     for deg, elem in sorted(candidates, key=lambda t: t[0]):
-        red = _Reducer(frame.field)
-        for t, d in enumerate(shifts):
-            for u in frame.comp(deg - d):
-                shifted = _element_mult(frame, frame.A.basis[u], kept[t],
-                                        d, shifts_prev)
-                red.add(_flatten(frame, shifted, deg, shifts_prev))
+        red = _span_reducer(frame, shifts, kept, deg, shifts_prev)
         if red.add(_flatten(frame, elem, deg, shifts_prev)):
             shifts.append(deg)
             kept.append(elem)

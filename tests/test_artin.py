@@ -136,6 +136,17 @@ def test_socle_vectors_annihilate_every_variable(seed, field):
             assert f.vec_is_zero(A.multiply(A.var_image(k), v))
 
 
+def test_high_power_relation_evaluates_without_recursion():
+    # 3000 exceeds the interpreter's recursion limit
+    p = parse_presentation("ring Q[x, y]\nlocal\nideal: x^3000")
+    A = jet(p, 4)
+    rel, = A.relations
+    at_vars = A.monomial_map([A.var_image(0), A.var_image(1)])
+    assert A.field.vec_is_zero(A.evaluate(rel, at_vars))
+    at_one = A.monomial_map([A.one_vec(), A.var_image(1)])
+    assert A.evaluate(rel, at_one) == A.one_vec()
+
+
 def test_defpair_jet_quotients_by_tuple_powers():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: ;\ntuple: x, y")
     A = defpair_jet(p, 2)

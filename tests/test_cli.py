@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -159,6 +160,20 @@ def test_deeply_nested_input_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetmetric.cli", "jets", f"{INPUTS}/cusp.pres",
+             "--order", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_oversized_power_exits_one_without_traceback(tmp_path):

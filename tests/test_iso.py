@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from jetmetric.artin import jet
 from jetmetric.iso import (
     SearchBudget,
     Witness,
+    apply_linear_map,
     base_change,
     compose_witnesses,
     decide_isomorphism,
@@ -11,12 +15,16 @@ from jetmetric.iso import (
     find_separator,
     invariant_signature,
     invert_witness,
+    linear_map_matrix,
     project_witness,
     verify_witness,
     witness_field,
 )
-from jetmetric.exactcore import TABLE_MAX_ORDER, _is_prime, finite_field
+from jetmetric.exactcore import TABLE_MAX_ORDER, RationalField, _is_prime, finite_field
+from jetmetric.poly import Poly
 from jetmetric.presentation import parse_presentation
+
+from conftest import random_presentation
 
 BUDGET = SearchBudget(ext_degree_max=1, effort=200_000)
 
@@ -152,6 +160,75 @@ def test_extension_search_finds_f9_iso():
     assert v2.witness.ext_multiple == 2
     assert witness_field(B, v2.witness) is base_change(B, 2).field
     assert witness_field(B, Witness(images=[], ext_multiple=1)) is B.field
+
+
+def test_f9_witness_inverts_and_round_trips():
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    A, B = jet(a, 3), jet(b, 3)
+    w = _decide(A, B, SearchBudget(ext_degree_max=2, effort=400_000)).witness
+    assert w.ext_multiple == 2
+    back = invert_witness(A, B, w)
+    assert back.ext_multiple == 2
+    assert verify_witness(B, A, back)
+    # the inverse is unique: inverting twice returns w, and w then back is
+    # the identity of A over F_9
+    assert invert_witness(B, A, back).images == w.images
+    A9 = base_change(A, 2)
+    ident = compose_witnesses(A, B, A, w, back)
+    assert ident.images == [A9.var_image(k) for k in range(A.nvars)]
+
+
+def _reference_image(B, images, mono):
+    # left-to-right product of the variable images, starting from one
+    vec = B.one_vec()
+    for k, e in enumerate(mono):
+        for _ in range(e):
+            vec = B.multiply(vec, images[k])
+    return vec
+
+
+def _random_scalar(rng, f):
+    if isinstance(f, RationalField):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.choice(list(f.elements()))
+
+
+@pytest.mark.parametrize("field", ["Q", "F_3", "F_4"])
+def test_monomial_map_matches_left_to_right_products(field):
+    rng = random.Random(20260814)
+    ground = "F_2" if field == "F_4" else field
+    checked = 0
+    while checked < 6:
+        A = jet(random_presentation(rng, ground, rng.randint(1, 3), "local"), 5)
+        B = jet(random_presentation(rng, ground, 2, "local"), 5)
+        if field == "F_4":
+            A, B = base_change(A, 2), base_change(B, 2)
+        if A.is_zero_ring() or B.is_zero_ring():
+            continue
+        checked += 1
+        f = B.field
+        images = [[f.zero() if d == 0 else _random_scalar(rng, f) for d in B.degrees()]
+                  for _ in range(A.nvars)]
+        image = B.monomial_map(images)
+
+        def reference_sum(terms):
+            out = f.vec_zero(B.dim)
+            for mono, c in terms:
+                ref = _reference_image(B, images, mono)
+                out = [f.add(o, f.mul(c, r)) for o, r in zip(out, ref)]
+            return out
+
+        monos = {tuple(rng.randint(0, 4) for _ in range(A.nvars)) for _ in range(8)}
+        g = Poly(f, A.nvars, {m: _random_scalar(rng, f) for m in monos})
+        for rel in A.relations + [g]:
+            assert B.evaluate(rel, image) == reference_sum(rel.terms.items())
+        L = linear_map_matrix(A, B, image)
+        cols = [_reference_image(B, images, mono) for mono in A.basis]
+        assert L == [[col[i] for col in cols] for i in range(B.dim)]
+        v = [_random_scalar(rng, f) for _ in range(A.dim)]
+        Lv = [f.sum(f.mul(L[i][j], v[j]) for j in range(A.dim)) for i in range(B.dim)]
+        assert apply_linear_map(A, B, image, v) == Lv
 
 
 def _first_root_by_scan(src, dst):
