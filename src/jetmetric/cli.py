@@ -228,6 +228,8 @@ def _run_slopes(args):
     # trace
     if args.window is None:
         raise UsageError("--which trace requires --window a..b")
+    if args.stride < 1:
+        raise UsageError("--stride must be at least 1")
     lo, hi = args.window
     orders = list(range(lo, hi + 1, args.stride))
     t = slope_trace(p, args.trace_of, orders, capacity=args.cap)

@@ -9,6 +9,10 @@ Betti tables of the residue field over an Artinian (or polynomial) graded
 ring, finite resolutions of graded quotients over the polynomial ring, and
 the depth / regular / Cohen-Macaulay / Gorenstein classification.
 
+Module elements are sparse: only the nonzero coefficients are stored, and a
+basis monomial times an element reads cached products of basis pairs, so no
+work is spent on the zero blocks of generators in other degrees.
+
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
 numerator computed independently from degreewise ranks, and the internal
@@ -19,20 +23,21 @@ raised and the computation redone until the certificate passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence, Union
 
 from .artin import ArtinAlgebra, jet, socle
-from .errors import GradingError, InternalInconsistencyError
+from .errors import GradingError, InternalInconsistencyError, RangeError
 from .exactcore import ExactMatrix
-from .hilbert import hilbert_series
-from .poly import DEFAULT_CAPACITY, Monomial, mono_deg, mono_mul
+from .hilbert import HilbertData, hilbert_series
+from .poly import DEFAULT_CAPACITY, mono_deg, mono_mul
 from .presentation import Presentation
 
-# An element of a free module with generator degrees `shifts` is a list with
-# one coordinate block per generator: a coefficient vector over the standard
-# monomials of the ring component in the complementary degree, or None when
-# that degree is negative.
-Element = list
+# An element of a free module is a dict from (generator index k, ring basis
+# index b) to a nonzero coefficient, the coefficient of basis[b] times the
+# k-th generator.  Sorted keys follow the flattened coordinate order: blocks
+# in generator order, each block in ascending basis index.
+Element = dict
 
 
 @dataclass
@@ -62,7 +67,7 @@ class ResolutionData:
 
 class _Frame:
     """Degreewise view of a graded Artinian algebra: component bases and
-    multiplication of a component vector by a monomial."""
+    multiplication of a module element by a basis monomial."""
 
     def __init__(self, A: ArtinAlgebra):
         for rel in A.relations:
@@ -75,108 +80,94 @@ class _Frame:
         self.by_degree: list[list[int]] = [[] for _ in range(top + 1)]
         for idx, d in enumerate(degs):
             self.by_degree[d].append(idx)
-        self._products: dict[tuple[int, Monomial], list] = {}
+        self.index = {m: i for i, m in enumerate(A.basis)}
+        self._products: dict[tuple[int, int], list] = {}
 
     def comp(self, d: int) -> list[int]:
         return self.by_degree[d] if 0 <= d < len(self.by_degree) else []
 
-    def comp_dim(self, d: int) -> int:
+    def hf(self, d: int) -> int:
         return len(self.comp(d))
 
-    def hf(self, d: int) -> int:
-        return self.comp_dim(d)
-
-    def mult_mono(self, mono: Monomial, vec: Sequence, src_deg: int) -> list:
-        """Multiply a degree-src_deg component vector by a monomial."""
-        fld = self.field
-        dst = src_deg + mono_deg(mono)
-        out = fld.vec_zero(self.comp_dim(dst))
-        if not out:
-            return out
-        add, mul = fld.add, fld.mul
-        for b, c in zip(self.comp(src_deg), vec):
-            if fld.is_zero(c):
-                continue
-            for t, w in self._product(b, mono, dst):
-                out[t] = add(out[t], mul(c, w))
-        return out
-
-    def _product(self, b: int, mono: Monomial, dst: int) -> list[tuple[int, object]]:
-        """Nonzero (position, value) entries of basis[b] * mono in the
-        degree-dst component, cached for the frame's lifetime."""
-        key = (b, mono)
+    def _product(self, b: int, u: int) -> list[tuple[int, object]]:
+        """Nonzero (basis index, value) entries of basis[b] * basis[u],
+        cached per unordered pair for the frame's lifetime."""
+        key = (b, u) if b <= u else (u, b)
         got = self._products.get(key)
         if got is None:
             A, fld = self.A, self.field
-            full = A.reduce_monomial(mono_mul(A.basis[b], mono))
-            got = [(t, full[i]) for t, i in enumerate(self.comp(dst))
-                   if not fld.is_zero(full[i])]
+            m = mono_mul(A.basis[b], A.basis[u])
+            d = mono_deg(m)
+            if m in self.index:
+                got = [(self.index[m], fld.one())]
+            elif d >= A.cap:
+                got = []
+            else:  # homogeneous relations: the normal form lives in degree d
+                nf = A.nf[m]
+                got = [(t, nf[t]) for t in self.comp(d) if not fld.is_zero(nf[t])]
             self._products[key] = got
         return got
 
+    def mult(self, u: int, elem: Element) -> Element:
+        """basis[u] * elem."""
+        add, mul, is_zero = self.field.add, self.field.mul, self.field.is_zero
+        out: Element = {}
+        for (k, b), c in elem.items():
+            for t, w in self._product(b, u):
+                x = mul(c, w)
+                key = (k, t)
+                out[key] = add(out[key], x) if key in out else x
+        return {key: x for key, x in out.items() if not is_zero(x)}
+
 
 class _Reducer:
-    """Incremental row reduction for membership tests in a growing span.
+    """Incremental row reduction for membership tests in a growing span of
+    sparse vectors (dicts from sortable keys to coefficients).
 
-    Each pivot row is stored as its nonzero (column, value) pairs, scaled
-    so that the pivot entry is one, so reducing touches only those."""
+    The pivot of a row is its smallest key; each row is stored as its
+    nonzero (key, value) pairs in ascending key order, scaled so that the
+    pivot entry is one, so reducing touches only those."""
 
     def __init__(self, field):
         self.field = field
-        self.rows: dict[int, list[tuple[int, object]]] = {}
+        self.rows: dict[object, list[tuple[object, object]]] = {}
 
-    def add(self, v: Sequence) -> bool:
+    def add(self, v: dict) -> bool:
         """Insert v unless it lies in the span; True when v was inserted."""
         fld = self.field
         is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
-        v = list(v)
-        for c in range(len(v)):
+        v = dict(v)
+        live = list(v)
+        heapify(live)
+        while live:
+            c = heappop(live)
             coef = v[c]
             if is_zero(coef):
                 continue
             row = self.rows.get(c)
             if row is None:
                 inv = fld.inv(coef)
-                self.rows[c] = [(i, mul(inv, x)) for i, x in enumerate(v[c:], c)
+                self.rows[c] = [(i, mul(inv, x)) for i, x in sorted(v.items())
                                 if not is_zero(x)]
                 return True
             for i, r in row:
-                v[i] = sub(v[i], mul(coef, r))
+                x = v.get(i)
+                if x is None:
+                    v[i] = fld.neg(mul(coef, r))
+                    heappush(live, i)
+                else:
+                    v[i] = sub(x, mul(coef, r))
         return False
 
 
-def _element_mult(frame: _Frame, mono: Monomial, elem: Element,
-                  elem_deg: int, shifts: Sequence[int]) -> Element:
-    out: Element = []
-    for k, block in enumerate(elem):
-        if block is None:
-            out.append(None)
-        else:
-            out.append(frame.mult_mono(mono, block, elem_deg - shifts[k]))
-    return out
-
-
-def _flatten(frame: _Frame, elem: Element, deg: int,
-             shifts: Sequence[int]) -> list:
-    fld = frame.field
-    out: list = []
-    for k, s in enumerate(shifts):
-        c = deg - s
-        n = frame.comp_dim(c) if c >= 0 else 0
-        block = elem[k] if k < len(elem) and elem[k] is not None else None
-        out.extend(block if block is not None else fld.vec_zero(n))
-    return out
-
-
 def _span_reducer(frame: _Frame, gen_shifts: Sequence[int], gens: Sequence[Element],
-                  deg: int, shifts: Sequence[int]) -> _Reducer:
+                  deg: int) -> _Reducer:
     """A _Reducer seeded with the degree-deg multiples u * g of the given
-    generators (degrees gen_shifts) of a module with the given shifts."""
+    generators (degrees gen_shifts)."""
     red = _Reducer(frame.field)
     for d, g in zip(gen_shifts, gens):
         for u in frame.comp(deg - d):
-            red.add(_flatten(frame, _element_mult(frame, frame.A.basis[u], g, d, shifts),
-                             deg, shifts))
+            red.add(frame.mult(u, g))
     return red
 
 
@@ -186,66 +177,53 @@ def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
     """Minimal generators of the syzygy module of `gens`; the flag reports
     whether the kernel vanished identically at every degree up to the cap."""
     fld = frame.field
+    is_zero = fld.is_zero
     new_shifts: list[int] = []
     new_gens: list[Element] = []
     kernel_seen = False
     if not shifts:
         return new_shifts, new_gens, False
     for j in range(min(shifts) + 1, dcap + 1):
-        # domain: one block of ring monomials per generator
-        dom: list[tuple[int, int]] = []  # (generator index, basis index)
-        for k, s in enumerate(shifts):
-            if j - s >= 0:
-                dom.extend((k, b) for b in frame.comp(j - s))
+        # domain and codomain: one block of ring basis indices per generator
+        dom = [(k, b) for k, s in enumerate(shifts) for b in frame.comp(j - s)]
         if not dom:
             continue
-        cod_dim = sum(frame.comp_dim(j - s) for s in prev_shifts if j - s >= 0)
-        cols: list[list] = []
-        for k, b in dom:
-            img = _element_mult(frame, frame.A.basis[b], gens[k],
-                                shifts[k], prev_shifts)
-            cols.append(_flatten(frame, img, j, prev_shifts))
-        rows = [[cols[c][r] for c in range(len(dom))] for r in range(cod_dim)]
+        row_of = {key: r for r, key in enumerate(
+            (k, b) for k, s in enumerate(prev_shifts) for b in frame.comp(j - s))}
+        rows = [fld.vec_zero(len(dom)) for _ in row_of]
+        for c, (k, b) in enumerate(dom):
+            for key, x in frame.mult(b, gens[k]).items():
+                rows[row_of[key]][c] = x
         kernel = ExactMatrix(fld, rows, len(dom)).kernel_basis()
         if not kernel:
             continue
         kernel_seen = True
 
-        red = _span_reducer(frame, new_shifts, new_gens, j, shifts)
-        offsets: list[Optional[tuple[int, int]]] = []
-        pos = 0
-        for k, s in enumerate(shifts):
-            n = frame.comp_dim(j - s) if j - s >= 0 else 0
-            offsets.append((pos, n) if j - s >= 0 else None)
-            pos += n
+        red = _span_reducer(frame, new_shifts, new_gens, j)
         for v in kernel:
-            if not red.add(v):
+            elem = {key: x for key, x in zip(dom, v) if not is_zero(x)}
+            if not red.add(elem):
                 continue
-            elem: Element = []
-            for k, s in enumerate(shifts):
-                if offsets[k] is None:
-                    elem.append(None)
-                    continue
-                start, n = offsets[k]
-                block = list(v[start:start + n])
-                if s == j and any(not fld.is_zero(c) for c in block):
-                    raise InternalInconsistencyError(
-                        "syzygy with a unit entry against a minimal generator")
-                elem.append(block)
+            if any(shifts[k] == j for k, _ in elem):
+                raise InternalInconsistencyError(
+                    "syzygy with a unit entry against a minimal generator")
             new_shifts.append(j)
             new_gens.append(elem)
     return new_shifts, new_gens, not kernel_seen
 
 
-def _minimalize(frame: _Frame, candidates: list[tuple[int, Element]],
-                shifts_prev: Sequence[int]) -> tuple[list[int], list[Element]]:
+def _minimalize(frame: _Frame, candidates: list[tuple[int, Element]]
+                ) -> tuple[list[int], list[Element]]:
     """Minimal generating subset of homogeneous module elements: processed by
-    ascending degree, keeping those outside the submodule of the kept ones."""
+    ascending degree, keeping those outside the submodule of the kept ones.
+    One reducer serves each degree, since a kept element is already a row."""
     shifts: list[int] = []
     kept: list[Element] = []
+    red, red_deg = None, None
     for deg, elem in sorted(candidates, key=lambda t: t[0]):
-        red = _span_reducer(frame, shifts, kept, deg, shifts_prev)
-        if red.add(_flatten(frame, elem, deg, shifts_prev)):
+        if deg != red_deg:
+            red, red_deg = _span_reducer(frame, shifts, kept, deg), deg
+        if red.add(elem):
             shifts.append(deg)
             kept.append(elem)
     return shifts, kept
@@ -288,7 +266,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
     """Betti table of the residue field over a graded quotient, through
     homological degree hcap and internal degree dcap."""
     if hcap < 1:
-        raise ValueError("homological cap must be at least 1")
+        raise RangeError("homological cap must be at least 1")
     if isinstance(src, Presentation):
         if src.mode != "graded":
             raise GradingError("residue-field resolution needs a graded presentation")
@@ -304,11 +282,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
 
     layers: list[list[int]] = [[0]]
     gens_by_layer: list[list[Element]] = [[]]
-    first = [[frame.field.vec_zero(0)] for _ in frame.comp(1)]
-    for t, b in enumerate(frame.comp(1)):
-        vec = frame.field.vec_zero(frame.comp_dim(1))
-        vec[t] = frame.field.one()
-        first[t] = [vec]
+    first = [{(0, b): frame.field.one()} for b in frame.comp(1)]
     layers.append([1] * len(first))
     gens_by_layer.append(first)
 
@@ -342,7 +316,12 @@ def minimal_resolution_of_quotient(p: Presentation,
     polynomial ring, with the degree cap raised until certified complete."""
     if p.mode != "graded":
         raise GradingError("quotient resolution needs a graded presentation")
-    hd = hilbert_series(p)
+    return _quotient_resolution(p, hilbert_series(p), capacity)
+
+
+def _quotient_resolution(p: Presentation, hd: HilbertData,
+                         capacity: int) -> ResolutionData:
+    """minimal_resolution_of_quotient given the Hilbert series of p."""
     r = p.nvars
     target = list(hd.numerator)
     for _ in range(r - hd.pole_order):
@@ -356,16 +335,10 @@ def minimal_resolution_of_quotient(p: Presentation,
     dcap = degsum + r + 2
     for _ in range(5):
         frame = _Frame(jet(ambient, dcap + 1, capacity=capacity))
-        candidates = []
-        for g in p.gens:
-            d = g.degree()
-            comp = frame.comp(d)
-            pos_of = {frame.A.basis[b]: t for t, b in enumerate(comp)}
-            vec = frame.field.vec_zero(len(comp))
-            for mono, c in g.terms.items():
-                vec[pos_of[mono]] = c
-            candidates.append((d, [vec]))
-        shifts1, gens1 = _minimalize(frame, candidates, [0])
+        candidates = [(g.degree(), {(0, frame.index[mono]): c
+                                    for mono, c in g.terms.items()})
+                      for g in p.gens]
+        shifts1, gens1 = _minimalize(frame, candidates)
 
         layers = [[0]]
         gens_by_layer: list[list[Element]] = [[]]
@@ -417,8 +390,8 @@ def depth_and_classify(p: Presentation,
     Cohen-Macaulay / Gorenstein flags."""
     if p.mode != "graded":
         raise GradingError("classification needs a graded presentation")
-    res = minimal_resolution_of_quotient(p, capacity=capacity)
     hd = hilbert_series(p)
+    res = _quotient_resolution(p, hd, capacity)
     depth = p.nvars - res.pd
     dim = hd.dim
     embdim = hd.series_prefix[1]

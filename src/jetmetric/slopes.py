@@ -28,6 +28,7 @@ from .errors import (
     InternalInconsistencyError,
     NilpotencyOneError,
     NotStabilizedError,
+    RangeError,
     WindowTooSmallError,
     ZeroRingError,
 )
@@ -361,7 +362,7 @@ def slope_trace(p: Presentation, slope: str, orders: Sequence[int],
                 capacity: int = DEFAULT_CAPACITY) -> SlopeTrace:
     orders = list(orders)
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])) or orders[0] < 1:
-        raise ValueError("orders must be nonempty, positive, and increasing")
+        raise RangeError("orders must be nonempty, positive, and increasing")
     model = length_model(p, capacity)
     claim: Optional[tuple] = None
     agreement: Optional[int] = None

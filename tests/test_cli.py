@@ -185,3 +185,22 @@ def test_oversized_power_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", f"{INPUTS}/fat-point.pres", "--residue-field", "--hcap", "0"],
+    ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "5..3"],
+    ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "0..3"],
+])
+def test_out_of_range_caps_and_windows_exit_one_with_range_error(argv):
+    code, out, _ = _capture(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "RangeError"
+
+
+@pytest.mark.parametrize("stride", ["-1", "0"])
+def test_stride_below_one_is_a_usage_error(stride):
+    code, _, err = _capture(["slopes", f"{INPUTS}/plane.pres", "--which", "trace",
+                             "--window", "1..3", "--stride", stride])
+    assert code == 2
+    assert "--stride" in err

@@ -2,12 +2,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetmetric.artin import jet, socle
-from jetmetric.errors import GradingError
+from jetmetric.errors import GradingError, RangeError
+from jetmetric.exactcore import ExactMatrix, finite_field, rationals
 from jetmetric.hilbert import hilbert_series
+from jetmetric.iso import base_change
 from jetmetric.presentation import parse_presentation
 from jetmetric.resolution import (
+    _Reducer,
     betti_residue_field,
     depth_and_classify,
     minimal_resolution_of_quotient,
@@ -152,3 +157,77 @@ def test_betti_rows_are_internally_consistent(fat_point):
         row = res.betti_row(i)
         assert sum(row.values()) == res.rank(i)
         assert all(j >= i for j in row)
+
+
+def test_residue_field_resolution_refuses_a_cap_below_one(fat_point):
+    with pytest.raises(RangeError):
+        betti_residue_field(fat_point, 0)
+
+
+# closed forms of the residue-field Poincare series P(t) = sum rank_i t^i:
+# 1/(1-t)^2 over the complete intersection (x^2, y^2), 1/(1-3t) over
+# k[x,y,z]/m^2, 1/(1-t) over k[x]/(x^3)
+CLOSED_FORMS = [
+    ("x, y", "x^2, y^2", [1, 2, 3, 4, 5]),
+    ("x, y, z", "x^2, x*y, x*z, y^2, y*z, z^2", [3 ** i for i in range(5)]),
+    ("x", "x^3", [1] * 5),
+]
+
+
+@pytest.mark.parametrize("names,ideal,ranks", CLOSED_FORMS)
+@pytest.mark.parametrize("field,extensions", [("Q", []), ("F_2", [2, 4]),
+                                               ("F_3", [2, 4])])
+def test_residue_field_betti_ranks_match_closed_forms(names, ideal, ranks,
+                                                      field, extensions):
+    A = jet(_pres(f"ring {field}[{names}]\ngraded\nideal: {ideal}"), 4)
+    for B in [A] + [base_change(A, m) for m in extensions]:
+        res = betti_residue_field(B, 4)
+        assert [res.rank(i) for i in range(5)] == ranks
+
+
+REDUCER_FIELDS = {"Q": rationals(), "F_3": finite_field(3, 1),
+                  "F_4": finite_field(2, 2)}
+REDUCER_NCOLS = 9
+Q_VALUES = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+
+
+def _key(c):
+    # module-element keys (generator index, basis index) in column order
+    return divmod(c, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(REDUCER_FIELDS)), st.data())
+def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
+    fld = REDUCER_FIELDS[name]
+    values = Q_VALUES if name == "Q" else list(fld.elements())
+    value = st.sampled_from(values)
+    red = _Reducer(fld)
+    inserted: list[list] = []
+    for _ in range(data.draw(st.integers(1, 12), label="count")):
+        kind = data.draw(st.sampled_from(
+            ["sparse", "repeat", "combination"] if inserted else ["sparse"]))
+        if kind == "sparse":
+            cols = data.draw(st.lists(st.integers(0, REDUCER_NCOLS - 1),
+                                      max_size=4, unique=True))
+            vec = fld.vec_zero(REDUCER_NCOLS)
+            for c in cols:
+                vec[c] = data.draw(value)
+        elif kind == "repeat":
+            vec = list(data.draw(st.sampled_from(inserted)))
+        else:
+            vec = fld.vec_zero(REDUCER_NCOLS)
+            for old in data.draw(st.lists(st.sampled_from(inserted),
+                                          min_size=1, max_size=3)):
+                coef = data.draw(value)
+                vec = [fld.add(x, fld.mul(coef, y)) for x, y in zip(vec, old)]
+        before = ExactMatrix(fld, inserted, REDUCER_NCOLS).rank() if inserted else 0
+        inserted.append(vec)
+        after = ExactMatrix(fld, inserted, REDUCER_NCOLS).rank()
+        sparse = {_key(c): x for c, x in enumerate(vec) if not fld.is_zero(x)}
+        assert red.add(sparse) == (after > before)
+        pivots = ExactMatrix(fld, inserted, REDUCER_NCOLS).rref().pivots
+        assert sorted(red.rows) == [_key(c) for c in pivots]
+        for key, row in red.rows.items():
+            assert row[0] == (key, fld.one())
+            assert [k for k, _ in row] == sorted(k for k, _ in row)
