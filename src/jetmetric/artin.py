@@ -3,9 +3,12 @@
 An ArtinAlgebra is a finite-dimensional local algebra presented by a monomial
 normal-form basis coming from a truncated quotient k[x]/(I + m^cap).  Because
 the basis consists of monomials closed under divisors, multiplication is
-monomial concatenation followed by a normal-form lookup; products of basis
-pairs are memoized on first use instead of being tabulated up front, which
-keeps large jets affordable.
+monomial concatenation followed by a normal-form lookup.  The algebra owns
+the one table of products of basis pairs, kept sparse (the nonzero
+(index, value) entries only) and memoized on first use instead of being
+tabulated up front, which keeps large jets affordable; the witness search,
+the invariants and the graded resolution all read it, together with the
+basis indices of each degree component.
 
 Every algebra map into an ArtinAlgebra (evaluating relations at generator
 images, the linear map of an isomorphism witness, composing witnesses) goes
@@ -69,7 +72,11 @@ class ArtinAlgebra:
         self.tuple_images = tuple_images
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._degrees = [mono_deg(m) for m in self.basis]
-        self._pair_cache: dict[tuple[int, int], list] = {}
+        comps: list[list[int]] = [[] for _ in range(max(self._degrees, default=-1) + 1)]
+        for i, d in enumerate(self._degrees):
+            comps[d].append(i)
+        self._components = [tuple(c) for c in comps]
+        self._pair_cache: dict[tuple[int, int], list[tuple[int, object]]] = {}
         self._var_matrices: dict[int, list[list]] = {}
 
     # -- basic structure ---------------------------------------------------
@@ -83,6 +90,10 @@ class ArtinAlgebra:
 
     def degrees(self) -> list[int]:
         return list(self._degrees)
+
+    def component(self, d: int) -> tuple[int, ...]:
+        """Indices of the basis monomials of degree d, ascending."""
+        return self._components[d] if 0 <= d < len(self._components) else ()
 
     @property
     def maxideal_basis(self) -> list[int]:
@@ -114,26 +125,34 @@ class ArtinAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def mult_basis(self, i: int, j: int) -> list:
-        """Coordinates of basis[i] * basis[j]."""
+    def mult_basis(self, i: int, j: int) -> list[tuple[int, object]]:
+        """Nonzero (index, value) entries of basis[i] * basis[j], ascending
+        in index, cached per unordered pair."""
         key = (i, j) if i <= j else (j, i)
         got = self._pair_cache.get(key)
         if got is None:
-            got = self.reduce_monomial(mono_mul(self.basis[i], self.basis[j]))
+            m = mono_mul(self.basis[i], self.basis[j])
+            if m in self._index:
+                got = [(self._index[m], self.field.one())]
+            elif mono_deg(m) >= self.cap:
+                got = []
+            else:
+                is_zero = self.field.is_zero
+                got = [(k, w) for k, w in enumerate(self.nf[m]) if not is_zero(w)]
             self._pair_cache[key] = got
         return got
 
     def multiply(self, u: Sequence, v: Sequence) -> list:
         f = self.field
+        add, mul = f.add, f.mul
         out = f.vec_zero(self.dim)
         nz_u = [(i, c) for i, c in enumerate(u) if not f.is_zero(c)]
         nz_v = [(j, c) for j, c in enumerate(v) if not f.is_zero(c)]
         for i, ci in nz_u:
             for j, cj in nz_v:
-                c = f.mul(ci, cj)
-                for k, w in enumerate(self.mult_basis(i, j)):
-                    if not f.is_zero(w):
-                        out[k] = f.add(out[k], f.mul(c, w))
+                c = mul(ci, cj)
+                for k, w in self.mult_basis(i, j):
+                    out[k] = add(out[k], mul(c, w))
         return out
 
     def var_mult_matrix(self, k: int) -> list[list]:
@@ -259,13 +278,7 @@ def hf_by_degree_count(A: ArtinAlgebra) -> list[int]:
 
     Agrees with hilbert_function (property-tested); this one is O(dim).
     """
-    if A.is_zero_ring():
-        return []
-    top = max(A._degrees)
-    hf = [0] * (top + 1)
-    for d in A._degrees:
-        hf[d] += 1
-    return hf
+    return [len(c) for c in A._components]
 
 
 def nilpotency_index(A: ArtinAlgebra) -> int:

@@ -220,9 +220,6 @@ class Field:
                 a = self.mul(a, a)
         return out
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def sum(self, values) -> object:
         acc = self.zero()
         for v in values:
@@ -646,15 +643,6 @@ class ExactMatrix:
         self.field = field
         self.rows = rows
         self.ncols = ncols
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(field, rows, ncols)
 
     @property
     def nrows(self) -> int:

@@ -19,7 +19,7 @@ scalings are tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -48,12 +48,15 @@ QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 
 @dataclass(frozen=True)
 class InvariantSignature:
+    """The separating invariants, in the order `find_separator` compares
+    them; each field name is the separator name it reports."""
+
     length: int
-    hf: tuple[int, ...]
-    nilpotency: int
-    socle_dim: int
-    embdim: int
-    mult_rank_profile: tuple[int, ...]
+    hilbert_function: tuple[int, ...]
+    nilpotency_index: int
+    socle_dimension: int
+    embedding_dimension: int
+    multiplication_rank_profile: tuple[int, ...]
 
 
 def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
@@ -61,17 +64,11 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
     (m/m^2) x (m^d/m^{d+1}) -> m^{d+1}/m^{d+2} in the associated graded."""
     if A.is_zero_ring():
         return ()
-    degs = A.degrees()
-    top = max(degs)
-    by_deg: dict[int, list[int]] = {}
-    for i, d in enumerate(degs):
-        by_deg.setdefault(d, []).append(i)
     profile = []
     f = A.field
-    for d in range(1, top):
-        lin = by_deg.get(1, [])
-        mid = by_deg.get(d, [])
-        out = by_deg.get(d + 1, [])
+    lin = A.component(1)
+    for d in range(1, max(A.degrees())):
+        mid, out = A.component(d), A.component(d + 1)
         if not lin or not mid or not out:
             profile.append(0)
             continue
@@ -79,11 +76,10 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
         rows = []
         for i in lin:
             for j in mid:
-                prod_vec = A.mult_basis(i, j)
                 row = [f.zero()] * len(out)
                 nonzero = False
-                for k, c in enumerate(prod_vec):
-                    if not f.is_zero(c) and k in pos:
+                for k, c in A.mult_basis(i, j):
+                    if k in pos:
                         row[pos[k]] = c
                         nonzero = True
                 if nonzero:
@@ -99,26 +95,19 @@ def invariant_signature(A: ArtinAlgebra) -> InvariantSignature:
     soc_dim, _ = socle(A)
     return InvariantSignature(
         length=A.dim,
-        hf=tuple(hf),
-        nilpotency=nilpotency_index(A),
-        socle_dim=soc_dim,
-        embdim=hf[1] if len(hf) > 1 else 0,
-        mult_rank_profile=_mult_rank_profile(A),
+        hilbert_function=tuple(hf),
+        nilpotency_index=nilpotency_index(A),
+        socle_dimension=soc_dim,
+        embedding_dimension=hf[1] if len(hf) > 1 else 0,
+        multiplication_rank_profile=_mult_rank_profile(A),
     )
 
 
 def find_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Optional[tuple[str, object, object]]:
     """First differing invariant between the two signatures, or None."""
     sa, sb = invariant_signature(A), invariant_signature(B)
-    checks = [
-        ("length", sa.length, sb.length),
-        ("hilbert_function", sa.hf, sb.hf),
-        ("nilpotency_index", sa.nilpotency, sb.nilpotency),
-        ("socle_dimension", sa.socle_dim, sb.socle_dim),
-        ("embedding_dimension", sa.embdim, sb.embdim),
-        ("multiplication_rank_profile", sa.mult_rank_profile, sb.mult_rank_profile),
-    ]
-    for name, va, vb in checks:
+    for name in [x.name for x in fields(InvariantSignature)]:
+        va, vb = getattr(sa, name), getattr(sb, name)
         if va != vb:
             return (name, va, vb)
     return None
@@ -366,9 +355,8 @@ class _Searcher:
         self.effort_left = effort_left
         self.tried = 0
         self.tuple_constraint = tuple_constraint
-        self.embdim = sum(1 for d in B.degrees() if d == 1)
-        self.lin_idx = [i for i, d in enumerate(B.degrees()) if d == 1]
-        self.max_idx = [i for i, d in enumerate(B.degrees()) if d > 0]
+        self.lin_idx = B.component(1)
+        self.max_idx = B.maxideal_basis
 
     def _charge(self):
         if self.effort_left <= 0:
@@ -380,7 +368,7 @@ class _Searcher:
         A, B, f = self.A, self.B, self.field
         # cheap surjectivity filter: degree-1 coordinates must span
         lin_rows = [[img[i] for i in self.lin_idx] for img in images]
-        if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != self.embdim:
+        if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != len(self.lin_idx):
             return False
         image = B.monomial_map(images)
         for rel in A.relations:
@@ -431,7 +419,7 @@ class _Searcher:
             v[i] = d
         return v
 
-    def coordinate_candidates(self, coords_idx: list[int]):
+    def coordinate_candidates(self, coords_idx: Sequence[int]):
         """All image tuples with coordinates over the given basis positions,
         in integer-encoding order (first coordinate least significant)."""
         elements = list(self.field.elements())
@@ -454,7 +442,7 @@ class _Searcher:
             yield images
             code += 1
 
-    def space_size(self, coords_idx: list[int]) -> int:
+    def space_size(self, coords_idx: Sequence[int]) -> int:
         q = self.field.order
         return q ** (self.A.nvars * len(coords_idx))
 

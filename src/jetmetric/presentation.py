@@ -117,6 +117,30 @@ def _split_statements(tokens: list[Token]) -> list[list[Token]]:
 # the nesting bound keeps a parse far inside Python's recursion limit.
 MAX_NESTING = 100
 
+# Poly.pow squares and multiplies dense polynomials at one field multiply-add
+# per pair of terms, so a power that fits in DEFAULT_CAPACITY terms can still
+# cost seconds; a power needing more pair products than this is refused.
+MAX_POWER_PRODUCTS = 100 * DEFAULT_CAPACITY
+
+
+def _power_pair_count(nterms: int, e: int) -> int:
+    """Upper bound on the pairs of terms Poly.pow multiplies for a base of
+    nterms terms to the e, following its square-and-multiply loop with the
+    bound C(nterms - 1 + j, j) on the terms of the base to the j."""
+    def terms(j: int) -> int:
+        return comb(nterms - 1 + j, j)
+
+    total, done, sq = 0, 0, 1   # out is base^done, the square is base^sq
+    while e:
+        if e & 1:
+            total += terms(done) * terms(sq)
+            done += sq
+        if e > 1:
+            total += terms(sq) ** 2
+            sq *= 2
+        e >>= 1
+    return total
+
 
 class _ExprParser:
     """Parses  expr := ['-'] term (('+'|'-') term)*
@@ -212,6 +236,11 @@ class _ExprParser:
             raise PresentationSyntaxError(
                 f"power of a {nterms}-term polynomial to {e} may have more than "
                 f"{DEFAULT_CAPACITY} terms", caret.line, caret.col)
+        if nterms > 1 and _power_pair_count(nterms, e) > MAX_POWER_PRODUCTS:
+            raise PresentationSyntaxError(
+                f"power of a {nterms}-term polynomial to {e} may need more than "
+                f"{MAX_POWER_PRODUCTS} term products (100 x {DEFAULT_CAPACITY})",
+                caret.line, caret.col)
         return base.pow(e)
 
     def _parse_int_expr(self) -> int:

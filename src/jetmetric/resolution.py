@@ -10,8 +10,10 @@ ring, finite resolutions of graded quotients over the polynomial ring, and
 the depth / regular / Cohen-Macaulay / Gorenstein classification.
 
 Module elements are sparse: only the nonzero coefficients are stored, and a
-basis monomial times an element reads cached products of basis pairs, so no
-work is spent on the zero blocks of generators in other degrees.
+basis monomial times an element reads the ring's own sparse table of basis-
+pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
+witness search), so no work is spent on the zero blocks of generators in
+other degrees.  Degree components come from `ArtinAlgebra.component`.
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
@@ -30,7 +32,7 @@ from .artin import ArtinAlgebra, jet, socle
 from .errors import GradingError, InternalInconsistencyError, RangeError
 from .exactcore import ExactMatrix
 from .hilbert import HilbertData, hilbert_series
-from .poly import DEFAULT_CAPACITY, mono_deg, mono_mul
+from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
 
 # An element of a free module is a dict from (generator index k, ring basis
@@ -65,59 +67,16 @@ class ResolutionData:
         return {j: b for (h, j), b in sorted(self.betti.items()) if h == i}
 
 
-class _Frame:
-    """Degreewise view of a graded Artinian algebra: component bases and
-    multiplication of a module element by a basis monomial."""
-
-    def __init__(self, A: ArtinAlgebra):
-        for rel in A.relations:
-            if not rel.is_homogeneous():
-                raise GradingError("resolution frame needs homogeneous relations")
-        self.A = A
-        self.field = A.field
-        degs = A.degrees()
-        top = max(degs)
-        self.by_degree: list[list[int]] = [[] for _ in range(top + 1)]
-        for idx, d in enumerate(degs):
-            self.by_degree[d].append(idx)
-        self.index = {m: i for i, m in enumerate(A.basis)}
-        self._products: dict[tuple[int, int], list] = {}
-
-    def comp(self, d: int) -> list[int]:
-        return self.by_degree[d] if 0 <= d < len(self.by_degree) else []
-
-    def hf(self, d: int) -> int:
-        return len(self.comp(d))
-
-    def _product(self, b: int, u: int) -> list[tuple[int, object]]:
-        """Nonzero (basis index, value) entries of basis[b] * basis[u],
-        cached per unordered pair for the frame's lifetime."""
-        key = (b, u) if b <= u else (u, b)
-        got = self._products.get(key)
-        if got is None:
-            A, fld = self.A, self.field
-            m = mono_mul(A.basis[b], A.basis[u])
-            d = mono_deg(m)
-            if m in self.index:
-                got = [(self.index[m], fld.one())]
-            elif d >= A.cap:
-                got = []
-            else:  # homogeneous relations: the normal form lives in degree d
-                nf = A.nf[m]
-                got = [(t, nf[t]) for t in self.comp(d) if not fld.is_zero(nf[t])]
-            self._products[key] = got
-        return got
-
-    def mult(self, u: int, elem: Element) -> Element:
-        """basis[u] * elem."""
-        add, mul, is_zero = self.field.add, self.field.mul, self.field.is_zero
-        out: Element = {}
-        for (k, b), c in elem.items():
-            for t, w in self._product(b, u):
-                x = mul(c, w)
-                key = (k, t)
-                out[key] = add(out[key], x) if key in out else x
-        return {key: x for key, x in out.items() if not is_zero(x)}
+def _mult(A: ArtinAlgebra, u: int, elem: Element) -> Element:
+    """basis[u] * elem, read from the algebra's sparse basis-pair products."""
+    add, mul, is_zero = A.field.add, A.field.mul, A.field.is_zero
+    out: Element = {}
+    for (k, b), c in elem.items():
+        for t, w in A.mult_basis(b, u):
+            x = mul(c, w)
+            key = (k, t)
+            out[key] = add(out[key], x) if key in out else x
+    return {key: x for key, x in out.items() if not is_zero(x)}
 
 
 class _Reducer:
@@ -160,23 +119,23 @@ class _Reducer:
         return False
 
 
-def _span_reducer(frame: _Frame, gen_shifts: Sequence[int], gens: Sequence[Element],
+def _span_reducer(A: ArtinAlgebra, gen_shifts: Sequence[int], gens: Sequence[Element],
                   deg: int) -> _Reducer:
     """A _Reducer seeded with the degree-deg multiples u * g of the given
     generators (degrees gen_shifts)."""
-    red = _Reducer(frame.field)
+    red = _Reducer(A.field)
     for d, g in zip(gen_shifts, gens):
-        for u in frame.comp(deg - d):
-            red.add(frame.mult(u, g))
+        for u in A.component(deg - d):
+            red.add(_mult(A, u, g))
     return red
 
 
-def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
+def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
                  shifts: Sequence[int], gens: Sequence[Element],
                  dcap: int) -> tuple[list[int], list[Element], bool]:
     """Minimal generators of the syzygy module of `gens`; the flag reports
     whether the kernel vanished identically at every degree up to the cap."""
-    fld = frame.field
+    fld = A.field
     is_zero = fld.is_zero
     new_shifts: list[int] = []
     new_gens: list[Element] = []
@@ -185,21 +144,21 @@ def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
         return new_shifts, new_gens, False
     for j in range(min(shifts) + 1, dcap + 1):
         # domain and codomain: one block of ring basis indices per generator
-        dom = [(k, b) for k, s in enumerate(shifts) for b in frame.comp(j - s)]
+        dom = [(k, b) for k, s in enumerate(shifts) for b in A.component(j - s)]
         if not dom:
             continue
         row_of = {key: r for r, key in enumerate(
-            (k, b) for k, s in enumerate(prev_shifts) for b in frame.comp(j - s))}
+            (k, b) for k, s in enumerate(prev_shifts) for b in A.component(j - s))}
         rows = [fld.vec_zero(len(dom)) for _ in row_of]
         for c, (k, b) in enumerate(dom):
-            for key, x in frame.mult(b, gens[k]).items():
+            for key, x in _mult(A, b, gens[k]).items():
                 rows[row_of[key]][c] = x
         kernel = ExactMatrix(fld, rows, len(dom)).kernel_basis()
         if not kernel:
             continue
         kernel_seen = True
 
-        red = _span_reducer(frame, new_shifts, new_gens, j)
+        red = _span_reducer(A, new_shifts, new_gens, j)
         for v in kernel:
             elem = {key: x for key, x in zip(dom, v) if not is_zero(x)}
             if not red.add(elem):
@@ -212,7 +171,7 @@ def _syzygy_step(frame: _Frame, prev_shifts: Sequence[int],
     return new_shifts, new_gens, not kernel_seen
 
 
-def _minimalize(frame: _Frame, candidates: list[tuple[int, Element]]
+def _minimalize(A: ArtinAlgebra, candidates: list[tuple[int, Element]]
                 ) -> tuple[list[int], list[Element]]:
     """Minimal generating subset of homogeneous module elements: processed by
     ascending degree, keeping those outside the submodule of the kept ones.
@@ -222,7 +181,7 @@ def _minimalize(frame: _Frame, candidates: list[tuple[int, Element]]
     red, red_deg = None, None
     for deg, elem in sorted(candidates, key=lambda t: t[0]):
         if deg != red_deg:
-            red, red_deg = _span_reducer(frame, shifts, kept, deg), deg
+            red, red_deg = _span_reducer(A, shifts, kept, deg), deg
         if red.add(elem):
             shifts.append(deg)
             kept.append(elem)
@@ -248,12 +207,12 @@ def _alternating_numerator(betti: dict[tuple[int, int], int]) -> list[int]:
     return out
 
 
-def _kappa_accounting_ok(frame: _Frame, betti: dict, dcap: int) -> bool:
+def _kappa_accounting_ok(A: ArtinAlgebra, betti: dict, dcap: int) -> bool:
     """The finite resolution of the residue field is complete iff the
     alternating Betti convolution with the ring's Hilbert function is the
     Hilbert function of the field."""
     for c in range(dcap + 1):
-        acc = sum((-1) ** i * b * frame.hf(c - j)
+        acc = sum((-1) ** i * b * len(A.component(c - j))
                   for (i, j), b in betti.items() if c - j >= 0)
         if acc != (1 if c == 0 else 0):
             return False
@@ -272,17 +231,18 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
             raise GradingError("residue-field resolution needs a graded presentation")
         if dcap is None:
             dcap = hcap + 3
-        frame = _Frame(jet(src, dcap + 1, capacity=capacity))
+        A = jet(src, dcap + 1, capacity=capacity)
     else:
         A = src
         nilp = max(A.degrees()) + 1
         if dcap is None:
             dcap = hcap * max(nilp - 1, 1) + 1
-        frame = _Frame(A)
+    if not all(rel.is_homogeneous() for rel in A.relations):
+        raise GradingError("residue-field resolution needs homogeneous relations")
 
     layers: list[list[int]] = [[0]]
     gens_by_layer: list[list[Element]] = [[]]
-    first = [{(0, b): frame.field.one()} for b in frame.comp(1)]
+    first = [{(0, b): A.field.one()} for b in A.component(1)]
     layers.append([1] * len(first))
     gens_by_layer.append(first)
 
@@ -294,7 +254,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
     else:
         for i in range(1, hcap):
             shifts, gens, vanished = _syzygy_step(
-                frame, layers[i - 1], layers[i], gens_by_layer[i], dcap)
+                A, layers[i - 1], layers[i], gens_by_layer[i], dcap)
             if vanished:
                 complete, pd = True, i
                 break
@@ -304,7 +264,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
             gens_by_layer.append(gens)
 
     betti, ranks = _betti_from_layers(layers)
-    if complete and not _kappa_accounting_ok(frame, betti, dcap):
+    if complete and not _kappa_accounting_ok(A, betti, dcap):
         complete, pd = False, None
     return ResolutionData(betti, ranks, pd, complete, hcap, dcap, "residue-field")
 
@@ -334,11 +294,11 @@ def _quotient_resolution(p: Presentation, hd: HilbertData,
     degsum = sum(g.degree() for g in p.gens)
     dcap = degsum + r + 2
     for _ in range(5):
-        frame = _Frame(jet(ambient, dcap + 1, capacity=capacity))
-        candidates = [(g.degree(), {(0, frame.index[mono]): c
-                                    for mono, c in g.terms.items()})
+        A = jet(ambient, dcap + 1, capacity=capacity)
+        index = {m: i for i, m in enumerate(A.basis)}
+        candidates = [(g.degree(), {(0, index[mono]): c for mono, c in g.terms.items()})
                       for g in p.gens]
-        shifts1, gens1 = _minimalize(frame, candidates)
+        shifts1, gens1 = _minimalize(A, candidates)
 
         layers = [[0]]
         gens_by_layer: list[list[Element]] = [[]]
@@ -351,7 +311,7 @@ def _quotient_resolution(p: Presentation, hd: HilbertData,
             if i >= len(layers):
                 break
             shifts, gens, vanished = _syzygy_step(
-                frame, layers[i - 1], layers[i], gens_by_layer[i], dcap)
+                A, layers[i - 1], layers[i], gens_by_layer[i], dcap)
             if vanished:
                 complete, pd = True, i
                 break

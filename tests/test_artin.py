@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -14,9 +15,10 @@ from jetmetric.artin import (
     socle,
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
+from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 
-from conftest import random_presentation
+from conftest import _random_mono, random_presentation
 
 
 def test_jet_of_free_ring_counts_monomials(plane):
@@ -181,3 +183,60 @@ def test_defpair_jet_rejects_tuple_of_units():
     p.tuple[0] = p.tuple[0] + Poly.constant(fld, 1, fld.one())
     with pytest.raises(TupleError):
         defpair_jet(p, 3)
+
+
+DIFFERENTIAL_RINGS = {"Q": ("Q", ["1", "(-1)", "2", "(1/2)"]),
+                      "F_3": ("F_3", ["1", "2"]),
+                      "F_4": ("F_2^2 minpoly a^2 + a + 1", ["1", "a", "(1+a)"])}
+
+
+def _differential_presentation(rng: random.Random, field: str, mode: str):
+    """A random presentation whose generators have several terms of low
+    degree, so the jets to order 4 carry normal forms with several nonzero
+    entries; local generators mix two degrees."""
+    ring, coeffs = DIFFERENTIAL_RINGS[field]
+    names = ["x", "y", "z"][:rng.randint(2, 3)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(2, 3)
+        degs = [d] if mode == "graded" else [d, d + 1]
+        monos = {_random_mono(rng, len(names), rng.choice(degs))
+                 for _ in range(rng.randint(2, 4))}
+        gens.append(" + ".join(
+            rng.choice(coeffs) + "*" + "*".join(f"{v}^{e}" for v, e in zip(names, m) if e)
+            for m in sorted(monos)))
+    return parse_presentation(f"ring {ring}[{', '.join(names)}]\n{mode}\n"
+                              f"ideal: {', '.join(gens)}")
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
+                                                             order, data):
+    A = jet(_differential_presentation(random.Random(seed), field, mode), order)
+    f = A.field
+    # the basis-pair products are the nonzero entries of the normal forms
+    dense = {}
+    for i, mi in enumerate(A.basis):
+        for j, mj in enumerate(A.basis):
+            dense[i, j] = A.reduce_monomial(mono_mul(mi, mj))
+            assert A.mult_basis(i, j) == \
+                [(k, w) for k, w in enumerate(dense[i, j]) if not f.is_zero(w)]
+    # multiply agrees with a dense bilinear product
+    values = list(f.elements()) if field != "Q" else \
+        [Fraction(n, d) for n in range(-2, 3) for d in (1, 2)]
+    vec = st.lists(st.sampled_from(values), min_size=A.dim, max_size=A.dim)
+    u, v = data.draw(vec), data.draw(vec)
+    want = f.vec_zero(A.dim)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            c = f.mul(u[i], v[j])
+            want = [f.add(x, f.mul(c, w)) for x, w in zip(want, dense[i, j])]
+    assert A.multiply(u, v) == want
+    # the degree components partition the basis indices by degree
+    comps = [A.component(d) for d in range(A.cap + 1)]
+    assert sorted(i for c in comps for i in c) == list(range(A.dim))
+    for d, c in enumerate(comps):
+        assert list(c) == [i for i, m in enumerate(A.basis) if mono_deg(m) == d]
+    assert A.component(-1) == ()

@@ -36,9 +36,9 @@ def _decide(A, B, budget=BUDGET):
 def test_signature_of_cusp_jet(cusp):
     sig = invariant_signature(jet(cusp, 4))
     assert sig.length == 7
-    assert sig.hf == (1, 2, 2, 2)
-    assert sig.nilpotency == 4
-    assert sig.embdim == 2
+    assert sig.hilbert_function == (1, 2, 2, 2)
+    assert sig.nilpotency_index == 4
+    assert sig.embedding_dimension == 2
 
 
 def test_identity_is_found_immediately(cusp):

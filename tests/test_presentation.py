@@ -110,7 +110,10 @@ def test_power_with_too_many_terms_is_refused_at_the_caret():
     ring = "ring Q[a,b,c,d,e,f,g,x,y,z]\ngraded\nideal: "
     # seven terms to the 7th: C(13, 7) = 1716 terms fit; to the 8th: C(14, 8) = 3003 do not
     assert len(parse_presentation(ring + "(a+b+c+d+e+f+g)^7").gens[0].terms) == 1716
-    for expr in ["(a+b+c+d+e+f+g)^8", "(x+y+z)^90", "(x+y+z)^(45*2)", "x*(x+y)^2001"]:
+    # a power within the term bound can still be too much work: (x+y+z)^60 has
+    # 1891 terms but needs 284,352 term products, (x+y)^1998 needs 1,652,921
+    for expr in ["(a+b+c+d+e+f+g)^8", "(x+y+z)^90", "(x+y+z)^(45*2)", "x*(x+y)^2001",
+                 "(x+y+z)^60", "(x+y)^1998"]:
         start = time.process_time()
         with pytest.raises(PresentationSyntaxError) as err:
             parse_presentation(ring + expr)

@@ -140,6 +140,11 @@ def test_depth_plus_pd_is_the_variable_count():
 def test_resolution_requires_graded_input(cusp):
     with pytest.raises(GradingError):
         minimal_resolution_of_quotient(cusp)
+    # an algebra is checked where it enters: the cusp's relation is not
+    # homogeneous, so its jet has no graded residue-field resolution
+    for src in (cusp, jet(cusp, 4)):
+        with pytest.raises(GradingError):
+            betti_residue_field(src, 3)
 
 
 def test_base_change_preserves_betti_prefix():
