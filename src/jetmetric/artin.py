@@ -297,7 +297,12 @@ def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
         stacked.extend(A.var_mult_matrix(k))
     if not stacked:
         return A.dim, [A.unit_vec(i) for i in range(A.dim)]
-    kern = ExactMatrix(A.field, stacked, A.dim).kernel_basis()
+    zero, kern = A.field.zero(), []
+    for v in ExactMatrix(A.field, stacked, A.dim).kernel_basis():
+        dense = [zero] * A.dim
+        for c, x in v.items():
+            dense[c] = x
+        kern.append(dense)
     return len(kern), kern
 
 

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .artin import hilbert_function, jet, nilpotency_index, socle
+from .artin import defpair_jet, hilbert_function, jet, nilpotency_index, socle
 from .errors import JetMetricError, PresentationSyntaxError
 from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
@@ -88,14 +88,14 @@ def _enc_separator(sep) -> Optional[list]:
     return [name, str(va), str(vb)]
 
 
-def _enc_per_order(per_order, p: Presentation, q: Presentation, algebras) -> list:
+def _enc_per_order(per_order, p: Presentation, q: Presentation, targets) -> list:
+    """targets maps an order to the target-side jet its witness is read in."""
     out = []
     for n, v in per_order:
         entry = {"order": n, "status": v.status,
                  "separator": _enc_separator(v.separator)}
-        if v.witness is not None and n in algebras:
-            _, B = algebras[n]
-            entry["witness"] = _enc_witness(v.witness, B, p.vars, q.vars)
+        if v.witness is not None:
+            entry["witness"] = _enc_witness(v.witness, targets[n], p.vars, q.vars)
         if v.search_bounds is not None:
             entry["search_bounds"] = v.search_bounds
         out.append(entry)
@@ -175,21 +175,17 @@ def _run_distance(args, defpair: bool):
     p, dp = _load(args.a)
     q, dq = _load(args.b)
     budget = _budget(args)
-    algebras: dict = {}
     if defpair:
         verdict = defpair_distance(p, q, args.max_order, budget, capacity=args.cap)
     else:
         verdict = jet_distance(p, q, args.max_order, budget, capacity=args.cap)
-    from .artin import defpair_jet
-    for n, v in verdict.per_order:
-        if v.witness is not None:
-            make = defpair_jet if defpair else jet
-            algebras[n] = (make(p, n, capacity=args.cap),
-                           make(q, n, capacity=args.cap))
+    make = defpair_jet if defpair else jet
+    targets = {n: make(q, n, capacity=args.cap)
+               for n, v in verdict.per_order if v.witness is not None}
     result = {"lower": _enc_fraction(verdict.lower),
               "upper": _enc_fraction(verdict.upper),
               "exact": verdict.exact}
-    evidence = {"per_order": _enc_per_order(verdict.per_order, p, q, algebras)}
+    evidence = {"per_order": _enc_per_order(verdict.per_order, p, q, targets)}
     return result, evidence, {args.a: dp, args.b: dq}
 
 

@@ -12,10 +12,13 @@ base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
 
 Row reduction returns the reduced row echelon form, with pivots the leftmost
 nonzero columns, so every echelon form (and therefore every quotient basis
-built on top of it) is canonical and reproducible.  Over Q and F_p it runs on
-rows of Python ints (fraction-free Gauss-Jordan, one division per entry at
-the end); over F_{p^m} it is plain Gauss-Jordan in the field's arithmetic.
-No floating point anywhere.
+built on top of it) is canonical and reproducible.  This module is the only
+one that row-reduces, with one routine per kind of field: over Q and F_p
+fraction-free Gauss-Jordan on rows of Python ints (one division per entry at
+the end), over F_{p^m} the sparse incremental :class:`Echelon` in the
+field's arithmetic (which the graded resolution also uses for membership
+tests), and for F_2 graded ranks :func:`rank_gf2` on bitmask rows.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -383,6 +387,7 @@ class ExtensionField(Field):
         self._init_digits()
         self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
         self.mul, self.inv = self._mul_digits, self._inv_digits
+        self.is_zero = operator.not_    # a code is zero exactly when it is 0
         if self.order <= TABLE_MAX_ORDER:
             self._build_tables()        # walks the group with the digit product
             self.add, self.sub, self.neg = self._add_zech, self._sub_zech, self._neg_zech
@@ -399,9 +404,6 @@ class ExtensionField(Field):
 
     def generator(self):
         return self.p
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def from_int(self, n: int):
         return n % self.p
@@ -636,7 +638,8 @@ class ExactMatrix:
     :meth:`rref` over Q and F_p converts the rows to Python ints (clearing
     denominators over Q, reducing mod p over F_p) and eliminates them with
     :func:`_rref_int`; over F_{p^m}, whose codes are not int arithmetic, it
-    uses :func:`_rref_generic`.
+    feeds the nonzero entries of each row to an :class:`Echelon` and
+    densifies the reduced rows.
     """
 
     def __init__(self, field: Field, rows: list[list], ncols: int):
@@ -652,60 +655,91 @@ class ExactMatrix:
         f = self.field
         if isinstance(f, (RationalField, PrimeField)):
             return _rref_int(self.rows, self.ncols, f.desc.characteristic)
-        return _rref_generic(f, self.rows, self.ncols)
+        is_zero, zero = f.is_zero, f.zero()
+        ech = Echelon(f)
+        for row in self.rows:
+            ech.add({c: x for c, x in enumerate(row) if not is_zero(x)})
+        red = ech.reduced()
+        rows = [[r.get(c, zero) for c in range(self.ncols)] for r in red.values()]
+        return RrefResult(rows=rows, pivots=list(red), ncols=self.ncols)
 
     def rank(self) -> int:
         return self.rref().rank
 
-    def kernel_basis(self) -> list[list]:
-        """Canonical kernel basis: one vector per free column, free variable set to 1.
-
-        Vectors are returned in ascending free-column order; entries at pivot
-        columns are the negated reduced-row entries.
-        """
+    def kernel_basis(self) -> list[dict]:
+        """Canonical kernel basis: per free column, in ascending order, the
+        sparse vector {column: value} with the free variable set to 1 and, at
+        each pivot, the negated reduced-row entry there when it is nonzero."""
         red = self.rref()
         f = self.field
-        one, zero = f.one(), f.zero()
-        basis = []
-        for free in red.free_columns():
-            vec = [zero] * self.ncols
-            vec[free] = one
-            for row, pc in zip(red.rows, red.pivots):
-                entry = row[free]
-                if not f.is_zero(entry):
-                    vec[pc] = f.neg(entry)
-            basis.append(vec)
-        return basis
+        is_zero, neg = f.is_zero, f.neg
+        basis = {free: {free: f.one()} for free in red.free_columns()}
+        for row, pc in zip(red.rows, red.pivots):
+            for free, vec in basis.items():
+                if not is_zero(row[free]):
+                    vec[pc] = neg(row[free])
+        return list(basis.values())
 
 
-def _rref_generic(field: Field, in_rows: list[list], ncols: int) -> RrefResult:
-    """RREF by Gauss-Jordan in the field's own arithmetic, for F_{p^m}; the
-    tests compare :func:`_rref_int` against it over Q and F_p."""
-    rows = [list(r) for r in in_rows if not field.vec_is_zero(r)]
-    pivots: list[int] = []
-    piv_r = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(piv_r, len(rows)):
-            if not field.is_zero(rows[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        inv = field.inv(rows[piv_r][col])
-        rows[piv_r] = [field.mul(inv, a) for a in rows[piv_r]]
-        prow = rows[piv_r]
-        for r in range(len(rows)):
-            if r != piv_r:
-                c = rows[r][col]
-                if not field.is_zero(c):
-                    rows[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[r], prow)]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
-    return RrefResult(rows=rows[:piv_r], pivots=pivots, ncols=ncols)
+class Echelon:
+    """Sparse incremental row echelon form over a field, for rows given as
+    dicts from sortable keys (columns) to coefficients.
+
+    The pivot of a row is its smallest key; each row is stored as its
+    nonzero (key, value) pairs in ascending key order, scaled so that the
+    pivot entry is one, so reducing touches only those.  :meth:`add` tests
+    membership in the span and grows it; :meth:`reduced` back-substitutes.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows: dict[object, list[tuple[object, object]]] = {}
+
+    def add(self, v: dict) -> bool:
+        """Insert v unless it lies in the span; True when v was inserted."""
+        fld = self.field
+        is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
+        v = dict(v)
+        live = list(v)
+        heapify(live)
+        while live:
+            c = heappop(live)
+            coef = v[c]
+            if is_zero(coef):
+                continue
+            row = self.rows.get(c)
+            if row is None:
+                inv = fld.inv(coef)
+                self.rows[c] = [(i, mul(inv, x)) for i, x in sorted(v.items())
+                                if not is_zero(x)]
+                return True
+            for i, r in row:
+                x = v.get(i)
+                if x is None:
+                    v[i] = fld.neg(mul(coef, r))
+                    heappush(live, i)
+                else:
+                    v[i] = sub(x, mul(coef, r))
+        return False
+
+    def reduced(self) -> dict[object, dict]:
+        """Back-substitution: the reduced row echelon form as pivot -> row
+        ({key: value} of its nonzero entries, one at the pivot), in ascending
+        pivot order, each row cleared at every other pivot."""
+        fld = self.field
+        zero, is_zero, sub, mul = fld.zero(), fld.is_zero, fld.sub, fld.mul
+        done: dict[object, dict] = {}
+        for pc in sorted(self.rows, reverse=True):
+            row = self.rows[pc]
+            vals = dict(row)
+            # finished rows (the pivots above pc) vanish at every other
+            # pivot, so clearing one leaves the stored entries at the others
+            for i, x in row:
+                if i in done:
+                    for j, y in done[i].items():
+                        vals[j] = sub(vals.get(j, zero), mul(x, y))
+            done[pc] = {j: z for j, z in vals.items() if not is_zero(z)}
+        return dict(reversed(done.items()))
 
 
 def _int_row(row: Sequence, p: int) -> list[int] | None:

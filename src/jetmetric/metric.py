@@ -130,6 +130,25 @@ def _aggregate(per_order: list[tuple[int, IsoVerdict]]) -> DistanceVerdict:
     return DistanceVerdict(lower=lower, upper=upper, per_order=per_order, exact=exact)
 
 
+def _by_order(p: Presentation, q: Presentation, max_order: int, make,
+              budget: Optional[SearchBudget], match_tuples: bool,
+              capacity: int) -> DistanceVerdict:
+    """Decide the jets make(p, n), make(q, n) for n = 1..max_order, stopping
+    at the first NOT_ISO, then enforce the initial segment and aggregate."""
+    per_order: list[tuple[int, IsoVerdict]] = []
+    algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]] = {}
+    for n in range(1, max_order + 1):
+        A = make(p, n, capacity=capacity)
+        B = make(q, n, capacity=capacity)
+        algebras[n] = (A, B)
+        verdict = decide_isomorphism(A, B, budget, match_tuples=match_tuples)
+        per_order.append((n, verdict))
+        if verdict.status == "NOT_ISO":
+            break
+    _enforce_initial_segment(per_order, algebras)
+    return _aggregate(per_order)
+
+
 def jet_distance(p: Presentation, q: Presentation, max_order: int,
                  budget: Optional[SearchBudget] = None,
                  capacity: int = DEFAULT_CAPACITY) -> DistanceVerdict:
@@ -138,18 +157,7 @@ def jet_distance(p: Presentation, q: Presentation, max_order: int,
     gate = _field_gate(p, q)
     if gate is not None:
         return gate
-    per_order: list[tuple[int, IsoVerdict]] = []
-    algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]] = {}
-    for n in range(1, max_order + 1):
-        A = jet(p, n, capacity=capacity)
-        B = jet(q, n, capacity=capacity)
-        algebras[n] = (A, B)
-        verdict = decide_isomorphism(A, B, budget)
-        per_order.append((n, verdict))
-        if verdict.status == "NOT_ISO":
-            break
-    _enforce_initial_segment(per_order, algebras)
-    return _aggregate(per_order)
+    return _by_order(p, q, max_order, jet, budget, False, capacity)
 
 
 def defpair_distance(p: Presentation, q: Presentation, max_n: int,
@@ -167,18 +175,7 @@ def defpair_distance(p: Presentation, q: Presentation, max_n: int,
     if len(p.tuple) != len(q.tuple):
         return DistanceVerdict(lower=Fraction(1), upper=Fraction(1),
                                per_order=[], exact=True)
-    per_order: list[tuple[int, IsoVerdict]] = []
-    algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]] = {}
-    for n in range(1, max_n + 1):
-        A = defpair_jet(p, n, capacity=capacity)
-        B = defpair_jet(q, n, capacity=capacity)
-        algebras[n] = (A, B)
-        verdict = decide_isomorphism(A, B, budget, match_tuples=True)
-        per_order.append((n, verdict))
-        if verdict.status == "NOT_ISO":
-            break
-    _enforce_initial_segment(per_order, algebras)
-    return _aggregate(per_order)
+    return _by_order(p, q, max_n, defpair_jet, budget, True, capacity)
 
 
 def limit_jets(tpl: FamilyTemplate, order: int,

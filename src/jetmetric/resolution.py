@@ -13,7 +13,10 @@ Module elements are sparse: only the nonzero coefficients are stored, and a
 basis monomial times an element reads the ring's own sparse table of basis-
 pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
 witness search), so no work is spent on the zero blocks of generators in
-other degrees.  Degree components come from `ArtinAlgebra.component`.
+other degrees.  Degree components come from `ArtinAlgebra.component`.  This
+module does no row reduction of its own: kernels come sparse from
+`ExactMatrix.kernel_basis`, and membership in a submodule is tested by
+`exactcore.Echelon`, the same engine that reduces matrices over F_{p^m}.
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
@@ -25,12 +28,11 @@ raised and the computation redone until the certificate passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence, Union
 
 from .artin import ArtinAlgebra, jet, socle
-from .errors import GradingError, InternalInconsistencyError, RangeError
-from .exactcore import ExactMatrix
+from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
+from .exactcore import Echelon, ExactMatrix
 from .hilbert import HilbertData, hilbert_series
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
@@ -79,51 +81,11 @@ def _mult(A: ArtinAlgebra, u: int, elem: Element) -> Element:
     return {key: x for key, x in out.items() if not is_zero(x)}
 
 
-class _Reducer:
-    """Incremental row reduction for membership tests in a growing span of
-    sparse vectors (dicts from sortable keys to coefficients).
-
-    The pivot of a row is its smallest key; each row is stored as its
-    nonzero (key, value) pairs in ascending key order, scaled so that the
-    pivot entry is one, so reducing touches only those."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: dict[object, list[tuple[object, object]]] = {}
-
-    def add(self, v: dict) -> bool:
-        """Insert v unless it lies in the span; True when v was inserted."""
-        fld = self.field
-        is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
-        v = dict(v)
-        live = list(v)
-        heapify(live)
-        while live:
-            c = heappop(live)
-            coef = v[c]
-            if is_zero(coef):
-                continue
-            row = self.rows.get(c)
-            if row is None:
-                inv = fld.inv(coef)
-                self.rows[c] = [(i, mul(inv, x)) for i, x in sorted(v.items())
-                                if not is_zero(x)]
-                return True
-            for i, r in row:
-                x = v.get(i)
-                if x is None:
-                    v[i] = fld.neg(mul(coef, r))
-                    heappush(live, i)
-                else:
-                    v[i] = sub(x, mul(coef, r))
-        return False
-
-
 def _span_reducer(A: ArtinAlgebra, gen_shifts: Sequence[int], gens: Sequence[Element],
-                  deg: int) -> _Reducer:
-    """A _Reducer seeded with the degree-deg multiples u * g of the given
+                  deg: int) -> Echelon:
+    """An Echelon seeded with the degree-deg multiples u * g of the given
     generators (degrees gen_shifts)."""
-    red = _Reducer(A.field)
+    red = Echelon(A.field)
     for d, g in zip(gen_shifts, gens):
         for u in A.component(deg - d):
             red.add(_mult(A, u, g))
@@ -136,7 +98,6 @@ def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
     """Minimal generators of the syzygy module of `gens`; the flag reports
     whether the kernel vanished identically at every degree up to the cap."""
     fld = A.field
-    is_zero = fld.is_zero
     new_shifts: list[int] = []
     new_gens: list[Element] = []
     kernel_seen = False
@@ -160,7 +121,7 @@ def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
 
         red = _span_reducer(A, new_shifts, new_gens, j)
         for v in kernel:
-            elem = {key: x for key, x in zip(dom, v) if not is_zero(x)}
+            elem = {dom[c]: x for c, x in v.items()}
             if not red.add(elem):
                 continue
             if any(shifts[k] == j for k, _ in elem):
@@ -234,6 +195,8 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
         A = jet(src, dcap + 1, capacity=capacity)
     else:
         A = src
+        if A.is_zero_ring():
+            raise ZeroRingError("residue-field resolution over the zero ring")
         nilp = max(A.degrees()) + 1
         if dcap is None:
             dcap = hcap * max(nilp - 1, 1) + 1

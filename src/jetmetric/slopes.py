@@ -272,7 +272,10 @@ class RhoResult:
 
 
 def rho(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> RhoResult:
-    model = length_model(p, capacity)
+    return _rho(length_model(p, capacity))
+
+
+def _rho(model: LengthModel) -> RhoResult:
     d, e = model.dim, model.mult
     if d == 0:
         raise DimensionZeroError(
@@ -322,12 +325,12 @@ def quasi_dimension(p: Presentation, capacity: int = DEFAULT_CAPACITY
                     ) -> tuple[int, dict]:
     """Round delta0 of a single jet of even order n >= 10*rho to the nearest
     integer (half-integers round up); certified to equal the dimension."""
-    r = rho(p, capacity)
+    model = length_model(p, capacity)
+    r = _rho(model)
     ten_rho = 10 * r.value
     n = max(2, ceil(ten_rho))
     if n % 2:
         n += 1
-    model = length_model(p, capacity)
     value = delta0_at_order(model, n)
     rounded = round_log2(value.ratio)
     if rounded != model.dim:

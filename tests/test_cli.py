@@ -86,6 +86,18 @@ def test_distance_report_is_exact_quarter():
     assert r["lower"] == r["upper"] == "1/4"
 
 
+def test_distance_witness_is_printed_in_the_target_jet(tmp_path):
+    # at order 2 the jets are k[x]/(x^2) and k[y]/(y^2): the image of x
+    # must be written in the basis of the second one
+    a, b = tmp_path / "a.pres", tmp_path / "b.pres"
+    a.write_text("ring Q[x, y]\nlocal\nideal: y - x^2\n")
+    b.write_text("ring Q[x, y]\nlocal\nideal: x - y^2\n")
+    code, out, _ = _capture(["distance", str(a), str(b), "--max-order", "2"])
+    assert code == 0
+    order2 = json.loads(out)["evidence"]["per_order"][1]
+    assert order2["witness"]["images"] == {"x": "y", "y": "0"}
+
+
 def test_domain_failure_exits_one_with_json_error():
     code, out, _ = _capture(["euler", f"{INPUTS}/fat-point.pres"])
     assert code == 1

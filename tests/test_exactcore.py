@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from jetmetric import exactcore
 from jetmetric.errors import FieldError
 from jetmetric.exactcore import (
+    Echelon,
     ExactMatrix,
     ExtensionField,
     FieldDesc,
     PrimeField,
+    RrefResult,
     _fp_is_irreducible,
     _fp_mod,
     _fp_monic_polys,
-    _rref_generic,
     canonical_minpoly,
     field_from_desc,
     finite_field,
@@ -236,7 +237,8 @@ def test_rref_known_matrix_over_q():
 
 
 def _mul_vec(F, rows, vec):
-    return [F.sum(F.mul(a, x) for a, x in zip(row, vec)) for row in rows]
+    # vec is a sparse kernel vector {column: value}
+    return [F.sum(F.mul(row[c], x) for c, x in vec.items()) for row in rows]
 
 
 def test_kernel_basis_members_are_killed_by_the_matrix():
@@ -292,7 +294,37 @@ def test_gf2_rank_matches_generic_path(a, b, c):
     assert rank_gf2(ints) == ExactMatrix(F, rows, 8).rank()
 
 
-# -- the integer-row kernel against the field-generic elimination
+# -- the integer-row kernel and the sparse engine against a dense reference
+
+
+def _dense_rref(field, in_rows, ncols):
+    """Reference RREF: dense Gauss-Jordan in the field's own arithmetic."""
+    rows = [list(r) for r in in_rows if not field.vec_is_zero(r)]
+    pivots: list[int] = []
+    piv_r = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(piv_r, len(rows)):
+            if not field.is_zero(rows[r][col]):
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        inv = field.inv(rows[piv_r][col])
+        rows[piv_r] = [field.mul(inv, a) for a in rows[piv_r]]
+        prow = rows[piv_r]
+        for r in range(len(rows)):
+            if r != piv_r:
+                c = rows[r][col]
+                if not field.is_zero(c):
+                    rows[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[r], prow)]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(rows):
+            break
+    return RrefResult(rows=rows[:piv_r], pivots=pivots, ncols=ncols)
+
 
 _BIG = 2**64
 _q_entry = st.one_of(
@@ -327,11 +359,29 @@ def _dependent_rows(draw, entry, combine):
 
 def _assert_same_rref(F, rows, n):
     got = ExactMatrix(F, rows, n).rref()
-    want = _rref_generic(F, rows, n)
+    want = _dense_rref(F, rows, n)
     assert got.pivots == want.pivots
     assert got.rows == want.rows
     assert got.ncols == n
     return got
+
+
+def _echelon_rref(F, rows, n):
+    """The engine's RREF, fed the nonzero entries of each row and densified."""
+    ech = Echelon(F)
+    for row in rows:
+        ech.add({c: x for c, x in enumerate(row) if not F.is_zero(x)})
+    red = ech.reduced()
+    assert list(red) == sorted(red)
+    out = []
+    for pc, entries in red.items():
+        assert entries[pc] == F.one()
+        assert not any(F.is_zero(x) for x in entries.values())
+        dense = F.vec_zero(n)
+        for c, x in entries.items():
+            dense[c] = x
+        out.append(dense)
+    return RrefResult(rows=out, pivots=list(red), ncols=n)
 
 
 _SHAPES = [([[3, Fraction(-1, 2), 0, _BIG + 1]], 4),          # 1 x n
@@ -356,6 +406,14 @@ def test_integer_kernel_matches_generic_rref_on_edge_shapes():
         int_rows = [[Fraction(v).numerator for v in row] for row in rows]
         for p in (2, 3, 32003):
             _assert_same_rref(PrimeField(p), int_rows, n)
+        # the sparse engine, directly and behind ExactMatrix over F_4 and F_9
+        for F in (rationals(), PrimeField(3), finite_field(2, 2), finite_field(3, 2)):
+            mat = rows if F == rationals() else [[v % F.order for v in r] for r in int_rows]
+            want = _dense_rref(F, mat, n)
+            got = _echelon_rref(F, mat, n)
+            assert (got.pivots, got.rows) == (want.pivots, want.rows)
+            if isinstance(F, ExtensionField):
+                _assert_same_rref(F, mat, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -367,3 +425,47 @@ def test_integer_kernel_matches_generic_rref_over_fp(p, data):
     rows, n = data.draw(_dependent_rows(entry, lambda x, k, y: x + k * y))
     got = _assert_same_rref(PrimeField(p), rows, n)
     assert all(type(v) is int and 0 <= v < p for row in got.rows for v in row)
+
+
+ENGINE_FIELDS = {"Q": rationals(), "F_3": PrimeField(3),
+                 "F_4": finite_field(2, 2), "F_9": finite_field(3, 2)}
+
+
+def _engine_entries(F):
+    if F == rationals():
+        return _q_entry, lambda x, k, y: Fraction(x) + k * Fraction(y)
+    return (st.sampled_from(list(F.elements())),
+            lambda x, k, y: F.add(x, F.mul(F.from_int(k), y)))
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_engine_matches_dense_reference(name, data):
+    F = ENGINE_FIELDS[name]
+    rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
+    want = _dense_rref(F, rows, n)
+    got = _echelon_rref(F, rows, n)
+    assert got.pivots == want.pivots
+    assert got.rows == want.rows
+    if name in ("F_4", "F_9"):
+        # ExactMatrix reduces over F_{p^m} with the engine
+        _assert_same_rref(F, rows, n)
+
+
+@pytest.mark.parametrize("name", ["F_4", "F_9"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_kernel_is_read_from_the_reduced_rows(name, data):
+    F = ENGINE_FIELDS[name]
+    rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
+    red = _dense_rref(F, rows, n)
+    ker = ExactMatrix(F, rows, n).kernel_basis()
+    assert len(ker) == n - red.rank
+    for v, free in zip(ker, red.free_columns()):
+        assert v[free] == F.one()
+        assert not any(F.is_zero(x) for x in v.values())
+        assert set(v) <= set(red.pivots) | {free}
+        for row, pc in zip(red.rows, red.pivots):
+            assert v.get(pc, F.zero()) == F.neg(row[free])
+        assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))

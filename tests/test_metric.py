@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from jetmetric.artin import jet
+from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import (
     CrossCharacteristicError,
     NotStabilizedError,
     UnknownStabilizationError,
 )
-from jetmetric.iso import SearchBudget
+from jetmetric.iso import SearchBudget, decide_isomorphism
 from jetmetric.metric import (
     ball_descriptor,
     defpair_distance,
@@ -128,6 +128,18 @@ def test_defpair_distance_separates_orders():
     v = defpair_distance(a, b, 8, budget=BUDGET)
     assert v.upper < 1
     assert v.lower > 0
+
+
+def test_defpair_distance_searches_only_maps_matching_the_tuples():
+    # the order-2 pair quotients k[x,y]/(x^2, y^4) and k[x,y]/(x^4, y^2) are
+    # isomorphic, but no isomorphism sends (x, y^2) to (x^2, y)
+    a = parse_presentation("ring F_3[x, y]\nlocal\nideal: ;\ntuple: x, y^2")
+    b = parse_presentation("ring F_3[x, y]\nlocal\nideal: ;\ntuple: x^2, y")
+    budget = SearchBudget(ext_degree_max=1, effort=400)
+    assert decide_isomorphism(defpair_jet(a, 2), defpair_jet(b, 2), budget).status == "ISO"
+    v = defpair_distance(a, b, 2, budget=budget)
+    assert [s.status for _, s in v.per_order] == ["ISO", "UNKNOWN"]
+    assert v.upper == Fraction(1, 2)
 
 
 def test_limit_jets_of_cusp_family():

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric.artin import jet, socle
-from jetmetric.errors import GradingError, RangeError
-from jetmetric.exactcore import ExactMatrix, finite_field, rationals
+from jetmetric.errors import GradingError, RangeError, ZeroRingError
+from jetmetric.exactcore import Echelon, finite_field, rationals
 from jetmetric.hilbert import hilbert_series
 from jetmetric.iso import base_change
 from jetmetric.presentation import parse_presentation
 from jetmetric.resolution import (
-    _Reducer,
     betti_residue_field,
     depth_and_classify,
     minimal_resolution_of_quotient,
 )
+
+from test_exactcore import _dense_rref
 
 
 def _pres(text):
@@ -169,6 +170,11 @@ def test_residue_field_resolution_refuses_a_cap_below_one(fat_point):
         betti_residue_field(fat_point, 0)
 
 
+def test_residue_field_resolution_refuses_the_zero_ring(fat_point):
+    with pytest.raises(ZeroRingError):
+        betti_residue_field(jet(fat_point, 0), 2)
+
+
 # closed forms of the residue-field Poincare series P(t) = sum rank_i t^i:
 # 1/(1-t)^2 over the complete intersection (x^2, y^2), 1/(1-3t) over
 # k[x,y,z]/m^2, 1/(1-t) over k[x]/(x^3)
@@ -207,7 +213,7 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
     fld = REDUCER_FIELDS[name]
     values = Q_VALUES if name == "Q" else list(fld.elements())
     value = st.sampled_from(values)
-    red = _Reducer(fld)
+    red = Echelon(fld)
     inserted: list[list] = []
     for _ in range(data.draw(st.integers(1, 12), label="count")):
         kind = data.draw(st.sampled_from(
@@ -226,13 +232,19 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
                                           min_size=1, max_size=3)):
                 coef = data.draw(value)
                 vec = [fld.add(x, fld.mul(coef, y)) for x, y in zip(vec, old)]
-        before = ExactMatrix(fld, inserted, REDUCER_NCOLS).rank() if inserted else 0
+        before = _dense_rref(fld, inserted, REDUCER_NCOLS).rank
         inserted.append(vec)
-        after = ExactMatrix(fld, inserted, REDUCER_NCOLS).rank()
+        want = _dense_rref(fld, inserted, REDUCER_NCOLS)
         sparse = {_key(c): x for c, x in enumerate(vec) if not fld.is_zero(x)}
-        assert red.add(sparse) == (after > before)
-        pivots = ExactMatrix(fld, inserted, REDUCER_NCOLS).rref().pivots
-        assert sorted(red.rows) == [_key(c) for c in pivots]
+        assert red.add(sparse) == (want.rank > before)
+        assert sorted(red.rows) == [_key(c) for c in want.pivots]
+        got = []
+        for entries in red.reduced().values():
+            dense = fld.vec_zero(REDUCER_NCOLS)
+            for key, x in entries.items():
+                dense[3 * key[0] + key[1]] = x
+            got.append(dense)
+        assert got == want.rows
         for key, row in red.rows.items():
             assert row[0] == (key, fld.one())
             assert [k for k, _ in row] == sorted(k for k, _ in row)
