@@ -639,7 +639,8 @@ class ExactMatrix:
     denominators over Q, reducing mod p over F_p) and eliminates them with
     :func:`_rref_int`; over F_{p^m}, whose codes are not int arithmetic, it
     feeds the nonzero entries of each row to an :class:`Echelon` and
-    densifies the reduced rows.
+    densifies the reduced rows.  :meth:`rank` runs the forward half of
+    either and counts pivots.
     """
 
     def __init__(self, field: Field, rows: list[list], ncols: int):
@@ -664,7 +665,15 @@ class ExactMatrix:
         return RrefResult(rows=rows, pivots=list(red), ncols=self.ncols)
 
     def rank(self) -> int:
-        return self.rref().rank
+        """The rank, from a forward elimination only: no back-substitution,
+        no division by the pivots and, over F_{p^m}, no densified rows."""
+        f = self.field
+        if isinstance(f, (RationalField, PrimeField)):
+            return len(_echelon_int(self.rows, self.ncols, f.desc.characteristic)[1])
+        is_zero = f.is_zero
+        ech = Echelon(f)
+        return sum(ech.add({c: x for c, x in enumerate(row) if not is_zero(x)})
+                   for row in self.rows)
 
     def kernel_basis(self) -> list[dict]:
         """Canonical kernel basis: per free column, in ascending order, the
@@ -765,27 +774,25 @@ def _int_row(row: Sequence, p: int) -> list[int] | None:
     return [v // g for v in out] if g > 1 else out
 
 
-def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
-    """RREF over Q (p = 0) or F_p on rows of Python ints.
+def _combine_int(cur: list[int], prow: list[int], col: int, start: int,
+                 p: int) -> list[int]:
+    """cur cleared at col by the pivot row prow, with the fraction-free
+    combination lead*x - c*y; both rows vanish before start.  Over Q the
+    result is divided by its gcd, over F_p reduced mod p."""
+    lead, c = prow[col], cur[col]
+    pairs = zip(cur[start:], prow[start:])
+    if p:
+        return cur[:start] + [(lead * x - c * y) % p for x, y in pairs]
+    new = [lead * x - c * y for x, y in pairs]
+    g = gcd(*new)
+    return cur[:start] + ([v // g for v in new] if g > 1 else new)
 
-    A forward pass and a back pass clear each pivot column with the
-    fraction-free combination lead*x - c*y; a combined row is divided by its
-    gcd over Q and reduced mod p over F_p.  Each entry is divided by its
-    row's pivot once, at the end: ``Fraction(v, lead)`` over Q,
-    ``v * lead^-1 mod p`` over F_p.
-    """
+
+def _echelon_int(in_rows: list[list], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Forward pass over Q (p = 0) or F_p on rows of Python ints: the
+    nonzero echelon rows, not back-substituted or normalized, and their
+    pivot columns."""
     rows = [r for r in (_int_row(r, p) for r in in_rows) if r is not None]
-
-    def combine(cur: list[int], prow: list[int], col: int, start: int) -> list[int]:
-        # cur and prow vanish before start; prow[col] is the pivot to clear with
-        lead, c = prow[col], cur[col]
-        pairs = zip(cur[start:], prow[start:])
-        if p:
-            return cur[:start] + [(lead * x - c * y) % p for x, y in pairs]
-        new = [lead * x - c * y for x, y in pairs]
-        g = gcd(*new)
-        return cur[:start] + ([v // g for v in new] if g > 1 else new)
-
     pivots: list[int] = []
     for col in range(ncols):
         top = len(pivots)
@@ -798,14 +805,24 @@ def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
         rows[top], rows[hits[0]] = rows[hits[0]], rows[top]
         prow = rows[top]
         for r in hits[1:]:
-            rows[r] = combine(rows[r], prow, col, col)
+            rows[r] = _combine_int(rows[r], prow, col, col, p)
         pivots.append(col)
-    rank = len(pivots)
-    rows = rows[:rank]
-    for i in range(rank - 1, 0, -1):
+    return rows[:len(pivots)], pivots
+
+
+def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
+    """RREF over Q (p = 0) or F_p on rows of Python ints.
+
+    The forward pass of :func:`_echelon_int` and a back pass clear each
+    pivot column with :func:`_combine_int`.  Each entry is divided by its
+    row's pivot once, at the end: ``Fraction(v, lead)`` over Q,
+    ``v * lead^-1 mod p`` over F_p.
+    """
+    rows, pivots = _echelon_int(in_rows, ncols, p)
+    for i in range(len(pivots) - 1, 0, -1):
         pc, prow = pivots[i], rows[i]
         for j in [j for j in range(i) if rows[j][pc]]:
-            rows[j] = combine(rows[j], prow, pc, pivots[j])
+            rows[j] = _combine_int(rows[j], prow, pc, pivots[j], p)
     out: list[list] = []
     for row, pc in zip(rows, pivots):
         lead = row[pc]

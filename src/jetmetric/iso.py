@@ -14,7 +14,12 @@ variables in a deterministic integer-encoding order: linear images first
 (complete for graded algebras, where an isomorphism can always be chosen
 degree-preserving), then images with higher-order terms for local inputs.
 Over the rationals only variable permutations combined with a fixed set of
-scalings are tried.
+scalings are tried.  Each scaled candidate is first evaluated modulo one
+fixed prime MOD_P: reduction Z_(P) -> F_P is a ring homomorphism, so a
+relation (or tuple condition) whose value is nonzero mod P is nonzero over
+Q and the candidate is rejected without touching a Fraction.  Acceptance is
+always exact: a candidate that survives goes through the full check over Q,
+and a pair or candidate with P in some denominator is checked over Q only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ from .presentation import poly_to_str
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
                Fraction(1, 3), Fraction(-1, 3))
+
+# Rational candidates are first evaluated modulo this prime, 2^30 - 35:
+# below 2^30, every residue fits one CPython digit.
+MOD_P = 1073741789
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +166,20 @@ def embedding_root(src: Field, dst: Field):
     raise FieldError("minimal polynomial has no root in the target field")
 
 
+def _map_scalars(A: ArtinAlgebra, dst: Field, emb) -> ArtinAlgebra:
+    """A with every scalar (normal forms, relations, tuple images) sent
+    through emb into dst; basis, truncation and origin are kept."""
+    nf = {mono: [emb(c) for c in vec] for mono, vec in A.nf.items()}
+    tq = TruncatedQuotient(field=dst, nvars=A.nvars, cap=A.cap,
+                           basis=list(A.basis), nf=nf,
+                           pivots=sorted(A.nf.keys(), key=lambda mm: (mono_deg(mm), mm)))
+    relations = [g.map_coefficients(dst, emb) for g in A.relations]
+    out = ArtinAlgebra(dst, A.nvars, tq, relations=relations, origin=A.origin)
+    if A.tuple_images is not None:
+        out.tuple_images = [[emb(c) for c in vec] for vec in A.tuple_images]
+    return out
+
+
 def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     """Extend coefficients from F_{p^m} to F_{p^{m'}} (m | m'); the basis,
     normal forms, and every rank-type invariant are unchanged."""
@@ -170,19 +193,36 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
         return A
     dst = finite_field(f.p, m_prime)
     root = embedding_root(f, dst)
+    return _map_scalars(A, dst, lambda c: embed_scalar(f, dst, root, c))
 
-    def emb(c):
-        return embed_scalar(f, dst, root, c)
 
-    nf = {mono: [emb(c) for c in vec] for mono, vec in A.nf.items()}
-    tq = TruncatedQuotient(field=dst, nvars=A.nvars, cap=A.cap,
-                           basis=list(A.basis), nf=nf,
-                           pivots=sorted(A.nf.keys(), key=lambda mm: (mono_deg(mm), mm)))
-    relations = [g.map_coefficients(dst, emb) for g in A.relations]
-    out = ArtinAlgebra(dst, A.nvars, tq, relations=relations, origin=A.origin)
-    if A.tuple_images is not None:
-        out.tuple_images = [[emb(c) for c in vec] for vec in A.tuple_images]
-    return out
+class _DenominatorDivisible(Exception):
+    """MOD_P divides the denominator of a rational being reduced."""
+
+
+def _mod_p(c: Fraction) -> int:
+    den = c.denominator
+    if den == 1:
+        return c.numerator % MOD_P
+    if den % MOD_P == 0:
+        raise _DenominatorDivisible
+    return c.numerator * pow(den, -1, MOD_P) % MOD_P
+
+
+def _reduce_mod_p(A: ArtinAlgebra) -> Optional[ArtinAlgebra]:
+    """The rational algebra A with every scalar reduced mod MOD_P, or None
+    when MOD_P divides a denominator."""
+    try:
+        return _map_scalars(A, finite_field(MOD_P, 1), _mod_p)
+    except _DenominatorDivisible:
+        return None
+
+
+def _reduce_vec_mod_p(vec: Sequence) -> Optional[list[int]]:
+    try:
+        return [_mod_p(c) for c in vec]
+    except _DenominatorDivisible:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +385,21 @@ class _EffortExceeded(Exception):
 
 
 class _Searcher:
-    """Deterministic witness search from A to B over one coefficient field."""
+    """Deterministic witness search from A to B over one coefficient field.
+
+    Over Q the scaled candidates are filtered modulo MOD_P before `_check`
+    runs over Q.  The reduced pair (A and B with every scalar reduced mod
+    P) is built on the first scaled candidate, so a pair settled by the
+    identity or a permutation never pays for it.  Evaluating a relation at
+    the images, or carrying a tuple image across, takes only sums and
+    products of the images' coordinates, B's normal-form entries and the
+    relations' or tuples' coefficients; when none has P in its denominator,
+    reduction mod P commutes with the whole computation, so a value nonzero
+    mod P is nonzero over Q and the candidate is rightly rejected.  The
+    converse fails (a nonzero rational may vanish mod P), so a candidate
+    that survives is checked exactly, and a pair or candidate with P in a
+    denominator is checked over Q only.
+    """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
                  tuple_constraint: bool):
@@ -357,6 +411,7 @@ class _Searcher:
         self.tuple_constraint = tuple_constraint
         self.lin_idx = B.component(1)
         self.max_idx = B.maxideal_basis
+        self.reduced: Optional[tuple[ArtinAlgebra, ArtinAlgebra]] = None
 
     def _charge(self):
         if self.effort_left <= 0:
@@ -364,7 +419,33 @@ class _Searcher:
         self.effort_left -= 1
         self.tried += 1
 
-    def _check(self, images: list[list]) -> bool:
+    def _reduce_pair(self) -> bool:
+        """Build the pair reduced mod MOD_P; False when P divides one of
+        its denominators."""
+        Ap, Bp = _reduce_mod_p(self.A), _reduce_mod_p(self.B)
+        self.reduced = (Ap, Bp) if Ap is not None and Bp is not None else None
+        return self.reduced is not None
+
+    def _vanishes_mod_p(self, images_p: list[list[int]]) -> bool:
+        """Whether every relation, and with the tuple constraint every tuple
+        condition, vanishes at the candidate reduced mod MOD_P."""
+        A, B = self.reduced
+        f = B.field
+        image = B.monomial_map(images_p)
+        for rel in A.relations:
+            if not f.vec_is_zero(B.evaluate(rel, image)):
+                return False
+        if self.tuple_constraint:
+            for va, vb in zip(A.tuple_images, B.tuple_images):
+                if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, image, va), vb)):
+                    return False
+        return True
+
+    def _check(self, images: list[list], images_p: Optional[list[list[int]]] = None) -> bool:
+        """Whether images define an isomorphism; a candidate given with its
+        reduction images_p is first rejected when that does not vanish."""
+        if images_p is not None and not self._vanishes_mod_p(images_p):
+            return False
         A, B, f = self.A, self.B, self.field
         # cheap surjectivity filter: degree-1 coordinates must span
         lin_rows = [[img[i] for i in self.lin_idx] for img in images]
@@ -381,9 +462,10 @@ class _Searcher:
         L = linear_map_matrix(A, B, image)
         return ExactMatrix(f, L, A.dim).rank() == A.dim
 
-    def _try(self, images: list[list]) -> Optional[Witness]:
+    def _try(self, images: list[list],
+             images_p: Optional[list[list[int]]] = None) -> Optional[Witness]:
         self._charge()
-        if self._check(images):
+        if self._check(images, images_p):
             return Witness(images=[list(v) for v in images])
         return None
 
@@ -402,16 +484,25 @@ class _Searcher:
             yield [var_vecs[perm[k]] for k in range(r)]
 
     def rational_candidates(self):
-        """Permutations combined with per-variable scalings from a fixed set."""
+        """Permutations combined with per-variable scalings from a fixed set,
+        each as (images, images reduced mod MOD_P or None)."""
         r = self.A.nvars
         if r != self.B.nvars or r > 6:
             return
         f = self.field
         scaled = [[f.vec_scale(c, self.B.var_image(k)) for c in QQ_SCALINGS]
                   for k in range(r)]
+        scaled_p = ([[_reduce_vec_mod_p(v) for v in row] for row in scaled]
+                    if self._reduce_pair() else None)
         for perm in permutations(range(r)):
             for scals in product(range(len(QQ_SCALINGS)), repeat=r):
-                yield [scaled[perm[k]][scals[k]] for k in range(r)]
+                images = [scaled[perm[k]][scals[k]] for k in range(r)]
+                images_p = None
+                if scaled_p is not None:
+                    images_p = [scaled_p[perm[k]][scals[k]] for k in range(r)]
+                    if None in images_p:
+                        images_p = None
+                yield images, images_p
 
     def _vec_from_digits(self, digits: list, idx: list[int]) -> list:
         v = self.field.vec_zero(self.B.dim)
@@ -447,7 +538,8 @@ class _Searcher:
         return q ** (self.A.nvars * len(coords_idx))
 
     def run(self, graded: bool) -> tuple[Optional[Witness], bool]:
-        """(witness or None, whole space exhausted?)"""
+        """(witness or None, whole space exhausted?); raises _EffortExceeded
+        when the effort runs out first."""
         ident = self.identity_candidate()
         if ident is not None:
             w = self._try(ident)
@@ -458,8 +550,8 @@ class _Searcher:
             if w is not None:
                 return w, False
         if isinstance(self.field, RationalField):
-            for images in self.rational_candidates():
-                w = self._try(images)
+            for images, images_p in self.rational_candidates():
+                w = self._try(images, images_p)
                 if w is not None:
                     return w, False
             return None, False  # rational search is never exhaustive
@@ -525,10 +617,11 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
 
     if isinstance(f, RationalField):
         searcher = _Searcher(A, B, effort_left, match_tuples)
+        stopped_by = "candidates"
         try:
             w, _ = searcher.run(graded)
         except _EffortExceeded:
-            w = None
+            w, stopped_by = None, "effort"
         tried_total = searcher.tried
         if w is not None:
             if not verify_witness(A, B, w):
@@ -537,7 +630,8 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         return IsoVerdict(status="UNKNOWN",
                           search_bounds={"ext_degree_tried": 1,
                                          "candidates_tried": tried_total,
-                                         "space_exhausted": False})
+                                         "space_exhausted": False,
+                                         "stopped_by": stopped_by})
 
     m0 = f.desc.m
     exhausted_all = True
@@ -570,4 +664,5 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     return IsoVerdict(status="UNKNOWN",
                       search_bounds={"ext_degree_tried": ext_tried,
                                      "candidates_tried": tried_total,
-                                     "space_exhausted": exhausted_all})
+                                     "space_exhausted": exhausted_all,
+                                     "stopped_by": "space" if exhausted_all else "effort"})

@@ -453,6 +453,17 @@ def test_echelon_engine_matches_dense_reference(name, data):
         _assert_same_rref(F, rows, n)
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_forward_only_rank_matches_rref_pivots(name, data):
+    # rank() eliminates forward only (no back pass, no densified rows)
+    F = ENGINE_FIELDS[name]
+    rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
+    m = ExactMatrix(F, rows, n)
+    assert m.rank() == len(m.rref().pivots) == len(_dense_rref(F, rows, n).pivots)
+
+
 @pytest.mark.parametrize("name", ["F_4", "F_9"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)

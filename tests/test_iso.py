@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetmetric.artin import jet
+from jetmetric import iso
+from jetmetric.artin import defpair_jet, jet
 from jetmetric.iso import (
+    MOD_P,
+    QQ_SCALINGS,
     SearchBudget,
     Witness,
     apply_linear_map,
@@ -22,9 +27,9 @@ from jetmetric.iso import (
 )
 from jetmetric.exactcore import TABLE_MAX_ORDER, RationalField, _is_prime, finite_field
 from jetmetric.poly import Poly
-from jetmetric.presentation import parse_presentation
+from jetmetric.presentation import parse_presentation, print_presentation
 
-from conftest import random_presentation
+from conftest import random_presentation, random_presentation_text
 
 BUDGET = SearchBudget(ext_degree_max=1, effort=200_000)
 
@@ -99,6 +104,33 @@ def test_unknown_when_budget_is_tiny():
     v = _decide(jet(a, 5), jet(b, 5), SearchBudget(ext_degree_max=1, effort=3))
     assert v.status == "UNKNOWN"
     assert v.search_bounds is not None
+    assert v.search_bounds["stopped_by"] == "effort"
+
+
+def test_unknown_names_the_budget_it_ran_out_of():
+    # over Q the fixed candidate list runs dry before a large effort does
+    a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 5*y^2")
+    b = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 7*y^2")
+    v = _decide(jet(a, 3), jet(b, 3))
+    assert v.status == "UNKNOWN"
+    assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 203,
+                               "space_exhausted": False, "stopped_by": "candidates"}
+    v = _decide(jet(a, 3), jet(b, 3), SearchBudget(ext_degree_max=1, effort=50))
+    assert v.search_bounds["stopped_by"] == "effort"
+    # over F_3 without the extension the whole linear space is searched
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    v = _decide(jet(a, 3), jet(b, 3))
+    assert v.search_bounds["space_exhausted"] is True
+    assert v.search_bounds["stopped_by"] == "space"
+
+
+def test_iso_search_bounds_carry_no_stop_reason():
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    v = _decide(jet(a, 3), jet(b, 3), SearchBudget(ext_degree_max=2, effort=400_000))
+    assert v.status == "ISO"
+    assert set(v.search_bounds) == {"ext_degree_tried", "candidates_tried", "space_exhausted"}
 
 
 def test_mismatched_fields_are_an_error():
@@ -277,3 +309,149 @@ def test_linear_change_of_coordinates_is_recognized():
     v = _decide(A, B, SearchBudget(ext_degree_max=1, effort=500_000))
     assert v.status == "ISO"
     assert verify_witness(A, B, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# the rational search's filter modulo MOD_P against the exact check
+
+
+def _substituted(g, perm, scales):
+    """g(scales[0] * x_perm[0], ..., scales[r-1] * x_perm[r-1])."""
+    terms = {}
+    for mono, c in g.terms.items():
+        e = [0] * len(mono)
+        for k, a in enumerate(mono):
+            e[perm[k]] += a
+            c = c * scales[k] ** a
+        terms[tuple(e)] = c
+    return Poly(g.field, g.nvars, terms)
+
+
+def _transformed_copy(p, perm, scales):
+    """The presentation whose ideal (and tuple) is p's under x_k -> c_k x_perm(k);
+    on jets, x_k -> c_k x_perm(k) is an isomorphism from p's to the copy's."""
+    q = parse_presentation(print_presentation(p))
+    q.gens = [_substituted(g, perm, scales) for g in p.gens]
+    if p.tuple is not None:
+        q.tuple = [_substituted(t, perm, scales) for t in p.tuple]
+    return parse_presentation(print_presentation(q))
+
+
+@st.composite
+def _rational_pairs(draw):
+    """(A, B, true witness images, match_tuples): Q graded or local jets with
+    multi-term relations, or deformation pairs, B a permuted and scaled copy
+    of A or an unrelated algebra of the same shape."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nvars = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["graded", "local", "defpair", "defpair"]))
+    mode = "local" if kind == "defpair" else kind
+    text = random_presentation_text(rng, "Q", nvars, mode, max_deg=3)
+    if kind == "defpair":
+        names = ["x", "y", "z"][:nvars]
+        text += "\ntuple: " + ", ".join(f"{v}{rng.choice([' + 2*', ' - ', ' + 1/2*'])}{w}^2"
+                                        for v, w in zip(names, names[1:] + names[:1]))
+    p = parse_presentation(text)
+    perm = draw(st.permutations(range(nvars)))
+    scales = [draw(st.sampled_from(QQ_SCALINGS)) for _ in range(nvars)]
+    related = draw(st.sampled_from([True, True, True, False]))
+    if related:
+        q = _transformed_copy(p, perm, scales)
+    else:
+        other = random_presentation_text(rng, "Q", nvars, mode, max_deg=3)
+        q = parse_presentation(other + text[text.index("\ntuple"):]
+                               if kind == "defpair" else other)
+    if kind == "defpair":
+        n = draw(st.integers(1, 2))
+        A, B = defpair_jet(p, n), defpair_jet(q, n)
+    else:
+        n = draw(st.integers(2, 4))
+        A, B = jet(p, n), jet(q, n)
+    images = [B.field.vec_scale(c, B.var_image(perm[k])) for k, c in enumerate(scales)]
+    return A, B, images if related else None, kind == "defpair"
+
+
+def _candidates(rng, B, witness):
+    """A true witness (when known), perturbations of it, scaled variable
+    images and random images in the maximal ideal."""
+    f = B.field
+    out = [witness] if witness is not None else []
+    small = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+    nonunit = [i for i, d in enumerate(B.degrees()) if d > 0]
+    for _ in range(8):
+        kind = rng.choice(["perturbed", "scaled", "random"])
+        if kind == "perturbed" and witness is not None:
+            imgs = [list(v) for v in witness]
+            imgs[rng.randrange(len(imgs))][rng.choice(nonunit)] += rng.choice(small)
+        elif kind == "scaled":
+            imgs = [f.vec_scale(rng.choice(QQ_SCALINGS), B.var_image(rng.randrange(B.nvars)))
+                    for _ in range(B.nvars)]
+        else:
+            imgs = []
+            for _ in range(B.nvars):
+                v = f.vec_zero(B.dim)
+                for i in rng.sample(nonunit, min(len(nonunit), 3)):
+                    v[i] = rng.choice(small)
+                imgs.append(v)
+        out.append(imgs)
+    return out
+
+
+@given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_filter_mod_p_agrees_with_the_exact_check(pair, seed):
+    A, B, witness, match_tuples = pair
+    if A.dim != B.dim or A.dim < 2:
+        return
+    s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
+    assert s._reduce_pair()
+    if witness is not None:
+        assert s._check(witness)
+    for images in _candidates(random.Random(seed), B, witness):
+        images_p = iso._reduce_vec_mod_p([c for v in images for c in v])
+        images_p = [images_p[k * B.dim:(k + 1) * B.dim] for k in range(A.nvars)]
+        exact = s._check(images)
+        # a candidate ruled out modulo P never passes the exact check
+        if not s._vanishes_mod_p(images_p):
+            assert not exact
+        assert s._check(images, images_p) == exact
+
+
+def _verdict_fields(v):
+    return (v.status, v.witness, v.separator, v.search_bounds)
+
+
+def _decide_exact_only(A, B, budget, match_tuples=False):
+    # no pair reduces mod P, so every candidate takes the exact check alone
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(iso, "_reduce_mod_p", lambda _A: None)
+        return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
+
+
+@given(pair=_rational_pairs())
+@settings(max_examples=25, deadline=None)
+def test_search_with_the_filter_matches_the_exact_search(pair):
+    A, B, _, match_tuples = pair
+    budget = SearchBudget(ext_degree_max=1, effort=300)
+    got = decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
+    want = _decide_exact_only(A, B, budget, match_tuples)
+    assert _verdict_fields(got) == _verdict_fields(want)
+
+
+def test_p_in_a_denominator_falls_back_to_the_exact_check():
+    # the normal form of y^2 is x^2 / P, so the pair cannot be reduced mod P;
+    # y -> 2y (or y -> y/2) needs the scaled candidates
+    a = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {MOD_P}*y^2")
+    b = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {4 * MOD_P}*y^2")
+    A, B = jet(a, 3), jet(b, 3)
+    assert any(c.denominator == MOD_P for vec in A.nf.values() for c in vec)
+    assert iso._reduce_mod_p(A) is None
+    assert not iso._Searcher(A, B, 10, False)._reduce_pair()
+    got = _decide(A, B)
+    assert got.status == "ISO"
+    assert verify_witness(A, B, got.witness)
+    want = _decide_exact_only(A, B, BUDGET)
+    assert _verdict_fields(got) == _verdict_fields(want)
+    # a candidate with P in a denominator is left to the exact check
+    assert iso._reduce_vec_mod_p([Fraction(1), Fraction(3, MOD_P)]) is None
+    assert iso._reduce_vec_mod_p([Fraction(-1, 2)]) == [(MOD_P - 1) // 2]
