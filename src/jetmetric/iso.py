@@ -219,6 +219,8 @@ def _reduce_mod_p(A: ArtinAlgebra) -> Optional[ArtinAlgebra]:
 
 
 def _reduce_vec_mod_p(vec: Sequence) -> Optional[list[int]]:
+    """The rational coordinates vec reduced mod MOD_P, or None when MOD_P
+    divides a denominator."""
     try:
         return [_mod_p(c) for c in vec]
     except _DenominatorDivisible:

@@ -443,6 +443,7 @@ def test_p_in_a_denominator_falls_back_to_the_exact_check():
     # y -> 2y (or y -> y/2) needs the scaled candidates
     a = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {MOD_P}*y^2")
     b = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {4 * MOD_P}*y^2")
+    assert _is_prime(MOD_P) and MOD_P < 2**30
     A, B = jet(a, 3), jet(b, 3)
     assert any(c.denominator == MOD_P for vec in A.nf.values() for c in vec)
     assert iso._reduce_mod_p(A) is None
