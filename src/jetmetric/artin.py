@@ -26,6 +26,7 @@ jet of the localization — no standard-basis machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
@@ -239,6 +240,13 @@ def jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgeb
     tq = truncated_quotient(fld, p.nvars, p.gens, n, capacity=capacity)
     origin = AlgebraOrigin(presentation=p, order=n, kind="jet", internal_cap=n)
     return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin)
+
+
+def jet_lengths(p: Presentation, top: int, capacity: int = DEFAULT_CAPACITY) -> list[int]:
+    """lengths[n] is the length of the order-n jet for 0 <= n <= top, read off
+    the one order-`top` jet by the prefix lemma in `hs_polynomial_from_jets`."""
+    hf = hf_by_degree_count(jet(p, top, capacity=capacity))
+    return list(accumulate(hf + [0] * (top - len(hf)), initial=0))
 
 
 def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .artin import defpair_jet, hilbert_function, jet, nilpotency_index, socle
+from .artin import defpair_jet, hf_by_degree_count, jet, nilpotency_index, socle
 from .errors import JetMetricError, PresentationSyntaxError
 from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
@@ -145,9 +145,8 @@ def _budget(args) -> SearchBudget:
 def _run_jets(args):
     p, digest = _load(args.file)
     A = jet(p, args.order, capacity=args.cap)
-    length, hf = hilbert_function(A)
     result = {"order": args.order, "dim": A.dim, "basis_size": A.dim,
-              "hilbert_function": hf,
+              "hilbert_function": hf_by_degree_count(A),
               "nilpotency_index": nilpotency_index(A),
               "socle_dimension": socle(A)[0]}
     return result, None, {args.file: digest}
@@ -278,9 +277,8 @@ def _run_limit(args):
     tpl, digest = _read_template(args.template, lo, hi)
     last, w0 = limit_jets(tpl, args.order, _budget(args), tail=args.tail,
                           capacity=args.cap)
-    _, hf = hilbert_function(last)
     result = {"order": args.order, "stabilizes_at": w0, "dim": last.dim,
-              "hilbert_function": hf}
+              "hilbert_function": hf_by_degree_count(last)}
     evidence = {"range": [lo, hi], "tail_checked": args.tail}
     return result, evidence, {args.template: digest}
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from typing import Optional, Sequence
 
-from .artin import jet
+from .artin import jet_lengths
 from .errors import (
     GradingError,
     InternalInconsistencyError,
@@ -192,9 +193,7 @@ def hilbert_series(p: Presentation, prefix_len: Optional[int] = None) -> Hilbert
             raise PrefixTooShortError(
                 f"prefix length {N} too short to pin the cumulative polynomial "
                 f"(need jet lengths through order {need})")
-        partial = [0]
-        for h in prefix:
-            partial.append(partial[-1] + h)
+        partial = list(accumulate(prefix, initial=0))
         # partial[n] = length of the order-n jet, valid for n <= N + 1
         pts = [(n, partial[n]) for n in range(n0, n0 + d + 1)]
         cumulative = lagrange_interpolate(pts)
@@ -233,21 +232,33 @@ def hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list
 
 
 def hs_polynomial_from_jets(p: Presentation, window: tuple[int, int],
-                            verify_window: Optional[tuple[int, int]] = None,
                             capacity: int = DEFAULT_CAPACITY
                             ) -> tuple[list[Fraction], bool]:
     """Cumulative Hilbert-Samuel polynomial fitted to exact jet lengths.
 
     Takes finite differences of the lengths over the window until they are
-    constant, rebuilds the polynomial by Newton's forward formula, and labels
-    it certified when it also reproduces a disjoint verification window.
+    constant (degree k), interpolates the first k + 1 lengths, and labels the
+    polynomial certified when it also reproduces the two orders after the
+    window.
+
+    Every length comes from the one jet of order n2 + 2 (`jet_lengths`), by
+    a prefix lemma: for n <= N, cutting below degree n maps (I + m^N)/m^N
+    onto (I + m^n)/m^n and keeps the lowest monomial of each element whose
+    lowest monomial has degree below n.  The Macaulay columns ascend in grlex
+    order and each pivot is the lowest monomial of its row, so both
+    eliminations have the same pivots below degree n, and the order-n jet's
+    basis is the degree-< n part of the order-N basis.
     """
     n1, n2 = window
     if n2 - n1 < 2 or n1 < 0:
         raise WindowTooSmallError(f"window [{n1}, {n2}] has too few points")
-    lengths = [jet(p, n, capacity=capacity).dim for n in range(n1, n2 + 1)]
+    return _fit_lengths(jet_lengths(p, n2 + 2, capacity=capacity), n1, n2)
 
-    rows = [lengths]
+
+def _fit_lengths(lengths: Sequence[int], n1: int, n2: int) -> tuple[list[Fraction], bool]:
+    """Fit lengths[n1..n2] as in `hs_polynomial_from_jets`; certified when
+    the fit reproduces lengths[n2 + 1] and lengths[n2 + 2]."""
+    rows = [list(lengths[n1:n2 + 1])]
     while True:
         row = rows[-1]
         if len(row) >= 3 and len(set(row)) == 1:
@@ -257,28 +268,8 @@ def hs_polynomial_from_jets(p: Presentation, window: tuple[int, int],
                 f"finite differences not constant over window [{n1}, {n2}]")
         rows.append([row[i + 1] - row[i] for i in range(len(row) - 1)])
     k = len(rows) - 1  # degree
-
-    # Newton forward differences from base point n1
-    coeffs: list[Fraction] = []
-    for j in range(k + 1):
-        delta = rows[j][0]
-        if delta == 0:
-            continue
-        # C(n - n1, j) as a polynomial in n
-        term = [Fraction(1)]
-        for i in range(j):
-            term = poly_mul(term, [Fraction(-(n1 + i)), Fraction(1)])
-        term = poly_scale(term, Fraction(delta, factorial(j)))
-        coeffs = poly_add(coeffs, term)
-
-    if verify_window is None:
-        verify_window = (n2 + 1, n2 + 2)
-    v1, v2 = verify_window
-    certified = True
-    for n in range(v1, v2 + 1):
-        if poly_eval(coeffs, n) != jet(p, n, capacity=capacity).dim:
-            certified = False
-            break
+    coeffs = lagrange_interpolate([(n, lengths[n]) for n in range(n1, n1 + k + 1)])
+    certified = all(poly_eval(coeffs, n) == lengths[n] for n in (n2 + 1, n2 + 2))
     return coeffs, certified
 
 

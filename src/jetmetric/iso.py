@@ -428,12 +428,10 @@ class _Searcher:
         self.reduced = (Ap, Bp) if Ap is not None and Bp is not None else None
         return self.reduced is not None
 
-    def _vanishes_mod_p(self, images_p: list[list[int]]) -> bool:
-        """Whether every relation, and with the tuple constraint every tuple
-        condition, vanishes at the candidate reduced mod MOD_P."""
-        A, B = self.reduced
+    def _maps_relations(self, A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
+        """Whether every relation of A, and with the tuple constraint every
+        tuple condition, vanishes in B under the monomial map image."""
         f = B.field
-        image = B.monomial_map(images_p)
         for rel in A.relations:
             if not f.vec_is_zero(B.evaluate(rel, image)):
                 return False
@@ -442,6 +440,12 @@ class _Searcher:
                 if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, image, va), vb)):
                     return False
         return True
+
+    def _vanishes_mod_p(self, images_p: list[list[int]]) -> bool:
+        """Whether the relations and tuple conditions vanish at the candidate
+        reduced mod MOD_P."""
+        A, B = self.reduced
+        return self._maps_relations(A, B, B.monomial_map(images_p))
 
     def _check(self, images: list[list], images_p: Optional[list[list[int]]] = None) -> bool:
         """Whether images define an isomorphism; a candidate given with its
@@ -454,13 +458,8 @@ class _Searcher:
         if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != len(self.lin_idx):
             return False
         image = B.monomial_map(images)
-        for rel in A.relations:
-            if not f.vec_is_zero(B.evaluate(rel, image)):
-                return False
-        if self.tuple_constraint:
-            for va, vb in zip(A.tuple_images, B.tuple_images):
-                if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, image, va), vb)):
-                    return False
+        if not self._maps_relations(A, B, image):
+            return False
         L = linear_map_matrix(A, B, image)
         return ExactMatrix(f, L, A.dim).rank() == A.dim
 

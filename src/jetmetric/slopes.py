@@ -19,22 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial, isqrt
 from typing import Optional, Sequence, Union
 
-from .artin import ArtinAlgebra, jet, nilpotency_index
+from .artin import ArtinAlgebra, jet_lengths, nilpotency_index
 from .errors import (
     DimensionZeroError,
     InternalInconsistencyError,
     NilpotencyOneError,
     NotStabilizedError,
     RangeError,
-    WindowTooSmallError,
     ZeroRingError,
 )
 from .hilbert import (
+    _fit_lengths,
     hilbert_series,
-    hs_polynomial_from_jets,
     poly_add,
     poly_eval,
     poly_mul,
@@ -130,12 +130,14 @@ class LengthModel:
 
 def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> LengthModel:
     """Build the exact length model: series-based when graded, fitted and
-    verified against extra jet orders when local."""
+    verified against extra jet orders when local.  A local window [w1, w2]
+    reads the fit, its two-order check and the lengths below w1 off the one
+    jet of order N = w2 + 2: for n <= N the order-n jet's basis is the
+    degree-< n part of the order-N basis, since the elimination's pivots are
+    the lowest monomials of its rows (see `hs_polynomial_from_jets`)."""
     if p.mode == "graded":
         hd = hilbert_series(p)
-        partial = [0]
-        for h in hd.series_prefix:
-            partial.append(partial[-1] + h)
+        partial = list(accumulate(hd.series_prefix, initial=0))
         poly_from = max(len(hd.numerator) - 1 - hd.pole_order + 1, 1)
         for n in range(poly_from, len(partial)):
             if poly_eval(hd.cumulative, n) != partial[n]:
@@ -148,10 +150,10 @@ def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> LengthMod
     for k in range(6):
         w1 = 2 + 2 * k
         w2 = w1 + 6 + k
+        lengths = jet_lengths(p, w2 + 2, capacity=capacity)
         try:
-            coeffs, certified = hs_polynomial_from_jets(
-                p, (w1, w2), verify_window=(w2 + 1, w2 + 2), capacity=capacity)
-        except (NotStabilizedError, WindowTooSmallError) as e:
+            coeffs, certified = _fit_lengths(lengths, w1, w2)
+        except NotStabilizedError as e:
             last_error = e
             continue
         if not certified:
@@ -163,8 +165,7 @@ def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> LengthMod
         mult = factorial(d) * lead if d >= 1 else poly_eval(coeffs, w2)
         if mult.denominator != 1:
             raise InternalInconsistencyError(f"non-integral multiplicity {mult}")
-        low = [jet(p, n, capacity=capacity).dim if n else 0 for n in range(w1)]
-        return LengthModel(p, coeffs, w1, low, d, int(mult), "local-fitted")
+        return LengthModel(p, coeffs, w1, lengths[:w1], d, int(mult), "local-fitted")
     raise NotStabilizedError(
         f"jet lengths never settled onto a polynomial: {last_error}")
 

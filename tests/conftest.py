@@ -47,7 +47,10 @@ def fat_point():
 
 _COEFFS = {"Q": ["1", "-1", "2", "-2", "3", "1/2"],
            "F_2": ["1"],
-           "F_3": ["1", "2"]}
+           "F_3": ["1", "2"],
+           "F_4": ["1", "a", "(1+a)"]}
+# ring text of a field whose name is not its own ring statement
+_RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1"}
 
 
 def _mono_str(exps, names):
@@ -88,7 +91,7 @@ def random_presentation_text(rng: random.Random, field: str, nvars: int,
         for t in terms[1:]:
             expr += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         gens.append(expr)
-    return (f"ring {field}[{', '.join(names)}]\n{mode}\n"
+    return (f"ring {_RINGS.get(field, field)}[{', '.join(names)}]\n{mode}\n"
             f"ideal: {', '.join(gens)}")
 
 

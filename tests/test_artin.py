@@ -11,6 +11,7 @@ from jetmetric.artin import (
     hf_by_degree_count,
     hilbert_function,
     jet,
+    jet_lengths,
     nilpotency_index,
     socle,
 )
@@ -106,9 +107,21 @@ def test_negative_order_rejected(plane):
         jet(plane, -1)
 
 
-def test_jet_basis_is_prefix_of_larger_jet(cusp):
-    small, big = jet(cusp, 3), jet(cusp, 6)
-    assert big.basis[: small.dim] == small.basis
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_jet_basis_is_prefix_of_larger_jet(seed, field, mode, nvars, top):
+    # the prefix lemma that lets one elimination serve every lower order
+    p = random_presentation(random.Random(seed), field, nvars, mode)
+    big, lengths = jet(p, top), jet_lengths(p, top)
+    assert len(lengths) == top + 1
+    for n in range(top + 1):
+        small = jet(p, n)
+        assert small.basis == [m for m in big.basis if mono_deg(m) < n]
+        assert small.basis == big.basis[:small.dim]
+        assert small.nf == {m: v[:small.dim] for m, v in big.nf.items()
+                            if mono_deg(m) < n}
+        assert lengths[n] == small.dim
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3"]),

@@ -1,12 +1,20 @@
+import random
 from fractions import Fraction
-from math import comb, log2
+from math import comb, factorial, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric.artin import jet
-from jetmetric.errors import DimensionZeroError, NilpotencyOneError
+from jetmetric.errors import (
+    DimensionZeroError,
+    JetMetricError,
+    NilpotencyOneError,
+    NotStabilizedError,
+    WindowTooSmallError,
+)
+from jetmetric.hilbert import hs_polynomial_from_jets, poly_add, poly_eval, poly_mul
 from jetmetric.presentation import parse_presentation
 from jetmetric.slopes import (
     defect_at,
@@ -21,6 +29,8 @@ from jetmetric.slopes import (
     round_log2,
     slope_trace,
 )
+
+from conftest import random_presentation
 
 KX = parse_presentation("ring Q[x]\ngraded\nideal: ;")
 KXY = parse_presentation("ring Q[x, y]\ngraded\nideal: ;")
@@ -184,3 +194,91 @@ def test_trace_of_hilbert_reports_agreement_order():
     tr = slope_trace(CUSP, "hilbert", [3, 5, 7])
     assert tr.agreement_order is not None
     assert tr.agreement_order >= 3
+
+
+# ---------------------------------------------------------------------------
+# one elimination per window attempt, against the per-order path
+
+
+def _per_order_length_model(p, capacity):
+    """The local length model with every jet order eliminated on its own:
+    same windows, finite-difference fit, Newton interpolation and
+    two-order verification as the one-elimination path."""
+    def length(n):
+        return jet(p, n, capacity=capacity).dim
+
+    for k in range(6):
+        w1 = 2 + 2 * k
+        w2 = w1 + 6 + k
+        rows = [[length(n) for n in range(w1, w2 + 1)]]
+        while len(set(rows[-1])) > 1 and len(rows[-1]) >= 4:
+            rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+        if len(set(rows[-1])) > 1:
+            continue
+        coeffs = []
+        for j, row in enumerate(rows):
+            term = [Fraction(row[0], factorial(j))]
+            for i in range(j):
+                term = poly_mul(term, [Fraction(-(w1 + i)), Fraction(1)])
+            coeffs = poly_add(coeffs, term)
+        if any(poly_eval(coeffs, n) != length(n) for n in (w2 + 1, w2 + 2)):
+            continue
+        d = len(coeffs) - 1 if coeffs else 0
+        mult = factorial(d) * coeffs[-1] if d >= 1 else poly_eval(coeffs, w2)
+        return (coeffs, w1, [length(n) for n in range(w1)], d, int(mult))
+    raise NotStabilizedError("no window settled")
+
+
+def _outcome(build, p, capacity):
+    try:
+        return build(p, capacity)
+    except JetMetricError as e:
+        return type(e)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3"]), st.integers(1, 3),
+       st.sampled_from([400, 40]))
+@settings(max_examples=40, deadline=None)
+def test_length_model_matches_the_per_order_path(seed, field, nvars, capacity):
+    p = random_presentation(random.Random(seed), field, nvars, "local")
+
+    def fields(p, capacity):
+        m = length_model(p, capacity)
+        assert m.source == "local-fitted"
+        return (m.cumulative, m.poly_from, m.low_lengths, m.dim, m.mult)
+
+    assert _outcome(fields, p, capacity) == \
+        _outcome(_per_order_length_model, p, capacity)
+
+
+CI3 = parse_presentation(
+    "ring Q[x, y, z]\nlocal\nideal: x^2 + 2*y^3 - z^3, y^2 - x*z^2 + 3*z^3")
+LATE = parse_presentation("ring Q[x, y]\nlocal\nideal: x^8")
+
+
+def test_one_elimination_per_window_attempt(monkeypatch):
+    from jetmetric import artin, poly
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return poly.truncated_quotient(*args, **kwargs)
+
+    monkeypatch.setattr(artin, "truncated_quotient", counting)
+    m = length_model(CUSP)
+    assert calls == [10] and m.poly_from == 2
+    calls.clear()
+    assert quasi_dimension(CI3)[0] == 1
+    assert calls == [10]
+    calls.clear()
+    coeffs, certified = hs_polynomial_from_jets(CUSP, (1, 9))
+    assert certified and calls == [11]
+    calls.clear()
+    with pytest.raises(WindowTooSmallError):
+        hs_polynomial_from_jets(CUSP, (2, 3))
+    assert calls == []
+    # lengths of (x^8) are quadratic below order 8 and linear from there on,
+    # so the first three windows fail and the fourth, [8, 17], settles
+    m = length_model(LATE)
+    assert m.poly_from == 8 and calls == [10, 13, 16, 19]
