@@ -10,13 +10,25 @@ tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
 basis indices of each degree component.
 
+Elements have two forms.  The public one is dense: a coordinate list with
+one entry per basis monomial, as in `one_vec`, `var_image`, normal forms,
+witnesses and tuple images.  Inside algebra maps an element is sparse: the
+ascending list of its nonzero (index, value) pairs, the shape `mult_basis`
+returns.  `multiply` takes and returns sparse elements; `sparse` and
+`dense` convert at the boundary.  Zero tests are truthiness, since zero is
+falsy in all three element types (Fraction, int residue, int code).
+
 Every algebra map into an ArtinAlgebra (evaluating relations at generator
 images, the linear map of an isomorphism witness, composing witnesses) goes
 through one mechanism: `monomial_map(images)` is a memoized function from a
-monomial to its coordinate vector, seeded with 1 and the generator images,
-and `combine` sums c * image(m) over a polynomial's or a vector's terms.  A
-new monomial is reached from its nearest memoized divisor (lowering the last
-nonzero exponent) and then costs one multiply.
+monomial to its sparse image, seeded with 1 and the dense generator images
+converted once, and `combine` sums c * image(m) over a polynomial's or a
+vector's terms into dense coordinates.  A new monomial is reached from its
+nearest memoized divisor (lowering the last nonzero exponent) and then costs
+one multiply.  Over Q and F_p these products and sums run on native `+` and
+`*` (Fractions or ints), with one `% p` per entry at the end over F_p, so a
+non-canonical residue in an input still gives the exact result; F_{p^m}
+goes through the field's `add` and `mul`.
 
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
@@ -26,11 +38,12 @@ jet of the localization — no standard-basis machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
-from .exactcore import ExactMatrix, Field
+from .exactcore import ExactMatrix, ExtensionField, Field, PrimeField
 from .poly import (
     DEFAULT_CAPACITY,
     Monomial,
@@ -43,8 +56,21 @@ from .poly import (
 )
 from .presentation import Presentation
 
-# coordinates of the image of each monomial under an algebra map
-MonomialMap = Callable[[Monomial], list]
+# an element as the ascending list of its nonzero (index, value) pairs
+Sparse = list[tuple[int, object]]
+# sparse image of each monomial under an algebra map
+MonomialMap = Callable[[Monomial], Sparse]
+
+
+def sparse(v: Sequence) -> Sparse:
+    """The nonzero (index, value) pairs of the dense coordinates v."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+@lru_cache(maxsize=None)
+def _unit_monomials(r: int) -> tuple[Monomial, tuple[Monomial, ...]]:
+    """(1, (x_0, ..., x_{r-1})) as exponent tuples in r variables."""
+    return (0,) * r, tuple(tuple(int(i == k) for i in range(r)) for k in range(r))
 
 
 @dataclass
@@ -77,8 +103,15 @@ class ArtinAlgebra:
         for i, d in enumerate(self._degrees):
             comps[d].append(i)
         self._components = [tuple(c) for c in comps]
-        self._pair_cache: dict[tuple[int, int], list[tuple[int, object]]] = {}
+        self._pair_cache: dict[tuple[int, int], Sparse] = {}
         self._var_matrices: dict[int, list[list]] = {}
+        # native arithmetic over Q and F_p (modulus None over Q); F_{p^m}
+        # codes need the field's add and mul
+        self._native = not isinstance(field, ExtensionField)
+        self._modulus = field.p if isinstance(field, PrimeField) else None
+        self._one: Sparse = ([(self._index[(0,) * nvars], field.one())]
+                             if self.basis else [])
+        self._zeros = field.vec_zero(len(self.basis))   # copied, never written
 
     # -- basic structure ---------------------------------------------------
 
@@ -124,9 +157,16 @@ class ArtinAlgebra:
         e[k] = 1
         return self.reduce_monomial(tuple(e))
 
+    def dense(self, s: Sparse) -> list:
+        """Dense coordinates of the sparse element s."""
+        v = self._zeros.copy()
+        for i, c in s:
+            v[i] = c
+        return v
+
     # -- multiplication ----------------------------------------------------
 
-    def mult_basis(self, i: int, j: int) -> list[tuple[int, object]]:
+    def mult_basis(self, i: int, j: int) -> Sparse:
         """Nonzero (index, value) entries of basis[i] * basis[j], ascending
         in index, cached per unordered pair."""
         key = (i, j) if i <= j else (j, i)
@@ -143,18 +183,29 @@ class ArtinAlgebra:
             self._pair_cache[key] = got
         return got
 
-    def multiply(self, u: Sequence, v: Sequence) -> list:
+    def multiply(self, u: Sparse, v: Sparse) -> Sparse:
+        """Product of two sparse elements, as a sparse element."""
+        mult_basis = self.mult_basis
+        if self._native:
+            acc = self._zeros.copy()
+            for i, ci in u:
+                for j, cj in v:
+                    c = ci * cj
+                    for k, w in mult_basis(i, j):
+                        acc[k] += c * w
+            p = self._modulus
+            if p is None:
+                return [(k, x) for k, x in enumerate(acc) if x]
+            return [(k, r) for k, x in enumerate(acc) if (r := x % p)]
         f = self.field
         add, mul = f.add, f.mul
-        out = f.vec_zero(self.dim)
-        nz_u = [(i, c) for i, c in enumerate(u) if not f.is_zero(c)]
-        nz_v = [(j, c) for j, c in enumerate(v) if not f.is_zero(c)]
-        for i, ci in nz_u:
-            for j, cj in nz_v:
+        acc = self._zeros.copy()
+        for i, ci in u:
+            for j, cj in v:
                 c = mul(ci, cj)
-                for k, w in self.mult_basis(i, j):
-                    out[k] = add(out[k], mul(c, w))
-        return out
+                for k, w in mult_basis(i, j):
+                    acc[k] = add(acc[k], mul(c, w))
+        return [(k, x) for k, x in enumerate(acc) if x]
 
     def var_mult_matrix(self, k: int) -> list[list]:
         """Row-major matrix of multiplication by the class of variable k."""
@@ -170,27 +221,31 @@ class ArtinAlgebra:
         return got
 
     def mult_matrix(self, u: Sequence) -> list[list]:
-        """Row-major matrix of multiplication by the element u."""
-        cols = [self.multiply(u, self.unit_vec(j)) for j in range(self.dim)]
+        """Row-major matrix of multiplication by the element with dense
+        coordinates u."""
+        su, one = sparse(u), self.field.one()
+        cols = [self.dense(self.multiply(su, [(j, one)])) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- algebra maps ------------------------------------------------------
 
     def monomial_map(self, images: Sequence[Sequence]) -> MonomialMap:
-        """Memoized map from a monomial x^a to the coordinates of the product
-        of images[k]^a_k, with images[k] the coordinates of the image of x_k.
+        """Memoized map from a monomial x^a to the sparse product of
+        images[k]^a_k, with images[k] the dense coordinates of the image of
+        x_k, converted to sparse form once here.
 
         A new monomial lowers its last nonzero exponent until it reaches a
         memoized divisor and multiplies back up, memoizing every step, so it
         costs one multiply; the walk is a loop, so high powers stay flat.
         """
-        gens = [list(img) for img in images]
+        gens = [sparse(img) for img in images]
         r = len(gens)
-        memo: dict[Monomial, list] = {(0,) * r: self.one_vec()}
-        for k, img in enumerate(gens):
-            memo[tuple(int(i == k) for i in range(r))] = img
+        one, units = _unit_monomials(r)
+        memo: dict[Monomial, Sparse] = dict(zip(units, gens))
+        memo[one] = self._one
+        multiply = self.multiply
 
-        def image(mono: Monomial) -> list:
+        def image(mono: Monomial) -> Sparse:
             got = memo.get(mono)
             if got is not None:
                 return got
@@ -204,7 +259,7 @@ class ArtinAlgebra:
                 e[k] -= 1
                 got = memo.get(tuple(e))
             for m, k in reversed(path):
-                got = self.multiply(got, gens[k])
+                got = multiply(got, gens[k])
                 memo[m] = got
             return got
 
@@ -212,16 +267,24 @@ class ArtinAlgebra:
 
     def combine(self, terms: Iterable[tuple[Monomial, object]],
                 image: MonomialMap) -> list:
-        """Coordinates of the sum of c * image(m) over the (m, c) pairs."""
+        """Dense coordinates of the sum of c * image(m) over the (m, c)
+        pairs, with image returning sparse elements."""
+        if self._native:
+            acc = self._zeros.copy()
+            for m, c in terms:
+                if c:
+                    for i, w in image(m):
+                        acc[i] += c * w
+            p = self._modulus
+            return acc if p is None else [x % p for x in acc]
         f = self.field
-        out = f.vec_zero(self.dim)
+        add, mul = f.add, f.mul
+        acc = self._zeros.copy()
         for m, c in terms:
-            if f.is_zero(c):
-                continue
-            for i, w in enumerate(image(m)):
-                if not f.is_zero(w):
-                    out[i] = f.add(out[i], f.mul(c, w))
-        return out
+            if c:
+                for i, w in image(m):
+                    acc[i] = add(acc[i], mul(c, w))
+        return acc
 
     def evaluate(self, g: Poly, image: MonomialMap) -> list:
         """Evaluate the polynomial g under a monomial map into this algebra."""
@@ -258,9 +321,9 @@ def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
     """
     if A.is_zero_ring():
         return 0, []
-    f = A.field
-    var_vecs = [A.var_image(k) for k in range(A.nvars)]
-    current = [A.unit_vec(i) for i in A.maxideal_basis]  # basis of m^1
+    one = A.field.one()
+    var_vecs = [sparse(A.var_image(k)) for k in range(A.nvars)]
+    current = [[(i, one)] for i in A.maxideal_basis]  # basis of m^1
     dims = [A.dim]
     while current:
         dims.append(len(current))
@@ -268,11 +331,11 @@ def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
         for v in current:
             for xk in var_vecs:
                 w = A.multiply(xk, v)
-                if not f.vec_is_zero(w):
-                    nxt_rows.append(w)
+                if w:
+                    nxt_rows.append(A.dense(w))
         if nxt_rows:
-            red = ExactMatrix(f, nxt_rows, A.dim).rref()
-            current = [list(r) for r in red.rows]
+            red = ExactMatrix(A.field, nxt_rows, A.dim).rref()
+            current = [sparse(r) for r in red.rows]
         else:
             current = []
     hf = [dims[i] - (dims[i + 1] if i + 1 < len(dims) else 0) for i in range(len(dims))]

@@ -235,9 +235,6 @@ class Field:
         z = self.zero()
         return [z] * n
 
-    def vec_sub(self, u: Sequence, v: Sequence) -> list:
-        return [self.sub(a, b) for a, b in zip(u, v)]
-
     def vec_scale(self, c, u: Sequence) -> list:
         return [self.mul(c, a) for a in u]
 

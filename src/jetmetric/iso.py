@@ -24,14 +24,21 @@ and a pair or candidate with P in some denominator is checked over Q only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .artin import ArtinAlgebra, MonomialMap, hf_by_degree_count, nilpotency_index, socle
-from .errors import FieldError, FieldMismatchError, InternalInconsistencyError
+from .artin import (
+    ArtinAlgebra,
+    MonomialMap,
+    hf_by_degree_count,
+    nilpotency_index,
+    socle,
+    sparse,
+)
+from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
 from .exactcore import (
     ExactMatrix,
     Field,
@@ -57,8 +64,8 @@ MOD_P = 1073741789
 
 @dataclass(frozen=True)
 class InvariantSignature:
-    """The separating invariants, in the order `find_separator` compares
-    them; each field name is the separator name it reports."""
+    """The values of the separating invariants in `INVARIANTS`, in its
+    order; each field name is the separator name it reports."""
 
     length: int
     hilbert_function: tuple[int, ...]
@@ -97,26 +104,28 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
     return tuple(profile)
 
 
+# The separating invariants as (name, function), in the order
+# `find_separator` compares them and `InvariantSignature` lists them; each is
+# defined on the zero ring too.  Cheap invariants come first.
+INVARIANTS = (
+    ("length", lambda A: A.dim),
+    ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
+    ("nilpotency_index", lambda A: 0 if A.is_zero_ring() else nilpotency_index(A)),
+    ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle(A)[0]),
+    ("embedding_dimension", lambda A: len(A.component(1))),
+    ("multiplication_rank_profile", _mult_rank_profile),
+)
+
+
 def invariant_signature(A: ArtinAlgebra) -> InvariantSignature:
-    if A.is_zero_ring():
-        return InvariantSignature(0, (), 0, 0, 0, ())
-    hf = hf_by_degree_count(A)
-    soc_dim, _ = socle(A)
-    return InvariantSignature(
-        length=A.dim,
-        hilbert_function=tuple(hf),
-        nilpotency_index=nilpotency_index(A),
-        socle_dimension=soc_dim,
-        embedding_dimension=hf[1] if len(hf) > 1 else 0,
-        multiplication_rank_profile=_mult_rank_profile(A),
-    )
+    return InvariantSignature(**{name: inv(A) for name, inv in INVARIANTS})
 
 
 def find_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Optional[tuple[str, object, object]]:
-    """First differing invariant between the two signatures, or None."""
-    sa, sb = invariant_signature(A), invariant_signature(B)
-    for name in [x.name for x in fields(InvariantSignature)]:
-        va, vb = getattr(sa, name), getattr(sb, name)
+    """First differing invariant between A and B, or None; an invariant is
+    computed only when every earlier one agrees."""
+    for name, inv in INVARIANTS:
+        va, vb = inv(A), inv(B)
         if va != vb:
             return (name, va, vb)
     return None
@@ -260,7 +269,7 @@ class IsoVerdict:
 def linear_map_matrix(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> list[list]:
     """Row-major matrix (B.dim x A.dim) of the linear map sending the class of
     each basis monomial of A to its value under the monomial map `image`."""
-    cols = [image(mono) for mono in A.basis]
+    cols = [B.dense(image(mono)) for mono in A.basis]
     return [[cols[j][i] for j in range(A.dim)] for i in range(B.dim)]
 
 
@@ -351,8 +360,11 @@ def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Wi
     B_high, B_low = _extend(B_high, w.ext_multiple), _extend(B_low, w.ext_multiple)
     if not set(B_low.basis) <= set(B_high.basis):
         raise InternalInconsistencyError("jet bases are not nested")
-    images = [B_low.combine(zip(B_high.basis, img), B_low.reduce_monomial)
-              for img in w.images]
+
+    def reduce(mono):
+        return sparse(B_low.reduce_monomial(mono))
+
+    images = [B_low.combine(zip(B_high.basis, img), reduce) for img in w.images]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 
 
@@ -362,8 +374,18 @@ def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Wi
 
 @dataclass
 class SearchBudget:
+    """How far the witness search may go: extension degrees 1 to
+    ext_degree_max, and at most effort candidates over all of them."""
+
     ext_degree_max: int = 1
     effort: int = 1_000_000
+
+    def __post_init__(self):
+        if self.ext_degree_max < 1:
+            raise RangeError(f"extension degree bound must be at least 1, "
+                             f"got {self.ext_degree_max}")
+        if self.effort < 0:
+            raise RangeError(f"search effort must be nonnegative, got {self.effort}")
 
 
 def _algebra_key(A: ArtinAlgebra) -> tuple:
@@ -430,14 +452,15 @@ class _Searcher:
 
     def _maps_relations(self, A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
         """Whether every relation of A, and with the tuple constraint every
-        tuple condition, vanishes in B under the monomial map image."""
-        f = B.field
+        tuple condition, vanishes in B under the monomial map image.  The
+        values are canonical dense coordinates, so a zero test is truthiness
+        and a tuple condition is equality with B's tuple image."""
         for rel in A.relations:
-            if not f.vec_is_zero(B.evaluate(rel, image)):
+            if any(B.evaluate(rel, image)):
                 return False
         if self.tuple_constraint:
             for va, vb in zip(A.tuple_images, B.tuple_images):
-                if not f.vec_is_zero(f.vec_sub(apply_linear_map(A, B, image, va), vb)):
+                if apply_linear_map(A, B, image, va) != vb:
                     return False
         return True
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jetmetric.poly import mono_mul
 from jetmetric.presentation import parse_presentation
 
 # one line per acceptance criterion, printed after the run (see
@@ -48,7 +49,8 @@ def fat_point():
 _COEFFS = {"Q": ["1", "-1", "2", "-2", "3", "1/2"],
            "F_2": ["1"],
            "F_3": ["1", "2"],
-           "F_4": ["1", "a", "(1+a)"]}
+           "F_4": ["1", "a", "(1+a)"],
+           "F_1073741789": ["1", "-1", "2", "-2", "3"]}
 # ring text of a field whose name is not its own ring statement
 _RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1"}
 
@@ -99,3 +101,24 @@ def random_presentation(rng: random.Random, field: str, nvars: int, mode: str,
                         max_deg: int = 4):
     return parse_presentation(
         random_presentation_text(rng, field, nvars, mode, max_deg))
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the sparse algebra product
+
+
+def dense_product(A, u, v):
+    """The product of the dense coordinates u and v in A, summed through the
+    field's own operations from the normal form `reduce_monomial` gives for
+    each pair of basis monomials: the reference `ArtinAlgebra.multiply` is
+    checked against."""
+    f = A.field
+    out = f.vec_zero(A.dim)
+    for i, ci in enumerate(u):
+        for j, cj in enumerate(v):
+            c = f.mul(ci, cj)
+            if f.is_zero(c):
+                continue
+            nf = A.reduce_monomial(mono_mul(A.basis[i], A.basis[j]))
+            out = [f.add(o, f.mul(c, w)) for o, w in zip(out, nf)]
+    return out

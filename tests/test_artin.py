@@ -14,12 +14,15 @@ from jetmetric.artin import (
     jet_lengths,
     nilpotency_index,
     socle,
+    sparse,
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
+from jetmetric.exactcore import PrimeField
+from jetmetric.iso import MOD_P
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 
-from conftest import _random_mono, random_presentation
+from conftest import _random_mono, dense_product, random_presentation
 
 
 def test_jet_of_free_ring_counts_monomials(plane):
@@ -61,7 +64,7 @@ def test_multiplication_is_associative_and_commutative_on_cusp(cusp):
         return [f.from_int(rng.randint(-3, 3)) for _ in range(A.dim)]
 
     for _ in range(12):
-        u, v, w = rand_vec(), rand_vec(), rand_vec()
+        u, v, w = sparse(rand_vec()), sparse(rand_vec()), sparse(rand_vec())
         assert A.multiply(u, v) == A.multiply(v, u)
         assert A.multiply(A.multiply(u, v), w) == A.multiply(u, A.multiply(v, w))
 
@@ -71,7 +74,7 @@ def test_one_is_multiplicative_identity(quartic_cone):
     one = A.one_vec()
     for i in range(A.dim):
         e = A.unit_vec(i)
-        assert A.multiply(one, e) == e
+        assert A.dense(A.multiply(sparse(one), sparse(e))) == e
 
 
 def test_fat_point_socle(fat_point):
@@ -148,7 +151,7 @@ def test_socle_vectors_annihilate_every_variable(seed, field):
     f = A.field
     for v in basis:
         for k in range(A.nvars):
-            assert f.vec_is_zero(A.multiply(A.var_image(k), v))
+            assert f.vec_is_zero(A.dense(A.multiply(sparse(A.var_image(k)), sparse(v))))
 
 
 def test_high_power_relation_evaluates_without_recursion():
@@ -200,7 +203,8 @@ def test_defpair_jet_rejects_tuple_of_units():
 
 DIFFERENTIAL_RINGS = {"Q": ("Q", ["1", "(-1)", "2", "(1/2)"]),
                       "F_3": ("F_3", ["1", "2"]),
-                      "F_4": ("F_2^2 minpoly a^2 + a + 1", ["1", "a", "(1+a)"])}
+                      "F_4": ("F_2^2 minpoly a^2 + a + 1", ["1", "a", "(1+a)"]),
+                      "F_P": (f"F_{MOD_P}", ["1", "(-1)", "2", "3"])}
 
 
 def _differential_presentation(rng: random.Random, field: str, mode: str):
@@ -246,10 +250,44 @@ def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
         for j in range(A.dim):
             c = f.mul(u[i], v[j])
             want = [f.add(x, f.mul(c, w)) for x, w in zip(want, dense[i, j])]
-    assert A.multiply(u, v) == want
+    assert A.dense(A.multiply(sparse(u), sparse(v))) == want
     # the degree components partition the basis indices by degree
     comps = [A.component(d) for d in range(A.cap + 1)]
     assert sorted(i for c in comps for i in c) == list(range(A.dim))
     for d, c in enumerate(comps):
         assert list(c) == [i for i, m in enumerate(A.basis) if mono_deg(m) == d]
     assert A.component(-1) == ()
+
+
+def _random_element(rng: random.Random, f, dim: int) -> list:
+    """Dense coordinates with about a third zero entries; over F_p the
+    entries are integers in [-2p, 3p), so both zero and nonzero entries come
+    in non-canonical residues too (p, -p, p + 1, ...)."""
+    out = []
+    for _ in range(dim):
+        zero = rng.random() < 1 / 3
+        if isinstance(f, PrimeField):
+            c = f.p * rng.randint(-2, 2) if zero else rng.randrange(-2 * f.p, 3 * f.p)
+        elif f.desc.kind == "rationals":
+            c = f.zero() if zero else Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        else:
+            c = 0 if zero else rng.randrange(f.order)
+        out.append(c)
+    return out
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(DIFFERENTIAL_RINGS)),
+       st.sampled_from(["graded", "local"]), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_matches_dense_reference(seed, field, mode, order):
+    rng = random.Random(seed)
+    A = jet(_differential_presentation(rng, field, mode), order)
+    f = A.field
+    for _ in range(4):
+        u, v = _random_element(rng, f, A.dim), _random_element(rng, f, A.dim)
+        got = A.multiply(sparse(u), sparse(v))
+        assert A.dense(got) == dense_product(A, u, v)
+        # the product is in sparse form: ascending indices, nonzero values,
+        # canonical residues over F_p
+        assert [k for k, _ in got] == sorted({k for k, _ in got})
+        assert all(c and (not isinstance(f, PrimeField) or 0 < c < f.p) for _, c in got)

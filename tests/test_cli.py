@@ -105,6 +105,18 @@ def test_domain_failure_exits_one_with_json_error():
     assert doc["error"]["type"] == "PoleOrderZeroError"
 
 
+@pytest.mark.parametrize("bound", [["--ext", "0"], ["--effort", "-5"]])
+def test_out_of_range_search_budget_exits_one_with_json_error(tmp_path, bound):
+    # with --ext 0 no candidate was tried, yet every order past the
+    # separating ones read as an exhausted space
+    a, b = tmp_path / "a.pres", tmp_path / "b.pres"
+    a.write_text("ring F_3[x, y]\ngraded\nideal: x^2 + y^2\n")
+    b.write_text("ring F_3[x, y]\ngraded\nideal: x*y\n")
+    code, out, _ = _capture(["distance", str(a), str(b), "--max-order", "3", *bound])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "RangeError"
+
+
 def test_usage_failure_exits_two():
     code, _, err = _capture(["slopes", f"{INPUTS}/plane.pres",
                              "--which", "delta0"])  # missing --order

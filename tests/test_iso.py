@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -25,11 +26,12 @@ from jetmetric.iso import (
     verify_witness,
     witness_field,
 )
+from jetmetric.errors import RangeError
 from jetmetric.exactcore import TABLE_MAX_ORDER, RationalField, _is_prime, finite_field
 from jetmetric.poly import Poly
 from jetmetric.presentation import parse_presentation, print_presentation
 
-from conftest import random_presentation, random_presentation_text
+from conftest import dense_product, random_presentation, random_presentation_text
 
 BUDGET = SearchBudget(ext_degree_max=1, effort=200_000)
 
@@ -86,15 +88,39 @@ def test_different_hilbert_functions_separate():
 
 
 def test_separator_values_recompute(fat_point):
-    A = jet(fat_point, 3)
-    B = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^2"), 3)
-    sep = find_separator(A, B)
-    assert sep is not None
-    name = sep[0]
+    cases = [(jet(fat_point, 3),
+              jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^2"), 3)),
+             # equal lengths; the Hilbert functions and socle dimensions both differ
+             (jet(parse_presentation("ring Q[x]\ngraded\nideal: x^4"), 5),
+              jet(parse_presentation("ring Q[x, y, z]\ngraded\n"
+                                     "ideal: x^2, x*y, x*z, y^2, y*z, z^2"), 5))]
+    for A, B in cases:
+        sep = find_separator(A, B)
+        assert sep is not None
+        name = sep[0]
+        sa, sb = invariant_signature(A), invariant_signature(B)
+        assert getattr(sa, name) == sep[1]
+        assert getattr(sb, name) == sep[2]
+        assert sep[1] != sep[2]
+        # every invariant listed before the separator agrees
+        names = [x.name for x in fields(sa)]
+        assert all(getattr(sa, n) == getattr(sb, n) for n in names[:names.index(name)])
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3"]),
+       st.sampled_from(["graded", "local"]))
+@settings(max_examples=40, deadline=None)
+def test_find_separator_is_the_first_differing_signature_field(seed, field, mode):
+    # the lazy walk computes an invariant only when every earlier one agrees,
+    # and must report what comparing the full signatures reports
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    A, B = (jet(random_presentation(rng, field, nvars, mode), rng.randint(0, 4))
+            for _ in range(2))
     sa, sb = invariant_signature(A), invariant_signature(B)
-    assert getattr(sa, name) == sep[1]
-    assert getattr(sb, name) == sep[2]
-    assert sep[1] != sep[2]
+    differing = [(x.name, getattr(sa, x.name), getattr(sb, x.name)) for x in fields(sa)
+                 if getattr(sa, x.name) != getattr(sb, x.name)]
+    assert find_separator(A, B) == (differing[0] if differing else None)
 
 
 def test_unknown_when_budget_is_tiny():
@@ -212,21 +238,21 @@ def test_f9_witness_inverts_and_round_trips():
 
 
 def _reference_image(B, images, mono):
-    # left-to-right product of the variable images, starting from one
+    # left-to-right dense product of the variable images, starting from one
     vec = B.one_vec()
     for k, e in enumerate(mono):
         for _ in range(e):
-            vec = B.multiply(vec, images[k])
+            vec = dense_product(B, vec, images[k])
     return vec
 
 
 def _random_scalar(rng, f):
     if isinstance(f, RationalField):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return rng.choice(list(f.elements()))
+    return rng.randrange(f.order)
 
 
-@pytest.mark.parametrize("field", ["Q", "F_3", "F_4"])
+@pytest.mark.parametrize("field", ["Q", "F_3", "F_4", f"F_{MOD_P}"])
 def test_monomial_map_matches_left_to_right_products(field):
     rng = random.Random(20260814)
     ground = "F_2" if field == "F_4" else field
@@ -291,6 +317,19 @@ def test_base_change_preserves_hilbert_function():
     from jetmetric.artin import hf_by_degree_count
     assert hf_by_degree_count(A4) == hf_by_degree_count(A)
     assert A4.field.order == 4
+
+
+def test_search_budget_rejects_out_of_range_bounds():
+    for bad in ({"ext_degree_max": 0}, {"ext_degree_max": -1}, {"effort": -5}):
+        with pytest.raises(RangeError):
+            SearchBudget(**bad)
+    # zero effort is an empty budget, not an error: the search stops at once
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    v = _decide(jet(a, 3), jet(b, 3), SearchBudget(ext_degree_max=1, effort=0))
+    assert v.status == "UNKNOWN"
+    assert v.search_bounds["candidates_tried"] == 0
+    assert v.search_bounds["stopped_by"] == "effort"
 
 
 def test_decide_handles_zero_rings(plane):
