@@ -184,7 +184,12 @@ class ArtinAlgebra:
         return got
 
     def multiply(self, u: Sparse, v: Sparse) -> Sparse:
-        """Product of two sparse elements, as a sparse element."""
+        """Product of two sparse elements, as a sparse element.
+
+        u and v are ascending lists of nonzero (index, value) pairs; a caller
+        holding dense coordinates converts with `sparse` before and `dense`
+        after.  Over F_p an input value may be any integer representative.
+        """
         mult_basis = self.mult_basis
         if self._native:
             acc = self._zeros.copy()
@@ -232,7 +237,8 @@ class ArtinAlgebra:
     def monomial_map(self, images: Sequence[Sequence]) -> MonomialMap:
         """Memoized map from a monomial x^a to the sparse product of
         images[k]^a_k, with images[k] the dense coordinates of the image of
-        x_k, converted to sparse form once here.
+        x_k, converted to sparse form once here.  The values are sparse
+        elements; `combine` and `linear_map_matrix` turn them dense.
 
         A new monomial lowers its last nonzero exponent until it reaches a
         memoized divisor and multiplies back up, memoizing every step, so it
