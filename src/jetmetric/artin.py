@@ -32,14 +32,13 @@ goes through the field's `add` and `mul`.
 
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
-jet of the localization — no standard-basis machinery is needed.
+jet of the localization; lengths and colengths come from `standard`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
@@ -55,6 +54,7 @@ from .poly import (
     truncated_quotient,
 )
 from .presentation import Presentation
+from .standard import hilbert_numerator
 
 # an element as the ascending list of its nonzero (index, value) pairs
 Sparse = list[tuple[int, object]]
@@ -311,13 +311,6 @@ def jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgeb
     return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin)
 
 
-def jet_lengths(p: Presentation, top: int, capacity: int = DEFAULT_CAPACITY) -> list[int]:
-    """lengths[n] is the length of the order-n jet for 0 <= n <= top, read off
-    the one order-`top` jet by the prefix lemma in `hs_polynomial_from_jets`."""
-    hf = hf_by_degree_count(jet(p, top, capacity=capacity))
-    return list(accumulate(hf + [0] * (top - len(hf)), initial=0))
-
-
 def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
     """(length, hf) with hf[i] = dim m^i/m^{i+1}.
 
@@ -388,24 +381,13 @@ def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
 
 
 def _colength(fld: Field, nvars: int, gens: list[Poly], capacity: int) -> int:
-    """Length of k[x]/J, certified by a degree with no surviving monomials.
-
-    Works at doubling caps; a degree whose monomials are all in the initial
-    ideal certifies stabilization (everything above is then divisible by a
-    leading monomial).  If the dimension keeps growing until the capacity is
-    reached, the ideal is not primary to the maximal ideal at this scale.
-    """
-    cap = 2
-    while count_monomials_below(nvars, cap) <= capacity:
-        tq = truncated_quotient(fld, nvars, gens, cap, capacity=capacity)
-        present = {mono_deg(m) for m in tq.basis}
-        missing = [d for d in range(cap) if d not in present]
-        if missing:
-            return tq.dim
-        cap *= 2
-    raise NotPrimaryError(
-        "ideal plus tuple powers failed to stabilize within capacity; "
-        "the tuple is not primary to the maximal ideal at this scale")
+    """Length of k[x]/J, Q(1) of the certified leading ideal of J; a pole
+    means dim k[x]/J > 0, so J is not primary to the maximal ideal."""
+    numerator, pole_order = hilbert_numerator(fld, nvars, gens, capacity)
+    if pole_order:
+        raise NotPrimaryError(f"ideal plus tuple has dimension {pole_order}; "
+                              "the tuple is not primary to the maximal ideal")
+    return sum(numerator)
 
 
 def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgebra:
@@ -427,16 +409,13 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
     colength = _colength(fld, p.nvars, p.gens + list(p.tuple), capacity)
     powered = [t.pow(n) for t in p.tuple]
     gens_n = p.gens + powered
+    # colength c puts m^c in I + (t), so m^(c s n) lies in (I + (t))^(s n),
+    # inside I + (t^n): the cut at cap loses nothing
     cap = colength * s * n + 1
-    while True:
-        if count_monomials_below(p.nvars, cap) > capacity:
-            raise CapacityError(count_monomials_below(p.nvars, cap), capacity,
-                                f"deformation order {n} needs internal cap {cap}")
-        tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
-        present = {mono_deg(m) for m in tq.basis}
-        if any(d not in present for d in range(cap)):
-            break
-        cap *= 2  # defensive; the colength bound should already suffice
+    if count_monomials_below(p.nvars, cap) > capacity:
+        raise CapacityError(count_monomials_below(p.nvars, cap), capacity,
+                            f"deformation order {n} needs internal cap {cap}")
+    tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
     origin = AlgebraOrigin(presentation=p, order=n, kind="defpair", internal_cap=cap)
     A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
     image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])

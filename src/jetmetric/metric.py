@@ -26,6 +26,7 @@ from .errors import (
     CrossCharacteristicError,
     InternalInconsistencyError,
     NotStabilizedError,
+    RangeError,
     TupleError,
     UnknownStabilizationError,
     ZeroRingError,
@@ -189,6 +190,8 @@ def limit_jets(tpl: FamilyTemplate, order: int,
     Cauchy convergence), and returns the last jet together with the least
     parameter from which every later jet is certifiably isomorphic to it.
     """
+    if tail < 1:
+        raise RangeError(f"tail must be at least 1, got {tail}")
     ws = list(range(tpl.lo, tpl.hi + 1))
     jets = [jet(instantiate_template(tpl, w), order, capacity=capacity) for w in ws]
     k = min(tail, len(jets))

@@ -20,14 +20,15 @@ module does no row reduction of its own: kernels come sparse from
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
-numerator computed independently from degreewise ranks, and the internal
-degree cap must clear the largest generator degree with margin; the cap is
-raised and the computation redone until the certificate passes.
+numerator of the certified leading ideal, and the internal degree cap must
+clear the largest generator degree with margin; the cap is raised and the
+computation redone until the certificate passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence, Union
 
 from .artin import ArtinAlgebra, jet, socle
@@ -36,6 +37,7 @@ from .exactcore import Echelon, ExactMatrix
 from .hilbert import HilbertData, hilbert_series
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
+from .standard import hilbert_numerator
 
 # An element of a free module is a dict from (generator index k, ring basis
 # index b) to a nonzero coefficient, the coefficient of basis[b] times the
@@ -168,23 +170,24 @@ def _alternating_numerator(betti: dict[tuple[int, int], int]) -> list[int]:
     return out
 
 
-def _kappa_accounting_ok(A: ArtinAlgebra, betti: dict, dcap: int) -> bool:
-    """The finite resolution of the residue field is complete iff the
-    alternating Betti convolution with the ring's Hilbert function is the
-    Hilbert function of the field."""
-    for c in range(dcap + 1):
-        acc = sum((-1) ** i * b * len(A.component(c - j))
-                  for (i, j), b in betti.items() if c - j >= 0)
-        if acc != (1 if c == 0 else 0):
-            return False
-    return True
+def _regular(src: Union[ArtinAlgebra, Presentation], A: ArtinAlgebra,
+             capacity: int) -> bool:
+    """Whether the graded ring is regular: a polynomial ring (Hilbert
+    numerator 1) or, given as an Artinian algebra, a field."""
+    if isinstance(src, Presentation):
+        return hilbert_numerator(A.field, src.nvars, src.gens, capacity)[0] == [1]
+    return A.dim == 1
 
 
 def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
                         dcap: Optional[int] = None,
                         capacity: int = DEFAULT_CAPACITY) -> ResolutionData:
     """Betti table of the residue field over a graded quotient, through
-    homological degree hcap and internal degree dcap."""
+    homological degree hcap and internal degree dcap.
+
+    Only a regular ring has a finite resolution of the residue field
+    (Auslander-Buchsbaum-Serre), the Koszul complex: `complete` and pd = e
+    need a regular ring and ranks C(e, i), e = embdim; else pd is None."""
     if hcap < 1:
         raise RangeError("homological cap must be at least 1")
     if isinstance(src, Presentation):
@@ -227,7 +230,9 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
             gens_by_layer.append(gens)
 
     betti, ranks = _betti_from_layers(layers)
-    if complete and not _kappa_accounting_ok(A, betti, dcap):
+    e = len(first)
+    if not (pd == e and ranks == [comb(e, i) for i in range(e + 1)]
+            and _regular(src, A, capacity)):
         complete, pd = False, None
     return ResolutionData(betti, ranks, pd, complete, hcap, dcap, "residue-field")
 

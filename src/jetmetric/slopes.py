@@ -21,20 +21,18 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, factorial, isqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .artin import ArtinAlgebra, jet_lengths, nilpotency_index
+from .artin import ArtinAlgebra, nilpotency_index
 from .errors import (
     DimensionZeroError,
     InternalInconsistencyError,
     NilpotencyOneError,
-    NotStabilizedError,
     RangeError,
     ZeroRingError,
 )
 from .hilbert import (
-    _fit_lengths,
-    hilbert_series,
+    cumulative_polynomial,
     poly_add,
     poly_eval,
     poly_mul,
@@ -42,6 +40,7 @@ from .hilbert import (
 )
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
+from .standard import hilbert_numerator, series
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +83,10 @@ def round_log2(ratio: Fraction) -> int:
 class LengthModel:
     """Exact jet lengths of a presentation at all orders.
 
-    Below `poly_from` the lengths are raw data (series partial sums, or jet
-    dimensions for a local presentation); from `poly_from` on they follow the
-    cumulative polynomial.  `dim` is its degree and `mult` is dim! times its
-    leading coefficient; dim 0 means the quotient is already Artinian.
+    Below `poly_from` the lengths are partial sums of the Hilbert-Samuel
+    series; from `poly_from` on they follow the cumulative polynomial.  `dim`
+    is its degree and `mult` is dim! times its leading coefficient; dim 0
+    means the quotient is already Artinian.
     """
 
     presentation: Presentation
@@ -129,45 +128,14 @@ class LengthModel:
 
 
 def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> LengthModel:
-    """Build the exact length model: series-based when graded, fitted and
-    verified against extra jet orders when local.  A local window [w1, w2]
-    reads the fit, its two-order check and the lengths below w1 off the one
-    jet of order N = w2 + 2: for n <= N the order-n jet's basis is the
-    degree-< n part of the order-N basis, since the elimination's pivots are
-    the lowest monomials of its rows (see `hs_polynomial_from_jets`)."""
-    if p.mode == "graded":
-        hd = hilbert_series(p)
-        partial = list(accumulate(hd.series_prefix, initial=0))
-        poly_from = max(len(hd.numerator) - 1 - hd.pole_order + 1, 1)
-        for n in range(poly_from, len(partial)):
-            if poly_eval(hd.cumulative, n) != partial[n]:
-                raise InternalInconsistencyError(
-                    f"series/polynomial length mismatch at order {n}")
-        return LengthModel(p, hd.cumulative, poly_from, partial[:poly_from],
-                           hd.dim, hd.mult, "graded-exact")
-
-    last_error: Optional[Exception] = None
-    for k in range(6):
-        w1 = 2 + 2 * k
-        w2 = w1 + 6 + k
-        lengths = jet_lengths(p, w2 + 2, capacity=capacity)
-        try:
-            coeffs, certified = _fit_lengths(lengths, w1, w2)
-        except NotStabilizedError as e:
-            last_error = e
-            continue
-        if not certified:
-            last_error = NotStabilizedError(
-                f"fit over [{w1}, {w2}] failed its verification window")
-            continue
-        d = len(coeffs) - 1 if coeffs else 0
-        lead = coeffs[-1] if coeffs else Fraction(0)
-        mult = factorial(d) * lead if d >= 1 else poly_eval(coeffs, w2)
-        if mult.denominator != 1:
-            raise InternalInconsistencyError(f"non-integral multiplicity {mult}")
-        return LengthModel(p, coeffs, w1, lengths[:w1], d, int(mult), "local-fitted")
-    raise NotStabilizedError(
-        f"jet lengths never settled onto a polynomial: {last_error}")
+    """The exact length model of a graded or local presentation, from its
+    certified leading ideal: the lengths have the series t Q(t)/(1 - t)^(d+1),
+    which follows the cumulative polynomial from order len(Q) - d on."""
+    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
+    poly_from = max(len(Q) - d, 1)
+    low = list(accumulate(series(Q, d, poly_from - 1), initial=0))
+    return LengthModel(p, cumulative_polynomial(Q, d), poly_from, low, d, sum(Q),
+                       f"{p.mode}-exact")
 
 
 # ---------------------------------------------------------------------------

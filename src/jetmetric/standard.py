@@ -1,0 +1,146 @@
+"""Certified leading ideals and exact Hilbert numerators, the one source of
+graded series, local Hilbert-Samuel polynomials and colengths.
+
+L(I) is the leading ideal for the local degree order (lowest degree first,
+grlex-smallest on ties, as `truncated_quotient` pivots), by Lazard's
+homogenization (Greuel-Pfister, *A Singular Introduction to Commutative
+Algebra*, ch. 1).  Degree d of J = (g^h) in k[t, x] is kept dehomogenized,
+as the span of x^u * g with |u| <= d - deg g, in one `Echelon` keyed by
+`grlex_key`; a pivot x^b entering at degree d0 is the leading monomial
+t^(d0 - |b|) x^b of J.  The loop stops at the first d >= every generator
+degree where every S-pair of the minimal rows, of degree above d and not
+coprime, reduces to zero; by Buchberger's criterion the rows then form a
+Groebner basis, so L(I) is exact.  k[x]/L(I) has the Hilbert-Samuel function
+of I (Greuel-Pfister, ch. 5), with series from N(L + (m)) = N(L) -
+t^deg(m) N(L : m) (Bayer-Stillman, J. Symb. Comput. 14, 1992).
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from typing import Iterable, Sequence
+
+from .errors import CapacityError, ConstantTermError
+from .exactcore import Echelon, Field
+from .poly import (DEFAULT_CAPACITY, Monomial, Poly, count_monomials_below,
+                   grlex_key, mono_mul, monomials_of_degree)
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _minimal(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """Minimal generators of the monomial ideal, ascending grlex."""
+    out: list[Monomial] = []
+    for m in sorted(set(monos), key=grlex_key):
+        if not any(_divides(g, m) for g in out):
+            out.append(m)
+    return tuple(out)
+
+
+def _subtract(field: Field, h: dict, c, shift: Monomial, row: dict) -> None:
+    """h -= c * x^shift * row, in place."""
+    s = sum(shift)
+    for (deg, m), v in row.items():
+        key = (deg + s, mono_mul(m, shift))
+        x = field.sub(h.get(key, field.zero()), field.mul(c, v))
+        if field.is_zero(x):
+            h.pop(key, None)
+        else:
+            h[key] = x
+
+
+def _reduces_to_zero(field: Field, h: dict, e: int, basis: list) -> bool:
+    """Homogeneous division of the degree-e element h of J: t^a x^b divides
+    its leading monomial t^(e - |m|) x^m when b divides m and a <= e - |m|."""
+    while h:
+        deg, m = lead = min(h)
+        for a, b, row in basis:
+            if a <= e - deg and _divides(b, m):
+                _subtract(field, h, h[lead], tuple(x - y for x, y in zip(m, b)), row)
+                break
+        else:
+            return False
+    return True
+
+
+def _pairs_reduce(field: Field, basis: list, d: int, verified: set) -> bool:
+    """Whether every S-pair of the basis, (a, b, row) per row of J with a
+    minimal leading monomial t^a x^b (the row as {grlex_key(m): c}, c = 1 at
+    b), above degree d reduces to zero.  A reduced pair stays verified."""
+    one = field.one()
+    for j, (aj, bj, rj) in enumerate(basis):
+        for ai, bi, ri in basis[:j]:
+            lcm = tuple(map(max, bi, bj))
+            e = max(ai, aj) + sum(lcm)
+            coprime = e == ai + aj + sum(bi) + sum(bj)
+            if coprime or e <= d or (bi, bj) in verified:
+                continue
+            s: dict = {}
+            _subtract(field, s, field.neg(one), tuple(x - y for x, y in zip(lcm, bi)), ri)
+            _subtract(field, s, one, tuple(x - y for x, y in zip(lcm, bj)), rj)
+            if not _reduces_to_zero(field, s, e, basis):
+                return False
+            verified.add((bi, bj))
+    return True
+
+
+def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
+                  capacity: int = DEFAULT_CAPACITY) -> tuple[Monomial, ...]:
+    """Minimal generators of L(I), I = (gens), ascending grlex.  Raises
+    CapacityError before a degree d whose monomials of degree <= d exceed
+    the capacity."""
+    if any(not field.is_zero(g.constant_term()) for g in gens):
+        raise ConstantTermError("ideal generator has nonzero constant term")
+    top = max((g.degree() for g in gens), default=0)
+    ech, basis, verified, d = Echelon(field), [], set(), 0
+    while True:
+        n_mono = count_monomials_below(nvars, d + 1)
+        if n_mono > capacity:
+            raise CapacityError(n_mono, capacity, f"degree {d} in {nvars} variables")
+        before = set(ech.rows)
+        for g in gens:
+            if g.degree() <= d:
+                for u in monomials_of_degree(nvars, d - g.degree()):
+                    ech.add({grlex_key(mono_mul(u, m)): c for m, c in g.terms.items()})
+        for deg, b in sorted(k for k in ech.rows if k not in before):
+            if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
+                basis.append((d - deg, b, dict(ech.rows[(deg, b)])))
+        if d >= top and _pairs_reduce(field, basis, d, verified):
+            return _minimal(b for _, b, _ in basis)
+        d += 1
+
+
+def _numerator(gens: tuple[Monomial, ...], memo: dict) -> list[int]:
+    """N(t) with series N(t)/(1 - t)^r of k[x]/(gens), for minimal monomial
+    generators ascending in grlex order."""
+    if gens and gens not in memo:
+        *rest, m = gens
+        s, out = sum(m), list(_numerator(tuple(rest), memo))
+        colon = _minimal(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest)
+        low = _numerator(colon, memo)
+        out += [0] * (s + len(low) - len(out))
+        for i, c in enumerate(low):
+            out[s + i] -= c
+        while out and out[-1] == 0:
+            out.pop()
+        memo[gens] = out
+    return memo[gens] if gens else [1]
+
+
+def hilbert_numerator(field: Field, nvars: int, gens: Sequence[Poly],
+                      capacity: int = DEFAULT_CAPACITY) -> tuple[list[int], int]:
+    """(Q, d): the series of k[x]/L(I) is Q(t)/(1 - t)^d with Q(1) != 0."""
+    Q, d = _numerator(leading_ideal(field, nvars, gens, capacity), {}), nvars
+    while d and sum(Q) == 0:
+        Q, d = list(accumulate(Q[:-1])), d - 1      # Q = (1 - t) R
+    return Q, d
+
+
+def series(numerator: Sequence[int], pole_order: int, count: int) -> list[int]:
+    """The first `count` coefficients of Q(t)/(1 - t)^d."""
+    out = (list(numerator) + [0] * count)[:count]
+    for _ in range(pole_order):
+        out = list(accumulate(out))
+    return out

@@ -117,6 +117,26 @@ def test_out_of_range_search_budget_exits_one_with_json_error(tmp_path, bound):
     assert json.loads(out)["error"]["type"] == "RangeError"
 
 
+def test_residue_field_of_a_non_regular_ring_reports_no_pd(tmp_path):
+    p = tmp_path / "x10.pres"
+    p.write_text("ring Q[x]\ngraded\nideal: x^10\n")
+    code, out, _ = _capture(["resolve", str(p), "--residue-field"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["complete"] is False and result["pd"] is None
+    code, out, _ = _capture(["resolve", f"{INPUTS}/plane.pres", "--residue-field"])
+    result = json.loads(out)["result"]
+    assert result["complete"] is True and result["pd"] == 2
+
+
+@pytest.mark.parametrize("tail", ["0", "-1", "-3"])
+def test_limit_tail_below_one_exits_one_with_range_error(tail):
+    code, out, _ = _capture(["limit", "--template", f"{INPUTS}/family.tmpl",
+                             "--range", "1..10", "--order", "3", "--tail", tail])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "RangeError"
+
+
 def test_usage_failure_exits_two():
     code, _, err = _capture(["slopes", f"{INPUTS}/plane.pres",
                              "--which", "delta0"])  # missing --order

@@ -1,0 +1,32 @@
+"""Every demo's stdout is pinned byte for byte to a committed transcript in
+docs/golden/demos/<name>.txt.  Each demo runs in its own interpreter from
+the repository root, as a reader would run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TRANSCRIPTS = ROOT / "docs" / "golden" / "demos"
+
+
+def test_every_demo_has_a_transcript():
+    assert DEMOS
+    assert sorted(p.stem for p in DEMOS) == \
+        sorted(p.stem for p in TRANSCRIPTS.glob("*.txt"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_stdout_matches_its_transcript(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (TRANSCRIPTS / f"{demo.stem}.txt").read_text()

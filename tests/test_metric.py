@@ -7,6 +7,7 @@ from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import (
     CrossCharacteristicError,
     NotStabilizedError,
+    RangeError,
     UnknownStabilizationError,
 )
 from jetmetric.iso import SearchBudget, decide_isomorphism
@@ -149,6 +150,14 @@ def test_limit_jets_of_cusp_family():
     target = jet(parse_presentation("ring Q[x, y]\nlocal\nideal: y^2"), 3)
     from jetmetric.iso import decide_isomorphism
     assert decide_isomorphism(last, target, BUDGET).status == "ISO"
+
+
+@pytest.mark.parametrize("tail", [0, -1, -3])
+def test_limit_jets_rejects_a_tail_below_one(tail):
+    # jets[-0:] is every jet and jets[-1:] past a negative k is no tail
+    tpl = FamilyTemplate("ring Q[x, y]\nlocal\nideal: y^2 - x^w", 1, 10)
+    with pytest.raises(RangeError):
+        limit_jets(tpl, 3, budget=BUDGET, tail=tail)
 
 
 def test_limit_jets_raises_when_family_never_settles():

@@ -47,6 +47,37 @@ def test_exponential_resolution_over_the_fat_point(fat_point):
     assert not res.complete
 
 
+@pytest.mark.parametrize("hcap", [1, 2, 4])
+def test_residue_field_over_a_power_of_x_is_never_complete(hcap):
+    # the Euler identity through dcap held and an empty degree range read
+    # as a vanished kernel, so this was reported complete with pd 1
+    res = betti_residue_field(_pres("ring Q[x]\ngraded\nideal: x^10"), hcap)
+    assert not res.complete and res.pd is None
+
+
+@pytest.mark.parametrize("hcap", [3, 6])
+def test_residue_field_over_x7_y7_is_never_complete(hcap):
+    res = betti_residue_field(_pres("ring Q[x, y]\ngraded\nideal: x^7, y^7"), hcap)
+    assert not res.complete and res.pd is None
+
+
+@pytest.mark.parametrize("dcap", [0, 1, 2, 3])
+def test_residue_field_over_the_fat_point_at_low_degree_caps(fat_point, dcap):
+    res = betti_residue_field(fat_point, 6, dcap)
+    assert not res.complete and res.pd is None
+
+
+def test_residue_field_over_a_regular_ring_with_linear_relations():
+    # k[x, y, z]/(x) is the polynomial ring in two variables: Koszul, pd 2
+    res = betti_residue_field(_pres("ring Q[x, y, z]\ngraded\nideal: x"), 4)
+    assert res.complete and res.pd == 2
+    assert res.ranks == [1, 2, 1]
+    # a field, given as an algebra, resolves its residue field in one step
+    field = jet(_pres("ring Q[x]\ngraded\nideal: x"), 3)
+    res = betti_residue_field(field, 2)
+    assert res.complete and res.pd == 0
+
+
 def test_residue_field_betti_from_artin_algebra_input(fat_point):
     A = jet(fat_point, 5)
     res = betti_residue_field(A, 4)

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.artin import jet
+from jetmetric.artin import hf_by_degree_count, jet
 from jetmetric.errors import (
+    CapacityError,
     DimensionZeroError,
     JetMetricError,
     NilpotencyOneError,
-    NotStabilizedError,
     WindowTooSmallError,
 )
-from jetmetric.hilbert import hs_polynomial_from_jets, poly_add, poly_eval, poly_mul
+from jetmetric.hilbert import hs_polynomial_from_jets
 from jetmetric.presentation import parse_presentation
 from jetmetric.slopes import (
     defect_at,
@@ -85,7 +85,7 @@ def test_length_model_of_graded_plane_matches_jets():
 
 def test_length_model_of_local_cusp_is_certified():
     m = length_model(CUSP)
-    assert m.source == "local-fitted"
+    assert m.source == "local-exact"
     for n in range(1, 9):
         assert m.length(n) == jet(CUSP, n).dim == 2 * n - 1
     assert m.length(100) == 199
@@ -197,58 +197,28 @@ def test_trace_of_hilbert_reports_agreement_order():
 
 
 # ---------------------------------------------------------------------------
-# one elimination per window attempt, against the per-order path
-
-
-def _per_order_length_model(p, capacity):
-    """The local length model with every jet order eliminated on its own:
-    same windows, finite-difference fit, Newton interpolation and
-    two-order verification as the one-elimination path."""
-    def length(n):
-        return jet(p, n, capacity=capacity).dim
-
-    for k in range(6):
-        w1 = 2 + 2 * k
-        w2 = w1 + 6 + k
-        rows = [[length(n) for n in range(w1, w2 + 1)]]
-        while len(set(rows[-1])) > 1 and len(rows[-1]) >= 4:
-            rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
-        if len(set(rows[-1])) > 1:
-            continue
-        coeffs = []
-        for j, row in enumerate(rows):
-            term = [Fraction(row[0], factorial(j))]
-            for i in range(j):
-                term = poly_mul(term, [Fraction(-(w1 + i)), Fraction(1)])
-            coeffs = poly_add(coeffs, term)
-        if any(poly_eval(coeffs, n) != length(n) for n in (w2 + 1, w2 + 2)):
-            continue
-        d = len(coeffs) - 1 if coeffs else 0
-        mult = factorial(d) * coeffs[-1] if d >= 1 else poly_eval(coeffs, w2)
-        return (coeffs, w1, [length(n) for n in range(w1)], d, int(mult))
-    raise NotStabilizedError("no window settled")
-
-
-def _outcome(build, p, capacity):
-    try:
-        return build(p, capacity)
-    except JetMetricError as e:
-        return type(e)
+# the length model against per-order jets
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3"]), st.integers(1, 3),
        st.sampled_from([400, 40]))
 @settings(max_examples=40, deadline=None)
 def test_length_model_matches_the_per_order_path(seed, field, nvars, capacity):
+    # every length the model answers is the dimension of the jet at that
+    # order; the only error at a small capacity is the capacity guard
     p = random_presentation(random.Random(seed), field, nvars, "local")
-
-    def fields(p, capacity):
+    try:
         m = length_model(p, capacity)
-        assert m.source == "local-fitted"
-        return (m.cumulative, m.poly_from, m.low_lengths, m.dim, m.mult)
-
-    assert _outcome(fields, p, capacity) == \
-        _outcome(_per_order_length_model, p, capacity)
+    except JetMetricError as e:
+        assert isinstance(e, CapacityError)
+        return
+    assert m.source == "local-exact"
+    for n in range(10):
+        assert m.length(n) == jet(p, n).dim
+    if m.dim >= 1:
+        assert m.mult == factorial(m.dim) * m.cumulative[-1]
+    else:
+        assert m.cumulative == [m.mult]
 
 
 CI3 = parse_presentation(
@@ -256,29 +226,51 @@ CI3 = parse_presentation(
 LATE = parse_presentation("ring Q[x, y]\nlocal\nideal: x^8")
 
 
-def test_one_elimination_per_window_attempt(monkeypatch):
-    from jetmetric import artin, poly
+def test_length_model_builds_no_jet(monkeypatch):
+    # lengths come from the leading ideal alone: no truncated quotient
+    from jetmetric import artin
 
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[3])
-        return poly.truncated_quotient(*args, **kwargs)
+        raise AssertionError("a jet was built")
 
     monkeypatch.setattr(artin, "truncated_quotient", counting)
     m = length_model(CUSP)
-    assert calls == [10] and m.poly_from == 2
-    calls.clear()
+    assert m.poly_from == 1 and (m.dim, m.mult) == (1, 2)
     assert quasi_dimension(CI3)[0] == 1
-    assert calls == [10]
-    calls.clear()
     coeffs, certified = hs_polynomial_from_jets(CUSP, (1, 9))
-    assert certified and calls == [11]
-    calls.clear()
+    assert certified and coeffs == [Fraction(-1), Fraction(2)]
     with pytest.raises(WindowTooSmallError):
         hs_polynomial_from_jets(CUSP, (2, 3))
-    assert calls == []
-    # lengths of (x^8) are quadratic below order 8 and linear from there on,
-    # so the first three windows fail and the fourth, [8, 17], settles
+    # lengths of (x^8) are n(n + 1)/2 through order 8 and 8n - 28 from
+    # order 7 on, where the two agree
     m = length_model(LATE)
-    assert m.poly_from == 8 and calls == [10, 13, 16, 19]
+    assert m.poly_from == 7 and m.cumulative == [Fraction(-28), Fraction(8)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("e", [10, 12])
+def test_high_order_local_monomial_is_a_curve_of_multiplicity_e(e):
+    # every element of (x^e) has order e, so the lengths agree with the
+    # free plane's through order e: no window of them can tell the two apart
+    p = parse_presentation(f"ring Q[x, y]\nlocal\nideal: x^{e}")
+    m = length_model(p)
+    assert (m.dim, m.mult, m.source) == (1, e, "local-exact")
+    for n in (e - 1, e, e + 1, 2 * e):
+        assert m.length(n) == jet(p, n).dim
+    assert quasi_dimension(p)[0] == 1
+
+
+def test_f3_space_germ_lengths_match_its_jets():
+    p = parse_presentation(
+        "ring F_3[x, y, z]\nlocal\n"
+        "ideal: 2*x^3*y, 2*x + z^3 + 2*x*y^2, 2*x + 2*x*z^2 + y^3*z")
+    # the window fit once reported mult 3 and length 69 at order 24;
+    # jet(p, 24).dim is 50 (frozen: that elimination takes seconds)
+    m = length_model(p)
+    assert (m.dim, m.mult) == (1, 1)
+    assert [m.length(n) for n in (16, 20, 24)] == [42, 46, 50]
+    hf = hf_by_degree_count(jet(p, 20))
+    assert [m.length(n) for n in (16, 20)] == [sum(hf[:16]), sum(hf[:20])]
