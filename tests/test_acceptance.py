@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from jetmetric.artin import hf_by_degree_count, jet, socle
 from jetmetric.hilbert import euler_characteristic, hilbert_series, poly_eval
@@ -39,6 +40,7 @@ import conftest
 from conftest import random_presentation
 
 SEED = 20260814
+GOLDEN_VERDICTS = Path(__file__).resolve().parents[1] / "docs" / "golden" / "criterion01_verdicts.txt"
 TRIPLE_BUDGET = SearchBudget(ext_degree_max=1, effort=4000)
 LIMIT_BUDGET = SearchBudget(ext_degree_max=1, effort=100_000)
 
@@ -131,6 +133,50 @@ def test_criterion_01_ultrametric_on_random_triples():
     finally:
         _report(1, ok, "ultrametric inequality holds on 200 random triples "
                        "(certified bounds, zero violations)")
+
+
+def _verdict_line(t, i, j, v):
+    """One readable line for one pair of the triple corpus: the interval,
+    then per order the status, witness images, separator and search bounds."""
+    parts = [f"t{t:03d} {i}-{j} [{v.lower}, {v.upper}] exact={v.exact}"]
+    for n, s in v.per_order:
+        item = f"n{n} {s.status}"
+        if s.witness is not None:
+            imgs = " ".join("(" + ",".join(str(c) for c in img) + ")"
+                            for img in s.witness.images)
+            item += f" ext={s.witness.ext_multiple} w={imgs}"
+        if s.separator is not None:
+            item += f" sep={s.separator!r}"
+        if s.search_bounds is not None:
+            item += " bounds=" + ",".join(f"{k}={s.search_bounds[k]}"
+                                          for k in sorted(s.search_bounds))
+        parts.append(item)
+    return " | ".join(parts)
+
+
+def criterion01_verdict_lines():
+    """The lines of docs/golden/criterion01_verdicts.txt; rewrite that file
+    from a trusted commit with
+    PYTHONPATH=src:tests python -c "import test_acceptance as t;
+    print('\\n'.join(t.criterion01_verdict_lines()))" > docs/golden/criterion01_verdicts.txt
+    """
+    return [_verdict_line(t, i, j, v)
+            for t, (_, pairs) in enumerate(_triples())
+            for (i, j), v in sorted(pairs.items())]
+
+
+def test_criterion_01_verdicts_match_the_recorded_file():
+    ok = False
+    try:
+        want = GOLDEN_VERDICTS.read_text().splitlines()
+        got = criterion01_verdict_lines()
+        assert len(got) == len(want) == 600
+        for g, w in zip(got, want):
+            assert g == w
+        ok = True
+    finally:
+        _report(1, ok, "every pair's per-order status, witness, separator and "
+                       "search bounds match docs/golden/criterion01_verdicts.txt")
 
 
 def test_criterion_02_close_algebras_share_embedding_dimension():
