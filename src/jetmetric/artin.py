@@ -21,9 +21,10 @@ falsy in all three element types (Fraction, int residue, int code).
 Every algebra map into an ArtinAlgebra (evaluating relations at generator
 images, the linear map of an isomorphism witness, composing witnesses) goes
 through one mechanism: `monomial_map(images)` is a memoized function from a
-monomial to its sparse image, seeded with 1 and the dense generator images
-converted once, and `combine` sums c * image(m) over a polynomial's or a
-vector's terms into dense coordinates.  A new monomial is reached from its
+monomial to its sparse image, seeded with 1 and the sparse generator images
+(the witness search builds its candidates sparse; dense callers convert with
+`sparse` at their edge), and `combine` sums c * image(m) over a polynomial's
+or a vector's terms into dense coordinates.  A new monomial is reached from its
 nearest memoized divisor (lowering the last nonzero exponent) and then costs
 one multiply.  Over Q and F_p these products and sums run on native `+` and
 `*` (Fractions or ints), with one `% p` per entry at the end over F_p, so a
@@ -234,17 +235,18 @@ class ArtinAlgebra:
 
     # -- algebra maps ------------------------------------------------------
 
-    def monomial_map(self, images: Sequence[Sequence]) -> MonomialMap:
+    def monomial_map(self, images: Sequence[Sparse]) -> MonomialMap:
         """Memoized map from a monomial x^a to the sparse product of
-        images[k]^a_k, with images[k] the dense coordinates of the image of
-        x_k, converted to sparse form once here.  The values are sparse
-        elements; `combine` and `linear_map_matrix` turn them dense.
+        images[k]^a_k, with images[k] the sparse image of x_k; a caller
+        holding dense generator images converts them with `sparse`.  The
+        values are sparse elements; `combine` and `linear_map_matrix` turn
+        them dense.
 
         A new monomial lowers its last nonzero exponent until it reaches a
         memoized divisor and multiplies back up, memoizing every step, so it
         costs one multiply; the walk is a loop, so high powers stay flat.
         """
-        gens = [sparse(img) for img in images]
+        gens = list(images)
         r = len(gens)
         one, units = _unit_monomials(r)
         memo: dict[Monomial, Sparse] = dict(zip(units, gens))
@@ -418,6 +420,6 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
     tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
     origin = AlgebraOrigin(presentation=p, order=n, kind="defpair", internal_cap=cap)
     A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
-    image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])
+    image = A.monomial_map([sparse(A.var_image(k)) for k in range(p.nvars)])
     A.tuple_images = [A.evaluate(t, image) for t in p.tuple]
     return A

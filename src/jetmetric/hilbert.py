@@ -116,9 +116,11 @@ def _default_prefix_len(p: Presentation) -> int:
     return sum(g.degree() for g in p.gens) + p.nvars + 4
 
 
-def hilbert_series(p: Presentation, prefix_len: Optional[int] = None) -> HilbertData:
+def hilbert_series(p: Presentation, prefix_len: Optional[int] = None,
+                   capacity: int = DEFAULT_CAPACITY) -> HilbertData:
     """Exact Hilbert series of a graded presentation, in rational normal form
-    from its certified leading ideal; `prefix_len` is the reported length."""
+    from its certified leading ideal; `prefix_len` is the reported length and
+    `capacity` bounds the leading-ideal engine."""
     if p.mode != "graded":
         raise GradingError("Hilbert series needs a graded presentation")
     N = _default_prefix_len(p) if prefix_len is None else prefix_len
@@ -126,7 +128,7 @@ def hilbert_series(p: Presentation, prefix_len: Optional[int] = None) -> Hilbert
     if N <= degsum:
         raise PrefixTooShortError(
             f"prefix length {N} does not exceed the generator degree sum {degsum}")
-    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens)
+    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
     return HilbertData(series_prefix=series(Q, d, N + 1), numerator=Q, pole_order=d,
                        degreewise=hs_polynomial_from_series(Q, d) if d else None,
                        cumulative=cumulative_polynomial(Q, d),

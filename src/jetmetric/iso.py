@@ -17,9 +17,16 @@ Over the rationals only variable permutations combined with a fixed set of
 scalings are tried.  Each scaled candidate is first evaluated modulo one
 fixed prime MOD_P: reduction Z_(P) -> F_P is a ring homomorphism, so a
 relation (or tuple condition) whose value is nonzero mod P is nonzero over
-Q and the candidate is rejected without touching a Fraction.  Acceptance is
+Q and the candidate is rejected without touching a Fraction.  The filter
+multiplies nothing in B: x_k -> s_k y_perm(k) sends each relation term
+c x^a to c s^a [y^(perm a)], and the class [y^b] is a normal form B already
+stores, so a per-permutation plan lists each coordinate's terms once and a
+candidate only evaluates them at its scalings' powers.  Acceptance is
 always exact: a candidate that survives goes through the full check over Q,
-and a pair or candidate with P in some denominator is checked over Q only.
+and a pair with P in a denominator the plan reads is checked over Q only.
+
+Candidates are sparse images, the form algebra maps use, in every field;
+only a witness that is returned is made dense.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import Optional, Sequence
 from .artin import (
     ArtinAlgebra,
     MonomialMap,
+    Sparse,
     hf_by_degree_count,
     nilpotency_index,
     socle,
@@ -46,7 +54,7 @@ from .exactcore import (
     RationalField,
     finite_field,
 )
-from .poly import TruncatedQuotient, mono_deg
+from .poly import Monomial, TruncatedQuotient, mono_deg
 from .presentation import poly_to_str
 
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -218,22 +226,71 @@ def _mod_p(c: Fraction) -> int:
     return c.numerator * pow(den, -1, MOD_P) % MOD_P
 
 
-def _reduce_mod_p(A: ArtinAlgebra) -> Optional[ArtinAlgebra]:
-    """The rational algebra A with every scalar reduced mod MOD_P, or None
-    when MOD_P divides a denominator."""
-    try:
-        return _map_scalars(A, finite_field(MOD_P, 1), _mod_p)
-    except _DenominatorDivisible:
-        return None
+_SCALING_RESIDUES = tuple(_mod_p(c) for c in QQ_SCALINGS)
+
+# A mod-P plan over the exponents a_0, a_1, ... its terms meet: columns[k][j]
+# lists QQ_SCALINGS[j]^(a_t)_k over t, and each coordinate that can be
+# nonzero is (constant, coefficients, exponent indices t); all mod MOD_P.
+ModPPlan = tuple[list[list[list[int]]], list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
 
 
-def _reduce_vec_mod_p(vec: Sequence) -> Optional[list[int]]:
-    """The rational coordinates vec reduced mod MOD_P, or None when MOD_P
-    divides a denominator."""
+def _mod_p_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
+                tuple_constraint: bool) -> Optional[ModPPlan]:
+    """The mod-P filter of the scaled candidates x_k -> s_k y_perm(k) from A
+    to B over Q, or None when MOD_P divides a denominator it reads.
+
+    Such a candidate sends c x^a to c s^a [y^(perm a)], with [y^b] B's normal
+    form of y^b.  So a relation's value in coordinate i is the sum of
+    (c [y^(perm a)]_i) s^a over its terms, and a tuple condition's is the
+    same sum over A's tuple image minus B's tuple image in coordinate i.  The
+    plan keeps every coordinate with a term or a constant, relations first,
+    and the scalings' powers its exponents need.
+    """
+    r = A.nvars
+    index: dict[Monomial, int] = {}
+    classes: dict[Monomial, Sparse] = {}
+
+    def cls(a: Monomial) -> Sparse:
+        got = classes.get(a)
+        if got is None:
+            b = [0] * r
+            for k, e in enumerate(a):
+                b[perm[k]] += e
+            got = [(i, v) for i, c in enumerate(B.reduce_monomial(tuple(b)))
+                   if c and (v := _mod_p(c))]
+            classes[a] = got
+        return got
+
+    def coordinates(terms, const: Sequence[int]) -> list:
+        coords: dict[int, list[tuple[int, int]]] = {
+            i: [] for i, c in enumerate(const) if c}
+        for a, c in terms:
+            if not c:
+                continue
+            # the class is read even when c vanishes mod P: c times a
+            # class with P in a denominator need not
+            got, c = cls(a), _mod_p(c)
+            if not (c and got):
+                continue
+            t = index.setdefault(a, len(index))
+            for i, v in got:
+                coords.setdefault(i, []).append((c * v % MOD_P, t))
+        return [(-const[i] % MOD_P if const else 0,
+                 tuple(c for c, _ in coords[i]), tuple(m for _, m in coords[i]))
+                for i in sorted(coords)]
+
     try:
-        return [_mod_p(c) for c in vec]
+        out = []
+        for g in A.relations:
+            out.extend(coordinates(g.terms.items(), ()))
+        if tuple_constraint:
+            for va, vb in zip(A.tuple_images, B.tuple_images):
+                out.extend(coordinates(zip(A.basis, va), [_mod_p(c) for c in vb]))
     except _DenominatorDivisible:
         return None
+    columns = [[[pow(c, a[k], MOD_P) for a in index] for c in _SCALING_RESIDUES]
+               for k in range(r)]
+    return columns, out
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +365,7 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
             return False
     if nilpotency_index(B) > A.cap:
         return False
-    image = B.monomial_map(w.images)
+    image = B.monomial_map([sparse(v) for v in w.images])
     for rel in A.relations:
         if not B.field.vec_is_zero(B.evaluate(rel, image)):
             return False
@@ -319,7 +376,8 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
     """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
     A0, B0 = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
-    L = linear_map_matrix(A0, B0, B0.monomial_map(w.images))  # square, invertible
+    image = B0.monomial_map([sparse(v) for v in w.images])
+    L = linear_map_matrix(A0, B0, image)                       # square, invertible
     n, r = A0.dim, B0.nvars
     targets = [B0.var_image(k) for k in range(r)]              # classes of y_k
     # solve L * X = [targets] by rref of [L | targets], which ends in [I | X]
@@ -345,7 +403,7 @@ def compose_witnesses(A: ArtinAlgebra, B: ArtinAlgebra, C: ArtinAlgebra,
     mult = lcm(w1.ext_multiple, w2.ext_multiple)
     B, C = _extend(B, mult), _extend(C, mult)
     m0 = A.field.desc.m
-    image = C.monomial_map(_lift_images(w2, m0, mult, C.field))
+    image = C.monomial_map([sparse(v) for v in _lift_images(w2, m0, mult, C.field)])
     return Witness(images=[apply_linear_map(B, C, image, img)
                            for img in _lift_images(w1, m0, mult, B.field)],
                    ext_multiple=mult)
@@ -411,18 +469,20 @@ class _EffortExceeded(Exception):
 class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
-    Over Q the scaled candidates are filtered modulo MOD_P before `_check`
-    runs over Q.  The reduced pair (A and B with every scalar reduced mod
-    P) is built on the first scaled candidate, so a pair settled by the
-    identity or a permutation never pays for it.  Evaluating a relation at
+    Candidates are lists of sparse generator images.  Over Q the scaled
+    candidates are filtered modulo MOD_P before `_check` runs over Q.  The
+    filter reads B's normal forms through a per-permutation plan
+    (`_mod_p_plan`), built the first time the search reaches a scaled
+    candidate of that permutation and cached here, so a pair settled by the
+    identity or a permutation never pays for one.  Evaluating a relation at
     the images, or carrying a tuple image across, takes only sums and
-    products of the images' coordinates, B's normal-form entries and the
-    relations' or tuples' coefficients; when none has P in its denominator,
-    reduction mod P commutes with the whole computation, so a value nonzero
-    mod P is nonzero over Q and the candidate is rightly rejected.  The
-    converse fails (a nonzero rational may vanish mod P), so a candidate
-    that survives is checked exactly, and a pair or candidate with P in a
-    denominator is checked over Q only.
+    products of the scalings, B's normal-form entries and the relations' or
+    tuples' coefficients; when none has P in its denominator, reduction mod
+    P commutes with the whole computation, so a value nonzero mod P is
+    nonzero over Q and the candidate is rightly rejected.  The converse
+    fails (a nonzero rational may vanish mod P), so a candidate that
+    survives is checked exactly, and once a plan finds P in a denominator
+    the pair is checked over Q only.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
@@ -434,8 +494,10 @@ class _Searcher:
         self.tried = 0
         self.tuple_constraint = tuple_constraint
         self.lin_idx = B.component(1)
+        self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
-        self.reduced: Optional[tuple[ArtinAlgebra, ArtinAlgebra]] = None
+        # mod-P plans by permutation; None once P divides a denominator
+        self.plans: Optional[dict[tuple[int, ...], ModPPlan]] = {}
 
     def _charge(self):
         if self.effort_left <= 0:
@@ -443,12 +505,37 @@ class _Searcher:
         self.effort_left -= 1
         self.tried += 1
 
-    def _reduce_pair(self) -> bool:
-        """Build the pair reduced mod MOD_P; False when P divides one of
-        its denominators."""
-        Ap, Bp = _reduce_mod_p(self.A), _reduce_mod_p(self.B)
-        self.reduced = (Ap, Bp) if Ap is not None and Bp is not None else None
-        return self.reduced is not None
+    def _plan(self, perm: tuple[int, ...]) -> Optional[ModPPlan]:
+        """The cached mod-P plan of perm, or None when the pair is checked
+        over Q only."""
+        if self.plans is None:
+            return None
+        plan = self.plans.get(perm)
+        if plan is None:
+            plan = _mod_p_plan(self.A, self.B, perm, self.tuple_constraint)
+            if plan is None:
+                self.plans = None
+                return None
+            self.plans[perm] = plan
+        return plan
+
+    def _vanishes_mod_p(self, perm: tuple[int, ...], scals: tuple[int, ...]) -> bool:
+        """Whether the relations and tuple conditions vanish mod MOD_P at
+        x_k -> QQ_SCALINGS[scals[k]] y_perm(k); True when the pair is checked
+        over Q only.  Stops at the first nonzero coordinate."""
+        plan = self._plan(perm)
+        if plan is None:
+            return True
+        columns, coords = plan
+        scale = columns[0][scals[0]]        # s^a for each exponent a
+        for k in range(1, len(scals)):
+            scale = [x * y % MOD_P for x, y in zip(scale, columns[k][scals[k]])]
+        for acc, cs, ms in coords:
+            for c, m in zip(cs, ms):
+                acc += c * scale[m]
+            if acc % MOD_P:
+                return False
+        return True
 
     def _maps_relations(self, A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
         """Whether every relation of A, and with the tuple constraint every
@@ -464,21 +551,20 @@ class _Searcher:
                     return False
         return True
 
-    def _vanishes_mod_p(self, images_p: list[list[int]]) -> bool:
-        """Whether the relations and tuple conditions vanish at the candidate
-        reduced mod MOD_P."""
-        A, B = self.reduced
-        return self._maps_relations(A, B, B.monomial_map(images_p))
-
-    def _check(self, images: list[list], images_p: Optional[list[list[int]]] = None) -> bool:
-        """Whether images define an isomorphism; a candidate given with its
-        reduction images_p is first rejected when that does not vanish."""
-        if images_p is not None and not self._vanishes_mod_p(images_p):
-            return False
+    def _check(self, images: list[Sparse]) -> bool:
+        """Whether the sparse images define an isomorphism."""
         A, B, f = self.A, self.B, self.field
         # cheap surjectivity filter: degree-1 coordinates must span
-        lin_rows = [[img[i] for i in self.lin_idx] for img in images]
-        if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != len(self.lin_idx):
+        lin_pos, zero = self.lin_pos, f.zero()
+        lin_rows = []
+        for img in images:
+            row = [zero] * len(lin_pos)
+            for i, c in img:
+                j = lin_pos.get(i)
+                if j is not None:
+                    row[j] = c
+            lin_rows.append(row)
+        if ExactMatrix(f, lin_rows, len(lin_pos)).rank() != len(lin_pos):
             return False
         image = B.monomial_map(images)
         if not self._maps_relations(A, B, image):
@@ -486,76 +572,71 @@ class _Searcher:
         L = linear_map_matrix(A, B, image)
         return ExactMatrix(f, L, A.dim).rank() == A.dim
 
-    def _try(self, images: list[list],
-             images_p: Optional[list[list[int]]] = None) -> Optional[Witness]:
+    def _try(self, images: list[Sparse],
+             scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+             ) -> Optional[Witness]:
+        """Charge one candidate and check it; a scaled candidate given as
+        (perm, scals) is first filtered mod MOD_P.  The witness is dense."""
         self._charge()
-        if self._check(images, images_p):
-            return Witness(images=[list(v) for v in images])
+        if scaled is not None and not self._vanishes_mod_p(*scaled):
+            return None
+        if self._check(images):
+            return Witness(images=[self.B.dense(v) for v in images])
         return None
 
-    def identity_candidate(self) -> Optional[list[list]]:
+    def _var_images(self) -> list[Sparse]:
+        return [sparse(self.B.var_image(k)) for k in range(self.B.nvars)]
+
+    def identity_candidate(self) -> Optional[list[Sparse]]:
         if self.A.nvars != self.B.nvars:
             return None
-        return [self.B.var_image(k) for k in range(self.B.nvars)]
+        return self._var_images()
 
     def permutation_candidates(self):
         """Variable permutations (finite and rational fields; cheap first pass)."""
         r = self.A.nvars
         if r != self.B.nvars or r > 6:
             return
-        var_vecs = [self.B.var_image(k) for k in range(r)]
+        var_vecs = self._var_images()
         for perm in permutations(range(r)):
             yield [var_vecs[perm[k]] for k in range(r)]
 
     def rational_candidates(self):
         """Permutations combined with per-variable scalings from a fixed set,
-        each as (images, images reduced mod MOD_P or None)."""
+        each as (images, (perm, scals)) with scals indices into QQ_SCALINGS."""
         r = self.A.nvars
         if r != self.B.nvars or r > 6:
             return
-        f = self.field
-        scaled = [[f.vec_scale(c, self.B.var_image(k)) for c in QQ_SCALINGS]
-                  for k in range(r)]
-        scaled_p = ([[_reduce_vec_mod_p(v) for v in row] for row in scaled]
-                    if self._reduce_pair() else None)
+        scaled = [[[(i, c * v) for i, v in img] for c in QQ_SCALINGS]
+                  for img in self._var_images()]
         for perm in permutations(range(r)):
             for scals in product(range(len(QQ_SCALINGS)), repeat=r):
-                images = [scaled[perm[k]][scals[k]] for k in range(r)]
-                images_p = None
-                if scaled_p is not None:
-                    images_p = [scaled_p[perm[k]][scals[k]] for k in range(r)]
-                    if None in images_p:
-                        images_p = None
-                yield images, images_p
-
-    def _vec_from_digits(self, digits: list, idx: list[int]) -> list:
-        v = self.field.vec_zero(self.B.dim)
-        for d, i in zip(digits, idx):
-            v[i] = d
-        return v
+                yield [scaled[perm[k]][scals[k]] for k in range(r)], (perm, scals)
 
     def coordinate_candidates(self, coords_idx: Sequence[int]):
         """All image tuples with coordinates over the given basis positions,
-        in integer-encoding order (first coordinate least significant)."""
-        elements = list(self.field.elements())
-        q = len(elements)
+        as sparse images in integer-encoding order: digit k * width + j of
+        the code is coordinate j of image k, digit 0 least significant."""
         r = self.A.nvars
-        width = len(coords_idx)
-        total_digits = r * width
-        if total_digits == 0:
+        if r * len(coords_idx) == 0:
             return
-        code = 0
-        space = q ** total_digits
-        while code < space:
-            digits = []
-            v = code
-            for _ in range(total_digits):
-                digits.append(elements[v % q])
-                v //= q
-            images = [self._vec_from_digits(digits[k * width:(k + 1) * width], coords_idx)
-                      for k in range(r)]
-            yield images
-            code += 1
+        elements = self.field.elements()
+
+        def vectors():
+            # product varies its last factor fastest, the first coordinate here
+            for ds in product(elements, repeat=len(coords_idx)):
+                yield [(i, d) for i, d in zip(coords_idx, reversed(ds)) if d]
+
+        def tuples(k):
+            # images 0..k, the k-th varying slowest
+            if k < 0:
+                yield []
+                return
+            for v in vectors():
+                for rest in tuples(k - 1):
+                    yield rest + [v]
+
+        yield from tuples(r - 1)
 
     def space_size(self, coords_idx: Sequence[int]) -> int:
         q = self.field.order
@@ -574,8 +655,8 @@ class _Searcher:
             if w is not None:
                 return w, False
         if isinstance(self.field, RationalField):
-            for images, images_p in self.rational_candidates():
-                w = self._try(images, images_p)
+            for images, scaled in self.rational_candidates():
+                w = self._try(images, scaled)
                 if w is not None:
                     return w, False
             return None, False  # rational search is never exhaustive

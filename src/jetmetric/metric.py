@@ -131,6 +131,13 @@ def _aggregate(per_order: list[tuple[int, IsoVerdict]]) -> DistanceVerdict:
     return DistanceVerdict(lower=lower, upper=upper, per_order=per_order, exact=exact)
 
 
+def _check_max_order(max_order: int):
+    """Orders start at 1, so a smaller bound would test nothing and still
+    report an interval."""
+    if max_order < 1:
+        raise RangeError(f"maximum order must be at least 1, got {max_order}")
+
+
 def _by_order(p: Presentation, q: Presentation, max_order: int, make,
               budget: Optional[SearchBudget], match_tuples: bool,
               capacity: int) -> DistanceVerdict:
@@ -155,6 +162,7 @@ def jet_distance(p: Presentation, q: Presentation, max_order: int,
                  capacity: int = DEFAULT_CAPACITY) -> DistanceVerdict:
     """Bracket the deformation distance by testing jets at orders 1..max_order,
     stopping at the first certified separation."""
+    _check_max_order(max_order)
     gate = _field_gate(p, q)
     if gate is not None:
         return gate
@@ -168,6 +176,7 @@ def defpair_distance(p: Presentation, q: Presentation, max_n: int,
     the pair quotients, with the search restricted to maps matching the
     distinguished tuples.  Pairs with tuples of different lengths admit no
     morphisms at all, so their distance is exactly 1."""
+    _check_max_order(max_n)
     if p.tuple is None or q.tuple is None:
         raise TupleError("defpair distance needs tuples on both presentations")
     gate = _field_gate(p, q)

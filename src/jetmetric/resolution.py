@@ -244,7 +244,7 @@ def minimal_resolution_of_quotient(p: Presentation,
     polynomial ring, with the degree cap raised until certified complete."""
     if p.mode != "graded":
         raise GradingError("quotient resolution needs a graded presentation")
-    return _quotient_resolution(p, hilbert_series(p), capacity)
+    return _quotient_resolution(p, hilbert_series(p, capacity=capacity), capacity)
 
 
 def _quotient_resolution(p: Presentation, hd: HilbertData,
@@ -318,7 +318,7 @@ def depth_and_classify(p: Presentation,
     Cohen-Macaulay / Gorenstein flags."""
     if p.mode != "graded":
         raise GradingError("classification needs a graded presentation")
-    hd = hilbert_series(p)
+    hd = hilbert_series(p, capacity=capacity)
     res = _quotient_resolution(p, hd, capacity)
     depth = p.nvars - res.pd
     dim = hd.dim

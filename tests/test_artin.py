@@ -161,9 +161,9 @@ def test_high_power_relation_evaluates_without_recursion():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: x^3000")
     A = jet(p, 4)
     rel, = A.relations
-    at_vars = A.monomial_map([A.var_image(0), A.var_image(1)])
+    at_vars = A.monomial_map([sparse(A.var_image(0)), sparse(A.var_image(1))])
     assert A.field.vec_is_zero(A.evaluate(rel, at_vars))
-    at_one = A.monomial_map([A.one_vec(), A.var_image(1)])
+    at_one = A.monomial_map([sparse(A.one_vec()), sparse(A.var_image(1))])
     assert A.evaluate(rel, at_one) == A.one_vec()
 
 

@@ -117,6 +117,20 @@ def test_out_of_range_search_budget_exits_one_with_json_error(tmp_path, bound):
     assert json.loads(out)["error"]["type"] == "RangeError"
 
 
+@pytest.mark.parametrize("command", ["distance", "defpair-distance"])
+@pytest.mark.parametrize("max_order", ["0", "-2"])
+def test_max_order_below_one_exits_one_with_range_error(tmp_path, command, max_order):
+    # the report read lower 0, upper 1 with no order tested
+    a, b = tmp_path / "a.pres", tmp_path / "b.pres"
+    a.write_text("ring Q[x]\ngraded\nideal: x^2\ntuple: x\n")
+    b.write_text("ring Q[x]\ngraded\nideal: x^3\ntuple: x\n")
+    code, out, _ = _capture([command, str(a), str(b), "--max-order", max_order])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "RangeError"
+    code, out, _ = _capture([command, str(a), str(b), "--max-order", "1"])
+    assert code == 0
+
+
 def test_residue_field_of_a_non_regular_ring_reports_no_pd(tmp_path):
     p = tmp_path / "x10.pres"
     p.write_text("ring Q[x]\ngraded\nideal: x^10\n")

@@ -1,13 +1,14 @@
 import random
 from dataclasses import fields
 from fractions import Fraction
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import iso
-from jetmetric.artin import defpair_jet, jet
+from jetmetric.artin import defpair_jet, jet, sparse
 from jetmetric.iso import (
     MOD_P,
     QQ_SCALINGS,
@@ -268,7 +269,7 @@ def test_monomial_map_matches_left_to_right_products(field):
         f = B.field
         images = [[f.zero() if d == 0 else _random_scalar(rng, f) for d in B.degrees()]
                   for _ in range(A.nvars)]
-        image = B.monomial_map(images)
+        image = B.monomial_map([sparse(v) for v in images])
 
         def reference_sum(terms):
             out = f.vec_zero(B.dim)
@@ -378,9 +379,10 @@ def _transformed_copy(p, perm, scales):
 
 @st.composite
 def _rational_pairs(draw):
-    """(A, B, true witness images, match_tuples): Q graded or local jets with
-    multi-term relations, or deformation pairs, B a permuted and scaled copy
-    of A or an unrelated algebra of the same shape."""
+    """(A, B, true witness as (perm, scaling indices), match_tuples): Q graded
+    or local jets with multi-term relations, or deformation pairs, B a
+    permuted and scaled copy of A (the witness x_k -> QQ_SCALINGS[scals[k]]
+    y_perm(k)) or an unrelated algebra of the same shape (witness None)."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     nvars = draw(st.integers(2, 3))
     kind = draw(st.sampled_from(["graded", "local", "defpair", "defpair"]))
@@ -391,11 +393,11 @@ def _rational_pairs(draw):
         text += "\ntuple: " + ", ".join(f"{v}{rng.choice([' + 2*', ' - ', ' + 1/2*'])}{w}^2"
                                         for v, w in zip(names, names[1:] + names[:1]))
     p = parse_presentation(text)
-    perm = draw(st.permutations(range(nvars)))
-    scales = [draw(st.sampled_from(QQ_SCALINGS)) for _ in range(nvars)]
+    perm = tuple(draw(st.permutations(range(nvars))))
+    scals = tuple(draw(st.integers(0, len(QQ_SCALINGS) - 1)) for _ in range(nvars))
     related = draw(st.sampled_from([True, True, True, False]))
     if related:
-        q = _transformed_copy(p, perm, scales)
+        q = _transformed_copy(p, perm, [QQ_SCALINGS[j] for j in scals])
     else:
         other = random_presentation_text(rng, "Q", nvars, mode, max_deg=3)
         q = parse_presentation(other + text[text.index("\ntuple"):]
@@ -406,34 +408,68 @@ def _rational_pairs(draw):
     else:
         n = draw(st.integers(2, 4))
         A, B = jet(p, n), jet(q, n)
-    images = [B.field.vec_scale(c, B.var_image(perm[k])) for k, c in enumerate(scales)]
-    return A, B, images if related else None, kind == "defpair"
+    return A, B, (perm, scals) if related else None, kind == "defpair"
 
 
-def _candidates(rng, B, witness):
-    """A true witness (when known), perturbations of it, scaled variable
-    images and random images in the maximal ideal."""
-    f = B.field
-    out = [witness] if witness is not None else []
-    small = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
-    nonunit = [i for i, d in enumerate(B.degrees()) if d > 0]
-    for _ in range(8):
-        kind = rng.choice(["perturbed", "scaled", "random"])
-        if kind == "perturbed" and witness is not None:
-            imgs = [list(v) for v in witness]
-            imgs[rng.randrange(len(imgs))][rng.choice(nonunit)] += rng.choice(small)
-        elif kind == "scaled":
-            imgs = [f.vec_scale(rng.choice(QQ_SCALINGS), B.var_image(rng.randrange(B.nvars)))
-                    for _ in range(B.nvars)]
-        else:
-            imgs = []
-            for _ in range(B.nvars):
-                v = f.vec_zero(B.dim)
-                for i in rng.sample(nonunit, min(len(nonunit), 3)):
-                    v[i] = rng.choice(small)
-                imgs.append(v)
-        out.append(imgs)
-    return out
+def _scaled_images(B, perm, scals):
+    """Sparse images x_k -> QQ_SCALINGS[scals[k]] y_perm(k) in B."""
+    return [sparse(B.field.vec_scale(QQ_SCALINGS[j], B.var_image(perm[k])))
+            for k, j in enumerate(scals)]
+
+
+def _reduce_mod_p(A):
+    """A with every scalar reduced mod MOD_P, or None when MOD_P divides a
+    denominator."""
+    try:
+        return iso._map_scalars(A, finite_field(MOD_P, 1), iso._mod_p)
+    except iso._DenominatorDivisible:
+        return None
+
+
+def _reference_vanishes_mod_p(Ap, Bp, B, perm, scals, match_tuples):
+    """The mod-P filter evaluated on the reduced pair (Ap, Bp): a monomial
+    map at the scaled variable images of B reduced mod MOD_P, multiplied out
+    in Bp, every relation and tuple condition compared with zero."""
+    images = [[iso._mod_p(QQ_SCALINGS[j] * c) for c in B.var_image(perm[k])]
+              for k, j in enumerate(scals)]
+    image = Bp.monomial_map([sparse(v) for v in images])
+    if any(any(Bp.evaluate(rel, image)) for rel in Ap.relations):
+        return False
+    if match_tuples:
+        for va, vb in zip(Ap.tuple_images, Bp.tuple_images):
+            if apply_linear_map(Ap, Bp, image, va) != vb:
+                return False
+    return True
+
+
+@given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_mod_p_plan_matches_the_reduced_pair_evaluation(pair, seed):
+    A, B, witness, match_tuples = pair
+    if A.dim != B.dim or A.dim < 2:
+        return
+    Ap, Bp = _reduce_mod_p(A), _reduce_mod_p(B)
+    assert Ap is not None and Bp is not None
+    s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
+    rng = random.Random(seed)
+    every = list(product(range(len(QQ_SCALINGS)), repeat=A.nvars))
+    rejected = []
+    for perm in permutations(range(A.nvars)):
+        sample = rng.sample(every, 12)
+        if witness is not None and witness[0] == perm:
+            sample.append(witness[1])
+        for scals in sample:
+            got = s._vanishes_mod_p(perm, scals)
+            assert got == _reference_vanishes_mod_p(Ap, Bp, B, perm, scals, match_tuples)
+            if not got:
+                rejected.append((perm, scals))
+    assert s.plans is not None and len(s.plans) == len(list(permutations(range(A.nvars))))
+    if witness is not None:
+        assert s._vanishes_mod_p(*witness)
+        assert s._check(_scaled_images(B, *witness))
+    # no candidate the plan rejects passes the exact check
+    for perm, scals in rng.sample(rejected, min(len(rejected), 12)):
+        assert not s._check(_scaled_images(B, perm, scals))
 
 
 @given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
@@ -443,17 +479,20 @@ def test_filter_mod_p_agrees_with_the_exact_check(pair, seed):
     if A.dim != B.dim or A.dim < 2:
         return
     s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
-    assert s._reduce_pair()
-    if witness is not None:
-        assert s._check(witness)
-    for images in _candidates(random.Random(seed), B, witness):
-        images_p = iso._reduce_vec_mod_p([c for v in images for c in v])
-        images_p = [images_p[k * B.dim:(k + 1) * B.dim] for k in range(A.nvars)]
+    rng = random.Random(seed)
+    candidates = [witness] if witness is not None else []
+    candidates += [(tuple(rng.sample(range(A.nvars), A.nvars)),
+                    tuple(rng.randrange(len(QQ_SCALINGS)) for _ in range(A.nvars)))
+                   for _ in range(8)]
+    for scaled in candidates:
+        images = _scaled_images(B, *scaled)
         exact = s._check(images)
         # a candidate ruled out modulo P never passes the exact check
-        if not s._vanishes_mod_p(images_p):
+        if not s._vanishes_mod_p(*scaled):
             assert not exact
-        assert s._check(images, images_p) == exact
+        assert (s._try(images, scaled) is not None) == exact
+    if witness is not None:
+        assert s._try(_scaled_images(B, *witness), witness) is not None
 
 
 def _verdict_fields(v):
@@ -461,9 +500,9 @@ def _verdict_fields(v):
 
 
 def _decide_exact_only(A, B, budget, match_tuples=False):
-    # no pair reduces mod P, so every candidate takes the exact check alone
+    # no plan is ever built, so every candidate takes the exact check alone
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(iso, "_reduce_mod_p", lambda _A: None)
+        m.setattr(iso, "_mod_p_plan", lambda *_: None)
         return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
 
 
@@ -484,14 +523,63 @@ def test_p_in_a_denominator_falls_back_to_the_exact_check():
     b = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {4 * MOD_P}*y^2")
     assert _is_prime(MOD_P) and MOD_P < 2**30
     A, B = jet(a, 3), jet(b, 3)
-    assert any(c.denominator == MOD_P for vec in A.nf.values() for c in vec)
-    assert iso._reduce_mod_p(A) is None
-    assert not iso._Searcher(A, B, 10, False)._reduce_pair()
+    assert any(c.denominator % MOD_P == 0 for vec in B.nf.values() for c in vec)
+    assert iso._mod_p_plan(A, B, (0, 1), False) is None
+    s = iso._Searcher(A, B, 10, False)
+    assert s._plan((0, 1)) is None
+    # the whole pair is then checked over Q only
+    assert s.plans is None and s._vanishes_mod_p((1, 0), (4, 7))
     got = _decide(A, B)
     assert got.status == "ISO"
     assert verify_witness(A, B, got.witness)
     want = _decide_exact_only(A, B, BUDGET)
     assert _verdict_fields(got) == _verdict_fields(want)
-    # a candidate with P in a denominator is left to the exact check
-    assert iso._reduce_vec_mod_p([Fraction(1), Fraction(3, MOD_P)]) is None
-    assert iso._reduce_vec_mod_p([Fraction(-1, 2)]) == [(MOD_P - 1) // 2]
+    # residues of the scalars the plans read
+    with pytest.raises(iso._DenominatorDivisible):
+        iso._mod_p(Fraction(3, MOD_P))
+    assert iso._mod_p(Fraction(-1, 2)) == (MOD_P - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the finite-field enumeration
+
+
+def _dense_enumeration(f, r, dim, coords_idx):
+    """Dense image tuples over coords_idx in integer-encoding order: digit t
+    of the code is coordinate t % width of image t // width, the first
+    coordinate of the first image least significant."""
+    elements = list(f.elements())
+    q, width = len(elements), len(coords_idx)
+    for code in range(q ** (r * width)):
+        digits = []
+        for _ in range(r * width):
+            digits.append(elements[code % q])
+            code //= q
+        images = []
+        for k in range(r):
+            v = f.vec_zero(dim)
+            for d, i in zip(digits[k * width:(k + 1) * width], coords_idx):
+                v[i] = d
+            images.append(v)
+        yield images
+
+
+@pytest.mark.parametrize("text, ext, order", [
+    ("ring F_2[x, y, z]\ngraded\nideal: x^2 + y*z, y^2", 1, 3),
+    ("ring F_3[x, y]\ngraded\nideal: x^2 + y^2", 1, 3),
+    ("ring F_3[x, y]\nlocal\nideal: x^2 + y^3", 1, 3),
+    ("ring F_2[x, y]\ngraded\nideal: x^2 + x*y", 2, 3),
+    ("ring F_2[x, y]\nlocal\nideal: x*y + y^3", 2, 3),
+])
+def test_sparse_coordinate_candidates_follow_the_dense_order(text, ext, order):
+    B = base_change(jet(parse_presentation(text), order), ext)
+    s = iso._Searcher(B, B, effort_left=10, tuple_constraint=False)
+    for coords in (s.lin_idx, s.max_idx):
+        got = s.coordinate_candidates(coords)
+        want = _dense_enumeration(B.field, B.nvars, B.dim, coords)
+        n = 0
+        for images, dense_images in islice(zip(got, want), 20_000):
+            assert images == [sparse(v) for v in dense_images], n
+            n += 1
+        assert n == min(20_000, s.space_size(coords))
+        assert n > B.field.order ** len(coords)

@@ -152,6 +152,23 @@ def test_limit_jets_of_cusp_family():
     assert decide_isomorphism(last, target, BUDGET).status == "ISO"
 
 
+@pytest.mark.parametrize("max_order", [0, -2])
+def test_distance_drivers_reject_a_max_order_below_one(max_order):
+    # orders start at 1: a lower bound tested nothing yet reported [0, 1];
+    # the check comes first, before the field gate and the tuple check
+    x2 = parse_presentation("ring Q[x]\ngraded\nideal: x^2")
+    f2 = parse_presentation("ring F_2[x]\ngraded\nideal: x^2")
+    with pytest.raises(RangeError):
+        jet_distance(x2, x2, max_order, budget=BUDGET)
+    with pytest.raises(RangeError):
+        jet_distance(x2, f2, max_order, budget=BUDGET)
+    pa = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x")
+    with pytest.raises(RangeError):
+        defpair_distance(pa, pa, max_order, budget=BUDGET)
+    with pytest.raises(RangeError):
+        defpair_distance(pa, x2, max_order, budget=BUDGET)
+
+
 @pytest.mark.parametrize("tail", [0, -1, -3])
 def test_limit_jets_rejects_a_tail_below_one(tail):
     # jets[-0:] is every jet and jets[-1:] past a negative k is no tail

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric.artin import jet, socle
-from jetmetric.errors import GradingError, RangeError, ZeroRingError
+from jetmetric.errors import CapacityError, GradingError, RangeError, ZeroRingError
 from jetmetric.exactcore import Echelon, finite_field, rationals
 from jetmetric.hilbert import hilbert_series
 from jetmetric.iso import base_change
@@ -167,6 +167,18 @@ def test_depth_plus_pd_is_the_variable_count():
         c = depth_and_classify(p)
         assert c.depth + c.pd == p.nvars
         assert 0 <= c.depth <= c.dim
+
+
+def test_resolution_drivers_pass_their_capacity_to_the_engine(quartic_cone):
+    # 20 monomials of degree <= 3 in 3 variables fit, the 35 of degree <= 4
+    # the engine needs for x^4 + y^4 + z^4 do not; the jets would fail later
+    # with "cap ..." had the engine run at the default capacity
+    for driver in (minimal_resolution_of_quotient, depth_and_classify):
+        with pytest.raises(CapacityError, match=r"exceeds capacity 20 \(degree 4 in 3"):
+            driver(quartic_cone, capacity=20)
+    with pytest.raises(CapacityError, match=r"\(degree 4 in 3"):
+        hilbert_series(quartic_cone, capacity=20)
+    assert hilbert_series(quartic_cone, capacity=35).numerator == [1, 1, 1, 1]
 
 
 def test_resolution_requires_graded_input(cusp):
