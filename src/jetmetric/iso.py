@@ -494,6 +494,7 @@ class _Searcher:
         self.tried = 0
         self.tuple_constraint = tuple_constraint
         self.lin_idx = B.component(1)
+        self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
         # mod-P plans by permutation; None once P divides a denominator
         self.plans: Optional[dict[tuple[int, ...], ModPPlan]] = {}
@@ -554,9 +555,16 @@ class _Searcher:
         """Whether the sparse images define an isomorphism."""
         A, B, f = self.A, self.B, self.field
         # cheap surjectivity filter: degree-1 coordinates must span
-        zero = f.zero()
-        lin_rows = [[d.get(i, zero) for i in self.lin_idx] for d in map(dict, images)]
-        if ExactMatrix(f, lin_rows, len(self.lin_idx)).rank() != len(self.lin_idx):
+        lin_pos, zero = self.lin_pos, f.zero()
+        lin_rows = []
+        for img in images:
+            row = [zero] * len(lin_pos)
+            for i, c in img:
+                j = lin_pos.get(i)
+                if j is not None:
+                    row[j] = c
+            lin_rows.append(row)
+        if ExactMatrix(f, lin_rows, len(lin_pos)).rank() != len(lin_pos):
             return False
         image = B.monomial_map(images)
         if not self._maps_relations(A, B, image):
