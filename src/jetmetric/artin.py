@@ -105,7 +105,6 @@ class ArtinAlgebra:
             comps[d].append(i)
         self._components = [tuple(c) for c in comps]
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
-        self._var_matrices: dict[int, list[list]] = {}
         # native arithmetic over Q and F_p (modulus None over Q); F_{p^m}
         # codes need the field's add and mul
         self._native = not isinstance(field, ExtensionField)
@@ -213,19 +212,6 @@ class ArtinAlgebra:
                     acc[k] = add(acc[k], mul(c, w))
         return [(k, x) for k, x in enumerate(acc) if x]
 
-    def var_mult_matrix(self, k: int) -> list[list]:
-        """Row-major matrix of multiplication by the class of variable k."""
-        got = self._var_matrices.get(k)
-        if got is None:
-            f = self.field
-            e = [0] * self.nvars
-            e[k] = 1
-            ek = tuple(e)
-            cols = [self.reduce_monomial(mono_mul(ek, b)) for b in self.basis]
-            got = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            self._var_matrices[k] = got
-        return got
-
     def mult_matrix(self, u: Sequence) -> list[list]:
         """Row-major matrix of multiplication by the element with dense
         coordinates u."""
@@ -328,15 +314,11 @@ def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
     dims = [A.dim]
     while current:
         dims.append(len(current))
-        nxt_rows = []
-        for v in current:
-            for xk in var_vecs:
-                w = A.multiply(xk, v)
-                if w:
-                    nxt_rows.append(A.dense(w))
+        nxt_rows = [dict(w) for v in current for xk in var_vecs
+                    if (w := A.multiply(xk, v))]
         if nxt_rows:
             red = ExactMatrix(A.field, nxt_rows, A.dim).rref()
-            current = [sparse(r) for r in red.rows]
+            current = [sorted(r.items()) for r in red.rows]
         else:
             current = []
     hf = [dims[i] - (dims[i + 1] if i + 1 < len(dims) else 0) for i in range(len(dims))]
@@ -361,20 +343,19 @@ def nilpotency_index(A: ArtinAlgebra) -> int:
 
 
 def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
-    """The annihilator of the maximal ideal: dimension and a basis."""
+    """The annihilator of the maximal ideal: dimension and a basis.  The
+    basis is closed under divisors, so the degree-1 basis monomials
+    generate the maximal ideal and the socle is the common kernel of
+    multiplication by them."""
     if A.is_zero_ring():
         raise ZeroRingError("socle of the zero ring")
-    stacked: list[list] = []
-    for k in range(A.nvars):
-        stacked.extend(A.var_mult_matrix(k))
-    if not stacked:
-        return A.dim, [A.unit_vec(i) for i in range(A.dim)]
-    zero, kern = A.field.zero(), []
-    for v in ExactMatrix(A.field, stacked, A.dim).kernel_basis():
-        dense = [zero] * A.dim
-        for c, x in v.items():
-            dense[c] = x
-        kern.append(dense)
+    n = A.dim
+    rows: list[dict] = [{} for _ in range(len(A.component(1)) * n)]
+    for r, v in enumerate(A.component(1)):
+        for j in range(n):
+            for i, c in A.mult_basis(v, j):     # basis[v] * basis[j] at i
+                rows[r * n + i][j] = c
+    kern = [A.dense(u.items()) for u in ExactMatrix(A.field, rows, n).kernel_basis()]
     return len(kern), kern
 
 

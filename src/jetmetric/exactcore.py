@@ -12,13 +12,15 @@ base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
 
 Row reduction returns the reduced row echelon form, with pivots the leftmost
 nonzero columns, so every echelon form (and therefore every quotient basis
-built on top of it) is canonical and reproducible.  This module is the only
-one that row-reduces, with one routine per kind of field: over Q and F_p
-fraction-free Gauss-Jordan on rows of Python ints (one division per entry at
-the end), over F_{p^m} the sparse incremental :class:`Echelon` in the
-field's arithmetic (which the graded resolution also uses for membership
-tests), and for F_2 graded ranks :func:`rank_gf2` on bitmask rows.  No
-floating point anywhere.
+built on top of it) is canonical and reproducible.  Matrix rows go in and
+come out in one form, a sparse dict {column: value}: callers hand over the
+entries they hold, and reduced rows and kernel vectors carry their nonzero
+entries only.  This module is the only one that row-reduces, with one
+routine per kind of field: over Q and F_p fraction-free Gauss-Jordan on
+rows of Python ints (one division per entry at the end), over F_{p^m} the
+sparse incremental :class:`Echelon` in the field's arithmetic (which the
+graded resolution also uses for membership tests), and for F_2 graded ranks
+:func:`rank_gf2` on bitmask rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -616,7 +618,7 @@ def finite_field(p: int, m: int) -> Field:
 
 @dataclass
 class RrefResult:
-    rows: list[list]          # the nonzero reduced rows, in echelon order
+    rows: list[dict]          # the nonzero reduced rows, in echelon order
     pivots: list[int]         # pivot column of each row, strictly increasing
     ncols: int
 
@@ -630,17 +632,20 @@ class RrefResult:
 
 
 class ExactMatrix:
-    """Dense exact matrix over a :class:`Field`; rows are plain lists of raw values.
+    """Exact matrix over a :class:`Field` with sparse rows: each row is a
+    dict {column: value} of raw values, absent columns zero (explicit zero
+    values are allowed, and keys may come in any order).
 
-    :meth:`rref` over Q and F_p converts the rows to Python ints (clearing
-    denominators over Q, reducing mod p over F_p) and eliminates them with
-    :func:`_rref_int`; over F_{p^m}, whose codes are not int arithmetic, it
-    feeds the nonzero entries of each row to an :class:`Echelon` and
-    densifies the reduced rows.  :meth:`rank` runs the forward half of
-    either and counts pivots.
+    :meth:`rref` over Q and F_p builds Python-int rows from the given
+    entries (clearing denominators over Q, reducing mod p over F_p) and
+    eliminates them with :func:`_rref_int`; over F_{p^m}, whose codes are
+    not int arithmetic, it feeds the rows to an :class:`Echelon`.  Either
+    way the reduced rows come back as dicts of their nonzero entries, the
+    pivot entry one.  :meth:`rank` runs the forward half of either and
+    counts pivots.
     """
 
-    def __init__(self, field: Field, rows: list[list], ncols: int):
+    def __init__(self, field: Field, rows: list[dict], ncols: int):
         self.field = field
         self.rows = rows
         self.ncols = ncols
@@ -653,24 +658,20 @@ class ExactMatrix:
         f = self.field
         if isinstance(f, (RationalField, PrimeField)):
             return _rref_int(self.rows, self.ncols, f.desc.characteristic)
-        is_zero, zero = f.is_zero, f.zero()
         ech = Echelon(f)
         for row in self.rows:
-            ech.add({c: x for c, x in enumerate(row) if not is_zero(x)})
+            ech.add(row)
         red = ech.reduced()
-        rows = [[r.get(c, zero) for c in range(self.ncols)] for r in red.values()]
-        return RrefResult(rows=rows, pivots=list(red), ncols=self.ncols)
+        return RrefResult(rows=list(red.values()), pivots=list(red), ncols=self.ncols)
 
     def rank(self) -> int:
-        """The rank, from a forward elimination only: no back-substitution,
-        no division by the pivots and, over F_{p^m}, no densified rows."""
+        """The rank, from a forward elimination only: no back-substitution
+        and no division by the pivots."""
         f = self.field
         if isinstance(f, (RationalField, PrimeField)):
             return len(_echelon_int(self.rows, self.ncols, f.desc.characteristic)[1])
-        is_zero = f.is_zero
         ech = Echelon(f)
-        return sum(ech.add({c: x for c, x in enumerate(row) if not is_zero(x)})
-                   for row in self.rows)
+        return sum(ech.add(row) for row in self.rows)
 
     def kernel_basis(self) -> list[dict]:
         """Canonical kernel basis: per free column, in ascending order, the
@@ -678,12 +679,13 @@ class ExactMatrix:
         each pivot, the negated reduced-row entry there when it is nonzero."""
         red = self.rref()
         f = self.field
-        is_zero, neg = f.is_zero, f.neg
+        neg = f.neg
         basis = {free: {free: f.one()} for free in red.free_columns()}
         for row, pc in zip(red.rows, red.pivots):
-            for free, vec in basis.items():
-                if not is_zero(row[free]):
-                    vec[pc] = neg(row[free])
+            # a reduced row's entries off its pivot lie in free columns
+            for c, x in row.items():
+                if c != pc:
+                    basis[c][pc] = neg(x)
         return list(basis.values())
 
 
@@ -748,25 +750,25 @@ class Echelon:
         return dict(reversed(done.items()))
 
 
-def _int_row(row: Sequence, p: int) -> list[int] | None:
-    """An integer row with the span of ``row``, or None for a zero row.
+def _int_row(row: dict, ncols: int, p: int) -> list[int] | None:
+    """The integer row, of length ncols, with the span of the sparse
+    ``row``, or None for a zero row.
 
     Over F_p entries are reduced mod p.  Over Q (p = 0) denominators are
-    cleared and the content divided out, reading only the nonzero entries;
-    the shared zero that :meth:`RationalField.zero` returns is skipped by
-    identity, which costs far less than a ``Fraction`` comparison.
+    cleared and the content divided out.
     """
     if p:
-        out = [a % p for a in row]
+        out = [0] * ncols
+        for c, a in row.items():
+            out[c] = a % p
         return out if any(out) else None
-    nz = [i for i, a in enumerate(row) if a is not _ZERO and a]
+    nz = [(c, a) for c, a in row.items() if a]
     if not nz:
         return None
-    den = lcm(*[row[i].denominator for i in nz])
-    out = [0] * len(row)
-    for i in nz:
-        a = row[i]
-        out[i] = a.numerator * (den // a.denominator)
+    out = [0] * ncols
+    den = lcm(*[a.denominator for _, a in nz])
+    for c, a in nz:
+        out[c] = a.numerator * (den // a.denominator)
     g = gcd(*out)
     return [v // g for v in out] if g > 1 else out
 
@@ -785,11 +787,11 @@ def _combine_int(cur: list[int], prow: list[int], col: int, start: int,
     return cur[:start] + ([v // g for v in new] if g > 1 else new)
 
 
-def _echelon_int(in_rows: list[list], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+def _echelon_int(in_rows: list[dict], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
     """Forward pass over Q (p = 0) or F_p on rows of Python ints: the
     nonzero echelon rows, not back-substituted or normalized, and their
     pivot columns."""
-    rows = [r for r in (_int_row(r, p) for r in in_rows) if r is not None]
+    rows = [r for r in (_int_row(r, ncols, p) for r in in_rows) if r is not None]
     pivots: list[int] = []
     for col in range(ncols):
         top = len(pivots)
@@ -807,7 +809,7 @@ def _echelon_int(in_rows: list[list], ncols: int, p: int) -> tuple[list[list[int
     return rows[:len(pivots)], pivots
 
 
-def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
+def _rref_int(in_rows: list[dict], ncols: int, p: int) -> RrefResult:
     """RREF over Q (p = 0) or F_p on rows of Python ints.
 
     The forward pass of :func:`_echelon_int` and a back pass clear each
@@ -820,14 +822,14 @@ def _rref_int(in_rows: list[list], ncols: int, p: int) -> RrefResult:
         pc, prow = pivots[i], rows[i]
         for j in [j for j in range(i) if rows[j][pc]]:
             rows[j] = _combine_int(rows[j], prow, pc, pivots[j], p)
-    out: list[list] = []
+    out: list[dict] = []
     for row, pc in zip(rows, pivots):
         lead = row[pc]
         if p:
             inv = pow(lead, -1, p)
-            out.append([v * inv % p for v in row])
+            out.append({c: v * inv % p for c, v in enumerate(row) if v})
         else:
-            out.append([Fraction(v, lead) if v else _ZERO for v in row])
+            out.append({c: Fraction(v, lead) for c, v in enumerate(row) if v})
     return RrefResult(rows=out, pivots=pivots, ncols=ncols)
 
 

@@ -54,7 +54,7 @@ from .exactcore import (
     RationalField,
     finite_field,
 )
-from .poly import Monomial, TruncatedQuotient, mono_deg
+from .poly import Monomial, TruncatedQuotient
 from .presentation import poly_to_str
 
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -97,18 +97,9 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
             profile.append(0)
             continue
         pos = {i: j for j, i in enumerate(out)}
-        rows = []
-        for i in lin:
-            for j in mid:
-                row = [f.zero()] * len(out)
-                nonzero = False
-                for k, c in A.mult_basis(i, j):
-                    if k in pos:
-                        row[pos[k]] = c
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-        profile.append(ExactMatrix(f, rows, len(out)).rank() if rows else 0)
+        rows = [{pos[k]: c for k, c in A.mult_basis(i, j) if k in pos}
+                for i in lin for j in mid]
+        profile.append(ExactMatrix(f, rows, len(out)).rank())
     return tuple(profile)
 
 
@@ -188,8 +179,7 @@ def _map_scalars(A: ArtinAlgebra, dst: Field, emb) -> ArtinAlgebra:
     through emb into dst; basis, truncation and origin are kept."""
     nf = {mono: [emb(c) for c in vec] for mono, vec in A.nf.items()}
     tq = TruncatedQuotient(field=dst, nvars=A.nvars, cap=A.cap,
-                           basis=list(A.basis), nf=nf,
-                           pivots=sorted(A.nf.keys(), key=lambda mm: (mono_deg(mm), mm)))
+                           basis=list(A.basis), nf=nf)
     relations = [g.map_coefficients(dst, emb) for g in A.relations]
     out = ArtinAlgebra(dst, A.nvars, tq, relations=relations, origin=A.origin)
     if A.tuple_images is not None:
@@ -346,10 +336,39 @@ def _extend(A: ArtinAlgebra, ext_multiple: int) -> ArtinAlgebra:
     return base_change(A, A.field.desc.m * ext_multiple)
 
 
-def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
+def _maps_relations(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
+                    match_tuples: bool) -> bool:
+    """Whether every relation of A, and with match_tuples every tuple
+    condition, vanishes in B under the monomial map image.  The values are
+    canonical dense coordinates, so a zero test is truthiness and a tuple
+    condition is equality with B's tuple image."""
+    for rel in A.relations:
+        if any(B.evaluate(rel, image)):
+            return False
+    if match_tuples:
+        ta, tb = A.tuple_images or [], B.tuple_images or []
+        if len(ta) != len(tb):
+            return False
+        for va, vb in zip(ta, tb):
+            if apply_linear_map(A, B, image, va) != vb:
+                return False
+    return True
+
+
+def _bijective(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
+    """Whether the linear map of image is bijective, for A.dim == B.dim: its
+    rows here are the sparse images of A's basis, the columns of the
+    matrix, and a matrix and its transpose have the same rank."""
+    rows = [dict(image(mono)) for mono in A.basis]
+    return ExactMatrix(B.field, rows, B.dim).rank() == A.dim
+
+
+def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
+                   match_tuples: bool = False) -> bool:
     """Mechanical check that w defines an isomorphism A -> B (after the
     recorded base change): images lie in the maximal ideal, relations die,
-    the truncation ideal dies, and the induced linear map is bijective."""
+    the truncation ideal dies, with match_tuples A's deformation-tuple
+    images go to B's, and the induced linear map is bijective."""
     if w.ext_multiple != 1 and isinstance(A.field, RationalField):
         return False
     A, B = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
@@ -366,24 +385,26 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> bool:
     if nilpotency_index(B) > A.cap:
         return False
     image = B.monomial_map([sparse(v) for v in w.images])
-    for rel in A.relations:
-        if not B.field.vec_is_zero(B.evaluate(rel, image)):
-            return False
-    L = linear_map_matrix(A, B, image)
-    return ExactMatrix(B.field, L, A.dim).rank() == A.dim
+    return _maps_relations(A, B, image, match_tuples) and _bijective(A, B, image)
 
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
     """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
     A0, B0 = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
     image = B0.monomial_map([sparse(v) for v in w.images])
-    L = linear_map_matrix(A0, B0, image)                       # square, invertible
     n, r = A0.dim, B0.nvars
-    targets = [B0.var_image(k) for k in range(r)]              # classes of y_k
-    # solve L * X = [targets] by rref of [L | targets], which ends in [I | X]
-    aug = [list(L[i]) + [t[i] for t in targets] for i in range(n)]
+    # solve L X = [classes of y_k] by rref of [L | targets], which ends in
+    # [I | X]; row i of L holds coordinate i of each basis image
+    aug: list[dict] = [{} for _ in range(n)]
+    for j, mono in enumerate(A0.basis):
+        for i, c in image(mono):
+            aug[i][j] = c
+    for k in range(r):
+        for i, c in sparse(B0.var_image(k)):
+            aug[i][n + k] = c
     red = ExactMatrix(B0.field, aug, n + r).rref()
-    images = [[row[n + k] for row in red.rows] for k in range(r)]
+    zero = B0.field.zero()
+    images = [[row.get(n + k, zero) for row in red.rows] for k in range(r)]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 
 
@@ -537,40 +558,16 @@ class _Searcher:
                 return False
         return True
 
-    def _maps_relations(self, A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
-        """Whether every relation of A, and with the tuple constraint every
-        tuple condition, vanishes in B under the monomial map image.  The
-        values are canonical dense coordinates, so a zero test is truthiness
-        and a tuple condition is equality with B's tuple image."""
-        for rel in A.relations:
-            if any(B.evaluate(rel, image)):
-                return False
-        if self.tuple_constraint:
-            for va, vb in zip(A.tuple_images, B.tuple_images):
-                if apply_linear_map(A, B, image, va) != vb:
-                    return False
-        return True
-
     def _check(self, images: list[Sparse]) -> bool:
         """Whether the sparse images define an isomorphism."""
-        A, B, f = self.A, self.B, self.field
+        A, B, lin_pos = self.A, self.B, self.lin_pos
         # cheap surjectivity filter: degree-1 coordinates must span
-        lin_pos, zero = self.lin_pos, f.zero()
-        lin_rows = []
-        for img in images:
-            row = [zero] * len(lin_pos)
-            for i, c in img:
-                j = lin_pos.get(i)
-                if j is not None:
-                    row[j] = c
-            lin_rows.append(row)
-        if ExactMatrix(f, lin_rows, len(lin_pos)).rank() != len(lin_pos):
+        lin_rows = [{lin_pos[i]: c for i, c in img if i in lin_pos} for img in images]
+        if ExactMatrix(self.field, lin_rows, len(lin_pos)).rank() != len(lin_pos):
             return False
         image = B.monomial_map(images)
-        if not self._maps_relations(A, B, image):
-            return False
-        L = linear_map_matrix(A, B, image)
-        return ExactMatrix(f, L, A.dim).rank() == A.dim
+        return (_maps_relations(A, B, image, self.tuple_constraint)
+                and _bijective(A, B, image))
 
     def _try(self, images: list[Sparse],
              scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -690,7 +687,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
         return IsoVerdict(status="ISO", witness=Witness(images=[]))
     if A.dim == 1:
         w = Witness(images=[B.field.vec_zero(1) for _ in range(A.nvars)])
-        if verify_witness(A, B, w):
+        if verify_witness(A, B, w, match_tuples):
             return IsoVerdict(status="ISO", witness=w)
         raise InternalInconsistencyError("one-dimensional algebras failed to match")
 
@@ -706,7 +703,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     verdict = _decide_oriented(first, second, budget, match_tuples)
     if swapped and verdict.status == "ISO":
         inv = invert_witness(first, second, verdict.witness)
-        if not verify_witness(A, B, inv):
+        if not verify_witness(A, B, inv, match_tuples):
             raise InternalInconsistencyError("witness inversion failed verification")
         verdict = IsoVerdict(status="ISO", witness=inv,
                              search_bounds=verdict.search_bounds)
@@ -729,7 +726,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
             w, stopped_by = None, "effort"
         tried_total = searcher.tried
         if w is not None:
-            if not verify_witness(A, B, w):
+            if not verify_witness(A, B, w, match_tuples):
                 raise InternalInconsistencyError("search produced an invalid witness")
             return IsoVerdict(status="ISO", witness=w)
         return IsoVerdict(status="UNKNOWN",
@@ -755,7 +752,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         effort_left -= searcher.tried
         if w is not None:
             w = Witness(images=w.images, ext_multiple=k)
-            if not verify_witness(A, B, w):
+            if not verify_witness(A, B, w, match_tuples):
                 raise InternalInconsistencyError("search produced an invalid witness")
             return IsoVerdict(status="ISO", witness=w,
                               search_bounds={"ext_degree_tried": m_prime,

@@ -88,9 +88,11 @@ def _field_gate(p: Presentation, q: Presentation) -> Optional[DistanceVerdict]:
 
 
 def _enforce_initial_segment(per_order: list[tuple[int, IsoVerdict]],
-                             high_algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]]):
+                             high_algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]],
+                             match_tuples: bool):
     """Upgrade UNKNOWN orders sitting below a later ISO by pushing the ISO
-    witness down; then check the ISO orders form an initial segment."""
+    witness down and re-verifying it (with match_tuples, as a map of
+    deformation pairs); then check the ISO orders form an initial segment."""
     iso_orders = [n for n, v in per_order if v.status == "ISO"]
     if iso_orders:
         top = max(iso_orders)
@@ -100,7 +102,7 @@ def _enforce_initial_segment(per_order: list[tuple[int, IsoVerdict]],
             if v.status == "UNKNOWN" and n < top:
                 A_low, B_low = high_algebras[n]
                 w_low = project_witness(top_witness, B_top, B_low)
-                if not verify_witness(A_low, B_low, w_low):
+                if not verify_witness(A_low, B_low, w_low, match_tuples):
                     raise InternalInconsistencyError(
                         f"projected witness failed at order {n}")
                 per_order[idx] = (n, IsoVerdict(status="ISO", witness=w_low))
@@ -153,7 +155,7 @@ def _by_order(p: Presentation, q: Presentation, max_order: int, make,
         per_order.append((n, verdict))
         if verdict.status == "NOT_ISO":
             break
-    _enforce_initial_segment(per_order, algebras)
+    _enforce_initial_segment(per_order, algebras, match_tuples)
     return _aggregate(per_order)
 
 

@@ -12,7 +12,6 @@ pivots at y^2 and stores nf(y^2) = x^3).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -196,7 +195,6 @@ class TruncatedQuotient:
     cap: int
     basis: list[Monomial]
     nf: dict[Monomial, list]
-    pivots: list[Monomial]
 
     @property
     def dim(self) -> int:
@@ -226,35 +224,31 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     monos = monomials_below(nvars, cap)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
-    zero = field.zero()
     for g in gens:
         if g.is_zero():
             continue
         for u in monos[:count_monomials_below(nvars, cap - g.order())]:
-            row = [zero] * n_mono
-            nonzero = False
+            row = {}
             for t, c in g.terms.items():
                 m = mono_mul(t, u)
                 if mono_deg(m) < cap:
                     row[index[m]] = c
-                    nonzero = True
-            if nonzero:
+            if row:
                 rows.append(row)
-    if rows:
-        red = ExactMatrix(field, rows, n_mono).rref()
-    else:
-        red = ExactMatrix(field, [], n_mono).rref()
+    red = ExactMatrix(field, rows, n_mono).rref()
     free = red.free_columns()
     basis = [monos[c] for c in free]
-    neg, is_zero = field.neg, field.is_zero
+    pos = {c: j for j, c in enumerate(free)}
+    zero, neg = field.zero(), field.neg
     nf: dict[Monomial, list] = {}
     for row, pc in zip(red.rows, red.pivots):
-        # a reduced row vanishes at every other pivot column and before pc
-        start = bisect_left(free, pc)
-        tail = [row[c] for c in free[start:]]
-        nf[monos[pc]] = [zero] * start + [zero if is_zero(v) else neg(v) for v in tail]
-    return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis,
-                             nf=nf, pivots=[monos[p] for p in red.pivots])
+        # a reduced row vanishes at every other pivot column
+        v = [zero] * len(free)
+        for c, x in row.items():
+            if c != pc:
+                v[pos[c]] = neg(x)
+        nf[monos[pc]] = v
+    return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis, nf=nf)
 
 
 def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
@@ -272,8 +266,7 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
     index = {m: i for i, m in enumerate(cols)}
     use_gf2 = isinstance(field, PrimeField) and field.p == 2
     rows_int: list[int] = []
-    rows_gen: list[list] = []
-    zero = field.zero()
+    rows_gen: list[dict] = []
     for g in gens:
         if g.is_zero():
             continue
@@ -289,16 +282,11 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
                 if bits:
                     rows_int.append(bits)
             else:
-                row = [zero] * len(cols)
-                for t, c in g.terms.items():
-                    row[index[mono_mul(t, u)]] = c
-                rows_gen.append(row)
+                rows_gen.append({index[mono_mul(t, u)]: c for t, c in g.terms.items()})
     if use_gf2:
         rank = rank_gf2(rows_int)
-    elif rows_gen:
-        rank = ExactMatrix(field, rows_gen, len(cols)).rank()
     else:
-        rank = 0
+        rank = ExactMatrix(field, rows_gen, len(cols)).rank()
     return rank, len(cols) - rank
 
 

@@ -112,7 +112,7 @@ def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
             continue
         row_of = {key: r for r, key in enumerate(
             (k, b) for k, s in enumerate(prev_shifts) for b in A.component(j - s))}
-        rows = [fld.vec_zero(len(dom)) for _ in row_of]
+        rows: list[dict] = [{} for _ in row_of]
         for c, (k, b) in enumerate(dom):
             for key, x in _mult(A, b, gens[k]).items():
                 rows[row_of[key]][c] = x
@@ -132,6 +132,27 @@ def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
             new_shifts.append(j)
             new_gens.append(elem)
     return new_shifts, new_gens, not kernel_seen
+
+
+def _resolve(A: ArtinAlgebra, shifts1: list[int], gens1: list[Element],
+             top: int, dcap: int) -> tuple[list[list[int]], Optional[int]]:
+    """The layers' shifts of a minimal resolution with one generator of
+    degree 0 in homological degree 0 and the given generators in degree 1,
+    each further layer one `_syzygy_step`, below homological degree top;
+    and its projective dimension: the first degree whose syzygies vanish
+    up to dcap (0 with no generators), or None when the steps stop first
+    (a kernel out of degree range, or top reached)."""
+    if not shifts1:
+        return [[0]], 0
+    layers, gens = [[0], shifts1], gens1
+    for i in range(1, top):
+        shifts, gens, vanished = _syzygy_step(A, layers[i - 1], layers[i], gens, dcap)
+        if vanished:
+            return layers, i
+        if not shifts:
+            break  # kernel nonzero but out of degree range: truncated
+        layers.append(shifts)
+    return layers, None
 
 
 def _minimalize(A: ArtinAlgebra, candidates: list[tuple[int, Element]]
@@ -206,35 +227,14 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
     if not all(rel.is_homogeneous() for rel in A.relations):
         raise GradingError("residue-field resolution needs homogeneous relations")
 
-    layers: list[list[int]] = [[0]]
-    gens_by_layer: list[list[Element]] = [[]]
     first = [{(0, b): A.field.one()} for b in A.component(1)]
-    layers.append([1] * len(first))
-    gens_by_layer.append(first)
-
-    complete = False
-    pd: Optional[int] = None
-    if not first:
-        complete, pd = True, 0
-        layers = layers[:1]
-    else:
-        for i in range(1, hcap):
-            shifts, gens, vanished = _syzygy_step(
-                A, layers[i - 1], layers[i], gens_by_layer[i], dcap)
-            if vanished:
-                complete, pd = True, i
-                break
-            if not shifts:
-                break  # kernel nonzero but out of degree range: truncated
-            layers.append(shifts)
-            gens_by_layer.append(gens)
-
+    layers, pd = _resolve(A, [1] * len(first), first, hcap, dcap)
     betti, ranks = _betti_from_layers(layers)
     e = len(first)
     if not (pd == e and ranks == [comb(e, i) for i in range(e + 1)]
             and _regular(src, A, capacity)):
-        complete, pd = False, None
-    return ResolutionData(betti, ranks, pd, complete, hcap, dcap, "residue-field")
+        pd = None
+    return ResolutionData(betti, ranks, pd, pd is not None, hcap, dcap, "residue-field")
 
 
 def minimal_resolution_of_quotient(p: Presentation,
@@ -266,31 +266,10 @@ def _quotient_resolution(p: Presentation, hd: HilbertData,
         index = {m: i for i, m in enumerate(A.basis)}
         candidates = [(g.degree(), {(0, index[mono]): c for mono, c in g.terms.items()})
                       for g in p.gens]
-        shifts1, gens1 = _minimalize(A, candidates)
-
-        layers = [[0]]
-        gens_by_layer: list[list[Element]] = [[]]
-        if shifts1:
-            layers.append(shifts1)
-            gens_by_layer.append(gens1)
-        complete = not shifts1
-        pd = 0
-        for i in range(1, r + 2):
-            if i >= len(layers):
-                break
-            shifts, gens, vanished = _syzygy_step(
-                A, layers[i - 1], layers[i], gens_by_layer[i], dcap)
-            if vanished:
-                complete, pd = True, i
-                break
-            if not shifts:
-                break
-            layers.append(shifts)
-            gens_by_layer.append(gens)
-
+        layers, pd = _resolve(A, *_minimalize(A, candidates), r + 2, dcap)
         betti, ranks = _betti_from_layers(layers)
         maxdeg = max((j for (_, j) in betti), default=0)
-        if complete and maxdeg <= dcap - 2 \
+        if pd is not None and maxdeg <= dcap - 2 \
                 and _alternating_numerator(betti) == target:
             return ResolutionData(betti, ranks, pd, True, r + 1, dcap, "quotient")
         dcap += degsum + 4

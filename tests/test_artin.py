@@ -16,7 +16,7 @@ from jetmetric.artin import (
     sparse,
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
-from jetmetric.exactcore import PrimeField
+from jetmetric.exactcore import ExactMatrix, PrimeField
 from jetmetric.iso import MOD_P
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
@@ -154,6 +154,27 @@ def test_socle_vectors_annihilate_every_variable(seed, field):
     for v in basis:
         for k in range(A.nvars):
             assert f.vec_is_zero(A.dense(A.multiply(sparse(A.var_image(k)), sparse(v))))
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_socle_is_the_kernel_of_multiplication_by_every_variable(seed, field, mode, nvars):
+    # socle() multiplies by the degree-1 basis monomials only; the reference
+    # stacks multiplication by every variable class, which for y - x^2 is a
+    # combination of higher basis monomials, not a basis monomial itself
+    texts = [random_presentation(random.Random(seed), field, nvars, mode),
+             parse_presentation("ring Q[x, y]\nlocal\nideal: y - x^2, x^4 + x*y")]
+    for p in texts:
+        A = jet(p, 4)
+        if A.is_zero_ring():
+            continue
+        f = A.field
+        stacked = [{c: x for c, x in enumerate(row) if x}
+                   for k in range(A.nvars) for row in A.mult_matrix(A.var_image(k))]
+        want = [A.dense(v.items())
+                for v in ExactMatrix(f, stacked, A.dim).kernel_basis()]
+        assert socle(A) == (len(want), want)
 
 
 def test_high_power_relation_evaluates_without_recursion():

@@ -227,13 +227,24 @@ def test_field_from_desc_roundtrip():
 
 def test_rref_known_matrix_over_q():
     F = rationals()
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
+    rows = [{0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+            {0: Fraction(2), 1: Fraction(4), 2: Fraction(6)},
+            {1: Fraction(1), 2: Fraction(1)}]
     M = ExactMatrix(F, rows, 3)
     res = M.rref()
     assert res.rank == 2
     assert res.pivots == [0, 1]
+    assert res.rows == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+
+
+def _sparse_rows(F, rows):
+    """The adapter from dense test rows to ExactMatrix's row form: each row
+    as the dict of its nonzero entries."""
+    return [{c: x for c, x in enumerate(r) if not F.is_zero(x)} for r in rows]
+
+
+def _dense_row(F, row, n):
+    return [row.get(c, F.zero()) for c in range(n)]
 
 
 def _mul_vec(F, rows, vec):
@@ -244,7 +255,7 @@ def _mul_vec(F, rows, vec):
 def test_kernel_basis_members_are_killed_by_the_matrix():
     F = PrimeField(3)
     rows = [[1, 2, 0, 1], [0, 1, 1, 1]]
-    M = ExactMatrix(F, rows, 4)
+    M = ExactMatrix(F, _sparse_rows(F, rows), 4)
     ker = M.kernel_basis()
     assert len(ker) == 2
     for v in ker:
@@ -271,7 +282,7 @@ def _q_matrix(draw):
 @settings(max_examples=60, deadline=None)
 def test_rank_plus_nullity_over_q(mat):
     rows, n = mat
-    M = ExactMatrix(rationals(), rows, n)
+    M = ExactMatrix(rationals(), _sparse_rows(rationals(), rows), n)
     assert M.rank() + len(M.kernel_basis()) == n
 
 
@@ -280,7 +291,7 @@ def test_rank_plus_nullity_over_q(mat):
 def test_kernel_vectors_lie_in_kernel_over_q(mat):
     rows, n = mat
     F = rationals()
-    M = ExactMatrix(F, rows, n)
+    M = ExactMatrix(F, _sparse_rows(F, rows), n)
     for v in M.kernel_basis():
         assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))
 
@@ -291,7 +302,7 @@ def test_gf2_rank_matches_generic_path(a, b, c):
     ints = [a, b, c]
     F = PrimeField(2)
     rows = [[(r >> j) & 1 for j in range(8)] for r in ints]
-    assert rank_gf2(ints) == ExactMatrix(F, rows, 8).rank()
+    assert rank_gf2(ints) == ExactMatrix(F, _sparse_rows(F, rows), 8).rank()
 
 
 # -- the integer-row kernel and the sparse engine against a dense reference
@@ -358,10 +369,13 @@ def _dependent_rows(draw, entry, combine):
 
 
 def _assert_same_rref(F, rows, n):
-    got = ExactMatrix(F, rows, n).rref()
+    """ExactMatrix's RREF of the dense rows, read through the adapter,
+    against the dense reference; its rows hold nonzero entries only."""
+    got = ExactMatrix(F, _sparse_rows(F, rows), n).rref()
     want = _dense_rref(F, rows, n)
     assert got.pivots == want.pivots
-    assert got.rows == want.rows
+    assert [_dense_row(F, r, n) for r in got.rows] == want.rows
+    assert not any(F.is_zero(x) for r in got.rows for x in r.values())
     assert got.ncols == n
     return got
 
@@ -396,13 +410,13 @@ _SHAPES = [([[3, Fraction(-1, 2), 0, _BIG + 1]], 4),          # 1 x n
 def test_integer_kernel_matches_generic_rref_over_q(mat):
     rows, n = mat
     got = _assert_same_rref(rationals(), rows, n)
-    assert all(type(v) is Fraction for row in got.rows for v in row)
+    assert all(type(v) is Fraction for row in got.rows for v in row.values())
 
 
 def test_integer_kernel_matches_generic_rref_on_edge_shapes():
     for rows, n in _SHAPES:
         got = _assert_same_rref(rationals(), rows, n)
-        assert all(type(v) is Fraction for row in got.rows for v in row)
+        assert all(type(v) is Fraction for row in got.rows for v in row.values())
         int_rows = [[Fraction(v).numerator for v in row] for row in rows]
         for p in (2, 3, 32003):
             _assert_same_rref(PrimeField(p), int_rows, n)
@@ -424,7 +438,7 @@ def test_integer_kernel_matches_generic_rref_over_fp(p, data):
                       st.integers(_BIG, 2 * _BIG))
     rows, n = data.draw(_dependent_rows(entry, lambda x, k, y: x + k * y))
     got = _assert_same_rref(PrimeField(p), rows, n)
-    assert all(type(v) is int and 0 <= v < p for row in got.rows for v in row)
+    assert all(type(v) is int and 0 <= v < p for row in got.rows for v in row.values())
 
 
 ENGINE_FIELDS = {"Q": rationals(), "F_3": PrimeField(3),
@@ -460,7 +474,7 @@ def test_forward_only_rank_matches_rref_pivots(name, data):
     # rank() eliminates forward only (no back pass, no densified rows)
     F = ENGINE_FIELDS[name]
     rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
-    m = ExactMatrix(F, rows, n)
+    m = ExactMatrix(F, _sparse_rows(F, rows), n)
     assert m.rank() == len(m.rref().pivots) == len(_dense_rref(F, rows, n).pivots)
 
 
@@ -471,7 +485,7 @@ def test_sparse_kernel_is_read_from_the_reduced_rows(name, data):
     F = ENGINE_FIELDS[name]
     rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
     red = _dense_rref(F, rows, n)
-    ker = ExactMatrix(F, rows, n).kernel_basis()
+    ker = ExactMatrix(F, _sparse_rows(F, rows), n).kernel_basis()
     assert len(ker) == n - red.rank
     for v, free in zip(ker, red.free_columns()):
         assert v[free] == F.one()
@@ -480,3 +494,73 @@ def test_sparse_kernel_is_read_from_the_reduced_rows(name, data):
         for row, pc in zip(red.rows, red.pivots):
             assert v.get(pc, F.zero()) == F.neg(row[free])
         assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))
+
+
+# -- the sparse row contract: any dict form of a row gives the same answers
+
+CONTRACT_FIELDS = {"Q": rationals(), "F_2": PrimeField(2), "F_32003": PrimeField(32003),
+                   "F_4": finite_field(2, 2), "F_9": finite_field(3, 2)}
+
+
+def _contract_entries(F):
+    if isinstance(F, PrimeField):
+        # residues beyond [0, p) include the explicit zeros p, -p, ...
+        return (st.one_of(st.integers(0, F.p - 1), st.integers(-3 * F.p, 3 * F.p)),
+                lambda x, k, y: x + k * y)
+    return _engine_entries(F)
+
+
+def _reference_kernel(F, red):
+    """The canonical kernel basis read off a dense reference RREF."""
+    basis = []
+    for free in red.free_columns():
+        v = {free: F.one()}
+        for row, pc in zip(red.rows, red.pivots):
+            if not F.is_zero(row[free]):
+                v[pc] = F.neg(row[free])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FIELDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
+    F = CONTRACT_FIELDS[name]
+    rows, n = data.draw(_dependent_rows(*_contract_entries(F)))
+    want = _dense_rref(F, rows, n)
+    # each zero entry kept as an explicit zero or dropped, keys in any
+    # order, and empty rows (the sparse form of zero rows) inserted
+    sparse_rows = []
+    for r in rows:
+        items = [(c, x) for c, x in enumerate(r)
+                 if not F.is_zero(x) or data.draw(st.booleans())]
+        sparse_rows.append(dict(data.draw(st.permutations(items))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        sparse_rows.insert(data.draw(st.integers(0, len(sparse_rows))), {})
+    M = ExactMatrix(F, sparse_rows, n)
+    assert M.rank() == want.rank
+    got = M.rref()
+    assert got.pivots == want.pivots
+    assert [_dense_row(F, r, n) for r in got.rows] == want.rows
+    for row, pc in zip(got.rows, got.pivots):
+        assert row[pc] == F.one()
+        assert not any(F.is_zero(x) for x in row.values())
+    assert M.kernel_basis() == _reference_kernel(F, want)
+
+
+def test_sparse_rows_edge_forms():
+    # no rows, only empty rows, and a row of explicit zeros, in every field
+    for F in CONTRACT_FIELDS.values():
+        z, one = F.zero(), F.one()
+        for rows in ([], [{}], [{}, {}], [{2: z, 0: z}]):
+            M = ExactMatrix(F, rows, 3)
+            assert M.rank() == 0
+            got = M.rref()
+            assert (got.rows, got.pivots) == ([], [])
+            assert M.kernel_basis() == [{0: one}, {1: one}, {2: one}]
+        # keys in descending order, a zero among them, an empty row between
+        M = ExactMatrix(F, [{2: one, 1: z, 0: one}, {}, {2: one}], 3)
+        assert M.rank() == 2
+        assert M.rref().rows == [{0: one}, {2: one}]
+        assert M.kernel_basis() == [{1: one}]

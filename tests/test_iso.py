@@ -177,6 +177,26 @@ def test_witness_verification_rejects_wrong_map(cusp):
     assert not verify_witness(A, A, w)
 
 
+def test_witness_verification_checks_the_tuple_condition():
+    # (Q[x]/x^3, x) and (Q[x]/x^3, 2x) at order 2: the identity kills the
+    # relations and is bijective, but sends the tuple x to x, not to 2x
+    a = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: x")
+    b = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: 2*x")
+    A, B = defpair_jet(a, 2), defpair_jet(b, 2)
+    identity = Witness(images=[B.var_image(0)])
+    assert verify_witness(A, B, identity)
+    assert not verify_witness(A, B, identity, match_tuples=True)
+    # the search finds x -> 2x, and both orientations re-verify with tuples
+    for S, T in ((A, B), (B, A)):
+        v = decide_isomorphism(S, T, BUDGET, match_tuples=True)
+        assert v.status == "ISO"
+        assert verify_witness(S, T, v.witness, match_tuples=True)
+        assert v.witness.images != identity.images
+    # tuples of different lengths admit no map of pairs
+    assert not verify_witness(A, jet(parse_presentation("ring Q[x]\nlocal\nideal: x^2"), 2),
+                              identity, match_tuples=True)
+
+
 def test_witness_inversion_roundtrip():
     a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^3")
     b = parse_presentation("ring Q[u, v]\ngraded\nideal: v^3, u^2")
@@ -403,7 +423,7 @@ def _rational_pairs(draw):
         q = parse_presentation(other + text[text.index("\ntuple"):]
                                if kind == "defpair" else other)
     if kind == "defpair":
-        n = draw(st.integers(1, 2))
+        n = draw(st.integers(2, 3))
         A, B = defpair_jet(p, n), defpair_jet(q, n)
     else:
         n = draw(st.integers(2, 4))

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from jetmetric import metric
 from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import (
     CrossCharacteristicError,
+    InternalInconsistencyError,
     NotStabilizedError,
     RangeError,
     UnknownStabilizationError,
 )
-from jetmetric.iso import SearchBudget, decide_isomorphism
+from jetmetric.iso import IsoVerdict, SearchBudget, Witness, decide_isomorphism
 from jetmetric.metric import (
     ball_descriptor,
     defpair_distance,
@@ -141,6 +143,24 @@ def test_defpair_distance_searches_only_maps_matching_the_tuples():
     v = defpair_distance(a, b, 2, budget=budget)
     assert [s.status for _, s in v.per_order] == ["ISO", "UNKNOWN"]
     assert v.upper == Fraction(1, 2)
+
+
+def test_projected_defpair_witnesses_are_reverified_with_the_tuples(monkeypatch):
+    # an order-3 ISO whose witness (the identity) ignores the tuples x and
+    # 2x, above budget-limited UNKNOWNs: pushed down to order 2 it maps the
+    # tuple x to x, not to 2x, so the driver must refuse it, not upgrade
+    a = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: x")
+    b = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: 2*x")
+
+    def decide(A, B, budget, match_tuples):
+        assert match_tuples
+        if A.origin.order < 3:
+            return IsoVerdict(status="UNKNOWN")
+        return IsoVerdict(status="ISO", witness=Witness(images=[B.var_image(0)]))
+
+    monkeypatch.setattr(metric, "decide_isomorphism", decide)
+    with pytest.raises(InternalInconsistencyError, match="order 2"):
+        defpair_distance(a, b, 3, budget=BUDGET)
 
 
 def test_limit_jets_of_cusp_family():
