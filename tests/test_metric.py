@@ -148,7 +148,7 @@ def test_defpair_distance_searches_only_maps_matching_the_tuples():
 def test_projected_defpair_witnesses_are_reverified_with_the_tuples(monkeypatch):
     # an order-3 ISO whose witness (the identity) ignores the tuples x and
     # 2x, above budget-limited UNKNOWNs: pushed down to order 2 it maps the
-    # tuple x to x, not to 2x, so the driver must refuse it, not upgrade
+    # tuple x to x, not to 2x, so defpair_distance must refuse it, not upgrade
     a = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: x")
     b = parse_presentation("ring Q[x]\nlocal\nideal: x^3\ntuple: 2*x")
 
