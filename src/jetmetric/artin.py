@@ -81,7 +81,6 @@ class AlgebraOrigin:
     presentation: Optional[Presentation]
     order: int
     kind: str = "jet"          # "jet" | "defpair"
-    internal_cap: int = 0
 
 
 class ArtinAlgebra:
@@ -295,7 +294,7 @@ def jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgeb
         raise RangeError("jet order must be nonnegative")
     fld = p.base_field()
     tq = truncated_quotient(fld, p.nvars, p.gens, n, capacity=capacity)
-    origin = AlgebraOrigin(presentation=p, order=n, kind="jet", internal_cap=n)
+    origin = AlgebraOrigin(presentation=p, order=n, kind="jet")
     return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin)
 
 
@@ -386,7 +385,7 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
     s = len(p.tuple)
     if n == 0:
         tq = truncated_quotient(fld, p.nvars, p.gens, 0, capacity=capacity)
-        origin = AlgebraOrigin(presentation=p, order=0, kind="defpair", internal_cap=0)
+        origin = AlgebraOrigin(presentation=p, order=0, kind="defpair")
         return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin,
                             tuple_images=[])
     colength = _colength(fld, p.nvars, p.gens + list(p.tuple), capacity)
@@ -399,7 +398,7 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
         raise CapacityError(count_monomials_below(p.nvars, cap), capacity,
                             f"deformation order {n} needs internal cap {cap}")
     tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
-    origin = AlgebraOrigin(presentation=p, order=n, kind="defpair", internal_cap=cap)
+    origin = AlgebraOrigin(presentation=p, order=n, kind="defpair")
     A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
     image = A.monomial_map([sparse(A.var_image(k)) for k in range(p.nvars)])
     A.tuple_images = [A.evaluate(t, image) for t in p.tuple]

@@ -212,9 +212,6 @@ class Field:
     desc: FieldDesc
 
     # subclasses implement: zero one add sub neg mul inv is_zero from_int to_str
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e: int):
         """a^e for e >= 0, by repeated squaring."""
         out = self.one()
@@ -226,22 +223,10 @@ class Field:
                 a = self.mul(a, a)
         return out
 
-    def sum(self, values) -> object:
-        acc = self.zero()
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
     # small vector conveniences shared by the algebra layers
     def vec_zero(self, n: int) -> list:
         z = self.zero()
         return [z] * n
-
-    def vec_scale(self, c, u: Sequence) -> list:
-        return [self.mul(c, a) for a in u]
-
-    def vec_is_zero(self, u: Sequence) -> bool:
-        return all(self.is_zero(a) for a in u)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.desc == other.desc

@@ -14,16 +14,13 @@ variables in a deterministic integer-encoding order: linear images first
 (complete for graded algebras, where an isomorphism can always be chosen
 degree-preserving), then images with higher-order terms for local inputs.
 Over the rationals only variable permutations combined with a fixed set of
-scalings are tried.  Each scaled candidate is first evaluated modulo one
-fixed prime MOD_P: reduction Z_(P) -> F_P is a ring homomorphism, so a
-relation (or tuple condition) whose value is nonzero mod P is nonzero over
-Q and the candidate is rejected without touching a Fraction.  The filter
-multiplies nothing in B: x_k -> s_k y_perm(k) sends each relation term
-c x^a to c s^a [y^(perm a)], and the class [y^b] is a normal form B already
-stores, so a per-permutation plan lists each coordinate's terms once and a
-candidate only evaluates them at its scalings' powers.  Acceptance is
-always exact: a candidate that survives goes through the full check over Q,
-and a pair with P in a denominator the plan reads is checked over Q only.
+scalings are tried.  Each scaled candidate is first screened by an exact
+integer plan that multiplies nothing in B: x_k -> s_k y_perm(k) sends each
+relation term c x^a to c s^a [y^(perm a)], and the class [y^b] is a normal
+form B already stores, so a per-permutation plan lists each coordinate's
+terms once, with denominators cleared, and a candidate only sums integer
+products of them with its scalings' powers.  A nonzero sum rejects the
+candidate; a candidate that survives still goes through the full check.
 
 Candidates are sparse images, the form algebra maps use, in every field;
 only a witness that is returned is made dense.
@@ -60,10 +57,6 @@ from .presentation import poly_to_str
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
                Fraction(1, 3), Fraction(-1, 3))
-
-# Rational candidates are first evaluated modulo this prime, 2^30 - 35:
-# below 2^30, every residue fits one CPython digit.
-MOD_P = 1073741789
 
 
 # ---------------------------------------------------------------------------
@@ -203,41 +196,30 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     return _map_scalars(A, dst, lambda c: embed_scalar(f, dst, root, c))
 
 
-class _DenominatorDivisible(Exception):
-    """MOD_P divides the denominator of a rational being reduced."""
+# An exact plan over the exponents a_0, a_1, ... its terms meet: for
+# QQ_SCALINGS[j] = n/d, columns[k][j] lists n^(a_t)_k d^(D_k - (a_t)_k) over t,
+# D_k the largest k-th exponent, and each coordinate that can be nonzero is
+# (integer coefficients, exponent indices t).
+ScaledPlan = tuple[list[list[list[int]]], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
 
-def _mod_p(c: Fraction) -> int:
-    den = c.denominator
-    if den == 1:
-        return c.numerator % MOD_P
-    if den % MOD_P == 0:
-        raise _DenominatorDivisible
-    return c.numerator * pow(den, -1, MOD_P) % MOD_P
-
-
-_SCALING_RESIDUES = tuple(_mod_p(c) for c in QQ_SCALINGS)
-
-# A mod-P plan over the exponents a_0, a_1, ... its terms meet: columns[k][j]
-# lists QQ_SCALINGS[j]^(a_t)_k over t, and each coordinate that can be
-# nonzero is (constant, coefficients, exponent indices t); all mod MOD_P.
-ModPPlan = tuple[list[list[list[int]]], list[tuple[int, tuple[int, ...], tuple[int, ...]]]]
-
-
-def _mod_p_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
-                tuple_constraint: bool) -> Optional[ModPPlan]:
-    """The mod-P filter of the scaled candidates x_k -> s_k y_perm(k) from A
-    to B over Q, or None when MOD_P divides a denominator it reads.
+def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
+                 tuple_constraint: bool) -> ScaledPlan:
+    """The exact filter of the scaled candidates x_k -> s_k y_perm(k) from A
+    to B over Q.
 
     Such a candidate sends c x^a to c s^a [y^(perm a)], with [y^b] B's normal
     form of y^b.  So a relation's value in coordinate i is the sum of
     (c [y^(perm a)]_i) s^a over its terms, and a tuple condition's is the
-    same sum over A's tuple image minus B's tuple image in coordinate i.  The
-    plan keeps every coordinate with a term or a constant, relations first,
-    and the scalings' powers its exponents need.
+    same sum over A's tuple image, with B's tuple image in coordinate i
+    subtracted as a term at a = 0.  Multiplying coordinate i by the lcm of
+    its coefficients' denominators, and every value by the product of
+    d_k^(D_k) for s_k = n_k/d_k, turns each term into an integer coefficient
+    times the column entries above; both factors are nonzero, so the integer
+    sum vanishes exactly when the rational value does.  The plan keeps every
+    coordinate with a nonzero term, relations first.
     """
     r = A.nvars
-    index: dict[Monomial, int] = {}
     classes: dict[Monomial, Sparse] = {}
 
     def cls(a: Monomial) -> Sparse:
@@ -246,40 +228,36 @@ def _mod_p_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
             b = [0] * r
             for k, e in enumerate(a):
                 b[perm[k]] += e
-            got = [(i, v) for i, c in enumerate(B.reduce_monomial(tuple(b)))
-                   if c and (v := _mod_p(c))]
-            classes[a] = got
+            got = classes[a] = sparse(B.reduce_monomial(tuple(b)))
         return got
 
-    def coordinates(terms, const: Sequence[int]) -> list:
-        coords: dict[int, list[tuple[int, int]]] = {
-            i: [] for i, c in enumerate(const) if c}
+    def coordinates(terms, const: Sequence = ()) -> list[dict[Monomial, Fraction]]:
+        coords: dict[int, dict[Monomial, Fraction]] = {
+            i: {(0,) * r: -c} for i, c in enumerate(const) if c}
         for a, c in terms:
-            if not c:
-                continue
-            # read the class even when c vanishes mod P: its product with a
-            # class that has P in a denominator need not vanish
-            got, c = cls(a), _mod_p(c)
-            if not (c and got):
-                continue
-            t = index.setdefault(a, len(index))
-            for i, v in got:
-                coords.setdefault(i, []).append((c * v % MOD_P, t))
-        return [(-const[i] % MOD_P if const else 0,
-                 tuple(c for c, _ in coords[i]), tuple(m for _, m in coords[i]))
-                for i in sorted(coords)]
+            if c:
+                for i, v in cls(a):
+                    row = coords.setdefault(i, {})
+                    row[a] = row.get(a, 0) + c * v
+        return [coords[i] for i in sorted(coords)]
 
-    try:
-        out = []
-        for g in A.relations:
-            out.extend(coordinates(g.terms.items(), ()))
-        if tuple_constraint:
-            for va, vb in zip(A.tuple_images, B.tuple_images):
-                out.extend(coordinates(zip(A.basis, va), [_mod_p(c) for c in vb]))
-    except _DenominatorDivisible:
-        return None
-    columns = [[[pow(c, a[k], MOD_P) for a in index] for c in _SCALING_RESIDUES]
-               for k in range(r)]
+    rows = []
+    for g in A.relations:
+        rows.extend(coordinates(g.terms.items()))
+    if tuple_constraint:
+        for va, vb in zip(A.tuple_images, B.tuple_images):
+            rows.extend(coordinates(zip(A.basis, va), vb))
+    index: dict[Monomial, int] = {}
+    out = []
+    for row in rows:
+        row = {a: c for a, c in row.items() if c}
+        if row:
+            den = lcm(*(c.denominator for c in row.values()))
+            out.append((tuple(c.numerator * (den // c.denominator) for c in row.values()),
+                        tuple(index.setdefault(a, len(index)) for a in row)))
+    top = [max((a[k] for a in index), default=0) for k in range(r)]
+    columns = [[[s.numerator ** a[k] * s.denominator ** (top[k] - a[k]) for a in index]
+                for s in QQ_SCALINGS] for k in range(r)]
     return columns, out
 
 
@@ -490,20 +468,14 @@ class _EffortExceeded(Exception):
 class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
-    Candidates are lists of sparse generator images.  Over Q the scaled
-    candidates are filtered modulo MOD_P before `_check` runs over Q.  The
-    filter reads B's normal forms through a per-permutation plan
-    (`_mod_p_plan`), built the first time the search reaches a scaled
+    Candidates are lists of sparse generator images.  Over Q each scaled
+    candidate is first screened by its permutation's exact integer plan
+    (`_scaled_plan`), built the first time the search reaches a scaled
     candidate of that permutation and cached here, so a pair settled by the
-    identity or a permutation never pays for one.  Evaluating a relation at
-    the images, or carrying a tuple image across, takes only sums and
-    products of the scalings, B's normal-form entries and the relations' or
-    tuples' coefficients; when none has P in its denominator, reduction mod
-    P commutes with the whole computation, so a value nonzero mod P is
-    nonzero over Q and the candidate is rightly rejected.  The converse
-    fails (a nonzero rational may vanish mod P), so a candidate that
-    survives is checked exactly, and once a plan finds P in a denominator
-    the pair is checked over Q only.
+    identity or a permutation never pays for one.  The plan's sums are the
+    relation and tuple values over Q times nonzero integers, so a nonzero
+    sum rightly rejects the candidate; `_check` still decides every
+    candidate that survives.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
@@ -517,8 +489,7 @@ class _Searcher:
         self.lin_idx = B.component(1)
         self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
-        # mod-P plans by permutation; None once P divides a denominator
-        self.plans: Optional[dict[tuple[int, ...], ModPPlan]] = {}
+        self.plans: dict[tuple[int, ...], ScaledPlan] = {}
 
     def _charge(self):
         if self.effort_left <= 0:
@@ -526,35 +497,23 @@ class _Searcher:
         self.effort_left -= 1
         self.tried += 1
 
-    def _plan(self, perm: tuple[int, ...]) -> Optional[ModPPlan]:
-        """The cached mod-P plan of perm, or None when the pair is checked
-        over Q only."""
-        if self.plans is None:
-            return None
+    def _vanishes(self, perm: tuple[int, ...], scals: tuple[int, ...]) -> bool:
+        """Whether the relations and tuple conditions vanish at
+        x_k -> QQ_SCALINGS[scals[k]] y_perm(k), read off perm's cached plan.
+        Stops at the first nonzero coordinate."""
         plan = self.plans.get(perm)
         if plan is None:
-            plan = _mod_p_plan(self.A, self.B, perm, self.tuple_constraint)
-            if plan is None:
-                self.plans = None
-                return None
-            self.plans[perm] = plan
-        return plan
-
-    def _vanishes_mod_p(self, perm: tuple[int, ...], scals: tuple[int, ...]) -> bool:
-        """Whether the relations and tuple conditions vanish mod MOD_P at
-        x_k -> QQ_SCALINGS[scals[k]] y_perm(k); True when the pair is checked
-        over Q only.  Stops at the first nonzero coordinate."""
-        plan = self._plan(perm)
-        if plan is None:
-            return True
+            plan = self.plans[perm] = _scaled_plan(self.A, self.B, perm,
+                                                   self.tuple_constraint)
         columns, coords = plan
-        scale = columns[0][scals[0]]        # s^a for each exponent a
+        scale = columns[0][scals[0]]        # d^D s^a for each exponent a
         for k in range(1, len(scals)):
-            scale = [x * y % MOD_P for x, y in zip(scale, columns[k][scals[k]])]
-        for acc, cs, ms in coords:
+            scale = [x * y for x, y in zip(scale, columns[k][scals[k]])]
+        for cs, ms in coords:
+            acc = 0
             for c, m in zip(cs, ms):
                 acc += c * scale[m]
-            if acc % MOD_P:
+            if acc:
                 return False
         return True
 
@@ -573,9 +532,9 @@ class _Searcher:
              scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
              ) -> Optional[Witness]:
         """Charge one candidate and check it; a scaled candidate given as
-        (perm, scals) is first filtered mod MOD_P.  The witness is dense."""
+        (perm, scals) is first screened by its plan.  The witness is dense."""
         self._charge()
-        if scaled is not None and not self._vanishes_mod_p(*scaled):
+        if scaled is not None and not self._vanishes(*scaled):
             return None
         if self._check(images):
             return Witness(images=[self.B.dense(v) for v in images])

@@ -216,7 +216,8 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
             raise GradingError("residue-field resolution needs a graded presentation")
         if dcap is None:
             dcap = hcap + 3
-        A = jet(src, dcap + 1, capacity=capacity)
+        # the degree-1 generators, and so e, need the jet past degree 1
+        A = jet(src, max(dcap, 1) + 1, capacity=capacity)
     else:
         A = src
         if A.is_zero_ring():

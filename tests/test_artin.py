@@ -17,7 +17,6 @@ from jetmetric.artin import (
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
 from jetmetric.exactcore import ExactMatrix, PrimeField
-from jetmetric.iso import MOD_P
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 
@@ -153,7 +152,8 @@ def test_socle_vectors_annihilate_every_variable(seed, field):
     f = A.field
     for v in basis:
         for k in range(A.nvars):
-            assert f.vec_is_zero(A.dense(A.multiply(sparse(A.var_image(k)), sparse(v))))
+            prod = A.dense(A.multiply(sparse(A.var_image(k)), sparse(v)))
+            assert all(f.is_zero(c) for c in prod)
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
@@ -183,7 +183,7 @@ def test_high_power_relation_evaluates_without_recursion():
     A = jet(p, 4)
     rel, = A.relations
     at_vars = A.monomial_map([sparse(A.var_image(0)), sparse(A.var_image(1))])
-    assert A.field.vec_is_zero(A.evaluate(rel, at_vars))
+    assert all(A.field.is_zero(c) for c in A.evaluate(rel, at_vars))
     at_one = A.monomial_map([sparse(A.one_vec()), sparse(A.var_image(1))])
     assert A.evaluate(rel, at_one) == A.one_vec()
 
@@ -227,7 +227,7 @@ def test_defpair_jet_rejects_tuple_of_units():
 DIFFERENTIAL_RINGS = {"Q": ("Q", ["1", "(-1)", "2", "(1/2)"]),
                       "F_3": ("F_3", ["1", "2"]),
                       "F_4": ("F_2^2 minpoly a^2 + a + 1", ["1", "a", "(1+a)"]),
-                      "F_P": (f"F_{MOD_P}", ["1", "(-1)", "2", "3"])}
+                      "F_P": ("F_1073741789", ["1", "(-1)", "2", "3"])}
 
 
 def _differential_presentation(rng: random.Random, field: str, mode: str):

