@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .artin import defpair_jet, hf_by_degree_count, jet, nilpotency_index, socle
-from .errors import JetMetricError, PresentationSyntaxError
+from .errors import JetMetricError, PresentationSyntaxError, RangeError
 from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
 from .iso import SearchBudget, Witness, witness_field
@@ -245,6 +245,9 @@ def _run_slopes(args):
 
 def _run_resolve(args):
     p, digest = _load(args.file)
+    # checked in both modes: only the residue-field resolution reads the cap
+    if args.hcap < 1:
+        raise RangeError("homological cap must be at least 1")
     if args.residue_field:
         res = betti_residue_field(p, args.hcap, args.dcap, capacity=args.cap)
     else:

@@ -16,11 +16,14 @@ built on top of it) is canonical and reproducible.  Matrix rows go in and
 come out in one form, a sparse dict {column: value}: callers hand over the
 entries they hold, and reduced rows and kernel vectors carry their nonzero
 entries only.  This module is the only one that row-reduces, with one
-routine per kind of field: over Q and F_p fraction-free Gauss-Jordan on
-rows of Python ints (one division per entry at the end), over F_{p^m} the
-sparse incremental :class:`Echelon` in the field's arithmetic (which the
-graded resolution also uses for membership tests), and for F_2 graded ranks
-:func:`rank_gf2` on bitmask rows.  No floating point anywhere.
+routine per kind of field: over Q and F_p elimination on sparse rows
+{column: int} (fraction-free over Q, one division per entry at the end;
+residues with a unit pivot over F_p), over F_{p^m} the sparse incremental
+:class:`Echelon` in the field's arithmetic (which the graded resolution
+also uses for membership tests), and for F_2 graded ranks :func:`rank_gf2`
+on bitmask rows.  Both sparse routines take a row's smallest column as its
+pivot, so an elimination touches only the nonzero entries.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -621,13 +624,13 @@ class ExactMatrix:
     dict {column: value} of raw values, absent columns zero (explicit zero
     values are allowed, and keys may come in any order).
 
-    :meth:`rref` over Q and F_p builds Python-int rows from the given
-    entries (clearing denominators over Q, reducing mod p over F_p) and
-    eliminates them with :func:`_rref_int`; over F_{p^m}, whose codes are
-    not int arithmetic, it feeds the rows to an :class:`Echelon`.  Either
-    way the reduced rows come back as dicts of their nonzero entries, the
-    pivot entry one.  :meth:`rank` runs the forward half of either and
-    counts pivots.
+    :meth:`rref` over Q and F_p builds sparse integer rows {column: int}
+    from the given entries (clearing denominators and content over Q,
+    reducing mod p over F_p) and eliminates them with :func:`_rref_int`;
+    over F_{p^m}, whose codes are not int arithmetic, it feeds the rows to
+    an :class:`Echelon`.  Either way the reduced rows come back as dicts of
+    their nonzero entries, the pivot entry one.  :meth:`rank` runs the
+    forward half of either and counts pivots.
     """
 
     def __init__(self, field: Field, rows: list[dict], ncols: int):
@@ -650,11 +653,11 @@ class ExactMatrix:
         return RrefResult(rows=list(red.values()), pivots=list(red), ncols=self.ncols)
 
     def rank(self) -> int:
-        """The rank, from a forward elimination only: no back-substitution
-        and no division by the pivots."""
+        """The rank, from a forward elimination on the sparse rows only: no
+        back-substitution, and over Q no division by the pivots."""
         f = self.field
         if isinstance(f, (RationalField, PrimeField)):
-            return len(_echelon_int(self.rows, self.ncols, f.desc.characteristic)[1])
+            return len(_echelon_int(self.rows, f.desc.characteristic))
         ech = Echelon(f)
         return sum(ech.add(row) for row in self.rows)
 
@@ -735,86 +738,102 @@ class Echelon:
         return dict(reversed(done.items()))
 
 
-def _int_row(row: dict, ncols: int, p: int) -> list[int] | None:
-    """The integer row, of length ncols, with the span of the sparse
-    ``row``, or None for a zero row.
+def _int_row(row: dict, p: int) -> dict[int, int]:
+    """The sparse integer row {column: int} with the span of ``row``, its
+    nonzero entries only (empty for a zero row).
 
     Over F_p entries are reduced mod p.  Over Q (p = 0) denominators are
     cleared and the content divided out.
     """
     if p:
-        out = [0] * ncols
-        for c, a in row.items():
-            out[c] = a % p
-        return out if any(out) else None
-    nz = [(c, a) for c, a in row.items() if a]
+        return {c: r for c, a in row.items() if (r := a % p)}
+    nz = {c: a for c, a in row.items() if a}
     if not nz:
-        return None
-    out = [0] * ncols
-    den = lcm(*[a.denominator for _, a in nz])
-    for c, a in nz:
-        out[c] = a.numerator * (den // a.denominator)
-    g = gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+        return nz
+    den = lcm(*[a.denominator for a in nz.values()])
+    out = {c: a.numerator * (den // a.denominator) for c, a in nz.items()}
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
 
 
-def _combine_int(cur: list[int], prow: list[int], col: int, start: int,
-                 p: int) -> list[int]:
-    """cur cleared at col by the pivot row prow, with the fraction-free
-    combination lead*x - c*y; both rows vanish before start.  Over Q the
-    result is divided by its gcd, over F_p reduced mod p."""
-    lead, c = prow[col], cur[col]
-    pairs = zip(cur[start:], prow[start:])
+def _clear(v: dict[int, int], prow: dict[int, int], col: int, p: int) -> dict[int, int]:
+    """v cleared at col by the pivot row prow (both sparse integer rows).
+
+    Over F_p prow's entry at col is one and v becomes v - x*prow mod p,
+    in place.  Over Q v becomes the fraction-free combination
+    (lead/g)*v - (x/g)*prow, with g = gcd(lead, x), divided by its content.
+    """
+    x = v[col]
     if p:
-        return cur[:start] + [(lead * x - c * y) % p for x, y in pairs]
-    new = [lead * x - c * y for x, y in pairs]
-    g = gcd(*new)
-    return cur[:start] + ([v // g for v in new] if g > 1 else new)
+        for i, y in prow.items():
+            z = (v.get(i, 0) - x * y) % p
+            if z:
+                v[i] = z
+            else:
+                del v[i]
+        return v
+    lead = prow[col]
+    g = gcd(lead, x)
+    a, b = lead // g, x // g
+    if a != 1:
+        v = {i: a * y for i, y in v.items()}
+    for i, y in prow.items():
+        z = v.get(i, 0) - b * y
+        if z:
+            v[i] = z
+        else:
+            del v[i]
+    g = gcd(*v.values())
+    return {i: y // g for i, y in v.items()} if g > 1 else v
 
 
-def _echelon_int(in_rows: list[dict], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Forward pass over Q (p = 0) or F_p on rows of Python ints: the
-    nonzero echelon rows, not back-substituted or normalized, and their
-    pivot columns."""
-    rows = [r for r in (_int_row(r, ncols, p) for r in in_rows) if r is not None]
-    pivots: list[int] = []
-    for col in range(ncols):
-        top = len(pivots)
-        if top == len(rows):
-            break
-        hits = [r for r in range(top, len(rows)) if rows[r][col]]
-        if not hits:
-            continue
-        # rows top..hits[0]-1 vanish at col, so the swap leaves hits[1:] in place
-        rows[top], rows[hits[0]] = rows[hits[0]], rows[top]
-        prow = rows[top]
-        for r in hits[1:]:
-            rows[r] = _combine_int(rows[r], prow, col, col, p)
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
+def _echelon_int(in_rows: Iterable[dict], p: int) -> dict[int, dict[int, int]]:
+    """Forward pass over Q (p = 0) or F_p on sparse integer rows: pivot
+    column -> echelon row, not back-substituted.  A row's pivot is its
+    smallest column, as in :class:`Echelon`; over F_p the pivot entry is
+    one, over Q the rows stay fraction-free."""
+    piv: dict[int, dict[int, int]] = {}
+    for row in in_rows:
+        v = _int_row(row, p)
+        while v:
+            c = min(v)
+            prow = piv.get(c)
+            if prow is None:
+                if p and v[c] != 1:
+                    inv = pow(v[c], -1, p)
+                    v = {i: x * inv % p for i, x in v.items()}
+                piv[c] = v
+                break
+            v = _clear(v, prow, c, p)
+    return piv
 
 
 def _rref_int(in_rows: list[dict], ncols: int, p: int) -> RrefResult:
-    """RREF over Q (p = 0) or F_p on rows of Python ints.
+    """RREF over Q (p = 0) or F_p on sparse integer rows.
 
-    The forward pass of :func:`_echelon_int` and a back pass clear each
-    pivot column with :func:`_combine_int`.  Each entry is divided by its
-    row's pivot once, at the end: ``Fraction(v, lead)`` over Q,
-    ``v * lead^-1 mod p`` over F_p.
+    The forward pass of :func:`_echelon_int`, then back-substitution from
+    the last pivot up: each row is cleared with :func:`_clear` at the
+    pivots right of its own, whose rows are already reduced and so vanish
+    at every other pivot.  Over Q each entry is divided by its row's pivot once, at
+    the end, as ``Fraction(x, lead)``.  Rows come out with their columns
+    ascending.
     """
-    rows, pivots = _echelon_int(in_rows, ncols, p)
-    for i in range(len(pivots) - 1, 0, -1):
-        pc, prow = pivots[i], rows[i]
-        for j in [j for j in range(i) if rows[j][pc]]:
-            rows[j] = _combine_int(rows[j], prow, pc, pivots[j], p)
+    piv = _echelon_int(in_rows, p)
+    pivots = sorted(piv)
+    done: dict[int, dict[int, int]] = {}
+    for pc in reversed(pivots):
+        v = piv[pc]
+        for j in [j for j in v if j in done]:
+            v = _clear(v, done[j], j, p)
+        done[pc] = v
     out: list[dict] = []
-    for row, pc in zip(rows, pivots):
-        lead = row[pc]
+    for pc in pivots:
+        v = done[pc]
         if p:
-            inv = pow(lead, -1, p)
-            out.append({c: v * inv % p for c, v in enumerate(row) if v})
+            out.append({c: v[c] for c in sorted(v)})
         else:
-            out.append({c: Fraction(v, lead) for c, v in enumerate(row) if v})
+            lead = v[pc]
+            out.append({c: Fraction(v[c], lead) for c in sorted(v)})
     return RrefResult(rows=out, pivots=pivots, ncols=ncols)
 
 

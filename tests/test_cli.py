@@ -247,6 +247,8 @@ def test_oversized_power_exits_one_without_traceback(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["resolve", f"{INPUTS}/fat-point.pres", "--residue-field", "--hcap", "0"],
+    ["resolve", f"{INPUTS}/fat-point.pres", "--hcap", "0"],
+    ["resolve", f"{INPUTS}/fat-point.pres", "--hcap", "0", "--dcap", "-7"],
     ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "5..3"],
     ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "0..3"],
 ])

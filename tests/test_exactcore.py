@@ -368,6 +368,57 @@ def _dependent_rows(draw, entry, combine):
     return rows, n
 
 
+@st.composite
+def _macaulay_rows(draw, F):
+    """A Macaulay-shaped matrix over F: up to 40 columns, rows of 1-4
+    nonzero entries that repeat a few generator patterns at shifted columns
+    (as monomial multiples of a generator do), with zero rows, duplicates
+    and combinations of earlier rows among them."""
+    combine = _contract_entries(F)[1]
+    if isinstance(F, PrimeField):
+        # nonzero residues, some of them 2^64-sized ints
+        nonzero = st.builds(lambda r, k: r + k * F.p, st.integers(1, F.p - 1),
+                            st.sampled_from([0, 0, 1, _BIG // F.p]))
+    else:
+        nonzero = _q_entry.filter(bool)
+    zero = F.zero()
+    # sampled, not drawn as integers, so that large shapes are as likely as small
+    n = draw(st.sampled_from(range(1, 41)))
+    width = min(n, 7)
+    pattern = st.lists(st.integers(0, width - 1), min_size=1, max_size=4,
+                       unique=True).flatmap(
+        lambda cols: st.lists(nonzero, min_size=len(cols), max_size=len(cols))
+        .map(lambda xs: list(zip(cols, xs))))
+    patterns = draw(st.lists(pattern, min_size=1, max_size=4))
+    rows: list[list] = []
+    for _ in range(draw(st.sampled_from(range(1, 41)))):
+        kind = draw(st.sampled_from(["shift"] * 5 + ["zero", "copy", "combination"]))
+        if kind == "zero":
+            rows.append([zero] * n)
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([combine(x, k, y) for x, y in zip(a, b)])
+        else:
+            row = [zero] * n
+            shift = draw(st.sampled_from(range(n - width + 1)))
+            for offset, x in draw(st.sampled_from(patterns)):
+                row[shift + offset] = x
+            rows.append(row)
+    return rows, n
+
+
+def _assert_value_types(F, rows):
+    """Reduced rows over Q hold Fractions, over F_p ints in [0, p)."""
+    values = [x for row in rows for x in row.values()]
+    if F == rationals():
+        assert all(type(x) is Fraction for x in values)
+    elif isinstance(F, PrimeField):
+        assert all(type(x) is int and 0 <= x < F.p for x in values)
+
+
 def _assert_same_rref(F, rows, n):
     """ExactMatrix's RREF of the dense rows, read through the adapter,
     against the dense reference; its rows hold nonzero entries only."""
@@ -467,13 +518,16 @@ def test_echelon_engine_matches_dense_reference(name, data):
         _assert_same_rref(F, rows, n)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_FIELDS))
+RANK_FIELDS = {**ENGINE_FIELDS, "F_2": PrimeField(2), "F_32003": PrimeField(32003)}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_FIELDS))
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_forward_only_rank_matches_rref_pivots(name, data):
     # rank() eliminates forward only (no back pass, no densified rows)
-    F = ENGINE_FIELDS[name]
-    rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
+    F = RANK_FIELDS[name]
+    rows, n = data.draw(_any_rows(F))
     m = ExactMatrix(F, _sparse_rows(F, rows), n)
     assert m.rank() == len(m.rref().pivots) == len(_dense_rref(F, rows, n).pivots)
 
@@ -505,9 +559,19 @@ CONTRACT_FIELDS = {"Q": rationals(), "F_2": PrimeField(2), "F_32003": PrimeField
 def _contract_entries(F):
     if isinstance(F, PrimeField):
         # residues beyond [0, p) include the explicit zeros p, -p, ...
-        return (st.one_of(st.integers(0, F.p - 1), st.integers(-3 * F.p, 3 * F.p)),
+        return (st.one_of(st.integers(0, F.p - 1), st.integers(-3 * F.p, 3 * F.p),
+                          st.integers(_BIG, 2 * _BIG)),
                 lambda x, k, y: x + k * y)
     return _engine_entries(F)
+
+
+def _any_rows(F):
+    """Small matrices with entries of F, or over Q and F_p, whose sparse
+    integer rows they exercise, also Macaulay-shaped ones."""
+    entry, combine = _contract_entries(F)
+    if isinstance(F, ExtensionField):
+        return _dependent_rows(entry, combine)
+    return st.one_of(_dependent_rows(entry, combine), _macaulay_rows(F))
 
 
 def _reference_kernel(F, red):
@@ -527,15 +591,19 @@ def _reference_kernel(F, red):
 @settings(max_examples=100, deadline=None)
 def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
     F = CONTRACT_FIELDS[name]
-    rows, n = data.draw(_dependent_rows(*_contract_entries(F)))
+    rows, n = data.draw(_any_rows(F))
     want = _dense_rref(F, rows, n)
     # each zero entry kept as an explicit zero or dropped, keys in any
-    # order, and empty rows (the sparse form of zero rows) inserted
+    # order, and empty rows (the sparse form of zero rows) inserted; one
+    # seeded generator makes the per-entry choices, which a 40-column
+    # matrix has too many of to draw one by one
+    rnd = data.draw(st.randoms(use_true_random=False))
     sparse_rows = []
     for r in rows:
         items = [(c, x) for c, x in enumerate(r)
-                 if not F.is_zero(x) or data.draw(st.booleans())]
-        sparse_rows.append(dict(data.draw(st.permutations(items))))
+                 if not F.is_zero(x) or rnd.random() < 0.5]
+        rnd.shuffle(items)
+        sparse_rows.append(dict(items))
     for _ in range(data.draw(st.integers(0, 2))):
         sparse_rows.insert(data.draw(st.integers(0, len(sparse_rows))), {})
     M = ExactMatrix(F, sparse_rows, n)
@@ -546,6 +614,7 @@ def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
     for row, pc in zip(got.rows, got.pivots):
         assert row[pc] == F.one()
         assert not any(F.is_zero(x) for x in row.values())
+    _assert_value_types(F, got.rows)
     assert M.kernel_basis() == _reference_kernel(F, want)
 
 
