@@ -347,11 +347,9 @@ _q_entry = st.one_of(
 )
 
 
-@st.composite
-def _dependent_rows(draw, entry, combine):
-    """A matrix whose later rows may be zero, copies or combinations of earlier ones."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
+def _draw_rows(draw, m, n, fresh, combine):
+    """m rows of length n drawn from the strategy ``fresh``, with zero rows,
+    copies and combinations of earlier rows among them."""
     rows: list[list] = []
     for _ in range(m):
         kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"]))
@@ -364,25 +362,31 @@ def _dependent_rows(draw, entry, combine):
             k = draw(st.integers(-3, 3))
             rows.append([combine(x, k, y) for x, y in zip(a, b)])
         else:
-            rows.append([draw(entry) for _ in range(n)])
-    return rows, n
+            rows.append(draw(fresh))
+    return rows
+
+
+@st.composite
+def _dependent_rows(draw, entry, combine):
+    """A matrix whose later rows may be zero, copies or combinations of earlier ones."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    return _draw_rows(draw, m, n, st.lists(entry, min_size=n, max_size=n), combine), n
 
 
 @st.composite
 def _macaulay_rows(draw, F):
-    """A Macaulay-shaped matrix over F: up to 40 columns, rows of 1-4
+    """A Macaulay-shaped matrix over F: up to 40 columns, fresh rows of 1-4
     nonzero entries that repeat a few generator patterns at shifted columns
     (as monomial multiples of a generator do), with zero rows, duplicates
     and combinations of earlier rows among them."""
-    combine = _contract_entries(F)[1]
     if isinstance(F, PrimeField):
         # nonzero residues, some of them 2^64-sized ints
         nonzero = st.builds(lambda r, k: r + k * F.p, st.integers(1, F.p - 1),
                             st.sampled_from([0, 0, 1, _BIG // F.p]))
     else:
         nonzero = _q_entry.filter(bool)
-    zero = F.zero()
-    # sampled, not drawn as integers, so that large shapes are as likely as small
+    # sampled: Hypothesis draws integers mostly near the ends of their range
     n = draw(st.sampled_from(range(1, 41)))
     width = min(n, 7)
     pattern = st.lists(st.integers(0, width - 1), min_size=1, max_size=4,
@@ -390,24 +394,17 @@ def _macaulay_rows(draw, F):
         lambda cols: st.lists(nonzero, min_size=len(cols), max_size=len(cols))
         .map(lambda xs: list(zip(cols, xs))))
     patterns = draw(st.lists(pattern, min_size=1, max_size=4))
-    rows: list[list] = []
-    for _ in range(draw(st.sampled_from(range(1, 41)))):
-        kind = draw(st.sampled_from(["shift"] * 5 + ["zero", "copy", "combination"]))
-        if kind == "zero":
-            rows.append([zero] * n)
-        elif kind == "copy" and rows:
-            rows.append(list(draw(st.sampled_from(rows))))
-        elif kind == "combination" and rows:
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            k = draw(st.integers(-3, 3))
-            rows.append([combine(x, k, y) for x, y in zip(a, b)])
-        else:
-            row = [zero] * n
-            shift = draw(st.sampled_from(range(n - width + 1)))
-            for offset, x in draw(st.sampled_from(patterns)):
-                row[shift + offset] = x
-            rows.append(row)
-    return rows, n
+
+    def shifted(pat, shift):
+        row = [0] * n
+        for offset, x in pat:
+            row[shift + offset] = x
+        return row
+
+    fresh = st.builds(shifted, st.sampled_from(patterns),
+                      st.sampled_from(range(n - width + 1)))
+    m = draw(st.sampled_from(range(1, 41)))
+    return _draw_rows(draw, m, n, fresh, _contract_entries(F)[1]), n
 
 
 def _assert_value_types(F, rows):
@@ -421,14 +418,15 @@ def _assert_value_types(F, rows):
 
 def _assert_same_rref(F, rows, n):
     """ExactMatrix's RREF of the dense rows, read through the adapter,
-    against the dense reference; its rows hold nonzero entries only."""
+    against the dense reference; its rows hold nonzero entries only, as
+    Fractions over Q and residues in [0, p) over F_p."""
     got = ExactMatrix(F, _sparse_rows(F, rows), n).rref()
     want = _dense_rref(F, rows, n)
     assert got.pivots == want.pivots
     assert [_dense_row(F, r, n) for r in got.rows] == want.rows
     assert not any(F.is_zero(x) for r in got.rows for x in r.values())
     assert got.ncols == n
-    return got
+    _assert_value_types(F, got.rows)
 
 
 def _echelon_rref(F, rows, n):
@@ -460,14 +458,12 @@ _SHAPES = [([[3, Fraction(-1, 2), 0, _BIG + 1]], 4),          # 1 x n
 @settings(max_examples=300, deadline=None)
 def test_integer_kernel_matches_generic_rref_over_q(mat):
     rows, n = mat
-    got = _assert_same_rref(rationals(), rows, n)
-    assert all(type(v) is Fraction for row in got.rows for v in row.values())
+    _assert_same_rref(rationals(), rows, n)
 
 
 def test_integer_kernel_matches_generic_rref_on_edge_shapes():
     for rows, n in _SHAPES:
-        got = _assert_same_rref(rationals(), rows, n)
-        assert all(type(v) is Fraction for row in got.rows for v in row.values())
+        _assert_same_rref(rationals(), rows, n)
         int_rows = [[Fraction(v).numerator for v in row] for row in rows]
         for p in (2, 3, 32003):
             _assert_same_rref(PrimeField(p), int_rows, n)
@@ -488,8 +484,7 @@ def test_integer_kernel_matches_generic_rref_over_fp(p, data):
     entry = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p),
                       st.integers(_BIG, 2 * _BIG))
     rows, n = data.draw(_dependent_rows(entry, lambda x, k, y: x + k * y))
-    got = _assert_same_rref(PrimeField(p), rows, n)
-    assert all(type(v) is int and 0 <= v < p for row in got.rows for v in row.values())
+    _assert_same_rref(PrimeField(p), rows, n)
 
 
 ENGINE_FIELDS = {"Q": rationals(), "F_3": PrimeField(3),
