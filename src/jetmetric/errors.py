@@ -51,10 +51,12 @@ class RangeError(JetMetricError):
 
 
 class CapacityError(JetMetricError):
-    """A truncated quotient would exceed the configured dimension cap."""
+    """A truncated quotient, or the leading-ideal engine's span, would exceed
+    the configured capacity."""
 
-    def __init__(self, needed: int, cap: int, context: str = ""):
-        msg = f"jet dimension {needed} exceeds capacity {cap}"
+    def __init__(self, needed: int, cap: int, context: str = "",
+                 what: str = "jet dimension"):
+        msg = f"{what} {needed} exceeds capacity {cap}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

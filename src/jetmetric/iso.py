@@ -3,9 +3,12 @@
 Verdicts are tri-state.  NOT_ISO is only ever produced by a separating
 invariant whose value is stable under coefficient-field extension (lengths,
 Hilbert function, nilpotency, socle dimension, embedding dimension,
-multiplication-rank profile), so a NOT_ISO verdict rules out isomorphism
-after any base change as well.  ISO comes with an explicit generator-image
-witness that is re-verified mechanically.  Exhausting the search space over
+multiplication-rank profile, dimension of the derivation space), so a NOT_ISO
+verdict rules out isomorphism after any base change as well.  The derivation
+space costs one rank on r * dim A rows, so it is compared only when the
+identity and the variable permutations have failed, before the larger
+candidate lists, and at most once per decision.  ISO comes with an explicit
+generator-image witness that is re-verified mechanically.  Exhausting the search space over
 the allowed extensions without finding a witness yields UNKNOWN — the honest
 outcome, since bigger coefficient fields might still glue the two algebras.
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .artin import (
     ArtinAlgebra,
@@ -51,7 +54,7 @@ from .exactcore import (
     RationalField,
     finite_field,
 )
-from .poly import Monomial, TruncatedQuotient
+from .poly import Monomial, TruncatedQuotient, monomials_of_degree
 from .presentation import poly_to_str
 
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -74,6 +77,7 @@ class InvariantSignature:
     socle_dimension: int
     embedding_dimension: int
     multiplication_rank_profile: tuple[int, ...]
+    derivation_dimension: int
 
 
 def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
@@ -96,9 +100,51 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
     return tuple(profile)
 
 
+def derivation_dimension(A: ArtinAlgebra) -> int:
+    """dim_k Der_k(A), the dimension of the Lie algebra of k-derivations
+    (Mather-Yau, Invent. Math. 69, 1982).
+
+    A derivation D is fixed by the images D(x_i) in A, and it is well defined
+    exactly when every generator g of I + m^cap (A's relations and the
+    degree-cap monomials) gives sum_i [dg/dx_i] D(x_i) = 0 in A.  With
+    D(x_i) = sum_j d_ij b_j over the basis, the unknown d_ij meets generator
+    g through [dg/dx_i] b_j, so one row per (i, j), holding those products
+    for all g side by side, has the rank of the system, and
+    dim Der = r dim A - rank.  A rank over k does not change under field
+    extension, nor does the dimension depend on the presentation.
+    """
+    if A.is_zero_ring():
+        return 0
+    f, r, n = A.field, A.nvars, A.dim
+    gens = [list(g.terms.items()) for g in A.relations]
+    gens += [[(m, f.one())] for m in monomials_of_degree(r, A.cap)]
+
+    def cls(m: Monomial) -> Sparse:
+        return sparse(A.reduce_monomial(m))
+
+    rows: list[dict] = []
+    for i in range(r):
+        partials = []
+        for terms in gens:
+            d = [(a[:i] + (a[i] - 1,) + a[i + 1:], f.mul(c, f.from_int(a[i])))
+                 for a, c in terms if a[i]]
+            partials.append(sparse(A.combine(d, cls)))
+        for j in range(n):
+            unit = [(j, f.one())]
+            row: dict = {}
+            for g, dg in enumerate(partials):
+                if dg:
+                    for k, v in A.multiply(dg, unit):
+                        row[g * n + k] = v
+            rows.append(row)
+    return r * n - ExactMatrix(f, rows, len(gens) * n).rank()
+
+
 # The separating invariants as (name, function), in the order
 # `find_separator` compares them and `InvariantSignature` lists them; each is
 # defined on the zero ring too.  Cheap invariants come first.
+# `decide_isomorphism` compares all but the last before its search, and the
+# last only once the identity and the permutations have failed.
 INVARIANTS = (
     ("length", lambda A: A.dim),
     ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
@@ -106,6 +152,7 @@ INVARIANTS = (
     ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle(A)[0]),
     ("embedding_dimension", lambda A: len(A.component(1))),
     ("multiplication_rank_profile", _mult_rank_profile),
+    ("derivation_dimension", derivation_dimension),
 )
 
 
@@ -113,10 +160,12 @@ def invariant_signature(A: ArtinAlgebra) -> InvariantSignature:
     return InvariantSignature(**{name: inv(A) for name, inv in INVARIANTS})
 
 
-def find_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Optional[tuple[str, object, object]]:
-    """First differing invariant between A and B, or None; an invariant is
-    computed only when every earlier one agrees."""
-    for name, inv in INVARIANTS:
+def find_separator(A: ArtinAlgebra, B: ArtinAlgebra,
+                   invariants: Sequence = INVARIANTS
+                   ) -> Optional[tuple[str, object, object]]:
+    """First differing invariant of `invariants` between A and B, or None; an
+    invariant is computed only when every earlier one agrees."""
+    for name, inv in invariants:
         va, vb = inv(A), inv(B)
         if va != vb:
             return (name, va, vb)
@@ -465,6 +514,27 @@ class _EffortExceeded(Exception):
     pass
 
 
+class _Separated(Exception):
+    """The late separator told the pair apart; args[0] is the separator."""
+
+
+def _late_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Callable[[], None]:
+    """The check the search runs once the identity and the permutations have
+    failed: the first call compares the last of `INVARIANTS` on A and B, in
+    the caller's order and before any base change, and raises _Separated
+    when it differs; later calls do nothing."""
+    pending = True
+
+    def check() -> None:
+        nonlocal pending
+        if pending:
+            pending = False
+            sep = find_separator(A, B, INVARIANTS[-1:])
+            if sep is not None:
+                raise _Separated(sep)
+    return check
+
+
 class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
@@ -475,11 +545,12 @@ class _Searcher:
     identity or a permutation never pays for one.  The plan's sums are the
     relation and tuple values over Q times nonzero integers, so a nonzero
     sum rightly rejects the candidate; `_check` still decides every
-    candidate that survives.
+    candidate that survives.  Between the permutations and those candidates
+    it runs `late_check`, which may end the search with _Separated.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
-                 tuple_constraint: bool):
+                 tuple_constraint: bool, late_check: Callable[[], None] = lambda: None):
         self.A = A
         self.B = B
         self.field = B.field
@@ -490,6 +561,7 @@ class _Searcher:
         self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
         self.plans: dict[tuple[int, ...], ScaledPlan] = {}
+        self.late_check = late_check
 
     def _charge(self):
         if self.effort_left <= 0:
@@ -600,7 +672,8 @@ class _Searcher:
 
     def run(self, graded: bool) -> tuple[Optional[Witness], bool]:
         """(witness or None, whole space exhausted?); raises _EffortExceeded
-        when the effort runs out first."""
+        when the effort runs out first and _Separated when the late check
+        separates the pair."""
         ident = self.identity_candidate()
         if ident is not None:
             w = self._try(ident)
@@ -610,6 +683,7 @@ class _Searcher:
             w = self._try(images)
             if w is not None:
                 return w, False
+        self.late_check()
         if isinstance(self.field, RationalField):
             for images, scaled in self.rational_candidates():
                 w = self._try(images, scaled)
@@ -639,7 +713,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if A.field.desc != B.field.desc:
         raise FieldMismatchError(
             f"cannot compare algebras over {A.field.desc.label()} and {B.field.desc.label()}")
-    sep = find_separator(A, B)
+    sep = find_separator(A, B, INVARIANTS[:-1])
     if sep is not None:
         return IsoVerdict(status="NOT_ISO", separator=sep)
     if A.dim == 0:
@@ -659,7 +733,11 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
 
     swapped = _algebra_key(B) < _algebra_key(A)
     first, second = (B, A) if swapped else (A, B)
-    verdict = _decide_oriented(first, second, budget, match_tuples)
+    try:
+        verdict = _decide_oriented(first, second, budget, match_tuples,
+                                   _late_separator(A, B))
+    except _Separated as e:
+        return IsoVerdict(status="NOT_ISO", separator=e.args[0])
     if swapped and verdict.status == "ISO":
         inv = invert_witness(first, second, verdict.witness)
         if not verify_witness(A, B, inv, match_tuples):
@@ -670,14 +748,14 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
 
 
 def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
-                     match_tuples: bool) -> IsoVerdict:
+                     match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
     effort_left = budget.effort
     tried_total = 0
 
     if isinstance(f, RationalField):
-        searcher = _Searcher(A, B, effort_left, match_tuples)
+        searcher = _Searcher(A, B, effort_left, match_tuples, late_check)
         stopped_by = "candidates"
         try:
             w, _ = searcher.run(graded)
@@ -702,7 +780,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         Ak = base_change(A, m_prime)
         Bk = base_change(B, m_prime)
         ext_tried = m_prime
-        searcher = _Searcher(Ak, Bk, effort_left, match_tuples)
+        searcher = _Searcher(Ak, Bk, effort_left, match_tuples, late_check)
         try:
             w, seen_all = searcher.run(graded)
         except _EffortExceeded:

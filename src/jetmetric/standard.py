@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, ConstantTermError
 from .exactcore import Echelon, Field
-from .poly import (DEFAULT_CAPACITY, Monomial, Poly, count_monomials_below,
-                   grlex_key, mono_mul, monomials_of_degree)
+from .poly import DEFAULT_CAPACITY, Monomial, Poly, grlex_key, mono_mul, monomials_of_degree
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -89,21 +88,23 @@ def _pairs_reduce(field: Field, basis: list, d: int, verified: set) -> bool:
 def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
                   capacity: int = DEFAULT_CAPACITY) -> tuple[Monomial, ...]:
     """Minimal generators of L(I), I = (gens), ascending grlex.  Raises
-    CapacityError before a degree d whose monomials of degree <= d exceed
-    the capacity."""
+    CapacityError once the span holds more rows than the capacity; the
+    x^u * g of a nonzero g are independent, so the rows grow with d and
+    every input either stops or raises."""
     if any(not field.is_zero(g.constant_term()) for g in gens):
         raise ConstantTermError("ideal generator has nonzero constant term")
     top = max((g.degree() for g in gens), default=0)
     ech, basis, verified, d = Echelon(field), [], set(), 0
     while True:
-        n_mono = count_monomials_below(nvars, d + 1)
-        if n_mono > capacity:
-            raise CapacityError(n_mono, capacity, f"degree {d} in {nvars} variables")
         before = set(ech.rows)
         for g in gens:
             if g.degree() <= d:
                 for u in monomials_of_degree(nvars, d - g.degree()):
-                    ech.add({grlex_key(mono_mul(u, m)): c for m, c in g.terms.items()})
+                    row = {grlex_key(mono_mul(u, m)): c for m, c in g.terms.items()}
+                    if ech.add(row) and len(ech.rows) > capacity:
+                        raise CapacityError(len(ech.rows), capacity,
+                                            f"degree {d} in {nvars} variables",
+                                            what="leading-ideal row count")
         for deg, b in sorted(k for k in ech.rows if k not in before):
             if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
                 basis.append((d - deg, b, dict(ech.rows[(deg, b)])))

@@ -73,16 +73,16 @@ def _random_mono(rng: random.Random, nvars: int, deg: int):
 
 
 def random_presentation_text(rng: random.Random, field: str, nvars: int,
-                             mode: str, max_deg: int = 4) -> str:
+                             mode: str, max_deg: int = 4, min_deg: int = 1) -> str:
     names = ["x", "y", "z"][:nvars]
     ngens = rng.randint(1, 3)
     gens = []
     for _ in range(ngens):
         if mode == "graded":
-            deg = rng.randint(1, max_deg)
+            deg = rng.randint(min_deg, max_deg)
             degs = [deg] * rng.randint(1, 3)
         else:
-            degs = [rng.randint(1, max_deg) for _ in range(rng.randint(1, 3))]
+            degs = [rng.randint(min_deg, max_deg) for _ in range(rng.randint(1, 3))]
         terms = []
         for d in degs:
             mono = _random_mono(rng, nvars, d)
@@ -98,9 +98,9 @@ def random_presentation_text(rng: random.Random, field: str, nvars: int,
 
 
 def random_presentation(rng: random.Random, field: str, nvars: int, mode: str,
-                        max_deg: int = 4):
+                        max_deg: int = 4, min_deg: int = 1):
     return parse_presentation(
-        random_presentation_text(rng, field, nvars, mode, max_deg))
+        random_presentation_text(rng, field, nvars, mode, max_deg, min_deg))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from jetmetric.iso import (
     witness_field,
 )
 from jetmetric.errors import RangeError
-from jetmetric.exactcore import TABLE_MAX_ORDER, RationalField, _is_prime, finite_field
+from jetmetric.exactcore import TABLE_MAX_ORDER, ExactMatrix, RationalField, _is_prime, finite_field
 from jetmetric.poly import Poly
 from jetmetric.presentation import parse_presentation, print_presentation
 
@@ -593,3 +593,181 @@ def test_sparse_coordinate_candidates_follow_the_dense_order(text, ext, order):
             n += 1
         assert n == min(20_000, s.space_size(coords))
         assert n > B.field.order ** len(coords)
+
+
+# ---------------------------------------------------------------------------
+# the derivation-space separator
+
+
+TRIPLE6 = ("ring F_3[x, y, z]\ngraded\nideal: y^2, x*y^2*z + 2*y*z^3 + 2*x^2*y*z",
+           "ring F_3[x, y, z]\ngraded\nideal: x^2*y, 2*y*z")
+
+
+def test_derivation_dimension_reports_in_the_callers_order():
+    # criterion-01 triple 6, pair 0-1, at order 3: every eager invariant
+    # agrees, the identity and permutations fail, and Der has dimension 22
+    # against 20; both orientations report the values as the caller gave
+    # the pair, and both re-evaluate through the signature
+    A, B = (jet(parse_presentation(t), 3) for t in TRIPLE6)
+    for S, T, want in ((A, B, (22, 20)), (B, A, (20, 22))):
+        v = _decide(S, T)
+        assert v.status == "NOT_ISO"
+        assert v.separator == ("derivation_dimension", *want)
+        assert invariant_signature(S).derivation_dimension == want[0]
+        assert invariant_signature(T).derivation_dimension == want[1]
+
+
+@pytest.mark.parametrize("text, order, want", [
+    # 3x^2 D(x) = 0 puts D(x) in (x) over Q; over F_3 the derivative of x^3
+    # vanishes and D(x) is free
+    ("ring Q[x]\nlocal\nideal: x^3", 5, 2),
+    ("ring F_3[x]\nlocal\nideal: x^3", 5, 3),
+    ("ring Q[x]\nlocal\nideal: x^3", 3, 2),
+    ("ring F_3[x]\nlocal\nideal: x^3", 3, 3),
+    # 2x D(x) = 0 puts D(x) in (x) = <x, xy> over Q; over F_2 every pair of
+    # images is a derivation of the 4-dimensional algebra
+    ("ring Q[x, y]\ngraded\nideal: x^2, y^2", 3, 4),
+    ("ring F_2[x, y]\ngraded\nideal: x^2, y^2", 3, 8),
+    # the field has no derivation, the zero ring one
+    ("ring Q[x, y]\ngraded\nideal: ;", 1, 0),
+    ("ring Q[x, y]\ngraded\nideal: ;", 0, 0),
+])
+def test_derivation_dimension_of_small_algebras(text, order, want):
+    assert iso.derivation_dimension(jet(parse_presentation(text), order)) == want
+
+
+def _linear_change(p, rng):
+    """The presentation whose ideal is p's under an invertible linear
+    x_k -> sum_j M[k][j] x_j, M drawn from rng."""
+    f, r = p.base_field(), p.nvars
+    pool = ([Fraction(c) for c in (-2, -1, 0, 1, 2)] if isinstance(f, RationalField)
+            else list(f.elements()))
+    while True:
+        M = [[rng.choice(pool) for _ in range(r)] for _ in range(r)]
+        if ExactMatrix(f, [dict(enumerate(row)) for row in M], r).rank() == r:
+            break
+    xs = [Poly.variable(f, r, j) for j in range(r)]
+    lin = [reduce(lambda a, b: a + b, (x.scale(c) for x, c in zip(xs, row))) for row in M]
+    one = Poly.constant(f, r, f.one())
+
+    def substituted(g):
+        out = Poly.zero(f, r)
+        for mono, c in g.terms.items():
+            out = out + reduce(lambda a, b: a * b, (l.pow(e) for l, e in zip(lin, mono)),
+                               one).scale(c)
+        return out
+
+    q = parse_presentation(print_presentation(p))
+    q.gens = [substituted(g) for g in p.gens]
+    return q
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_derivation_dimension_survives_linear_coordinate_changes(seed, field, mode,
+                                                                 nvars, order):
+    # relations of degree 2 and 3 keep the jets from collapsing to a point
+    rng = random.Random(seed)
+    p = random_presentation(rng, field, nvars, mode, max_deg=3, min_deg=2)
+    q = _linear_change(p, rng)
+    A, B = jet(p, order), jet(q, order)
+    assert A.dim == B.dim
+    assert iso.derivation_dimension(A) == iso.derivation_dimension(B)
+
+
+def _leibniz_defect(A, D):
+    """For D a list of dense images of A's basis, the dense vectors
+    D(b_k b_l) - D(b_k) b_l - b_k D(b_l) over basis pairs k <= l, products
+    taken by the reference `dense_product`."""
+    f, n = A.field, A.dim
+
+    def apply(v):
+        out = f.vec_zero(n)
+        for c, img in zip(v, D):
+            out = [f.add(o, f.mul(c, w)) for o, w in zip(out, img)]
+        return out
+
+    for k in range(n):
+        for l in range(k, n):
+            prod = A.reduce_monomial(tuple(a + b for a, b in zip(A.basis[k], A.basis[l])))
+            left = apply(prod)
+            for u, w in ((D[k], A.unit_vec(l)), (A.unit_vec(k), D[l])):
+                left = [f.sub(x, y) for x, y in zip(left, dense_product(A, u, w))]
+            yield left
+
+
+def _dense_rank(rows):
+    """Rank of a list of rational rows by plain Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] / rows[rank][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["graded", "local"]),
+       st.integers(1, 3), st.integers(2, 3))
+@settings(max_examples=30, deadline=None)
+def test_derivation_dimension_matches_a_dense_nullspace_over_q(seed, mode, nvars, order):
+    # the unknowns are the entries D_ji of D(b_j) = sum_i D_ji b_i for an
+    # arbitrary linear map D, and the equations are the Leibniz rule
+    # D(b_k b_l) = D(b_k) b_l + b_k D(b_l) on basis pairs, read off the normal
+    # forms: the nullspace is Der(A) itself, with no presentation or partial
+    # derivative involved
+    A = jet(random_presentation(random.Random(seed), "Q", nvars, mode, max_deg=3,
+                                min_deg=2), order)
+    n = A.dim
+    if n > 8:
+        return
+    prod = [[A.reduce_monomial(tuple(a + b for a, b in zip(u, v))) for v in A.basis]
+            for u in A.basis]
+    rows = []
+    for k in range(n):
+        for l in range(k, n):
+            for o in range(n):
+                rows.append([prod[k][l][j] * (i == o) - (k == j) * prod[i][l][o]
+                             - (l == j) * prod[k][i][o]
+                             for j in range(n) for i in range(n)])
+    assert iso.derivation_dimension(A) == n * n - _dense_rank(rows)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("ring F_2[x]\nlocal\nideal: x^2", 4),
+    ("ring F_2[x, y]\ngraded\nideal: x^2, y^2", 3),
+    ("ring F_2[x, y]\nlocal\nideal: x^2 + y^3", 3),
+    ("ring F_2[x, y]\ngraded\nideal: x*y", 3),
+    ("ring F_2[x, y]\nlocal\nideal: y + x^2", 4),
+    ("ring F_2[x, y]\ngraded\nideal: x^2 + x*y, y^3", 4),
+])
+def test_derivation_dimension_counts_every_derivation_over_f2(text, order):
+    # enumerate all images D(x_i) in A; D is a derivation exactly when the
+    # map it forces on the basis, D(x^a) = sum_i a_i x^(a - e_i) D(x_i),
+    # obeys the Leibniz rule and sends each [x_i] back to D(x_i)
+    A = jet(parse_presentation(text), order)
+    f, n, r = A.field, A.dim, A.nvars
+    count = 0
+    for flat in product((0, 1), repeat=r * n):
+        d = [list(flat[i * n:(i + 1) * n]) for i in range(r)]
+        D = []
+        for a in A.basis:
+            img = f.vec_zero(n)
+            for i in range(r):
+                if a[i]:
+                    lower = A.unit_vec(A.basis.index(a[:i] + (a[i] - 1,) + a[i + 1:]))
+                    img = [(x + a[i] * y) % 2
+                           for x, y in zip(img, dense_product(A, lower, d[i]))]
+            D.append(img)
+        if any(any(v) for v in _leibniz_defect(A, D)):
+            continue
+        images = [[sum(c * w for c, w in zip(A.var_image(i), col)) % 2
+                   for col in zip(*D)] for i in range(r)]
+        count += images == d
+    assert count == 2 ** iso.derivation_dimension(A)

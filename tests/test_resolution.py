@@ -182,15 +182,16 @@ def test_depth_plus_pd_is_the_variable_count():
 
 
 def test_resolution_drivers_pass_their_capacity_to_the_engine(quartic_cone):
-    # 20 monomials of degree <= 3 in 3 variables fit, the 35 of degree <= 4
-    # the engine needs for x^4 + y^4 + z^4 do not; the jets would fail later
-    # with "cap ..." had the engine run at the default capacity
+    # the engine's span of x^4 + y^4 + z^4 holds one row at degree 4, where
+    # it stops: capacity 0 is too small for it and capacity 1 is enough; the
+    # jets would fail later with "cap ..." had the engine run at the default
+    # capacity
     for driver in (minimal_resolution_of_quotient, depth_and_classify):
-        with pytest.raises(CapacityError, match=r"exceeds capacity 20 \(degree 4 in 3"):
-            driver(quartic_cone, capacity=20)
+        with pytest.raises(CapacityError, match=r"row count 1 exceeds capacity 0 \(degree 4 in 3"):
+            driver(quartic_cone, capacity=0)
     with pytest.raises(CapacityError, match=r"\(degree 4 in 3"):
-        hilbert_series(quartic_cone, capacity=20)
-    assert hilbert_series(quartic_cone, capacity=35).numerator == [1, 1, 1, 1]
+        hilbert_series(quartic_cone, capacity=0)
+    assert hilbert_series(quartic_cone, capacity=1).numerator == [1, 1, 1, 1]
 
 
 def test_resolution_requires_graded_input(cusp):

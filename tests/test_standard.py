@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetmetric.artin import jet
@@ -55,13 +55,20 @@ def test_series_expands_the_rational_form():
 
 
 def test_capacity_guard_stops_the_degree_loop():
-    p = parse_presentation("ring Q[x, y, z]\nlocal\nideal: x^9 + y^9 + z^9")
-    with pytest.raises(CapacityError):
-        leading_ideal(p.base_field(), p.nvars, p.gens, capacity=100)
+    # the guard counts the span's rows, not the monomials below the degree:
+    # this input stops at degree 21 with 1,720 rows, where 2,024 monomials of
+    # degree <= 21 would have outnumbered the default capacity of 2,000
+    p = parse_presentation("ring Q[x, y, z]\nlocal\n"
+                           "ideal: -x^3 + 2*x*y^3 - 2*y*z^2, 1/2*z + 2*z + 2*z^4")
+    with pytest.raises(CapacityError, match=r"row count 1001 exceeds capacity 1000 "
+                                            r"\(degree 18 in 3"):
+        leading_ideal(p.base_field(), p.nvars, p.gens, capacity=1000)
+    assert leading_ideal(p.base_field(), p.nvars, p.gens) == ((0, 0, 1), (3, 0, 0))
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
        st.sampled_from(["local", "graded"]), st.integers(1, 3))
+@example(1225, "Q", "local", 3)
 @settings(max_examples=60, deadline=None)
 def test_engine_lengths_match_jet_dimensions(seed, field, mode, nvars):
     p = random_presentation(random.Random(seed), field, nvars, mode)
