@@ -245,9 +245,12 @@ def _run_slopes(args):
 
 def _run_resolve(args):
     p, digest = _load(args.file)
-    # checked in both modes: only the residue-field resolution reads the cap
+    # only the residue-field resolution reads the caps; --hcap is checked in
+    # both modes and stays accepted without --residue-field, --dcap is not
     if args.hcap < 1:
         raise RangeError("homological cap must be at least 1")
+    if args.dcap is not None and not args.residue_field:
+        raise UsageError("--dcap requires --residue-field")
     if args.residue_field:
         res = betti_residue_field(p, args.hcap, args.dcap, capacity=args.cap)
     else:
@@ -347,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--residue-field", action="store_true",
                     help="resolve the residue field instead of the quotient")
     sp.add_argument("--hcap", type=int, default=6)
-    sp.add_argument("--dcap", type=int, default=None)
+    sp.add_argument("--dcap", type=int, default=None,
+                    help="internal degree cap; needs --residue-field")
     common(sp)
 
     sp = sub.add_parser("classify", help="depth, dimension, and ring flags")

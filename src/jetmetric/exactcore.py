@@ -718,6 +718,13 @@ class Echelon:
                     v[i] = sub(x, mul(coef, r))
         return False
 
+    def copy(self) -> "Echelon":
+        """An echelon with the same rows that grows on its own; rows are
+        never changed once stored, so they are shared."""
+        out = Echelon(self.field)
+        out.rows = dict(self.rows)
+        return out
+
     def reduced(self) -> dict[object, dict]:
         """Back-substitution: the reduced row echelon form as pivot -> row
         ({key: value} of its nonzero entries, one at the pivot), in ascending

@@ -17,13 +17,24 @@ variables in a deterministic integer-encoding order: linear images first
 (complete for graded algebras, where an isomorphism can always be chosen
 degree-preserving), then images with higher-order terms for local inputs.
 Over the rationals only variable permutations combined with a fixed set of
-scalings are tried.  Each scaled candidate is first screened by an exact
-integer plan that multiplies nothing in B: x_k -> s_k y_perm(k) sends each
-relation term c x^a to c s^a [y^(perm a)], and the class [y^b] is a normal
-form B already stores, so a per-permutation plan lists each coordinate's
-terms once, with denominators cleared, and a candidate only sums integer
-products of them with its scalings' powers.  A nonzero sum rejects the
-candidate; a candidate that survives still goes through the full check.
+scalings are tried.  The scaled candidates are screened by an exact integer
+plan that multiplies nothing in B: x_k -> s_k y_perm(k) sends each relation
+term c x^a to c s^a [y^(perm a)], and the class [y^b] is a normal form B
+already stores, so a per-permutation plan lists each coordinate's terms
+once, with denominators cleared, and sums integer products of them with the
+scalings' powers.  A nonzero sum rejects the candidate.
+
+Both lists are walked as trees of prefixes in their own order, and each
+prefix is decided once.  Over Q a prefix of the scalings decides every plan
+coordinate whose terms differ in no later exponent; over F_q a prefix of
+generator images fails when its degree-1 rows, with one more row for each
+image still free, cannot span m/m^2, and the last image meets the relations
+split by powers of its variable, evaluated once per prefix.  A prefix that
+fails for every completion charges all of them against the effort in one
+step, with the arithmetic of charging them one by one, so the effort spent,
+the point where it runs out and the first witness are those of the
+candidate-by-candidate search.  A candidate that survives still goes
+through the exact relation and bijectivity checks.
 
 Candidates are sparse images, the form algebra maps use, in every field;
 only a witness that is returned is made dense.
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import lcm
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +59,7 @@ from .artin import (
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
 from .exactcore import (
+    Echelon,
     ExactMatrix,
     Field,
     PrimeField,
@@ -247,15 +259,16 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
 
 # An exact plan over the exponents a_0, a_1, ... its terms meet: for
 # QQ_SCALINGS[j] = n/d, columns[k][j] lists n^(a_t)_k d^(D_k - (a_t)_k) over t,
-# D_k the largest k-th exponent, and each coordinate that can be nonzero is
-# (integer coefficients, exponent indices t).
-ScaledPlan = tuple[list[list[list[int]]], list[tuple[tuple[int, ...], tuple[int, ...]]]]
+# D_k the largest k-th exponent, and levels[k] lists the coordinates that
+# scalings 0..k decide, each as (integer coefficients, exponent indices t).
+PlanCoordinate = tuple[tuple[int, ...], tuple[int, ...]]
+ScaledPlan = tuple[list[list[list[int]]], list[list[PlanCoordinate]]]
 
 
 def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
-                 tuple_constraint: bool) -> ScaledPlan:
+                 tuple_constraint: bool) -> Optional[ScaledPlan]:
     """The exact filter of the scaled candidates x_k -> s_k y_perm(k) from A
-    to B over Q.
+    to B over Q, or None when no scaling can pass it.
 
     Such a candidate sends c x^a to c s^a [y^(perm a)], with [y^b] B's normal
     form of y^b.  So a relation's value in coordinate i is the sum of
@@ -267,6 +280,13 @@ def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
     times the column entries above; both factors are nonzero, so the integer
     sum vanishes exactly when the rational value does.  The plan keeps every
     coordinate with a nonzero term, relations first.
+
+    A scaling s_k at which all of a coordinate's terms share the exponent
+    a_k multiplies each of them by the same nonzero column entry, so the
+    coordinate's level, the last k at which its exponents differ, is the
+    last scaling its vanishing depends on: the product of columns 0..level
+    decides it.  A coordinate whose exponents never differ is a single
+    term, nonzero at every scaling, and then the plan is None.
     """
     r = A.nvars
     classes: dict[Monomial, Sparse] = {}
@@ -297,17 +317,22 @@ def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
         for va, vb in zip(A.tuple_images, B.tuple_images):
             rows.extend(coordinates(zip(A.basis, va), vb))
     index: dict[Monomial, int] = {}
-    out = []
+    levels: list[list[PlanCoordinate]] = [[] for _ in range(r)]
     for row in rows:
         row = {a: c for a, c in row.items() if c}
         if row:
+            level = max((k for k in range(r) if len({a[k] for a in row}) > 1),
+                        default=None)
+            if level is None:
+                return None
             den = lcm(*(c.denominator for c in row.values()))
-            out.append((tuple(c.numerator * (den // c.denominator) for c in row.values()),
-                        tuple(index.setdefault(a, len(index)) for a in row)))
+            levels[level].append(
+                (tuple(c.numerator * (den // c.denominator) for c in row.values()),
+                 tuple(index.setdefault(a, len(index)) for a in row)))
     top = [max((a[k] for a in index), default=0) for k in range(r)]
     columns = [[[s.numerator ** a[k] * s.denominator ** (top[k] - a[k]) for a in index]
                 for s in QQ_SCALINGS] for k in range(r)]
-    return columns, out
+    return columns, levels
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +519,29 @@ class SearchBudget:
             raise RangeError(f"search effort must be nonnegative, got {self.effort}")
 
 
-def _algebra_key(A: ArtinAlgebra) -> tuple:
-    nf_items = tuple(sorted(
-        (mono, tuple(A.field.to_str(c) for c in vec)) for mono, vec in A.nf.items()))
-    rels = tuple(poly_to_str(g, tuple(f"v{i}" for i in range(A.nvars)))
-                 for g in A.relations)
-    return (A.nvars, A.cap, tuple(A.basis), nf_items, rels)
+def _precedes(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
+    """Whether A sorts strictly before B in the order that orients a pair:
+    nvars, cap and basis, then the normal forms by monomial with their
+    coefficients compared as printed, then the relations as printed, each
+    sequence ordered as a tuple.  Equal bases and caps store normal forms of
+    the same monomials, every other one below the cap, in vectors of one
+    length.  A coefficient is printed only where the two values differ, and
+    a relation only where the earlier ones print alike."""
+    a, b = (A.nvars, A.cap, tuple(A.basis)), (B.nvars, B.cap, tuple(B.basis))
+    if a != b:
+        return a < b
+    for mono in sorted(A.nf):
+        for ca, cb in zip(A.nf[mono], B.nf[mono]):
+            if ca != cb:
+                sa, sb = A.field.to_str(ca), B.field.to_str(cb)
+                if sa != sb:
+                    return sa < sb
+    names = tuple(f"v{i}" for i in range(A.nvars))
+    for ga, gb in zip(A.relations, B.relations):
+        sa, sb = poly_to_str(ga, names), poly_to_str(gb, names)
+        if sa != sb:
+            return sa < sb
+    return len(A.relations) < len(B.relations)
 
 
 def _is_graded_input(A: ArtinAlgebra) -> bool:
@@ -535,18 +577,52 @@ def _late_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Callable[[], None]:
     return check
 
 
+def _plan_vanishes(coords: Sequence[PlanCoordinate], scale: Sequence[int]) -> bool:
+    """Whether every plan coordinate sums to zero against the column
+    product scale."""
+    for cs, ms in coords:
+        acc = 0
+        for c, m in zip(cs, ms):
+            acc += c * scale[m]
+        if acc:
+            return False
+    return True
+
+
+# how many enumerated F_q images (sparse form, degree-1 row, memoized powers)
+# one search keeps from one block to the next
+_KEPT_VECTORS = 1 << 12
+
+
 class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
-    Candidates are lists of sparse generator images.  Over Q each scaled
-    candidate is first screened by its permutation's exact integer plan
-    (`_scaled_plan`), built the first time the search reaches a scaled
-    candidate of that permutation and cached here, so a pair settled by the
-    identity or a permutation never pays for one.  The plan's sums are the
-    relation and tuple values over Q times nonzero integers, so a nonzero
-    sum rightly rejects the candidate; `_check` still decides every
-    candidate that survives.  Between the permutations and those candidates
-    it runs `late_check`, which may end the search with _Separated.
+    Candidates are lists of sparse generator images, tried in a fixed order:
+    the identity, the variable permutations, then, after `late_check` (which
+    may end the search with _Separated), the scaled candidates over Q or the
+    enumerated ones over F_q.  Every candidate in that order counts against
+    the effort, whether or not it is built.
+
+    The last two lists are walked as trees of prefixes in their own order,
+    and each prefix is decided once.  A prefix that fails for every
+    completion is charged as one block by `_charge_block`, whose arithmetic
+    is that of as many single charges, so `tried`, the effort left, the
+    point where the effort runs out and the first witness are those of the
+    list walked one candidate at a time.
+
+    Over Q a prefix of the scalings decides the plan coordinates of its
+    level (`_scaled_plan`, built once per permutation when the search
+    reaches it), and a permutation whose plan is None is charged whole.
+    Over F_q a prefix of images fails when the rank of their degree-1 rows
+    plus the number of images still free is below the embedding dimension.
+    With only image 0 free, surjectivity is the last row's reduction against
+    the fixed rows' echelon, read at its one free column, and (without tuple
+    conditions) each relation is split as sum_e x_0^e H_e with the H_e
+    evaluated once: a relation whose H_e vanish for e >= 1 but not for
+    e = 0 fails the whole block, and otherwise sum_e v^e H_e filters each
+    candidate v.  Every candidate that survives still goes through the exact
+    relation and bijectivity checks (`_check`), and every witness
+    through `verify_witness` in the caller.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
@@ -560,57 +636,37 @@ class _Searcher:
         self.lin_idx = B.component(1)
         self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
-        self.plans: dict[tuple[int, ...], ScaledPlan] = {}
         self.late_check = late_check
 
-    def _charge(self):
-        if self.effort_left <= 0:
-            raise _EffortExceeded
-        self.effort_left -= 1
-        self.tried += 1
-
-    def _vanishes(self, perm: tuple[int, ...], scals: tuple[int, ...]) -> bool:
-        """Whether the relations and tuple conditions vanish at
-        x_k -> QQ_SCALINGS[scals[k]] y_perm(k), read off perm's cached plan.
-        Stops at the first nonzero coordinate."""
-        plan = self.plans.get(perm)
-        if plan is None:
-            plan = self.plans[perm] = _scaled_plan(self.A, self.B, perm,
-                                                   self.tuple_constraint)
-        columns, coords = plan
-        scale = columns[0][scals[0]]        # d^D s^a for each exponent a
-        for k in range(1, len(scals)):
-            scale = [x * y for x, y in zip(scale, columns[k][scals[k]])]
-        for cs, ms in coords:
-            acc = 0
-            for c, m in zip(cs, ms):
-                acc += c * scale[m]
-            if acc:
-                return False
-        return True
+    def _charge_block(self, n: int) -> None:
+        """Charge n candidates as n single charges would: when fewer are
+        left, charge those and raise _EffortExceeded."""
+        if n <= self.effort_left:
+            self.effort_left -= n
+            self.tried += n
+            return
+        self.tried += self.effort_left
+        self.effort_left = 0
+        raise _EffortExceeded
 
     def _check(self, images: list[Sparse]) -> bool:
-        """Whether the sparse images define an isomorphism."""
-        A, B, lin_pos = self.A, self.B, self.lin_pos
-        # cheap surjectivity filter: degree-1 coordinates must span
-        lin_rows = [{lin_pos[i]: c for i, c in img if i in lin_pos} for img in images]
-        if ExactMatrix(self.field, lin_rows, len(lin_pos)).rank() != len(lin_pos):
-            return False
+        """Whether the sparse images define an isomorphism: they kill the
+        relations (and match the tuple images when asked) and give a
+        bijective linear map.  Images built from B's variable images, as the
+        identity, the permutations and the scaled candidates are, always
+        span m/m^2; the enumeration tests that span itself."""
+        A, B = self.A, self.B
         image = B.monomial_map(images)
         return (_maps_relations(A, B, image, self.tuple_constraint)
                 and _bijective(A, B, image))
 
-    def _try(self, images: list[Sparse],
-             scaled: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-             ) -> Optional[Witness]:
-        """Charge one candidate and check it; a scaled candidate given as
-        (perm, scals) is first screened by its plan.  The witness is dense."""
-        self._charge()
-        if scaled is not None and not self._vanishes(*scaled):
-            return None
-        if self._check(images):
-            return Witness(images=[self.B.dense(v) for v in images])
-        return None
+    def _witness(self, images: list[Sparse]) -> Witness:
+        return Witness(images=[self.B.dense(v) for v in images])
+
+    def _try(self, images: list[Sparse]) -> Optional[Witness]:
+        """Charge one candidate and check it; the witness is dense."""
+        self._charge_block(1)
+        return self._witness(images) if self._check(images) else None
 
     def _var_images(self) -> list[Sparse]:
         return [sparse(self.B.var_image(k)) for k in range(self.B.nvars)]
@@ -629,46 +685,168 @@ class _Searcher:
         for perm in permutations(range(r)):
             yield [var_vecs[perm[k]] for k in range(r)]
 
-    def rational_candidates(self):
-        """Permutations combined with per-variable scalings from a fixed set,
-        each as (images, (perm, scals)) with scals indices into QQ_SCALINGS."""
-        r = self.A.nvars
-        if r != self.B.nvars or r > 6:
-            return
+    def _scaled_search(self) -> Optional[Witness]:
+        """The scaled candidates x_k -> QQ_SCALINGS[scals[k]] y_perm(k):
+        permutations in order, and for each every scals in product order,
+        scals[0] slowest.  A prefix scals[:k+1] whose plan coordinates of
+        level k do not vanish charges its 10^(r-1-k) completions at once."""
+        A, B = self.A, self.B
+        r, n = A.nvars, len(QQ_SCALINGS)
+        if r != B.nvars or r > 6:
+            return None
         scaled = [[[(i, c * v) for i, v in img] for c in QQ_SCALINGS]
                   for img in self._var_images()]
         for perm in permutations(range(r)):
-            for scals in product(range(len(QQ_SCALINGS)), repeat=r):
-                yield [scaled[perm[k]][scals[k]] for k in range(r)], (perm, scals)
+            plan = _scaled_plan(A, B, perm, self.tuple_constraint)
+            if plan is None:
+                self._charge_block(n ** r)
+                continue
+            columns, levels = plan
+            images: list[Sparse] = [[] for _ in range(r)]
 
-    def coordinate_candidates(self, coords_idx: Sequence[int]):
-        """All image tuples with coordinates over the given basis positions,
-        as sparse images in integer-encoding order: digit k * width + j of
-        the code is coordinate j of image k, digit 0 least significant."""
-        r = self.A.nvars
-        if r * len(coords_idx) == 0:
-            return
-        elements = self.field.elements()
+            def walk(k: int, scale: Optional[list[int]]) -> Optional[Witness]:
+                # scals[:k] is fixed, with column product scale
+                for j in range(n):
+                    col = columns[k][j]
+                    part = col if scale is None else [x * y for x, y in zip(scale, col)]
+                    if not _plan_vanishes(levels[k], part):
+                        self._charge_block(n ** (r - 1 - k))
+                        continue
+                    images[k] = scaled[perm[k]][j]
+                    w = self._try(list(images)) if k == r - 1 else walk(k + 1, part)
+                    if w is not None:
+                        return w
+                return None
+
+            w = walk(0, None)
+            if w is not None:
+                return w
+        return None
+
+    def _coordinate_search(self, coords: Sequence[int]) -> Optional[Witness]:
+        """All image tuples with coordinates over the basis positions
+        coords, in integer-encoding order: digit k * width + j of the code is
+        coordinate j of image k, digit 0 least significant, so image r-1
+        varies slowest and each image's first coordinate fastest.
+
+        Images r-1, r-2, ... are fixed in turn.  With images k..r-1 fixed,
+        the q^(width k) completions all fail when the rank of the fixed
+        degree-1 rows plus the k free images is below the embedding
+        dimension.  With only image 0 free, each relation g is split as
+        sum_e x_0^e H_e and the H_e are evaluated once at the fixed images;
+        a candidate v then needs the degree-1 row of v outside the fixed
+        rows' span (when they span a hyperplane) and sum_e v^e H_e = 0 for
+        every g (when no tuple condition constrains the map).
+        """
+        A, B, f = self.A, self.B, self.field
+        r, width = A.nvars, len(coords)
+        if r * width == 0:
+            return None
+        q, lin_pos, embdim = f.order, self.lin_pos, len(self.lin_pos)
+        elements = list(f.elements())
+        count = q ** width
+        kept: list[tuple[Sparse, dict, MonomialMap]] = []
+
+        def vector(code: int) -> tuple[Sparse, dict, MonomialMap]:
+            img = []
+            for i in coords:
+                code, d = divmod(code, q)
+                if elements[d]:
+                    img.append((i, elements[d]))
+            lin = {lin_pos[i]: c for i, c in img if i in lin_pos}
+            return img, lin, B.monomial_map([img])
 
         def vectors():
-            # product varies its last factor fastest, the first coordinate here
-            for ds in product(elements, repeat=len(coords_idx)):
-                yield [(i, d) for i, d in zip(coords_idx, reversed(ds)) if d]
+            for code in range(count):
+                if code < len(kept):
+                    yield kept[code]
+                    continue
+                v = vector(code)
+                if code < _KEPT_VECTORS:
+                    kept.append(v)
+                yield v
 
-        def tuples(k):
-            # images 0..k, the k-th varying slowest
-            if k < 0:
-                yield []
-                return
-            for v in vectors():
-                for rest in tuples(k - 1):
-                    yield rest + [v]
+        # each relation as {e: the terms of x_0^e H_e, with x_0 taken out}
+        split: list[dict[int, list]] = []
+        if not self.tuple_constraint:
+            for g in A.relations:
+                parts: dict[int, list] = {}
+                for a, c in g.terms.items():
+                    parts.setdefault(a[0], []).append(((0,) + a[1:], c))
+                split.append(parts)
+        images: list[Sparse] = [[] for _ in range(r)]
+        multiply, add, mul, one = B.multiply, f.add, f.mul, f.one()
 
-        yield from tuples(r - 1)
+        def vanishes(filters, power: MonomialMap) -> bool:
+            # sum_e v^e H_e, with each b_i H_e kept per block as it is met
+            for h0, rest in filters:
+                acc = list(h0)
+                for e, h, cols in rest:
+                    for i, c in power((e,)):
+                        col = cols.get(i)
+                        if col is None:
+                            col = cols[i] = multiply([(i, one)], h)
+                        for k, w in col:
+                            acc[k] = add(acc[k], mul(c, w))
+                if any(acc):
+                    return False
+            return True
 
-    def space_size(self, coords_idx: Sequence[int]) -> int:
-        q = self.field.order
-        return q ** (self.A.nvars * len(coords_idx))
+        def last_image(ech: Echelon) -> Optional[Witness]:
+            # images 1..r-1 are fixed: evaluate each relation's H_e there
+            fixed = B.monomial_map([[]] + images[1:])
+            filters = []
+            for parts in split:
+                h0 = B.combine(parts.get(0, ()), fixed)
+                rest = [(e, h, {}) for e, terms in parts.items() if e
+                        for h in (sparse(B.combine(terms, fixed)),) if h]
+                if rest:
+                    filters.append((h0, rest))
+                elif any(h0):
+                    self._charge_block(count)
+                    return None
+            # with the fixed rows spanning a hyperplane, a last row v is
+            # surjective when its reduction is nonzero at the one free
+            # column c: v_c minus sum over the pivots p of v_p row_p[c]
+            residue = None
+            if len(ech.rows) < embdim:
+                rows = ech.reduced()
+                c = next(j for j in range(embdim) if j not in rows)
+                residue = {p: f.neg(row[c]) for p, row in rows.items() if c in row}
+                residue[c] = one
+            for img, lin, power in vectors():
+                self._charge_block(1)
+                if residue is not None:
+                    acc = f.zero()
+                    for j, x in lin.items():
+                        if j in residue:
+                            acc = add(acc, mul(residue[j], x))
+                    if not acc:
+                        continue
+                if filters and not vanishes(filters, power):
+                    continue
+                images[0] = img
+                if self._check(images):
+                    return self._witness(images)
+            return None
+
+        def walk(k: int, ech: Echelon) -> Optional[Witness]:
+            # images k..r-1 are fixed, their degree-1 rows in ech
+            if len(ech.rows) + k < embdim:
+                self._charge_block(count ** k)
+                return None
+            if k == 1:
+                return last_image(ech)
+            for img, lin, _ in vectors():
+                images[k - 1] = img
+                sub = ech.copy()
+                sub.add(lin)
+                w = walk(k - 1, sub)
+                if w is not None:
+                    return w
+            return None
+
+        return walk(r, Echelon(f))
 
     def run(self, graded: bool) -> tuple[Optional[Witness], bool]:
         """(witness or None, whole space exhausted?); raises _EffortExceeded
@@ -685,18 +863,11 @@ class _Searcher:
                 return w, False
         self.late_check()
         if isinstance(self.field, RationalField):
-            for images, scaled in self.rational_candidates():
-                w = self._try(images, scaled)
-                if w is not None:
-                    return w, False
-            return None, False  # rational search is never exhaustive
+            return self._scaled_search(), False  # rational search is never exhaustive
         coords = self.lin_idx if graded else self.max_idx
-        seen_all = self.space_size(coords) <= self.effort_left
-        for images in self.coordinate_candidates(coords):
-            w = self._try(images)
-            if w is not None:
-                return w, False
-        return None, seen_all
+        seen_all = self.field.order ** (self.A.nvars * len(coords)) <= self.effort_left
+        w = self._coordinate_search(coords)
+        return w, w is None and seen_all
 
 
 def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
@@ -731,7 +902,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
             return IsoVerdict(status="NOT_ISO",
                               separator=("tuple_length", len(ta), len(tb)))
 
-    swapped = _algebra_key(B) < _algebra_key(A)
+    swapped = _precedes(B, A)
     first, second = (B, A) if swapped else (A, B)
     try:
         verdict = _decide_oriented(first, second, budget, match_tuples,

@@ -258,6 +258,19 @@ def test_out_of_range_caps_and_windows_exit_one_with_range_error(argv):
     assert json.loads(out)["error"]["type"] == "RangeError"
 
 
+@pytest.mark.parametrize("caps", [["--dcap", "2"], ["--hcap", "1", "--dcap", "3"]])
+def test_dcap_without_residue_field_is_a_usage_error(caps):
+    # the quotient resolution takes no caps; --hcap alone stays accepted
+    # there (the golden resolve.json passes --hcap 6)
+    code, out, err = _capture(["resolve", f"{INPUTS}/fat-point.pres", *caps])
+    assert code == 2
+    assert out == "" and "--dcap requires --residue-field" in err
+    code, _, _ = _capture(["resolve", f"{INPUTS}/fat-point.pres", "--residue-field", *caps])
+    assert code == 0
+    code, _, _ = _capture(["resolve", f"{INPUTS}/fat-point.pres", "--hcap", "1"])
+    assert code == 0
+
+
 @pytest.mark.parametrize("stride", ["-1", "0"])
 def test_stride_below_one_is_a_usage_error(stride):
     code, _, err = _capture(["slopes", f"{INPUTS}/plane.pres", "--which", "trace",

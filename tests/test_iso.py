@@ -3,6 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from jetmetric.iso import (
 from jetmetric.errors import RangeError
 from jetmetric.exactcore import TABLE_MAX_ORDER, ExactMatrix, RationalField, _is_prime, finite_field
 from jetmetric.poly import Poly
-from jetmetric.presentation import parse_presentation, print_presentation
+from jetmetric.presentation import parse_presentation, poly_to_str, print_presentation
 
 from conftest import dense_product, random_presentation, random_presentation_text
 
@@ -438,13 +439,150 @@ def _scaled_images(B, perm, scals):
             for k, j in enumerate(scals)]
 
 
+# ---------------------------------------------------------------------------
+# the one-by-one reference search
+
+
+class _ReferenceSearcher(iso._Searcher):
+    """The witness search one candidate at a time, in `iso._Searcher`'s
+    order: every candidate is built and charged by itself, a scaled one is
+    screened by its permutation's whole plan at the full product of its
+    scalings' columns, and every enumerated one goes through the exact
+    check.  Block pruning must reproduce its `tried`, its effort left, where
+    its effort runs out and its first witness."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.plans = {}
+
+    def _charge(self):
+        if self.effort_left <= 0:
+            raise iso._EffortExceeded
+        self.effort_left -= 1
+        self.tried += 1
+
+    def _vanishes(self, perm, scals):
+        """Whether the relations and tuple conditions vanish at
+        x_k -> QQ_SCALINGS[scals[k]] y_perm(k), read off perm's cached
+        plan; a plan of None never vanishes."""
+        if perm not in self.plans:
+            self.plans[perm] = iso._scaled_plan(self.A, self.B, perm,
+                                                self.tuple_constraint)
+        plan = self.plans[perm]
+        if plan is None:
+            return False
+        columns, levels = plan
+        scale = columns[0][scals[0]]
+        for k in range(1, len(scals)):
+            scale = [x * y for x, y in zip(scale, columns[k][scals[k]])]
+        return all(sum(c * scale[m] for c, m in zip(cs, ms)) == 0
+                   for level in levels for cs, ms in level)
+
+    def _try(self, images, scaled=None):
+        self._charge()
+        if scaled is not None and not self._vanishes(*scaled):
+            return None
+        if self._check(images):
+            return Witness(images=[self.B.dense(v) for v in images])
+        return None
+
+    def rational_candidates(self):
+        """Permutations combined with per-variable scalings, each as
+        (images, (perm, scals)) with scals indices into QQ_SCALINGS."""
+        r = self.A.nvars
+        if r != self.B.nvars or r > 6:
+            return
+        scaled = [[[(i, c * v) for i, v in img] for c in QQ_SCALINGS]
+                  for img in self._var_images()]
+        for perm in permutations(range(r)):
+            for scals in product(range(len(QQ_SCALINGS)), repeat=r):
+                yield [scaled[perm[k]][scals[k]] for k in range(r)], (perm, scals)
+
+    def coordinate_candidates(self, coords_idx):
+        """All image tuples with coordinates over the given basis positions,
+        as sparse images in integer-encoding order: digit k * width + j of
+        the code is coordinate j of image k, digit 0 least significant."""
+        r = self.A.nvars
+        if r * len(coords_idx) == 0:
+            return
+        elements = self.field.elements()
+
+        def vectors():
+            # product varies its last factor fastest, the first coordinate here
+            for ds in product(elements, repeat=len(coords_idx)):
+                yield [(i, d) for i, d in zip(coords_idx, reversed(ds)) if d]
+
+        def tuples(k):
+            # images 0..k, the k-th varying slowest
+            if k < 0:
+                yield []
+                return
+            for v in vectors():
+                for rest in tuples(k - 1):
+                    yield rest + [v]
+
+        yield from tuples(r - 1)
+
+    def space_size(self, coords_idx):
+        return self.field.order ** (self.A.nvars * len(coords_idx))
+
+    def run(self, graded):
+        ident = self.identity_candidate()
+        if ident is not None:
+            w = self._try(ident)
+            if w is not None:
+                return w, False
+        for images in self.permutation_candidates():
+            w = self._try(images)
+            if w is not None:
+                return w, False
+        self.late_check()
+        if isinstance(self.field, RationalField):
+            for images, scaled in self.rational_candidates():
+                w = self._try(images, scaled)
+                if w is not None:
+                    return w, False
+            return None, False
+        coords = self.lin_idx if graded else self.max_idx
+        seen_all = self.space_size(coords) <= self.effort_left
+        for images in self.coordinate_candidates(coords):
+            w = self._try(images)
+            if w is not None:
+                return w, False
+        return None, seen_all
+
+
+class _ExactOnlySearcher(_ReferenceSearcher):
+    """The reference search with no candidate screened: every candidate
+    takes the exact check alone."""
+
+    def _vanishes(self, perm, scals):
+        return True
+
+
+def _decide_with(searcher, A, B, budget, match_tuples=False):
+    """decide_isomorphism with the given searcher class in place of
+    `iso._Searcher`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(iso, "_Searcher", searcher)
+        return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
+
+
+def _decide_exact_only(A, B, budget, match_tuples=False):
+    return _decide_with(_ExactOnlySearcher, A, B, budget, match_tuples)
+
+
+# ---------------------------------------------------------------------------
+# the exact plan against the exact check, one candidate at a time
+
+
 @given(pair=_rational_pairs(), seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_exact_plan_matches_maps_relations(pair, seed):
     A, B, witness, match_tuples = pair
     if A.dim != B.dim or A.dim < 2:
         return
-    s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
+    s = _ReferenceSearcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
     rng = random.Random(seed)
     every = list(product(range(len(QQ_SCALINGS)), repeat=A.nvars))
     rejected = []
@@ -473,7 +611,7 @@ def test_filter_agrees_with_the_exact_check(pair, seed):
     A, B, witness, match_tuples = pair
     if A.dim != B.dim or A.dim < 2:
         return
-    s = iso._Searcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
+    s = _ReferenceSearcher(A, B, effort_left=1000, tuple_constraint=match_tuples)
     rng = random.Random(seed)
     candidates = [witness] if witness is not None else []
     candidates += [(tuple(rng.sample(range(A.nvars), A.nvars)),
@@ -494,13 +632,6 @@ def _verdict_fields(v):
     return (v.status, v.witness, v.separator, v.search_bounds)
 
 
-def _decide_exact_only(A, B, budget, match_tuples=False):
-    # no candidate is screened, so every candidate takes the exact check alone
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(iso._Searcher, "_vanishes", lambda *_: True)
-        return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
-
-
 @given(pair=_rational_pairs())
 @settings(max_examples=25, deadline=None)
 def test_search_with_the_filter_matches_the_exact_search(pair):
@@ -516,7 +647,7 @@ def _scaled_pair_is_found_exactly(a, b, order, y_scaling, wrong_scaling):
     A onto B and y -> QQ_SCALINGS[wrong_scaling] y does not; the search finds
     an ISO, verified and equal to the exact-only search's."""
     A, B = jet(parse_presentation(a), order), jet(parse_presentation(b), order)
-    s = iso._Searcher(A, B, 10, False)
+    s = _ReferenceSearcher(A, B, 10, False)
     assert s._vanishes((0, 1), (0, y_scaling))
     assert not s._vanishes((0, 1), (0, wrong_scaling))
     got = _decide(A, B)
@@ -543,11 +674,228 @@ def test_coefficients_beyond_64_bits_are_searched_exactly():
     # which vanishes modulo 2^64, so only whole integers reject it
     N = 2**64 + 2**60
     assert 16 * N % 2**64 == 0
-    _, _, (_, coords) = _scaled_pair_is_found_exactly(
+    _, _, (_, levels) = _scaled_pair_is_found_exactly(
         f"ring Q[x, y]\nlocal\nideal: x^2 - {N}*y^3, x*y^3 + {N}/{N + 2}*y^5",
         f"ring Q[x, y]\nlocal\nideal: x^2 - {8 * N}*y^3, x*y^3 + {4 * N}/{N + 2}*y^5",
         5, 2, 3)
-    assert max(abs(c) for cs, _ in coords for c in cs) > 2**64
+    assert max(abs(c) for level in levels for cs, _ in level for c in cs) > 2**64
+
+
+def test_plan_levels_are_the_last_scaling_each_coordinate_reads():
+    # under the identity, x^2 - 2y^2 goes to s_0^2 [x^2] - 2 s_1^2 [y^2]; in
+    # B, where x^2 = 8y^2, that is one coordinate of level 1, and against
+    # x*y, where x^2 and y^2 are basis monomials, two single terms, nonzero
+    # at every scaling, so no scaling of the identity can pass
+    A = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 2*y^2"), 3)
+    B = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 8*y^2"), 3)
+    columns, levels = iso._scaled_plan(A, B, (0, 1), False)
+    assert levels[0] == [] and len(levels[1]) == 1
+    C = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x*y"), 3)
+    assert iso._scaled_plan(A, C, (0, 1), False) is None
+
+
+# ---------------------------------------------------------------------------
+# block pruning against the one-by-one reference
+
+
+def test_a_single_term_plan_coordinate_charges_its_permutation_at_once():
+    # x^2, y^2 against x*y over Q: under either permutation x^2 goes to the
+    # single term s_0^2 y_perm(0)^2, nonzero in B, so each permutation's 100
+    # scaled candidates are charged in one step
+    A = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^2"), 3)
+    B = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x*y"), 3)
+    assert all(iso._scaled_plan(A, B, perm, False) is None
+               for perm in permutations(range(2)))
+
+    class Recording(iso._Searcher):
+        def _charge_block(self, n):
+            charges.append(n)
+            super()._charge_block(n)
+
+    charges = []
+    s = Recording(A, B, 1000, False)
+    assert s.run(graded=True) == (None, False)
+    assert charges == [1, 1, 1, 100, 100]
+    ref = _ReferenceSearcher(A, B, 1000, False)
+    assert ref.run(graded=True) == (None, False)
+    assert (s.tried, s.effort_left) == (ref.tried, ref.effort_left) == (203, 797)
+    # an effort that ends inside the first block charges what is left
+    charges = []
+    s = Recording(A, B, 50, False)
+    with pytest.raises(iso._EffortExceeded):
+        s.run(graded=True)
+    assert charges == [1, 1, 1, 100] and (s.tried, s.effort_left) == (50, 0)
+
+
+def _identity_maps(A, B):
+    s = iso._Searcher(A, B, 1, False)
+    return s._check(s.identity_candidate())
+
+
+@st.composite
+def _search_pairs(draw):
+    """(A, B, match_tuples): over F_2, F_3 or F_4, graded or local jets of
+    order 3 of a presentation p and of q, where q is p after an invertible
+    linear change of variables or an unrelated presentation of the same
+    shape, the first of a few draws whose jet has p's length and is not
+    matched by the identity; over Q a pair of `_rational_pairs` (graded,
+    local or deformation pairs)."""
+    field = draw(st.sampled_from(["F_2", "F_3", "F_4", "Q"]))
+    if field == "Q":
+        A, B, _, match_tuples = draw(_rational_pairs())
+        return A, B, match_tuples
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nvars = draw(st.integers(2, 3))
+    mode = draw(st.sampled_from(["graded", "local"]))
+    top = 2 if mode == "graded" else 3
+    p = random_presentation(rng, field, nvars, mode, max_deg=top, min_deg=2)
+    related = draw(st.booleans())
+    A = jet(p, 3)
+    for _ in range(20):
+        q = (_linear_change(p, rng) if related
+             else random_presentation(rng, field, nvars, mode, max_deg=top, min_deg=2))
+        B = jet(q, 3)
+        if B.dim == A.dim and not _identity_maps(A, B):
+            break
+    return A, B, False
+
+
+def _block_sizes(s, graded):
+    """The sizes of the blocks `_Searcher.run` may charge at once after the
+    identity and the permutations."""
+    r = s.A.nvars
+    if isinstance(s.field, RationalField):
+        return [len(QQ_SCALINGS) ** k for k in range(r + 1)]
+    width = len(s.lin_idx if graded else s.max_idx)
+    return [s.field.order ** (width * k) for k in range(r + 1)]
+
+
+def _outcome(searcher, A, B, effort, match_tuples, graded):
+    s = searcher(A, B, effort, match_tuples)
+    try:
+        w, seen_all = s.run(graded)
+        got = (None if w is None else w.images, seen_all)
+    except iso._EffortExceeded:
+        got = "effort"
+    return got, s.tried, s.effort_left
+
+
+@given(pair=_search_pairs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_pruning_matches_the_one_by_one_search(pair, data):
+    A, B, match_tuples = pair
+    if A.dim != B.dim or A.dim < 2:
+        return
+    graded = iso._is_graded_input(A) and iso._is_graded_input(B) and not match_tuples
+    probe = iso._Searcher(A, B, 0, match_tuples)
+    r = A.nvars
+    before = 1 + factorial(r) if r == B.nvars and r <= 6 else 0
+    sizes = [n for n in _block_sizes(probe, graded) if before + 3 * n < 3200]
+    size = data.draw(st.sampled_from(sizes))
+    blocks = data.draw(st.integers(1, 3))
+    where = data.draw(st.sampled_from(["inside", "boundary", "past"]))
+    effort = before + blocks * size + (1 if where == "past" else 0)
+    if where == "inside" and size > 1:
+        effort -= data.draw(st.integers(1, size - 1))
+    got = _outcome(iso._Searcher, A, B, effort, match_tuples, graded)
+    want = _outcome(_ReferenceSearcher, A, B, effort, match_tuples, graded)
+    assert got == want
+    budget = SearchBudget(ext_degree_max=1, effort=effort)
+    assert (_verdict_fields(decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples))
+            == _verdict_fields(_decide_with(_ReferenceSearcher, A, B, budget, match_tuples)))
+
+
+@pytest.mark.parametrize("a, b, ext, order", [
+    # b is a under a linear change that is no permutation, such as
+    # x -> x + y, so the first witness comes from the enumeration
+    ("ring F_2[x, y]\ngraded\nideal: x^3 + x*y^2", "x^3 + x^2*y", 1, 4),
+    ("ring F_2[x, y]\ngraded\nideal: x^3 + x*y^2", "x^3 + x^2*y", 2, 4),
+    ("ring F_2[x, y]\nlocal\nideal: x*y + y^3", "x*y + y^2 + y^3", 2, 3),
+    ("ring F_3[x, y]\ngraded\nideal: x^2 + x*y", "x^2 + 2*y^2", 1, 3),
+    # x^2 - y^2 = (x + y)(x - y): the witness's last row, x - y, is
+    # surjective against the fixed x + y only through both coordinates
+    ("ring F_3[x, y]\ngraded\nideal: x*y", "x^2 + 2*y^2", 1, 3),
+    ("ring F_3[x, y]\nlocal\nideal: x^2 + y^3", "x^2 + 2*x*y + y^2 + y^3", 1, 3),
+])
+def test_block_pruning_matches_after_base_change(a, b, ext, order):
+    # both orientations, after base change, at efforts around every block
+    # boundary and the first witness
+    p = parse_presentation(a)
+    q = parse_presentation(a[:a.index("ideal: ")] + "ideal: " + b)
+    for A, B in ((jet(p, order), jet(q, order)), (jet(q, order), jet(p, order))):
+        A, B = base_change(A, ext), base_change(B, ext)
+        graded = iso._is_graded_input(A) and iso._is_graded_input(B)
+        s = iso._Searcher(A, B, 0, False)
+        before = 1 + factorial(A.nvars)
+        (w, _), tried, _ = _outcome(_ReferenceSearcher, A, B, 5000, False, graded)
+        assert w is not None and tried > before
+        marks = {0, 1, before, tried}
+        marks |= {before + m * n for n in _block_sizes(s, graded) for m in (1, 2)}
+        for effort in sorted(e + d for e in marks for d in (-1, 0, 1) if 0 <= e + d <= 5000):
+            assert (_outcome(iso._Searcher, A, B, effort, False, graded)
+                    == _outcome(_ReferenceSearcher, A, B, effort, False, graded)), effort
+
+
+# ---------------------------------------------------------------------------
+# orienting a pair
+
+
+def _printed_key(A):
+    """The key that oriented a pair before `_precedes`: every normal-form
+    coefficient and relation printed up front."""
+    nf_items = tuple(sorted(
+        (mono, tuple(A.field.to_str(c) for c in vec)) for mono, vec in A.nf.items()))
+    rels = tuple(poly_to_str(g, tuple(f"v{i}" for i in range(A.nvars)))
+                 for g in A.relations)
+    return (A.nvars, A.cap, tuple(A.basis), nf_items, rels)
+
+
+def _assert_orients_as_printed(A, B):
+    for S, T in ((A, B), (B, A), (A, A)):
+        assert iso._precedes(S, T) == (_printed_key(S) < _printed_key(T))
+
+
+@pytest.mark.parametrize("a, b", [
+    # y^2 - c x^2 stores the normal form y^2 = c x^2, and the printed order
+    # differs from the numeric one: "-1" < "1/2", "10" < "9", "1" < "1/2"
+    ("y^2 + x^2", "y^2 - 1/2*x^2"),
+    ("y^2 - 10*x^2", "y^2 - 9*x^2"),
+    ("y^2 - x^2", "y^2 - 1/2*x^2"),
+    ("y^2 - 2*x^2, x*y^2", "y^2 - 2*x^2, x*y^2 - 1/3*x^3"),
+    # equal normal forms, told apart by the relations as printed
+    ("x^2 - 2*y^2", "2*x^2 - 4*y^2"),
+    ("x^2 - 2*y^2", "x^2 - 2*y^2"),
+    # x^4 dies in the jet of order 4, so only the number of relations differs
+    ("x^2 - 2*y^2", "x^2 - 2*y^2, x^4"),
+])
+def test_precedes_orders_rational_pairs_as_printed(a, b):
+    A, B = (jet(parse_presentation(f"ring Q[x, y]\ngraded\nideal: {g}"), 4) for g in (a, b))
+    _assert_orients_as_printed(A, B)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]))
+@settings(max_examples=60, deadline=None)
+def test_precedes_matches_the_printed_key(seed, field, mode):
+    # random pairs of a field and mode, mostly of one number of variables
+    # and one order, so that many share their basis and some their normal
+    # forms (one coefficient of the second redrawn)
+    rng = random.Random(seed)
+    nvars, order = rng.randint(1, 3), rng.randint(1, 3)
+    p = random_presentation(rng, field, nvars, mode, max_deg=3)
+    q = random_presentation(rng, field, rng.choice([nvars, nvars, rng.randint(1, 3)]),
+                            mode, max_deg=3)
+    A, B = jet(p, order), jet(q, rng.choice([order, order, rng.randint(1, 3)]))
+    _assert_orients_as_printed(A, B)
+    r = parse_presentation(print_presentation(p))
+    if not r.gens:
+        return
+    g = r.gens[0]
+    mono = rng.choice(sorted(g.terms))
+    c = rng.choice([c for c in r.base_field().elements() if c] if field != "Q"
+                   else [Fraction(-1), Fraction(1, 2), Fraction(10), Fraction(9)])
+    r.gens[0] = Poly(g.field, g.nvars, {**g.terms, mono: c})
+    _assert_orients_as_printed(A, jet(r, order))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +931,7 @@ def _dense_enumeration(f, r, dim, coords_idx):
 ])
 def test_sparse_coordinate_candidates_follow_the_dense_order(text, ext, order):
     B = base_change(jet(parse_presentation(text), order), ext)
-    s = iso._Searcher(B, B, effort_left=10, tuple_constraint=False)
+    s = _ReferenceSearcher(B, B, effort_left=10, tuple_constraint=False)
     for coords in (s.lin_idx, s.max_idx):
         got = s.coordinate_candidates(coords)
         want = _dense_enumeration(B.field, B.nvars, B.dim, coords)
