@@ -3,7 +3,7 @@ algebras: jets, isomorphism certificates, deformation-distance intervals,
 Hilbert data, quasi-slopes, and graded minimal free resolutions."""
 
 from .artin import (ArtinAlgebra, defpair_jet, hilbert_function, jet,
-                    nilpotency_index, socle)
+                    nilpotency_index, socle, socle_dimension)
 from .errors import JetMetricError
 from .hilbert import (HilbertData, dim_mult, euler_characteristic,
                       hilbert_series, hs_polynomial_from_jets,
@@ -37,5 +37,5 @@ __all__ = [
     "length_model", "limit_jets", "minimal_resolution_of_quotient",
     "nilpotency_index", "parse_presentation", "print_presentation",
     "quasi_dimension", "rho", "round_log2", "slope_trace", "socle",
-    "verify_witness",
+    "socle_dimension", "verify_witness",
 ]

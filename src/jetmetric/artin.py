@@ -341,11 +341,10 @@ def nilpotency_index(A: ArtinAlgebra) -> int:
     return 1 + max(A._degrees)
 
 
-def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
-    """The annihilator of the maximal ideal: dimension and a basis.  The
-    basis is closed under divisors, so the degree-1 basis monomials
-    generate the maximal ideal and the socle is the common kernel of
-    multiplication by them."""
+def _socle_matrix(A: ArtinAlgebra) -> ExactMatrix:
+    """The matrix whose kernel is the socle.  The basis is closed under
+    divisors, so the degree-1 basis monomials generate the maximal ideal and
+    the socle is the common kernel of multiplication by them."""
     if A.is_zero_ring():
         raise ZeroRingError("socle of the zero ring")
     n = A.dim
@@ -354,8 +353,19 @@ def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
         for j in range(n):
             for i, c in A.mult_basis(v, j):     # basis[v] * basis[j] at i
                 rows[r * n + i][j] = c
-    kern = [A.dense(u.items()) for u in ExactMatrix(A.field, rows, n).kernel_basis()]
+    return ExactMatrix(A.field, rows, n)
+
+
+def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
+    """The annihilator of the maximal ideal: dimension and a basis."""
+    kern = [A.dense(u.items()) for u in _socle_matrix(A).kernel_basis()]
     return len(kern), kern
+
+
+def socle_dimension(A: ArtinAlgebra) -> int:
+    """dim of the socle, dim A less the rank of the rows `socle` reads its
+    basis from; no kernel vectors are built."""
+    return A.dim - _socle_matrix(A).rank()
 
 
 # ---------------------------------------------------------------------------

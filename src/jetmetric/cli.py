@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .artin import defpair_jet, hf_by_degree_count, jet, nilpotency_index, socle
+from .artin import (defpair_jet, hf_by_degree_count, jet, nilpotency_index,
+                    socle_dimension)
 from .errors import JetMetricError, PresentationSyntaxError, RangeError
 from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
@@ -148,7 +149,7 @@ def _run_jets(args):
     result = {"order": args.order, "dim": A.dim, "basis_size": A.dim,
               "hilbert_function": hf_by_degree_count(A),
               "nilpotency_index": nilpotency_index(A),
-              "socle_dimension": socle(A)[0]}
+              "socle_dimension": socle_dimension(A)}
     return result, None, {args.file: digest}
 
 

@@ -16,14 +16,13 @@ built on top of it) is canonical and reproducible.  Matrix rows go in and
 come out in one form, a sparse dict {column: value}: callers hand over the
 entries they hold, and reduced rows and kernel vectors carry their nonzero
 entries only.  This module is the only one that row-reduces, with one
-routine per kind of field: over Q and F_p elimination on sparse rows
-{column: int} (fraction-free over Q, one division per entry at the end;
-residues with a unit pivot over F_p), over F_{p^m} the sparse incremental
-:class:`Echelon` in the field's arithmetic (which the graded resolution
-also uses for membership tests), and for F_2 graded ranks :func:`rank_gf2`
-on bitmask rows.  Both sparse routines take a row's smallest column as its
-pivot, so an elimination touches only the nonzero entries.  No floating
-point anywhere.
+engine, :class:`Echelon`: one forward loop that takes a row's smallest
+column as its pivot, so an elimination touches only the nonzero entries,
+and one back-substitution.  The field picks only its row arithmetic: sparse
+integer rows {column: int} over Q (fraction-free, one division per entry
+at the end) and over F_p (residues with a unit pivot), the field's own
+arithmetic on codes over F_{p^m}.  :func:`rank_gf2` keeps F_2 graded ranks
+on bitmask rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -624,13 +622,10 @@ class ExactMatrix:
     dict {column: value} of raw values, absent columns zero (explicit zero
     values are allowed, and keys may come in any order).
 
-    :meth:`rref` over Q and F_p builds sparse integer rows {column: int}
-    from the given entries (clearing denominators and content over Q,
-    reducing mod p over F_p) and eliminates them with :func:`_rref_int`;
-    over F_{p^m}, whose codes are not int arithmetic, it feeds the rows to
-    an :class:`Echelon`.  Either way the reduced rows come back as dicts of
-    their nonzero entries, the pivot entry one.  :meth:`rank` runs the
-    forward half of either and counts pivots.
+    :meth:`rref`, :meth:`rank` and :meth:`kernel_basis` all feed the rows
+    to one :class:`Echelon`: the rank is its forward pass alone, the
+    reduced rows its back-substitution, as dicts of their nonzero entries
+    with the pivot entry one and the columns ascending.
     """
 
     def __init__(self, field: Field, rows: list[dict], ncols: int):
@@ -642,24 +637,21 @@ class ExactMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def rref(self) -> RrefResult:
-        f = self.field
-        if isinstance(f, (RationalField, PrimeField)):
-            return _rref_int(self.rows, self.ncols, f.desc.characteristic)
-        ech = Echelon(f)
+    def _echelon(self) -> "Echelon":
+        ech = Echelon(self.field)
+        add = ech.add
         for row in self.rows:
-            ech.add(row)
-        red = ech.reduced()
+            add(row)
+        return ech
+
+    def rref(self) -> RrefResult:
+        red = self._echelon().reduced()
         return RrefResult(rows=list(red.values()), pivots=list(red), ncols=self.ncols)
 
     def rank(self) -> int:
-        """The rank, from a forward elimination on the sparse rows only: no
-        back-substitution, and over Q no division by the pivots."""
-        f = self.field
-        if isinstance(f, (RationalField, PrimeField)):
-            return len(_echelon_int(self.rows, f.desc.characteristic))
-        ech = Echelon(f)
-        return sum(ech.add(row) for row in self.rows)
+        """The rank, from the forward elimination only: no back-substitution,
+        and over Q no division by the pivots."""
+        return len(self._echelon().rows)
 
     def kernel_basis(self) -> list[dict]:
         """Canonical kernel basis: per free column, in ascending order, the
@@ -681,79 +673,92 @@ class Echelon:
     """Sparse incremental row echelon form over a field, for rows given as
     dicts from sortable keys (columns) to coefficients.
 
-    The pivot of a row is its smallest key; each row is stored as its
-    nonzero (key, value) pairs in ascending key order, scaled so that the
-    pivot entry is one, so reducing touches only those.  :meth:`add` tests
-    membership in the span and grows it; :meth:`reduced` back-substitutes.
+    The pivot of a row is its smallest key.  Rows are stored as dicts of
+    their nonzero entries, in the row arithmetic of :func:`_row_arithmetic`,
+    chosen once per field: sparse integer rows over Q (fraction-free, content
+    1) and F_p (residues, pivot entry one), element codes over F_{p^m}
+    (pivot entry one).  :meth:`add` is the one forward loop: it tests
+    membership in the span and grows it.  :meth:`reduced` is the one
+    back-substitution, with the same :attr:`clear`.  A stored row is never
+    changed, so :meth:`copy` shares them.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: dict[object, list[tuple[object, object]]] = {}
+        self.rows: dict[object, dict] = {}
+        self._entry, self._unit, self.clear = _row_arithmetic(field)
 
     def add(self, v: dict) -> bool:
         """Insert v unless it lies in the span; True when v was inserted."""
-        fld = self.field
-        is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
-        v = dict(v)
-        live = list(v)
-        heapify(live)
-        while live:
-            c = heappop(live)
-            coef = v[c]
-            if is_zero(coef):
-                continue
-            row = self.rows.get(c)
-            if row is None:
-                inv = fld.inv(coef)
-                self.rows[c] = [(i, mul(inv, x)) for i, x in sorted(v.items())
-                                if not is_zero(x)]
+        rows, clear = self.rows, self.clear
+        v = self._entry(v)
+        while v:
+            c = min(v)
+            prow = rows.get(c)
+            if prow is None:
+                if self._unit is not None and v[c] != 1:
+                    v = self._unit(v, c)
+                rows[c] = v
                 return True
-            for i, r in row:
-                x = v.get(i)
-                if x is None:
-                    v[i] = fld.neg(mul(coef, r))
-                    heappush(live, i)
-                else:
-                    v[i] = sub(x, mul(coef, r))
+            v = clear(v, prow, c)
         return False
 
     def copy(self) -> "Echelon":
-        """An echelon with the same rows that grows on its own; rows are
-        never changed once stored, so they are shared."""
+        """An echelon with the same rows that grows on its own."""
         out = Echelon(self.field)
         out.rows = dict(self.rows)
         return out
 
     def reduced(self) -> dict[object, dict]:
         """Back-substitution: the reduced row echelon form as pivot -> row
-        ({key: value} of its nonzero entries, one at the pivot), in ascending
-        pivot order, each row cleared at every other pivot."""
-        fld = self.field
-        zero, is_zero, sub, mul = fld.zero(), fld.is_zero, fld.sub, fld.mul
+        ({key: value} of its nonzero field values, one at the pivot, keys
+        ascending), in ascending pivot order, each row cleared at every
+        other pivot.  Over Q each entry is divided by its row's pivot once,
+        here, as ``Fraction(x, lead)``."""
+        rows, clear = self.rows, self.clear
         done: dict[object, dict] = {}
-        for pc in sorted(self.rows, reverse=True):
-            row = self.rows[pc]
-            vals = dict(row)
-            # finished rows (the pivots above pc) vanish at every other
-            # pivot, so clearing one leaves the stored entries at the others
-            for i, x in row:
-                if i in done:
-                    for j, y in done[i].items():
-                        vals[j] = sub(vals.get(j, zero), mul(x, y))
-            done[pc] = {j: z for j, z in vals.items() if not is_zero(z)}
-        return dict(reversed(done.items()))
+        for pc in sorted(rows, reverse=True):
+            v = rows[pc]
+            # the finished rows (pivots above pc) vanish at every other
+            # pivot, so clearing one leaves v's entries at the others
+            later = [j for j in v if j in done]
+            if later:
+                v = dict(v)
+                for j in later:
+                    v = clear(v, done[j], j)
+            done[pc] = v
+        out = {}
+        for pc in reversed(done):
+            v = done[pc]
+            if self._unit is None:
+                lead = v[pc]
+                out[pc] = {c: Fraction(v[c], lead) for c in sorted(v)}
+            else:
+                out[pc] = {c: v[c] for c in sorted(v)}
+        return out
 
 
-def _int_row(row: dict, p: int) -> dict[int, int]:
-    """The sparse integer row {column: int} with the span of ``row``, its
-    nonzero entries only (empty for a zero row).
+@lru_cache(maxsize=None)
+def _row_arithmetic(field: Field) -> tuple:
+    """(entry, unit, clear) for the rows of an :class:`Echelon` over field.
 
-    Over F_p entries are reduced mod p.  Over Q (p = 0) denominators are
-    cleared and the content divided out.
+    entry(row) is a new row of the nonzero entries with the span of row.
+    unit(v, col) scales v to the entry one at col; it is None over Q, whose
+    rows stay fraction-free.  clear(v, prow, col) eliminates v at col by the
+    pivot row prow and returns the result, reusing v where it can; stored
+    rows are only ever passed as prow.
     """
-    if p:
-        return {c: r for c, a in row.items() if (r := a % p)}
+    if isinstance(field, RationalField):
+        return _int_row, None, _clear
+    if isinstance(field, PrimeField):
+        return _residue_arithmetic(field.p)
+    return _code_arithmetic(field.sub, field.mul, field.inv)
+
+
+def _int_row(row: dict) -> dict:
+    """The sparse integer row {column: int} with the span of a row over Q:
+    denominators cleared, content divided out, nonzero entries only (empty
+    for a zero row)."""
     nz = {c: a for c, a in row.items() if a}
     if not nz:
         return nz
@@ -763,23 +768,11 @@ def _int_row(row: dict, p: int) -> dict[int, int]:
     return {c: x // g for c, x in out.items()} if g > 1 else out
 
 
-def _clear(v: dict[int, int], prow: dict[int, int], col: int, p: int) -> dict[int, int]:
-    """v cleared at col by the pivot row prow (both sparse integer rows).
-
-    Over F_p prow's entry at col is one and v becomes v - x*prow mod p,
-    in place.  Over Q v becomes the fraction-free combination
-    (lead/g)*v - (x/g)*prow, with g = gcd(lead, x), divided by its content.
-    """
-    x = v[col]
-    if p:
-        for i, y in prow.items():
-            z = (v.get(i, 0) - x * y) % p
-            if z:
-                v[i] = z
-            else:
-                del v[i]
-        return v
-    lead = prow[col]
+def _clear(v: dict, prow: dict, col) -> dict:
+    """v cleared at col by the pivot row prow, both sparse integer rows over
+    Q: the fraction-free combination (lead/g)*v - (x/g)*prow, with
+    g = gcd(lead, x), divided by its content."""
+    x, lead = v[col], prow[col]
     g = gcd(lead, x)
     a, b = lead // g, x // g
     if a != 1:
@@ -794,54 +787,51 @@ def _clear(v: dict[int, int], prow: dict[int, int], col: int, p: int) -> dict[in
     return {i: y // g for i, y in v.items()} if g > 1 else v
 
 
-def _echelon_int(in_rows: Iterable[dict], p: int) -> dict[int, dict[int, int]]:
-    """Forward pass over Q (p = 0) or F_p on sparse integer rows: pivot
-    column -> echelon row, not back-substituted.  A row's pivot is its
-    smallest column, as in :class:`Echelon`; over F_p the pivot entry is
-    one, over Q the rows stay fraction-free."""
-    piv: dict[int, dict[int, int]] = {}
-    for row in in_rows:
-        v = _int_row(row, p)
-        while v:
-            c = min(v)
-            prow = piv.get(c)
-            if prow is None:
-                if p and v[c] != 1:
-                    inv = pow(v[c], -1, p)
-                    v = {i: x * inv % p for i, x in v.items()}
-                piv[c] = v
-                break
-            v = _clear(v, prow, c, p)
-    return piv
+def _residue_arithmetic(p: int) -> tuple:
+    """Sparse integer rows over F_p: residues in [0, p), v - x*prow in place."""
+
+    def entry(row: dict) -> dict:
+        return {c: r for c, a in row.items() if (r := a % p)}
+
+    def unit(v: dict, col) -> dict:
+        inv = pow(v[col], -1, p)
+        return {i: x * inv % p for i, x in v.items()}
+
+    def clear(v: dict, prow: dict, col) -> dict:
+        x = v[col]
+        for i, y in prow.items():
+            z = (v.get(i, 0) - x * y) % p
+            if z:
+                v[i] = z
+            else:
+                del v[i]
+        return v
+
+    return entry, unit, clear
 
 
-def _rref_int(in_rows: list[dict], ncols: int, p: int) -> RrefResult:
-    """RREF over Q (p = 0) or F_p on sparse integer rows.
+def _code_arithmetic(sub, mul, inv) -> tuple:
+    """Rows of F_{p^m} codes (zero is the code 0) in the field's arithmetic:
+    v - x*prow in place."""
 
-    The forward pass of :func:`_echelon_int`, then back-substitution from
-    the last pivot up: each row is cleared with :func:`_clear` at the
-    pivots right of its own, whose rows are already reduced and so vanish
-    at every other pivot.  Over Q each entry is divided by its row's pivot once, at
-    the end, as ``Fraction(x, lead)``.  Rows come out with their columns
-    ascending.
-    """
-    piv = _echelon_int(in_rows, p)
-    pivots = sorted(piv)
-    done: dict[int, dict[int, int]] = {}
-    for pc in reversed(pivots):
-        v = piv[pc]
-        for j in [j for j in v if j in done]:
-            v = _clear(v, done[j], j, p)
-        done[pc] = v
-    out: list[dict] = []
-    for pc in pivots:
-        v = done[pc]
-        if p:
-            out.append({c: v[c] for c in sorted(v)})
-        else:
-            lead = v[pc]
-            out.append({c: Fraction(v[c], lead) for c in sorted(v)})
-    return RrefResult(rows=out, pivots=pivots, ncols=ncols)
+    def entry(row: dict) -> dict:
+        return {c: x for c, x in row.items() if x}
+
+    def unit(v: dict, col) -> dict:
+        a = inv(v[col])
+        return {i: mul(a, x) for i, x in v.items()}
+
+    def clear(v: dict, prow: dict, col) -> dict:
+        x = v[col]
+        for i, y in prow.items():
+            z = sub(v.get(i, 0), mul(x, y))
+            if z:
+                v[i] = z
+            else:
+                del v[i]
+        return v
+
+    return entry, unit, clear
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

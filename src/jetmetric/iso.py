@@ -54,7 +54,7 @@ from .artin import (
     Sparse,
     hf_by_degree_count,
     nilpotency_index,
-    socle,
+    socle_dimension,
     sparse,
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
@@ -161,7 +161,7 @@ INVARIANTS = (
     ("length", lambda A: A.dim),
     ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
     ("nilpotency_index", lambda A: 0 if A.is_zero_ring() else nilpotency_index(A)),
-    ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle(A)[0]),
+    ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle_dimension(A)),
     ("embedding_dimension", lambda A: len(A.component(1))),
     ("multiplication_rank_profile", _mult_rank_profile),
     ("derivation_dimension", derivation_dimension),

@@ -141,10 +141,6 @@ class Poly:
             k >>= 1
         return out
 
-    def truncate_below(self, degmax: int) -> "Poly":
-        return Poly(self.field, self.nvars,
-                    {m: c for m, c in self.terms.items() if mono_deg(m) < degmax})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -16,7 +16,7 @@ witness search), so no work is spent on the zero blocks of generators in
 other degrees.  Degree components come from `ArtinAlgebra.component`.  This
 module does no row reduction of its own: kernels come sparse from
 `ExactMatrix.kernel_basis`, and membership in a submodule is tested by
-`exactcore.Echelon`, the same engine that reduces matrices over F_{p^m}.
+`exactcore.Echelon`, the one elimination engine behind every `ExactMatrix`.
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .artin import ArtinAlgebra, jet, socle
+from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
 from .exactcore import Echelon, ExactMatrix
 from .hilbert import HilbertData, hilbert_series
@@ -66,9 +66,6 @@ class ResolutionData:
 
     def rank(self, i: int) -> int:
         return self.ranks[i] if i < len(self.ranks) else 0
-
-    def betti_row(self, i: int) -> dict[int, int]:
-        return {j: b for (h, j), b in sorted(self.betti.items()) if h == i}
 
 
 def _mult(A: ArtinAlgebra, u: int, elem: Element) -> Element:
@@ -309,7 +306,7 @@ def depth_and_classify(p: Presentation,
     if dim == 0:
         top = max(j for j, h in enumerate(hd.series_prefix) if h > 0)
         A = jet(p, top + 1, capacity=capacity)
-        gorenstein = socle(A)[0] == 1
+        gorenstein = socle_dimension(A) == 1
     elif cm:
         gorenstein = res.rank(res.pd) == 1
     else:

@@ -10,7 +10,10 @@ as the span of x^u * g with |u| <= d - deg g, in one `Echelon` keyed by
 t^(d0 - |b|) x^b of J.  The loop stops at the first d >= every generator
 degree where every S-pair of the minimal rows, of degree above d and not
 coprime, reduces to zero; by Buchberger's criterion the rows then form a
-Groebner basis, so L(I) is exact.  k[x]/L(I) has the Hilbert-Samuel function
+Groebner basis, so L(I) is exact.  The module does no field arithmetic of
+its own: the minimal rows are the echelon's stored rows, an S-pair is one
+`Echelon.clear` of a shifted row by another and division is repeated
+clearing, so over Q S-pairs are cleared fraction-free on integer rows.  k[x]/L(I) has the Hilbert-Samuel function
 of I (Greuel-Pfister, ch. 5), with series from N(L + (m)) = N(L) -
 t^deg(m) N(L : m) (Bayer-Stillman, J. Symb. Comput. 14, 1992).
 """
@@ -38,37 +41,35 @@ def _minimal(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-def _subtract(field: Field, h: dict, c, shift: Monomial, row: dict) -> None:
-    """h -= c * x^shift * row, in place."""
-    s = sum(shift)
-    for (deg, m), v in row.items():
-        key = (deg + s, mono_mul(m, shift))
-        x = field.sub(h.get(key, field.zero()), field.mul(c, v))
-        if field.is_zero(x):
-            h.pop(key, None)
-        else:
-            h[key] = x
+def _shift(row: dict, u: Monomial) -> dict:
+    """x^u * row, for a row {grlex_key(m): c}."""
+    s = sum(u)
+    return {(deg + s, mono_mul(m, u)): c for (deg, m), c in row.items()}
 
 
-def _reduces_to_zero(field: Field, h: dict, e: int, basis: list) -> bool:
+def _over(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _reduces_to_zero(clear, h: dict, e: int, basis: list) -> bool:
     """Homogeneous division of the degree-e element h of J: t^a x^b divides
     its leading monomial t^(e - |m|) x^m when b divides m and a <= e - |m|."""
     while h:
         deg, m = lead = min(h)
         for a, b, row in basis:
             if a <= e - deg and _divides(b, m):
-                _subtract(field, h, h[lead], tuple(x - y for x, y in zip(m, b)), row)
+                h = clear(h, _shift(row, _over(m, b)), lead)
                 break
         else:
             return False
     return True
 
 
-def _pairs_reduce(field: Field, basis: list, d: int, verified: set) -> bool:
+def _pairs_reduce(clear, basis: list, d: int, verified: set) -> bool:
     """Whether every S-pair of the basis, (a, b, row) per row of J with a
-    minimal leading monomial t^a x^b (the row as {grlex_key(m): c}, c = 1 at
-    b), above degree d reduces to zero.  A reduced pair stays verified."""
-    one = field.one()
+    minimal leading monomial t^a x^b (the echelon's stored row, keyed by
+    grlex_key, its pivot at b), above degree d reduces to zero.  A reduced
+    pair stays verified."""
     for j, (aj, bj, rj) in enumerate(basis):
         for ai, bi, ri in basis[:j]:
             lcm = tuple(map(max, bi, bj))
@@ -76,10 +77,9 @@ def _pairs_reduce(field: Field, basis: list, d: int, verified: set) -> bool:
             coprime = e == ai + aj + sum(bi) + sum(bj)
             if coprime or e <= d or (bi, bj) in verified:
                 continue
-            s: dict = {}
-            _subtract(field, s, field.neg(one), tuple(x - y for x, y in zip(lcm, bi)), ri)
-            _subtract(field, s, one, tuple(x - y for x, y in zip(lcm, bj)), rj)
-            if not _reduces_to_zero(field, s, e, basis):
+            s = clear(_shift(ri, _over(lcm, bi)), _shift(rj, _over(lcm, bj)),
+                      grlex_key(lcm))
+            if not _reduces_to_zero(clear, s, e, basis):
                 return False
             verified.add((bi, bj))
     return True
@@ -107,8 +107,8 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
                                             what="leading-ideal row count")
         for deg, b in sorted(k for k in ech.rows if k not in before):
             if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
-                basis.append((d - deg, b, dict(ech.rows[(deg, b)])))
-        if d >= top and _pairs_reduce(field, basis, d, verified):
+                basis.append((d - deg, b, ech.rows[(deg, b)]))
+        if d >= top and _pairs_reduce(ech.clear, basis, d, verified):
             return _minimal(b for _, b, _ in basis)
         d += 1
 

@@ -13,6 +13,7 @@ from jetmetric.artin import (
     jet,
     nilpotency_index,
     socle,
+    socle_dimension,
     sparse,
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
@@ -175,6 +176,18 @@ def test_socle_is_the_kernel_of_multiplication_by_every_variable(seed, field, mo
         want = [A.dense(v.items())
                 for v in ExactMatrix(f, stacked, A.dim).kernel_basis()]
         assert socle(A) == (len(want), want)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_socle_dimension_counts_the_socle_basis(seed, field, mode, nvars, order):
+    A = jet(random_presentation(random.Random(seed), field, nvars, mode), order)
+    if A.is_zero_ring():
+        with pytest.raises(ZeroRingError):
+            socle_dimension(A)
+        return
+    assert socle_dimension(A) == socle(A)[0]
 
 
 def test_high_power_relation_evaluates_without_recursion():

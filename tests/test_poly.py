@@ -50,14 +50,6 @@ def test_poly_arithmetic_over_q():
     assert (x + y).pow(2) == x * x + x * y.scale(Fraction(2)) + y * y
 
 
-def test_truncate_below_drops_high_terms():
-    F = rationals()
-    x = Poly.variable(F, 1, 0)
-    p = x + x.pow(3) + x.pow(5)
-    assert p.truncate_below(4) == x + x.pow(3)
-    assert p.truncate_below(1).is_zero()
-
-
 def test_order_and_degree():
     F = rationals()
     x, y = (Poly.variable(F, 2, i) for i in range(2))

@@ -1,15 +1,17 @@
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetmetric.artin import jet
-from jetmetric.errors import CapacityError
+from jetmetric.errors import CapacityError, ConstantTermError
 from jetmetric.hilbert import hilbert_series
-from jetmetric.poly import graded_component_rank
+from jetmetric.poly import (DEFAULT_CAPACITY, graded_component_rank, grlex_key, mono_mul,
+                            monomials_of_degree)
 from jetmetric.presentation import parse_presentation
-from jetmetric.standard import hilbert_numerator, leading_ideal, series
+from jetmetric.standard import _divides, _minimal, hilbert_numerator, leading_ideal, series
 
 from conftest import random_presentation
 
@@ -88,3 +90,137 @@ def test_graded_series_matches_degreewise_ranks(seed, field, nvars):
     fld = p.base_field()
     for n, h in enumerate(hd.series_prefix):
         assert h == graded_component_rank(fld, p.nvars, p.gens, n)[1]
+
+
+# -- reference: the leading-ideal engine in field arithmetic, the heap-pivot
+# echelon and S-pairs subtracted entry by entry, which the engine on the one
+# shared `Echelon` and its row clearing replaced
+
+
+class _FieldEchelon:
+    """Rows as (key, value) pairs in ascending key order, pivot entry one."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    def add(self, v):
+        fld = self.field
+        is_zero, sub, mul = fld.is_zero, fld.sub, fld.mul
+        v = dict(v)
+        live = list(v)
+        heapify(live)
+        while live:
+            c = heappop(live)
+            coef = v[c]
+            if is_zero(coef):
+                continue
+            row = self.rows.get(c)
+            if row is None:
+                inv = fld.inv(coef)
+                self.rows[c] = [(i, mul(inv, x)) for i, x in sorted(v.items())
+                                if not is_zero(x)]
+                return True
+            for i, r in row:
+                x = v.get(i)
+                if x is None:
+                    v[i] = fld.neg(mul(coef, r))
+                    heappush(live, i)
+                else:
+                    v[i] = sub(x, mul(coef, r))
+        return False
+
+
+def _subtract(field, h, c, shift, row):
+    """h -= c * x^shift * row, in place."""
+    s = sum(shift)
+    for (deg, m), v in row.items():
+        key = (deg + s, mono_mul(m, shift))
+        x = field.sub(h.get(key, field.zero()), field.mul(c, v))
+        if field.is_zero(x):
+            h.pop(key, None)
+        else:
+            h[key] = x
+
+
+def _reduces_to_zero(field, h, e, basis):
+    while h:
+        deg, m = lead = min(h)
+        for a, b, row in basis:
+            if a <= e - deg and _divides(b, m):
+                _subtract(field, h, h[lead], tuple(x - y for x, y in zip(m, b)), row)
+                break
+        else:
+            return False
+    return True
+
+
+def _pairs_reduce(field, basis, d, verified):
+    one = field.one()
+    for j, (aj, bj, rj) in enumerate(basis):
+        for ai, bi, ri in basis[:j]:
+            lcm = tuple(map(max, bi, bj))
+            e = max(ai, aj) + sum(lcm)
+            coprime = e == ai + aj + sum(bi) + sum(bj)
+            if coprime or e <= d or (bi, bj) in verified:
+                continue
+            s = {}
+            _subtract(field, s, field.neg(one), tuple(x - y for x, y in zip(lcm, bi)), ri)
+            _subtract(field, s, one, tuple(x - y for x, y in zip(lcm, bj)), rj)
+            if not _reduces_to_zero(field, s, e, basis):
+                return False
+            verified.add((bi, bj))
+    return True
+
+
+def _reference_leading_ideal(field, nvars, gens, capacity=DEFAULT_CAPACITY):
+    if any(not field.is_zero(g.constant_term()) for g in gens):
+        raise ConstantTermError("ideal generator has nonzero constant term")
+    top = max((g.degree() for g in gens), default=0)
+    ech, basis, verified, d = _FieldEchelon(field), [], set(), 0
+    while True:
+        before = set(ech.rows)
+        for g in gens:
+            if g.degree() <= d:
+                for u in monomials_of_degree(nvars, d - g.degree()):
+                    row = {grlex_key(mono_mul(u, m)): c for m, c in g.terms.items()}
+                    if ech.add(row) and len(ech.rows) > capacity:
+                        raise CapacityError(len(ech.rows), capacity,
+                                            f"degree {d} in {nvars} variables",
+                                            what="leading-ideal row count")
+        for deg, b in sorted(k for k in ech.rows if k not in before):
+            if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
+                basis.append((d - deg, b, dict(ech.rows[(deg, b)])))
+        if d >= top and _pairs_reduce(field, basis, d, verified):
+            return _minimal(b for _, b, _ in basis)
+        d += 1
+
+
+def _generators_or_guard(engine, p, capacity):
+    try:
+        return engine(p.base_field(), p.nvars, p.gens, capacity)
+    except CapacityError as exc:
+        return str(exc)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["local", "graded"]), st.integers(1, 3),
+       st.sampled_from([10, 40, DEFAULT_CAPACITY]))
+@settings(max_examples=100, deadline=None)
+def test_leading_ideal_matches_the_field_arithmetic_reference(seed, field, mode, nvars,
+                                                             capacity):
+    # the same generators, or the capacity guard at the same row
+    p = random_presentation(random.Random(seed), field, nvars, mode)
+    assert _generators_or_guard(leading_ideal, p, capacity) == \
+        _generators_or_guard(_reference_leading_ideal, p, capacity)
+
+
+@pytest.mark.parametrize("field", ["Q", "F_3"])
+def test_complete_intersection_matches_the_field_arithmetic_reference(field):
+    p = parse_presentation(f"ring {field}[x, y, z]\nlocal\n"
+                           "ideal: x^2 + y^3 - z^4 + x*y*z, y^2 - x*z^3 + 2*x^3, "
+                           "z^3 + x*y^2 - 3*y*z^2")
+    fld = p.base_field()
+    want = _reference_leading_ideal(fld, p.nvars, p.gens)
+    assert want == ((0, 2, 0), (2, 0, 0), (0, 0, 3))
+    assert leading_ideal(fld, p.nvars, p.gens) == want
