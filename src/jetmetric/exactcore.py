@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -228,6 +228,11 @@ class Field:
     def vec_zero(self, n: int) -> list:
         z = self.zero()
         return [z] * n
+
+    @cached_property
+    def row_arithmetic(self) -> tuple:
+        """The :class:`Echelon` row arithmetic, chosen once per instance."""
+        return _row_arithmetic(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.desc == other.desc
@@ -677,31 +682,42 @@ class Echelon:
     their nonzero entries, in the row arithmetic of :func:`_row_arithmetic`,
     chosen once per field: sparse integer rows over Q (fraction-free, content
     1) and F_p (residues, pivot entry one), element codes over F_{p^m}
-    (pivot entry one).  :meth:`add` is the one forward loop: it tests
-    membership in the span and grows it.  :meth:`reduced` is the one
-    back-substitution, with the same :attr:`clear`.  A stored row is never
-    changed, so :meth:`copy` shares them.
+    (pivot entry one).  :meth:`reduce` is the one forward loop and inserts
+    nothing; :meth:`add` is reduce plus :meth:`store`.  :meth:`reduced` is
+    the one back-substitution, with the same :attr:`clear`.  A stored row is
+    never changed, so :meth:`copy` shares them.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: dict[object, dict] = {}
-        self._entry, self._unit, self.clear = _row_arithmetic(field)
+        self._entry, self._unit, self.clear = field.row_arithmetic
 
-    def add(self, v: dict) -> bool:
-        """Insert v unless it lies in the span; True when v was inserted."""
+    def reduce(self, v: dict) -> tuple[dict, object]:
+        """(remainder, pivot): v cleared at the stored pivots until its
+        smallest key has no row; (empty, None) when v lies in the span."""
         rows, clear = self.rows, self.clear
         v = self._entry(v)
         while v:
             c = min(v)
             prow = rows.get(c)
             if prow is None:
-                if self._unit is not None and v[c] != 1:
-                    v = self._unit(v, c)
-                rows[c] = v
-                return True
+                return v, c
             v = clear(v, prow, c)
-        return False
+        return v, None
+
+    def store(self, v: dict, c) -> None:
+        """Insert a remainder of :meth:`reduce` with its pivot c."""
+        if self._unit is not None and v[c] != 1:
+            v = self._unit(v, c)
+        self.rows[c] = v
+
+    def add(self, v: dict) -> bool:
+        """Insert v unless it lies in the span; True when v was inserted."""
+        v, c = self.reduce(v)
+        if c is not None:
+            self.store(v, c)
+        return c is not None
 
     def copy(self) -> "Echelon":
         """An echelon with the same rows that grows on its own."""
@@ -738,7 +754,6 @@ class Echelon:
         return out
 
 
-@lru_cache(maxsize=None)
 def _row_arithmetic(field: Field) -> tuple:
     """(entry, unit, clear) for the rows of an :class:`Echelon` over field.
 

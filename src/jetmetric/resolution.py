@@ -2,21 +2,24 @@
 
 No Groebner or Schreyer machinery: a free module over a graded quotient is
 handled one internal degree at a time, where everything is a finite matrix
-over the coefficient field.  Syzygies in degree j are the kernel of the
-evaluation matrix; minimal generators are the kernel vectors surviving
-reduction against the submodule generated in lower degrees.  That yields
-Betti tables of the residue field over an Artinian (or polynomial) graded
-ring, finite resolutions of graded quotients over the polynomial ring, and
-the depth / regular / Cohen-Macaulay / Gorenstein classification.
+over the coefficient field.  In each degree of a layer one elimination takes
+the products of the layer's lower generators, each tagged with the basis
+vector of the next free module it stands for: a product that reduces to its
+tags is a syzygy, and these syzygies are a kernel basis, the next layer's
+candidates; a candidate outside the span of the products is a new minimal
+generator.  The top layer is only counted, beta_{i,j} = dim(K/mK)_j (Avramov,
+Infinite free resolutions, 1998, section 1).  That yields Betti tables of
+the residue field over an Artinian (or polynomial) graded ring, finite
+resolutions of graded quotients over the polynomial ring, and the depth /
+regular / Cohen-Macaulay / Gorenstein classification.
 
 Module elements are sparse: only the nonzero coefficients are stored, and a
 basis monomial times an element reads the ring's own sparse table of basis-
 pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
 witness search), so no work is spent on the zero blocks of generators in
 other degrees.  Degree components come from `ArtinAlgebra.component`.  This
-module does no row reduction of its own: kernels come sparse from
-`ExactMatrix.kernel_basis`, and membership in a submodule is tested by
-`exactcore.Echelon`, the one elimination engine behind every `ExactMatrix`.
+module does no row reduction of its own: every elimination is an
+`exactcore.Echelon`.
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
@@ -27,13 +30,14 @@ computation redone until the certificate passes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence, Union
 
 from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
-from .exactcore import Echelon, ExactMatrix
+from .exactcore import Echelon
 from .hilbert import HilbertData, hilbert_series
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
@@ -80,101 +84,78 @@ def _mult(A: ArtinAlgebra, u: int, elem: Element) -> Element:
     return {key: x for key, x in out.items() if not is_zero(x)}
 
 
-def _span_reducer(A: ArtinAlgebra, gen_shifts: Sequence[int], gens: Sequence[Element],
-                  deg: int) -> Echelon:
-    """An Echelon seeded with the degree-deg multiples u * g of the given
-    generators (degrees gen_shifts)."""
-    red = Echelon(A.field)
-    for d, g in zip(gen_shifts, gens):
-        for u in A.component(deg - d):
-            red.add(_mult(A, u, g))
-    return red
+def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
+             top: int, dcap: int) -> tuple[dict, list[int], Optional[int]]:
+    """Betti table and ranks of a minimal resolution through homological
+    degree top: degree 0 in layer 0, layer 1 minimally generated by the
+    candidates (elements of F_0, by degree); and the projective dimension,
+    the first i with ker d_i = 0 up to dcap (0 without generators), or None.
 
-
-def _syzygy_step(A: ArtinAlgebra, prev_shifts: Sequence[int],
-                 shifts: Sequence[int], gens: Sequence[Element],
-                 dcap: int) -> tuple[list[int], list[Element], bool]:
-    """Minimal generators of the syzygy module of `gens`; the flag reports
-    whether the kernel vanished identically at every degree up to the cap."""
-    fld = A.field
-    new_shifts: list[int] = []
-    new_gens: list[Element] = []
-    kernel_seen = False
-    if not shifts:
-        return new_shifts, new_gens, False
-    for j in range(min(shifts) + 1, dcap + 1):
-        # domain and codomain: one block of ring basis indices per generator
-        dom = [(k, b) for k, s in enumerate(shifts) for b in A.component(j - s)]
-        if not dom:
-            continue
-        row_of = {key: r for r, key in enumerate(
-            (k, b) for k, s in enumerate(prev_shifts) for b in A.component(j - s))}
-        rows: list[dict] = [{} for _ in row_of]
-        for c, (k, b) in enumerate(dom):
-            for key, x in _mult(A, b, gens[k]).items():
-                rows[row_of[key]][c] = x
-        kernel = ExactMatrix(fld, rows, len(dom)).kernel_basis()
-        if not kernel:
-            continue
-        kernel_seen = True
-
-        red = _span_reducer(A, new_shifts, new_gens, j)
-        for v in kernel:
-            elem = {dom[c]: x for c, x in v.items()}
-            if not red.add(elem):
-                continue
-            if any(shifts[k] == j for k, _ in elem):
-                raise InternalInconsistencyError(
-                    "syzygy with a unit entry against a minimal generator")
-            new_shifts.append(j)
-            new_gens.append(elem)
-    return new_shifts, new_gens, not kernel_seen
-
-
-def _resolve(A: ArtinAlgebra, shifts1: list[int], gens1: list[Element],
-             top: int, dcap: int) -> tuple[list[list[int]], Optional[int]]:
-    """The layers' shifts of a minimal resolution with one generator of
-    degree 0 in homological degree 0 and the given generators in degree 1,
-    each further layer one `_syzygy_step`, below homological degree top;
-    and its projective dimension: the first degree whose syzygies vanish
-    up to dcap (0 with no generators), or None when the steps stop first
-    (a kernel out of degree range, or top reached)."""
-    if not shifts1:
-        return [[0]], 0
-    layers, gens = [[0], shifts1], gens1
-    for i in range(1, top):
-        shifts, gens, vanished = _syzygy_step(A, layers[i - 1], layers[i], gens, dcap)
-        if vanished:
-            return layers, i
+    Per layer i and degree j one `Echelon` over (F_{i-1})_j: first the
+    products u * g of lower generators, tagged (T, k, u) with T the number of
+    generators of F_{i-1}, so tags sort last and a product left with a tag
+    pivot is a dependency, its tags a vector of ker d_i; then the candidates,
+    one left with an element pivot a new generator.  Dependencies count up
+    to dcap; layer-1 candidates above it are still taken."""
+    one = A.field.one()
+    layers, pd = [[0]], None
+    candidates = candidates_by_degree
+    for i in range(1, top + 1):
+        if i == top > 1:
+            layers.append(_count_generators(A, candidates))
+            break
+        T = len(layers[-1])
+        shifts: list[int] = []
+        gens: list[Element] = []
+        kernel: dict[int, list[Element]] = {}
+        degrees = set(candidates).union(range(1, dcap + 1) if i < top else ())
+        for j in sorted(degrees):
+            ech = Echelon(A.field)
+            # every generator so far has degree below j
+            for k, (s, g) in enumerate(zip(shifts, gens)):
+                for u in A.component(j - s):
+                    row = _mult(A, u, g)
+                    row[(T, k, u)] = one
+                    rem, c = ech.reduce(row)
+                    if c[0] < T:
+                        ech.store(rem, c)
+                    elif j <= dcap:
+                        kernel.setdefault(j, []).append(
+                            {(k2, u2): x for (_, k2, u2), x in rem.items()})
+            cands = candidates.get(j, ())
+            for g in cands:
+                # past layer 1 the candidates are a basis of a space that
+                # holds the products: once they span it, none is new
+                if i > 1 and len(ech.rows) == len(cands):
+                    break
+                rem, c = ech.reduce(g)
+                if c is not None and c[0] < T:
+                    ech.store(rem, c)
+                    shifts.append(j)
+                    gens.append(g)
         if not shifts:
-            break  # kernel nonzero but out of degree range: truncated
+            pd = i - 1
+            break
         layers.append(shifts)
-    return layers, None
+        if not kernel and i < top:
+            pd = i
+            break
+        candidates = kernel
+    betti = Counter((i, j) for i, shifts in enumerate(layers) for j in shifts)
+    return dict(betti), [len(shifts) for shifts in layers], pd
 
 
-def _minimalize(A: ArtinAlgebra, candidates: list[tuple[int, Element]]
-                ) -> tuple[list[int], list[Element]]:
-    """Minimal generating subset of homogeneous module elements: processed by
-    ascending degree, keeping those outside the submodule of the kept ones.
-    One reducer serves each degree, since a kept element is already a row."""
+def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]:
+    """Shifts of minimal generators of a graded submodule K, from a basis of
+    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1."""
     shifts: list[int] = []
-    kept: list[Element] = []
-    red, red_deg = None, None
-    for deg, elem in sorted(candidates, key=lambda t: t[0]):
-        if deg != red_deg:
-            red, red_deg = _span_reducer(A, shifts, kept, deg), deg
-        if red.add(elem):
-            shifts.append(deg)
-            kept.append(elem)
-    return shifts, kept
-
-
-def _betti_from_layers(layers: list[list[int]]) -> tuple[dict, list[int]]:
-    betti: dict[tuple[int, int], int] = {}
-    for i, shifts in enumerate(layers):
-        for j in shifts:
-            betti[(i, j)] = betti.get((i, j), 0) + 1
-    return betti, [len(s) for s in layers]
+    for j in sorted(K):
+        ech = Echelon(A.field)
+        for v in K.get(j - 1, ()):
+            for x in A.component(1):
+                ech.add(_mult(A, x, v))
+        shifts.extend([j] * (len(K[j]) - len(ech.rows)))
+    return shifts
 
 
 def _alternating_numerator(betti: dict[tuple[int, int], int]) -> list[int]:
@@ -226,8 +207,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
         raise GradingError("residue-field resolution needs homogeneous relations")
 
     first = [{(0, b): A.field.one()} for b in A.component(1)]
-    layers, pd = _resolve(A, [1] * len(first), first, hcap, dcap)
-    betti, ranks = _betti_from_layers(layers)
+    betti, ranks, pd = _resolve(A, {1: first}, hcap, dcap)
     e = len(first)
     if not (pd == e and ranks == [comb(e, i) for i in range(e + 1)]
             and _regular(src, A, capacity)):
@@ -262,10 +242,11 @@ def _quotient_resolution(p: Presentation, hd: HilbertData,
     for _ in range(5):
         A = jet(ambient, dcap + 1, capacity=capacity)
         index = {m: i for i, m in enumerate(A.basis)}
-        candidates = [(g.degree(), {(0, index[mono]): c for mono, c in g.terms.items()})
-                      for g in p.gens]
-        layers, pd = _resolve(A, *_minimalize(A, candidates), r + 2, dcap)
-        betti, ranks = _betti_from_layers(layers)
+        candidates: dict[int, list[Element]] = {}
+        for g in p.gens:
+            candidates.setdefault(g.degree(), []).append(
+                {(0, index[mono]): c for mono, c in g.terms.items()})
+        betti, ranks, pd = _resolve(A, candidates, r + 2, dcap)
         maxdeg = max((j for (_, j) in betti), default=0)
         if pd is not None and maxdeg <= dcap - 2 \
                 and _alternating_numerator(betti) == target:

@@ -513,6 +513,31 @@ def test_echelon_engine_matches_dense_reference(name, data):
         _assert_same_rref(F, rows, n)
 
 
+@pytest.mark.parametrize("name", ["Q", "F_3", "F_4"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduce_inserts_nothing_and_store_completes_add(name, data):
+    F = ENGINE_FIELDS[name]
+    rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
+    ech, twin = Echelon(F), Echelon(F)
+    for r in _sparse_rows(F, rows):
+        before = {c: (row, dict(row)) for c, row in ech.rows.items()}
+        given_row = dict(r)
+        rem, key = ech.reduce(r)
+        assert r == given_row
+        # rows unchanged: the same stored dicts with the same entries
+        assert ech.rows.keys() == before.keys()
+        for c, row in ech.rows.items():
+            assert row is before[c][0] and row == before[c][1]
+        assert (key is None) == (not twin.add(r))
+        if key is None:
+            assert rem == {}
+            continue
+        assert key == min(rem) and key not in ech.rows
+        ech.store(rem, key)
+        assert ech.rows == twin.rows
+
+
 RANK_FIELDS = {**ENGINE_FIELDS, "F_2": PrimeField(2), "F_32003": PrimeField(32003)}
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -5,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetmetric import resolution
 from jetmetric.artin import jet, socle
-from jetmetric.errors import CapacityError, GradingError, RangeError, ZeroRingError
-from jetmetric.exactcore import Echelon, finite_field, rationals
+from jetmetric.errors import (
+    CapacityError,
+    GradingError,
+    InternalInconsistencyError,
+    RangeError,
+    ZeroRingError,
+)
+from jetmetric.exactcore import Echelon, ExactMatrix, finite_field, rationals
 from jetmetric.hilbert import hilbert_series
 from jetmetric.iso import base_change
 from jetmetric.presentation import parse_presentation
@@ -17,6 +25,7 @@ from jetmetric.resolution import (
     minimal_resolution_of_quotient,
 )
 
+from conftest import random_presentation
 from test_exactcore import _dense_rref
 
 
@@ -90,6 +99,15 @@ def test_residue_field_below_degree_one_is_not_complete(text, dcap):
     assert res.ranks[:2] == [1, 2]
 
 
+def test_residue_field_at_homological_cap_one_is_not_complete():
+    # k[x, y]/(x) is the polynomial ring in one variable, pd 1; at hcap 1
+    # the kernel of d_1 is never computed, so pd 1 is not certified
+    res = betti_residue_field(_pres("ring Q[x, y]\ngraded\nideal: x"), 1)
+    assert not res.complete and res.pd is None
+    assert res.ranks == [1, 1]
+    assert betti_residue_field(_pres("ring Q[x, y]\ngraded\nideal: x"), 2).pd == 1
+
+
 def test_residue_field_betti_from_artin_algebra_input(fat_point):
     A = jet(fat_point, 5)
     res = betti_residue_field(A, 4)
@@ -107,6 +125,14 @@ def test_redundant_generators_are_minimalized():
     res = minimal_resolution_of_quotient(p)
     # the ideal is (x^2, y^2): a complete intersection
     assert dict(res.betti) == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+
+def test_generators_as_many_as_the_products_below_them_are_kept():
+    # in degree 3 the products x^3, x^2*y of x^2 are as many as the new
+    # generators x*y^2, y^3: neither lies in their span
+    res = minimal_resolution_of_quotient(_pres("ring Q[x, y]\ngraded\nideal: x^2, x*y^2, y^3"))
+    assert res.pd == 2
+    assert dict(res.betti) == {(0, 0): 1, (1, 2): 1, (1, 3): 2, (2, 4): 2}
 
 
 def test_complete_intersection_x2_y3():
@@ -311,3 +337,128 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
                 assert gcd(*row.values()) == 1
             else:
                 assert row[key] == fld.one()
+
+
+# -- reference: the resolution engine that built every layer, each degree's
+# syzygies from an `ExactMatrix.kernel_basis` of the products and the minimal
+# ones by a second elimination of the same products, which the one tagged
+# elimination per layer and degree replaced
+
+
+def _span_reducer(A, gen_shifts, gens, deg):
+    red = Echelon(A.field)
+    for d, g in zip(gen_shifts, gens):
+        for u in A.component(deg - d):
+            red.add(resolution._mult(A, u, g))
+    return red
+
+
+def _syzygy_step(A, prev_shifts, shifts, gens, dcap):
+    fld = A.field
+    new_shifts, new_gens = [], []
+    kernel_seen = False
+    if not shifts:
+        return new_shifts, new_gens, False
+    for j in range(min(shifts) + 1, dcap + 1):
+        dom = [(k, b) for k, s in enumerate(shifts) for b in A.component(j - s)]
+        if not dom:
+            continue
+        row_of = {key: r for r, key in enumerate(
+            (k, b) for k, s in enumerate(prev_shifts) for b in A.component(j - s))}
+        rows = [{} for _ in row_of]
+        for c, (k, b) in enumerate(dom):
+            for key, x in resolution._mult(A, b, gens[k]).items():
+                rows[row_of[key]][c] = x
+        kernel = ExactMatrix(fld, rows, len(dom)).kernel_basis()
+        if not kernel:
+            continue
+        kernel_seen = True
+        red = _span_reducer(A, new_shifts, new_gens, j)
+        for v in kernel:
+            elem = {dom[c]: x for c, x in v.items()}
+            if not red.add(elem):
+                continue
+            if any(shifts[k] == j for k, _ in elem):
+                raise InternalInconsistencyError(
+                    "syzygy with a unit entry against a minimal generator")
+            new_shifts.append(j)
+            new_gens.append(elem)
+    return new_shifts, new_gens, not kernel_seen
+
+
+def _minimalize(A, candidates):
+    shifts, kept = [], []
+    red, red_deg = None, None
+    for deg, elem in sorted(candidates, key=lambda t: t[0]):
+        if deg != red_deg:
+            red, red_deg = _span_reducer(A, shifts, kept, deg), deg
+        if red.add(elem):
+            shifts.append(deg)
+            kept.append(elem)
+    return shifts, kept
+
+
+def _reference_layers(A, candidates_by_degree, top, dcap):
+    shifts1, gens = _minimalize(A, [(d, g) for d, gs in candidates_by_degree.items()
+                                    for g in gs])
+    if not shifts1:
+        return [[0]], 0
+    layers = [[0], shifts1]
+    for i in range(1, top):
+        shifts, gens, vanished = _syzygy_step(A, layers[i - 1], layers[i], gens, dcap)
+        if vanished:
+            return layers, i
+        if not shifts:
+            break
+        layers.append(shifts)
+    return layers, None
+
+
+def _reference_resolve(A, candidates_by_degree, top, dcap):
+    layers, pd = _reference_layers(A, candidates_by_degree, top, dcap)
+    betti = {}
+    for i, shifts in enumerate(layers):
+        for j in shifts:
+            betti[(i, j)] = betti.get((i, j), 0) + 1
+    return betti, [len(s) for s in layers], pd
+
+
+def _outcome(res):
+    return res.betti, res.ranks, res.pd, res.complete
+
+
+def _with_reference_engine(compute):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_resolve", _reference_resolve)
+        return compute()
+
+
+# extension degrees of the base changes each field's jets are taken to
+EXTENSIONS = {"Q": [1], "F_2": [1, 2, 4], "F_3": [1], "F_4": [2, 4], "F_1073741789": [1]}
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(EXTENSIONS)), st.integers(1, 3),
+       st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_resolution_matches_the_kernel_basis_reference(seed, field, nvars, hcap, data):
+    p = random_presentation(random.Random(seed), field, nvars, "graded")
+    A = jet(p, 4)
+    m = data.draw(st.sampled_from(EXTENSIONS[field]), label="extension degree")
+    B = A if m == 1 else base_change(A, m)
+    for src in (p, B):
+        want = _with_reference_engine(lambda: betti_residue_field(src, hcap))
+        assert _outcome(betti_residue_field(src, hcap)) == _outcome(want)
+    want = _with_reference_engine(lambda: minimal_resolution_of_quotient(p))
+    assert _outcome(minimal_resolution_of_quotient(p)) == _outcome(want)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(EXTENSIONS)), st.integers(1, 3),
+       st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_counted_top_layer_matches_the_built_one(seed, field, nvars, h):
+    # at hcap h the top layer is counted; at h + 1 it is built and the
+    # next one counted
+    A = jet(random_presentation(random.Random(seed), field, nvars, "graded"), 4)
+    low, high = betti_residue_field(A, h), betti_residue_field(A, h + 1)
+    assert low.ranks == high.ranks[:h + 1]
+    assert low.betti == {(i, j): b for (i, j), b in high.betti.items() if i <= h}
