@@ -38,5 +38,5 @@ print("socle dimension:", sdim)
 # normal forms: the relation is used tail-to-head in the local convention,
 # so y^2 rewrites to x^3 (lowest order wins)
 v = A.reduce_monomial((0, 2))
-terms = {A.basis[i]: c for i, c in enumerate(v) if c}
+terms = {A.basis[i]: c for i, c in v}
 print("normal form of y^2:", terms)

@@ -10,23 +10,27 @@ tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
 basis indices of each degree component.
 
-Elements have two forms.  The public one is dense: a coordinate list with
-one entry per basis monomial, as in `one_vec`, `var_image`, normal forms,
-witnesses and tuple images.  Inside algebra maps an element is sparse: the
-ascending list of its nonzero (index, value) pairs, the shape `mult_basis`
-returns.  `multiply` takes and returns sparse elements; `sparse` and
-`dense` convert at the boundary.  Zero tests are truthiness, since zero is
-falsy in all three element types (Fraction, int residue, int code).
+An element has one form, `Sparse`: the ascending list of its nonzero
+(index, value) pairs over the basis.  Classes of monomials
+(`reduce_monomial`, `var_image`), products (`mult_basis`, `multiply`), sums
+(`combine`, `evaluate`), socle vectors, tuple images and witness images all
+take and return it.  Dense coordinates appear only as scratch accumulators
+inside `multiply` and `combine`, in the matrix `mult_matrix` returns, and
+where text is printed.  Zero tests are truthiness, since zero is falsy in
+all three scalar types (Fraction, int residue, int code) and the zero
+element is the empty list.  The one dense table is `nf`, the normal form of
+each non-basis monomial below the cap as `truncated_quotient` builds it,
+one entry per basis monomial: the recorded jet digests of the benchmark
+hash those rows as coefficient sequences, so they keep that shape, and
+`reduce_monomial` reads their nonzero entries.
 
 Every algebra map into an ArtinAlgebra (evaluating relations at generator
-images, the linear map of an isomorphism witness, composing witnesses) goes
-through one mechanism: `monomial_map(images)` is a memoized function from a
-monomial to its sparse image, seeded with 1 and the sparse generator images
-(the witness search builds its candidates sparse; dense callers convert with
-`sparse` at their edge), and `combine` sums c * image(m) over a polynomial's
-or a vector's terms into dense coordinates.  A new monomial is reached from its
-nearest memoized divisor (lowering the last nonzero exponent) and then costs
-one multiply.  Over Q and F_p these products and sums run on native `+` and
+images, the linear map of an isomorphism witness) goes through one
+mechanism: `monomial_map(images)` is a memoized function from a monomial to
+its image, seeded with 1 and the generator images, and `combine` sums
+c * image(m) over a polynomial's or an element's terms.  A new monomial is
+reached from its nearest memoized divisor (lowering the last nonzero
+exponent) and then costs one multiply.  Over Q and F_p these products and sums run on native `+` and
 `*` (Fractions or ints), with one `% p` per entry at the end over F_p, so a
 non-canonical residue in an input still gives the exact result; F_{p^m}
 goes through the field's `add` and `mul`.
@@ -48,6 +52,7 @@ from .poly import (
     DEFAULT_CAPACITY,
     Monomial,
     Poly,
+    Sparse,
     TruncatedQuotient,
     count_monomials_below,
     mono_deg,
@@ -57,15 +62,8 @@ from .poly import (
 from .presentation import Presentation
 from .standard import hilbert_numerator
 
-# an element as the ascending list of its nonzero (index, value) pairs
-Sparse = list[tuple[int, object]]
-# sparse image of each monomial under an algebra map
+# image of each monomial under an algebra map
 MonomialMap = Callable[[Monomial], Sparse]
-
-
-def sparse(v: Sequence) -> Sparse:
-    """The nonzero (index, value) pairs of the dense coordinates v."""
-    return [(i, c) for i, c in enumerate(v) if c]
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +86,7 @@ class ArtinAlgebra:
 
     def __init__(self, field: Field, nvars: int, tq: TruncatedQuotient,
                  relations: Sequence[Poly], origin: Optional[AlgebraOrigin] = None,
-                 tuple_images: Optional[list[list]] = None):
+                 tuple_images: Optional[list[Sparse]] = None):
         self.field = field
         self.nvars = nvars
         self.cap = tq.cap
@@ -110,7 +108,8 @@ class ArtinAlgebra:
         self._modulus = field.p if isinstance(field, PrimeField) else None
         self._one: Sparse = ([(self._index[(0,) * nvars], field.one())]
                              if self.basis else [])
-        self._zeros = field.vec_zero(len(self.basis))   # copied, never written
+        # the scratch accumulator of multiply and combine, copied, never written
+        self._zeros = [field.zero()] * len(self.basis)
 
     # -- basic structure ---------------------------------------------------
 
@@ -132,36 +131,19 @@ class ArtinAlgebra:
     def maxideal_basis(self) -> list[int]:
         return [i for i, d in enumerate(self._degrees) if d > 0]
 
-    def one_vec(self) -> list:
-        v = self.field.vec_zero(self.dim)
-        if self.dim:
-            v[self._index[(0,) * self.nvars]] = self.field.one()
-        return v
-
-    def unit_vec(self, i: int) -> list:
-        v = self.field.vec_zero(self.dim)
-        v[i] = self.field.one()
-        return v
-
-    def reduce_monomial(self, m) -> list:
-        """Coordinates of the class of the monomial m."""
-        if mono_deg(m) >= self.cap:
-            return self.field.vec_zero(self.dim)
+    def reduce_monomial(self, m: Monomial) -> Sparse:
+        """The class of the monomial m: a basis monomial, zero at or above
+        the cap, else the nonzero entries of its normal form."""
         if m in self._index:
-            return self.unit_vec(self._index[m])
-        return list(self.nf[m])
+            return [(self._index[m], self.field.one())]
+        if mono_deg(m) >= self.cap:
+            return []
+        is_zero = self.field.is_zero
+        return [(k, w) for k, w in enumerate(self.nf[m]) if not is_zero(w)]
 
-    def var_image(self, k: int) -> list:
-        e = [0] * self.nvars
-        e[k] = 1
-        return self.reduce_monomial(tuple(e))
-
-    def dense(self, s: Sparse) -> list:
-        """Dense coordinates of the sparse element s."""
-        v = self._zeros.copy()
-        for i, c in s:
-            v[i] = c
-        return v
+    def var_image(self, k: int) -> Sparse:
+        """The class of the variable x_k."""
+        return self.reduce_monomial(_unit_monomials(self.nvars)[1][k])
 
     # -- multiplication ----------------------------------------------------
 
@@ -171,23 +153,14 @@ class ArtinAlgebra:
         key = (i, j) if i <= j else (j, i)
         got = self._pair_cache.get(key)
         if got is None:
-            m = mono_mul(self.basis[i], self.basis[j])
-            if m in self._index:
-                got = [(self._index[m], self.field.one())]
-            elif mono_deg(m) >= self.cap:
-                got = []
-            else:
-                is_zero = self.field.is_zero
-                got = [(k, w) for k, w in enumerate(self.nf[m]) if not is_zero(w)]
-            self._pair_cache[key] = got
+            got = self._pair_cache[key] = self.reduce_monomial(
+                mono_mul(self.basis[i], self.basis[j]))
         return got
 
     def multiply(self, u: Sparse, v: Sparse) -> Sparse:
         """Product of two sparse elements, as a sparse element.
 
-        u and v are ascending lists of nonzero (index, value) pairs; a caller
-        holding dense coordinates converts with `sparse` before and `dense`
-        after.  Over F_p an input value may be any integer representative.
+        Over F_p an input value may be any integer representative.
         """
         mult_basis = self.mult_basis
         if self._native:
@@ -211,21 +184,20 @@ class ArtinAlgebra:
                     acc[k] = add(acc[k], mul(c, w))
         return [(k, x) for k, x in enumerate(acc) if x]
 
-    def mult_matrix(self, u: Sequence) -> list[list]:
-        """Row-major matrix of multiplication by the element with dense
-        coordinates u."""
-        su, one = sparse(u), self.field.one()
-        cols = [self.dense(self.multiply(su, [(j, one)])) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def mult_matrix(self, u: Sparse) -> list[list]:
+        """Row-major matrix of multiplication by the element u."""
+        n, one = self.dim, self.field.one()
+        rows = [self._zeros.copy() for _ in range(n)]
+        for j in range(n):
+            for i, c in self.multiply(u, [(j, one)]):
+                rows[i][j] = c
+        return rows
 
     # -- algebra maps ------------------------------------------------------
 
     def monomial_map(self, images: Sequence[Sparse]) -> MonomialMap:
-        """Memoized map from a monomial x^a to the sparse product of
-        images[k]^a_k, with images[k] the sparse image of x_k; a caller
-        holding dense generator images converts them with `sparse`.  The
-        values are sparse elements; `combine` and `linear_map_matrix` turn
-        them dense.
+        """Memoized map from a monomial x^a to the product of images[k]^a_k,
+        with images[k] the image of x_k.
 
         A new monomial lowers its last nonzero exponent until it reaches a
         memoized divisor and multiplies back up, memoizing every step, so it
@@ -259,9 +231,8 @@ class ArtinAlgebra:
         return image
 
     def combine(self, terms: Iterable[tuple[Monomial, object]],
-                image: MonomialMap) -> list:
-        """Dense coordinates of the sum of c * image(m) over the (m, c)
-        pairs, with image returning sparse elements."""
+                image: MonomialMap) -> Sparse:
+        """The sum of c * image(m) over the (m, c) pairs."""
         if self._native:
             acc = self._zeros.copy()
             for m, c in terms:
@@ -269,7 +240,9 @@ class ArtinAlgebra:
                     for i, w in image(m):
                         acc[i] += c * w
             p = self._modulus
-            return acc if p is None else [x % p for x in acc]
+            if p is None:
+                return [(i, x) for i, x in enumerate(acc) if x]
+            return [(i, r) for i, x in enumerate(acc) if (r := x % p)]
         f = self.field
         add, mul = f.add, f.mul
         acc = self._zeros.copy()
@@ -277,9 +250,9 @@ class ArtinAlgebra:
             if c:
                 for i, w in image(m):
                     acc[i] = add(acc[i], mul(c, w))
-        return acc
+        return [(i, x) for i, x in enumerate(acc) if x]
 
-    def evaluate(self, g: Poly, image: MonomialMap) -> list:
+    def evaluate(self, g: Poly, image: MonomialMap) -> Sparse:
         """Evaluate the polynomial g under a monomial map into this algebra."""
         return self.combine(g.terms.items(), image)
 
@@ -308,7 +281,7 @@ def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
     if A.is_zero_ring():
         return 0, []
     one = A.field.one()
-    var_vecs = [sparse(A.var_image(k)) for k in range(A.nvars)]
+    var_vecs = [A.var_image(k) for k in range(A.nvars)]
     current = [[(i, one)] for i in A.maxideal_basis]  # basis of m^1
     dims = [A.dim]
     while current:
@@ -356,9 +329,9 @@ def _socle_matrix(A: ArtinAlgebra) -> ExactMatrix:
     return ExactMatrix(A.field, rows, n)
 
 
-def socle(A: ArtinAlgebra) -> tuple[int, list[list]]:
+def socle(A: ArtinAlgebra) -> tuple[int, list[Sparse]]:
     """The annihilator of the maximal ideal: dimension and a basis."""
-    kern = [A.dense(u.items()) for u in _socle_matrix(A).kernel_basis()]
+    kern = [sorted(u.items()) for u in _socle_matrix(A).kernel_basis()]
     return len(kern), kern
 
 
@@ -410,6 +383,6 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
     tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
     origin = AlgebraOrigin(presentation=p, order=n, kind="defpair")
     A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
-    image = A.monomial_map([sparse(A.var_image(k)) for k in range(p.nvars)])
+    image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])
     A.tuple_images = [A.evaluate(t, image) for t in p.tuple]
     return A

@@ -63,12 +63,11 @@ def _mono_str(mono, varnames) -> str:
 
 
 def _vec_str(vec, field, basis, varnames) -> str:
+    """The element vec, (index, value) pairs over basis, as text."""
     terms = []
-    for c, mono in zip(vec, basis):
+    for i, c in vec:
         s = _scalar_str(field, c)
-        if s == "0":
-            continue
-        m = _mono_str(mono, varnames)
+        m = _mono_str(basis[i], varnames)
         terms.append(m if s == "1" else f"{s}*{m}")
     return " + ".join(terms) if terms else "0"
 

@@ -224,11 +224,6 @@ class Field:
                 a = self.mul(a, a)
         return out
 
-    # small vector conveniences shared by the algebra layers
-    def vec_zero(self, n: int) -> list:
-        z = self.zero()
-        return [z] * n
-
     @cached_property
     def row_arithmetic(self) -> tuple:
         """The :class:`Echelon` row arithmetic, chosen once per instance."""

@@ -20,6 +20,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .errors import (
+    CapacityError,
     GradingError,
     InternalInconsistencyError,
     PoleOrderZeroError,
@@ -120,7 +121,9 @@ def hilbert_series(p: Presentation, prefix_len: Optional[int] = None,
                    capacity: int = DEFAULT_CAPACITY) -> HilbertData:
     """Exact Hilbert series of a graded presentation, in rational normal form
     from its certified leading ideal; `prefix_len` is the reported length and
-    `capacity` bounds the leading-ideal engine."""
+    `capacity` bounds the leading-ideal engine and the prefix_len + 1
+    coefficients an explicit prefix length expands to (the default length
+    is a few more than the generators' degree sum)."""
     if p.mode != "graded":
         raise GradingError("Hilbert series needs a graded presentation")
     N = _default_prefix_len(p) if prefix_len is None else prefix_len
@@ -128,6 +131,8 @@ def hilbert_series(p: Presentation, prefix_len: Optional[int] = None,
     if N <= degsum:
         raise PrefixTooShortError(
             f"prefix length {N} does not exceed the generator degree sum {degsum}")
+    if prefix_len is not None and N + 1 > capacity:
+        raise CapacityError(N + 1, capacity, what="series prefix length")
     Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
     return HilbertData(series_prefix=series(Q, d, N + 1), numerator=Q, pole_order=d,
                        degreewise=hs_polynomial_from_series(Q, d) if d else None,

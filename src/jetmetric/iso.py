@@ -36,8 +36,8 @@ the point where it runs out and the first witness are those of the
 candidate-by-candidate search.  A candidate that survives still goes
 through the exact relation and bijectivity checks.
 
-Candidates are sparse images, the form algebra maps use, in every field;
-only a witness that is returned is made dense.
+Candidates and witnesses are `Sparse` elements, the one element form of
+`artin`, in every field; only the CLI writes a witness out, as text.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .artin import (
     hf_by_degree_count,
     nilpotency_index,
     socle_dimension,
-    sparse,
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
 from .exactcore import (
@@ -130,17 +129,13 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
     f, r, n = A.field, A.nvars, A.dim
     gens = [list(g.terms.items()) for g in A.relations]
     gens += [[(m, f.one())] for m in monomials_of_degree(r, A.cap)]
-
-    def cls(m: Monomial) -> Sparse:
-        return sparse(A.reduce_monomial(m))
-
     rows: list[dict] = []
     for i in range(r):
         partials = []
         for terms in gens:
             d = [(a[:i] + (a[i] - 1,) + a[i + 1:], f.mul(c, f.from_int(a[i])))
                  for a, c in terms if a[i]]
-            partials.append(sparse(A.combine(d, cls)))
+            partials.append(A.combine(d, A.reduce_monomial))
         for j in range(n):
             unit = [(j, f.one())]
             row: dict = {}
@@ -237,7 +232,7 @@ def _map_scalars(A: ArtinAlgebra, dst: Field, emb) -> ArtinAlgebra:
     relations = [g.map_coefficients(dst, emb) for g in A.relations]
     out = ArtinAlgebra(dst, A.nvars, tq, relations=relations, origin=A.origin)
     if A.tuple_images is not None:
-        out.tuple_images = [[emb(c) for c in vec] for vec in A.tuple_images]
+        out.tuple_images = [[(i, emb(c)) for i, c in v] for v in A.tuple_images]
     return out
 
 
@@ -297,12 +292,12 @@ def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
             b = [0] * r
             for k, e in enumerate(a):
                 b[perm[k]] += e
-            got = classes[a] = sparse(B.reduce_monomial(tuple(b)))
+            got = classes[a] = B.reduce_monomial(tuple(b))
         return got
 
-    def coordinates(terms, const: Sequence = ()) -> list[dict[Monomial, Fraction]]:
+    def coordinates(terms, const: Sparse = ()) -> list[dict[Monomial, Fraction]]:
         coords: dict[int, dict[Monomial, Fraction]] = {
-            i: {(0,) * r: -c} for i, c in enumerate(const) if c}
+            i: {(0,) * r: -c} for i, c in const}
         for a, c in terms:
             if c:
                 for i, v in cls(a):
@@ -315,7 +310,7 @@ def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
         rows.extend(coordinates(g.terms.items()))
     if tuple_constraint:
         for va, vb in zip(A.tuple_images, B.tuple_images):
-            rows.extend(coordinates(zip(A.basis, va), vb))
+            rows.extend(coordinates(((A.basis[i], c) for i, c in va), vb))
     index: dict[Monomial, int] = {}
     levels: list[list[PlanCoordinate]] = [[] for _ in range(r)]
     for row in rows:
@@ -342,9 +337,11 @@ def _scaled_plan(A: ArtinAlgebra, B: ArtinAlgebra, perm: Sequence[int],
 @dataclass
 class Witness:
     """Generator-image description of an algebra map: for each source
-    variable, the coordinate vector of its image in the target."""
+    variable, its image in the target as a `Sparse` element, the ascending
+    (index, value) pairs of its nonzero coordinates over the target's basis
+    (after the base change ext_multiple records)."""
 
-    images: list[list]
+    images: list[Sparse]
     ext_multiple: int = 1     # base-change factor applied to both sides
 
 
@@ -368,14 +365,18 @@ class IsoVerdict:
 def linear_map_matrix(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> list[list]:
     """Row-major matrix (B.dim x A.dim) of the linear map sending the class of
     each basis monomial of A to its value under the monomial map `image`."""
-    cols = [B.dense(image(mono)) for mono in A.basis]
-    return [[cols[j][i] for j in range(A.dim)] for i in range(B.dim)]
+    zero = B.field.zero()
+    rows = [[zero] * A.dim for _ in range(B.dim)]
+    for j, mono in enumerate(A.basis):
+        for i, c in image(mono):
+            rows[i][j] = c
+    return rows
 
 
 def apply_linear_map(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
-                     v: Sequence) -> list:
+                     v: Sparse) -> Sparse:
     """Image of the element v of A under the monomial map `image` into B."""
-    return B.combine(zip(A.basis, v), image)
+    return B.combine(((A.basis[i], c) for i, c in v), image)
 
 
 def _extend(A: ArtinAlgebra, ext_multiple: int) -> ArtinAlgebra:
@@ -392,10 +393,10 @@ def _maps_relations(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
                     match_tuples: bool) -> bool:
     """Whether every relation of A, and with match_tuples every tuple
     condition, vanishes in B under the monomial map image.  The values are
-    canonical dense coordinates, so a zero test is truthiness and a tuple
-    condition is equality with B's tuple image."""
+    canonical elements, so a zero test is truthiness and a tuple condition
+    is equality with B's tuple image."""
     for rel in A.relations:
-        if any(B.evaluate(rel, image)):
+        if B.evaluate(rel, image):
             return False
     if match_tuples:
         ta, tb = A.tuple_images or [], B.tuple_images or []
@@ -415,6 +416,18 @@ def _bijective(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
     return ExactMatrix(B.field, rows, B.dim).rank() == A.dim
 
 
+def _in_maximal_ideal(B: ArtinAlgebra, v: Sparse) -> bool:
+    """Whether v is an element of B's maximal ideal in the `Sparse` form:
+    strictly ascending indices in range(B.dim), none at the unit monomial
+    (the one basis monomial of degree 0, index 0), and no zero value."""
+    last = 0
+    for i, c in v:
+        if not last < i < B.dim or B.field.is_zero(c):
+            return False
+        last = i
+    return True
+
+
 def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
                    match_tuples: bool = False) -> bool:
     """Mechanical check that w defines an isomorphism A -> B (after the
@@ -430,20 +443,18 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
         return True
     if len(w.images) != A.nvars:
         return False
-    one_idx = B.basis.index((0,) * B.nvars)
-    for img in w.images:
-        if len(img) != B.dim or not B.field.is_zero(img[one_idx]):
-            return False
+    if not all(_in_maximal_ideal(B, img) for img in w.images):
+        return False
     if nilpotency_index(B) > A.cap:
         return False
-    image = B.monomial_map([sparse(v) for v in w.images])
+    image = B.monomial_map(w.images)
     return _maps_relations(A, B, image, match_tuples) and _bijective(A, B, image)
 
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
     """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
     A0, B0 = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
-    image = B0.monomial_map([sparse(v) for v in w.images])
+    image = B0.monomial_map(w.images)
     n, r = A0.dim, B0.nvars
     # solve L X = [classes of y_k] by rref of [L | targets], which ends in
     # [I | X]; row i of L holds coordinate i of each basis image
@@ -452,34 +463,12 @@ def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
         for i, c in image(mono):
             aug[i][j] = c
     for k in range(r):
-        for i, c in sparse(B0.var_image(k)):
+        for i, c in B0.var_image(k):
             aug[i][n + k] = c
     red = ExactMatrix(B0.field, aug, n + r).rref()
-    zero = B0.field.zero()
-    images = [[row.get(n + k, zero) for row in red.rows] for k in range(r)]
+    images = [[(i, row[n + k]) for i, row in enumerate(red.rows) if n + k in row]
+              for k in range(r)]
     return Witness(images=images, ext_multiple=w.ext_multiple)
-
-
-def _lift_images(w: Witness, m0: int, mult: int, dstf: Field) -> list[list]:
-    """Lift witness coordinates from F_{p^{m0*k}} into F_{p^{m0*mult}}."""
-    if w.ext_multiple == mult:
-        return w.images
-    deg = m0 * w.ext_multiple
-    src = finite_field(dstf.p, deg)
-    root = embedding_root(src, dstf)
-    return [[embed_scalar(src, dstf, root, c) for c in img] for img in w.images]
-
-
-def compose_witnesses(A: ArtinAlgebra, B: ArtinAlgebra, C: ArtinAlgebra,
-                      w1: Witness, w2: Witness) -> Witness:
-    """Witness for A -> C obtained by following w1: A -> B with w2: B -> C."""
-    mult = lcm(w1.ext_multiple, w2.ext_multiple)
-    B, C = _extend(B, mult), _extend(C, mult)
-    m0 = A.field.desc.m
-    image = C.monomial_map([sparse(v) for v in _lift_images(w2, m0, mult, C.field)])
-    return Witness(images=[apply_linear_map(B, C, image, img)
-                           for img in _lift_images(w1, m0, mult, B.field)],
-                   ext_multiple=mult)
 
 
 def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Witness:
@@ -491,11 +480,8 @@ def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Wi
     B_high, B_low = _extend(B_high, w.ext_multiple), _extend(B_low, w.ext_multiple)
     if not set(B_low.basis) <= set(B_high.basis):
         raise InternalInconsistencyError("jet bases are not nested")
-
-    def reduce(mono):
-        return sparse(B_low.reduce_monomial(mono))
-
-    images = [B_low.combine(zip(B_high.basis, img), reduce) for img in w.images]
+    images = [B_low.combine(((B_high.basis[i], c) for i, c in img),
+                            B_low.reduce_monomial) for img in w.images]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 
 
@@ -660,16 +646,13 @@ class _Searcher:
         return (_maps_relations(A, B, image, self.tuple_constraint)
                 and _bijective(A, B, image))
 
-    def _witness(self, images: list[Sparse]) -> Witness:
-        return Witness(images=[self.B.dense(v) for v in images])
-
     def _try(self, images: list[Sparse]) -> Optional[Witness]:
-        """Charge one candidate and check it; the witness is dense."""
+        """Charge one candidate and check it."""
         self._charge_block(1)
-        return self._witness(images) if self._check(images) else None
+        return Witness(images=images) if self._check(images) else None
 
     def _var_images(self) -> list[Sparse]:
-        return [sparse(self.B.var_image(k)) for k in range(self.B.nvars)]
+        return [self.B.var_image(k) for k in range(self.B.nvars)]
 
     def identity_candidate(self) -> Optional[list[Sparse]]:
         if self.A.nvars != self.B.nvars:
@@ -799,10 +782,14 @@ class _Searcher:
             for parts in split:
                 h0 = B.combine(parts.get(0, ()), fixed)
                 rest = [(e, h, {}) for e, terms in parts.items() if e
-                        for h in (sparse(B.combine(terms, fixed)),) if h]
+                        for h in (B.combine(terms, fixed),) if h]
                 if rest:
-                    filters.append((h0, rest))
-                elif any(h0):
+                    # the dense start of the filter's accumulator
+                    start = [f.zero()] * B.dim
+                    for i, c in h0:
+                        start[i] = c
+                    filters.append((start, rest))
+                elif h0:
                     self._charge_block(count)
                     return None
             # with the fixed rows spanning a hyperplane, a last row v is
@@ -827,7 +814,7 @@ class _Searcher:
                     continue
                 images[0] = img
                 if self._check(images):
-                    return self._witness(images)
+                    return Witness(images=list(images))
             return None
 
         def walk(k: int, ech: Echelon) -> Optional[Witness]:
@@ -890,7 +877,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if A.dim == 0:
         return IsoVerdict(status="ISO", witness=Witness(images=[]))
     if A.dim == 1:
-        w = Witness(images=[B.field.vec_zero(1) for _ in range(A.nvars)])
+        w = Witness(images=[[] for _ in range(A.nvars)])
         if verify_witness(A, B, w, match_tuples):
             return IsoVerdict(status="ISO", witness=w)
         raise InternalInconsistencyError("one-dimensional algebras failed to match")

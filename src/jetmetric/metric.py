@@ -34,7 +34,6 @@ from .errors import (
 from .iso import (
     IsoVerdict,
     SearchBudget,
-    Witness,
     decide_isomorphism,
     project_witness,
     verify_witness,

@@ -21,6 +21,9 @@ from .errors import CapacityError, ConstantTermError, NonHomogeneousError
 from .exactcore import ExactMatrix, Field, PrimeField, rank_gf2
 
 Monomial = tuple[int, ...]
+# an element of a quotient as the ascending list of its nonzero
+# (basis index, value) pairs
+Sparse = list[tuple[int, object]]
 
 DEFAULT_CAPACITY = 2000
 
@@ -286,19 +289,19 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
     return rank, len(cols) - rank
 
 
-def reduce_poly(tq: TruncatedQuotient, g: Poly) -> list:
-    """Coordinates of g modulo (I + m^cap) over tq.basis."""
+def reduce_poly(tq: TruncatedQuotient, g: Poly) -> Sparse:
+    """The class of g modulo (I + m^cap) over tq.basis."""
     f = tq.field
-    vec = [f.zero()] * tq.dim
+    acc: dict[int, object] = {}
     pos = tq.basis_index()
     for m, c in g.terms.items():
         if mono_deg(m) >= tq.cap:
             continue
         if m in pos:
             j = pos[m]
-            vec[j] = f.add(vec[j], c)
+            acc[j] = f.add(acc.get(j, f.zero()), c)
         else:
             for j, v in enumerate(tq.nf[m]):
                 if not f.is_zero(v):
-                    vec[j] = f.add(vec[j], f.mul(c, v))
-    return vec
+                    acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, v))
+    return [(j, c) for j, c in sorted(acc.items()) if not f.is_zero(c)]

@@ -19,14 +19,13 @@ one integer literal by the placeholder ``w``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
     ConstantTermError,
-    FieldError,
     GradingError,
     PresentationSyntaxError,
     RangeError,
@@ -40,7 +39,7 @@ from .exactcore import (
     field_from_desc,
     rationals,
 )
-from .poly import DEFAULT_CAPACITY, Poly, grlex_key, mono_deg
+from .poly import DEFAULT_CAPACITY, Poly
 
 
 # ---------------------------------------------------------------------------

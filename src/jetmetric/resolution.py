@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError

@@ -104,7 +104,22 @@ def random_presentation(rng: random.Random, field: str, nvars: int, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# dense reference for the sparse algebra product
+# dense references for the sparse algebra elements
+
+
+def to_sparse(v):
+    """The (index, value) pairs of the nonzero entries of the coordinate
+    list v, ascending: the element form of `ArtinAlgebra`."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+def to_dense(A, v):
+    """The coordinate list of the element v of A, one entry per basis
+    monomial, for references that index coordinates."""
+    out = [A.field.zero()] * A.dim
+    for i, c in v:
+        out[i] = c
+    return out
 
 
 def dense_product(A, u, v):
@@ -113,12 +128,12 @@ def dense_product(A, u, v):
     each pair of basis monomials: the reference `ArtinAlgebra.multiply` is
     checked against."""
     f = A.field
-    out = f.vec_zero(A.dim)
+    out = [f.zero()] * A.dim
     for i, ci in enumerate(u):
         for j, cj in enumerate(v):
             c = f.mul(ci, cj)
             if f.is_zero(c):
                 continue
-            nf = A.reduce_monomial(mono_mul(A.basis[i], A.basis[j]))
+            nf = to_dense(A, A.reduce_monomial(mono_mul(A.basis[i], A.basis[j])))
             out = [f.add(o, f.mul(c, w)) for o, w in zip(out, nf)]
     return out

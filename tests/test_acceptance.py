@@ -135,14 +135,24 @@ def test_criterion_01_ultrametric_on_random_triples():
                        "(certified bounds, zero violations)")
 
 
-def _verdict_line(t, i, j, v):
-    """One readable line for one pair of the triple corpus: the interval,
-    then per order the status, witness images, separator and search bounds."""
+def _verdict_line(t, ps, i, j, v):
+    """One readable line for the pair (ps[i], ps[j]) of the triple corpus:
+    the interval, then per order the status, witness images, separator and
+    search bounds.  Each witness image is printed with one coordinate per
+    basis monomial of the target jet, zeros included."""
     parts = [f"t{t:03d} {i}-{j} [{v.lower}, {v.upper}] exact={v.exact}"]
     for n, s in v.per_order:
         item = f"n{n} {s.status}"
         if s.witness is not None:
-            imgs = " ".join("(" + ",".join(str(c) for c in img) + ")"
+            dim = jet(ps[j], n).dim
+
+            def coordinates(img):
+                out = ["0"] * dim
+                for k, c in img:
+                    out[k] = str(c)
+                return out
+
+            imgs = " ".join("(" + ",".join(coordinates(img)) + ")"
                             for img in s.witness.images)
             item += f" ext={s.witness.ext_multiple} w={imgs}"
         if s.separator is not None:
@@ -160,8 +170,8 @@ def criterion01_verdict_lines():
     PYTHONPATH=src:tests python -c "import test_acceptance as t;
     print('\\n'.join(t.criterion01_verdict_lines()))" > docs/golden/criterion01_verdicts.txt
     """
-    return [_verdict_line(t, i, j, v)
-            for t, (_, pairs) in enumerate(_triples())
+    return [_verdict_line(t, ps, i, j, v)
+            for t, (ps, pairs) in enumerate(_triples())
             for (i, j), v in sorted(pairs.items())]
 
 

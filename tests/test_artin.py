@@ -14,14 +14,13 @@ from jetmetric.artin import (
     nilpotency_index,
     socle,
     socle_dimension,
-    sparse,
 )
 from jetmetric.errors import CapacityError, TupleError, ZeroRingError
 from jetmetric.exactcore import ExactMatrix, PrimeField
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 
-from conftest import _random_mono, dense_product, random_presentation
+from conftest import _random_mono, dense_product, random_presentation, to_dense, to_sparse
 
 
 def test_jet_of_free_ring_counts_monomials(plane):
@@ -50,8 +49,7 @@ def test_cusp_normal_form_is_local_not_graded(cusp):
     # in the local convention y^2 rewrites to x^3, not the other way round
     A = jet(cusp, 4)
     v = A.reduce_monomial((0, 2))
-    nonzero = {A.basis[i] for i, c in enumerate(v) if not A.field.is_zero(c)}
-    assert nonzero == {(3, 0)}
+    assert [(A.basis[i], c) for i, c in v] == [((3, 0), 1)]
 
 
 def test_multiplication_is_associative_and_commutative_on_cusp(cusp):
@@ -63,17 +61,18 @@ def test_multiplication_is_associative_and_commutative_on_cusp(cusp):
         return [f.from_int(rng.randint(-3, 3)) for _ in range(A.dim)]
 
     for _ in range(12):
-        u, v, w = sparse(rand_vec()), sparse(rand_vec()), sparse(rand_vec())
+        u, v, w = to_sparse(rand_vec()), to_sparse(rand_vec()), to_sparse(rand_vec())
         assert A.multiply(u, v) == A.multiply(v, u)
         assert A.multiply(A.multiply(u, v), w) == A.multiply(u, A.multiply(v, w))
 
 
 def test_one_is_multiplicative_identity(quartic_cone):
     A = jet(quartic_cone, 3)
-    one = A.one_vec()
+    one = A.reduce_monomial((0,) * A.nvars)
+    assert one == [(0, A.field.one())]
     for i in range(A.dim):
-        e = A.unit_vec(i)
-        assert A.dense(A.multiply(sparse(one), sparse(e))) == e
+        e = [(i, A.field.one())]
+        assert A.multiply(one, e) == e
 
 
 def test_fat_point_socle(fat_point):
@@ -152,9 +151,9 @@ def test_socle_vectors_annihilate_every_variable(seed, field):
     _, basis = socle(A)
     f = A.field
     for v in basis:
+        assert v and all(not f.is_zero(c) for _, c in v)
         for k in range(A.nvars):
-            prod = A.dense(A.multiply(sparse(A.var_image(k)), sparse(v)))
-            assert all(f.is_zero(c) for c in prod)
+            assert A.multiply(A.var_image(k), v) == []
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
@@ -173,7 +172,7 @@ def test_socle_is_the_kernel_of_multiplication_by_every_variable(seed, field, mo
         f = A.field
         stacked = [{c: x for c, x in enumerate(row) if x}
                    for k in range(A.nvars) for row in A.mult_matrix(A.var_image(k))]
-        want = [A.dense(v.items())
+        want = [sorted(v.items())
                 for v in ExactMatrix(f, stacked, A.dim).kernel_basis()]
         assert socle(A) == (len(want), want)
 
@@ -195,10 +194,11 @@ def test_high_power_relation_evaluates_without_recursion():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: x^3000")
     A = jet(p, 4)
     rel, = A.relations
-    at_vars = A.monomial_map([sparse(A.var_image(0)), sparse(A.var_image(1))])
-    assert all(A.field.is_zero(c) for c in A.evaluate(rel, at_vars))
-    at_one = A.monomial_map([sparse(A.one_vec()), sparse(A.var_image(1))])
-    assert A.evaluate(rel, at_one) == A.one_vec()
+    at_vars = A.monomial_map([A.var_image(0), A.var_image(1)])
+    assert A.evaluate(rel, at_vars) == []
+    one = A.reduce_monomial((0, 0))
+    at_one = A.monomial_map([one, A.var_image(1)])
+    assert A.evaluate(rel, at_one) == one
 
 
 def test_defpair_jet_quotients_by_tuple_powers():
@@ -269,24 +269,31 @@ def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
                                                              order, data):
     A = jet(_differential_presentation(random.Random(seed), field, mode), order)
     f = A.field
-    # the basis-pair products are the nonzero entries of the normal forms
+    # the basis-pair products are the nonzero entries of the dense normal
+    # forms: a basis monomial, zero at or above the cap, else its nf row
     dense = {}
     for i, mi in enumerate(A.basis):
         for j, mj in enumerate(A.basis):
-            dense[i, j] = A.reduce_monomial(mono_mul(mi, mj))
-            assert A.mult_basis(i, j) == \
-                [(k, w) for k, w in enumerate(dense[i, j]) if not f.is_zero(w)]
+            m = mono_mul(mi, mj)
+            if m in A.basis:
+                dense[i, j] = [f.one() if b == m else f.zero() for b in A.basis]
+            elif mono_deg(m) >= A.cap:
+                dense[i, j] = [f.zero()] * A.dim
+            else:
+                dense[i, j] = A.nf[m]
+            want = [(k, w) for k, w in enumerate(dense[i, j]) if not f.is_zero(w)]
+            assert A.mult_basis(i, j) == A.reduce_monomial(m) == want
     # multiply agrees with a dense bilinear product
     values = list(f.elements()) if field != "Q" else \
         [Fraction(n, d) for n in range(-2, 3) for d in (1, 2)]
     vec = st.lists(st.sampled_from(values), min_size=A.dim, max_size=A.dim)
     u, v = data.draw(vec), data.draw(vec)
-    want = f.vec_zero(A.dim)
+    want = [f.zero()] * A.dim
     for i in range(A.dim):
         for j in range(A.dim):
             c = f.mul(u[i], v[j])
             want = [f.add(x, f.mul(c, w)) for x, w in zip(want, dense[i, j])]
-    assert A.dense(A.multiply(sparse(u), sparse(v))) == want
+    assert to_dense(A, A.multiply(to_sparse(u), to_sparse(v))) == want
     # the degree components partition the basis indices by degree
     comps = [A.component(d) for d in range(A.cap + 1)]
     assert sorted(i for c in comps for i in c) == list(range(A.dim))
@@ -321,8 +328,8 @@ def test_sparse_product_matches_dense_reference(seed, field, mode, order):
     f = A.field
     for _ in range(4):
         u, v = _random_element(rng, f, A.dim), _random_element(rng, f, A.dim)
-        got = A.multiply(sparse(u), sparse(v))
-        assert A.dense(got) == dense_product(A, u, v)
+        got = A.multiply(to_sparse(u), to_sparse(v))
+        assert to_dense(A, got) == dense_product(A, u, v)
         # the product is in sparse form: ascending indices, nonzero values,
         # canonical residues over F_p
         assert [k for k, _ in got] == sorted({k for k, _ in got})

@@ -98,6 +98,31 @@ def test_distance_witness_is_printed_in_the_target_jet(tmp_path):
     assert order2["witness"]["images"] == {"x": "y", "y": "0"}
 
 
+def test_extension_witness_prints_only_its_nonzero_terms(tmp_path):
+    # over F_9 a zero coordinate prints as "(0,0)", which the printer used
+    # to write out as a term for every basis monomial of the target jet
+    a, b = tmp_path / "a.pres", tmp_path / "b.pres"
+    a.write_text("ring F_3[x, y]\ngraded\nideal: x^2 + y^2\n")
+    b.write_text("ring F_3[x, y]\ngraded\nideal: x*y\n")
+    code, out, _ = _capture(["distance", str(a), str(b), "--max-order", "3", "--ext", "2"])
+    assert code == 0
+    order3 = json.loads(out)["evidence"]["per_order"][2]
+    assert order3["witness"] == {"ext_multiple": 2,
+                                 "images": {"x": "(2,0)*y + (2,0)*x",
+                                            "y": "(0,1)*y + (0,2)*x"}}
+
+
+@pytest.mark.parametrize("command", ["hilbert", "euler"])
+def test_overlong_series_prefix_exits_one_with_capacity_error(command):
+    # the series used to be expanded first, ending in a MemoryError
+    code, out, _ = _capture([command, f"{INPUTS}/quartic.pres",
+                             "--prefix-len", "400000000"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CapacityError"
+    assert "series prefix length 400000001 exceeds capacity 2000" in error["message"]
+
+
 def test_domain_failure_exits_one_with_json_error():
     code, out, _ = _capture(["euler", f"{INPUTS}/fat-point.pres"])
     assert code == 1

@@ -440,7 +440,7 @@ def _echelon_rref(F, rows, n):
     for pc, entries in red.items():
         assert entries[pc] == F.one()
         assert not any(F.is_zero(x) for x in entries.values())
-        dense = F.vec_zero(n)
+        dense = [F.zero()] * n
         for c, x in entries.items():
             dense[c] = x
         out.append(dense)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jetmetric.artin import jet
 from jetmetric.errors import (
+    CapacityError,
     GradingError,
     PoleOrderZeroError,
     PrefixTooShortError,
@@ -62,6 +63,19 @@ def test_series_requires_graded_mode(cusp):
 def test_prefix_too_short_is_reported(quartic_cone):
     with pytest.raises(PrefixTooShortError):
         hilbert_series(quartic_cone, prefix_len=4)
+
+
+def test_prefix_longer_than_the_capacity_is_refused(quartic_cone):
+    # the series is expanded to prefix_len + 1 coefficients, so that count is
+    # held to the capacity before anything is expanded
+    with pytest.raises(CapacityError, match="series prefix length 400000001 "
+                                            "exceeds capacity 2000"):
+        hilbert_series(quartic_cone, prefix_len=400_000_000)
+    with pytest.raises(CapacityError, match="series prefix length 41 exceeds capacity 40"):
+        hilbert_series(quartic_cone, prefix_len=40, capacity=40)
+    assert len(hilbert_series(quartic_cone, prefix_len=39, capacity=40).series_prefix) == 40
+    with pytest.raises(CapacityError, match="series prefix length"):
+        euler_characteristic(quartic_cone, prefix_len=400_000_000)
 
 
 def test_cumulative_polynomial_matches_partial_sums(quartic_cone):

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import iso
-from jetmetric.artin import defpair_jet, jet, sparse
+from jetmetric.artin import defpair_jet, jet
 from jetmetric.iso import (
     QQ_SCALINGS,
     SearchBudget,
     Witness,
     apply_linear_map,
     base_change,
-    compose_witnesses,
     decide_isomorphism,
     embedding_root,
     find_separator,
@@ -29,11 +28,13 @@ from jetmetric.iso import (
     witness_field,
 )
 from jetmetric.errors import RangeError
-from jetmetric.exactcore import TABLE_MAX_ORDER, ExactMatrix, RationalField, _is_prime, finite_field
+from jetmetric.exactcore import (TABLE_MAX_ORDER, ExactMatrix, PrimeField, RationalField, _is_prime,
+                                 finite_field)
 from jetmetric.poly import Poly
 from jetmetric.presentation import parse_presentation, poly_to_str, print_presentation
 
-from conftest import dense_product, random_presentation, random_presentation_text
+from conftest import (dense_product, random_presentation, random_presentation_text, to_dense,
+                      to_sparse)
 
 BUDGET = SearchBudget(ext_degree_max=1, effort=200_000)
 
@@ -198,6 +199,52 @@ def test_witness_verification_checks_the_tuple_condition():
                               identity, match_tuples=True)
 
 
+def _malformed_images(B):
+    """Image lists for a witness into B, two variables, that are not two
+    sparse elements of B's maximal ideal, each with the reason."""
+    f = B.field
+    one = f.one()
+    x, y = B.var_image(0), B.var_image(1)
+    # zero as the field stores it, and over F_p as the residue p
+    zeros = [f.zero()] + ([f.p] if isinstance(f, PrimeField) else [])
+    return [
+        ("index past the basis", [x, y + [(B.dim, one)]]),
+        ("negative index", [[(-1, one)] + x, y]),
+        ("unit monomial", [[(0, one)] + x, y]),
+        ("descending indices", [x, sorted(x + y, reverse=True)]),
+        ("repeated index", [x, y + y]),
+        *((f"zero value {z!r}", [x, y + [(B.dim - 1, z)]]) for z in zeros),
+        ("one image", [x]),
+        ("three images", [x, y, sorted(x + y)]),
+    ]
+
+
+@pytest.mark.parametrize("ring", ["Q", "F_3"])
+def test_verify_witness_rejects_malformed_sparse_images(ring):
+    A = jet(parse_presentation(f"ring {ring}[x, y]\nlocal\nideal: y^2 - x^3"), 4)
+    B = jet(parse_presentation(f"ring {ring}[x, y]\nlocal\nideal: y^2 - x^3"), 4)
+    assert verify_witness(A, B, Witness(images=[B.var_image(0), B.var_image(1)]))
+    for why, images in _malformed_images(B):
+        assert verify_witness(A, B, Witness(images=images)) is False, why
+
+
+def test_witness_images_are_sparse_elements(cusp):
+    # found, inverted and projected witnesses: ascending indices in the
+    # maximal ideal of the target, nonzero values
+    a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^3")
+    b = parse_presentation("ring Q[u, v]\ngraded\nideal: v^3, u^2")
+    A, B = jet(a, 5), jet(b, 5)
+    w = _decide(A, B).witness
+    A3, B3 = jet(a, 3), jet(b, 3)
+    for target, images in ((B, w.images), (A, invert_witness(A, B, w).images),
+                           (B3, project_witness(w, B, B3).images)):
+        for img in images:
+            idx = [i for i, _ in img]
+            assert idx == sorted(set(idx)) and all(0 < i < target.dim for i in idx)
+            assert all(not target.field.is_zero(c) for _, c in img)
+    assert verify_witness(A3, B3, project_witness(w, B, B3))
+
+
 def test_witness_inversion_roundtrip():
     a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^3")
     b = parse_presentation("ring Q[u, v]\ngraded\nideal: v^3, u^2")
@@ -206,18 +253,6 @@ def test_witness_inversion_roundtrip():
     assert v.status == "ISO"
     back = invert_witness(A, B, v.witness)
     assert verify_witness(B, A, back)
-
-
-def test_witness_composition():
-    texts = ["ring Q[x, y]\ngraded\nideal: x^2",
-             "ring Q[u, v]\ngraded\nideal: u^2",
-             "ring Q[s, t]\ngraded\nideal: s^2"]
-    A, B, C = (jet(parse_presentation(t), 4) for t in texts)
-    vab = _decide(A, B)
-    vbc = _decide(B, C)
-    assert vab.status == vbc.status == "ISO"
-    w = compose_witnesses(A, B, C, vab.witness, vbc.witness)
-    assert verify_witness(A, C, w)
 
 
 def test_witness_projection_to_lower_order(cusp):
@@ -251,17 +286,13 @@ def test_f9_witness_inverts_and_round_trips():
     back = invert_witness(A, B, w)
     assert back.ext_multiple == 2
     assert verify_witness(B, A, back)
-    # the inverse is unique: inverting twice returns w, and w then back is
-    # the identity of A over F_9
+    # the inverse is unique: inverting twice returns w
     assert invert_witness(B, A, back).images == w.images
-    A9 = base_change(A, 2)
-    ident = compose_witnesses(A, B, A, w, back)
-    assert ident.images == [A9.var_image(k) for k in range(A.nvars)]
 
 
 def _reference_image(B, images, mono):
     # left-to-right dense product of the variable images, starting from one
-    vec = B.one_vec()
+    vec = to_dense(B, B.reduce_monomial((0,) * B.nvars))
     for k, e in enumerate(mono):
         for _ in range(e):
             vec = dense_product(B, vec, images[k])
@@ -290,10 +321,10 @@ def test_monomial_map_matches_left_to_right_products(field):
         f = B.field
         images = [[f.zero() if d == 0 else _random_scalar(rng, f) for d in B.degrees()]
                   for _ in range(A.nvars)]
-        image = B.monomial_map([sparse(v) for v in images])
+        image = B.monomial_map([to_sparse(v) for v in images])
 
         def reference_sum(terms):
-            out = f.vec_zero(B.dim)
+            out = [f.zero()] * B.dim
             for mono, c in terms:
                 ref = _reference_image(B, images, mono)
                 out = [f.add(o, f.mul(c, r)) for o, r in zip(out, ref)]
@@ -302,14 +333,16 @@ def test_monomial_map_matches_left_to_right_products(field):
         monos = {tuple(rng.randint(0, 4) for _ in range(A.nvars)) for _ in range(8)}
         g = Poly(f, A.nvars, {m: _random_scalar(rng, f) for m in monos})
         for rel in A.relations + [g]:
-            assert B.evaluate(rel, image) == reference_sum(rel.terms.items())
+            got = B.evaluate(rel, image)
+            assert got == to_sparse(reference_sum(rel.terms.items()))
+            assert all(not f.is_zero(c) for _, c in got)
         L = linear_map_matrix(A, B, image)
         cols = [_reference_image(B, images, mono) for mono in A.basis]
         assert L == [[col[i] for col in cols] for i in range(B.dim)]
         v = [_random_scalar(rng, f) for _ in range(A.dim)]
         Lv = [reduce(f.add, (f.mul(L[i][j], v[j]) for j in range(A.dim)), f.zero())
               for i in range(B.dim)]
-        assert apply_linear_map(A, B, image, v) == Lv
+        assert apply_linear_map(A, B, image, to_sparse(v)) == to_sparse(Lv)
 
 
 def _first_root_by_scan(src, dst):
@@ -435,7 +468,7 @@ def _rational_pairs(draw):
 
 def _scaled_images(B, perm, scals):
     """Sparse images x_k -> QQ_SCALINGS[scals[k]] y_perm(k) in B."""
-    return [sparse([QQ_SCALINGS[j] * c for c in B.var_image(perm[k])])
+    return [[(i, QQ_SCALINGS[j] * c) for i, c in B.var_image(perm[k])]
             for k, j in enumerate(scals)]
 
 
@@ -483,7 +516,7 @@ class _ReferenceSearcher(iso._Searcher):
         if scaled is not None and not self._vanishes(*scaled):
             return None
         if self._check(images):
-            return Witness(images=[self.B.dense(v) for v in images])
+            return Witness(images=list(images))
         return None
 
     def rational_candidates(self):
@@ -915,7 +948,7 @@ def _dense_enumeration(f, r, dim, coords_idx):
             code //= q
         images = []
         for k in range(r):
-            v = f.vec_zero(dim)
+            v = [f.zero()] * dim
             for d, i in zip(digits[k * width:(k + 1) * width], coords_idx):
                 v[i] = d
             images.append(v)
@@ -937,7 +970,7 @@ def test_sparse_coordinate_candidates_follow_the_dense_order(text, ext, order):
         want = _dense_enumeration(B.field, B.nvars, B.dim, coords)
         n = 0
         for images, dense_images in islice(zip(got, want), 20_000):
-            assert images == [sparse(v) for v in dense_images], n
+            assert images == [to_sparse(v) for v in dense_images], n
             n += 1
         assert n == min(20_000, s.space_size(coords))
         assert n > B.field.order ** len(coords)
@@ -1031,7 +1064,7 @@ def _leibniz_defect(A, D):
     f, n = A.field, A.dim
 
     def apply(v):
-        out = f.vec_zero(n)
+        out = [f.zero()] * n
         for c, img in zip(v, D):
             out = [f.add(o, f.mul(c, w)) for o, w in zip(out, img)]
         return out
@@ -1039,8 +1072,9 @@ def _leibniz_defect(A, D):
     for k in range(n):
         for l in range(k, n):
             prod = A.reduce_monomial(tuple(a + b for a, b in zip(A.basis[k], A.basis[l])))
-            left = apply(prod)
-            for u, w in ((D[k], A.unit_vec(l)), (A.unit_vec(k), D[l])):
+            left = apply(to_dense(A, prod))
+            unit_k, unit_l = (to_dense(A, [(i, f.one())]) for i in (k, l))
+            for u, w in ((D[k], unit_l), (unit_k, D[l])):
                 left = [f.sub(x, y) for x, y in zip(left, dense_product(A, u, w))]
             yield left
 
@@ -1075,8 +1109,8 @@ def test_derivation_dimension_matches_a_dense_nullspace_over_q(seed, mode, nvars
     n = A.dim
     if n > 8:
         return
-    prod = [[A.reduce_monomial(tuple(a + b for a, b in zip(u, v))) for v in A.basis]
-            for u in A.basis]
+    prod = [[to_dense(A, A.reduce_monomial(tuple(a + b for a, b in zip(u, v))))
+             for v in A.basis] for u in A.basis]
     rows = []
     for k in range(n):
         for l in range(k, n):
@@ -1106,16 +1140,17 @@ def test_derivation_dimension_counts_every_derivation_over_f2(text, order):
         d = [list(flat[i * n:(i + 1) * n]) for i in range(r)]
         D = []
         for a in A.basis:
-            img = f.vec_zero(n)
+            img = [f.zero()] * n
             for i in range(r):
                 if a[i]:
-                    lower = A.unit_vec(A.basis.index(a[:i] + (a[i] - 1,) + a[i + 1:]))
+                    lower = to_dense(A, [(A.basis.index(a[:i] + (a[i] - 1,) + a[i + 1:]),
+                                          f.one())])
                     img = [(x + a[i] * y) % 2
                            for x, y in zip(img, dense_product(A, lower, d[i]))]
             D.append(img)
         if any(any(v) for v in _leibniz_defect(A, D)):
             continue
-        images = [[sum(c * w for c, w in zip(A.var_image(i), col)) % 2
+        images = [[sum(c * w for c, w in zip(to_dense(A, A.var_image(i)), col)) % 2
                    for col in zip(*D)] for i in range(r)]
         count += images == d
     assert count == 2 ** iso.derivation_dimension(A)

@@ -303,13 +303,13 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
         if kind == "sparse":
             cols = data.draw(st.lists(st.integers(0, REDUCER_NCOLS - 1),
                                       max_size=4, unique=True))
-            vec = fld.vec_zero(REDUCER_NCOLS)
+            vec = [fld.zero()] * REDUCER_NCOLS
             for c in cols:
                 vec[c] = data.draw(value)
         elif kind == "repeat":
             vec = list(data.draw(st.sampled_from(inserted)))
         else:
-            vec = fld.vec_zero(REDUCER_NCOLS)
+            vec = [fld.zero()] * REDUCER_NCOLS
             for old in data.draw(st.lists(st.sampled_from(inserted),
                                           min_size=1, max_size=3)):
                 coef = data.draw(value)
@@ -322,7 +322,7 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
         assert sorted(red.rows) == [_key(c) for c in want.pivots]
         got = []
         for entries in red.reduced().values():
-            dense = fld.vec_zero(REDUCER_NCOLS)
+            dense = [fld.zero()] * REDUCER_NCOLS
             for key, x in entries.items():
                 dense[3 * key[0] + key[1]] = x
             got.append(dense)
