@@ -292,16 +292,16 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
 def reduce_poly(tq: TruncatedQuotient, g: Poly) -> Sparse:
     """The class of g modulo (I + m^cap) over tq.basis."""
     f = tq.field
-    acc: dict[int, object] = {}
+    vec = [f.zero()] * tq.dim
     pos = tq.basis_index()
     for m, c in g.terms.items():
         if mono_deg(m) >= tq.cap:
             continue
         if m in pos:
             j = pos[m]
-            acc[j] = f.add(acc.get(j, f.zero()), c)
+            vec[j] = f.add(vec[j], c)
         else:
             for j, v in enumerate(tq.nf[m]):
                 if not f.is_zero(v):
-                    acc[j] = f.add(acc.get(j, f.zero()), f.mul(c, v))
-    return [(j, c) for j, c in sorted(acc.items()) if not f.is_zero(c)]
+                    vec[j] = f.add(vec[j], f.mul(c, v))
+    return [(j, c) for j, c in enumerate(vec) if not f.is_zero(c)]

@@ -228,7 +228,7 @@ def test_verify_witness_rejects_malformed_sparse_images(ring):
         assert verify_witness(A, B, Witness(images=images)) is False, why
 
 
-def test_witness_images_are_sparse_elements(cusp):
+def test_witness_images_are_sparse_elements():
     # found, inverted and projected witnesses: ascending indices in the
     # maximal ideal of the target, nonzero values
     a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2, y^3")
