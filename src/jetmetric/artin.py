@@ -271,40 +271,16 @@ def jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgeb
     return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin)
 
 
-def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
-    """(length, hf) with hf[i] = dim m^i/m^{i+1}.
-
-    The powers m^i are computed literally, as iterated products of the span of
-    the maximal ideal by the variable classes (which generate it); each step
-    measures the dimension by exact rank.
-    """
-    if A.is_zero_ring():
-        return 0, []
-    one = A.field.one()
-    var_vecs = [A.var_image(k) for k in range(A.nvars)]
-    current = [[(i, one)] for i in A.maxideal_basis]  # basis of m^1
-    dims = [A.dim]
-    while current:
-        dims.append(len(current))
-        nxt_rows = [dict(w) for v in current for xk in var_vecs
-                    if (w := A.multiply(xk, v))]
-        if nxt_rows:
-            red = ExactMatrix(A.field, nxt_rows, A.dim).rref()
-            current = [sorted(r.items()) for r in red.rows]
-        else:
-            current = []
-    hf = [dims[i] - (dims[i + 1] if i + 1 < len(dims) else 0) for i in range(len(dims))]
-    while hf and hf[-1] == 0:
-        hf.pop()
-    return A.dim, hf
-
-
 def hf_by_degree_count(A: ArtinAlgebra) -> list[int]:
-    """Hilbert function read off the graded basis-monomial counts.
-
-    Agrees with hilbert_function (property-tested); this one is O(dim).
-    """
+    """Hilbert function read off the graded basis-monomial counts: the basis
+    monomials of degree i span m^i modulo m^{i+1}, so hf[i] is their
+    number, O(dim)."""
     return [len(c) for c in A._components]
+
+
+def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
+    """(length, hf) with hf[i] = dim m^i/m^{i+1}, read by `hf_by_degree_count`."""
+    return A.dim, hf_by_degree_count(A)
 
 
 def nilpotency_index(A: ArtinAlgebra) -> int:

@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--residue-field", action="store_true",
                     help="resolve the residue field instead of the quotient")
-    sp.add_argument("--hcap", type=int, default=6)
+    sp.add_argument("--hcap", type=int, default=6,
+                    help="homological cap; read only with --residue-field")
     sp.add_argument("--dcap", type=int, default=None,
                     help="internal degree cap; needs --residue-field")
     common(sp)

@@ -33,8 +33,14 @@ split by powers of its variable, evaluated once per prefix.  A prefix that
 fails for every completion charges all of them against the effort in one
 step, with the arithmetic of charging them one by one, so the effort spent,
 the point where it runs out and the first witness are those of the
-candidate-by-candidate search.  A candidate that survives still goes
-through the exact relation and bijectivity checks.
+candidate-by-candidate search.
+
+A candidate is accepted on its relations alone.  Every candidate spans
+m/m^2 (the identity, the permutations and the scaled ones are built from
+B's variable images; the enumeration keeps only images whose degree-1
+rows span it), so it maps onto B by Nakayama's lemma, and it is bijective
+because the separators have matched the lengths.  Every ISO verdict then
+leaves `decide_isomorphism` through one `verify_witness`, the full check.
 
 Candidates and witnesses are `Sparse` elements, the one element form of
 `artin`, in every field; only the CLI writes a witness out, as text.
@@ -433,10 +439,12 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     """Mechanical check that w defines an isomorphism A -> B (after the
     recorded base change): images lie in the maximal ideal, relations die,
     the truncation ideal dies, with match_tuples A's deformation-tuple
-    images go to B's, and the induced linear map is bijective."""
-    if w.ext_multiple != 1 and isinstance(A.field, RationalField):
+    images go to B's, and the induced linear map is bijective.  A base
+    change that is not a positive int, or any over Q, is rejected."""
+    m = w.ext_multiple
+    if not isinstance(m, int) or m < 1 or (m > 1 and isinstance(A.field, RationalField)):
         return False
-    A, B = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
+    A, B = _extend(A, m), _extend(B, m)
     if A.dim != B.dim:
         return False
     if A.dim == 0:
@@ -584,10 +592,11 @@ class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
     Candidates are lists of sparse generator images, tried in a fixed order:
-    the identity, the variable permutations, then, after `late_check` (which
-    may end the search with _Separated), the scaled candidates over Q or the
-    enumerated ones over F_q.  Every candidate in that order counts against
-    the effort, whether or not it is built.
+    the identity, the variable permutations (the identity among them again),
+    then, after `late_check` (which may end the search with _Separated), the
+    scaled candidates over Q or the enumerated ones over F_q.  Every
+    candidate in that order counts against the effort, whether or not it is
+    built.
 
     The last two lists are walked as trees of prefixes in their own order,
     and each prefix is decided once.  A prefix that fails for every
@@ -606,9 +615,10 @@ class _Searcher:
     conditions) each relation is split as sum_e x_0^e H_e with the H_e
     evaluated once: a relation whose H_e vanish for e >= 1 but not for
     e = 0 fails the whole block, and otherwise sum_e v^e H_e filters each
-    candidate v.  Every candidate that survives still goes through the exact
-    relation and bijectivity checks (`_check`), and every witness
-    through `verify_witness` in the caller.
+    candidate v.  Every candidate spans m/m^2, so one that kills the
+    relations is a witness: a scaled candidate whose plan vanishes, or an
+    enumerated one that passes the filter with no tuple condition, is
+    returned as it is, and the others go through `_check`.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
@@ -636,37 +646,14 @@ class _Searcher:
         raise _EffortExceeded
 
     def _check(self, images: list[Sparse]) -> bool:
-        """Whether the sparse images define an isomorphism: they kill the
-        relations (and match the tuple images when asked) and give a
-        bijective linear map.  Images built from B's variable images, as the
-        identity, the permutations and the scaled candidates are, always
-        span m/m^2; the enumeration tests that span itself."""
-        A, B = self.A, self.B
-        image = B.monomial_map(images)
-        return (_maps_relations(A, B, image, self.tuple_constraint)
-                and _bijective(A, B, image))
-
-    def _try(self, images: list[Sparse]) -> Optional[Witness]:
-        """Charge one candidate and check it."""
-        self._charge_block(1)
-        return Witness(images=images) if self._check(images) else None
+        """Whether the sparse images, which span m/m^2, define an
+        isomorphism: whether they kill the relations (and match the tuple
+        images when asked)."""
+        return _maps_relations(self.A, self.B, self.B.monomial_map(images),
+                               self.tuple_constraint)
 
     def _var_images(self) -> list[Sparse]:
         return [self.B.var_image(k) for k in range(self.B.nvars)]
-
-    def identity_candidate(self) -> Optional[list[Sparse]]:
-        if self.A.nvars != self.B.nvars:
-            return None
-        return self._var_images()
-
-    def permutation_candidates(self):
-        """Variable permutations (finite and rational fields; cheap first pass)."""
-        r = self.A.nvars
-        if r != self.B.nvars or r > 6:
-            return
-        var_vecs = self._var_images()
-        for perm in permutations(range(r)):
-            yield [var_vecs[perm[k]] for k in range(r)]
 
     def _scaled_search(self) -> Optional[Witness]:
         """The scaled candidates x_k -> QQ_SCALINGS[scals[k]] y_perm(k):
@@ -696,7 +683,10 @@ class _Searcher:
                         self._charge_block(n ** (r - 1 - k))
                         continue
                     images[k] = scaled[perm[k]][j]
-                    w = self._try(list(images)) if k == r - 1 else walk(k + 1, part)
+                    if k == r - 1:
+                        self._charge_block(1)
+                        return Witness(images=list(images))
+                    w = walk(k + 1, part)
                     if w is not None:
                         return w
                 return None
@@ -813,7 +803,7 @@ class _Searcher:
                 if filters and not vanishes(filters, power):
                     continue
                 images[0] = img
-                if self._check(images):
+                if not self.tuple_constraint or self._check(images):
                     return Witness(images=list(images))
             return None
 
@@ -839,15 +829,16 @@ class _Searcher:
         """(witness or None, whole space exhausted?); raises _EffortExceeded
         when the effort runs out first and _Separated when the late check
         separates the pair."""
-        ident = self.identity_candidate()
-        if ident is not None:
-            w = self._try(ident)
-            if w is not None:
-                return w, False
-        for images in self.permutation_candidates():
-            w = self._try(images)
-            if w is not None:
-                return w, False
+        r = self.A.nvars
+        if r == self.B.nvars:
+            # the identity, then every permutation for at most 6 variables
+            # (the identity again)
+            var = self._var_images()
+            perms = permutations(range(r)) if r <= 6 else ()
+            for images in [var, *([var[k] for k in p] for p in perms)]:
+                self._charge_block(1)
+                if self._check(images):
+                    return Witness(images=images), False
         self.late_check()
         if isinstance(self.field, RationalField):
             return self._scaled_search(), False  # rational search is never exhaustive
@@ -872,36 +863,29 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
         raise FieldMismatchError(
             f"cannot compare algebras over {A.field.desc.label()} and {B.field.desc.label()}")
     sep = find_separator(A, B, INVARIANTS[:-1])
+    if sep is None and match_tuples:
+        ta, tb = A.tuple_images or [], B.tuple_images or []
+        if len(ta) != len(tb):
+            sep = ("tuple_length", len(ta), len(tb))
     if sep is not None:
         return IsoVerdict(status="NOT_ISO", separator=sep)
-    if A.dim == 0:
-        return IsoVerdict(status="ISO", witness=Witness(images=[]))
-    if A.dim == 1:
-        w = Witness(images=[[] for _ in range(A.nvars)])
-        if verify_witness(A, B, w, match_tuples):
-            return IsoVerdict(status="ISO", witness=w)
-        raise InternalInconsistencyError("one-dimensional algebras failed to match")
 
-    if match_tuples:
-        ta = A.tuple_images or []
-        tb = B.tuple_images or []
-        if len(ta) != len(tb):
-            return IsoVerdict(status="NOT_ISO",
-                              separator=("tuple_length", len(ta), len(tb)))
-
-    swapped = _precedes(B, A)
-    first, second = (B, A) if swapped else (A, B)
-    try:
-        verdict = _decide_oriented(first, second, budget, match_tuples,
-                                   _late_separator(A, B))
-    except _Separated as e:
-        return IsoVerdict(status="NOT_ISO", separator=e.args[0])
-    if swapped and verdict.status == "ISO":
-        inv = invert_witness(first, second, verdict.witness)
-        if not verify_witness(A, B, inv, match_tuples):
-            raise InternalInconsistencyError("witness inversion failed verification")
-        verdict = IsoVerdict(status="ISO", witness=inv,
-                             search_bounds=verdict.search_bounds)
+    if A.dim <= 1:
+        # the zero ring or the field itself: every variable goes to 0
+        verdict = IsoVerdict(status="ISO", witness=Witness(
+            images=[[] for _ in range(A.nvars)] if A.dim else []))
+    else:
+        swapped = _precedes(B, A)
+        first, second = (B, A) if swapped else (A, B)
+        try:
+            verdict = _decide_oriented(first, second, budget, match_tuples,
+                                       _late_separator(A, B))
+        except _Separated as e:
+            return IsoVerdict(status="NOT_ISO", separator=e.args[0])
+        if swapped and verdict.status == "ISO":
+            verdict.witness = invert_witness(first, second, verdict.witness)
+    if verdict.status == "ISO" and not verify_witness(A, B, verdict.witness, match_tuples):
+        raise InternalInconsistencyError("the witness found fails verification")
     return verdict
 
 
@@ -909,27 +893,22 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
                      match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
-    effort_left = budget.effort
-    tried_total = 0
-
     if isinstance(f, RationalField):
-        searcher = _Searcher(A, B, effort_left, match_tuples, late_check)
-        stopped_by = "candidates"
+        searcher = _Searcher(A, B, budget.effort, match_tuples, late_check)
         try:
-            w, _ = searcher.run(graded)
+            w, stopped_by = searcher.run(graded)[0], "candidates"
         except _EffortExceeded:
             w, stopped_by = None, "effort"
-        tried_total = searcher.tried
         if w is not None:
-            if not verify_witness(A, B, w, match_tuples):
-                raise InternalInconsistencyError("search produced an invalid witness")
             return IsoVerdict(status="ISO", witness=w)
         return IsoVerdict(status="UNKNOWN",
                           search_bounds={"ext_degree_tried": 1,
-                                         "candidates_tried": tried_total,
+                                         "candidates_tried": searcher.tried,
                                          "space_exhausted": False,
                                          "stopped_by": stopped_by})
 
+    effort_left = budget.effort
+    tried_total = 0
     m0 = f.desc.m
     exhausted_all = True
     ext_tried = 0
@@ -946,17 +925,13 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         tried_total += searcher.tried
         effort_left -= searcher.tried
         if w is not None:
-            w = Witness(images=w.images, ext_multiple=k)
-            if not verify_witness(A, B, w, match_tuples):
-                raise InternalInconsistencyError("search produced an invalid witness")
+            w.ext_multiple = k
             return IsoVerdict(status="ISO", witness=w,
                               search_bounds={"ext_degree_tried": m_prime,
                                              "candidates_tried": tried_total,
                                              "space_exhausted": False})
-        if not seen_all:
-            exhausted_all = False
+        exhausted_all = exhausted_all and seen_all and effort_left > 0
         if effort_left <= 0:
-            exhausted_all = False
             break
     return IsoVerdict(status="UNKNOWN",
                       search_bounds={"ext_degree_tried": ext_tried,

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance checklist")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH, for
+    the interpreters a test starts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @pytest.fixture

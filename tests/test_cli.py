@@ -10,6 +10,8 @@ import pytest
 
 from jetmetric.cli import run
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "docs" / "golden"
 INPUTS = "docs/golden/inputs"  # golden reports record paths as typed
@@ -199,7 +201,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "jetmetric.cli", "jets",
          f"{INPUTS}/x2.pres", "--order", "3"],
-        capture_output=True, text=True, cwd=ROOT)
+        capture_output=True, text=True, cwd=ROOT, env=src_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["dim"] == 2
@@ -239,7 +241,7 @@ def test_deeply_nested_input_exits_one_without_traceback(tmp_path):
     deep.write_text("ring Q[x]\ngraded\nideal: " + "(" * 3000 + "x" + ")" * 3000 + "\n")
     proc = subprocess.run(
         [sys.executable, "-m", "jetmetric.cli", "jets", str(deep), "--order", "2"],
-        capture_output=True, text=True, cwd=ROOT)
+        capture_output=True, text=True, cwd=ROOT, env=src_env())
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"
@@ -252,7 +254,7 @@ def test_closed_stdout_pipe_exits_one_without_traceback():
         proc = subprocess.run(
             [sys.executable, "-m", "jetmetric.cli", "jets", f"{INPUTS}/cusp.pres",
              "--order", "4"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=src_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
@@ -264,7 +266,7 @@ def test_oversized_power_exits_one_without_traceback(tmp_path):
     big.write_text("ring Q[x, y, z]\nideal: (x + y + z)^90\n")
     proc = subprocess.run(
         [sys.executable, "-m", "jetmetric.cli", "jets", str(big), "--order", "2"],
-        capture_output=True, text=True, cwd=ROOT, timeout=60)
+        capture_output=True, text=True, cwd=ROOT, env=src_env(), timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"

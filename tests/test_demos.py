@@ -2,12 +2,13 @@
 docs/golden/demos/<name>.txt.  Each demo runs in its own interpreter from
 the repository root, as a reader would run it."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,9 +23,7 @@ def test_every_demo_has_a_transcript():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_stdout_matches_its_transcript(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = src_env()
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)

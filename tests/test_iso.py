@@ -199,6 +199,20 @@ def test_witness_verification_checks_the_tuple_condition():
                               identity, match_tuples=True)
 
 
+def test_one_dimensional_pairs_of_different_tuple_lengths_are_separated():
+    # at order 1 both deformation jets are the field itself, so only the
+    # tuple lengths tell the pairs apart
+    a = parse_presentation("ring Q[x, y]\nlocal\nideal: y\ntuple: x")
+    b = parse_presentation("ring Q[x, y]\nlocal\nideal: ;\ntuple: x, y")
+    A, B = defpair_jet(a, 1), defpair_jet(b, 1)
+    assert A.dim == B.dim == 1
+    for S, T, want in ((A, B, (1, 2)), (B, A, (2, 1))):
+        v = decide_isomorphism(S, T, BUDGET, match_tuples=True)
+        assert v.status == "NOT_ISO"
+        assert v.separator == ("tuple_length", *want)
+    assert decide_isomorphism(A, B, BUDGET).status == "ISO"
+
+
 def _malformed_images(B):
     """Image lists for a witness into B, two variables, that are not two
     sparse elements of B's maximal ideal, each with the reason."""
@@ -223,9 +237,53 @@ def _malformed_images(B):
 def test_verify_witness_rejects_malformed_sparse_images(ring):
     A = jet(parse_presentation(f"ring {ring}[x, y]\nlocal\nideal: y^2 - x^3"), 4)
     B = jet(parse_presentation(f"ring {ring}[x, y]\nlocal\nideal: y^2 - x^3"), 4)
-    assert verify_witness(A, B, Witness(images=[B.var_image(0), B.var_image(1)]))
+    good = [B.var_image(0), B.var_image(1)]
+    assert verify_witness(A, B, Witness(images=good))
     for why, images in _malformed_images(B):
         assert verify_witness(A, B, Witness(images=images)) is False, why
+    # a base change that is not a positive int
+    for ext in (0, -1, 1.5):
+        assert verify_witness(A, B, Witness(images=good, ext_multiple=ext)) is False, ext
+
+
+def _counting_verify_witness(monkeypatch):
+    """Replace `iso.verify_witness` by a wrapper; returns its call list."""
+    calls = []
+    verify = iso.verify_witness
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+    monkeypatch.setattr(iso, "verify_witness", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, b, order, status", [
+    # one-dimensional: no search
+    ("ring Q[x, y]\nlocal\nideal: y^2 - x^3", "x*y", 1, "ISO"),
+    # over Q, found among the scaled candidates
+    ("ring Q[x, y]\ngraded\nideal: x^2 - 2*y^2", "x^2 - 8*y^2", 3, "ISO"),
+    # over F_2, found by the enumeration
+    ("ring F_2[x, y]\ngraded\nideal: x^3 + x*y^2", "x^3 + x^2*y", 4, "ISO"),
+    # told apart by a separator
+    ("ring Q[x, y]\ngraded\nideal: x^2, y^3", "x*y", 4, "NOT_ISO"),
+])
+def test_every_iso_verdict_verifies_its_witness_once(monkeypatch, a, b, order, status):
+    # both orientations: one of them is decided swapped, and a witness
+    # found then is inverted before its one verification
+    p = parse_presentation(a)
+    q = parse_presentation(a[:a.index("ideal: ")] + "ideal: " + b)
+    A, B = jet(p, order), jet(q, order)
+    calls = _counting_verify_witness(monkeypatch)
+    swapped = []
+    for S, T in ((A, B), (B, A)):
+        calls.clear()
+        assert _decide(S, T).status == status
+        assert len(calls) == (status == "ISO")
+        swapped.append(iso._precedes(T, S))
+    assert sorted(swapped) == [False, True]
+
+
 
 
 def test_witness_images_are_sparse_elements():
@@ -480,9 +538,10 @@ class _ReferenceSearcher(iso._Searcher):
     """The witness search one candidate at a time, in `iso._Searcher`'s
     order: every candidate is built and charged by itself, a scaled one is
     screened by its permutation's whole plan at the full product of its
-    scalings' columns, and every enumerated one goes through the exact
-    check.  Block pruning must reproduce its `tried`, its effort left, where
-    its effort runs out and its first witness."""
+    scalings' columns, and every candidate goes through the full exact
+    check, relations and bijectivity.  Block pruning, and acceptance on the
+    relations alone, must reproduce its `tried`, its effort left, where its
+    effort runs out and its first witness."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -510,6 +569,25 @@ class _ReferenceSearcher(iso._Searcher):
             scale = [x * y for x, y in zip(scale, columns[k][scals[k]])]
         return all(sum(c * scale[m] for c, m in zip(cs, ms)) == 0
                    for level in levels for cs, ms in level)
+
+    def _check(self, images):
+        A, B = self.A, self.B
+        image = B.monomial_map(images)
+        return (iso._maps_relations(A, B, image, self.tuple_constraint)
+                and iso._bijective(A, B, image))
+
+    def identity_candidate(self):
+        if self.A.nvars != self.B.nvars:
+            return None
+        return self._var_images()
+
+    def permutation_candidates(self):
+        r = self.A.nvars
+        if r != self.B.nvars or r > 6:
+            return
+        var_vecs = self._var_images()
+        for perm in permutations(range(r)):
+            yield [var_vecs[perm[k]] for k in range(r)]
 
     def _try(self, images, scaled=None):
         self._charge()
@@ -761,7 +839,7 @@ def test_a_single_term_plan_coordinate_charges_its_permutation_at_once():
 
 
 def _identity_maps(A, B):
-    s = iso._Searcher(A, B, 1, False)
+    s = _ReferenceSearcher(A, B, 1, False)
     return s._check(s.identity_candidate())
 
 
@@ -867,6 +945,25 @@ def test_block_pruning_matches_after_base_change(a, b, ext, order):
         for effort in sorted(e + d for e in marks for d in (-1, 0, 1) if 0 <= e + d <= 5000):
             assert (_outcome(iso._Searcher, A, B, effort, False, graded)
                     == _outcome(_ReferenceSearcher, A, B, effort, False, graded)), effort
+
+
+@given(pair=_search_pairs(), effort=st.integers(0, 3000))
+@settings(max_examples=60, deadline=None)
+def test_search_witnesses_are_bijective(pair, effort):
+    # accepted on the relations alone, every witness of the search (run as
+    # `decide_isomorphism` runs it, after the eager separators) is bijective
+    A, B, match_tuples = pair
+    if A.dim < 2 or find_separator(A, B, iso.INVARIANTS[:-1]) is not None:
+        return
+    graded = iso._is_graded_input(A) and iso._is_graded_input(B) and not match_tuples
+    try:
+        w, _ = iso._Searcher(A, B, effort, match_tuples).run(graded)
+    except iso._EffortExceeded:
+        return
+    if w is not None:
+        image = B.monomial_map(w.images)
+        assert iso._bijective(A, B, image)
+        assert verify_witness(A, B, w, match_tuples)
 
 
 # ---------------------------------------------------------------------------
