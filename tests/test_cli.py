@@ -254,7 +254,8 @@ def test_closed_stdout_pipe_exits_one_without_traceback():
         proc = subprocess.run(
             [sys.executable, "-m", "jetmetric.cli", "jets", f"{INPUTS}/cusp.pres",
              "--order", "4"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=src_env(), timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=src_env(),
+            timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
