@@ -202,6 +202,8 @@ class ArtinAlgebra:
         A new monomial lowers its last nonzero exponent until it reaches a
         memoized divisor and multiplies back up, memoizing every step, so it
         costs one multiply; the walk is a loop, so high powers stay flat.
+        When every image lies in the maximal ideal, a monomial of degree at
+        or above the nilpotency index maps to 0 without a walk.
         """
         gens = list(images)
         r = len(gens)
@@ -209,11 +211,15 @@ class ArtinAlgebra:
         memo: dict[Monomial, Sparse] = dict(zip(units, gens))
         memo[one] = self._one
         multiply = self.multiply
+        vanish = (len(self._components) if all(i for g in gens for i, _ in g)
+                  else None)
 
         def image(mono: Monomial) -> Sparse:
             got = memo.get(mono)
             if got is not None:
                 return got
+            if vanish is not None and sum(mono) >= vanish:
+                return []
             e = list(mono)
             path: list[tuple[Monomial, int]] = []
             k = r - 1

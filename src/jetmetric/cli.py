@@ -226,8 +226,8 @@ def _run_slopes(args):
     if args.stride < 1:
         raise UsageError("--stride must be at least 1")
     lo, hi = args.window
-    orders = list(range(lo, hi + 1, args.stride))
-    t = slope_trace(p, args.trace_of, orders, capacity=args.cap)
+    t = slope_trace(p, args.trace_of, range(lo, hi + 1, args.stride),
+                    capacity=args.cap)
     if args.trace_of == "delta0":
         values = [{"length": v.length, "half_length": v.half_length,
                    "ratio": _enc_fraction(v.ratio), "log2": _enc_decimal(v.log2)}

@@ -7,7 +7,9 @@ certified leading ideal of `standard`; the series prefix is its expansion.
 
 Two polynomials are kept, clearly labeled: the degreewise polynomial (degree
 d-1, value = dimension of the degree-n piece for large n) and the cumulative
-polynomial (degree d, value = length of the order-n jet).  The Euler
+polynomial (degree d, value = length of the order-n jet).  One `HilbertData`
+serves graded series and local length models alike: the order-n jet's
+Hilbert function is the series' first n coefficients.  The Euler
 characteristic of the polarized scheme is the degreewise polynomial at 0, and
 for pole order 2 (a curve) the genus 1 - chi is reported as well.
 """
@@ -26,6 +28,7 @@ from .errors import (
     PoleOrderZeroError,
     PrefixTooShortError,
     WindowTooSmallError,
+    ZeroRingError,
 )
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
@@ -112,9 +115,52 @@ class HilbertData:
         """Degreewise polynomial matches the series from this degree on."""
         return max(len(self.numerator) - 1 - self.pole_order + 1, 0)
 
+    @property
+    def poly_from(self) -> int:
+        """The lengths t Q(t)/(1 - t)^(d+1) follow the cumulative polynomial
+        from this order on."""
+        return max(len(self.numerator) - self.pole_order, 1)
+
+    def hf_prefix(self, n: int) -> list[int]:
+        """Hilbert function of the order-n jet: the first n coefficients."""
+        return series(self.numerator, self.pole_order, n)
+
+    def length(self, n: int) -> int:
+        """Length of the order-n jet."""
+        if n < 0:
+            raise ValueError("negative jet order")
+        if n < self.poly_from:
+            return sum(self.hf_prefix(n))
+        v = poly_eval(self.cumulative, n)
+        if v.denominator != 1:
+            raise InternalInconsistencyError(f"non-integral length {v} at order {n}")
+        return int(v)
+
+    def nilpotency_at(self, n: int) -> int:
+        """Nilpotency index of the order-n jet.  By Nakayama a local ring's
+        Hilbert function is positive up to its socle degree, so this is n in
+        positive dimension and min(n, len(Q)) for an Artinian quotient."""
+        if n < 1:
+            raise ZeroRingError("order-0 jet is the zero ring")
+        return n if self.pole_order else min(n, len(self.numerator))
+
 
 def _default_prefix_len(p: Presentation) -> int:
     return sum(g.degree() for g in p.gens) + p.nvars + 4
+
+
+def _hilbert_data(p: Presentation, capacity: int,
+                  count: Optional[int] = None) -> HilbertData:
+    """Hilbert data of a graded or local presentation from its certified
+    leading ideal, with `count` series coefficients (default: those below
+    `poly_from`)."""
+    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
+    if count is None:
+        count = max(len(Q) - d, 1)
+    return HilbertData(series_prefix=series(Q, d, count), numerator=Q, pole_order=d,
+                       degreewise=hs_polynomial_from_series(Q, d) if d else None,
+                       cumulative=cumulative_polynomial(Q, d),
+                       dim=d, mult=sum(Q), source=f"{p.mode}-exact")
 
 
 def hilbert_series(p: Presentation, prefix_len: Optional[int] = None,
@@ -133,11 +179,13 @@ def hilbert_series(p: Presentation, prefix_len: Optional[int] = None,
             f"prefix length {N} does not exceed the generator degree sum {degsum}")
     if prefix_len is not None and N + 1 > capacity:
         raise CapacityError(N + 1, capacity, what="series prefix length")
-    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
-    return HilbertData(series_prefix=series(Q, d, N + 1), numerator=Q, pole_order=d,
-                       degreewise=hs_polynomial_from_series(Q, d) if d else None,
-                       cumulative=cumulative_polynomial(Q, d),
-                       dim=d, mult=sum(Q), source="graded-exact")
+    return _hilbert_data(p, capacity, N + 1)
+
+
+def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> HilbertData:
+    """The exact jet lengths of a graded or local presentation at every
+    order, read off its certified leading ideal; no jet is built."""
+    return _hilbert_data(p, capacity)
 
 
 def hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list[Fraction]:
@@ -174,8 +222,7 @@ def hs_polynomial_from_jets(p: Presentation, window: tuple[int, int],
     n1, n2 = window
     if n2 - n1 < 2 or n1 < 0:
         raise WindowTooSmallError(f"window [{n1}, {n2}] has too few points")
-    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
-    return cumulative_polynomial(Q, d), True
+    return _hilbert_data(p, capacity).cumulative, True
 
 
 def dim_mult(hd: HilbertData) -> tuple[int, int]:

@@ -196,32 +196,29 @@ def limit_jets(tpl: FamilyTemplate, order: int,
     """Jet of the limit of a parameterized family.
 
     Computes the order-n jet for every parameter in the range, requires the
-    final `tail` jets to be pairwise isomorphic (the desk-scale stand-in for
-    Cauchy convergence), and returns the last jet together with the least
-    parameter from which every later jet is certifiably isomorphic to it.
+    final `tail` jets to be isomorphic to the last one (the desk-scale
+    stand-in for Cauchy convergence; isomorphism is an equivalence, so they
+    are then pairwise isomorphic), and returns the last jet together with the
+    least parameter from which every later jet is certifiably isomorphic to it.
     """
     if tail < 1:
         raise RangeError(f"tail must be at least 1, got {tail}")
     ws = list(range(tpl.lo, tpl.hi + 1))
     jets = [jet(instantiate_template(tpl, w), order, capacity=capacity) for w in ws]
-    k = min(tail, len(jets))
-    tail_jets = jets[-k:]
-    for i in range(len(tail_jets)):
-        for j in range(i + 1, len(tail_jets)):
-            v = decide_isomorphism(tail_jets[i], tail_jets[j], budget)
-            if v.status == "NOT_ISO":
-                raise NotStabilizedError(
-                    f"family jets at parameters {ws[-k + i]} and {ws[-k + j]} differ: "
-                    f"{v.separator[0]} = {v.separator[1]} vs {v.separator[2]}")
-            if v.status == "UNKNOWN":
-                raise UnknownStabilizationError(
-                    f"isomorphism of tail jets at parameters {ws[-k + i]} and "
-                    f"{ws[-k + j]} undecided within budget")
     last = jets[-1]
     w0 = ws[-1]
     for idx in range(len(jets) - 2, -1, -1):
         v = decide_isomorphism(jets[idx], last, budget)
-        if v.status != "ISO":
+        if v.status == "ISO":
+            w0 = ws[idx]
+            continue
+        if idx < len(jets) - tail:
             break
-        w0 = ws[idx]
+        if v.status == "NOT_ISO":
+            raise NotStabilizedError(
+                f"family jet at parameter {ws[idx]} differs from the last, at "
+                f"{ws[-1]}: {v.separator[0]} = {v.separator[1]} vs {v.separator[2]}")
+        raise UnknownStabilizationError(
+            f"isomorphism of the tail jet at parameter {ws[idx]} to the last, at "
+            f"{ws[-1]}, undecided within budget")
     return last, w0

@@ -19,28 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from itertools import accumulate
 from math import ceil, comb, factorial, isqrt
 from typing import Optional, Sequence
 
 from .artin import ArtinAlgebra, nilpotency_index
 from .errors import (
+    CapacityError,
     DimensionZeroError,
     InternalInconsistencyError,
     NilpotencyOneError,
     RangeError,
-    ZeroRingError,
 )
-from .hilbert import (
-    cumulative_polynomial,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-)
+from .hilbert import HilbertData, length_model, poly_add, poly_mul, poly_scale
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
-from .standard import hilbert_numerator, series
 
 
 # ---------------------------------------------------------------------------
@@ -73,69 +65,6 @@ def round_log2(ratio: Fraction) -> int:
     while r2 < Fraction(2) ** (2 * k - 1):
         k -= 1
     return k
-
-
-# ---------------------------------------------------------------------------
-# jet-length model: exact lengths at every order without building big algebras
-
-
-@dataclass
-class LengthModel:
-    """Exact jet lengths of a presentation at all orders.
-
-    Below `poly_from` the lengths are partial sums of the Hilbert-Samuel
-    series; from `poly_from` on they follow the cumulative polynomial.  `dim`
-    is its degree and `mult` is dim! times its leading coefficient; dim 0
-    means the quotient is already Artinian.
-    """
-
-    presentation: Presentation
-    cumulative: list[Fraction]
-    poly_from: int
-    low_lengths: list[int]          # lengths at orders 0 .. poly_from - 1
-    dim: int
-    mult: int
-    source: str
-
-    def length(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("negative jet order")
-        if n < self.poly_from:
-            return self.low_lengths[n]
-        v = poly_eval(self.cumulative, n)
-        if v.denominator != 1:
-            raise InternalInconsistencyError(f"non-integral length {v} at order {n}")
-        return int(v)
-
-    def hf_prefix(self, n: int) -> list[int]:
-        """Hilbert function of the order-n jet (length differences)."""
-        return [self.length(i + 1) - self.length(i) for i in range(n)]
-
-    def nilpotency_at(self, n: int) -> int:
-        """Nilpotency index of the order-n jet (n, unless lengths saturate)."""
-        if n < 1:
-            raise ZeroRingError("order-0 jet is the zero ring")
-        if self.dim >= 1 or n <= self.poly_from:
-            lo, hi = 1, n
-            while lo < hi:          # smallest t with length(t) == length(n)
-                mid = (lo + hi) // 2
-                if self.length(mid) == self.length(n):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-        return self.nilpotency_at(self.poly_from)
-
-
-def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> LengthModel:
-    """The exact length model of a graded or local presentation, from its
-    certified leading ideal: the lengths have the series t Q(t)/(1 - t)^(d+1),
-    which follows the cumulative polynomial from order len(Q) - d on."""
-    Q, d = hilbert_numerator(p.base_field(), p.nvars, p.gens, capacity)
-    poly_from = max(len(Q) - d, 1)
-    low = list(accumulate(series(Q, d, poly_from - 1), initial=0))
-    return LengthModel(p, cumulative_polynomial(Q, d), poly_from, low, d, sum(Q),
-                       f"{p.mode}-exact")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +107,7 @@ def eps0(A: ArtinAlgebra) -> Fraction:
     return Fraction(root * root, A.dim)
 
 
-def delta0_at_order(model: LengthModel, n: int) -> Delta0Value:
+def delta0_at_order(model: HilbertData, n: int) -> Delta0Value:
     """delta0 of the order-n jet, from lengths alone."""
     nilp = model.nilpotency_at(n)
     if nilp == 1:
@@ -189,7 +118,7 @@ def delta0_at_order(model: LengthModel, n: int) -> Delta0Value:
     return Delta0Value(top, half, ratio, log2_decimal(ratio))
 
 
-def eps0_at_order(model: LengthModel, n: int) -> Fraction:
+def eps0_at_order(model: HilbertData, n: int) -> Fraction:
     nilp = model.nilpotency_at(n)
     root = model.length(isqrt(nilp))
     return Fraction(root * root, model.length(min(n, nilp)))
@@ -244,7 +173,7 @@ def rho(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> RhoResult:
     return _rho(length_model(p, capacity))
 
 
-def _rho(model: LengthModel) -> RhoResult:
+def _rho(model: HilbertData) -> RhoResult:
     d, e = model.dim, model.mult
     if d == 0:
         raise DimensionZeroError(
@@ -278,7 +207,7 @@ def _rho(model: LengthModel) -> RhoResult:
     return RhoResult(abs(tail_limit), False, None, tail_limit, scan_bound)
 
 
-def defect_at(model: LengthModel, n: int) -> Fraction:
+def defect_at(model: HilbertData, n: int) -> Fraction:
     """The signed defect f(n); rho is the sup of its absolute value."""
     d, e = model.dim, model.mult
     if d == 0:
@@ -321,7 +250,8 @@ class SlopeTrace:
     For delta0 the values are Delta0Value entries (length pair, exact ratio,
     decimal log2); for eps0 exact rationals; for hilbert the per-jet Hilbert
     function prefixes together with the largest order up to which consecutive
-    prefixes agree."""
+    prefixes agree: every one is a prefix of the same series, so that is the
+    first order."""
 
     slope: str
     orders: list[int]
@@ -332,9 +262,14 @@ class SlopeTrace:
 
 def slope_trace(p: Presentation, slope: str, orders: Sequence[int],
                 capacity: int = DEFAULT_CAPACITY) -> SlopeTrace:
-    orders = list(orders)
+    """The slope on jets at each order; `capacity` bounds the numbers the
+    trace reports: one per order, or n per order n for hilbert."""
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])) or orders[0] < 1:
         raise RangeError("orders must be nonempty, positive, and increasing")
+    size = sum(orders) if slope == "hilbert" else len(orders)
+    if size > capacity:
+        raise CapacityError(size, capacity, what="trace size")
+    orders = list(orders)
     model = length_model(p, capacity)
     claim: Optional[tuple] = None
     agreement: Optional[int] = None
@@ -349,13 +284,9 @@ def slope_trace(p: Presentation, slope: str, orders: Sequence[int],
             claim = (Fraction(model.mult, factorial(model.dim)),
                      "multiplicity over dim factorial")
     elif slope == "hilbert":
-        values = [model.hf_prefix(n) for n in orders]
-        agreement = min(len(v) for v in values)
-        for a, b in zip(values, values[1:]):
-            t = 0
-            while t < min(len(a), len(b)) and a[t] == b[t]:
-                t += 1
-            agreement = min(agreement, t)
+        hf = model.hf_prefix(orders[-1])
+        values = [hf[:n] for n in orders]
+        agreement = orders[0]
     else:
         raise ValueError(f"unknown slope {slope!r}")
     return SlopeTrace(slope, orders, values, claim, agreement)

@@ -227,6 +227,20 @@ def test_high_power_relation_evaluates_without_recursion():
     assert A.evaluate(rel, at_one) == one
 
 
+@pytest.mark.parametrize("w", [3, 2000, 20000])
+def test_powers_past_the_nilpotency_index_cost_no_multiply(w):
+    # the images lie in m, so x^w with w at or above the nilpotency index is
+    # 0 at once: only y^2 takes a multiply, whatever w is
+    A = jet(parse_presentation(f"ring Q[x, y]\nlocal\nideal: y^2 - x^{w}"), 3)
+    calls = []
+    multiply = A.multiply
+    A.multiply = lambda u, v: calls.append((u, v)) or multiply(u, v)
+    rel, = A.relations
+    at_vars = A.monomial_map([A.var_image(0), A.var_image(1)])
+    assert A.evaluate(rel, at_vars) == []
+    assert len(calls) == 1
+
+
 def test_defpair_jet_quotients_by_tuple_powers():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: ;\ntuple: x, y")
     A = defpair_jet(p, 2)

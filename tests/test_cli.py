@@ -178,6 +178,22 @@ def test_limit_tail_below_one_exits_one_with_range_error(tail):
     assert json.loads(out)["error"]["type"] == "RangeError"
 
 
+@pytest.mark.parametrize("trace, window, size", [
+    ("delta0", "2..2002", 2001), ("eps0", "2..2002", 2001), ("hilbert", "2..63", 2015)])
+def test_slope_trace_above_the_cap_exits_one_and_cap_lifts_it(trace, window, size):
+    # one number per order for delta0 and eps0, n per order n for hilbert
+    argv = ["slopes", f"{INPUTS}/plane.pres", "--which", "trace",
+            "--trace-of", trace, "--window", window]
+    code, out, _ = _capture(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CapacityError"
+    assert f"trace size {size} exceeds capacity 2000" in error["message"]
+    code, out, _ = _capture(argv + ["--cap", str(size)])
+    assert code == 0
+    assert len(json.loads(out)["result"]["values"]) == int(window.split("..")[1]) - 1
+
+
 def test_usage_failure_exits_two():
     code, _, err = _capture(["slopes", f"{INPUTS}/plane.pres",
                              "--which", "delta0"])  # missing --order

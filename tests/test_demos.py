@@ -29,3 +29,15 @@ def test_demo_stdout_matches_its_transcript(demo):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == (TRANSCRIPTS / f"{demo.stem}.txt").read_text()
+
+
+def test_readme_quick_tour_runs():
+    # the front page's one python block, run as a reader would paste it
+    readme = (ROOT / "README.md").read_text()
+    block, = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    env = src_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "(7, [1, 2, 2, 2])" in out.stdout.splitlines()

@@ -200,5 +200,33 @@ def test_limit_jets_rejects_a_tail_below_one(tail):
 def test_limit_jets_raises_when_family_never_settles():
     # x^w for w in a short window keeps changing the order-6 jet
     tpl = FamilyTemplate("ring Q[x]\nlocal\nideal: x^w", 1, 4)
-    with pytest.raises((NotStabilizedError, UnknownStabilizationError)):
+    with pytest.raises(NotStabilizedError,
+                       match="family jet at parameter 3 differs from the last, at 4"):
         limit_jets(tpl, 6, budget=BUDGET)
+
+
+def test_limit_jets_decides_each_member_against_the_last_once(monkeypatch):
+    # isomorphism is an equivalence: the walk back from the last jet decides
+    # the tail too, members 9 down to 3 are ISO and member 2 ends the walk
+    tpl = FamilyTemplate("ring Q[x, y]\nlocal\nideal: y^2 - x^w", 1, 10)
+    pairs = []
+
+    def counting(A, B, budget):
+        pairs.append((A.origin.presentation, B))
+        return decide_isomorphism(A, B, budget)
+
+    monkeypatch.setattr(metric, "decide_isomorphism", counting)
+    last, w0 = limit_jets(tpl, 3, budget=BUDGET)
+    assert w0 == 3
+    assert len(pairs) == 8 and all(B is last for _, B in pairs)
+
+
+def test_limit_jets_names_an_undecided_tail_member_and_the_last(monkeypatch):
+    tpl = FamilyTemplate("ring Q[x, y]\nlocal\nideal: y^2 - x^w", 1, 10)
+    monkeypatch.setattr(metric, "decide_isomorphism",
+                        lambda A, B, budget: IsoVerdict(status="UNKNOWN"))
+    with pytest.raises(UnknownStabilizationError,
+                       match="tail jet at parameter 9 to the last, at 10"):
+        limit_jets(tpl, 3, budget=BUDGET)
+    # a tail of one is the last jet alone: an undecided member only ends the walk
+    assert limit_jets(tpl, 3, budget=BUDGET, tail=1)[1] == 10

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.artin import hf_by_degree_count, jet
+from jetmetric.artin import hf_by_degree_count, jet, nilpotency_index
 from jetmetric.errors import (
     CapacityError,
     DimensionZeroError,
@@ -95,7 +95,6 @@ def test_length_model_of_local_cusp_is_certified():
 def test_nilpotency_at_tracks_jet_order():
     m = length_model(CUSP)
     for n in (3, 5, 9):
-        from jetmetric.artin import nilpotency_index
         assert m.nilpotency_at(n) == nilpotency_index(jet(CUSP, n))
 
 
@@ -192,8 +191,28 @@ def test_trace_of_eps0_names_its_limit():
 
 def test_trace_of_hilbert_reports_agreement_order():
     tr = slope_trace(CUSP, "hilbert", [3, 5, 7])
-    assert tr.agreement_order is not None
-    assert tr.agreement_order >= 3
+    assert tr.agreement_order == 3
+    assert tr.values == [[1, 2, 2], [1, 2, 2, 2, 2], [1, 2, 2, 2, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("slope, orders, size", [
+    ("delta0", range(2, 2003), 2001),
+    ("eps0", range(2, 2003), 2001),
+    ("hilbert", range(2, 64), 2015),
+])
+def test_trace_above_the_capacity_raises_before_any_work(monkeypatch, slope,
+                                                         orders, size):
+    # one number per order for delta0 and eps0, n per order n for hilbert
+    import jetmetric.slopes
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the length model was built")
+
+    monkeypatch.setattr(jetmetric.slopes, "length_model", no_model)
+    with pytest.raises(CapacityError, match=f"trace size {size} exceeds capacity 2000"):
+        slope_trace(KXY, slope, orders)
+    with pytest.raises(AssertionError, match="length model"):
+        slope_trace(KXY, slope, orders, capacity=size)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +220,27 @@ def test_trace_of_hilbert_reports_agreement_order():
 
 
 @given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3"]), st.integers(1, 3),
-       st.sampled_from([400, 40]))
+       st.sampled_from([400, 40]), st.sampled_from(["local", "graded"]))
 @settings(max_examples=40, deadline=None)
-def test_length_model_matches_the_per_order_path(seed, field, nvars, capacity):
-    # every length the model answers is the dimension of the jet at that
-    # order; the only error at a small capacity is the capacity guard
-    p = random_presentation(random.Random(seed), field, nvars, "local")
+def test_length_model_matches_the_per_order_path(seed, field, nvars, capacity, mode):
+    # every length, Hilbert function and nilpotency index the model answers
+    # is that of the jet at that order (the prefix keeps n entries, zero past
+    # the top degree of an Artinian quotient); the only error at a small
+    # capacity is the capacity guard
+    p = random_presentation(random.Random(seed), field, nvars, mode)
     try:
         m = length_model(p, capacity)
     except JetMetricError as e:
         assert isinstance(e, CapacityError)
         return
-    assert m.source == "local-exact"
-    for n in range(10):
-        assert m.length(n) == jet(p, n).dim
+    assert m.source == f"{mode}-exact"
+    assert m.length(0) == 0
+    for n in range(1, 10):
+        A = jet(p, n)
+        assert m.length(n) == A.dim
+        hf = hf_by_degree_count(A)
+        assert m.hf_prefix(n) == hf + [0] * (n - len(hf))
+        assert m.nilpotency_at(n) == nilpotency_index(A)
     if m.dim >= 1:
         assert m.mult == factorial(m.dim) * m.cumulative[-1]
     else:
