@@ -13,13 +13,18 @@ the residue field over an Artinian (or polynomial) graded ring, finite
 resolutions of graded quotients over the polynomial ring, and the depth /
 regular / Cohen-Macaulay / Gorenstein classification.
 
-Module elements are sparse: only the nonzero coefficients are stored, and a
-basis monomial times an element reads the ring's own sparse table of basis-
+Module elements are sparse: only the nonzero coefficients are stored, and
+the products basis[u] * g of a generator g with the monomials u of one degree
+are formed together (`_products`) from the ring's own sparse table of basis-
 pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
 witness search), so no work is spent on the zero blocks of generators in
-other degrees.  Degree components come from `ArtinAlgebra.component`.  This
-module does no row reduction of its own: every elimination is an
-`exactcore.Echelon`.
+other degrees.  A product row is raw: over Q and F_p its entries are native
+sums and products, unreduced over F_p and possibly zero; `Echelon`'s entry
+conversion is the one normalization of every row.  A product with no entry
+at all never reaches the elimination: it would reduce to its tag alone, so
+it is a unit syzygy and goes straight into the kernel.  Degree components
+come from `ArtinAlgebra.component`.  This module does no row reduction of
+its own: every elimination is an `exactcore.Echelon`.
 
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
@@ -37,16 +42,18 @@ from typing import Optional, Union
 
 from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
-from .exactcore import Echelon
+from .exactcore import Echelon, ExtensionField
 from .hilbert import HilbertData, hilbert_series
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
 from .standard import hilbert_numerator
 
 # An element of a free module is a dict from (generator index k, ring basis
-# index b) to a nonzero coefficient, the coefficient of basis[b] times the
-# k-th generator.  Sorted keys follow the flattened coordinate order: blocks
-# in generator order, each block in ascending basis index.
+# index b) to a nonzero coefficient in the field's values, the coefficient of
+# basis[b] times the k-th generator.  Sorted keys follow the flattened
+# coordinate order: blocks in generator order, each block in ascending basis
+# index.  A product row of `_products` has the same keys but raw entries
+# (unreduced over F_p, possibly zero) until `Echelon` converts it.
 Element = dict
 
 
@@ -72,16 +79,37 @@ class ResolutionData:
         return self.ranks[i] if i < len(self.ranks) else 0
 
 
-def _mult(A: ArtinAlgebra, u: int, elem: Element) -> Element:
-    """basis[u] * elem, read from the algebra's sparse basis-pair products."""
-    add, mul, is_zero = A.field.add, A.field.mul, A.field.is_zero
-    out: Element = {}
-    for (k, b), c in elem.items():
-        for t, w in A.mult_basis(b, u):
-            x = mul(c, w)
-            key = (k, t)
-            out[key] = add(out[key], x) if key in out else x
-    return {key: x for key, x in out.items() if not is_zero(x)}
+def _products(A: ArtinAlgebra, g: Element, us: tuple[int, ...]) -> list[Element]:
+    """basis[u] * g for every u in us, read from the algebra's sparse
+    basis-pair products, as raw rows for `Echelon`, whose entry conversion
+    is the one normalization.  Over Q and F_p the entries are summed with
+    native * and + (unreduced over F_p) and may cancel to zero; over F_{p^m}
+    the codes go through the field's add and mul.  A row is empty exactly
+    when every basis product basis[u] * basis[b] of g's support vanishes."""
+    mult_basis = A.mult_basis
+    items = list(g.items())
+    rows: list[Element] = []
+    if isinstance(A.field, ExtensionField):
+        add, mul = A.field.add, A.field.mul
+        for u in us:
+            row: Element = {}
+            for (k, b), c in items:
+                for t, w in mult_basis(b, u):
+                    key, x = (k, t), mul(c, w)
+                    row[key] = add(row[key], x) if key in row else x
+            rows.append(row)
+        return rows
+    for u in us:
+        row = {}
+        for (k, b), c in items:
+            for t, w in mult_basis(b, u):
+                key = (k, t)
+                if key in row:
+                    row[key] += c * w
+                else:
+                    row[key] = c * w
+        rows.append(row)
+    return rows
 
 
 def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
@@ -95,8 +123,9 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     products u * g of lower generators, tagged (T, k, u) with T the number of
     generators of F_{i-1}, so tags sort last and a product left with a tag
     pivot is a dependency, its tags a vector of ker d_i; then the candidates,
-    one left with an element pivot a new generator.  Dependencies count up
-    to dcap; layer-1 candidates above it are still taken."""
+    one left with an element pivot a new generator.  A zero product u * g
+    skips the elimination as the dependency {(k, u): 1}.  Dependencies count
+    up to dcap; layer-1 candidates above it are still taken."""
     one = A.field.one()
     layers, pd = [[0]], None
     candidates = candidates_by_degree
@@ -113,8 +142,14 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
             ech = Echelon(A.field)
             # every generator so far has degree below j
             for k, (s, g) in enumerate(zip(shifts, gens)):
-                for u in A.component(j - s):
-                    row = _mult(A, u, g)
+                us = A.component(j - s)
+                for u, row in zip(us, _products(A, g, us)):
+                    if not row:
+                        # no stored row has a tag pivot, so a zero product
+                        # would reduce to its tag alone: a unit syzygy
+                        if j <= dcap:
+                            kernel.setdefault(j, []).append({(k, u): one})
+                        continue
                     row[(T, k, u)] = one
                     rem, c = ech.reduce(row)
                     if c[0] < T:
@@ -152,8 +187,9 @@ def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]
     for j in sorted(K):
         ech = Echelon(A.field)
         for v in K.get(j - 1, ()):
-            for x in A.component(1):
-                ech.add(_mult(A, x, v))
+            for row in _products(A, v, A.component(1)):
+                if row:
+                    ech.add(row)
         shifts.extend([j] * (len(K[j]) - len(ech.rows)))
     return shifts
 

@@ -264,6 +264,11 @@ def slope_trace(p: Presentation, slope: str, orders: Sequence[int],
                 capacity: int = DEFAULT_CAPACITY) -> SlopeTrace:
     """The slope on jets at each order; `capacity` bounds the numbers the
     trace reports: one per order, or n per order n for hilbert."""
+    # every order adds at least one number: an over-long list is refused
+    # before anything walks it
+    if len(orders) > capacity:
+        raise CapacityError(len(orders), capacity, what="trace size"
+                            if slope != "hilbert" else "trace order count")
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])) or orders[0] < 1:
         raise RangeError("orders must be nonempty, positive, and increasing")
     size = sum(orders) if slope == "hilbert" else len(orders)

@@ -342,14 +342,27 @@ def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
 # -- reference: the resolution engine that built every layer, each degree's
 # syzygies from an `ExactMatrix.kernel_basis` of the products and the minimal
 # ones by a second elimination of the same products, which the one tagged
-# elimination per layer and degree replaced
+# elimination per layer and degree replaced.  It forms its products in the
+# field's own methods, as the engine did before its raw product rows.
+
+
+def _reference_mult(A, u, elem):
+    """basis[u] * elem in field-method arithmetic, zero entries dropped."""
+    add, mul, is_zero = A.field.add, A.field.mul, A.field.is_zero
+    out = {}
+    for (k, b), c in elem.items():
+        for t, w in A.mult_basis(b, u):
+            x = mul(c, w)
+            key = (k, t)
+            out[key] = add(out[key], x) if key in out else x
+    return {key: x for key, x in out.items() if not is_zero(x)}
 
 
 def _span_reducer(A, gen_shifts, gens, deg):
     red = Echelon(A.field)
     for d, g in zip(gen_shifts, gens):
         for u in A.component(deg - d):
-            red.add(resolution._mult(A, u, g))
+            red.add(_reference_mult(A, u, g))
     return red
 
 
@@ -367,7 +380,7 @@ def _syzygy_step(A, prev_shifts, shifts, gens, dcap):
             (k, b) for k, s in enumerate(prev_shifts) for b in A.component(j - s))}
         rows = [{} for _ in row_of]
         for c, (k, b) in enumerate(dom):
-            for key, x in resolution._mult(A, b, gens[k]).items():
+            for key, x in _reference_mult(A, b, gens[k]).items():
                 rows[row_of[key]][c] = x
         kernel = ExactMatrix(fld, rows, len(dom)).kernel_basis()
         if not kernel:
@@ -462,3 +475,139 @@ def test_counted_top_layer_matches_the_built_one(seed, field, nvars, h):
     low, high = betti_residue_field(A, h), betti_residue_field(A, h + 1)
     assert low.ranks == high.ranks[:h + 1]
     assert low.betti == {(i, j): b for (i, j), b in high.betti.items() if i <= h}
+
+
+# -- the product rows against the field-method product
+
+# field name -> (the field of the presentation, the base-change degree)
+PRODUCT_FIELDS = {"Q": ("Q", 1), "F_3": ("F_3", 1), "F_4": ("F_4", 1),
+                  "F_16": ("F_2", 4), "F_1073741789": ("F_1073741789", 1)}
+P_BIG = 1073741789
+
+
+def _product_values(fld):
+    if fld == rationals():
+        return [x for x in Q_VALUES if x]
+    if fld == finite_field(P_BIG, 1):
+        return [1, 2, 3, 2 ** 29, P_BIG - 2, P_BIG - 1]
+    return list(fld.elements())[1:]
+
+
+def _draw_element(A, data):
+    """A module element over two generators, each homogeneous as the
+    resolution's are, whose coefficients come in pairs c, -c often, so that
+    products of neighbouring entries cancel."""
+    fld = A.field
+    # positive degrees below the top, so that a positive-degree u meets them
+    degrees = range(1, max(max(A.degrees()), 2))
+    keys = []
+    for k in range(data.draw(st.integers(1, 2), label="generators")):
+        comp = A.component(data.draw(st.sampled_from(degrees), label="degree"))
+        keys += [(k, b) for b in data.draw(
+            st.lists(st.sampled_from(comp), min_size=1, max_size=4, unique=True),
+            label="support")]
+    elem, prev = {}, None
+    for key in keys:
+        if prev is not None and data.draw(st.booleans(), label="negate"):
+            x = fld.neg(prev)
+        else:
+            x = data.draw(st.sampled_from(_product_values(fld)), label="value")
+        elem[key] = prev = x
+    return elem
+
+
+def _assert_rows_match(A, g, us):
+    entry = Echelon(A.field)._entry
+    rows = resolution._products(A, g, us)
+    assert len(rows) == len(us)
+    for u, row in zip(us, rows):
+        want = _reference_mult(A, u, g)
+        assert entry(row) == entry(want)
+        if A.field == rationals():
+            # over Q entry clears denominators: compare the values themselves
+            assert {key: x for key, x in row.items() if x} == want
+        else:
+            assert entry(row) == want
+        # an empty row is a product with no basis term at all
+        assert bool(row) == any(A.mult_basis(b, u) for _, b in g)
+
+
+# nonzero coefficients and ring statements of the product checks' quadrics
+QUADRIC_COEFFS = {"Q": ["1", "-1", "2", "-3", "1/2"], "F_2": ["1"], "F_3": ["1", "2"],
+                  "F_4": ["1", "a", "1+a"], "F_1073741789": ["1", "-1", "2", "-2", "3"]}
+RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1"}
+
+
+def _quadrics(rng, base, nvars, count):
+    """Relations with every degree-2 monomial: each normal form in degree 2
+    and up has several terms, so the products of g's entries meet."""
+    names = "xyz"[:nvars]
+    monos = [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]]
+    rels = [" + ".join(f"({rng.choice(QUADRIC_COEFFS[base])})*{m}" for m in monos)
+            for _ in range(count)]
+    return _pres(f"ring {RINGS.get(base, base)}[{', '.join(names)}]\ngraded\n"
+                 f"ideal: {', '.join(rels)}")
+
+
+@given(st.sampled_from(sorted(PRODUCT_FIELDS)), st.integers(0, 10**6), st.integers(2, 3),
+       st.integers(1, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_rows_match_the_field_method_product(name, seed, nvars, count, data):
+    base, m = PRODUCT_FIELDS[name]
+    A = jet(_quadrics(random.Random(seed), base, nvars, count), 4)
+    A = A if m == 1 else base_change(A, m)
+    g = _draw_element(A, data)
+    d = data.draw(st.integers(1, 3 - min(A.degrees()[b] for _, b in g)), label="degree")
+    _assert_rows_match(A, g, A.component(d))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_product_rows_keep_a_sum_that_cancels(name):
+    # x^2 = x*y + y^2 (or y^2 = x^2 - x*y): two basis products share a
+    # normal-form term, and g weighs them so that it cancels
+    base, m = PRODUCT_FIELDS[name]
+    ring = "F_2^2 minpoly a^2 + a + 1" if base == "F_4" else base
+    A = jet(_pres(f"ring {ring}[x, y]\ngraded\nideal: x^2 - x*y - y^2"), 3)
+    A = A if m == 1 else base_change(A, m)
+    fld = A.field
+    u, b1, b2, t, w1, w2 = next(
+        (u, b1, b2, t, dict(A.mult_basis(b1, u))[t], dict(A.mult_basis(b2, u))[t])
+        for u in range(A.dim) for b1 in range(A.dim) for b2 in range(b1 + 1, A.dim)
+        for t in sorted(dict(A.mult_basis(b1, u)).keys() & dict(A.mult_basis(b2, u))))
+    g = {(0, b1): w2, (0, b2): fld.neg(w1)}
+    row = resolution._products(A, g, (u,))[0]
+    assert fld.is_zero(row[(0, t)])
+    assert (0, t) not in _reference_mult(A, u, g)
+    _assert_rows_match(A, g, A.component(A.degrees()[u]))
+
+
+# -- zero products: basis[u] * g = 0 for every basis monomial of g's support
+
+ZERO_PRODUCTS = "ring F_2[x, y, z]\ngraded\nideal: y^2*z, x*y*z"
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_zero_products_stay_out_of_the_echelon(m):
+    A = jet(_pres(ZERO_PRODUCTS), 4)
+    B = A if m == 1 else base_change(A, m)
+    reduce, products = Echelon.reduce, resolution._products
+    tag_only, zero_rows = [], []
+
+    def watched_reduce(self, v):
+        # element keys are pairs, tags (T, k, u) triples
+        tag_only.append(not any(len(key) == 2 for key in v))
+        return reduce(self, v)
+
+    def watched_products(A, g, us):
+        rows = products(A, g, us)
+        zero_rows.extend(row for row in rows if not row)
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Echelon, "reduce", watched_reduce)
+        mp.setattr(resolution, "_products", watched_products)
+        got = betti_residue_field(B, 4)
+    assert zero_rows and tag_only
+    assert not any(tag_only)
+    want = _with_reference_engine(lambda: betti_residue_field(B, 4))
+    assert _outcome(got) == _outcome(want)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial, log2
 
@@ -213,6 +214,18 @@ def test_trace_above_the_capacity_raises_before_any_work(monkeypatch, slope,
         slope_trace(KXY, slope, orders)
     with pytest.raises(AssertionError, match="length model"):
         slope_trace(KXY, slope, orders, capacity=size)
+
+
+def test_an_over_long_window_is_refused_before_it_is_walked(plane):
+    # the orders are checked for increase and summed only after their count
+    # is bounded, as each adds at least one number to the trace: a
+    # decreasing list past the capacity is refused for its length
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="trace order count 999999999998 exceeds"):
+        slope_trace(plane, "hilbert", range(2, 10**12))
+    with pytest.raises(CapacityError, match="trace size 2001 exceeds"):
+        slope_trace(plane, "delta0", range(2002, 1, -1))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
