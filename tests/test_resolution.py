@@ -566,8 +566,7 @@ def test_product_rows_keep_a_sum_that_cancels(name):
     # x^2 = x*y + y^2 (or y^2 = x^2 - x*y): two basis products share a
     # normal-form term, and g weighs them so that it cancels
     base, m = PRODUCT_FIELDS[name]
-    ring = "F_2^2 minpoly a^2 + a + 1" if base == "F_4" else base
-    A = jet(_pres(f"ring {ring}[x, y]\ngraded\nideal: x^2 - x*y - y^2"), 3)
+    A = jet(_pres(f"ring {RINGS.get(base, base)}[x, y]\ngraded\nideal: x^2 - x*y - y^2"), 3)
     A = A if m == 1 else base_change(A, m)
     fld = A.field
     u, b1, b2, t, w1, w2 = next(
