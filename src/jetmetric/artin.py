@@ -30,10 +30,11 @@ mechanism: `monomial_map(images)` is a memoized function from a monomial to
 its image, seeded with 1 and the generator images, and `combine` sums
 c * image(m) over a polynomial's or an element's terms.  A new monomial is
 reached from its nearest memoized divisor (lowering the last nonzero
-exponent) and then costs one multiply.  Over Q and F_p these products and sums run on native `+` and
-`*` (Fractions or ints), with one `% p` per entry at the end over F_p, so a
-non-canonical residue in an input still gives the exact result; F_{p^m}
-goes through the field's `add` and `mul`.
+exponent) and then costs one multiply.  `multiply` and `combine` sum their
+products in the field's `raw_arithmetic`, chosen by `exactcore`, and
+normalize each entry once at the end: over F_p the sums stay unreduced until
+one `% p`, so a non-canonical residue in an input still gives the exact
+result.
 
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
@@ -47,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
-from .exactcore import ExactMatrix, ExtensionField, Field, PrimeField
+from .exactcore import ExactMatrix, Field
 from .poly import (
     DEFAULT_CAPACITY,
     Monomial,
@@ -70,6 +71,13 @@ MonomialMap = Callable[[Monomial], Sparse]
 def _unit_monomials(r: int) -> tuple[Monomial, tuple[Monomial, ...]]:
     """(1, (x_0, ..., x_{r-1})) as exponent tuples in r variables."""
     return (0,) * r, tuple(tuple(int(i == k) for i in range(r)) for k in range(r))
+
+
+def _normalized(acc: list, modulus: Optional[int]) -> Sparse:
+    """The sparse element of a dense accumulator of raw sums."""
+    if modulus is None:
+        return [(k, x) for k, x in enumerate(acc) if x]
+    return [(k, r) for k, x in enumerate(acc) if (r := x % modulus)]
 
 
 @dataclass
@@ -102,10 +110,6 @@ class ArtinAlgebra:
             comps[d].append(i)
         self._components = [tuple(c) for c in comps]
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
-        # native arithmetic over Q and F_p (modulus None over Q); F_{p^m}
-        # codes need the field's add and mul
-        self._native = not isinstance(field, ExtensionField)
-        self._modulus = field.p if isinstance(field, PrimeField) else None
         self._one: Sparse = ([(self._index[(0,) * nvars], field.one())]
                              if self.basis else [])
         # the scratch accumulator of multiply and combine, copied, never written
@@ -163,26 +167,14 @@ class ArtinAlgebra:
         Over F_p an input value may be any integer representative.
         """
         mult_basis = self.mult_basis
-        if self._native:
-            acc = self._zeros.copy()
-            for i, ci in u:
-                for j, cj in v:
-                    c = ci * cj
-                    for k, w in mult_basis(i, j):
-                        acc[k] += c * w
-            p = self._modulus
-            if p is None:
-                return [(k, x) for k, x in enumerate(acc) if x]
-            return [(k, r) for k, x in enumerate(acc) if (r := x % p)]
-        f = self.field
-        add, mul = f.add, f.mul
+        add, mul, p = self.field.raw_arithmetic
         acc = self._zeros.copy()
         for i, ci in u:
             for j, cj in v:
                 c = mul(ci, cj)
                 for k, w in mult_basis(i, j):
                     acc[k] = add(acc[k], mul(c, w))
-        return [(k, x) for k, x in enumerate(acc) if x]
+        return _normalized(acc, p)
 
     def mult_matrix(self, u: Sparse) -> list[list]:
         """Row-major matrix of multiplication by the element u."""
@@ -239,24 +231,13 @@ class ArtinAlgebra:
     def combine(self, terms: Iterable[tuple[Monomial, object]],
                 image: MonomialMap) -> Sparse:
         """The sum of c * image(m) over the (m, c) pairs."""
-        if self._native:
-            acc = self._zeros.copy()
-            for m, c in terms:
-                if c:
-                    for i, w in image(m):
-                        acc[i] += c * w
-            p = self._modulus
-            if p is None:
-                return [(i, x) for i, x in enumerate(acc) if x]
-            return [(i, r) for i, x in enumerate(acc) if (r := x % p)]
-        f = self.field
-        add, mul = f.add, f.mul
+        add, mul, p = self.field.raw_arithmetic
         acc = self._zeros.copy()
         for m, c in terms:
             if c:
                 for i, w in image(m):
                     acc[i] = add(acc[i], mul(c, w))
-        return [(i, x) for i, x in enumerate(acc) if x]
+        return _normalized(acc, p)
 
     def evaluate(self, g: Poly, image: MonomialMap) -> Sparse:
         """Evaluate the polynomial g under a monomial map into this algebra."""

@@ -9,6 +9,11 @@ c_0 + c_1 p + ... + c_{m-1} p^{m-1} of c_0 + c_1 a + ... + c_{m-1} a^{m-1}.
 Extension fields of at most TABLE_MAX_ORDER elements compute through
 log/antilog and Zech tables built once per field; larger ones through
 base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
+Sums of products normalized once at the end (products and maps of algebra
+elements, resolution product rows) take their arithmetic from one place,
+:attr:`Field.raw_arithmetic`: native ``+`` and ``*`` over Q and over F_p
+(unreduced, one ``% p`` per sum), the field's own ``add`` and ``mul`` for
+every other kind.
 
 Row reduction returns the reduced row echelon form, with pivots the leftmost
 nonzero columns, so every echelon form (and therefore every quotient basis
@@ -66,18 +71,35 @@ class FieldDesc:
         return f"F_{self.p}^{self.m}"
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; FieldError at or above MAX_CHARACTERISTIC."""
+    if n >= MAX_CHARACTERISTIC:
+        raise FieldError(f"characteristic {n} is not below {MAX_CHARACTERISTIC}, "
+                         "where primality is decided exactly")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -229,6 +251,13 @@ class Field:
         """The :class:`Echelon` row arithmetic, chosen once per instance."""
         return _row_arithmetic(self)
 
+    @cached_property
+    def raw_arithmetic(self) -> tuple:
+        """(add, mul, modulus) for sums of products normalized once at the
+        end: a sum is taken with add and mul, then reduced mod modulus
+        unless it is None.  By default the field's own add and mul."""
+        return self.add, self.mul, None
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.desc == other.desc
 
@@ -279,6 +308,9 @@ class RationalField(Field):
     def to_str(self, a) -> str:
         return str(a)
 
+    # native Fraction + and * are exact: nothing to normalize
+    raw_arithmetic = (operator.add, operator.mul, None)
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -286,6 +318,8 @@ class PrimeField(Field):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.desc = FieldDesc(kind="prime-field", p=p, m=1)
+        # native int + and *, unreduced until one % p per sum
+        self.raw_arithmetic = (operator.add, operator.mul, p)
 
     def zero(self):
         return 0

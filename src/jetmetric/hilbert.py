@@ -74,26 +74,6 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def binom_poly(a: int) -> list[Fraction]:
-    """Coefficients of C(n + a, a) as a polynomial in n (degree a)."""
-    out = [Fraction(1)]
-    for i in range(1, a + 1):
-        out = poly_mul(out, [Fraction(i), Fraction(1)])
-    return poly_scale(out, Fraction(1, factorial(a)))
-
-
-def poly_derivative_at_one(coeffs: Sequence[int], j: int) -> int:
-    """j-th derivative of the integer polynomial at t = 1."""
-    out = 0
-    for k, c in enumerate(coeffs):
-        if k >= j:
-            fall = 1
-            for i in range(j):
-                fall *= k - i
-            out += fall * c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hilbert data
 
@@ -191,21 +171,22 @@ def length_model(p: Presentation, capacity: int = DEFAULT_CAPACITY) -> HilbertDa
 def hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list[Fraction]:
     """Degreewise Hilbert polynomial from the rational normal form.
 
-    P(n) = sum_{j=0}^{d-1} ((-1)^j / j!) * Q^{(j)}(1) * C(n + d - 1 - j, n).
+    The coefficient of t^n in Q(t)/(1 - t)^d is sum_k q_k C(n - k + d - 1, d - 1),
+    and C(n - k + d - 1, d - 1) = (n - k + 1) ... (n - k + d - 1) / (d - 1)!
+    is a polynomial in n, so P(n) is that sum over the numerator's terms.
     Pole order 0 (Artinian section ring) yields the zero polynomial — callers
     that need a nonempty scheme treat that as an error themselves.
     """
     if pole_order == 0:
         return []
-    d = pole_order
     out: list[Fraction] = []
-    for j in range(d):
-        qj = poly_derivative_at_one(list(numerator), j)
-        if qj == 0:
-            continue
-        term = poly_scale(binom_poly(d - 1 - j), Fraction((-1) ** j * qj, factorial(j)))
-        out = poly_add(out, term)
-    return out
+    for k, q in enumerate(numerator):
+        if q:
+            term = [Fraction(q)]
+            for i in range(1, pole_order):
+                term = poly_mul(term, [Fraction(i - k), Fraction(1)])
+            out = poly_add(out, term)
+    return poly_scale(out, Fraction(1, factorial(pole_order - 1)))
 
 
 def cumulative_polynomial(numerator: Sequence[int], pole_order: int) -> list[Fraction]:

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .artin import ArtinAlgebra, defpair_jet, jet, nilpotency_index
 from .errors import (
+    CapacityError,
     CrossCharacteristicError,
     InternalInconsistencyError,
     NotStabilizedError,
@@ -200,9 +201,12 @@ def limit_jets(tpl: FamilyTemplate, order: int,
     stand-in for Cauchy convergence; isomorphism is an equivalence, so they
     are then pairwise isomorphic), and returns the last jet together with the
     least parameter from which every later jet is certifiably isomorphic to it.
+    A family of more than `capacity` parameters is refused before any jet.
     """
     if tail < 1:
         raise RangeError(f"tail must be at least 1, got {tail}")
+    if tpl.hi - tpl.lo + 1 > capacity:
+        raise CapacityError(tpl.hi - tpl.lo + 1, capacity, what="family size")
     ws = list(range(tpl.lo, tpl.hi + 1))
     jets = [jet(instantiate_template(tpl, w), order, capacity=capacity) for w in ws]
     last = jets[-1]

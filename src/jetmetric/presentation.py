@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log2
 from typing import Optional, Sequence
 
 from .errors import (
@@ -64,6 +64,28 @@ class Token:
     text: str
     line: int
     col: int
+    value: Optional[int] = None    # the integer an INT token spells
+
+
+# Coefficients over Q are exact fractions; a numerator or denominator the
+# parser builds may have at most this many bits.  A power is checked before
+# it is taken, from a bound on its coefficients, so 3^100000000 costs
+# nothing; a sum or product is checked after.
+MAX_COEFF_BITS = 4 * DEFAULT_CAPACITY
+
+# A decimal literal of at most this many digits has at most MAX_COEFF_BITS
+# bits (10^3 < 2^10), and lies below the 4300-digit limit of int() on
+# Python 3.11 and later.
+MAX_INT_DIGITS = MAX_COEFF_BITS * 3 // 10
+
+
+def _int_literal(text: str, line: int, col: int) -> int:
+    """The value of a decimal literal, refused past MAX_INT_DIGITS digits."""
+    if len(text) > MAX_INT_DIGITS:
+        raise PresentationSyntaxError(
+            f"integer literal of {len(text)} digits; at most {MAX_INT_DIGITS} "
+            f"are allowed", line, col)
+    return int(text)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -85,7 +107,7 @@ def _tokenize(text: str) -> list[Token]:
             if kind == "ident":
                 tokens.append(Token("IDENT", tok, line, col))
             elif kind == "int":
-                tokens.append(Token("INT", tok, line, col))
+                tokens.append(Token("INT", tok, line, col, _int_literal(tok, line, col)))
             elif kind == "sym":
                 tokens.append(Token("SYM", tok, line, col))
             # whitespace and comments are dropped
@@ -141,6 +163,18 @@ def _power_pair_count(nterms: int, e: int) -> int:
     return total
 
 
+def _power_coeff_log2(base: Poly) -> float:
+    """log2 of max(S, D) for a polynomial over Q, with D the lcm of its
+    denominators and S the absolute sum of the integer coefficients of
+    D * base: every coefficient of base^e is an integer of absolute value at
+    most S^e over a divisor of D^e, so its numerator and denominator have at
+    most e * log2 max(S, D) + 1 bits."""
+    coeffs = base.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    s = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return log2(max(s, den))
+
+
 class _ExprParser:
     """Parses  expr := ['-'] term (('+'|'-') term)*
                term := factor ('*' factor)*
@@ -156,6 +190,7 @@ class _ExprParser:
         self.nvars = len(varnames)
         self.varpos = {v: i for i, v in enumerate(varnames)}
         self.allow_generator = allow_generator
+        self.over_q = isinstance(field, RationalField)
         self.depth = 0
 
     def _peek(self) -> Optional[Token]:
@@ -192,6 +227,21 @@ class _ExprParser:
             return True
         return False
 
+    def _check_coeffs(self, poly: Poly, monos, tok: Token) -> None:
+        """Refuse at tok a coefficient of poly at one of monos with more than
+        MAX_COEFF_BITS bits in its numerator or denominator (over Q only:
+        residues and codes are reduced)."""
+        if not self.over_q:
+            return
+        for m in monos:
+            c = poly.terms.get(m)
+            if c is not None and max(c.numerator.bit_length(),
+                                     c.denominator.bit_length()) > MAX_COEFF_BITS:
+                raise PresentationSyntaxError(
+                    f"coefficient of more than {MAX_COEFF_BITS} bits "
+                    f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})",
+                    tok.line, tok.col)
+
     def parse_expr(self) -> Poly:
         negate = False
         if self._accept_sym("-"):
@@ -200,18 +250,23 @@ class _ExprParser:
         if negate:
             out = out.scale(self.field.neg(self.field.one()))
         while True:
+            sign = self._peek()
             if self._accept_sym("+"):
-                out = out + self.parse_term()
+                out = out + (term := self.parse_term())
             elif self._accept_sym("-"):
-                out = out - self.parse_term()
+                out = out - (term := self.parse_term())
             else:
                 return out
+            self._check_coeffs(out, term.terms, sign)
 
     def parse_term(self) -> Poly:
         out = self.parse_factor()
-        while self._accept_sym("*"):
+        while True:
+            star = self._peek()
+            if not self._accept_sym("*"):
+                return out
             out = out * self.parse_factor()
-        return out
+            self._check_coeffs(out, out.terms, star)
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
@@ -221,7 +276,7 @@ class _ExprParser:
         t = self._peek()
         if t is not None and t.kind == "INT":
             self.i += 1
-            e = int(t.text)
+            e = t.value
         elif self._open_paren():
             e = self._parse_int_expr()
             self._close_paren("expected ')' closing the exponent")
@@ -239,6 +294,14 @@ class _ExprParser:
             raise PresentationSyntaxError(
                 f"power of a {nterms}-term polynomial to {e} may need more than "
                 f"{MAX_POWER_PRODUCTS} term products (100 x {DEFAULT_CAPACITY})",
+                caret.line, caret.col)
+        # log2 max(S, D) is 0 or at least 1, so e >= MAX_COEFF_BITS alone
+        # refuses a growing base without a float product that could overflow
+        lg = _power_coeff_log2(base) if self.over_q else 0
+        if lg and (e >= MAX_COEFF_BITS or lg * e >= MAX_COEFF_BITS):
+            raise PresentationSyntaxError(
+                f"power may have a coefficient of more than {MAX_COEFF_BITS} bits "
+                f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})",
                 caret.line, caret.col)
         return base.pow(e)
 
@@ -263,7 +326,7 @@ class _ExprParser:
         t = self._peek()
         if t is not None and t.kind == "INT":
             self.i += 1
-            return int(t.text)
+            return t.value
         if self._open_paren():
             v = self._parse_int_expr()
             self._close_paren("expected ')'")
@@ -276,7 +339,7 @@ class _ExprParser:
             raise self._err("unexpected end of expression")
         if t.kind == "INT":
             self.i += 1
-            num = int(t.text)
+            num = t.value
             if self._accept_sym("/"):
                 d = self._peek()
                 if d is None or d.kind != "INT":
@@ -285,7 +348,7 @@ class _ExprParser:
                     raise PresentationSyntaxError(
                         "fraction coefficients are only allowed over Q", t.line, t.col)
                 self.i += 1
-                den = int(d.text)
+                den = d.value
                 if den == 0:
                     raise PresentationSyntaxError("zero denominator", d.line, d.col)
                 return Poly.constant(self.field, self.nvars, Fraction(num, den))
@@ -360,7 +423,7 @@ def _parse_field(tokens: list[Token], i: int) -> tuple[Field, int]:
     m = re.fullmatch(r"F_([0-9]+)", t.text)
     if m is None:
         raise PresentationSyntaxError(f"unknown field {t.text!r}", t.line, t.col)
-    p = int(m.group(1))
+    p = _int_literal(m.group(1), t.line, t.col + 2)
     i += 1
     # optional ^ m minpoly <poly in a>
     if i < len(tokens) and tokens[i].kind == "SYM" and tokens[i].text == "^":
@@ -368,7 +431,7 @@ def _parse_field(tokens: list[Token], i: int) -> tuple[Field, int]:
         if i >= len(tokens) or tokens[i].kind != "INT":
             raise PresentationSyntaxError("expected extension degree after '^'",
                                           tokens[i - 1].line, tokens[i - 1].col)
-        deg = int(tokens[i].text)
+        deg = tokens[i].value
         i += 1
         if i >= len(tokens) or not (tokens[i].kind == "IDENT" and tokens[i].text == "minpoly"):
             raise PresentationSyntaxError("expected 'minpoly' after extension degree",

@@ -18,9 +18,9 @@ the products basis[u] * g of a generator g with the monomials u of one degree
 are formed together (`_products`) from the ring's own sparse table of basis-
 pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
 witness search), so no work is spent on the zero blocks of generators in
-other degrees.  A product row is raw: over Q and F_p its entries are native
-sums and products, unreduced over F_p and possibly zero; `Echelon`'s entry
-conversion is the one normalization of every row.  A product with no entry
+other degrees.  A product row is raw: its entries are sums in the field's
+`raw_arithmetic`, chosen by `exactcore`, unreduced over F_p and possibly
+zero; `Echelon`'s entry conversion is the one normalization of every row.  A product with no entry
 at all never reaches the elimination: it would reduce to its tag alone, so
 it is a unit syzygy and goes straight into the kernel.  Degree components
 come from `ArtinAlgebra.component`.  This module does no row reduction of
@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
-from .exactcore import Echelon, ExtensionField
+from .exactcore import Echelon
 from .hilbert import HilbertData, hilbert_series
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
@@ -82,32 +82,20 @@ class ResolutionData:
 def _products(A: ArtinAlgebra, g: Element, us: tuple[int, ...]) -> list[Element]:
     """basis[u] * g for every u in us, read from the algebra's sparse
     basis-pair products, as raw rows for `Echelon`, whose entry conversion
-    is the one normalization.  Over Q and F_p the entries are summed with
-    native * and + (unreduced over F_p) and may cancel to zero; over F_{p^m}
-    the codes go through the field's add and mul.  A row is empty exactly
-    when every basis product basis[u] * basis[b] of g's support vanishes."""
+    is the one normalization: the entries are sums in the field's raw
+    arithmetic (unreduced over F_p) and may cancel to zero.  A row is empty
+    exactly when every basis product basis[u] * basis[b] of g's support
+    vanishes."""
     mult_basis = A.mult_basis
+    add, mul, _ = A.field.raw_arithmetic
     items = list(g.items())
     rows: list[Element] = []
-    if isinstance(A.field, ExtensionField):
-        add, mul = A.field.add, A.field.mul
-        for u in us:
-            row: Element = {}
-            for (k, b), c in items:
-                for t, w in mult_basis(b, u):
-                    key, x = (k, t), mul(c, w)
-                    row[key] = add(row[key], x) if key in row else x
-            rows.append(row)
-        return rows
     for u in us:
-        row = {}
+        row: Element = {}
         for (k, b), c in items:
             for t, w in mult_basis(b, u):
-                key = (k, t)
-                if key in row:
-                    row[key] += c * w
-                else:
-                    row[key] = c * w
+                key, x = (k, t), mul(c, w)
+                row[key] = add(row[key], x) if key in row else x
         rows.append(row)
     return rows
 

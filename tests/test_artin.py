@@ -250,6 +250,13 @@ def test_defpair_jet_quotients_by_tuple_powers():
     assert defpair_jet(p, 3).dim == 9
 
 
+def test_defpair_jet_of_order_zero_is_the_zero_ring():
+    p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x, y")
+    A = defpair_jet(p, 0)
+    assert A.is_zero_ring() and A.tuple_images == []
+    assert (A.origin.kind, A.origin.order) == ("defpair", 0)
+
+
 def test_defpair_jet_requires_a_tuple(plane):
     with pytest.raises(TupleError):
         defpair_jet(plane, 3)
@@ -280,6 +287,7 @@ def test_defpair_jet_rejects_tuple_of_units():
 DIFFERENTIAL_RINGS = {"Q": ("Q", ["1", "(-1)", "2", "(1/2)"]),
                       "F_3": ("F_3", ["1", "2"]),
                       "F_4": ("F_2^2 minpoly a^2 + a + 1", ["1", "a", "(1+a)"]),
+                      "F_16": ("F_2^4 minpoly a^4 + a + 1", ["1", "a", "(a+a^3)"]),
                       "F_P": ("F_1073741789", ["1", "(-1)", "2", "3"])}
 
 
@@ -374,3 +382,26 @@ def test_sparse_product_matches_dense_reference(seed, field, mode, order):
         # canonical residues over F_p
         assert [k for k, _ in got] == sorted({k for k, _ in got})
         assert all(c and (not isinstance(f, PrimeField) or 0 < c < f.p) for _, c in got)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(DIFFERENTIAL_RINGS)),
+       st.sampled_from(["graded", "local"]), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_the_field_method_sum(seed, field, mode, order):
+    # combine sums in the field's raw arithmetic; the reference sums
+    # c * image(m) through the field's own add and mul, with the
+    # coefficients non-canonical residues over F_p
+    rng = random.Random(seed)
+    A = jet(_differential_presentation(rng, field, mode), order)
+    f = A.field
+    image = A.monomial_map([to_sparse(_random_element(rng, f, A.dim))
+                            for _ in range(A.nvars)])
+    monos = [_random_mono(rng, A.nvars, rng.randint(0, order)) for _ in range(6)]
+    terms = list(zip(monos, _random_element(rng, f, len(monos))))
+    want = [f.zero()] * A.dim
+    for m, c in terms:
+        for i, w in image(m):
+            want[i] = f.add(want[i], f.mul(c, w))
+    got = A.combine(terms, image)
+    assert to_dense(A, got) == want
+    assert all(c and (not isinstance(f, PrimeField) or 0 < c < f.p) for _, c in got)

@@ -1,6 +1,10 @@
+import ast
+import operator
 import random
+import time
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from jetmetric.exactcore import (
     Echelon,
     ExactMatrix,
     ExtensionField,
+    Field,
     FieldDesc,
     PrimeField,
     RrefResult,
@@ -46,6 +51,69 @@ def test_prime_field_arithmetic_mod_7():
 def test_prime_field_rejects_composite_modulus():
     with pytest.raises(FieldError):
         PrimeField(6)
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(-3, 10**5) if exactcore._is_prime(n)] == \
+        [n for n in range(-3, 10**5) if _prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n, prime", [(2**61 - 1, True), (2**61 + 1, False)])
+def test_large_characteristics_are_decided_within_a_second(n, prime):
+    # 2^61 + 1 is divisible by 3; trial division to sqrt(2^61) took minutes
+    start = time.process_time()
+    if prime:
+        assert PrimeField(n).p == n
+    else:
+        with pytest.raises(FieldError, match="not prime"):
+            PrimeField(n)
+    assert time.process_time() - start < 1.0
+
+
+def test_characteristic_past_the_exact_primality_bound_is_refused():
+    # the smallest strong pseudoprime to every base up to 41
+    with pytest.raises(FieldError, match="not below"):
+        PrimeField(exactcore.MAX_CHARACTERISTIC)
+    assert not exactcore._is_prime(exactcore.MAX_CHARACTERISTIC - 2)
+
+
+def test_raw_arithmetic_defaults_to_the_field_methods():
+    class Doubled(Field):
+        def add(self, a, b):
+            return a + b
+
+        def mul(self, a, b):
+            return 2 * a * b
+
+    f = Doubled()
+    add, mul, modulus = f.raw_arithmetic
+    assert (add, mul, modulus) == (f.add, f.mul, None)
+    assert f.raw_arithmetic is f.raw_arithmetic
+    assert rationals().raw_arithmetic == (operator.add, operator.mul, None)
+    assert PrimeField(7).raw_arithmetic == (operator.add, operator.mul, 7)
+    F16 = finite_field(2, 4)
+    assert F16.raw_arithmetic == (F16.add, F16.mul, None)
+
+
+@pytest.mark.parametrize("module", ["artin", "resolution"])
+def test_only_exactcore_chooses_raw_arithmetic(module):
+    # artin and resolution take their sums of products from the field's
+    # raw_arithmetic: they name no field kind (the Field interface they
+    # annotate with is not one), so they import none and test none
+    path = Path(exactcore.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text())
+    classes = {name for name, obj in vars(exactcore).items()
+               if isinstance(obj, type) and issubclass(obj, Field) and obj is not Field}
+    assert classes >= {"RationalField", "PrimeField", "ExtensionField"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not classes & {a.name for a in node.names}, node.lineno
+        if isinstance(node, ast.Name):
+            assert node.id not in classes, node.lineno
 
 
 def test_extension_field_f4():

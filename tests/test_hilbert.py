@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from jetmetric.hilbert import (
     poly_eval,
 )
 from jetmetric.presentation import parse_presentation
+from jetmetric.standard import series
 
 from conftest import random_presentation
 
@@ -91,6 +93,20 @@ def test_degreewise_polynomial_from_series_twisted_cubic_style():
     # numerator 1 + 2t with pole order 2: P(n) = 3n + 1
     P = hs_polynomial_from_series([Fraction(1), Fraction(2)], 2)
     assert [poly_eval(P, n) for n in range(5)] == [1, 4, 7, 10, 13]
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_degreewise_polynomial_follows_the_series(numerator, d):
+    # sum_k q_k C(n - k + d - 1, d - 1) is the coefficient of t^n for n past
+    # the numerator's degree less d, of degree d - 1 with lead Q(1) / (d - 1)!
+    P = hs_polynomial_from_series(numerator, d)
+    coeffs = series(numerator, d, len(numerator) + 8)
+    for n in range(max(len(numerator) - d, 0), len(coeffs)):
+        assert poly_eval(P, n) == coeffs[n]
+    assert all(type(c) is Fraction for c in P)
+    if sum(numerator):
+        assert len(P) == d and P[-1] == Fraction(sum(numerator), factorial(d - 1))
 
 
 def test_polynomial_from_jets_on_the_cusp(cusp):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from jetmetric import metric
 from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import (
+    CapacityError,
     CrossCharacteristicError,
     InternalInconsistencyError,
     NotStabilizedError,
     RangeError,
+    TupleError,
     UnknownStabilizationError,
 )
 from jetmetric.iso import IsoVerdict, SearchBudget, Witness, decide_isomorphism
@@ -170,6 +173,43 @@ def test_limit_jets_of_cusp_family():
     target = jet(parse_presentation("ring Q[x, y]\nlocal\nideal: y^2"), 3)
     from jetmetric.iso import decide_isomorphism
     assert decide_isomorphism(last, target, BUDGET).status == "ISO"
+
+
+def test_limit_jets_refuses_a_family_larger_than_the_capacity(monkeypatch):
+    # no parameter is instantiated: the refusal comes before any jet
+    monkeypatch.setattr(metric, "instantiate_template", None)
+    tpl = FamilyTemplate("ring Q[x, y]\nlocal\nideal: y^2 - x^w", 1, 10**9)
+    start = time.process_time()
+    with pytest.raises(CapacityError, match="family size 1000000000"):
+        limit_jets(tpl, 3, budget=BUDGET)
+    with pytest.raises(CapacityError, match="family size 11 exceeds capacity 10"):
+        limit_jets(FamilyTemplate(tpl.body, 1, 11), 3, budget=BUDGET, capacity=10)
+    assert time.process_time() - start < 0.1
+
+
+def test_defpair_distance_of_tuples_of_different_lengths_is_exactly_one():
+    a = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x")
+    b = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x, y")
+    v = defpair_distance(a, b, 3, budget=BUDGET)
+    assert (v.lower, v.upper, v.per_order, v.exact) == (1, 1, [], True)
+
+
+def test_defpair_distance_needs_tuples_on_both_sides():
+    a = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x")
+    b = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3")
+    for p, q in [(a, b), (b, a), (b, b)]:
+        with pytest.raises(TupleError):
+            defpair_distance(p, q, 3, budget=BUDGET)
+
+
+def test_defpair_distance_passes_through_the_field_gate():
+    text = "ring {}[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x"
+    f2, f4, f3 = (parse_presentation(text.format(k))
+                  for k in ["F_2", "F_2^2 minpoly a^2 + a + 1", "F_3"])
+    v = defpair_distance(f2, f4, 3, budget=BUDGET)
+    assert (v.lower, v.upper, v.per_order, v.exact) == (1, 1, [], True)
+    with pytest.raises(CrossCharacteristicError):
+        defpair_distance(f2, f3, 3, budget=BUDGET)
 
 
 @pytest.mark.parametrize("max_order", [0, -2])

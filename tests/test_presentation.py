@@ -124,6 +124,60 @@ def test_power_with_too_many_terms_is_refused_at_the_caret():
     assert parse_presentation(ring + "(2*x)^5000").gens[0].degree() == 5000
 
 
+BIG = "7" * 5000
+
+
+@pytest.mark.parametrize("text, position", [
+    (f"ring Q[x]\nlocal\nideal: {BIG}*x^2", (3, 8)),                  # coefficient
+    (f"ring Q[x]\nlocal\nideal: x^{BIG}", (3, 10)),                   # exponent
+    (f"ring F_1{'0' * 4997}07[x]\nlocal\nideal: x^2", (1, 8)),        # characteristic
+])
+def test_overlong_integer_literals_are_refused_at_their_position(text, position):
+    # int() of more than 4300 digits raises ValueError on Python 3.11+;
+    # the parser refuses the literal first, on every version
+    from jetmetric.presentation import MAX_INT_DIGITS
+    start = time.process_time()
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert time.process_time() - start < 0.1
+    assert (err.value.line, err.value.column) == position
+    assert str(MAX_INT_DIGITS) in err.value.message
+    digits = "9" * MAX_INT_DIGITS
+    assert parse_presentation(f"ring Q[x]\nlocal\nideal: {digits}*x^2").gens[0] \
+        .terms[(2,)] == int(digits)
+
+
+@pytest.mark.parametrize("expr, guard", [
+    ("3^100000000*x^2", "^"),               # one-term powers, before they are taken
+    ("(1/3)^100000000*x^2", "^"),
+    ("(2*x)^8000", "^"),
+    ("(x + 1048576*y)^500", "^"),           # a power of a sum: (1 + 2^20)^500
+    ("x*(3^5000*3^5000)", "*3"),            # a product
+    ("(3^4000*x + 1)*(3^4000*y + 1)", "*("),
+    ("x*((1/3)^2500 + (1/5)^2000)", "+"),   # a sum over a common denominator
+])
+def test_coefficient_bits_over_q_are_bounded(expr, guard):
+    from jetmetric.poly import DEFAULT_CAPACITY
+    from jetmetric.presentation import MAX_COEFF_BITS
+    start = time.process_time()
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation("ring Q[x, y]\nlocal\nideal: " + expr)
+    assert time.process_time() - start < 1.0
+    assert (err.value.line, err.value.column) == (3, 8 + expr.index(guard))
+    assert f"{MAX_COEFF_BITS} bits" in err.value.message
+    assert str(DEFAULT_CAPACITY) in err.value.message
+
+
+def test_coefficients_below_the_bit_bound_are_exact():
+    # the power over F_7 is a residue, however large the exponent
+    assert parse_presentation("ring F_7[x]\nlocal\nideal: 3^100000000*x^2") \
+        .gens[0].terms == {(2,): pow(3, 100000000, 7)}
+    g = parse_presentation("ring Q[x, y]\nlocal\nideal: (2*x)^7999 + 3^5000*(1/5)^3000*y^2"
+                           " + x*((1/3)^2000 + (1/5)^1000)").gens[0]
+    assert g.terms == {(7999, 0): 2**7999, (0, 2): Fraction(3**5000, 5**3000),
+                       (1, 0): Fraction(1, 3**2000) + Fraction(1, 5**1000)}
+
+
 def test_print_parse_roundtrip_fixed_cases():
     texts = [
         "ring Q[x, y]\nlocal\nideal: y^2 - x^3",
