@@ -20,9 +20,10 @@ pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
 witness search), so no work is spent on the zero blocks of generators in
 other degrees.  A product row is raw: its entries are sums in the field's
 `raw_arithmetic`, chosen by `exactcore`, unreduced over F_p and possibly
-zero; `Echelon`'s entry conversion is the one normalization of every row.  A product with no entry
-at all never reaches the elimination: it would reduce to its tag alone, so
-it is a unit syzygy and goes straight into the kernel.  Degree components
+zero; `Echelon`'s entry conversion is the one normalization of every row.
+A product with no entry at all never reaches the elimination: it would
+reduce to its tag alone, so it is a unit syzygy and goes straight into the
+kernel.  Degree components
 come from `ArtinAlgebra.component`.  This module does no row reduction of
 its own: every elimination is an `exactcore.Echelon`.
 
