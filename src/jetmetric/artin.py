@@ -308,9 +308,11 @@ def socle_dimension(A: ArtinAlgebra) -> int:
 # deformation pairs
 
 
-def _colength(fld: Field, nvars: int, gens: list[Poly], capacity: int) -> int:
+@lru_cache(maxsize=64)
+def _colength(fld: Field, nvars: int, gens: tuple[Poly, ...], capacity: int) -> int:
     """Length of k[x]/J, Q(1) of the certified leading ideal of J; a pole
-    means dim k[x]/J > 0, so J is not primary to the maximal ideal."""
+    means dim k[x]/J > 0, so J is not primary to the maximal ideal.  Cached,
+    since `defpair_jet` needs it for every order of one presentation."""
     numerator, pole_order = hilbert_numerator(fld, nvars, gens, capacity)
     if pole_order:
         raise NotPrimaryError(f"ideal plus tuple has dimension {pole_order}; "
@@ -334,7 +336,7 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
         origin = AlgebraOrigin(presentation=p, order=0, kind="defpair")
         return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin,
                             tuple_images=[])
-    colength = _colength(fld, p.nvars, p.gens + list(p.tuple), capacity)
+    colength = _colength(fld, p.nvars, (*p.gens, *p.tuple), capacity)
     powered = [t.pow(n) for t in p.tuple]
     gens_n = p.gens + powered
     # colength c puts m^c in I + (t), so m^(c s n) lies in (I + (t))^(s n),

@@ -105,4 +105,5 @@ class UnknownStabilizationError(JetMetricError):
 
 
 class InternalInconsistencyError(JetMetricError):
-    """A certified NOT_ISO order was contradicted by a verified higher-order witness."""
+    """A result failed its own check, such as a witness pushed down to a lower
+    order that does not verify there: an engine fault, not an input error."""

@@ -11,6 +11,10 @@ candidate lists, and at most once per decision.  ISO comes with an explicit
 generator-image witness that is re-verified mechanically.  Exhausting the search space over
 the allowed extensions without finding a witness yields UNKNOWN — the honest
 outcome, since bigger coefficient fields might still glue the two algebras.
+The allowed extensions are a ladder over one effort: rung k searches both
+algebras with their extension degree multiplied by k, for k up to
+ext_degree_max over F_q; over Q, where base change is out of scope, the
+ladder is one rung.
 
 Over finite fields the search enumerates candidate images of the source
 variables in a deterministic integer-encoding order: linear images first
@@ -716,16 +720,16 @@ class _Searcher:
         if r * width == 0:
             return None
         q, lin_pos, embdim = f.order, self.lin_pos, len(self.lin_pos)
-        elements = list(f.elements())
         count = q ** width
         kept: list[tuple[Sparse, dict, MonomialMap]] = []
 
         def vector(code: int) -> tuple[Sparse, dict, MonomialMap]:
             img = []
             for i in coords:
+                # both finite field kinds code their elements as range(q)
                 code, d = divmod(code, q)
-                if elements[d]:
-                    img.append((i, elements[d]))
+                if d:
+                    img.append((i, d))
             lin = {lin_pos[i]: c for i, c in img if i in lin_pos}
             return img, lin, B.monomial_map([img])
 
@@ -891,50 +895,36 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
 
 def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
                      match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
+    """The extension ladder: rung k searches A and B extended by k, for
+    k = 1..ext_degree_max over F_q and k = 1 over Q, all rungs drawing on
+    one effort."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
-    if isinstance(f, RationalField):
-        searcher = _Searcher(A, B, budget.effort, match_tuples, late_check)
-        try:
-            w, stopped_by = searcher.run(graded)[0], "candidates"
-        except _EffortExceeded:
-            w, stopped_by = None, "effort"
-        if w is not None:
-            return IsoVerdict(status="ISO", witness=w)
-        return IsoVerdict(status="UNKNOWN",
-                          search_bounds={"ext_degree_tried": 1,
-                                         "candidates_tried": searcher.tried,
-                                         "space_exhausted": False,
-                                         "stopped_by": stopped_by})
-
+    rational = isinstance(f, RationalField)
+    m0, rungs = (1, 1) if rational else (f.desc.m, budget.ext_degree_max)
     effort_left = budget.effort
-    tried_total = 0
-    m0 = f.desc.m
-    exhausted_all = True
-    ext_tried = 0
-    for k in range(1, budget.ext_degree_max + 1):
-        m_prime = m0 * k
-        Ak = base_change(A, m_prime)
-        Bk = base_change(B, m_prime)
-        ext_tried = m_prime
-        searcher = _Searcher(Ak, Bk, effort_left, match_tuples, late_check)
+    exhausted_all, ran_out = True, False
+    for k in range(1, rungs + 1):
+        searcher = _Searcher(_extend(A, k), _extend(B, k), effort_left, match_tuples,
+                             late_check)
         try:
             w, seen_all = searcher.run(graded)
         except _EffortExceeded:
-            w, seen_all = None, False
-        tried_total += searcher.tried
+            w, seen_all, ran_out = None, False, True
         effort_left -= searcher.tried
+        bounds = {"ext_degree_tried": m0 * k,
+                  "candidates_tried": budget.effort - effort_left,
+                  "space_exhausted": False}
         if w is not None:
             w.ext_multiple = k
             return IsoVerdict(status="ISO", witness=w,
-                              search_bounds={"ext_degree_tried": m_prime,
-                                             "candidates_tried": tried_total,
-                                             "space_exhausted": False})
+                              search_bounds=None if rational else bounds)
         exhausted_all = exhausted_all and seen_all and effort_left > 0
         if effort_left <= 0:
             break
-    return IsoVerdict(status="UNKNOWN",
-                      search_bounds={"ext_degree_tried": ext_tried,
-                                     "candidates_tried": tried_total,
-                                     "space_exhausted": exhausted_all,
-                                     "stopped_by": "space" if exhausted_all else "effort"})
+    if rational:
+        stopped_by = "effort" if ran_out else "candidates"
+    else:
+        stopped_by = "space" if exhausted_all else "effort"
+    return IsoVerdict(status="UNKNOWN", search_bounds={
+        **bounds, "space_exhausted": exhausted_all, "stopped_by": stopped_by})

@@ -7,12 +7,12 @@ separating invariant at order a gives the lower bound 2^{-(a-1)}, and the
 interval is exact when a = b + 1.  A run never claims distance zero — "ISO
 through every tested order" keeps the lower bound at 0 with exact = False.
 
-Isomorphism at order n forces it at every lower order, so ISO verdicts must
-form an initial segment.  When a budget-limited UNKNOWN at a low order sits
-under an ISO at a higher order, the higher witness is pushed down (composing
-with the quotient map) and re-verified, upgrading the low order.  A NOT_ISO
-below a verified ISO can only be an engine bug and raises
-InternalInconsistencyError instead of being papered over.
+Isomorphism at order n forces it at every lower order, and a separation at
+order n separates every higher one.  So the orders are decided upward and the
+loop stops at the first NOT_ISO; a budget-limited UNKNOWN below the top ISO
+order gets that order's witness pushed down (composed with the quotient map)
+and re-verified, which upgrades it to ISO, and a pushed witness that fails
+verification raises InternalInconsistencyError instead of being papered over.
 """
 
 from __future__ import annotations
@@ -87,52 +87,6 @@ def _field_gate(p: Presentation, q: Presentation) -> Optional[DistanceVerdict]:
                            per_order=[], exact=True)
 
 
-def _enforce_initial_segment(per_order: list[tuple[int, IsoVerdict]],
-                             high_algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]],
-                             match_tuples: bool):
-    """Upgrade UNKNOWN orders sitting below a later ISO by pushing the ISO
-    witness down and re-verifying it (with match_tuples, as a map of
-    deformation pairs); then check the ISO orders form an initial segment."""
-    iso_orders = [n for n, v in per_order if v.status == "ISO"]
-    if iso_orders:
-        top = max(iso_orders)
-        top_witness = next(v.witness for n, v in per_order if n == top)
-        A_top, B_top = high_algebras[top]
-        for idx, (n, v) in enumerate(per_order):
-            if v.status == "UNKNOWN" and n < top:
-                A_low, B_low = high_algebras[n]
-                w_low = project_witness(top_witness, B_top, B_low)
-                if not verify_witness(A_low, B_low, w_low, match_tuples):
-                    raise InternalInconsistencyError(
-                        f"projected witness failed at order {n}")
-                per_order[idx] = (n, IsoVerdict(status="ISO", witness=w_low))
-            elif v.status == "NOT_ISO" and n < top:
-                raise InternalInconsistencyError(
-                    f"NOT_ISO at order {n} under a verified ISO at order {top}")
-    seen_non_iso = False
-    for n, v in per_order:
-        if v.status == "ISO" and seen_non_iso:
-            raise InternalInconsistencyError(
-                f"ISO at order {n} after a non-ISO verdict at a lower order")
-        if v.status != "ISO":
-            seen_non_iso = True
-
-
-def _aggregate(per_order: list[tuple[int, IsoVerdict]]) -> DistanceVerdict:
-    iso_orders = [n for n, v in per_order if v.status == "ISO"]
-    not_orders = [n for n, v in per_order if v.status == "NOT_ISO"]
-    b = max(iso_orders, default=0)           # order-0 jets are always isomorphic
-    upper = Fraction(1, 2 ** b)
-    if not_orders:
-        a = min(not_orders)
-        lower = Fraction(1, 2 ** (a - 1))
-        exact = (a == b + 1)
-    else:
-        lower = Fraction(0)
-        exact = False
-    return DistanceVerdict(lower=lower, upper=upper, per_order=per_order, exact=exact)
-
-
 def _check_max_order(max_order: int):
     """Orders start at 1, so a smaller bound would test nothing and still
     report an interval."""
@@ -143,20 +97,34 @@ def _check_max_order(max_order: int):
 def _by_order(p: Presentation, q: Presentation, max_order: int, make,
               budget: Optional[SearchBudget], match_tuples: bool,
               capacity: int) -> DistanceVerdict:
-    """Decide the jets make(p, n), make(q, n) for n = 1..max_order, stopping
-    at the first NOT_ISO, then enforce the initial segment and aggregate."""
+    """Decide the jets make(p, n), make(q, n) for n = 1..max_order up to the
+    first NOT_ISO, push the witness of the top ISO order b down to every
+    UNKNOWN below it, re-verified (with match_tuples, as a map of deformation
+    pairs), and read the interval off b and the last order."""
     per_order: list[tuple[int, IsoVerdict]] = []
-    algebras: dict[int, tuple[ArtinAlgebra, ArtinAlgebra]] = {}
+    algebras: list[tuple[ArtinAlgebra, ArtinAlgebra]] = []
     for n in range(1, max_order + 1):
         A = make(p, n, capacity=capacity)
         B = make(q, n, capacity=capacity)
-        algebras[n] = (A, B)
+        algebras.append((A, B))
         verdict = decide_isomorphism(A, B, budget, match_tuples=match_tuples)
         per_order.append((n, verdict))
         if verdict.status == "NOT_ISO":
             break
-    _enforce_initial_segment(per_order, algebras, match_tuples)
-    return _aggregate(per_order)
+    # order-0 jets are always isomorphic
+    b = max((n for n, v in per_order if v.status == "ISO"), default=0)
+    for n in range(1, b):
+        if per_order[n - 1][1].status == "UNKNOWN":
+            A, B = algebras[n - 1]
+            w = project_witness(per_order[b - 1][1].witness, algebras[b - 1][1], B)
+            if not verify_witness(A, B, w, match_tuples):
+                raise InternalInconsistencyError(f"projected witness failed at order {n}")
+            per_order[n - 1] = (n, IsoVerdict(status="ISO", witness=w))
+    a, last = per_order[-1]
+    separated = last.status == "NOT_ISO"
+    return DistanceVerdict(lower=Fraction(1, 2 ** (a - 1)) if separated else Fraction(0),
+                           upper=Fraction(1, 2 ** b), per_order=per_order,
+                           exact=separated and a == b + 1)
 
 
 def jet_distance(p: Presentation, q: Presentation, max_order: int,

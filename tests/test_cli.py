@@ -114,6 +114,23 @@ def test_extension_witness_prints_only_its_nonzero_terms(tmp_path):
                                             "y": "(0,1)*y + (0,2)*x"}}
 
 
+@pytest.mark.parametrize("p, a, b", [
+    (1073741789, "y^2 - x^3", "y^2 - x^3 - x^2*y"),
+    (2305843009213693951, "y^2 - x^3", "y^2 - 2*x^3"),
+])
+def test_distance_over_a_large_prime_field_runs_out_of_effort(tmp_path, p, a, b):
+    # the coordinate search once listed every element of the field before its
+    # first candidate, a MemoryError for fields this large
+    pa, pb = tmp_path / "a.pres", tmp_path / "b.pres"
+    pa.write_text(f"ring F_{p}[x, y]\nlocal\nideal: {a}\n")
+    pb.write_text(f"ring F_{p}[x, y]\nlocal\nideal: {b}\n")
+    code, out, _ = _capture(["distance", str(pa), str(pb), "--max-order", "4"])
+    assert code == 0
+    per_order = json.loads(out)["evidence"]["per_order"]
+    assert [o["status"] for o in per_order] == ["ISO", "ISO", "ISO", "UNKNOWN"]
+    assert per_order[3]["search_bounds"]["stopped_by"] == "effort"
+
+
 @pytest.mark.parametrize("command", ["hilbert", "euler"])
 def test_overlong_series_prefix_exits_one_with_capacity_error(command):
     # the series used to be expanded first, ending in a MemoryError

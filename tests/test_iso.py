@@ -154,6 +154,42 @@ def test_unknown_names_the_budget_it_ran_out_of():
     assert v.search_bounds["stopped_by"] == "space"
 
 
+def test_search_bounds_at_the_effort_edges():
+    # over Q the 203 candidates run dry at effort 203 and the effort runs
+    # out first at 202; Q's ladder is one rung, so a second changes nothing
+    a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 5*y^2")
+    b = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 7*y^2")
+    A, B = jet(a, 3), jet(b, 3)
+    for ext in (1, 2):
+        v = _decide(A, B, SearchBudget(ext_degree_max=ext, effort=203))
+        assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 203,
+                                   "space_exhausted": False, "stopped_by": "candidates"}
+        v = _decide(A, B, SearchBudget(ext_degree_max=ext, effort=202))
+        assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 202,
+                                   "space_exhausted": False, "stopped_by": "effort"}
+    # over F_3 the 84 candidates exhaust the space only with effort to spare:
+    # at effort 84 all of them are tried, yet the label is "effort", and the
+    # ladder stops there; at effort 85 a second rung tries one candidate
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    A, B = jet(a, 3), jet(b, 3)
+    cases = [(1, 85, (1, 84, True, "space")), (1, 84, (1, 84, False, "effort")),
+             (2, 84, (1, 84, False, "effort")), (2, 85, (2, 85, False, "effort"))]
+    for ext, effort, want in cases:
+        v = _decide(A, B, SearchBudget(ext_degree_max=ext, effort=effort))
+        assert v.status == "UNKNOWN"
+        assert v.search_bounds == dict(zip(
+            ("ext_degree_tried", "candidates_tried", "space_exhausted", "stopped_by"), want))
+
+
+def test_rational_iso_carries_no_search_bounds_at_any_extension_bound():
+    a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - y^2")
+    b = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 4*y^2")
+    v = _decide(jet(a, 3), jet(b, 3), SearchBudget(ext_degree_max=2))
+    assert v.status == "ISO"
+    assert v.search_bounds is None and v.witness.ext_multiple == 1
+
+
 def test_iso_search_bounds_carry_no_stop_reason():
     a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
     b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")

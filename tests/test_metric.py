@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetmetric import metric
+from jetmetric import artin, metric
 from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import (
     CapacityError,
@@ -15,7 +15,13 @@ from jetmetric.errors import (
     TupleError,
     UnknownStabilizationError,
 )
-from jetmetric.iso import IsoVerdict, SearchBudget, Witness, decide_isomorphism
+from jetmetric.iso import (
+    IsoVerdict,
+    SearchBudget,
+    Witness,
+    decide_isomorphism,
+    verify_witness,
+)
 from jetmetric.metric import (
     ball_descriptor,
     defpair_distance,
@@ -23,6 +29,7 @@ from jetmetric.metric import (
     limit_jets,
 )
 from jetmetric.presentation import FamilyTemplate, parse_presentation
+from jetmetric.standard import hilbert_numerator
 
 from conftest import random_presentation
 
@@ -164,6 +171,44 @@ def test_projected_defpair_witnesses_are_reverified_with_the_tuples(monkeypatch)
     monkeypatch.setattr(metric, "decide_isomorphism", decide)
     with pytest.raises(InternalInconsistencyError, match="order 2"):
         defpair_distance(a, b, 3, budget=BUDGET)
+
+
+def test_top_iso_witness_is_pushed_down_to_undecided_lower_orders(monkeypatch):
+    # orders 1 and 2 come back UNKNOWN; the order-3 witness, projected to
+    # each, must upgrade them to verified ISOs under the separation at order 4
+    a = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3")
+    b = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^5")
+
+    def decide(A, B, budget, match_tuples):
+        if A.origin.order < 3:
+            return IsoVerdict(status="UNKNOWN")
+        return decide_isomorphism(A, B, budget, match_tuples=match_tuples)
+
+    monkeypatch.setattr(metric, "decide_isomorphism", decide)
+    v = jet_distance(a, b, 6, budget=BUDGET)
+    assert [(n, s.status) for n, s in v.per_order] == [
+        (1, "ISO"), (2, "ISO"), (3, "ISO"), (4, "NOT_ISO")]
+    for n, s in v.per_order[:3]:
+        assert verify_witness(jet(a, n), jet(b, n), s.witness)
+    assert v.lower == v.upper == Fraction(1, 8)
+    assert v.exact
+
+
+def test_defpair_distance_computes_each_colength_once(monkeypatch):
+    # the colength of I + (t) does not depend on the order: one leading
+    # ideal per presentation, not one per order and side
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hilbert_numerator(*args)
+
+    artin._colength.cache_clear()
+    monkeypatch.setattr(artin, "hilbert_numerator", counting)
+    a = parse_presentation("ring Q[x]\nlocal\nideal: ;\ntuple: x")
+    b = parse_presentation("ring Q[x]\nlocal\nideal: x^5\ntuple: x")
+    v = defpair_distance(a, b, 8, budget=BUDGET)
+    assert len(v.per_order) == 6 and len(calls) == 2
 
 
 def test_limit_jets_of_cusp_family():
