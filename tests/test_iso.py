@@ -167,6 +167,9 @@ def test_search_bounds_at_the_effort_edges():
         v = _decide(A, B, SearchBudget(ext_degree_max=ext, effort=202))
         assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 202,
                                    "space_exhausted": False, "stopped_by": "effort"}
+    v = _decide(A, B, SearchBudget(ext_degree_max=2, effort=1000))
+    assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 203,
+                               "space_exhausted": False, "stopped_by": "candidates"}
     # over F_3 the 84 candidates exhaust the space only with effort to spare:
     # at effort 84 all of them are tried, yet the label is "effort", and the
     # ladder stops there; at effort 85 a second rung tries one candidate

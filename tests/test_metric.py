@@ -153,6 +153,8 @@ def test_defpair_distance_searches_only_maps_matching_the_tuples():
     v = defpair_distance(a, b, 2, budget=budget)
     assert [s.status for _, s in v.per_order] == ["ISO", "UNKNOWN"]
     assert v.upper == Fraction(1, 2)
+    # an UNKNOWN last order bounds nothing from below, even right above b
+    assert v.lower == 0 and not v.exact
 
 
 def test_projected_defpair_witnesses_are_reverified_with_the_tuples(monkeypatch):
