@@ -19,13 +19,12 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .artin import (defpair_jet, hf_by_degree_count, jet, nilpotency_index,
-                    socle_dimension)
+from .artin import hf_by_degree_count, jet, nilpotency_index, socle_dimension
 from .errors import JetMetricError, PresentationSyntaxError, RangeError
 from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
 from .iso import SearchBudget, Witness, witness_field
-from .metric import defpair_distance, jet_distance, limit_jets
+from .metric import _distance, limit_jets
 from .poly import DEFAULT_CAPACITY
 from .presentation import FamilyTemplate, Presentation, parse_presentation
 from .resolution import (betti_residue_field, depth_and_classify,
@@ -89,13 +88,13 @@ def _enc_separator(sep) -> Optional[list]:
 
 
 def _enc_per_order(per_order, p: Presentation, q: Presentation, targets) -> list:
-    """targets maps an order to the target-side jet its witness is read in."""
+    """targets[n - 1] is the target-side jet the witness of order n is read in."""
     out = []
     for n, v in per_order:
         entry = {"order": n, "status": v.status,
                  "separator": _enc_separator(v.separator)}
         if v.witness is not None:
-            entry["witness"] = _enc_witness(v.witness, targets[n], p.vars, q.vars)
+            entry["witness"] = _enc_witness(v.witness, targets[n - 1], p.vars, q.vars)
         if v.search_bounds is not None:
             entry["search_bounds"] = v.search_bounds
         out.append(entry)
@@ -173,14 +172,7 @@ def _run_hilbert(args):
 def _run_distance(args, defpair: bool):
     p, dp = _load(args.a)
     q, dq = _load(args.b)
-    budget = _budget(args)
-    if defpair:
-        verdict = defpair_distance(p, q, args.max_order, budget, capacity=args.cap)
-    else:
-        verdict = jet_distance(p, q, args.max_order, budget, capacity=args.cap)
-    make = defpair_jet if defpair else jet
-    targets = {n: make(q, n, capacity=args.cap)
-               for n, v in verdict.per_order if v.witness is not None}
+    verdict, targets = _distance(p, q, args.max_order, _budget(args), args.cap, defpair)
     result = {"lower": _enc_fraction(verdict.lower),
               "upper": _enc_fraction(verdict.upper),
               "exact": verdict.exact}

@@ -5,8 +5,9 @@ invariant whose value is stable under coefficient-field extension (lengths,
 Hilbert function, nilpotency, socle dimension, embedding dimension,
 multiplication-rank profile, dimension of the derivation space), so a NOT_ISO
 verdict rules out isomorphism after any base change as well.  The derivation
-space costs one rank on r * dim A rows, so it is compared only when the
-identity and the variable permutations have failed, before the larger
+space is the costliest: one rank on r * dim A rows, read off the sparse
+product table with one normalization per entry, so it is compared only when
+the identity and the variable permutations have failed, before the larger
 candidate lists, and at most once per decision.  ISO comes with an explicit
 generator-image witness that is re-verified mechanically.  Exhausting the search space over
 the allowed extensions without finding a witness yields UNKNOWN — the honest
@@ -133,34 +134,54 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
     for all g side by side, has the rank of the system, and
     dim Der = r dim A - rank.  A rank over k does not change under field
     extension, nor does the dimension depend on the presentation.
+
+    The rows are read off the sparse table of basis-pair products: the class
+    of dg/dx_i is summed once per (i, g) from the classes of its monomials,
+    and each of its entries c b_l adds c times basis[l] * basis[j] to row
+    (i, j) in g's block of columns.  A pair whose degrees reach the cap is
+    skipped: its product is a monomial at or above the cap, zero in A.  The
+    entries of the partials and of the rows are sums in the field's
+    `raw_arithmetic`, and `Echelon`'s entry conversion is their one
+    normalization.
     """
     if A.is_zero_ring():
         return 0
-    f, r, n = A.field, A.nvars, A.dim
+    f, r, n, cap = A.field, A.nvars, A.dim, A.cap
+    add, mul, _ = f.raw_arithmetic
+    mult_basis, deg = A.mult_basis, A.degrees()
     gens = [list(g.terms.items()) for g in A.relations]
-    gens += [[(m, f.one())] for m in monomials_of_degree(r, A.cap)]
+    gens += [[(m, f.one())] for m in monomials_of_degree(r, cap)]
+    # below[d]: the basis indices of degree below d
+    below = [[j for e in range(d) for j in A.component(e)] for d in range(cap + 1)]
     rows: list[dict] = []
     for i in range(r):
-        partials = []
-        for terms in gens:
-            d = [(a[:i] + (a[i] - 1,) + a[i + 1:], f.mul(c, f.from_int(a[i])))
-                 for a, c in terms if a[i]]
-            partials.append(A.combine(d, A.reduce_monomial))
-        for j in range(n):
-            unit = [(j, f.one())]
-            row: dict = {}
-            for g, dg in enumerate(partials):
-                if dg:
-                    for k, v in A.multiply(dg, unit):
-                        row[g * n + k] = v
-            rows.append(row)
+        block: list[dict] = [{} for _ in range(n)]
+        for g, terms in enumerate(gens):
+            # the class of dg/dx_i
+            dg: dict = {}
+            for a, c in terms:
+                if a[i]:
+                    s = mul(c, f.from_int(a[i]))
+                    for l, w in A.reduce_monomial(a[:i] + (a[i] - 1,) + a[i + 1:]):
+                        x = mul(s, w)
+                        dg[l] = add(dg[l], x) if l in dg else x
+            base = g * n
+            for l, c in dg.items():
+                if not c:
+                    continue
+                for j in below[cap - deg[l]]:
+                    row = block[j]
+                    for k, w in mult_basis(l, j):
+                        key, x = base + k, mul(c, w)
+                        row[key] = add(row[key], x) if key in row else x
+        rows += block
     return r * n - ExactMatrix(f, rows, len(gens) * n).rank()
 
 
 # The separating invariants as (name, function), in the order
 # `find_separator` compares them and `InvariantSignature` lists them; each is
 # defined on the zero ring too.  Cheap invariants come first.
-# `decide_isomorphism` compares all but the last before its search, and the
+# `decide_isomorphism` compares those of `_EAGER` before its search, and the
 # last only once the identity and the permutations have failed.
 INVARIANTS = (
     ("length", lambda A: A.dim),
@@ -171,6 +192,12 @@ INVARIANTS = (
     ("multiplication_rank_profile", _mult_rank_profile),
     ("derivation_dimension", derivation_dimension),
 )
+
+# All but the last, less the nilpotency index and the embedding dimension:
+# they are the length of the Hilbert function and its entry at 1, so they
+# agree whenever the Hilbert function, compared before them, does.
+_EAGER = tuple(inv for inv in INVARIANTS[:-1]
+               if inv[0] not in ("nilpotency_index", "embedding_dimension"))
 
 
 def invariant_signature(A: ArtinAlgebra) -> InvariantSignature:
@@ -866,7 +893,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if A.field.desc != B.field.desc:
         raise FieldMismatchError(
             f"cannot compare algebras over {A.field.desc.label()} and {B.field.desc.label()}")
-    sep = find_separator(A, B, INVARIANTS[:-1])
+    sep = find_separator(A, B, _EAGER)
     if sep is None and match_tuples:
         ta, tb = A.tuple_images or [], B.tuple_images or []
         if len(ta) != len(tb):
@@ -919,8 +946,10 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
             w.ext_multiple = k
             return IsoVerdict(status="ISO", witness=w,
                               search_bounds=None if rational else bounds)
-        exhausted_all = exhausted_all and seen_all and effort_left > 0
+        exhausted_all = exhausted_all and seen_all
         if effort_left <= 0:
+            # a rung that never ran has not seen its space
+            exhausted_all = exhausted_all and k == rungs
             break
     if rational:
         stopped_by = "effort" if ran_out else "candidates"

@@ -96,11 +96,12 @@ def _check_max_order(max_order: int):
 
 def _by_order(p: Presentation, q: Presentation, max_order: int, make,
               budget: Optional[SearchBudget], match_tuples: bool,
-              capacity: int) -> DistanceVerdict:
+              capacity: int) -> tuple[DistanceVerdict, list[ArtinAlgebra]]:
     """Decide the jets make(p, n), make(q, n) for n = 1..max_order up to the
     first NOT_ISO, push the witness of the top ISO order b down to every
     UNKNOWN below it, re-verified (with match_tuples, as a map of deformation
-    pairs), and read the interval off b and the last order."""
+    pairs), and read the interval off b and the last order; with the
+    verdict, the target jets make(q, n) of the decided orders, in order."""
     per_order: list[tuple[int, IsoVerdict]] = []
     algebras: list[tuple[ArtinAlgebra, ArtinAlgebra]] = []
     for n in range(1, max_order + 1):
@@ -122,9 +123,29 @@ def _by_order(p: Presentation, q: Presentation, max_order: int, make,
             per_order[n - 1] = (n, IsoVerdict(status="ISO", witness=w))
     a, last = per_order[-1]
     separated = last.status == "NOT_ISO"
-    return DistanceVerdict(lower=Fraction(1, 2 ** (a - 1)) if separated else Fraction(0),
-                           upper=Fraction(1, 2 ** b), per_order=per_order,
-                           exact=separated and a == b + 1)
+    verdict = DistanceVerdict(lower=Fraction(1, 2 ** (a - 1)) if separated else Fraction(0),
+                              upper=Fraction(1, 2 ** b), per_order=per_order,
+                              exact=separated and a == b + 1)
+    return verdict, [B for _, B in algebras]
+
+
+def _distance(p: Presentation, q: Presentation, max_order: int,
+              budget: Optional[SearchBudget], capacity: int,
+              defpair: bool) -> tuple[DistanceVerdict, list[ArtinAlgebra]]:
+    """`defpair_distance` when defpair is set, else `jet_distance`, with the
+    target jets of the decided orders (none when no order is decided), for
+    the CLI to print each witness in."""
+    _check_max_order(max_order)
+    if defpair and (p.tuple is None or q.tuple is None):
+        raise TupleError("defpair distance needs tuples on both presentations")
+    gate = _field_gate(p, q)
+    if gate is None and defpair and len(p.tuple) != len(q.tuple):
+        gate = DistanceVerdict(lower=Fraction(1), upper=Fraction(1),
+                               per_order=[], exact=True)
+    if gate is not None:
+        return gate, []
+    return _by_order(p, q, max_order, defpair_jet if defpair else jet, budget,
+                     defpair, capacity)
 
 
 def jet_distance(p: Presentation, q: Presentation, max_order: int,
@@ -132,11 +153,7 @@ def jet_distance(p: Presentation, q: Presentation, max_order: int,
                  capacity: int = DEFAULT_CAPACITY) -> DistanceVerdict:
     """Bracket the deformation distance by testing jets at orders 1..max_order,
     stopping at the first certified separation."""
-    _check_max_order(max_order)
-    gate = _field_gate(p, q)
-    if gate is not None:
-        return gate
-    return _by_order(p, q, max_order, jet, budget, False, capacity)
+    return _distance(p, q, max_order, budget, capacity, defpair=False)[0]
 
 
 def defpair_distance(p: Presentation, q: Presentation, max_n: int,
@@ -146,16 +163,7 @@ def defpair_distance(p: Presentation, q: Presentation, max_n: int,
     the pair quotients, with the search restricted to maps matching the
     distinguished tuples.  Pairs with tuples of different lengths admit no
     morphisms at all, so their distance is exactly 1."""
-    _check_max_order(max_n)
-    if p.tuple is None or q.tuple is None:
-        raise TupleError("defpair distance needs tuples on both presentations")
-    gate = _field_gate(p, q)
-    if gate is not None:
-        return gate
-    if len(p.tuple) != len(q.tuple):
-        return DistanceVerdict(lower=Fraction(1), upper=Fraction(1),
-                               per_order=[], exact=True)
-    return _by_order(p, q, max_n, defpair_jet, budget, True, capacity)
+    return _distance(p, q, max_n, budget, capacity, defpair=True)[0]
 
 
 def limit_jets(tpl: FamilyTemplate, order: int,

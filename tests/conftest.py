@@ -62,9 +62,10 @@ _COEFFS = {"Q": ["1", "-1", "2", "-2", "3", "1/2"],
            "F_2": ["1"],
            "F_3": ["1", "2"],
            "F_4": ["1", "a", "(1+a)"],
+           "F_16": ["1", "a", "(a+a^3)"],
            "F_1073741789": ["1", "-1", "2", "-2", "3"]}
 # ring text of a field whose name is not its own ring statement
-_RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1"}
+_RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1", "F_16": "F_2^4 minpoly a^4 + a + 1"}
 
 
 def _mono_str(exps, names):

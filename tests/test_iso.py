@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import iso
-from jetmetric.artin import defpair_jet, jet
+from jetmetric.artin import ArtinAlgebra, defpair_jet, jet
 from jetmetric.iso import (
     QQ_SCALINGS,
     SearchBudget,
@@ -30,7 +30,7 @@ from jetmetric.iso import (
 from jetmetric.errors import RangeError
 from jetmetric.exactcore import (TABLE_MAX_ORDER, ExactMatrix, PrimeField, RationalField, _is_prime,
                                  finite_field)
-from jetmetric.poly import Poly
+from jetmetric.poly import Poly, monomials_of_degree
 from jetmetric.presentation import parse_presentation, poly_to_str, print_presentation
 
 from conftest import (dense_product, random_presentation, random_presentation_text, to_dense,
@@ -170,13 +170,14 @@ def test_search_bounds_at_the_effort_edges():
     v = _decide(A, B, SearchBudget(ext_degree_max=2, effort=1000))
     assert v.search_bounds == {"ext_degree_tried": 1, "candidates_tried": 203,
                                "space_exhausted": False, "stopped_by": "candidates"}
-    # over F_3 the 84 candidates exhaust the space only with effort to spare:
-    # at effort 84 all of them are tried, yet the label is "effort", and the
-    # ladder stops there; at effort 85 a second rung tries one candidate
+    # over F_3 the 84 candidates exhaust a rung's space: at effort 84 all of
+    # them are tried, which exhausts a one-rung ladder, while a two-rung
+    # ladder stops there with rung 2 unrun; at effort 85 rung 2 tries one
+    # candidate
     a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
     b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
     A, B = jet(a, 3), jet(b, 3)
-    cases = [(1, 85, (1, 84, True, "space")), (1, 84, (1, 84, False, "effort")),
+    cases = [(1, 85, (1, 84, True, "space")), (1, 84, (1, 84, True, "space")),
              (2, 84, (1, 84, False, "effort")), (2, 85, (2, 85, False, "effort"))]
     for ext, effort, want in cases:
         v = _decide(A, B, SearchBudget(ext_degree_max=ext, effort=effort))
@@ -1278,3 +1279,62 @@ def test_derivation_dimension_counts_every_derivation_over_f2(text, order):
                    for col in zip(*D)] for i in range(r)]
         count += images == d
     assert count == 2 ** iso.derivation_dimension(A)
+
+
+def _reference_derivation_dimension(A):
+    """dim_k Der_k(A) with each row (i, j) built by a full `multiply` of
+    [dg/dx_i] by the unit b_j: the reference the rows `derivation_dimension`
+    reads off the product table are checked against."""
+    if A.is_zero_ring():
+        return 0
+    f, r, n = A.field, A.nvars, A.dim
+    gens = [list(g.terms.items()) for g in A.relations]
+    gens += [[(m, f.one())] for m in monomials_of_degree(r, A.cap)]
+    rows = []
+    for i in range(r):
+        partials = []
+        for terms in gens:
+            d = [(a[:i] + (a[i] - 1,) + a[i + 1:], f.mul(c, f.from_int(a[i])))
+                 for a, c in terms if a[i]]
+            partials.append(A.combine(d, A.reduce_monomial))
+        for j in range(n):
+            unit = [(j, f.one())]
+            row = {}
+            for g, dg in enumerate(partials):
+                if dg:
+                    for k, v in A.multiply(dg, unit):
+                        row[g * n + k] = v
+            rows.append(row)
+    return r * n - ExactMatrix(f, rows, len(gens) * n).rank()
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4", "F_16", "F_1073741789"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_derivation_rows_match_the_multiply_reference(seed, field, mode, nvars, order,
+                                                      pair_order):
+    # the jet, the pair quotient by the powers of the variables, and over
+    # F_3 the jet base-changed to F_9, whose value is the jet's own
+    text = random_presentation_text(random.Random(seed), field, nvars, mode,
+                                    max_deg=3, min_deg=2)
+    A = jet(parse_presentation(text), order)
+    want = _reference_derivation_dimension(A)
+    assert iso.derivation_dimension(A) == want
+    names = ", ".join(["x", "y", "z"][:nvars])
+    D = defpair_jet(parse_presentation(f"{text}\ntuple: {names}"), pair_order)
+    assert iso.derivation_dimension(D) == _reference_derivation_dimension(D)
+    if field == "F_3":
+        E = base_change(A, 2)
+        assert iso.derivation_dimension(E) == _reference_derivation_dimension(E) == want
+
+
+def test_derivation_rows_make_no_multiply(monkeypatch):
+    # criterion-01 triple 6 at order 3: the rows come off the product table
+    A, B = (jet(parse_presentation(t), 3) for t in TRIPLE6)
+    calls = []
+    multiply = ArtinAlgebra.multiply
+    monkeypatch.setattr(ArtinAlgebra, "multiply",
+                        lambda self, u, v: calls.append(1) or multiply(self, u, v))
+    assert (iso.derivation_dimension(A), iso.derivation_dimension(B)) == (22, 20)
+    assert calls == []
