@@ -94,47 +94,18 @@ def _check_max_order(max_order: int):
         raise RangeError(f"maximum order must be at least 1, got {max_order}")
 
 
-def _by_order(p: Presentation, q: Presentation, max_order: int, make,
-              budget: Optional[SearchBudget], match_tuples: bool,
-              capacity: int) -> tuple[DistanceVerdict, list[ArtinAlgebra]]:
-    """Decide the jets make(p, n), make(q, n) for n = 1..max_order up to the
-    first NOT_ISO, push the witness of the top ISO order b down to every
-    UNKNOWN below it, re-verified (with match_tuples, as a map of deformation
-    pairs), and read the interval off b and the last order; with the
-    verdict, the target jets make(q, n) of the decided orders, in order."""
-    per_order: list[tuple[int, IsoVerdict]] = []
-    algebras: list[tuple[ArtinAlgebra, ArtinAlgebra]] = []
-    for n in range(1, max_order + 1):
-        A = make(p, n, capacity=capacity)
-        B = make(q, n, capacity=capacity)
-        algebras.append((A, B))
-        verdict = decide_isomorphism(A, B, budget, match_tuples=match_tuples)
-        per_order.append((n, verdict))
-        if verdict.status == "NOT_ISO":
-            break
-    # order-0 jets are always isomorphic
-    b = max((n for n, v in per_order if v.status == "ISO"), default=0)
-    for n in range(1, b):
-        if per_order[n - 1][1].status == "UNKNOWN":
-            A, B = algebras[n - 1]
-            w = project_witness(per_order[b - 1][1].witness, algebras[b - 1][1], B)
-            if not verify_witness(A, B, w, match_tuples):
-                raise InternalInconsistencyError(f"projected witness failed at order {n}")
-            per_order[n - 1] = (n, IsoVerdict(status="ISO", witness=w))
-    a, last = per_order[-1]
-    separated = last.status == "NOT_ISO"
-    verdict = DistanceVerdict(lower=Fraction(1, 2 ** (a - 1)) if separated else Fraction(0),
-                              upper=Fraction(1, 2 ** b), per_order=per_order,
-                              exact=separated and a == b + 1)
-    return verdict, [B for _, B in algebras]
-
-
 def _distance(p: Presentation, q: Presentation, max_order: int,
               budget: Optional[SearchBudget], capacity: int,
               defpair: bool) -> tuple[DistanceVerdict, list[ArtinAlgebra]]:
     """`defpair_distance` when defpair is set, else `jet_distance`, with the
-    target jets of the decided orders (none when no order is decided), for
-    the CLI to print each witness in."""
+    target jets make(q, n) of the decided orders, in order, for the CLI to
+    print each witness in.
+
+    The jets make(p, n), make(q, n) (`defpair_jet` with defpair, maps
+    matching the tuples; else `jet`) are decided for n = 1..max_order up to
+    the first NOT_ISO; the witness of the top ISO order b is pushed down to
+    every UNKNOWN below it, re-verified, and the interval is read off b and
+    the last order."""
     _check_max_order(max_order)
     if defpair and (p.tuple is None or q.tuple is None):
         raise TupleError("defpair distance needs tuples on both presentations")
@@ -144,8 +115,32 @@ def _distance(p: Presentation, q: Presentation, max_order: int,
                                per_order=[], exact=True)
     if gate is not None:
         return gate, []
-    return _by_order(p, q, max_order, defpair_jet if defpair else jet, budget,
-                     defpair, capacity)
+    make = defpair_jet if defpair else jet
+    per_order: list[tuple[int, IsoVerdict]] = []
+    algebras: list[tuple[ArtinAlgebra, ArtinAlgebra]] = []
+    for n in range(1, max_order + 1):
+        A = make(p, n, capacity=capacity)
+        B = make(q, n, capacity=capacity)
+        algebras.append((A, B))
+        verdict = decide_isomorphism(A, B, budget, match_tuples=defpair)
+        per_order.append((n, verdict))
+        if verdict.status == "NOT_ISO":
+            break
+    # order-0 jets are always isomorphic
+    b = max((n for n, v in per_order if v.status == "ISO"), default=0)
+    for n in range(1, b):
+        if per_order[n - 1][1].status == "UNKNOWN":
+            A, B = algebras[n - 1]
+            w = project_witness(per_order[b - 1][1].witness, algebras[b - 1][1], B)
+            if not verify_witness(A, B, w, defpair):
+                raise InternalInconsistencyError(f"projected witness failed at order {n}")
+            per_order[n - 1] = (n, IsoVerdict(status="ISO", witness=w))
+    a, last = per_order[-1]
+    separated = last.status == "NOT_ISO"
+    verdict = DistanceVerdict(lower=Fraction(1, 2 ** (a - 1)) if separated else Fraction(0),
+                              upper=Fraction(1, 2 ** b), per_order=per_order,
+                              exact=separated and a == b + 1)
+    return verdict, [B for _, B in algebras]
 
 
 def jet_distance(p: Presentation, q: Presentation, max_order: int,
