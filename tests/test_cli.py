@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from jetmetric import artin
 from jetmetric.cli import run
 
 from conftest import src_env
@@ -98,6 +99,19 @@ def test_distance_witness_is_printed_in_the_target_jet(tmp_path):
     assert code == 0
     order2 = json.loads(out)["evidence"]["per_order"][1]
     assert order2["witness"]["images"] == {"x": "y", "y": "0"}
+
+
+@pytest.mark.parametrize("golden_name", ["distance.json", "defpair-distance.json"])
+def test_distance_builds_each_jet_once(monkeypatch, golden_name):
+    # the witnesses are printed in the target jets the driver built: one
+    # truncated quotient per side and decided order, none more
+    calls = []
+    build = artin.truncated_quotient
+    monkeypatch.setattr(artin, "truncated_quotient",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    code, out, _ = _capture(GOLDEN_COMMANDS[golden_name])
+    assert code == 0
+    assert len(calls) == 2 * len(json.loads(out)["evidence"]["per_order"])
 
 
 def test_extension_witness_prints_only_its_nonzero_terms(tmp_path):
