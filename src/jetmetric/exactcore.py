@@ -15,6 +15,11 @@ elements, resolution product rows) take their arithmetic from one place,
 (unreduced, one ``% p`` per sum), the field's own ``add`` and ``mul`` for
 every other kind.
 
+A field owns its extensions, its embeddings and both of its arithmetics,
+each chosen by its class (:meth:`Field.extension`, :meth:`Field.embedding`,
+:attr:`Field.raw_arithmetic`, :attr:`Field.row_arithmetic`), so no module
+but this one needs to know a field's kind to extend scalars or compute.
+
 Row reduction returns the reduced row echelon form, with pivots the leftmost
 nonzero columns, so every echelon form (and therefore every quotient basis
 built on top of it) is canonical and reproducible.  Matrix rows go in and
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FieldError
 
@@ -216,6 +221,13 @@ def _fp_is_irreducible(poly: Sequence[int], p: int) -> bool:
                for r in _prime_factors(deg))
 
 
+def _degree(k) -> int:
+    """k, an extension degree: FieldError unless it is a positive int."""
+    if not isinstance(k, int) or k < 1:
+        raise FieldError(f"extension degree must be a positive integer, got {k!r}")
+    return k
+
+
 @lru_cache(maxsize=None)
 def canonical_minpoly(p: int, m: int) -> tuple[int, ...]:
     """First irreducible monic polynomial of degree m over F_p, by integer encoding."""
@@ -226,15 +238,95 @@ def canonical_minpoly(p: int, m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# fields
+# fields, and the row arithmetics of Field.row_arithmetic
+
+
+def _int_row(row: dict) -> dict:
+    """The sparse integer row {column: int} with the span of a row over Q:
+    denominators cleared, content divided out, nonzero entries only (empty
+    for a zero row)."""
+    nz = {c: a for c, a in row.items() if a}
+    if not nz:
+        return nz
+    den = lcm(*[a.denominator for a in nz.values()])
+    out = {c: a.numerator * (den // a.denominator) for c, a in nz.items()}
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
+def _clear(v: dict, prow: dict, col) -> dict:
+    """v cleared at col by the pivot row prow, both sparse integer rows over
+    Q: the fraction-free combination (lead/g)*v - (x/g)*prow, with
+    g = gcd(lead, x), divided by its content."""
+    x, lead = v[col], prow[col]
+    g = gcd(lead, x)
+    a, b = lead // g, x // g
+    if a != 1:
+        v = {i: a * y for i, y in v.items()}
+    for i, y in prow.items():
+        z = v.get(i, 0) - b * y
+        if z:
+            v[i] = z
+        else:
+            del v[i]
+    g = gcd(*v.values())
+    return {i: y // g for i, y in v.items()} if g > 1 else v
+
+
+def _residue_arithmetic(p: int) -> tuple:
+    """Sparse integer rows over F_p: residues in [0, p), v - x*prow in place."""
+
+    def entry(row: dict) -> dict:
+        return {c: r for c, a in row.items() if (r := a % p)}
+
+    def unit(v: dict, col) -> dict:
+        inv = pow(v[col], -1, p)
+        return {i: x * inv % p for i, x in v.items()}
+
+    def clear(v: dict, prow: dict, col) -> dict:
+        x = v[col]
+        for i, y in prow.items():
+            z = (v.get(i, 0) - x * y) % p
+            if z:
+                v[i] = z
+            else:
+                del v[i]
+        return v
+
+    return entry, unit, clear
+
+
+def _code_arithmetic(sub, mul, inv) -> tuple:
+    """Rows of values whose zero is falsy, as the F_{p^m} code 0 is, in the
+    field's arithmetic: v - x*prow in place."""
+
+    def entry(row: dict) -> dict:
+        return {c: x for c, x in row.items() if x}
+
+    def unit(v: dict, col) -> dict:
+        a = inv(v[col])
+        return {i: mul(a, x) for i, x in v.items()}
+
+    def clear(v: dict, prow: dict, col) -> dict:
+        x = v[col]
+        for i, y in prow.items():
+            z = sub(v.get(i, 0), mul(x, y))
+            if z:
+                v[i] = z
+            else:
+                del v[i]
+        return v
+
+    return entry, unit, clear
 
 
 class Field:
     """Arithmetic on raw field-element values; subclasses fix the representation."""
 
     desc: FieldDesc
+    order: int | None           # the number of elements, None for Q
 
-    # subclasses implement: zero one add sub neg mul inv is_zero from_int to_str
+    # subclasses implement: zero one add sub neg mul inv is_zero from_int to_str extension
     def pow(self, a, e: int):
         """a^e for e >= 0, by repeated squaring."""
         out = self.one()
@@ -246,10 +338,24 @@ class Field:
                 a = self.mul(a, a)
         return out
 
+    def embedding(self, dst: Field) -> Callable:
+        """The canonical map of this field's values into dst, an extension
+        of it: ``dst.from_int``, since the values of Q and of F_p are numbers
+        every extension reads as they are."""
+        return dst.from_int
+
     @cached_property
     def row_arithmetic(self) -> tuple:
-        """The :class:`Echelon` row arithmetic, chosen once per instance."""
-        return _row_arithmetic(self)
+        """(entry, unit, clear) for the rows of an :class:`Echelon`.
+
+        entry(row) is a new row of the nonzero entries with the span of row.
+        unit(v, col) scales v to the entry one at col; it is None over Q,
+        whose rows stay fraction-free.  clear(v, prow, col) eliminates v at
+        col by the pivot row prow and returns the result, reusing v where it
+        can; stored rows are only ever passed as prow.  By default rows of
+        values in the field's own arithmetic.
+        """
+        return _code_arithmetic(self.sub, self.mul, self.inv)
 
     @cached_property
     def raw_arithmetic(self) -> tuple:
@@ -308,18 +414,27 @@ class RationalField(Field):
     def to_str(self, a) -> str:
         return str(a)
 
+    def extension(self, k: int) -> Field:
+        if _degree(k) > 1:
+            raise FieldError("base change along extensions of Q is out of scope")
+        return self
+
+    order = None
     # native Fraction + and * are exact: nothing to normalize
     raw_arithmetic = (operator.add, operator.mul, None)
+    # fraction-free integer rows, divided by their pivots only in Echelon.reduced
+    row_arithmetic = (_int_row, None, _clear)
 
 
 class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.order = p
         self.desc = FieldDesc(kind="prime-field", p=p, m=1)
         # native int + and *, unreduced until one % p per sum
         self.raw_arithmetic = (operator.add, operator.mul, p)
+        self.row_arithmetic = _residue_arithmetic(p)
 
     def zero(self):
         return 0
@@ -357,9 +472,8 @@ class PrimeField(Field):
     def elements(self) -> Iterable[int]:
         return range(self.p)
 
-    @property
-    def order(self) -> int:
-        return self.p
+    def extension(self, k: int) -> Field:
+        return self if _degree(k) == 1 else finite_field(self.p, k)
 
 
 # Fields of at most this many elements do their arithmetic through tables
@@ -446,6 +560,34 @@ class ExtensionField(Field):
     def elements(self) -> Iterable[int]:
         """All field elements in integer-encoding order (c_0 least significant)."""
         return range(self.order)
+
+    def extension(self, k: int) -> Field:
+        return self if _degree(k) == 1 else finite_field(self.p, self.m * k)
+
+    def embedding(self, dst: Field) -> Callable:
+        """The canonical map into dst = F_{p^n}, m | n: the generator goes to
+        the first root (in code order) of the minimal polynomial in dst.  The
+        roots lie in the subfield of order p^m, whose nonzero elements are the
+        powers of beta = gamma^((q-1)/(p^m-1)) for a primitive gamma of dst;
+        they are the m Frobenius conjugates r^(p^i) of any one root."""
+        add, mul, from_int = dst.add, dst.mul, dst.from_int
+
+        def horner(digits, x):
+            acc = dst.zero()
+            for c in reversed(digits):
+                acc = add(mul(acc, x), from_int(c))
+            return acc
+
+        beta = dst.pow(dst.primitive_element(), (dst.order - 1) // (self.order - 1))
+        x = dst.one()
+        for _ in range(self.order - 1):
+            if dst.is_zero(horner(self.minpoly, x)):
+                break
+            x = mul(x, beta)
+        else:
+            raise FieldError("minimal polynomial has no root in the target field")
+        root = min(dst.pow(x, self.p ** i) for i in range(self.m))
+        return lambda c: horner(self.coeffs(c), root)
 
     # -- digit arithmetic ---------------------------------------------------
 
@@ -708,10 +850,10 @@ class Echelon:
     dicts from sortable keys (columns) to coefficients.
 
     The pivot of a row is its smallest key.  Rows are stored as dicts of
-    their nonzero entries, in the row arithmetic of :func:`_row_arithmetic`,
-    chosen once per field: sparse integer rows over Q (fraction-free, content
-    1) and F_p (residues, pivot entry one), element codes over F_{p^m}
-    (pivot entry one).  :meth:`reduce` is the one forward loop and inserts
+    their nonzero entries, in the field's :attr:`Field.row_arithmetic`:
+    sparse integer rows over Q (fraction-free, content 1) and F_p
+    (residues, pivot entry one), element codes over F_{p^m} (pivot entry
+    one).  :meth:`reduce` is the one forward loop and inserts
     nothing; :meth:`add` is reduce plus :meth:`store`.  :meth:`reduced` is
     the one back-substitution, with the same :attr:`clear`.  A stored row is
     never changed, so :meth:`copy` shares them.
@@ -781,101 +923,6 @@ class Echelon:
             else:
                 out[pc] = {c: v[c] for c in sorted(v)}
         return out
-
-
-def _row_arithmetic(field: Field) -> tuple:
-    """(entry, unit, clear) for the rows of an :class:`Echelon` over field.
-
-    entry(row) is a new row of the nonzero entries with the span of row.
-    unit(v, col) scales v to the entry one at col; it is None over Q, whose
-    rows stay fraction-free.  clear(v, prow, col) eliminates v at col by the
-    pivot row prow and returns the result, reusing v where it can; stored
-    rows are only ever passed as prow.
-    """
-    if isinstance(field, RationalField):
-        return _int_row, None, _clear
-    if isinstance(field, PrimeField):
-        return _residue_arithmetic(field.p)
-    return _code_arithmetic(field.sub, field.mul, field.inv)
-
-
-def _int_row(row: dict) -> dict:
-    """The sparse integer row {column: int} with the span of a row over Q:
-    denominators cleared, content divided out, nonzero entries only (empty
-    for a zero row)."""
-    nz = {c: a for c, a in row.items() if a}
-    if not nz:
-        return nz
-    den = lcm(*[a.denominator for a in nz.values()])
-    out = {c: a.numerator * (den // a.denominator) for c, a in nz.items()}
-    g = gcd(*out.values())
-    return {c: x // g for c, x in out.items()} if g > 1 else out
-
-
-def _clear(v: dict, prow: dict, col) -> dict:
-    """v cleared at col by the pivot row prow, both sparse integer rows over
-    Q: the fraction-free combination (lead/g)*v - (x/g)*prow, with
-    g = gcd(lead, x), divided by its content."""
-    x, lead = v[col], prow[col]
-    g = gcd(lead, x)
-    a, b = lead // g, x // g
-    if a != 1:
-        v = {i: a * y for i, y in v.items()}
-    for i, y in prow.items():
-        z = v.get(i, 0) - b * y
-        if z:
-            v[i] = z
-        else:
-            del v[i]
-    g = gcd(*v.values())
-    return {i: y // g for i, y in v.items()} if g > 1 else v
-
-
-def _residue_arithmetic(p: int) -> tuple:
-    """Sparse integer rows over F_p: residues in [0, p), v - x*prow in place."""
-
-    def entry(row: dict) -> dict:
-        return {c: r for c, a in row.items() if (r := a % p)}
-
-    def unit(v: dict, col) -> dict:
-        inv = pow(v[col], -1, p)
-        return {i: x * inv % p for i, x in v.items()}
-
-    def clear(v: dict, prow: dict, col) -> dict:
-        x = v[col]
-        for i, y in prow.items():
-            z = (v.get(i, 0) - x * y) % p
-            if z:
-                v[i] = z
-            else:
-                del v[i]
-        return v
-
-    return entry, unit, clear
-
-
-def _code_arithmetic(sub, mul, inv) -> tuple:
-    """Rows of F_{p^m} codes (zero is the code 0) in the field's arithmetic:
-    v - x*prow in place."""
-
-    def entry(row: dict) -> dict:
-        return {c: x for c, x in row.items() if x}
-
-    def unit(v: dict, col) -> dict:
-        a = inv(v[col])
-        return {i: mul(a, x) for i, x in v.items()}
-
-    def clear(v: dict, prow: dict, col) -> dict:
-        x = v[col]
-        for i, y in prow.items():
-            z = sub(v.get(i, 0), mul(x, y))
-            if z:
-                v[i] = z
-            else:
-                del v[i]
-        return v
-
-    return entry, unit, clear
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -15,7 +15,11 @@ outcome, since bigger coefficient fields might still glue the two algebras.
 The allowed extensions are a ladder over one effort: rung k searches both
 algebras with their extension degree multiplied by k, for k up to
 ext_degree_max over F_q; over Q, where base change is out of scope, the
-ladder is one rung.
+ladder is one rung.  Base change is the field's own operation: the field of
+degree k over the coefficients is `Field.extension(k)`, and the scalars go
+into it through `Field.embedding`, so this module names no field kind; where
+Q and F_q part ways (the ladder, the candidate lists, the checks of a
+witness's extension) it reads `Field.order`, None for Q.
 
 Over finite fields the search enumerates candidate images of the source
 variables in a deterministic integer-encoding order: linear images first
@@ -68,14 +72,7 @@ from .artin import (
     socle_dimension,
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
-from .exactcore import (
-    Echelon,
-    ExactMatrix,
-    Field,
-    PrimeField,
-    RationalField,
-    finite_field,
-)
+from .exactcore import Echelon, ExactMatrix, Field
 from .poly import Monomial, TruncatedQuotient, monomials_of_degree
 from .presentation import poly_to_str
 
@@ -220,46 +217,6 @@ def find_separator(A: ArtinAlgebra, B: ArtinAlgebra,
 # base change
 
 
-def embed_scalar(src: Field, dst: Field, root, c):
-    """Image of c under the embedding sending the source generator to root."""
-    if isinstance(src, PrimeField):
-        return dst.from_int(c)
-    out = dst.zero()
-    for coeff in reversed(src.coeffs(c)):
-        out = dst.add(dst.mul(out, root), dst.from_int(coeff))
-    return out
-
-
-def embedding_root(src: Field, dst: Field):
-    """First root (in element-encoding order) of the source minimal polynomial
-    inside the destination field; defines the canonical embedding.
-
-    The roots lie in the subfield of order p^m, whose nonzero elements are
-    the powers of beta = gamma^((q-1)/(p^m-1)) for a primitive gamma of the
-    destination; they are the m Frobenius conjugates r^(p^i) of any one root.
-    """
-    if isinstance(src, PrimeField):
-        return dst.one()
-    mp = src.desc.minpoly
-
-    def value(x):
-        acc = dst.zero()
-        for coeff in reversed(mp):
-            acc = dst.add(dst.mul(acc, x), dst.from_int(coeff))
-        return acc
-
-    beta = dst.pow(dst.primitive_element(), (dst.order - 1) // (src.order - 1))
-    x = dst.one()
-    for _ in range(src.order - 1):
-        if dst.is_zero(value(x)):
-            conjugates = [x]
-            for _ in range(src.m - 1):
-                conjugates.append(dst.pow(conjugates[-1], src.p))
-            return min(conjugates)
-        x = dst.mul(x, beta)
-    raise FieldError("minimal polynomial has no root in the target field")
-
-
 def _map_scalars(A: ArtinAlgebra, dst: Field, emb) -> ArtinAlgebra:
     """A with every scalar (normal forms, relations, tuple images) sent
     through emb into dst; basis, truncation and origin are kept."""
@@ -277,16 +234,24 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     """Extend coefficients from F_{p^m} to F_{p^{m'}} (m | m'); the basis,
     normal forms, and every rank-type invariant are unchanged."""
     f = A.field
-    if isinstance(f, RationalField):
+    if f.order is None:
         raise FieldError("base change along extensions of Q is out of scope")
     m = f.desc.m
+    if not isinstance(m_prime, int) or m_prime < 1:
+        raise FieldError(f"extension degree must be a positive integer, got {m_prime!r}")
     if m_prime % m != 0:
         raise FieldError(f"extension degree {m_prime} is not a multiple of {m}")
-    if m_prime == m:
-        return A
-    dst = finite_field(f.p, m_prime)
-    root = embedding_root(f, dst)
-    return _map_scalars(A, dst, lambda c: embed_scalar(f, dst, root, c))
+    return _extend(A, m_prime // m)
+
+
+def _extend(A: ArtinAlgebra, k: int) -> ArtinAlgebra:
+    """A over the field of degree k over its own, the base change a witness
+    records: the field names that field and maps the scalars into it, and
+    raises FieldError for a k that is not a positive int, or is above 1
+    over Q."""
+    f = A.field
+    dst = f.extension(k)
+    return A if dst is f else _map_scalars(A, dst, f.embedding(dst))
 
 
 # An exact plan over the exponents a_0, a_1, ... its terms meet: for
@@ -385,10 +350,7 @@ class Witness:
 def witness_field(B: ArtinAlgebra, w: Witness) -> Field:
     """The field the coordinates of w's images lie in: B's field after the
     base change w records."""
-    f = B.field
-    if w.ext_multiple == 1:
-        return f
-    return finite_field(f.p, f.desc.m * w.ext_multiple)
+    return B.field.extension(w.ext_multiple)
 
 
 @dataclass
@@ -414,16 +376,6 @@ def apply_linear_map(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
                      v: Sparse) -> Sparse:
     """Image of the element v of A under the monomial map `image` into B."""
     return B.combine(((A.basis[i], c) for i, c in v), image)
-
-
-def _extend(A: ArtinAlgebra, ext_multiple: int) -> ArtinAlgebra:
-    """A with its extension degree multiplied by ext_multiple, the base
-    change a witness records."""
-    if ext_multiple == 1:
-        return A
-    if isinstance(A.field, RationalField):
-        raise FieldError("rational witnesses never carry an extension")
-    return base_change(A, A.field.desc.m * ext_multiple)
 
 
 def _maps_relations(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
@@ -473,7 +425,7 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     images go to B's, and the induced linear map is bijective.  A base
     change that is not a positive int, or any over Q, is rejected."""
     m = w.ext_multiple
-    if not isinstance(m, int) or m < 1 or (m > 1 and isinstance(A.field, RationalField)):
+    if not isinstance(m, int) or m < 1 or (m > 1 and A.field.order is None):
         return False
     A, B = _extend(A, m), _extend(B, m)
     if A.dim != B.dim:
@@ -537,11 +489,12 @@ class SearchBudget:
     effort: int = 1_000_000
 
     def __post_init__(self):
-        if self.ext_degree_max < 1:
-            raise RangeError(f"extension degree bound must be at least 1, "
-                             f"got {self.ext_degree_max}")
-        if self.effort < 0:
-            raise RangeError(f"search effort must be nonnegative, got {self.effort}")
+        if not isinstance(self.ext_degree_max, int) or self.ext_degree_max < 1:
+            raise RangeError(f"extension degree bound must be an integer of at least 1, "
+                             f"got {self.ext_degree_max!r}")
+        if not isinstance(self.effort, int) or self.effort < 0:
+            raise RangeError(f"search effort must be a nonnegative integer, "
+                             f"got {self.effort!r}")
 
 
 def _precedes(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
@@ -871,7 +824,7 @@ class _Searcher:
                 if self._check(images):
                     return Witness(images=images), False
         self.late_check()
-        if isinstance(self.field, RationalField):
+        if self.field.order is None:
             return self._scaled_search(), False  # rational search is never exhaustive
         coords = self.lin_idx if graded else self.max_idx
         seen_all = self.field.order ** (self.A.nvars * len(coords)) <= self.effort_left
@@ -927,7 +880,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     one effort."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
-    rational = isinstance(f, RationalField)
+    rational = f.order is None
     m0, rungs = (1, 1) if rational else (f.desc.m, budget.ext_degree_max)
     effort_left = budget.effort
     exhausted_all, ran_out = True, False

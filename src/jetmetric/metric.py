@@ -78,8 +78,7 @@ def _field_gate(p: Presentation, q: Presentation) -> Optional[DistanceVerdict]:
     fields of equal characteristic; an error across characteristics."""
     if p.field == q.field:
         return None
-    ca = 0 if p.field.kind == "rationals" else p.field.p
-    cb = 0 if q.field.kind == "rationals" else q.field.p
+    ca, cb = p.field.characteristic, q.field.characteristic
     if ca != cb:
         raise CrossCharacteristicError(
             f"cannot compare characteristic {ca} with characteristic {cb}")

@@ -18,7 +18,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
-from .exactcore import ExactMatrix, Field, PrimeField, rank_gf2
+from .exactcore import ExactMatrix, Field, rank_gf2
 
 Monomial = tuple[int, ...]
 # an element of a quotient as the ascending list of its nonzero
@@ -263,7 +263,7 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
             raise NonHomogeneousError("generator mixes degrees")
     cols = monomials_of_degree(nvars, d)
     index = {m: i for i, m in enumerate(cols)}
-    use_gf2 = isinstance(field, PrimeField) and field.p == 2
+    use_gf2 = field.order == 2
     rows_int: list[int] = []
     rows_gen: list[dict] = []
     for g in gens:

@@ -19,6 +19,7 @@ from jetmetric.exactcore import (
     Field,
     FieldDesc,
     PrimeField,
+    TABLE_MAX_ORDER,
     RrefResult,
     _fp_is_irreducible,
     _fp_mod,
@@ -99,11 +100,19 @@ def test_raw_arithmetic_defaults_to_the_field_methods():
     assert F16.raw_arithmetic == (F16.add, F16.mul, None)
 
 
-@pytest.mark.parametrize("module", ["artin", "resolution"])
+# every module but the one that defines the field kinds, the parser that
+# reads field names and the CLI that prints extension-field digits
+FIELD_BLIND_MODULES = sorted(
+    path.stem for path in Path(exactcore.__file__).parent.glob("*.py")
+    if path.stem not in ("exactcore", "presentation", "cli"))
+
+
+@pytest.mark.parametrize("module", FIELD_BLIND_MODULES)
 def test_only_exactcore_chooses_raw_arithmetic(module):
-    # artin and resolution take their sums of products from the field's
-    # raw_arithmetic: they name no field kind (the Field interface they
-    # annotate with is not one), so they import none and test none
+    # these modules take their arithmetics, extensions, embeddings and
+    # orders from the Field interface: they name no field kind (the Field
+    # interface they annotate with is not one), so they import none and
+    # test none
     path = Path(exactcore.__file__).with_name(f"{module}.py")
     tree = ast.parse(path.read_text())
     classes = {name for name, obj in vars(exactcore).items()
@@ -114,6 +123,94 @@ def test_only_exactcore_chooses_raw_arithmetic(module):
             assert not classes & {a.name for a in node.names}, node.lineno
         if isinstance(node, ast.Name):
             assert node.id not in classes, node.lineno
+
+
+def _reference_embed_scalar(src, dst, root, c):
+    """Image of c under the embedding sending the source generator to root."""
+    if isinstance(src, PrimeField):
+        return dst.from_int(c)
+    out = dst.zero()
+    for coeff in reversed(src.coeffs(c)):
+        out = dst.add(dst.mul(out, root), dst.from_int(coeff))
+    return out
+
+
+def _reference_embedding_root(src, dst):
+    """First root (in element-encoding order) of the source minimal polynomial
+    inside the destination field; defines the canonical embedding.
+
+    The roots lie in the subfield of order p^m, whose nonzero elements are
+    the powers of beta = gamma^((q-1)/(p^m-1)) for a primitive gamma of the
+    destination; they are the m Frobenius conjugates r^(p^i) of any one root.
+    """
+    if isinstance(src, PrimeField):
+        return dst.one()
+    mp = src.desc.minpoly
+
+    def value(x):
+        acc = dst.zero()
+        for coeff in reversed(mp):
+            acc = dst.add(dst.mul(acc, x), dst.from_int(coeff))
+        return acc
+
+    beta = dst.pow(dst.primitive_element(), (dst.order - 1) // (src.order - 1))
+    x = dst.one()
+    for _ in range(src.order - 1):
+        if dst.is_zero(value(x)):
+            conjugates = [x]
+            for _ in range(src.m - 1):
+                conjugates.append(dst.pow(conjugates[-1], src.p))
+            return min(conjugates)
+        x = dst.mul(x, beta)
+    raise FieldError("minimal polynomial has no root in the target field")
+
+
+def _embedding_pairs():
+    # every (source, destination) pair of table-sized fields with m | n, one
+    # pair in digit arithmetic, and a source with a minimal polynomial other
+    # than the canonical one
+    pairs = [(finite_field(p, m), finite_field(p, n))
+             for p in range(2, 65) if exactcore._is_prime(p)
+             for n in range(2, 13) if p**n <= TABLE_MAX_ORDER
+             for m in range(1, n + 1) if n % m == 0]
+    pairs.append((finite_field(3, 4), finite_field(3, 8)))
+    pairs.append((ExtensionField(2, 4, (1, 0, 0, 1, 1)), finite_field(2, 8)))
+    return pairs
+
+
+def test_embedding_matches_the_reference_on_every_element():
+    rng = random.Random(20260814)
+    pairs = _embedding_pairs()
+    assert len(pairs) > 90
+    for src, dst in pairs:
+        emb = src.embedding(dst)
+        root = _reference_embedding_root(src, dst)
+        assert [emb(c) for c in src.elements()] == \
+            [_reference_embed_scalar(src, dst, root, c) for c in src.elements()], (src, dst)
+        for _ in range(20):
+            a, b = rng.randrange(src.order), rng.randrange(src.order)
+            assert emb(src.add(a, b)) == dst.add(emb(a), emb(b)), (src, dst, a, b)
+            assert emb(src.mul(a, b)) == dst.mul(emb(a), emb(b)), (src, dst, a, b)
+
+
+def test_extension_names_the_field_of_degree_k_over_this_one():
+    Q, F3, F4 = rationals(), finite_field(3, 1), finite_field(2, 2)
+    assert F4.extension(2) is finite_field(2, 4)
+    assert F3.extension(2) is finite_field(3, 2)
+    assert Q.extension(1) is Q and F3.extension(1) is F3 and F4.extension(1) is F4
+    # a field with its own minimal polynomial is its own extension of degree 1
+    G = ExtensionField(2, 4, (1, 0, 0, 1, 1))
+    assert G.extension(1) is G and G.extension(2) is finite_field(2, 8)
+    with pytest.raises(FieldError, match="base change along extensions of Q is out of scope"):
+        Q.extension(2)
+    assert (Q.order, F3.order, F4.order) == (None, 3, 4)
+
+
+@pytest.mark.parametrize("k", [0, -2, 2.0, "2", None])
+def test_extension_refuses_a_degree_that_is_not_a_positive_int(k):
+    for f in (rationals(), PrimeField(3), finite_field(2, 2)):
+        with pytest.raises(FieldError, match="positive integer"):
+            f.extension(k)
 
 
 def test_extension_field_f4():

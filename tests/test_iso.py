@@ -18,7 +18,6 @@ from jetmetric.iso import (
     apply_linear_map,
     base_change,
     decide_isomorphism,
-    embedding_root,
     find_separator,
     invariant_signature,
     invert_witness,
@@ -27,7 +26,7 @@ from jetmetric.iso import (
     verify_witness,
     witness_field,
 )
-from jetmetric.errors import RangeError
+from jetmetric.errors import FieldError, RangeError
 from jetmetric.exactcore import (TABLE_MAX_ORDER, ExactMatrix, PrimeField, RationalField, _is_prime,
                                  finite_field)
 from jetmetric.poly import Poly, monomials_of_degree
@@ -449,7 +448,8 @@ def test_embedding_root_matches_scan_of_the_whole_field():
     assert len(cases) > 30
     for p, m, n in cases:
         src, dst = finite_field(p, m), finite_field(p, n)
-        assert embedding_root(src, dst) == _first_root_by_scan(src, dst), (p, m, n)
+        root = src.embedding(dst)(src.generator())
+        assert root == _first_root_by_scan(src, dst), (p, m, n)
 
 
 def test_base_change_preserves_hilbert_function():
@@ -459,6 +459,42 @@ def test_base_change_preserves_hilbert_function():
     from jetmetric.artin import hf_by_degree_count
     assert hf_by_degree_count(A4) == hf_by_degree_count(A)
     assert A4.field.order == 4
+
+
+@pytest.mark.parametrize("m_prime", [-2, 2.0, 0])
+def test_base_change_refuses_a_degree_that_is_not_a_positive_int(m_prime):
+    A = jet(parse_presentation("ring F_2[x, y]\ngraded\nideal: x^2 + x*y"), 3)
+    with pytest.raises(FieldError, match="extension degree must be a positive integer"):
+        base_change(A, m_prime)
+
+
+def test_base_change_errors_are_pinned():
+    Q = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 + y^2"), 3)
+    with pytest.raises(FieldError, match="^base change along extensions of Q is out of scope$"):
+        base_change(Q, 2)
+    F4 = base_change(jet(parse_presentation("ring F_2[x, y]\ngraded\nideal: x*y"), 3), 2)
+    with pytest.raises(FieldError, match="^extension degree 3 is not a multiple of 2$"):
+        base_change(F4, 3)
+    # a witness's extension over Q meets the same refusal, from the field
+    with pytest.raises(FieldError, match="^base change along extensions of Q is out of scope$"):
+        iso._extend(Q, 2)
+    assert not verify_witness(Q, Q, Witness(images=[[(1, 1)], [(2, 1)]], ext_multiple=2))
+
+
+def test_extending_an_f4_algebra_by_2_is_base_change_to_f16():
+    text = "ring F_2^2 minpoly a^2 + a + 1 [x, y]\ngraded\nideal: x^2 + a*y^2, x*y^2"
+    A = jet(parse_presentation(text), 4)
+    E, B = iso._extend(A, 2), base_change(A, 4)
+    assert E.field is B.field is finite_field(2, 4)
+    assert (E.basis, E.nf, E.relations) == (B.basis, B.nf, B.relations)
+    assert E.nf != {mono: list(v) for mono, v in A.nf.items()}
+    assert witness_field(A, Witness(images=[], ext_multiple=2)) is finite_field(2, 4)
+
+
+@pytest.mark.parametrize("bad", [{"ext_degree_max": 2.0}, {"effort": 10.5}])
+def test_search_budget_refuses_bounds_that_are_not_ints(bad):
+    with pytest.raises(RangeError, match="integer"):
+        SearchBudget(**bad)
 
 
 def test_search_budget_rejects_out_of_range_bounds():
