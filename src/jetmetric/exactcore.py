@@ -8,9 +8,11 @@ object, so hot loops never pay for per-element wrappers: ``Fraction`` over Q,
 c_0 + c_1 p + ... + c_{m-1} p^{m-1} of c_0 + c_1 a + ... + c_{m-1} a^{m-1}.
 Extension fields of at most TABLE_MAX_ORDER elements compute through
 log/antilog and Zech tables built once per field; larger ones through
-base-p digit arithmetic.  :func:`field_from_desc` builds each field once.
-Sums of products normalized once at the end (products and maps of algebra
-elements, resolution product rows) take their arithmetic from one place,
+base-p digit arithmetic.  A field is its own description (its ``p``, ``m``
+and :meth:`Field.label`; it compares and hashes on its ``key``), and
+:func:`finite_field` builds each finite field once.  Sums of products
+normalized once at the end (products and maps of algebra elements,
+resolution product rows) take their arithmetic from one place,
 :attr:`Field.raw_arithmetic`: native ``+`` and ``*`` over Q and over F_p
 (unreduced, one ``% p`` per sum), the field's own ``add`` and ``mul`` for
 every other kind.
@@ -40,41 +42,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import FieldError
-
-# ---------------------------------------------------------------------------
-# field descriptions
-
-
-@dataclass(frozen=True)
-class FieldDesc:
-    """Serializable description of a coefficient field.
-
-    kind is one of "rationals", "prime-field", "extension-field"; p/m/minpoly
-    are populated for the finite kinds.  minpoly is the coefficient tuple
-    (c_0, ..., c_{m-1}) of the monic minimal polynomial c_0 + c_1 a + ... + a^m.
-    """
-
-    kind: str
-    p: int | None = None
-    m: int | None = None
-    minpoly: tuple[int, ...] | None = None
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "rationals" else int(self.p)  # type: ignore[arg-type]
-
-    def label(self) -> str:
-        if self.kind == "rationals":
-            return "Q"
-        if self.kind == "prime-field":
-            return f"F_{self.p}"
-        return f"F_{self.p}^{self.m}"
-
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, 2015); larger characteristics are refused.
@@ -228,9 +200,10 @@ def _degree(k) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
 def canonical_minpoly(p: int, m: int) -> tuple[int, ...]:
-    """First irreducible monic polynomial of degree m over F_p, by integer encoding."""
+    """First irreducible monic polynomial of degree m over F_p, by integer
+    encoding.  Not cached: the field built with it keeps it, and
+    :func:`finite_field` keeps that field."""
     for cand in _fp_monic_polys(m, p):
         if _fp_is_irreducible(cand, p):
             return tuple(cand)
@@ -321,9 +294,17 @@ def _code_arithmetic(sub, mul, inv) -> tuple:
 
 
 class Field:
-    """Arithmetic on raw field-element values; subclasses fix the representation."""
+    """Arithmetic on raw field-element values; subclasses fix the representation.
 
-    desc: FieldDesc
+    A field is its own description: p and m are None over Q, p and 1 over
+    F_p, and fields compare and hash on their key, () for Q, (p,) for F_p
+    and (p, m, minpoly) for F_{p^m}, minpoly the coefficient tuple
+    (c_0, ..., c_{m-1}, 1) of the monic minimal polynomial.
+    """
+
+    p: int | None
+    m: int | None
+    key: tuple
     order: int | None           # the number of elements, None for Q
 
     # subclasses implement: zero one add sub neg mul inv is_zero from_int to_str extension
@@ -364,14 +345,23 @@ class Field:
         unless it is None.  By default the field's own add and mul."""
         return self.add, self.mul, None
 
+    @property
+    def characteristic(self) -> int:
+        return self.p or 0
+
+    def label(self) -> str:
+        if self.p is None:
+            return "Q"
+        return f"F_{self.p}" if self.m == 1 else f"F_{self.p}^{self.m}"
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self.desc == other.desc
+        return isinstance(other, Field) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.desc)
+        return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"Field({self.desc.label()})"
+        return f"Field({self.label()})"
 
 
 # Fractions are immutable, so every zero the rationals hand out can be one object.
@@ -379,8 +369,8 @@ _ZERO = Fraction(0)
 
 
 class RationalField(Field):
-    def __init__(self):
-        self.desc = FieldDesc(kind="rationals")
+    p = m = order = None
+    key = ()
 
     def zero(self):
         return _ZERO
@@ -419,7 +409,6 @@ class RationalField(Field):
             raise FieldError("base change along extensions of Q is out of scope")
         return self
 
-    order = None
     # native Fraction + and * are exact: nothing to normalize
     raw_arithmetic = (operator.add, operator.mul, None)
     # fraction-free integer rows, divided by their pivots only in Echelon.reduced
@@ -431,7 +420,8 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = self.order = p
-        self.desc = FieldDesc(kind="prime-field", p=p, m=1)
+        self.m = 1
+        self.key = (p,)
         # native int + and *, unreduced until one % p per sum
         self.raw_arithmetic = (operator.add, operator.mul, p)
         self.row_arithmetic = _residue_arithmetic(p)
@@ -486,6 +476,16 @@ class PrimeField(Field):
 # through the tables.
 TABLE_MAX_ORDER = 1 << 12
 
+# Extension fields of more elements are refused before their minimal
+# polynomial is searched for or tested.  The search for the canonical one
+# tries candidates in code order and can run through p of them (when no
+# binomial is irreducible), Rabin's test of each costing about m^3 log p:
+# at most 0.45 s for every p^m up to this bound (the worst, F_1613^3;
+# F_2^32 0.33 s) on a 2-core Xeon host, against 11 s for F_32003^4 and
+# no end within 100 s for F_3^128.  Rabin's test of a given polynomial
+# takes at most 3 ms up to the bound (F_2^32).
+EXTENSION_MAX_ORDER = 1 << 32
+
 
 class ExtensionField(Field):
     """F_{p^m} = F_p[a]/(minpoly) with elements as integer codes.
@@ -505,6 +505,9 @@ class ExtensionField(Field):
             raise FieldError(f"{p} is not prime")
         if m < 2:
             raise FieldError("extension degree must be at least 2 (use a prime field)")
+        # p^m >= 2^m, past the bound for every m beyond its bit length
+        if m >= EXTENSION_MAX_ORDER.bit_length() or p**m > EXTENSION_MAX_ORDER:
+            raise FieldError(f"F_{p}^{m} has more than {EXTENSION_MAX_ORDER} elements")
         if minpoly is None:
             minpoly = canonical_minpoly(p, m)
         mp = tuple(c % p for c in minpoly)
@@ -516,7 +519,7 @@ class ExtensionField(Field):
         self.m = m
         self.minpoly = mp
         self.order = p**m
-        self.desc = FieldDesc(kind="extension-field", p=p, m=m, minpoly=mp)
+        self.key = (p, m, mp)
         self._init_digits()
         self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
         self.mul, self.inv = self._mul_digits, self._inv_digits
@@ -740,38 +743,26 @@ def _identity(a):
 
 
 _RATIONALS = RationalField()
-_FIELDS: dict[FieldDesc, Field] = {}
+_FIELDS: dict[tuple, Field] = {}
 
 
 def rationals() -> RationalField:
     return _RATIONALS
 
 
-def field_from_desc(desc: FieldDesc) -> Field:
-    """The field a description names, built once per description: an
-    extension field's irreducibility check and tables cost far more than
-    the arithmetic of a typical caller."""
-    got = _FIELDS.get(desc)
+def finite_field(p: int, m: int, minpoly: Sequence[int] | None = None) -> Field:
+    """F_{p^m} with the monic minimal polynomial minpoly (coefficients
+    c_0, ..., c_m), by default the canonical one; the prime field for m = 1
+    with none.  Each field is built once, under its key and under the
+    arguments that named it: an extension field's irreducibility check and
+    tables cost far more than the arithmetic of a typical caller."""
+    args = (p, m, None if minpoly is None else tuple(minpoly))
+    got = _FIELDS.get(args)
     if got is None:
-        if desc.kind == "rationals":
-            got = _RATIONALS
-        elif desc.kind == "prime-field":
-            got = PrimeField(desc.p)  # type: ignore[arg-type]
-        elif desc.kind == "extension-field":
-            got = ExtensionField(desc.p, desc.m, desc.minpoly)  # type: ignore[arg-type]
-        else:
-            raise FieldError(f"unknown field kind {desc.kind!r}")
-        got = _FIELDS.setdefault(got.desc, got)
-        _FIELDS[desc] = got
+        got = PrimeField(p) if m == 1 and minpoly is None else ExtensionField(p, m, minpoly)
+        got = _FIELDS.setdefault(got.key, got)
+        _FIELDS[args] = got
     return got
-
-
-def finite_field(p: int, m: int) -> Field:
-    """F_{p^m} with the canonical minimal polynomial; the prime field for m = 1."""
-    if m == 1:
-        return field_from_desc(FieldDesc(kind="prime-field", p=p, m=1))
-    return field_from_desc(FieldDesc(kind="extension-field", p=p, m=m,
-                                     minpoly=canonical_minpoly(p, m)))
 
 
 # ---------------------------------------------------------------------------

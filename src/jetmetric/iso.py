@@ -236,7 +236,7 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     f = A.field
     if f.order is None:
         raise FieldError("base change along extensions of Q is out of scope")
-    m = f.desc.m
+    m = f.m
     if not isinstance(m_prime, int) or m_prime < 1:
         raise FieldError(f"extension degree must be a positive integer, got {m_prime!r}")
     if m_prime % m != 0:
@@ -539,19 +539,15 @@ class _Separated(Exception):
 
 
 def _late_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Callable[[], None]:
-    """The check the search runs once the identity and the permutations have
-    failed: the first call compares the last of `INVARIANTS` on A and B, in
-    the caller's order and before any base change, and raises _Separated
-    when it differs; later calls do nothing."""
-    pending = True
+    """The check rung 1 of the search runs once the identity and the
+    permutations have failed: it compares the last of `INVARIANTS` on A and
+    B, in the caller's order and before any base change, and raises
+    _Separated when it differs."""
 
     def check() -> None:
-        nonlocal pending
-        if pending:
-            pending = False
-            sep = find_separator(A, B, INVARIANTS[-1:])
-            if sep is not None:
-                raise _Separated(sep)
+        sep = find_separator(A, B, INVARIANTS[-1:])
+        if sep is not None:
+            raise _Separated(sep)
     return check
 
 
@@ -843,9 +839,9 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     """
     if budget is None:
         budget = SearchBudget()
-    if A.field.desc != B.field.desc:
+    if A.field != B.field:
         raise FieldMismatchError(
-            f"cannot compare algebras over {A.field.desc.label()} and {B.field.desc.label()}")
+            f"cannot compare algebras over {A.field.label()} and {B.field.label()}")
     sep = find_separator(A, B, _EAGER)
     if sep is None and match_tuples:
         ta, tb = A.tuple_images or [], B.tuple_images or []
@@ -877,16 +873,17 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
                      match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
     """The extension ladder: rung k searches A and B extended by k, for
     k = 1..ext_degree_max over F_q and k = 1 over Q, all rungs drawing on
-    one effort."""
+    one effort.  Only rung 1 runs late_check: a later rung runs only after
+    rung 1 went past its permutations with effort left, so past the check."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
     rational = f.order is None
-    m0, rungs = (1, 1) if rational else (f.desc.m, budget.ext_degree_max)
+    m0, rungs = (1, 1) if rational else (f.m, budget.ext_degree_max)
     effort_left = budget.effort
     exhausted_all, ran_out = True, False
     for k in range(1, rungs + 1):
         searcher = _Searcher(_extend(A, k), _extend(B, k), effort_left, match_tuples,
-                             late_check)
+                             late_check if k == 1 else lambda: None)
         try:
             w, seen_all = searcher.run(graded)
         except _EffortExceeded:

@@ -173,7 +173,7 @@ class Poly:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.field.desc, self.nvars, tuple(self.sorted_terms())))
+        return hash((self.field, self.nvars, tuple(self.sorted_terms())))
 
     def __repr__(self) -> str:
         return f"Poly({self.terms})"

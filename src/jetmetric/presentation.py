@@ -30,15 +30,7 @@ from .errors import (
     PresentationSyntaxError,
     RangeError,
 )
-from .exactcore import (
-    ExtensionField,
-    Field,
-    FieldDesc,
-    PrimeField,
-    RationalField,
-    field_from_desc,
-    rationals,
-)
+from .exactcore import ExtensionField, Field, RationalField, finite_field, rationals
 from .poly import DEFAULT_CAPACITY, Poly
 
 
@@ -393,7 +385,7 @@ class Presentation:
     """A finitely presented algebra k[x_1..x_r]/I with a grading mode and an
     optional deformation tuple."""
 
-    field: FieldDesc
+    field: Field
     vars: tuple[str, ...]
     gens: list[Poly]
     mode: str                      # "local" | "graded"
@@ -404,7 +396,7 @@ class Presentation:
         return len(self.vars)
 
     def base_field(self) -> Field:
-        return field_from_desc(self.field)
+        return self.field
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
@@ -438,16 +430,14 @@ def _parse_field(tokens: list[Token], i: int) -> tuple[Field, int]:
                                           tokens[i - 1].line, tokens[i - 1].col)
         i += 1
         # parse the minimal polynomial as a univariate expression in 'a' over F_p
-        base = PrimeField(p)
-        parser = _ExprParser(tokens, i, base, ("a",), allow_generator=False)
+        parser = _ExprParser(tokens, i, finite_field(p, 1), ("a",), allow_generator=False)
         mp_poly = parser.parse_expr()
         i = parser.i
         coeffs = [0] * (mp_poly.degree() + 1)
         for mono, c in mp_poly.terms.items():
             coeffs[mono[0]] = c
-        return field_from_desc(FieldDesc(kind="extension-field", p=p, m=deg,
-                                         minpoly=tuple(coeffs))), i
-    return PrimeField(p), i
+        return finite_field(p, deg, coeffs), i
+    return finite_field(p, 1), i
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -561,7 +551,7 @@ def parse_presentation(text: str) -> Presentation:
             if g.is_zero() or not fld.is_zero(g.constant_term()):
                 raise ConstantTermError("tuple entry must be nonzero with zero constant term")
 
-    return Presentation(field=fld.desc, vars=varnames, gens=gens, mode=mode, tuple=tup)
+    return Presentation(field=fld, vars=varnames, gens=gens, mode=mode, tuple=tup)
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +613,11 @@ def _minpoly_to_str(minpoly: Sequence[int]) -> str:
 
 def print_presentation(p: Presentation) -> str:
     """Canonical text form; parse_presentation inverts this exactly."""
-    d = p.field
-    if d.kind == "rationals":
-        ring = f"ring Q[{','.join(p.vars)}]"
-    elif d.kind == "prime-field":
-        ring = f"ring F_{d.p}[{','.join(p.vars)}]"
+    f, names = p.field, ",".join(p.vars)
+    if isinstance(f, ExtensionField):
+        ring = f"ring F_{f.p}^{f.m} minpoly {_minpoly_to_str(f.minpoly)} [{names}]"
     else:
-        ring = (f"ring F_{d.p}^{d.m} minpoly {_minpoly_to_str(d.minpoly)} "
-                f"[{','.join(p.vars)}]")
+        ring = f"ring {f.label()}[{names}]"
     lines = [ring, p.mode]
     if p.gens:
         lines.append("ideal: " + ", ".join(poly_to_str(g, p.vars) for g in p.gens))

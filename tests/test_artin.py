@@ -359,7 +359,7 @@ def _random_element(rng: random.Random, f, dim: int) -> list:
         zero = rng.random() < 1 / 3
         if isinstance(f, PrimeField):
             c = f.p * rng.randint(-2, 2) if zero else rng.randrange(-2 * f.p, 3 * f.p)
-        elif f.desc.kind == "rationals":
+        elif f.order is None:
             c = f.zero() if zero else Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         else:
             c = 0 if zero else rng.randrange(f.order)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -318,6 +319,18 @@ def test_oversized_power_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "PresentationSyntaxError"
+
+
+def test_extension_field_past_the_order_bound_exits_one_with_field_error(tmp_path):
+    # Rabin's test of this trinomial alone would take minutes; it never runs
+    big = tmp_path / "big.pres"
+    big.write_text("ring F_2^1000 minpoly a^1000 + a + 1 [x]\ngraded\nideal: x^2\n")
+    start = time.process_time()
+    code, out, _ = _capture(["jets", str(big), "--order", "2"])
+    assert time.process_time() - start < 0.5
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "FieldError", "message": "F_2^1000 has more than 4294967296 elements"}
 
 
 @pytest.mark.parametrize("argv", [

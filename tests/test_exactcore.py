@@ -17,7 +17,6 @@ from jetmetric.exactcore import (
     ExactMatrix,
     ExtensionField,
     Field,
-    FieldDesc,
     PrimeField,
     TABLE_MAX_ORDER,
     RrefResult,
@@ -25,7 +24,6 @@ from jetmetric.exactcore import (
     _fp_mod,
     _fp_monic_polys,
     canonical_minpoly,
-    field_from_desc,
     finite_field,
     rank_gf2,
     rationals,
@@ -125,6 +123,18 @@ def test_only_exactcore_chooses_raw_arithmetic(module):
             assert node.id not in classes, node.lineno
 
 
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in Path(exactcore.__file__).parent.glob("*.py") if path.stem != "exactcore"))
+def test_only_exactcore_constructs_fields(module):
+    # every field comes from finite_field or rationals(), so each is built once
+    path = Path(exactcore.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            assert name not in ("RationalField", "PrimeField", "ExtensionField"), node.lineno
+
+
 def _reference_embed_scalar(src, dst, root, c):
     """Image of c under the embedding sending the source generator to root."""
     if isinstance(src, PrimeField):
@@ -145,7 +155,7 @@ def _reference_embedding_root(src, dst):
     """
     if isinstance(src, PrimeField):
         return dst.one()
-    mp = src.desc.minpoly
+    mp = src.minpoly
 
     def value(x):
         acc = dst.zero()
@@ -347,9 +357,31 @@ def test_fields_above_the_table_bound_match_tuple_reference(p, m):
 
 
 def test_fields_are_built_once_per_description():
-    d = FieldDesc("extension-field", p=2, m=4, minpoly=canonical_minpoly(2, 4))
-    assert field_from_desc(d) is field_from_desc(d) is finite_field(2, 4)
-    assert finite_field(3, 1) is field_from_desc(FieldDesc("prime-field", p=3))
+    mp = canonical_minpoly(2, 4)
+    assert finite_field(2, 4, mp) is finite_field(2, 4, list(mp)) is finite_field(2, 4)
+    assert finite_field(3, 1) is finite_field(3, 1)
+    # a minimal polynomial given in other residues names the same field
+    assert finite_field(3, 2, (4, 0, -2)) is finite_field(3, 2, (1, 0, 1))
+
+
+# x^32 + x^7 + x^3 + x^2 + 1, irreducible over F_2
+F2_32_MINPOLY = (1, 0, 1, 1, 0, 0, 0, 1) + (0,) * 24 + (1,)
+
+
+def test_extension_fields_up_to_the_order_bound_build():
+    assert finite_field(2, 32, F2_32_MINPOLY).order == exactcore.EXTENSION_MAX_ORDER
+    assert finite_field(65521, 2).order <= exactcore.EXTENSION_MAX_ORDER
+
+
+@pytest.mark.parametrize("p,m,minpoly", [
+    (3, 128, None), (2**61 - 1, 64, None), (65537, 2, None), (2, 33, None),
+    (2, 1000, (1, 1) + (0,) * 998 + (1,)), (2, 10**12, None)])
+def test_extension_fields_past_the_order_bound_are_refused_at_once(p, m, minpoly):
+    # neither the canonical search nor Rabin's test runs
+    start = time.process_time()
+    with pytest.raises(FieldError, match=rf"^F_{p}\^{m} has more than 4294967296 elements$"):
+        finite_field(p, m, minpoly)
+    assert time.process_time() - start < 0.5
 
 
 def _irreducible_by_trial_division(poly, p):
@@ -382,11 +414,16 @@ def test_canonical_minpoly_is_deterministic_and_irreducible():
             assert val != 0
 
 
-def test_field_from_desc_roundtrip():
-    F = field_from_desc(FieldDesc("prime-field", p=5))
+def test_a_field_is_its_own_description():
+    Q, F, G = rationals(), finite_field(5, 1), finite_field(2, 4)
     assert isinstance(F, PrimeField) and F.p == 5
-    assert field_from_desc(FieldDesc("rationals")) == rationals()
-    assert FieldDesc("extension-field", p=2, m=4).label() == "F_2^4"
+    assert [(f.p, f.m, f.characteristic, f.label(), f.key) for f in (Q, F, G)] == [
+        (None, None, 0, "Q", ()), (5, 1, 5, "F_5", (5,)),
+        (2, 4, 2, "F_2^4", (2, 4, canonical_minpoly(2, 4)))]
+    # fields are equal, and hash alike, exactly when their keys are
+    assert PrimeField(5) == F and hash(PrimeField(5)) == hash(F) and F != Q
+    H = ExtensionField(2, 4, (1, 0, 0, 1, 1))
+    assert H != G and H.label() == G.label() and H == finite_field(2, 4, H.minpoly)
 
 
 def test_rref_known_matrix_over_q():

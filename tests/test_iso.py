@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
@@ -199,6 +200,25 @@ def test_iso_search_bounds_carry_no_stop_reason():
     v = _decide(jet(a, 3), jet(b, 3), SearchBudget(ext_degree_max=2, effort=400_000))
     assert v.status == "ISO"
     assert set(v.search_bounds) == {"ext_degree_tried", "candidates_tried", "space_exhausted"}
+
+
+def test_only_rung_one_runs_the_late_separator(monkeypatch):
+    # rung 1 goes past its permutations before rung 2 runs, so the last
+    # invariant is computed once on each algebra of the pair
+    name, last = iso.INVARIANTS[-1]
+    seen = []
+
+    def counted(A):
+        seen.append(A)
+        return last(A)
+    monkeypatch.setattr(iso, "INVARIANTS", iso.INVARIANTS[:-1] + ((name, counted),))
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    A, B = jet(a, 3), jet(b, 3)
+    v = decide_isomorphism(A, B, SearchBudget(ext_degree_max=3))
+    assert (v.status, v.witness.ext_multiple, v.search_bounds["candidates_tried"]) == \
+        ("ISO", 2, 1075)
+    assert len(seen) == 2 and {id(X) for X in seen} == {id(A), id(B)}
 
 
 def test_mismatched_fields_are_an_error():
@@ -434,7 +454,7 @@ def _first_root_by_scan(src, dst):
     # every element of dst in code order, the minimal polynomial evaluated at each
     for cand in dst.elements():
         acc = dst.zero()
-        for coeff in reversed(src.desc.minpoly):
+        for coeff in reversed(src.minpoly):
             acc = dst.add(dst.mul(acc, cand), dst.from_int(coeff))
         if dst.is_zero(acc):
             return cand
@@ -489,6 +509,14 @@ def test_extending_an_f4_algebra_by_2_is_base_change_to_f16():
     assert (E.basis, E.nf, E.relations) == (B.basis, B.nf, B.relations)
     assert E.nf != {mono: list(v) for mono, v in A.nf.items()}
     assert witness_field(A, Witness(images=[], ext_multiple=2)) is finite_field(2, 4)
+
+
+def test_base_change_past_the_field_order_bound_is_refused_at_once():
+    A = jet(parse_presentation("ring F_2[x, y]\ngraded\nideal: x*y"), 3)
+    start = time.process_time()
+    with pytest.raises(FieldError, match="^F_2\\^1000 has more than 4294967296 elements$"):
+        base_change(A, 1000)
+    assert time.process_time() - start < 0.5
 
 
 @pytest.mark.parametrize("bad", [{"ext_degree_max": 2.0}, {"effort": 10.5}])

@@ -4,7 +4,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.exactcore import PrimeField, rationals
+from jetmetric.exactcore import ExtensionField, PrimeField, finite_field, rationals
 from jetmetric.poly import (
     Poly,
     count_monomials_below,
@@ -77,6 +77,14 @@ def test_ring_axioms_over_f5(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p + q == q + p
     assert (p - p).is_zero()
+
+
+def test_equal_polys_over_separately_built_equal_fields_hash_alike():
+    for F, G in [(PrimeField(5), finite_field(5, 1)),
+                 (ExtensionField(2, 2, (1, 1, 1)), finite_field(2, 2))]:
+        assert F is not G and F == G
+        p, q = Poly(F, 2, {(1, 0): 3, (0, 2): 1}), Poly(G, 2, {(0, 2): 1, (1, 0): 3})
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
 
 
 def test_truncated_quotient_cusp_normal_forms():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.errors import PresentationSyntaxError, RangeError
+from jetmetric.errors import FieldError, PresentationSyntaxError, RangeError
+from jetmetric.exactcore import ExtensionField, PrimeField, finite_field, rationals
 from jetmetric.presentation import (
     FamilyTemplate,
     Presentation,
@@ -22,7 +23,7 @@ def test_parse_minimal_graded():
     assert p.vars == ("x", "y")
     assert p.mode == "graded"
     assert len(p.gens) == 1
-    assert p.field.kind == "rationals"
+    assert p.field is rationals()
 
 
 def test_parse_local_with_comment_and_blank_lines():
@@ -40,11 +41,36 @@ ideal: y^2 - x^3
 
 def test_parse_prime_and_extension_fields():
     p = parse_presentation("ring F_5[x]\ngraded\nideal: x^3")
-    assert p.field.kind == "prime-field" and p.field.p == 5
+    assert isinstance(p.field, PrimeField) and p.field.p == 5
     q = parse_presentation(
         "ring F_2^2 minpoly a^2 + a + 1[x, y]\ngraded\nideal: x*y")
-    assert q.field.kind == "extension-field"
+    assert isinstance(q.field, ExtensionField)
     assert q.field.p == 2 and q.field.m == 2
+
+
+@pytest.mark.parametrize("ring,message", [
+    ("F_4", "4 is not prime"),
+    ("F_2^1 minpoly a + 1", "extension degree must be at least 2 (use a prime field)"),
+    ("F_2^0 minpoly 1", "extension degree must be at least 2 (use a prime field)"),
+    ("F_2^2 minpoly a^2 + 1", "minimal polynomial [1, 0, 1] is reducible over F_2"),
+    ("F_2^3 minpoly a^2 + a + 1", "minimal polynomial must be monic of degree m"),
+])
+def test_field_errors_are_pinned(ring, message):
+    with pytest.raises(FieldError) as err:
+        parse_presentation(f"ring {ring} [x]\ngraded\nideal: x^2")
+    assert str(err.value) == message
+
+
+def test_parsed_fields_are_the_cached_fields():
+    assert parse_presentation("ring F_5[x]\ngraded\nideal: x^3").field is finite_field(5, 1)
+    # a minimal polynomial other than the canonical a^4 + a + 1 names another
+    # field of the same order, and the printed text names it again
+    p = parse_presentation("ring F_2^4 minpoly a^4 + a^3 + 1 [x, y]\ngraded\nideal: x^2 + a*y^2")
+    assert p.field != finite_field(2, 4) and p.field.label() == "F_2^4"
+    assert p.field is finite_field(2, 4, (1, 0, 0, 1, 1))
+    text = print_presentation(p)
+    assert text.startswith("ring F_2^4 minpoly a^4 + a^3 + 1 [x,y]\n")
+    assert parse_presentation(text) == p
 
 
 def test_parse_empty_ideal_and_tuple():
