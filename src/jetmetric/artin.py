@@ -56,7 +56,6 @@ from .poly import (
     Sparse,
     TruncatedQuotient,
     count_monomials_below,
-    mono_deg,
     mono_mul,
     truncated_quotient,
 )
@@ -104,7 +103,7 @@ class ArtinAlgebra:
         self.origin = origin
         self.tuple_images = tuple_images
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self._degrees = [mono_deg(m) for m in self.basis]
+        self._degrees = list(map(sum, self.basis))
         comps: list[list[int]] = [[] for _ in range(max(self._degrees, default=-1) + 1)]
         for i, d in enumerate(self._degrees):
             comps[d].append(i)
@@ -140,7 +139,7 @@ class ArtinAlgebra:
         the cap, else the nonzero entries of its normal form."""
         if m in self._index:
             return [(self._index[m], self.field.one())]
-        if mono_deg(m) >= self.cap:
+        if sum(m) >= self.cap:
             return []
         is_zero = self.field.is_zero
         return [(k, w) for k, w in enumerate(self.nf[m]) if not is_zero(w)]

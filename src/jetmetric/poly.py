@@ -8,13 +8,22 @@ ideal generators truncated below degree n; row reduction pivots on the
 grlex-smallest monomial of each row, so an inhomogeneous relation rewrites its
 lowest-order term into higher-order ones (the local convention: y^2 - x^3
 pivots at y^2 and stores nf(y^2) = x^3).
+
+This module is the one place monomials are enumerated.  `monomials_of_degree`
+is memoized, and every truncated quotient of one shape, a number of
+variables and a cap, reads one frame built on first use: the grlex monomials
+below the cap, their column index and the number of them below each degree.
+Frames depend on those two integers alone, so every jet still builds and
+eliminates its own Macaulay matrix; both caches are bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
@@ -26,6 +35,9 @@ Monomial = tuple[int, ...]
 Sparse = list[tuple[int, object]]
 
 DEFAULT_CAPACITY = 2000
+# how many frames and degree lists stay cached; a frame holds at most the
+# capacity its cap was checked against
+FRAME_CACHE_SIZE = 64
 
 
 def mono_deg(m: Monomial) -> int:
@@ -33,7 +45,7 @@ def mono_deg(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def grlex_key(m: Monomial):
@@ -42,10 +54,11 @@ def grlex_key(m: Monomial):
     return (sum(m), m)
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
+@lru_cache(maxsize=4 * FRAME_CACHE_SIZE)
+def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree d, in ascending grlex order."""
     if nvars == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     out = []
     # choose positions via stars and bars; generate then sort for clarity
     for bars in combinations_with_replacement(range(nvars), d):
@@ -54,15 +67,12 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
             e[b] += 1
         out.append(tuple(e))
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)
 
 
-def monomials_below(nvars: int, degmax: int) -> list[Monomial]:
+def monomials_below(nvars: int, degmax: int) -> tuple[Monomial, ...]:
     """All monomials of degree < degmax, ascending grlex."""
-    out: list[Monomial] = []
-    for d in range(degmax):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
+    return tuple(chain.from_iterable(monomials_of_degree(nvars, d) for d in range(degmax)))
 
 
 def count_monomials_below(nvars: int, degmax: int) -> int:
@@ -70,6 +80,17 @@ def count_monomials_below(nvars: int, degmax: int) -> int:
     if degmax <= 0:
         return 0
     return comb(degmax - 1 + nvars, nvars)
+
+
+@lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _frame(nvars: int, cap: int) -> tuple:
+    """The monomial data of the shape (nvars, cap), read by every truncated
+    quotient of that shape and never handed out: the monomials below the cap
+    in ascending grlex order, their index, and below[d], the number of them
+    of degree < d, for d <= cap."""
+    monos = monomials_below(nvars, cap)
+    return (monos, {m: i for i, m in enumerate(monos)},
+            tuple(count_monomials_below(nvars, d) for d in range(cap + 1)))
 
 
 class Poly:
@@ -149,11 +170,11 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree (0 for the zero polynomial by convention here)."""
-        return max((mono_deg(m) for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def order(self) -> int:
         """Degree of the lowest term (the local 'order'); 0 for zero polynomial."""
-        return min((mono_deg(m) for m in self.terms), default=0)
+        return min(map(sum, self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_deg(m) for m in self.terms}
@@ -211,6 +232,10 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     monomial that can contribute below the cap; the row space is exactly the
     degree-< cap image of I, so the non-pivot monomials form a basis of the
     quotient.  Raises CapacityError before building anything too large.
+
+    The monomials come from the frame of (nvars, cap): the multipliers of a
+    generator of order e are its first below[cap - e] monomials, and one
+    index lookup both places a product and drops it when it reaches the cap.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -220,20 +245,21 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     n_mono = count_monomials_below(nvars, cap)
     if n_mono > capacity:
         raise CapacityError(n_mono, capacity, f"cap {cap} in {nvars} variables")
-    monos = monomials_below(nvars, cap)
-    index = {m: i for i, m in enumerate(monos)}
+    monos, index, below = _frame(nvars, cap)
+    get = index.get
     rows = []
     for g in gens:
-        if g.is_zero():
+        if g.is_zero() or (e := g.order()) >= cap:
             continue
-        for u in monos[:count_monomials_below(nvars, cap - g.order())]:
+        terms = g.terms.items()
+        # each row holds t * u for a lowest term t of g, so none is empty
+        for u in monos[:below[cap - e]]:
             row = {}
-            for t, c in g.terms.items():
-                m = mono_mul(t, u)
-                if mono_deg(m) < cap:
-                    row[index[m]] = c
-            if row:
-                rows.append(row)
+            for t, c in terms:
+                i = get(mono_mul(t, u))
+                if i is not None:
+                    row[i] = c
+            rows.append(row)
     red = ExactMatrix(field, rows, n_mono).rref()
     free = red.free_columns()
     basis = [monos[c] for c in free]

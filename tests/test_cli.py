@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from jetmetric import artin
+from jetmetric import artin, poly
 from jetmetric.cli import run
 
 from conftest import src_env
@@ -113,6 +113,15 @@ def test_distance_builds_each_jet_once(monkeypatch, golden_name):
     code, out, _ = _capture(GOLDEN_COMMANDS[golden_name])
     assert code == 0
     assert len(calls) == 2 * len(json.loads(out)["evidence"]["per_order"])
+
+
+def test_jets_past_the_capacity_enumerate_no_monomials(monkeypatch):
+    # the capacity guard runs before the monomials of the shape are listed
+    calls = []
+    monkeypatch.setattr(poly, "combinations_with_replacement", lambda *a: calls.append(a))
+    code, out, _ = _capture(["jets", f"{INPUTS}/cusp.pres", "--order", "1000000"])
+    assert code == 1 and json.loads(out)["error"]["type"] == "CapacityError"
+    assert calls == []
 
 
 def test_extension_witness_prints_only_its_nonzero_terms(tmp_path):

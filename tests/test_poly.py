@@ -1,12 +1,20 @@
+import ast
+import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.exactcore import ExtensionField, PrimeField, finite_field, rationals
+from jetmetric import poly
+from jetmetric.artin import defpair_jet, jet
+from jetmetric.errors import CapacityError
+from jetmetric.exactcore import ExactMatrix, ExtensionField, PrimeField, finite_field, rationals
 from jetmetric.poly import (
     Poly,
+    TruncatedQuotient,
     count_monomials_below,
     graded_component_rank,
     grlex_key,
@@ -17,6 +25,7 @@ from jetmetric.poly import (
     reduce_poly,
     truncated_quotient,
 )
+from jetmetric.presentation import parse_presentation
 
 
 def test_monomials_of_degree_count_and_order():
@@ -130,3 +139,155 @@ def test_component_rank_of_empty_ideal_counts_monomials(nvars, d):
     rk, hf = graded_component_rank(rationals(), nvars, [], d)
     assert rk == 0
     assert hf == len(monomials_of_degree(nvars, d))
+
+
+# ---------------------------------------------------------------------------
+# the monomial frames of truncated_quotient against the Macaulay build they
+# replaced
+
+
+def _reference_truncated_quotient(field, nvars, gens, cap):
+    """k[x]/(I + m^cap) as built before the frames: its own grlex monomial
+    list and index per call, the multipliers of each generator counted by
+    `comb`, and a degree test on every product."""
+    monos = sorted((e for e in itertools.product(range(cap), repeat=nvars) if sum(e) < cap),
+                   key=grlex_key)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        n_mult = comb(cap - g.order() - 1 + nvars, nvars) if cap > g.order() else 0
+        for u in monos[:n_mult]:
+            row = {}
+            for t, c in g.terms.items():
+                m = tuple(x + y for x, y in zip(t, u))
+                if sum(m) < cap:
+                    row[index[m]] = c
+            if row:
+                rows.append(row)
+    red = ExactMatrix(field, rows, len(monos)).rref()
+    free = red.free_columns()
+    pos = {c: j for j, c in enumerate(free)}
+    nf = {}
+    for row, pc in zip(red.rows, red.pivots):
+        v = [field.zero()] * len(free)
+        for c, x in row.items():
+            if c != pc:
+                v[pos[c]] = field.neg(x)
+        nf[monos[pc]] = v
+    return TruncatedQuotient(field=field, nvars=nvars, cap=cap,
+                             basis=[monos[c] for c in free], nf=nf)
+
+
+_FIELDS = (rationals(), PrimeField(3), finite_field(2, 2), PrimeField(32003))
+
+
+def _scalars(F):
+    if F.p is None:
+        return st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)])
+    if F.m > 1:
+        return st.sampled_from(list(F.elements()))
+    return st.integers(0, F.p - 1)
+
+
+@st.composite
+def _presentation_and_cap(draw):
+    """A field, a number of variables, generators (zero ones and ones of
+    order at or above the cap among them) and a cap from 0 to 6."""
+    F = draw(st.sampled_from(_FIELDS))
+    nvars, cap = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    graded = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        degs = [draw(st.integers(1, 7))]
+        degs *= draw(st.integers(0, 3))
+        if not graded:
+            degs = [d + draw(st.integers(0, 2)) for d in degs]
+        terms = {}
+        for d in degs:
+            bars = draw(st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d))
+            terms[tuple(bars.count(k) for k in range(nvars))] = draw(_scalars(F))
+        gens.append(Poly(F, nvars, terms))
+    return F, nvars, gens, cap
+
+
+@given(_presentation_and_cap())
+@settings(max_examples=150, deadline=None)
+def test_truncated_quotient_matches_the_reference_build(case):
+    F, nvars, gens, cap = case
+    got = truncated_quotient(F, nvars, gens, cap)
+    ref = _reference_truncated_quotient(F, nvars, gens, cap)
+    assert got.basis == ref.basis
+    assert got.nf == ref.nf
+
+
+@given(st.sampled_from(_FIELDS), st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
+       st.sampled_from(["", "y^2 - x^3", "x*y", "x^2 + y^3"]))
+@settings(max_examples=20, deadline=None)
+def test_defpair_jet_matches_the_reference_build(F, a, b, n, ideal):
+    # the internal cap colength * s * n + 1 reaches 25 here
+    ring = F.label() if F.m in (None, 1) else "F_2^2 minpoly a^2 + a + 1"
+    p = parse_presentation(f"ring {ring}[x, y]\nlocal\nideal: {ideal or ';'}\n"
+                           f"tuple: x^{a}, y^{b}")
+    A = defpair_jet(p, n)
+    ref = _reference_truncated_quotient(A.field, A.nvars, A.relations, A.cap)
+    assert A.basis == ref.basis
+    assert A.nf == ref.nf
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The calls that enumerate monomials, counted from empty caches."""
+    calls = []
+    enumerate_ = poly.combinations_with_replacement
+    monkeypatch.setattr(poly, "combinations_with_replacement",
+                        lambda *a: calls.append(a) or enumerate_(*a))
+    poly._frame.cache_clear()
+    poly.monomials_of_degree.cache_clear()
+    return calls
+
+
+def test_two_presentations_of_one_shape_enumerate_monomials_once(enumerations):
+    jet(parse_presentation("ring Q[x, y, z]\nlocal\nideal: y^2 - x^3, z^2"), 5)
+    first = len(enumerations)
+    assert first == 5               # degrees 0 to 4
+    jet(parse_presentation("ring F_3[a, b, c]\ngraded\nideal: a*b + c^2"), 5)
+    assert len(enumerations) == first
+
+
+def test_mutating_a_jet_leaves_the_next_jet_of_its_shape_alone():
+    p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3")
+    A = jet(p, 5)
+    basis, nf = list(A.basis), {m: list(v) for m, v in A.nf.items()}
+    A.basis.reverse()
+    A.basis.append((9, 9))
+    for v in A.nf.values():
+        v[:] = [Fraction(7)] * len(v)
+    A.nf[(9, 9)] = []
+    B = jet(p, 5)
+    assert B.basis == basis and B.nf == nf
+    free = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: ;"), 5)
+    assert free.basis == list(monomials_below(2, 5)) and free.nf == {}
+
+
+def test_a_cap_over_the_capacity_builds_no_frame(enumerations):
+    for nvars, cap in ((2, 64), (3, 10**6)):
+        with pytest.raises(CapacityError):
+            truncated_quotient(rationals(), nvars, [], cap)
+        assert enumerations == [] and poly._frame.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in Path(poly.__file__).parent.glob("*.py") if path.stem != "poly"))
+def test_only_poly_enumerates_monomials(module):
+    # every monomial list comes from poly's memoized degree lists and frames
+    enumerators = {"combinations_with_replacement", "product"}
+    path = Path(poly.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            assert not {a.name for a in node.names} & enumerators, node.lineno
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "itertools":
+            assert node.attr not in enumerators, node.lineno
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        assert name != "combinations_with_replacement", node.lineno
