@@ -21,12 +21,11 @@ from typing import Optional
 
 from .artin import hf_by_degree_count, jet, nilpotency_index, socle_dimension
 from .errors import JetMetricError, PresentationSyntaxError, RangeError
-from .exactcore import ExtensionField
 from .hilbert import euler_characteristic, hilbert_series
 from .iso import SearchBudget, Witness, witness_field
 from .metric import _distance, limit_jets
 from .poly import DEFAULT_CAPACITY
-from .presentation import FamilyTemplate, Presentation, parse_presentation
+from .presentation import FamilyTemplate, Presentation, mono_to_str, parse_presentation
 from .resolution import (betti_residue_field, depth_and_classify,
                          minimal_resolution_of_quotient)
 from .slopes import (delta0_at_order, eps0_at_order, length_model, rho,
@@ -50,15 +49,10 @@ def _enc_decimal(s: str, digits: int = LOG2_DIGITS) -> dict:
 
 
 def _scalar_str(field, c) -> str:
-    if isinstance(field, ExtensionField):
+    """A value as text; over F_{p^m}, its digits (c_0,...,c_{m-1})."""
+    if field.minpoly is not None:
         return "(" + ",".join(str(v) for v in field.coeffs(c)) + ")"
     return str(c)
-
-
-def _mono_str(mono, varnames) -> str:
-    parts = [f"{v}^{e}" if e > 1 else v
-             for v, e in zip(varnames, mono) if e > 0]
-    return "*".join(parts) if parts else "1"
 
 
 def _vec_str(vec, field, basis, varnames) -> str:
@@ -66,7 +60,7 @@ def _vec_str(vec, field, basis, varnames) -> str:
     terms = []
     for i, c in vec:
         s = _scalar_str(field, c)
-        m = _mono_str(basis[i], varnames)
+        m = mono_to_str(basis[i], varnames) or "1"
         terms.append(m if s == "1" else f"{s}*{m}")
     return " + ".join(terms) if terms else "0"
 
@@ -105,25 +99,20 @@ def _enc_per_order(per_order, p: Presentation, q: Presentation, targets) -> list
 # input handling
 
 
-def _decode(raw: bytes, path: str) -> str:
+def _read(path: str) -> tuple[str, str]:
+    """The UTF-8 text of the file at path, and the digest of its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        return raw.decode()
+        text = raw.decode()
     except UnicodeDecodeError as e:
         raise PresentationSyntaxError(f"{path} is not UTF-8 text ({e.reason})", 0, 0)
+    return text, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def _load(path: str) -> tuple[Presentation, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return parse_presentation(_decode(raw, path)), digest
-
-
-def _read_template(path: str, lo: int, hi: int) -> tuple[FamilyTemplate, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return FamilyTemplate(_decode(raw, path), lo, hi), digest
+    text, digest = _read(path)
+    return parse_presentation(text), digest
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -272,7 +261,8 @@ def _run_euler(args):
 
 def _run_limit(args):
     lo, hi = args.range
-    tpl, digest = _read_template(args.template, lo, hi)
+    body, digest = _read(args.template)
+    tpl = FamilyTemplate(body, lo, hi)
     last, w0 = limit_jets(tpl, args.order, _budget(args), tail=args.tail,
                           capacity=args.cap)
     result = {"order": args.order, "stabilizes_at": w0, "dim": last.dim,

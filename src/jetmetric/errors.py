@@ -47,12 +47,15 @@ class ConstantTermError(JetMetricError):
 
 
 class RangeError(JetMetricError):
-    """Family template instantiated outside its inclusive parameter range."""
+    """A number outside its admissible range: a family template's parameter
+    or range, a jet, deformation or maximum order, a search budget, a family
+    tail, or a homological cap."""
 
 
 class CapacityError(JetMetricError):
-    """A truncated quotient, or the leading-ideal engine's span, would exceed
-    the configured capacity."""
+    """A computation would exceed the configured capacity: a truncated
+    quotient, the leading-ideal engine's span, a family's size, a slope
+    trace's size or a Hilbert series prefix's length."""
 
     def __init__(self, needed: int, cap: int, context: str = "",
                  what: str = "jet dimension"):
@@ -93,11 +96,13 @@ class PoleOrderZeroError(JetMetricError):
 
 
 class WindowTooSmallError(JetMetricError):
-    """Jet window has too few points for the requested polynomial fit."""
+    """A jet window has fewer than three orders, or starts below order 0, to
+    check the Hilbert-Samuel polynomial on."""
 
 
 class NotStabilizedError(JetMetricError):
-    """Finite differences (or a family of jets) failed to stabilize."""
+    """A family of jets failed to stabilize: a tail jet is not isomorphic to
+    the last."""
 
 
 class UnknownStabilizationError(JetMetricError):

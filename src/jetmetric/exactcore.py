@@ -8,10 +8,10 @@ object, so hot loops never pay for per-element wrappers: ``Fraction`` over Q,
 c_0 + c_1 p + ... + c_{m-1} p^{m-1} of c_0 + c_1 a + ... + c_{m-1} a^{m-1}.
 Extension fields of at most TABLE_MAX_ORDER elements compute through
 log/antilog and Zech tables built once per field; larger ones through
-base-p digit arithmetic.  A field is its own description (its ``p``, ``m``
-and :meth:`Field.label`; it compares and hashes on its ``key``), and
-:func:`finite_field` builds each finite field once.  Sums of products
-normalized once at the end (products and maps of algebra elements,
+base-p digit arithmetic.  A field is its own description (its ``p``, ``m``,
+``order``, ``minpoly`` and :meth:`Field.label`; it compares and hashes on its
+``key``), and :func:`finite_field` builds each finite field once.  Sums of
+products normalized once at the end (products and maps of algebra elements,
 resolution product rows) take their arithmetic from one place,
 :attr:`Field.raw_arithmetic`: native ``+`` and ``*`` over Q and over F_p
 (unreduced, one ``% p`` per sum), the field's own ``add`` and ``mul`` for
@@ -20,7 +20,8 @@ every other kind.
 A field owns its extensions, its embeddings and both of its arithmetics,
 each chosen by its class (:meth:`Field.extension`, :meth:`Field.embedding`,
 :attr:`Field.raw_arithmetic`, :attr:`Field.row_arithmetic`), so no module
-but this one needs to know a field's kind to extend scalars or compute.
+but this one knows a field's kind: the others extend scalars and compute
+through these, and parse and print through the description.
 
 Row reduction returns the reduced row echelon form, with pivots the leftmost
 nonzero columns, so every echelon form (and therefore every quotient basis
@@ -297,13 +298,15 @@ class Field:
     """Arithmetic on raw field-element values; subclasses fix the representation.
 
     A field is its own description: p and m are None over Q, p and 1 over
-    F_p, and fields compare and hash on their key, () for Q, (p,) for F_p
-    and (p, m, minpoly) for F_{p^m}, minpoly the coefficient tuple
-    (c_0, ..., c_{m-1}, 1) of the monic minimal polynomial.
+    F_p; minpoly is None over Q and F_p and, over F_{p^m}, the coefficient
+    tuple (c_0, ..., c_{m-1}, 1) of the monic minimal polynomial.  Fields
+    compare and hash on their key, () for Q, (p,) for F_p and (p, m, minpoly)
+    for F_{p^m}.
     """
 
     p: int | None
     m: int | None
+    minpoly: tuple[int, ...] | None = None
     key: tuple
     order: int | None           # the number of elements, None for Q
 
@@ -459,9 +462,6 @@ class PrimeField(Field):
     def to_str(self, a) -> str:
         return str(a % self.p)
 
-    def elements(self) -> Iterable[int]:
-        return range(self.p)
-
     def extension(self, k: int) -> Field:
         return self if _degree(k) == 1 else finite_field(self.p, k)
 
@@ -491,8 +491,8 @@ class ExtensionField(Field):
     """F_{p^m} = F_p[a]/(minpoly) with elements as integer codes.
 
     The element c_0 + c_1 a + ... + c_{m-1} a^{m-1} (0 <= c_i < p) has the
-    code c_0 + c_1 p + ... + c_{m-1} p^{m-1}, so :meth:`elements` is
-    ``range(p^m)`` and an element of the prime subfield is its own ``int``.
+    code c_0 + c_1 p + ... + c_{m-1} p^{m-1}, so the elements are the codes
+    ``range(order)`` and an element of the prime subfield is its own ``int``.
     For p = 2, ``add``/``sub``/``neg`` are XOR at every size.  Up to
     TABLE_MAX_ORDER elements, ``mul`` and ``inv`` are log/antilog lookups
     and, for odd p, ``add``/``sub``/``neg`` are Zech-logarithm lookups.
@@ -509,12 +509,13 @@ class ExtensionField(Field):
         if m >= EXTENSION_MAX_ORDER.bit_length() or p**m > EXTENSION_MAX_ORDER:
             raise FieldError(f"F_{p}^{m} has more than {EXTENSION_MAX_ORDER} elements")
         if minpoly is None:
-            minpoly = canonical_minpoly(p, m)
-        mp = tuple(c % p for c in minpoly)
-        if len(mp) != m + 1 or mp[-1] != 1:
-            raise FieldError("minimal polynomial must be monic of degree m")
-        if not _fp_is_irreducible(mp, p):
-            raise FieldError(f"minimal polynomial {list(mp)} is reducible over F_{p}")
+            mp = canonical_minpoly(p, m)        # irreducible by its search
+        else:
+            mp = tuple(c % p for c in minpoly)
+            if len(mp) != m + 1 or mp[-1] != 1:
+                raise FieldError("minimal polynomial must be monic of degree m")
+            if not _fp_is_irreducible(mp, p):
+                raise FieldError(f"minimal polynomial {list(mp)} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.minpoly = mp
@@ -559,10 +560,6 @@ class ExtensionField(Field):
                 pw = "a" if i == 1 else f"a^{i}"
                 terms.append(pw if c == 1 else f"{c}*{pw}")
         return "+".join(terms) if terms else "0"
-
-    def elements(self) -> Iterable[int]:
-        """All field elements in integer-encoding order (c_0 least significant)."""
-        return range(self.order)
 
     def extension(self, k: int) -> Field:
         return self if _degree(k) == 1 else finite_field(self.p, self.m * k)

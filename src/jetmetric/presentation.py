@@ -3,7 +3,9 @@
 A presentation is a short UTF-8 text: a ring statement, a mode statement
 (``local`` or ``graded``), an ideal statement, and optionally a tuple
 statement for deformation pairs.  Statements are separated by semicolons or
-newlines and ``#`` starts a line comment:
+newlines and ``#`` starts a line comment.  One pass over the text splits it
+into the tokens of each statement, and one cursor walks each statement,
+expressions included:
 
     ring Q[x,y]
     local
@@ -12,8 +14,11 @@ newlines and ``#`` starts a line comment:
 
 Fields are ``Q``, ``F_p`` for prime p, or ``F_p^m minpoly <poly in a>``.  In
 extension-field presentations the name ``a`` is reserved for the generator of
-the field and cannot be used as a variable.  Parameterized families replace
-one integer literal by the placeholder ``w``.
+the field and cannot be used as a variable.  The parser and the printer read
+a field's description, never its class: Q is the field of no ``order``
+(fraction literals, the coefficient-bit guard, signed coefficients), and a
+field with a ``minpoly`` has the generator ``a``.  Parameterized families
+replace one integer literal by the placeholder ``w``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     PresentationSyntaxError,
     RangeError,
 )
-from .exactcore import ExtensionField, Field, RationalField, finite_field, rationals
+from .exactcore import Field, finite_field, rationals
 from .poly import DEFAULT_CAPACITY, Poly
 
 
@@ -39,12 +44,11 @@ from .poly import DEFAULT_CAPACITY, Poly
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>[ \t\r]+|\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<sym>[\[\](),+\-*^/;:])
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<SYM>[\[\](),+\-*^/;:])
     """,
     re.VERBOSE,
 )
@@ -52,11 +56,14 @@ _TOKEN_RE = re.compile(
 
 @dataclass
 class Token:
-    kind: str          # IDENT | INT | SYM | NEWLINE
+    kind: str          # IDENT | INT | SYM
     text: str
     line: int
     col: int
     value: Optional[int] = None    # the integer an INT token spells
+
+    def error(self, msg: str) -> PresentationSyntaxError:
+        return PresentationSyntaxError(msg, self.line, self.col)
 
 
 # Coefficients over Q are exact fractions; a numerator or denominator the
@@ -80,44 +87,30 @@ def _int_literal(text: str, line: int, col: int) -> int:
     return int(text)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
+def _statements(text: str) -> list[list[Token]]:
+    """The tokens of each nonempty statement, in one pass over the text:
+    a newline or ';' ends a statement, whitespace and comments are dropped."""
+    statements: list[list[Token]] = []
+    current: list[Token] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise PresentationSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "newline":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-        else:
-            if kind == "ident":
-                tokens.append(Token("IDENT", tok, line, col))
-            elif kind == "int":
-                tokens.append(Token("INT", tok, line, col, _int_literal(tok, line, col)))
-            elif kind == "sym":
-                tokens.append(Token("SYM", tok, line, col))
-            # whitespace and comments are dropped
-            col += len(tok)
-        pos = m.end()
-    return tokens
-
-
-def _split_statements(tokens: list[Token]) -> list[list[Token]]:
-    statements: list[list[Token]] = []
-    current: list[Token] = []
-    for t in tokens:
-        if t.kind == "NEWLINE" or (t.kind == "SYM" and t.text == ";"):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "newline" or tok == ";":
             if current:
                 statements.append(current)
                 current = []
+        elif kind == "INT":
+            current.append(Token(kind, tok, line, col, _int_literal(tok, line, col)))
+        elif kind != "skip":
+            current.append(Token(kind, tok, line, col))
+        if kind == "newline":
+            line, col = line + 1, 1
         else:
-            current.append(t)
+            col += len(tok)
+        pos = m.end()
     if current:
         statements.append(current)
     return statements
@@ -167,57 +160,77 @@ def _power_coeff_log2(base: Poly) -> float:
     return log2(max(s, den))
 
 
-class _ExprParser:
-    """Parses  expr := ['-'] term (('+'|'-') term)*
-               term := factor ('*' factor)*
-               factor := atom ['^' INT]
-               atom := INT ['/' INT] | IDENT | '(' expr ')'
-    into a Poly over the given field/variables."""
+class _Parser:
+    """A cursor over the tokens of one statement, past its head (the first
+    token), and the recursive descent of the expressions in it:
 
-    def __init__(self, tokens: list[Token], start: int, field: Field,
-                 varnames: Sequence[str], allow_generator: bool):
+        expr := ['-'] term (('+'|'-') term)*
+        term := factor ('*' factor)*
+        factor := atom ['^' INT]
+        atom := INT ['/' INT] | IDENT | '(' expr ')'
+
+    into Polys over the field and variables set by :meth:`over`."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.i = start
+        self.head = tokens[0]
+        self.i = 1
+        self.depth = 0
+
+    def over(self, field: Field, varnames: Sequence[str]) -> _Parser:
+        """Read expressions over field in varnames from here on; ``a`` names
+        the field's generator when the field has a minimal polynomial."""
         self.field = field
         self.nvars = len(varnames)
         self.varpos = {v: i for i, v in enumerate(varnames)}
-        self.allow_generator = allow_generator
-        self.over_q = isinstance(field, RationalField)
-        self.depth = 0
+        self.over_q = field.order is None
+        return self
 
     def _peek(self) -> Optional[Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def _accept(self, text: Optional[str] = None, kind: Optional[str] = None
+                ) -> Optional[Token]:
+        """The next token, consumed, if it spells text and is of kind (None
+        matches any); None otherwise, or at the end of the statement."""
+        t = self._peek()
+        if t is None or text not in (None, t.text) or kind not in (None, t.kind):
+            return None
+        self.i += 1
+        return t
+
     def _err(self, msg: str) -> PresentationSyntaxError:
+        """msg at the next token, or just past the end of the statement."""
         t = self._peek()
         if t is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
+            last = self.tokens[-1]
             return PresentationSyntaxError(msg, last.line, last.col + len(last.text))
-        return PresentationSyntaxError(msg, t.line, t.col)
+        return t.error(msg)
+
+    def _err_prev(self, msg: str) -> PresentationSyntaxError:
+        """msg at the token last consumed."""
+        return self.tokens[self.i - 1].error(msg)
+
+    def _end(self, after: str = "") -> None:
+        """Refuse any token left in the statement."""
+        t = self._peek()
+        if t is not None:
+            raise t.error(f"unexpected token {t.text!r}{after}")
 
     def _open_paren(self) -> bool:
         """Consume a '(' if one is next, refusing nesting past MAX_NESTING."""
-        t = self._peek()
-        if t is None or t.kind != "SYM" or t.text != "(":
+        t = self._accept("(")
+        if t is None:
             return False
         if self.depth == MAX_NESTING:
-            raise PresentationSyntaxError(
-                f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col)
+            raise t.error(f"parentheses nested deeper than {MAX_NESTING}")
         self.depth += 1
-        self.i += 1
         return True
 
     def _close_paren(self, msg: str) -> None:
-        if not self._accept_sym(")"):
+        if not self._accept(")"):
             raise self._err(msg)
         self.depth -= 1
-
-    def _accept_sym(self, s: str) -> bool:
-        t = self._peek()
-        if t is not None and t.kind == "SYM" and t.text == s:
-            self.i += 1
-            return True
-        return False
 
     def _check_coeffs(self, poly: Poly, monos, tok: Token) -> None:
         """Refuse at tok a coefficient of poly at one of monos with more than
@@ -229,23 +242,30 @@ class _ExprParser:
             c = poly.terms.get(m)
             if c is not None and max(c.numerator.bit_length(),
                                      c.denominator.bit_length()) > MAX_COEFF_BITS:
-                raise PresentationSyntaxError(
+                raise tok.error(
                     f"coefficient of more than {MAX_COEFF_BITS} bits "
-                    f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})",
-                    tok.line, tok.col)
+                    f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})")
+
+    def parse_exprs(self) -> list[Poly]:
+        """Comma-separated expressions running to the end of the statement;
+        none if it has ended."""
+        if self._peek() is None:
+            return []
+        out = [self.parse_expr()]
+        while self._accept(","):
+            out.append(self.parse_expr())
+        self._end()
+        return out
 
     def parse_expr(self) -> Poly:
-        negate = False
-        if self._accept_sym("-"):
-            negate = True
+        negate = self._accept("-")
         out = self.parse_term()
         if negate:
             out = out.scale(self.field.neg(self.field.one()))
         while True:
-            sign = self._peek()
-            if self._accept_sym("+"):
+            if sign := self._accept("+"):
                 out = out + (term := self.parse_term())
-            elif self._accept_sym("-"):
+            elif sign := self._accept("-"):
                 out = out - (term := self.parse_term())
             else:
                 return out
@@ -253,71 +273,64 @@ class _ExprParser:
 
     def parse_term(self) -> Poly:
         out = self.parse_factor()
-        while True:
-            star = self._peek()
-            if not self._accept_sym("*"):
-                return out
+        while star := self._accept("*"):
             out = out * self.parse_factor()
             self._check_coeffs(out, out.terms, star)
+        return out
 
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
-        caret = self._peek()
-        if not self._accept_sym("^"):
+        caret = self._accept("^")
+        if not caret:
             return base
         t = self._peek()
-        if t is not None and t.kind == "INT":
-            self.i += 1
+        if self._accept(kind="INT"):
             e = t.value
         elif self._open_paren():
             e = self._parse_int_expr()
             self._close_paren("expected ')' closing the exponent")
             if e < 0:
-                raise PresentationSyntaxError(f"negative exponent {e}", t.line, t.col)
+                raise t.error(f"negative exponent {e}")
         else:
             raise self._err("expected integer exponent after '^'")
         # a t-term base to the e has at most C(t-1+e, e) terms
         nterms = len(base.terms)
         if nterms > 1 and comb(nterms - 1 + e, e) > DEFAULT_CAPACITY:
-            raise PresentationSyntaxError(
+            raise caret.error(
                 f"power of a {nterms}-term polynomial to {e} may have more than "
-                f"{DEFAULT_CAPACITY} terms", caret.line, caret.col)
+                f"{DEFAULT_CAPACITY} terms")
         if nterms > 1 and _power_pair_count(nterms, e) > MAX_POWER_PRODUCTS:
-            raise PresentationSyntaxError(
+            raise caret.error(
                 f"power of a {nterms}-term polynomial to {e} may need more than "
-                f"{MAX_POWER_PRODUCTS} term products (100 x {DEFAULT_CAPACITY})",
-                caret.line, caret.col)
+                f"{MAX_POWER_PRODUCTS} term products (100 x {DEFAULT_CAPACITY})")
         # log2 max(S, D) is 0 or at least 1, so e >= MAX_COEFF_BITS alone
         # refuses a growing base without a float product that could overflow
         lg = _power_coeff_log2(base) if self.over_q else 0
         if lg and (e >= MAX_COEFF_BITS or lg * e >= MAX_COEFF_BITS):
-            raise PresentationSyntaxError(
+            raise caret.error(
                 f"power may have a coefficient of more than {MAX_COEFF_BITS} bits "
-                f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})",
-                caret.line, caret.col)
+                f"({MAX_COEFF_BITS // DEFAULT_CAPACITY} x {DEFAULT_CAPACITY})")
         return base.pow(e)
 
     def _parse_int_expr(self) -> int:
         """Constant integer arithmetic inside a parenthesized exponent."""
-        out = -self._parse_int_term() if self._accept_sym("-") else self._parse_int_term()
+        out = -self._parse_int_term() if self._accept("-") else self._parse_int_term()
         while True:
-            if self._accept_sym("+"):
+            if self._accept("+"):
                 out += self._parse_int_term()
-            elif self._accept_sym("-"):
+            elif self._accept("-"):
                 out -= self._parse_int_term()
             else:
                 return out
 
     def _parse_int_term(self) -> int:
         out = self._parse_int_atom()
-        while self._accept_sym("*"):
+        while self._accept("*"):
             out *= self._parse_int_atom()
         return out
 
     def _parse_int_atom(self) -> int:
-        t = self._peek()
-        if t is not None and t.kind == "INT":
-            self.i += 1
+        if t := self._accept(kind="INT"):
             return t.value
         if self._open_paren():
             v = self._parse_int_expr()
@@ -329,51 +342,28 @@ class _ExprParser:
         t = self._peek()
         if t is None:
             raise self._err("unexpected end of expression")
-        if t.kind == "INT":
-            self.i += 1
-            num = t.value
-            if self._accept_sym("/"):
-                d = self._peek()
-                if d is None or d.kind != "INT":
-                    raise self._err("expected integer denominator after '/'")
-                if not isinstance(self.field, RationalField):
-                    raise PresentationSyntaxError(
-                        "fraction coefficients are only allowed over Q", t.line, t.col)
-                self.i += 1
-                den = d.value
-                if den == 0:
-                    raise PresentationSyntaxError("zero denominator", d.line, d.col)
-                return Poly.constant(self.field, self.nvars, Fraction(num, den))
-            return Poly.constant(self.field, self.nvars, self.field.from_int(num))
-        if t.kind == "IDENT":
-            self.i += 1
-            name = t.text
-            if name in self.varpos:
-                return Poly.variable(self.field, self.nvars, self.varpos[name])
-            if name == "a" and self.allow_generator:
+        if self._accept(kind="INT"):
+            if not self._accept("/"):
+                return Poly.constant(self.field, self.nvars, self.field.from_int(t.value))
+            d = self._accept(kind="INT")
+            if d is None:
+                raise self._err("expected integer denominator after '/'")
+            if not self.over_q:
+                raise t.error("fraction coefficients are only allowed over Q")
+            if d.value == 0:
+                raise d.error("zero denominator")
+            return Poly.constant(self.field, self.nvars, Fraction(t.value, d.value))
+        if self._accept(kind="IDENT"):
+            if t.text in self.varpos:
+                return Poly.variable(self.field, self.nvars, self.varpos[t.text])
+            if t.text == "a" and self.field.minpoly is not None:
                 return Poly.constant(self.field, self.nvars, self.field.generator())
-            raise PresentationSyntaxError(f"unknown name {name!r}", t.line, t.col)
+            raise t.error(f"unknown name {t.text!r}")
         if self._open_paren():
             inner = self.parse_expr()
             self._close_paren("expected ')'")
             return inner
-        raise PresentationSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
-
-
-def _parse_expr_list(tokens: list[Token], start: int, field: Field,
-                     varnames: Sequence[str], allow_generator: bool) -> list[Poly]:
-    """Comma-separated polyexprs running to the end of the statement."""
-    out: list[Poly] = []
-    parser = _ExprParser(tokens, start, field, varnames, allow_generator)
-    while True:
-        out.append(parser.parse_expr())
-        t = parser._peek()
-        if t is None:
-            return out
-        if t.kind == "SYM" and t.text == ",":
-            parser.i += 1
-            continue
-        raise PresentationSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise t.error(f"unexpected token {t.text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,45 +395,56 @@ class Presentation:
                 and self.tuple == other.tuple)
 
 
-def _parse_field(tokens: list[Token], i: int) -> tuple[Field, int]:
-    t = tokens[i] if i < len(tokens) else None
-    if t is None or t.kind != "IDENT":
-        raise PresentationSyntaxError("expected field after 'ring'",
-                                      tokens[i - 1].line, tokens[i - 1].col)
+def _parse_field(cur: _Parser) -> Field:
+    """The field after 'ring': Q, F_p, or F_p^m minpoly <poly in a>."""
+    t = cur._accept(kind="IDENT")
+    if t is None:
+        raise cur._err_prev("expected field after 'ring'")
     if t.text == "Q":
-        return rationals(), i + 1
+        return rationals()
     m = re.fullmatch(r"F_([0-9]+)", t.text)
     if m is None:
-        raise PresentationSyntaxError(f"unknown field {t.text!r}", t.line, t.col)
+        raise t.error(f"unknown field {t.text!r}")
     p = _int_literal(m.group(1), t.line, t.col + 2)
-    i += 1
-    # optional ^ m minpoly <poly in a>
-    if i < len(tokens) and tokens[i].kind == "SYM" and tokens[i].text == "^":
-        i += 1
-        if i >= len(tokens) or tokens[i].kind != "INT":
-            raise PresentationSyntaxError("expected extension degree after '^'",
-                                          tokens[i - 1].line, tokens[i - 1].col)
-        deg = tokens[i].value
-        i += 1
-        if i >= len(tokens) or not (tokens[i].kind == "IDENT" and tokens[i].text == "minpoly"):
-            raise PresentationSyntaxError("expected 'minpoly' after extension degree",
-                                          tokens[i - 1].line, tokens[i - 1].col)
-        i += 1
-        # parse the minimal polynomial as a univariate expression in 'a' over F_p
-        parser = _ExprParser(tokens, i, finite_field(p, 1), ("a",), allow_generator=False)
-        mp_poly = parser.parse_expr()
-        i = parser.i
-        coeffs = [0] * (mp_poly.degree() + 1)
-        for mono, c in mp_poly.terms.items():
-            coeffs[mono[0]] = c
-        return finite_field(p, deg, coeffs), i
-    return finite_field(p, 1), i
+    if not cur._accept("^"):
+        return finite_field(p, 1)
+    deg = cur._accept(kind="INT")
+    if deg is None:
+        raise cur._err_prev("expected extension degree after '^'")
+    if not cur._accept("minpoly"):
+        raise cur._err_prev("expected 'minpoly' after extension degree")
+    # the minimal polynomial, a univariate expression in 'a' over F_p
+    mp_poly = cur.over(finite_field(p, 1), ("a",)).parse_expr()
+    coeffs = [0] * (mp_poly.degree() + 1)
+    for mono, c in mp_poly.terms.items():
+        coeffs[mono[0]] = c
+    return finite_field(p, deg.value, coeffs)
+
+
+def _parse_vars(cur: _Parser, fld: Field) -> tuple[str, ...]:
+    """The variable names after '[', through the closing ']'."""
+    names: list[str] = []
+    while t := cur._accept():
+        if t.kind != "IDENT":
+            raise t.error("expected variable name")
+        if t.text in names:
+            raise t.error(f"duplicate variable {t.text!r}")
+        if t.text == "a" and fld.minpoly is not None:
+            raise t.error("'a' is reserved for the field generator")
+        names.append(t.text)
+        t = cur._accept()
+        if t is None:
+            break
+        if t.text == "]":
+            return tuple(names)
+        if t.text != ",":
+            raise t.error("expected ',' or ']'")
+    raise cur.head.error("unterminated variable list")
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse presentation text; see the module docstring for the grammar."""
-    tokens = _tokenize(text)
-    statements = _split_statements(tokens)
+    statements = _statements(text)
     if not statements:
         raise PresentationSyntaxError("empty presentation", 1, 1)
 
@@ -454,84 +455,41 @@ def parse_presentation(text: str) -> Presentation:
     tup: Optional[list[Poly]] = None
 
     for st in statements:
-        head = st[0]
-        if head.kind == "IDENT" and head.text == "ring":
+        cur = _Parser(st)
+        head = cur.head
+        word = head.text        # a keyword is an IDENT: no SYM or INT spells one
+        if word == "ring":
             if fld is not None:
-                raise PresentationSyntaxError("duplicate ring statement", head.line, head.col)
-            fld, i = _parse_field(st, 1)
-            if i >= len(st) or not (st[i].kind == "SYM" and st[i].text == "["):
-                raise PresentationSyntaxError("expected '[' and variable list",
-                                              st[i - 1].line, st[i - 1].col)
-            i += 1
-            names: list[str] = []
-            expect_name = True
-            while i < len(st):
-                t = st[i]
-                if expect_name:
-                    if t.kind != "IDENT":
-                        raise PresentationSyntaxError("expected variable name", t.line, t.col)
-                    if t.text in names:
-                        raise PresentationSyntaxError(f"duplicate variable {t.text!r}",
-                                                      t.line, t.col)
-                    if t.text == "a" and isinstance(fld, ExtensionField):
-                        raise PresentationSyntaxError(
-                            "'a' is reserved for the field generator", t.line, t.col)
-                    names.append(t.text)
-                    expect_name = False
-                else:
-                    if t.kind == "SYM" and t.text == ",":
-                        expect_name = True
-                    elif t.kind == "SYM" and t.text == "]":
-                        i += 1
-                        break
-                    else:
-                        raise PresentationSyntaxError("expected ',' or ']'", t.line, t.col)
-                i += 1
-            else:
-                raise PresentationSyntaxError("unterminated variable list",
-                                              head.line, head.col)
-            if i != len(st):
-                t = st[i]
-                raise PresentationSyntaxError(f"unexpected token {t.text!r} after ring",
-                                              t.line, t.col)
-            if not names:
-                raise PresentationSyntaxError("variable list is empty", head.line, head.col)
-            varnames = tuple(names)
-        elif head.kind == "IDENT" and head.text in ("local", "graded"):
-            if len(st) > 1:
-                t = st[1]
-                raise PresentationSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+                raise head.error("duplicate ring statement")
+            fld = _parse_field(cur)
+            if not cur._accept("["):
+                raise cur._err_prev("expected '[' and variable list")
+            varnames = _parse_vars(cur, fld)
+            cur._end(" after ring")
+        elif word in ("local", "graded"):
+            cur._end()
             if mode is not None:
-                raise PresentationSyntaxError("duplicate mode statement", head.line, head.col)
-            mode = head.text
-        elif head.kind == "IDENT" and head.text in ("ideal", "tuple"):
-            if fld is None or varnames is None:
-                raise PresentationSyntaxError(f"'{head.text}' before ring statement",
-                                              head.line, head.col)
-            if len(st) < 2 or not (st[1].kind == "SYM" and st[1].text == ":"):
-                raise PresentationSyntaxError(f"expected ':' after '{head.text}'",
-                                              head.line, head.col)
-            if head.text == "ideal":
+                raise head.error("duplicate mode statement")
+            mode = word
+        elif word in ("ideal", "tuple"):
+            if fld is None:
+                raise head.error(f"'{word}' before ring statement")
+            if not cur._accept(":"):
+                raise head.error(f"expected ':' after '{word}'")
+            if word == "ideal":
                 if gens is not None:
-                    raise PresentationSyntaxError("duplicate ideal statement",
-                                                  head.line, head.col)
-                gens = ([] if len(st) == 2 else
-                        _parse_expr_list(st, 2, fld, varnames,
-                                         isinstance(fld, ExtensionField)))
+                    raise head.error("duplicate ideal statement")
+                gens = cur.over(fld, varnames).parse_exprs()
             else:
                 if tup is not None:
-                    raise PresentationSyntaxError("duplicate tuple statement",
-                                                  head.line, head.col)
-                if len(st) == 2:
-                    raise PresentationSyntaxError("tuple statement is empty",
-                                                  head.line, head.col)
-                tup = _parse_expr_list(st, 2, fld, varnames,
-                                       isinstance(fld, ExtensionField))
+                    raise head.error("duplicate tuple statement")
+                if cur._peek() is None:
+                    raise head.error("tuple statement is empty")
+                tup = cur.over(fld, varnames).parse_exprs()
         else:
-            raise PresentationSyntaxError(f"unknown statement {head.text!r}",
-                                          head.line, head.col)
+            raise head.error(f"unknown statement {word!r}")
 
-    if fld is None or varnames is None:
+    if fld is None:
         raise PresentationSyntaxError("missing ring statement", 1, 1)
     if mode is None:
         raise PresentationSyntaxError("missing mode statement ('local' or 'graded')", 1, 1)
@@ -560,13 +518,18 @@ def parse_presentation(text: str) -> Presentation:
 
 def _coeff_to_str(field: Field, c) -> tuple[str, bool]:
     """(text, negative) for a coefficient; text never carries a leading '-'."""
-    if isinstance(field, RationalField):
+    if field.order is None:
         f: Fraction = c
         neg = f < 0
         f = -f if neg else f
         return (str(f.numerator) if f.denominator == 1
                 else f"{f.numerator}/{f.denominator}"), neg
     return field.to_str(c), False
+
+
+def mono_to_str(mono: Sequence[int], varnames: Sequence[str]) -> str:
+    """The monomial with exponents mono, as x*y^2; "" for 1."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(varnames, mono) if e > 0)
 
 
 def poly_to_str(p: Poly, varnames: Sequence[str]) -> str:
@@ -577,10 +540,7 @@ def poly_to_str(p: Poly, varnames: Sequence[str]) -> str:
     pieces: list[tuple[str, bool]] = []
     for mono, c in p.sorted_terms():
         ctext, neg = _coeff_to_str(field, c)
-        varpart = "*".join(
-            (v if e == 1 else f"{v}^{e}")
-            for v, e in zip(varnames, mono) if e > 0
-        )
+        varpart = mono_to_str(mono, varnames)
         if not varpart:
             pieces.append((ctext, neg))
             continue
@@ -614,7 +574,7 @@ def _minpoly_to_str(minpoly: Sequence[int]) -> str:
 def print_presentation(p: Presentation) -> str:
     """Canonical text form; parse_presentation inverts this exactly."""
     f, names = p.field, ",".join(p.vars)
-    if isinstance(f, ExtensionField):
+    if f.minpoly is not None:
         ring = f"ring F_{f.p}^{f.m} minpoly {_minpoly_to_str(f.minpoly)} [{names}]"
     else:
         ring = f"ring {f.label()}[{names}]"

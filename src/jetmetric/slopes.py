@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from functools import partial
 from math import ceil, comb, factorial, isqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .artin import ArtinAlgebra, nilpotency_index
 from .errors import (
@@ -90,38 +91,41 @@ def _truncation_length(A: ArtinAlgebra, r: int) -> int:
     return sum(1 for d in A.degrees() if d < r)
 
 
-def delta0(A: ArtinAlgebra) -> Delta0Value:
-    """Log2 of length(A) / length(A/m^(n/2)), n the nilpotency index."""
-    n = nilpotency_index(A)
-    if n == 1:
-        raise NilpotencyOneError("half-order truncation of a field is the zero ring")
-    half = _truncation_length(A, n // 2)
-    ratio = Fraction(A.dim, half)
-    return Delta0Value(A.dim, half, ratio, log2_decimal(ratio))
-
-
-def eps0(A: ArtinAlgebra) -> Fraction:
-    """length(A/m^isqrt(n))^2 / length(A), n the nilpotency index."""
-    n = nilpotency_index(A)
-    root = _truncation_length(A, isqrt(n))
-    return Fraction(root * root, A.dim)
-
-
-def delta0_at_order(model: HilbertData, n: int) -> Delta0Value:
-    """delta0 of the order-n jet, from lengths alone."""
-    nilp = model.nilpotency_at(n)
+def _delta0(length: Callable[[int], int], nilp: int) -> Delta0Value:
+    """delta0 of an algebra of nilpotency index nilp, with length(r) the
+    length of its truncation mod m^r."""
     if nilp == 1:
         raise NilpotencyOneError("half-order truncation of a field is the zero ring")
-    top = model.length(min(n, nilp))
-    half = model.length(nilp // 2)
+    top, half = length(nilp), length(nilp // 2)
     ratio = Fraction(top, half)
     return Delta0Value(top, half, ratio, log2_decimal(ratio))
 
 
+def _eps0(length: Callable[[int], int], nilp: int) -> Fraction:
+    """eps0 of an algebra of nilpotency index nilp, length as for _delta0."""
+    root = length(isqrt(nilp))
+    return Fraction(root * root, length(nilp))
+
+
+def delta0(A: ArtinAlgebra) -> Delta0Value:
+    """Log2 of length(A) / length(A/m^(n/2)), n the nilpotency index."""
+    return _delta0(partial(_truncation_length, A), nilpotency_index(A))
+
+
+def eps0(A: ArtinAlgebra) -> Fraction:
+    """length(A/m^isqrt(n))^2 / length(A), n the nilpotency index."""
+    return _eps0(partial(_truncation_length, A), nilpotency_index(A))
+
+
+def delta0_at_order(model: HilbertData, n: int) -> Delta0Value:
+    """delta0 of the order-n jet, from lengths alone: its nilpotency index
+    is at most n, so below it the jet's truncations are the series' jets."""
+    return _delta0(model.length, model.nilpotency_at(n))
+
+
 def eps0_at_order(model: HilbertData, n: int) -> Fraction:
-    nilp = model.nilpotency_at(n)
-    root = model.length(isqrt(nilp))
-    return Fraction(root * root, model.length(min(n, nilp)))
+    """eps0 of the order-n jet, from lengths alone."""
+    return _eps0(model.length, model.nilpotency_at(n))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +185,7 @@ def _rho(model: HilbertData) -> RhoResult:
 
     # f(n) = d! * length(n) / (e * n^(d-1)) - n; on the polynomial range this
     # is N(n) / (e * n^(d-1)) with N of degree <= d - 1.
-    dfac = factorial(d)
-    numer = poly_scale(model.cumulative, Fraction(dfac))
+    numer = poly_scale(model.cumulative, Fraction(factorial(d)))
     monic = [Fraction(0)] * d + [Fraction(e)]
     numer = poly_add(numer, poly_scale(monic, Fraction(-1)))
     if len(numer) > d:
@@ -199,9 +202,9 @@ def _rho(model: HilbertData) -> RhoResult:
     best = Fraction(0)
     argmax: Optional[int] = None
     for n in range(1, scan_bound + 1):
-        f = Fraction(dfac * model.length(n), e * n ** (d - 1)) - n
-        if abs(f) > best or argmax is None:
-            best, argmax = abs(f), n
+        f = abs(defect_at(model, n))
+        if f > best or argmax is None:
+            best, argmax = f, n
     if best >= abs(tail_limit):
         return RhoResult(best, True, argmax, tail_limit, scan_bound)
     return RhoResult(abs(tail_limit), False, None, tail_limit, scan_bound)

@@ -187,7 +187,7 @@ def _scalars(F):
     if F.p is None:
         return st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)])
     if F.m > 1:
-        return st.sampled_from(list(F.elements()))
+        return st.sampled_from(range(F.order))
     return st.integers(0, F.p - 1)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric.errors import FieldError, PresentationSyntaxError, RangeError
+from jetmetric.errors import (ConstantTermError, FieldError, GradingError, JetMetricError,
+                              PresentationSyntaxError, RangeError)
 from jetmetric.exactcore import ExtensionField, PrimeField, finite_field, rationals
 from jetmetric.presentation import (
     FamilyTemplate,
@@ -118,6 +119,137 @@ def test_error_carries_line_and_column():
         assert e.column > 0
     else:
         pytest.fail("expected a syntax error")
+
+
+Syntax = PresentationSyntaxError
+LONG = "9" * 2401               # one digit past MAX_INT_DIGITS
+R = "ring Q[x]\ngraded\n"
+RF = "ring F_3[x]\ngraded\n"
+RE = "ring F_2^2 minpoly a^2 + a + 1 [x]\ngraded\n"
+
+# every refusal of the grammar: the error type, its message, and for syntax
+# errors the line and column it names
+PARSE_ERRORS = [
+    # the tokenizer
+    (R + "ideal: x + %", Syntax, "unexpected character '%'", 3, 12),
+    (R + "ideal: xé", Syntax, "unexpected character 'é'", 3, 9),
+    ("ring R[x]\ngraded\nideal: %", Syntax, "unexpected character '%'", 3, 8),
+    (R + "ideal: " + LONG + "*x",
+      Syntax, "integer literal of 2401 digits; at most 2400 are allowed", 3, 8),
+    (R + "ideal: x +\n  2*x^2 @", Syntax, "unexpected character '@'", 4, 9),
+    # the statement split
+    ("", Syntax, "empty presentation", 1, 1),
+    ("# only a comment\n\n ; ;\n", Syntax, "empty presentation", 1, 1),
+    # the field
+    ("ring", Syntax, "expected field after 'ring'", 1, 1),
+    ("ring [x]\ngraded\nideal: x", Syntax, "expected field after 'ring'", 1, 1),
+    ("ring 5[x]", Syntax, "expected field after 'ring'", 1, 1),
+    ("ring R[x]\ngraded\nideal: x", Syntax, "unknown field 'R'", 1, 6),
+    ("ring F_x[x]", Syntax, "unknown field 'F_x'", 1, 6),
+    ("ring F_" + LONG + "[x]",
+      Syntax, "integer literal of 2401 digits; at most 2400 are allowed", 1, 8),
+    ("ring F_2^ [x]", Syntax, "expected extension degree after '^'", 1, 9),
+    ("ring F_2^", Syntax, "expected extension degree after '^'", 1, 9),
+    ("ring F_2^2 [x]", Syntax, "expected 'minpoly' after extension degree", 1, 10),
+    ("ring F_2^2", Syntax, "expected 'minpoly' after extension degree", 1, 10),
+    ("ring F_2^2 poly a^2 + a + 1 [x]",
+      Syntax, "expected 'minpoly' after extension degree", 1, 10),
+    ("ring F_2^2 minpoly", Syntax, "unexpected end of expression", 1, 19),
+    ("ring F_2^2 minpoly [x]", Syntax, "unexpected token '['", 1, 20),
+    ("ring F_2^2 minpoly b^2 + b + 1 [x]", Syntax, "unknown name 'b'", 1, 20),
+    ("ring F_2^2 minpoly a^2 + a + 1/2 [x]",
+      Syntax, "fraction coefficients are only allowed over Q", 1, 30),
+    ("ring F_4^2 minpoly b [x]", FieldError, "4 is not prime", None, None),
+    ("ring F_2^2 minpoly a^2 + a + 1\ngraded\nideal: x",
+      Syntax, "expected '[' and variable list", 1, 30),
+    ("ring F_2^2 minpoly a^2 + 1 [x]\ngraded\nideal: x",
+      FieldError, "minimal polynomial [1, 0, 1] is reducible over F_2", None, None),
+    # the ring statement
+    ("ring Q[x]\nring Q[y]", Syntax, "duplicate ring statement", 2, 1),
+    ("ring Q x", Syntax, "expected '[' and variable list", 1, 6),
+    ("ring Q", Syntax, "expected '[' and variable list", 1, 6),
+    ("ring Q[]", Syntax, "expected variable name", 1, 8),
+    ("ring Q[,x]", Syntax, "expected variable name", 1, 8),
+    ("ring Q[x,]", Syntax, "expected variable name", 1, 10),
+    ("ring Q[x,1]", Syntax, "expected variable name", 1, 10),
+    ("ring Q[x,x]", Syntax, "duplicate variable 'x'", 1, 10),
+    ("ring F_2^2 minpoly a^2 + a + 1 [x,a]",
+      Syntax, "'a' is reserved for the field generator", 1, 35),
+    ("ring Q[x y]", Syntax, "expected ',' or ']'", 1, 10),
+    ("ring Q[x", Syntax, "unterminated variable list", 1, 1),
+    ("ring Q[", Syntax, "unterminated variable list", 1, 1),
+    ("ring Q[x,", Syntax, "unterminated variable list", 1, 1),
+    ("ring Q[x] y", Syntax, "unexpected token 'y' after ring", 1, 11),
+    ("ring Q[x]]", Syntax, "unexpected token ']' after ring", 1, 10),
+    # the statement heads
+    ("ring Q[x]\nlocal graded", Syntax, "unexpected token 'graded'", 2, 7),
+    ("ring Q[x]\nlocal\ngraded", Syntax, "duplicate mode statement", 3, 1),
+    ("ideal: x", Syntax, "'ideal' before ring statement", 1, 1),
+    ("tuple: x\nring Q[x]", Syntax, "'tuple' before ring statement", 1, 1),
+    (R + "ideal x", Syntax, "expected ':' after 'ideal'", 3, 1),
+    (R + "ideal", Syntax, "expected ':' after 'ideal'", 3, 1),
+    (R + "ideal: x\ntuple x^2", Syntax, "expected ':' after 'tuple'", 4, 1),
+    (R + "ideal: x\nideal: x^2", Syntax, "duplicate ideal statement", 4, 1),
+    (R + "ideal: x\ntuple: x\ntuple: x", Syntax, "duplicate tuple statement", 5, 1),
+    (R + "ideal: x\ntuple:", Syntax, "tuple statement is empty", 4, 1),
+    (R + "ideal: x\ntuple: ;", Syntax, "tuple statement is empty", 4, 1),
+    (R + "foo: x", Syntax, "unknown statement 'foo'", 3, 1),
+    ("ring Q[x]\n: x", Syntax, "unknown statement ':'", 2, 1),
+    ("ring Q[x]\n2", Syntax, "unknown statement '2'", 2, 1),
+    # the expression lists
+    (R + "ideal: x)", Syntax, "unexpected token ')'", 3, 9),
+    (R + "ideal: x y", Syntax, "unexpected token 'y'", 3, 10),
+    (R + "ideal: x,, x", Syntax, "unexpected token ','", 3, 10),
+    (R + "ideal: x,", Syntax, "unexpected end of expression", 3, 10),
+    (R + "ideal: x\ntuple: x,", Syntax, "unexpected end of expression", 4, 10),
+    # expressions
+    (R + "ideal: (x", Syntax, "expected ')'", 3, 10),
+    (R + "ideal: x^", Syntax, "expected integer exponent after '^'", 3, 10),
+    (R + "ideal: x^y", Syntax, "expected integer exponent after '^'", 3, 10),
+    (R + "ideal: x^(y)", Syntax, "expected integer in exponent", 3, 11),
+    (R + "ideal: x^(2", Syntax, "expected ')' closing the exponent", 3, 12),
+    (R + "ideal: x^(2-3)", Syntax, "negative exponent -1", 3, 10),
+    (R + "ideal: 1/x", Syntax, "expected integer denominator after '/'", 3, 10),
+    (R + "ideal: 1/0*x", Syntax, "zero denominator", 3, 10),
+    (RF + "ideal: 1/2*x", Syntax, "fraction coefficients are only allowed over Q", 3, 8),
+    (RF + "ideal: 1/x", Syntax, "expected integer denominator after '/'", 3, 10),
+    (R + "ideal: a*x", Syntax, "unknown name 'a'", 3, 8),
+    (RE + "ideal: b*x", Syntax, "unknown name 'b'", 3, 8),
+    (R + "ideal: x^2 + *", Syntax, "unexpected token '*'", 3, 14),
+    (R + "ideal: " + "(" * 101 + "x" + ")" * 101,
+      Syntax, "parentheses nested deeper than 100", 3, 108),
+    ("ring Q[x,y,z]\ngraded\nideal: (x+y+z)^90",
+      Syntax, "power of a 3-term polynomial to 90 may have more than 2000 terms", 3, 15),
+    ("ring Q[x,y]\ngraded\nideal: x*(3^5000*3^5000)",
+      Syntax, "coefficient of more than 8000 bits (4 x 2000)", 3, 17),
+    # the missing statements
+    ("graded\nideal: x", Syntax, "'ideal' before ring statement", 2, 1),
+    ("ring Q[x]\nideal: x", Syntax, "missing mode statement ('local' or 'graded')", 1, 1),
+    ("ring Q[x]\ngraded", Syntax, "missing ideal statement", 1, 1),
+    ("local", Syntax, "missing ring statement", 1, 1),
+    # the checks after the parse
+    (R + "ideal: x + 1",
+      ConstantTermError, "ideal generator has nonzero constant term", None, None),
+    ("ring Q[x,y]\ngraded\nideal: x + y^2",
+      GradingError, "graded presentation with non-homogeneous generator", None, None),
+    (R + "ideal: x\ntuple: 0",
+      ConstantTermError, "tuple entry must be nonzero with zero constant term", None, None),
+    (R + "ideal: x\ntuple: x + 1",
+      ConstantTermError, "tuple entry must be nonzero with zero constant term", None, None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line, column", PARSE_ERRORS,
+                         ids=[repr(row[0][:40]) for row in PARSE_ERRORS])
+def test_parse_errors_are_pinned(text, kind, message, line, column):
+    with pytest.raises(JetMetricError) as err:
+        parse_presentation(text)
+    e = err.value
+    assert type(e) is kind
+    if kind is Syntax:
+        assert (e.message, e.line, e.column) == (message, line, column)
+    else:
+        assert (str(e), line, column) == (message, None, None)
 
 
 def test_deep_nesting_is_a_syntax_error_not_a_recursion_error():

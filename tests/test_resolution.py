@@ -293,7 +293,7 @@ def _key(c):
 @given(st.sampled_from(sorted(REDUCER_FIELDS)), st.data())
 def test_sparse_reducer_agrees_with_exact_rank_and_rref(name, data):
     fld = REDUCER_FIELDS[name]
-    values = Q_VALUES if name == "Q" else list(fld.elements())
+    values = Q_VALUES if name == "Q" else list(range(fld.order))
     value = st.sampled_from(values)
     red = Echelon(fld)
     inserted: list[list] = []
@@ -490,7 +490,7 @@ def _product_values(fld):
         return [x for x in Q_VALUES if x]
     if fld == finite_field(P_BIG, 1):
         return [1, 2, 3, 2 ** 29, P_BIG - 2, P_BIG - 1]
-    return list(fld.elements())[1:]
+    return list(range(1, fld.order))
 
 
 def _draw_element(A, data):
