@@ -12,6 +12,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -280,6 +281,7 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the jetmetric command line."""
     top = argparse.ArgumentParser(
         prog="jetmetric",
         description="Exact invariants and deformation distances of finitely "
@@ -355,6 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# `run` parses with one parser per process, built on its first call and
+# never at import; parsing leaves the parser unchanged, and the help width
+# is read when help is printed
+_parser = functools.cache(build_parser)
+
+
 _HANDLERS = {
     "jets": _run_jets,
     "hilbert": _run_hilbert,
@@ -379,7 +387,7 @@ def _parameters(args) -> dict:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     report = {"schema": SCHEMA, "subcommand": args.subcommand,
               "parameters": _parameters(args), "inputs": {}}

@@ -27,6 +27,7 @@ from .errors import (
     InternalInconsistencyError,
     PoleOrderZeroError,
     PrefixTooShortError,
+    RangeError,
     WindowTooSmallError,
     ZeroRingError,
 )
@@ -78,6 +79,11 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 # Hilbert data
 
 
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise RangeError(f"jet order must be nonnegative, got {n}")
+
+
 @dataclass
 class HilbertData:
     """Series prefix plus rational normal form and both HS polynomials."""
@@ -107,8 +113,7 @@ class HilbertData:
 
     def length(self, n: int) -> int:
         """Length of the order-n jet."""
-        if n < 0:
-            raise ValueError("negative jet order")
+        _check_order(n)
         if n < self.poly_from:
             return sum(self.hf_prefix(n))
         v = poly_eval(self.cumulative, n)
@@ -120,7 +125,8 @@ class HilbertData:
         """Nilpotency index of the order-n jet.  By Nakayama a local ring's
         Hilbert function is positive up to its socle degree, so this is n in
         positive dimension and min(n, len(Q)) for an Artinian quotient."""
-        if n < 1:
+        _check_order(n)
+        if n == 0:
             raise ZeroRingError("order-0 jet is the zero ring")
         return n if self.pole_order else min(n, len(self.numerator))
 

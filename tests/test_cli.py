@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jetmetric import artin, poly
+from jetmetric import artin, cli, poly
 from jetmetric.cli import run
 
 from conftest import src_env
@@ -348,6 +349,8 @@ def test_extension_field_past_the_order_bound_exits_one_with_field_error(tmp_pat
     ["resolve", f"{INPUTS}/fat-point.pres", "--hcap", "0", "--dcap", "-7"],
     ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "5..3"],
     ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "0..3"],
+    ["slopes", f"{INPUTS}/plane.pres", "--which", "delta0", "--order", "-1"],
+    ["slopes", f"{INPUTS}/plane.pres", "--which", "eps0", "--order", "-2"],
 ])
 def test_out_of_range_caps_and_windows_exit_one_with_range_error(argv):
     code, out, _ = _capture(argv)
@@ -374,3 +377,89 @@ def test_stride_below_one_is_a_usage_error(stride):
                              "--window", "1..3", "--stride", stride])
     assert code == 2
     assert "--stride" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+TYPED_ERROR = ["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "5..3"]
+USAGE_ERROR = ["resolve", f"{INPUTS}/fat-point.pres", "--dcap", "3"]
+
+
+def test_runs_after_the_first_build_no_parser(monkeypatch):
+    _capture(["frobnicate"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert _capture(GOLDEN_COMMANDS["classify.json"])[0] == 0
+    assert _capture(["frobnicate"])[0] == 2
+    assert _capture(USAGE_ERROR)[0] == 2
+    assert _capture(TYPED_ERROR)[0] == 1
+    assert _capture(["euler", "--help"])[0] == 0
+    assert built == []
+
+
+def test_one_process_runs_every_golden_forward_and_back():
+    # an option of one run must not reach the next: each golden's parameters
+    # block is part of its bytes
+    names = sorted(GOLDEN_COMMANDS)
+    for order in (names, names[::-1]):
+        for i, name in enumerate(order):
+            if i == 3:
+                code, out, err = _capture(USAGE_ERROR)
+                assert (code, out) == (2, "")
+                assert "--dcap requires --residue-field" in err
+            if i == 6:
+                code, out, _ = _capture(TYPED_ERROR)
+                assert code == 1
+                doc = json.loads(out)
+                assert doc["error"]["type"] == "RangeError"
+                assert doc["parameters"] == {"cap": poly.DEFAULT_CAPACITY, "stride": 1,
+                                             "trace_of": "delta0", "which": "trace",
+                                             "window": [5, 3]}
+            code, out, _ = _capture(GOLDEN_COMMANDS[name])
+            assert code == 0
+            assert out == (GOLDEN / name).read_text()
+
+
+def _help(parse, argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["resolve", "--help"]])
+def test_help_is_laid_out_at_the_width_when_printed(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "120")
+    _capture(["frobnicate"])  # the shared parser exists before the width moves
+    pages = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        page = _help(run, argv)
+        assert page == _help(cli.build_parser().parse_args, argv)
+        pages.append(page)
+    assert pages[0] != pages[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # set-up imports the package; the parser is built on the first run
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting_init(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counting_init\n"
+             "import jetmetric.cli\n"
+             "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=ROOT, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

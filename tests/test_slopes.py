@@ -13,7 +13,9 @@ from jetmetric.errors import (
     DimensionZeroError,
     JetMetricError,
     NilpotencyOneError,
+    RangeError,
     WindowTooSmallError,
+    ZeroRingError,
 )
 from jetmetric.hilbert import hs_polynomial_from_jets
 from jetmetric.presentation import parse_presentation
@@ -97,6 +99,16 @@ def test_nilpotency_at_tracks_jet_order():
     m = length_model(CUSP)
     for n in (3, 5, 9):
         assert m.nilpotency_at(n) == nilpotency_index(jet(CUSP, n))
+
+
+def test_negative_orders_are_out_of_range_and_order_zero_is_the_zero_ring():
+    m = length_model(CUSP)
+    for read in (m.length, m.nilpotency_at):
+        with pytest.raises(RangeError, match="-1"):
+            read(-1)
+    assert m.length(0) == 0
+    with pytest.raises(ZeroRingError):
+        m.nilpotency_at(0)
 
 
 def test_delta0_at_order_agrees_with_jets():
