@@ -354,6 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tail", type=int, default=3)
     searchy(sp)
     common(sp)
+    for sp in sub.choices.values():
+        # a handler's usage error is reported as its subcommand's own
+        sp.set_defaults(usage=sp)
     return top
 
 
@@ -377,7 +380,7 @@ _HANDLERS = {
 
 
 def _parameters(args) -> dict:
-    skip = {"subcommand", "file", "a", "b", "template"}
+    skip = {"subcommand", "usage", "file", "a", "b", "template"}
     out = {}
     for k, v in sorted(vars(args).items()):
         if k in skip or v is None:
@@ -394,7 +397,7 @@ def run(argv=None) -> int:
     try:
         result, evidence, inputs = _HANDLERS[args.subcommand](args)
     except UsageError as e:
-        parser.error(str(e))   # exits 2
+        args.usage.error(str(e))   # exits 2
     except OSError as e:
         print(f"jetmetric: {e}", file=sys.stderr)
         return 2

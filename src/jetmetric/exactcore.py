@@ -34,8 +34,13 @@ column as its pivot, so an elimination touches only the nonzero entries,
 and one back-substitution.  The field picks only its row arithmetic: sparse
 integer rows {column: int} over Q (fraction-free, one division per entry
 at the end) and over F_p (residues with a unit pivot), the field's own
-arithmetic on codes over F_{p^m}.  :func:`rank_gf2` keeps F_2 graded ranks
-on bitmask rows.  No floating point anywhere.
+arithmetic on codes over F_{p^m}.  A row enters that form through the
+field's row ``entry`` once: a caller that builds many rows from one
+polynomial (the Macaulay rows of a generator) converts its coefficients
+once and hands the rows over in row form (:meth:`Echelon.insert`,
+:meth:`ExactMatrix.of_row_form`); every other row is converted as it
+enters.  :func:`rank_gf2` keeps F_2 graded ranks on bitmask rows.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -332,12 +337,18 @@ class Field:
     def row_arithmetic(self) -> tuple:
         """(entry, unit, clear) for the rows of an :class:`Echelon`.
 
-        entry(row) is a new row of the nonzero entries with the span of row.
-        unit(v, col) scales v to the entry one at col; it is None over Q,
-        whose rows stay fraction-free.  clear(v, prow, col) eliminates v at
-        col by the pivot row prow and returns the result, reusing v where it
-        can; stored rows are only ever passed as prow.  By default rows of
-        values in the field's own arithmetic.
+        entry(row) is a new row of the nonzero entries with the span of row,
+        in row form: integers of content 1 over Q, residues in [0, p) over
+        F_p, nonzero codes over F_{p^m}.  Its keys may be anything, so a
+        caller can convert a polynomial's coefficients once and build many
+        rows from them: a row whose keys are moved or some of whose entries
+        are dropped stays in row form (over Q its content may then exceed 1,
+        which the elimination allows).  unit(v, col) scales v to the entry
+        one at col; it is None over Q, whose rows stay fraction-free.
+        clear(v, prow, col) eliminates v at col by the pivot row prow and
+        returns the result, reusing v where it can; stored rows are only
+        ever passed as prow.  By default rows of values in the field's own
+        arithmetic.
         """
         return _code_arithmetic(self.sub, self.mul, self.inv)
 
@@ -367,8 +378,10 @@ class Field:
         return f"Field({self.label()})"
 
 
-# Fractions are immutable, so every zero the rationals hand out can be one object.
+# Fractions are immutable, so every zero and one the rationals hand out can
+# be one object each.
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class RationalField(Field):
@@ -379,7 +392,7 @@ class RationalField(Field):
         return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -784,18 +797,32 @@ class RrefResult:
 class ExactMatrix:
     """Exact matrix over a :class:`Field` with sparse rows: each row is a
     dict {column: value} of raw values, absent columns zero (explicit zero
-    values are allowed, and keys may come in any order).
+    values are allowed, and keys may come in any order).  A matrix made by
+    :meth:`of_row_form` holds rows already in the field's row form
+    (:attr:`Field.row_arithmetic`), converted once by their caller, and
+    skips the per-row conversion; over Q such a row may have content above 1.
 
     :meth:`rref`, :meth:`rank` and :meth:`kernel_basis` all feed the rows
     to one :class:`Echelon`: the rank is its forward pass alone, the
     reduced rows its back-substitution, as dicts of their nonzero entries
-    with the pivot entry one and the columns ascending.
+    with the pivot entry one and the columns ascending.  The rows are
+    never changed.
     """
+
+    _row_form = False
 
     def __init__(self, field: Field, rows: list[dict], ncols: int):
         self.field = field
         self.rows = rows
         self.ncols = ncols
+
+    @classmethod
+    def of_row_form(cls, field: Field, rows: list[dict], ncols: int) -> "ExactMatrix":
+        """The matrix of rows in the field's row form: nonzero entries only,
+        each produced by the field's row ``entry``, keys in any order."""
+        out = cls(field, rows, ncols)
+        out._row_form = True
+        return out
 
     @property
     def nrows(self) -> int:
@@ -803,9 +830,15 @@ class ExactMatrix:
 
     def _echelon(self) -> "Echelon":
         ech = Echelon(self.field)
-        add = ech.add
-        for row in self.rows:
-            add(row)
+        if self._row_form:
+            # the elimination may change the row it is handed
+            insert = ech.insert
+            for row in self.rows:
+                insert(dict(row))
+        else:
+            add = ech.add
+            for row in self.rows:
+                add(row)
         return ech
 
     def rref(self) -> RrefResult:
@@ -838,13 +871,18 @@ class Echelon:
     dicts from sortable keys (columns) to coefficients.
 
     The pivot of a row is its smallest key.  Rows are stored as dicts of
-    their nonzero entries, in the field's :attr:`Field.row_arithmetic`:
-    sparse integer rows over Q (fraction-free, content 1) and F_p
-    (residues, pivot entry one), element codes over F_{p^m} (pivot entry
-    one).  :meth:`reduce` is the one forward loop and inserts
-    nothing; :meth:`add` is reduce plus :meth:`store`.  :meth:`reduced` is
-    the one back-substitution, with the same :attr:`clear`.  A stored row is
-    never changed, so :meth:`copy` shares them.
+    their nonzero entries, in the field's row form
+    (:attr:`Field.row_arithmetic`): sparse integer rows over Q
+    (fraction-free; content 1 after an elimination step, possibly above 1
+    for a row that entered already in row form) and F_p (residues, pivot
+    entry one), element codes over F_{p^m} (pivot entry one).
+    :meth:`eliminate` is the one forward loop and inserts nothing; it takes
+    a row in row form, which a caller converts once (for example once per
+    generator of a Macaulay matrix) and :meth:`reduce` converts per row.
+    :meth:`insert` and :meth:`add` are eliminate and reduce plus
+    :meth:`store`.  :meth:`reduced` is the one back-substitution, with the
+    same :attr:`clear`.  A stored row is never changed, so :meth:`copy`
+    shares them.
     """
 
     def __init__(self, field: Field):
@@ -853,10 +891,14 @@ class Echelon:
         self._entry, self._unit, self.clear = field.row_arithmetic
 
     def reduce(self, v: dict) -> tuple[dict, object]:
-        """(remainder, pivot): v cleared at the stored pivots until its
-        smallest key has no row; (empty, None) when v lies in the span."""
+        """:meth:`eliminate` of v converted to row form; v is not changed."""
+        return self.eliminate(self._entry(v))
+
+    def eliminate(self, v: dict) -> tuple[dict, object]:
+        """(remainder, pivot): v, a row in row form that this may change,
+        cleared at the stored pivots until its smallest key has no row;
+        (empty, None) when v lies in the span."""
         rows, clear = self.rows, self.clear
-        v = self._entry(v)
         while v:
             c = min(v)
             prow = rows.get(c)
@@ -873,7 +915,11 @@ class Echelon:
 
     def add(self, v: dict) -> bool:
         """Insert v unless it lies in the span; True when v was inserted."""
-        v, c = self.reduce(v)
+        return self.insert(self._entry(v))
+
+    def insert(self, v: dict) -> bool:
+        """:meth:`add` of v, a row in row form that this may change."""
+        v, c = self.eliminate(v)
         if c is not None:
             self.store(v, c)
         return c is not None
@@ -888,8 +934,9 @@ class Echelon:
         """Back-substitution: the reduced row echelon form as pivot -> row
         ({key: value} of its nonzero field values, one at the pivot, keys
         ascending), in ascending pivot order, each row cleared at every
-        other pivot.  Over Q each entry is divided by its row's pivot once,
-        here, as ``Fraction(x, lead)``."""
+        other pivot.  Over Q each entry off the pivot is divided by its
+        row's pivot once, here, as ``Fraction(x, lead)``, and the pivot
+        entry is the field's one."""
         rows, clear = self.rows, self.clear
         done: dict[object, dict] = {}
         for pc in sorted(rows, reverse=True):
@@ -907,7 +954,8 @@ class Echelon:
             v = done[pc]
             if self._unit is None:
                 lead = v[pc]
-                out[pc] = {c: Fraction(v[c], lead) for c in sorted(v)}
+                out[pc] = {c: Fraction(v[c], lead) if c != pc else _ONE
+                           for c in sorted(v)}
             else:
                 out[pc] = {c: v[c] for c in sorted(v)}
         return out

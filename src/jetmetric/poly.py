@@ -236,6 +236,10 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     The monomials come from the frame of (nvars, cap): the multipliers of a
     generator of order e are its first below[cap - e] monomials, and one
     index lookup both places a product and drops it when it reaches the cap.
+    Each generator's coefficients go through the field's row ``entry`` once
+    (:attr:`Field.row_arithmetic`), and every row of that generator is built
+    from them: shifted and truncated, a row stays in row form, so the
+    elimination converts no row again.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -247,11 +251,12 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
         raise CapacityError(n_mono, capacity, f"cap {cap} in {nvars} variables")
     monos, index, below = _frame(nvars, cap)
     get = index.get
+    entry = field.row_arithmetic[0]
     rows = []
     for g in gens:
         if g.is_zero() or (e := g.order()) >= cap:
             continue
-        terms = g.terms.items()
+        terms = entry(g.terms).items()
         # each row holds t * u for a lowest term t of g, so none is empty
         for u in monos[:below[cap - e]]:
             row = {}
@@ -260,7 +265,7 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
                 if i is not None:
                     row[i] = c
             rows.append(row)
-    red = ExactMatrix(field, rows, n_mono).rref()
+    red = ExactMatrix.of_row_form(field, rows, n_mono).rref()
     free = red.free_columns()
     basis = [monos[c] for c in free]
     pos = {c: j for j, c in enumerate(free)}

@@ -11,11 +11,16 @@ t^(d0 - |b|) x^b of J.  The loop stops at the first d >= every generator
 degree where every S-pair of the minimal rows, of degree above d and not
 coprime, reduces to zero; by Buchberger's criterion the rows then form a
 Groebner basis, so L(I) is exact.  The module does no field arithmetic of
-its own: the minimal rows are the echelon's stored rows, an S-pair is one
-`Echelon.clear` of a shifted row by another and division is repeated
-clearing, so over Q S-pairs are cleared fraction-free on integer rows.  k[x]/L(I) has the Hilbert-Samuel function
-of I (Greuel-Pfister, ch. 5), with series from N(L + (m)) = N(L) -
-t^deg(m) N(L : m) (Bayer-Stillman, J. Symb. Comput. 14, 1992).
+its own: each generator's coefficients go through the field's row `entry`
+once per call, and every row x^u * g is built from them in row form and
+handed to `Echelon.insert`; the minimal rows are the echelon's stored rows,
+an S-pair is one `Echelon.clear` of a shifted row by another and division
+is repeated clearing, so over Q S-pairs are cleared fraction-free on
+integer rows.  A basis row's shift by x^u is built once per call and
+shared only as the pivot row of a clear, which never changes it.
+k[x]/L(I) has the Hilbert-Samuel function of I (Greuel-Pfister, ch. 5),
+with series from N(L + (m)) = N(L) - t^deg(m) N(L : m) (Bayer-Stillman,
+J. Symb. Comput. 14, 1992).
 """
 
 from __future__ import annotations
@@ -51,25 +56,34 @@ def _over(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _reduces_to_zero(clear, h: dict, e: int, basis: list) -> bool:
+def _shifted(shifts: dict, b: Monomial, row: dict, u: Monomial) -> dict:
+    """x^u * row for the basis row with pivot b, built once per key (b, u):
+    shared, so it may only be handed to clear as the pivot row."""
+    got = shifts.get((b, u))
+    if got is None:
+        got = shifts[b, u] = _shift(row, u)
+    return got
+
+
+def _reduces_to_zero(clear, h: dict, e: int, basis: list, shifts: dict) -> bool:
     """Homogeneous division of the degree-e element h of J: t^a x^b divides
     its leading monomial t^(e - |m|) x^m when b divides m and a <= e - |m|."""
     while h:
         deg, m = lead = min(h)
         for a, b, row in basis:
             if a <= e - deg and _divides(b, m):
-                h = clear(h, _shift(row, _over(m, b)), lead)
+                h = clear(h, _shifted(shifts, b, row, _over(m, b)), lead)
                 break
         else:
             return False
     return True
 
 
-def _pairs_reduce(clear, basis: list, d: int, verified: set) -> bool:
+def _pairs_reduce(clear, basis: list, d: int, verified: set, shifts: dict) -> bool:
     """Whether every S-pair of the basis, (a, b, row) per row of J with a
     minimal leading monomial t^a x^b (the echelon's stored row, keyed by
     grlex_key, its pivot at b), above degree d reduces to zero.  A reduced
-    pair stays verified."""
+    pair stays verified; shifts holds the shared shifted basis rows."""
     for j, (aj, bj, rj) in enumerate(basis):
         for ai, bi, ri in basis[:j]:
             lcm = tuple(map(max, bi, bj))
@@ -77,9 +91,10 @@ def _pairs_reduce(clear, basis: list, d: int, verified: set) -> bool:
             coprime = e == ai + aj + sum(bi) + sum(bj)
             if coprime or e <= d or (bi, bj) in verified:
                 continue
-            s = clear(_shift(ri, _over(lcm, bi)), _shift(rj, _over(lcm, bj)),
+            # clear changes its first row: that one is built fresh
+            s = clear(_shift(ri, _over(lcm, bi)), _shifted(shifts, bj, rj, _over(lcm, bj)),
                       grlex_key(lcm))
-            if not _reduces_to_zero(clear, s, e, basis):
+            if not _reduces_to_zero(clear, s, e, basis, shifts):
                 return False
             verified.add((bi, bj))
     return True
@@ -94,21 +109,24 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
     if any(not field.is_zero(g.constant_term()) for g in gens):
         raise ConstantTermError("ideal generator has nonzero constant term")
     top = max((g.degree() for g in gens), default=0)
-    ech, basis, verified, d = Echelon(field), [], set(), 0
+    entry = field.row_arithmetic[0]
+    # each nonzero generator's degree and coefficients in row form
+    rowed = [(g.degree(), entry(g.terms).items()) for g in gens if not g.is_zero()]
+    ech, basis, verified, shifts, d = Echelon(field), [], set(), {}, 0
     while True:
         before = set(ech.rows)
-        for g in gens:
-            if g.degree() <= d:
-                for u in monomials_of_degree(nvars, d - g.degree()):
-                    row = {grlex_key(mono_mul(u, m)): c for m, c in g.terms.items()}
-                    if ech.add(row) and len(ech.rows) > capacity:
+        for deg, terms in rowed:
+            if deg <= d:
+                for u in monomials_of_degree(nvars, d - deg):
+                    row = {grlex_key(mono_mul(u, m)): c for m, c in terms}
+                    if ech.insert(row) and len(ech.rows) > capacity:
                         raise CapacityError(len(ech.rows), capacity,
                                             f"degree {d} in {nvars} variables",
                                             what="leading-ideal row count")
         for deg, b in sorted(k for k in ech.rows if k not in before):
             if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
                 basis.append((d - deg, b, ech.rows[(deg, b)]))
-        if d >= top and _pairs_reduce(ech.clear, basis, d, verified):
+        if d >= top and _pairs_reduce(ech.clear, basis, d, verified, shifts):
             return _minimal(b for _, b, _ in basis)
         d += 1
 

@@ -1,10 +1,11 @@
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jetmetric.poly import mono_mul
+from jetmetric.poly import Poly, mono_mul
 from jetmetric.presentation import parse_presentation
 
 # one line per acceptance criterion, printed after the run (see
@@ -150,3 +151,36 @@ def dense_product(A, u, v):
             nf = to_dense(A, A.reduce_monomial(mono_mul(A.basis[i], A.basis[j])))
             out = [f.add(o, f.mul(c, w)) for o, w in zip(out, nf)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# generators whose Macaulay rows exercise the row-form path: each generator
+# is converted to the field's row form once, and its rows are shifts and
+# truncations of that
+
+
+def row_form_cases(F):
+    """{name: (nvars, generators, cap)} over Q, F_3 or F_4.  Over Q the
+    first has denominators and the second a truncated row of content 2
+    (2*x^2 + 3*x^3 at cap 3 keeps 2*x^2); over F_3 and F_4 the same
+    monomials carry the field's own values: 1/2 and 1/3 read as 2 and 1
+    over F_3, as the codes 2 (a) and 3 (a + 1) over F_4, and 2 and 3 as
+    from_int gives them."""
+    half, third = {None: (Fraction(1, 2), Fraction(1, 3)), 3: (2, 1),
+                   4: (2, 3)}[F.order]
+    two, three = F.from_int(2), F.from_int(3)
+
+    def gen(nvars, terms):
+        return Poly(F, nvars, terms)
+
+    x2, y3 = (2, 0), (0, 3)
+    return {
+        "denominators": (2, [gen(2, {x2: half, y3: third})], 6),
+        "content_above_one": (1, [gen(1, {(2,): two, (3,): three})], 3),
+        "zero_generator": (2, [gen(2, {}), gen(2, {(1, 1): half, y3: F.one()}),
+                               gen(2, {})], 5),
+        "order_at_the_cap": (2, [gen(2, {(3, 0): F.one(), (0, 4): third}),
+                                 gen(2, {(5, 0): half}), gen(2, {x2: F.one(), y3: half})], 3),
+        "denominators_truncated": (2, [gen(2, {x2: half, y3: third, (1, 3): two}),
+                                       gen(2, {(1, 1): third, (0, 4): three})], 4),
+    }

@@ -379,6 +379,40 @@ def test_stride_below_one_is_a_usage_error(stride):
     assert "--stride" in err
 
 
+_SLOPES_USAGE = """\
+usage: jetmetric slopes [-h] --which {delta0,eps0,rho,quasidim,trace}
+                        [--order ORDER] [--trace-of {delta0,eps0,hilbert}]
+                        [--window a..b] [--stride STRIDE] [--cap CAP]
+                        file
+"""
+_RESOLVE_USAGE = """\
+usage: jetmetric resolve [-h] [--residue-field] [--hcap HCAP] [--dcap DCAP]
+                         [--cap CAP]
+                         file
+"""
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["resolve", f"{INPUTS}/fat-point.pres", "--dcap", "3"], _RESOLVE_USAGE,
+     "jetmetric resolve: error: --dcap requires --residue-field"),
+    (["slopes", f"{INPUTS}/plane.pres", "--which", "delta0"], _SLOPES_USAGE,
+     "jetmetric slopes: error: --which delta0 requires --order"),
+    (["slopes", f"{INPUTS}/plane.pres", "--which", "trace", "--window", "1..3",
+      "--stride", "0"], _SLOPES_USAGE,
+     "jetmetric slopes: error: --stride must be at least 1"),
+    (["slopes", f"{INPUTS}/plane.pres", "--which", "trace"], _SLOPES_USAGE,
+     "jetmetric slopes: error: --which trace requires --window a..b"),
+], ids=["dcap", "order", "stride", "window"])
+def test_a_handlers_usage_error_names_its_subcommand(monkeypatch, argv, usage, message):
+    # as argparse reports the subcommand's own option errors
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _capture(argv)
+    assert (code, out) == (2, "")
+    assert err == usage + message + "\n"
+    # the same usage line as argparse's own error for an option of it
+    assert _capture(argv[:2] + ["--cap", "x"])[2].startswith(usage)
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

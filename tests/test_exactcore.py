@@ -859,6 +859,56 @@ def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
     assert M.kernel_basis() == _reference_kernel(F, want)
 
 
+# -- rows in row form: converted once by their caller, then shifted and
+# truncated, they give the RREF of the raw rows they came from
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_form_rows_match_the_raw_rows_they_came_from(name, data):
+    F = CONTRACT_FIELDS[name]
+    entry = F.row_arithmetic[0]
+    rows, n = data.draw(_any_rows(F))
+    # each row converted as a whole, then truncated: over Q its content
+    # may then exceed 1
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    raw, entered = [], []
+    for r in _sparse_rows(F, rows):
+        keep = {c for c in r if rnd.random() < 0.8}
+        raw.append({c: x for c, x in r.items() if c in keep})
+        entered.append({c: x for c, x in entry(r).items() if c in keep})
+    held = [dict(r) for r in entered]
+    M = ExactMatrix.of_row_form(F, entered, n)
+    want = ExactMatrix(F, raw, n).rref()
+    assert M.rank() == want.rank
+    for _ in range(2):
+        got = M.rref()
+        assert (got.rows, got.pivots, got.ncols) == (want.rows, want.pivots, n)
+        assert entered == held
+    _assert_value_types(F, got.rows)
+
+
+def test_row_form_rows_of_content_above_one_over_q():
+    Q = rationals()
+    entry = Q.row_arithmetic[0]
+    g = entry({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(-5, 6)})
+    assert g == {0: 3, 1: 2, 2: -5}
+    # the truncations {0: 3, 2: -5} and {0: 3}, the latter of content 3
+    rows = [{c: x for c, x in g.items() if c != 1}, {0: g[0]}, {1: 4, 2: 6}]
+    M = ExactMatrix.of_row_form(Q, rows, 3)
+    red = M.rref()
+    assert red.pivots == [0, 1, 2] and M.rank() == 3
+    assert red.rows == [{0: 1}, {1: 1}, {2: 1}] == M.rref().rows
+    # each pivot entry is the field's one object
+    assert all(row[pc] is Q.one() for row, pc in zip(red.rows, red.pivots))
+    ech = Echelon(Q)
+    assert ech.insert({0: 6, 3: 4}) and ech.rows == {0: {0: 6, 3: 4}}
+    assert ech.reduced() == {0: {0: 1, 3: Fraction(2, 3)}}
+    assert ech.eliminate({0: 3, 3: 2}) == ({}, None)
+    assert ech.reduce({0: Fraction(3, 5), 3: Fraction(2, 5)}) == ({}, None)
+
+
 def test_sparse_rows_edge_forms():
     # no rows, only empty rows, and a row of explicit zeros, in every field
     for F in CONTRACT_FIELDS.values():

@@ -27,6 +27,8 @@ from jetmetric.poly import (
 )
 from jetmetric.presentation import parse_presentation
 
+from conftest import row_form_cases
+
 
 def test_monomials_of_degree_count_and_order():
     ms = monomials_of_degree(3, 2)
@@ -234,6 +236,57 @@ def test_defpair_jet_matches_the_reference_build(F, a, b, n, ideal):
     ref = _reference_truncated_quotient(A.field, A.nvars, A.relations, A.cap)
     assert A.basis == ref.basis
     assert A.nf == ref.nf
+
+
+# Macaulay rows built from each generator's row form against the reference,
+# which hands ExactMatrix raw rows for it to convert one by one
+
+ROW_FORM_RINGS = {"Q": "Q", "F_3": "F_3", "F_4": "F_2^2 minpoly a^2 + a + 1"}
+
+
+def _row_form_field(name):
+    return parse_presentation(f"ring {ROW_FORM_RINGS[name]}[x]\nlocal\nideal: x").base_field()
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FORM_RINGS))
+@pytest.mark.parametrize("case", sorted(row_form_cases(rationals())))
+def test_row_form_macaulay_rows_match_the_raw_row_build(name, case):
+    F = _row_form_field(name)
+    nvars, gens, cap = row_form_cases(F)[case]
+    got = truncated_quotient(F, nvars, gens, cap)
+    ref = _reference_truncated_quotient(F, nvars, gens, cap)
+    assert got.basis == ref.basis
+    assert got.nf == ref.nf
+
+
+def test_a_truncated_row_of_content_above_one_reduces_to_its_pivot():
+    # 2*x^2 + 3*x^3 has content 1; its one row at cap 3 keeps 2*x^2
+    nvars, gens, cap = row_form_cases(rationals())["content_above_one"]
+    tq = truncated_quotient(rationals(), nvars, gens, cap)
+    assert tq.basis == [(0,), (1,)]
+    assert tq.nf == {(2,): [0, 0]}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FORM_RINGS))
+def test_a_jet_converts_each_generator_once(monkeypatch, name):
+    # every Macaulay row is a shift of one generator, truncated at the cap:
+    # the field's row entry sees each nonzero generator below the cap once
+    # and no row on its own
+    p = parse_presentation(f"ring {ROW_FORM_RINGS[name]}[x, y]\nlocal\n"
+                           "ideal: y^2 - x^3, x*y^2 + y^5")
+    F = p.base_field()
+    entry, unit, clear = F.row_arithmetic
+    converted = []
+    monkeypatch.setattr(F, "row_arithmetic",
+                        (lambda row: converted.append(dict(row)) or entry(row), unit, clear))
+    jet(p, 7)
+    assert converted == [g.terms for g in p.gens]
+    assert sum(count_monomials_below(2, 7 - g.order()) for g in p.gens) == 25
+    for case, (nvars, gens, cap) in row_form_cases(F).items():
+        converted.clear()
+        truncated_quotient(F, nvars, gens, cap)
+        assert converted == [g.terms for g in gens
+                             if not g.is_zero() and g.order() < cap], case
 
 
 @pytest.fixture

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from jetmetric.artin import jet
 from jetmetric.errors import CapacityError, ConstantTermError
+from jetmetric.exactcore import finite_field, rationals
 from jetmetric.hilbert import hilbert_series
 from jetmetric.poly import (DEFAULT_CAPACITY, graded_component_rank, grlex_key, mono_mul,
                             monomials_of_degree)
 from jetmetric.presentation import parse_presentation
 from jetmetric.standard import _divides, _minimal, hilbert_numerator, leading_ideal, series
 
-from conftest import random_presentation
+from conftest import random_presentation, row_form_cases
 
 
 def _numerator(text):
@@ -224,3 +225,13 @@ def test_complete_intersection_matches_the_field_arithmetic_reference(field):
     want = _reference_leading_ideal(fld, p.nvars, p.gens)
     assert want == ((0, 2, 0), (2, 0, 0), (0, 0, 3))
     assert leading_ideal(fld, p.nvars, p.gens) == want
+
+
+@pytest.mark.parametrize("field", [rationals(), finite_field(3, 1), finite_field(2, 2)],
+                         ids=lambda F: F.label())
+@pytest.mark.parametrize("case", sorted(row_form_cases(rationals())))
+def test_row_form_generators_match_the_raw_row_reference(field, case):
+    # each generator converted once, every x^u * g built from it; the
+    # reference hands its echelon raw rows
+    nvars, gens, _ = row_form_cases(field)[case]
+    assert leading_ideal(field, nvars, gens) == _reference_leading_ideal(field, nvars, gens)
