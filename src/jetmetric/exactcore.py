@@ -830,15 +830,11 @@ class ExactMatrix:
 
     def _echelon(self) -> "Echelon":
         ech = Echelon(self.field)
-        if self._row_form:
-            # the elimination may change the row it is handed
-            insert = ech.insert
-            for row in self.rows:
-                insert(dict(row))
-        else:
-            add = ech.add
-            for row in self.rows:
-                add(row)
+        # a row already in row form is copied: the elimination may change it
+        enter = dict if self._row_form else ech._entry
+        insert = ech.insert
+        for row in self.rows:
+            insert(enter(row))
         return ech
 
     def rref(self) -> RrefResult:
