@@ -185,13 +185,17 @@ def _prime_factors(n: int) -> list[int]:
 
 def _fp_is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Rabin's test for a monic f of degree m: x^(p^m) = x mod f, and
-    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r dividing m."""
+    gcd(x^(p^(m/r)) - x, f) = 1 for every prime r dividing m.  A root in
+    F_p, a common factor of x^p - x and f, rejects an f of degree 2 or more
+    before the higher Frobenius powers are formed."""
     f = _fp_trim(list(poly))
     deg = len(f) - 1
     if deg < 1:
         return False
-    frob = [[0, 1]]                     # frob[k] = x^(p^k) mod f
-    for _ in range(deg):
+    frob = [[0, 1], _fp_powmod([0, 1], p, f, p)]    # frob[k] = x^(p^k) mod f
+    if deg > 1 and len(_fp_gcd(f, _fp_sub(frob[1], [0, 1], p), p)) > 1:
+        return False
+    for _ in range(deg - 1):
         frob.append(_fp_powmod(frob[-1], p, f, p))
     if _fp_mod(_fp_sub(frob[deg], [0, 1], p), f, p):
         return False

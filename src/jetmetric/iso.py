@@ -427,7 +427,12 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     m = w.ext_multiple
     if not isinstance(m, int) or m < 1 or (m > 1 and A.field.order is None):
         return False
-    A, B = _extend(A, m), _extend(B, m)
+    return _verify_extended(_extend(A, m), _extend(B, m), w, match_tuples)
+
+
+def _verify_extended(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
+                     match_tuples: bool) -> bool:
+    """verify_witness of w on A and B already extended by w.ext_multiple."""
     if A.dim != B.dim:
         return False
     if A.dim == 0:
@@ -444,7 +449,11 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
     """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
-    A0, B0 = _extend(A, w.ext_multiple), _extend(B, w.ext_multiple)
+    return _invert_extended(_extend(A, w.ext_multiple), _extend(B, w.ext_multiple), w)
+
+
+def _invert_extended(A0: ArtinAlgebra, B0: ArtinAlgebra, w: Witness) -> Witness:
+    """invert_witness of w on A0 and B0 already extended by w.ext_multiple."""
     image = B0.monomial_map(w.images)
     n, r = A0.dim, B0.nvars
     # solve L X = [classes of y_k] by rref of [L | targets], which ends in
@@ -850,6 +859,8 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if sep is not None:
         return IsoVerdict(status="NOT_ISO", separator=sep)
 
+    # A and B extended by the ISO witness's ext_multiple: the rung's pair
+    extended = (A, B)
     if A.dim <= 1:
         # the zero ring or the field itself: every variable goes to 0
         verdict = IsoVerdict(status="ISO", witness=Witness(
@@ -858,23 +869,28 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
         swapped = _precedes(B, A)
         first, second = (B, A) if swapped else (A, B)
         try:
-            verdict = _decide_oriented(first, second, budget, match_tuples,
-                                       _late_separator(A, B))
+            verdict, extended = _decide_oriented(first, second, budget, match_tuples,
+                                                 _late_separator(A, B))
         except _Separated as e:
             return IsoVerdict(status="NOT_ISO", separator=e.args[0])
         if swapped and verdict.status == "ISO":
-            verdict.witness = invert_witness(first, second, verdict.witness)
-    if verdict.status == "ISO" and not verify_witness(A, B, verdict.witness, match_tuples):
+            verdict.witness = _invert_extended(*extended, verdict.witness)
+            extended = extended[::-1]
+    if verdict.status == "ISO" and not _verify_extended(*extended, verdict.witness,
+                                                        match_tuples):
         raise InternalInconsistencyError("the witness found fails verification")
     return verdict
 
 
 def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
-                     match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
+                     match_tuples: bool, late_check: Callable[[], None]
+                     ) -> tuple[IsoVerdict, tuple[ArtinAlgebra, ArtinAlgebra]]:
     """The extension ladder: rung k searches A and B extended by k, for
     k = 1..ext_degree_max over F_q and k = 1 over Q, all rungs drawing on
     one effort.  Only rung 1 runs late_check: a later rung runs only after
-    rung 1 went past its permutations with effort left, so past the check."""
+    rung 1 went past its permutations with effort left, so past the check.
+    Returns the verdict with the last rung's extended pair, the one an ISO
+    witness maps between."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
     rational = f.order is None
@@ -882,7 +898,8 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     effort_left = budget.effort
     exhausted_all, ran_out = True, False
     for k in range(1, rungs + 1):
-        searcher = _Searcher(_extend(A, k), _extend(B, k), effort_left, match_tuples,
+        extended = (_extend(A, k), _extend(B, k))
+        searcher = _Searcher(*extended, effort_left, match_tuples,
                              late_check if k == 1 else lambda: None)
         try:
             w, seen_all = searcher.run(graded)
@@ -895,7 +912,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         if w is not None:
             w.ext_multiple = k
             return IsoVerdict(status="ISO", witness=w,
-                              search_bounds=None if rational else bounds)
+                              search_bounds=None if rational else bounds), extended
         exhausted_all = exhausted_all and seen_all
         if effort_left <= 0:
             # a rung that never ran has not seen its space
@@ -906,4 +923,4 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     else:
         stopped_by = "space" if exhausted_all else "effort"
     return IsoVerdict(status="UNKNOWN", search_bounds={
-        **bounds, "space_exhausted": exhausted_all, "stopped_by": stopped_by})
+        **bounds, "space_exhausted": exhausted_all, "stopped_by": stopped_by}), extended

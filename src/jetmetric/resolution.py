@@ -13,17 +13,20 @@ the residue field over an Artinian (or polynomial) graded ring, finite
 resolutions of graded quotients over the polynomial ring, and the depth /
 regular / Cohen-Macaulay / Gorenstein classification.
 
-Module elements are sparse: only the nonzero coefficients are stored, and
-the products basis[u] * g of a generator g with the monomials u of one degree
-are formed together (`_products`) from the ring's own sparse table of basis-
-pair products (`ArtinAlgebra.mult_basis`, shared with the invariants and the
-witness search), so no work is spent on the zero blocks of generators in
-other degrees.  A product row is raw: its entries are sums in the field's
-`raw_arithmetic`, chosen by `exactcore`, unreduced over F_p and possibly
-zero; `Echelon`'s entry conversion is the one normalization of every row.
-A product with no entry at all never reaches the elimination: it would
-reduce to its tag alone, so it is a unit syzygy and goes straight into the
-kernel.  Degree components
+Module elements are sparse: only the nonzero coefficients are stored, each
+under one flat integer key, k*n + b for basis[b] times the k-th generator
+(n the ring's dimension), and the products basis[u] * g of a generator g
+with the monomials u of one degree are formed together (`_products`) from
+the ring's own sparse table of basis-pair products (`ArtinAlgebra.mult_basis`,
+shared with the invariants and the witness search), so no work is spent on
+the zero blocks of generators in other degrees.  The ring is graded, so a
+term of g whose degree plus deg u is past the ring's top degree has a zero
+product and is dropped before any product is looked up.  A product row is
+raw: its entries are sums in the field's `raw_arithmetic`, chosen by
+`exactcore`, unreduced over F_p and possibly zero; `Echelon`'s entry
+conversion is the one normalization of every row.  A product with no entry
+at all never reaches the elimination: it would reduce to its tag alone, so
+it is a unit syzygy and goes straight into the kernel.  Degree components
 come from `ArtinAlgebra.component`.  This module does no row reduction of
 its own: every elimination is an `exactcore.Echelon`.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .artin import ArtinAlgebra, jet, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
@@ -49,12 +52,13 @@ from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
 from .standard import hilbert_numerator
 
-# An element of a free module is a dict from (generator index k, ring basis
-# index b) to a nonzero coefficient in the field's values, the coefficient of
-# basis[b] times the k-th generator.  Sorted keys follow the flattened
-# coordinate order: blocks in generator order, each block in ascending basis
-# index.  A product row of `_products` has the same keys but raw entries
-# (unreduced over F_p, possibly zero) until `Echelon` converts it.
+# An element of a free module is a dict from the flat key k*n + b (generator
+# index k, ring basis index b, n = A.dim) to a nonzero coefficient in the
+# field's values, the coefficient of basis[b] times the k-th generator.
+# Sorted keys follow the flattened coordinate order: blocks in generator
+# order, each block in ascending basis index, as the pairs (k, b) did.  A
+# product row of `_products` has the same keys but raw entries (unreduced
+# over F_p, possibly zero) until `Echelon` converts it.
 Element = dict
 
 
@@ -80,25 +84,41 @@ class ResolutionData:
         return self.ranks[i] if i < len(self.ranks) else 0
 
 
-def _products(A: ArtinAlgebra, g: Element, us: tuple[int, ...]) -> list[Element]:
-    """basis[u] * g for every u in us, read from the algebra's sparse
-    basis-pair products, as raw rows for `Echelon`, whose entry conversion
-    is the one normalization: the entries are sums in the field's raw
-    arithmetic (unreduced over F_p) and may cancel to zero.  A row is empty
-    exactly when every basis product basis[u] * basis[b] of g's support
-    vanishes."""
+def _products(A: ArtinAlgebra) -> Callable[[Element, tuple[int, ...]], list[Element]]:
+    """The product rows of a graded A: a function of (g, us) giving
+    basis[u] * g for every u in us, basis monomials of one degree, read from
+    the algebra's sparse basis-pair products, as raw rows for `Echelon`,
+    whose entry conversion is the one normalization: the entries are sums in
+    the field's raw arithmetic (unreduced over F_p) and may cancel to zero.
+    A term of g whose degree plus deg u is past A's top degree multiplies to
+    zero and is dropped first.  A row is empty exactly when every basis
+    product basis[u] * basis[b] of g's support vanishes."""
+    n, degrees = A.dim, A.degrees()
+    top = max(degrees, default=0)
     mult_basis = A.mult_basis
     add, mul, _ = A.field.raw_arithmetic
-    items = list(g.items())
-    rows: list[Element] = []
-    for u in us:
-        row: Element = {}
-        for (k, b), c in items:
-            for t, w in mult_basis(b, u):
-                key, x = (k, t), mul(c, w)
-                row[key] = add(row[key], x) if key in row else x
-        rows.append(row)
-    return rows
+
+    def products(g: Element, us: tuple[int, ...]) -> list[Element]:
+        if not us:
+            return []
+        room = top - degrees[us[0]]
+        # (key of the block's basis[0], b, coefficient) of the terms that
+        # can survive: basis[u] * basis[b] lies in the block at key - b + t
+        items = [(key - b, b, c) for key, c in g.items()
+                 if degrees[b := key % n] <= room]
+        if not items:
+            return [{} for _ in us]
+        rows: list[Element] = []
+        for u in us:
+            row: Element = {}
+            for base, b, c in items:
+                for t, w in mult_basis(b, u):
+                    key, x = base + t, mul(c, w)
+                    row[key] = add(row[key], x) if key in row else x
+            rows.append(row)
+        return rows
+
+    return products
 
 
 def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
@@ -109,20 +129,25 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     the first i with ker d_i = 0 up to dcap (0 without generators), or None.
 
     Per layer i and degree j one `Echelon` over (F_{i-1})_j: first the
-    products u * g of lower generators, tagged (T, k, u) with T the number of
-    generators of F_{i-1}, so tags sort last and a product left with a tag
-    pivot is a dependency, its tags a vector of ker d_i; then the candidates,
-    one left with an element pivot a new generator.  A zero product u * g
-    skips the elimination as the dependency {(k, u): 1}.  Dependencies count
-    up to dcap; layer-1 candidates above it are still taken."""
+    products u * g of lower generators, each tagged at the flat key
+    T*n + k*n + u, T the number of generators of F_{i-1} and n = A.dim, so
+    tags sort after every element key (all below T*n) and a product left
+    with a tag pivot is a dependency, its tags less T*n a vector of ker d_i
+    in flat keys k*n + u; then the candidates, one left with an element
+    pivot a new generator.  A zero product u * g skips the elimination as
+    the dependency {k*n + u: 1}; when every term of g multiplies past the
+    top degree, every u of the degree gives one and no product is formed.
+    Dependencies count up to dcap; layer-1 candidates above it are still
+    taken."""
     one = A.field.one()
+    n, products = A.dim, _products(A)
     layers, pd = [[0]], None
     candidates = candidates_by_degree
     for i in range(1, top + 1):
         if i == top > 1:
             layers.append(_count_generators(A, candidates))
             break
-        T = len(layers[-1])
+        tags = len(layers[-1]) * n
         shifts: list[int] = []
         gens: list[Element] = []
         kernel: dict[int, list[Element]] = {}
@@ -132,20 +157,23 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
             # every generator so far has degree below j
             for k, (s, g) in enumerate(zip(shifts, gens)):
                 us = A.component(j - s)
-                for u, row in zip(us, _products(A, g, us)):
+                if not us:
+                    continue
+                block = k * n
+                for u, row in zip(us, products(g, us)):
                     if not row:
                         # no stored row has a tag pivot, so a zero product
                         # would reduce to its tag alone: a unit syzygy
                         if j <= dcap:
-                            kernel.setdefault(j, []).append({(k, u): one})
+                            kernel.setdefault(j, []).append({block + u: one})
                         continue
-                    row[(T, k, u)] = one
+                    row[tags + block + u] = one
                     rem, c = ech.reduce(row)
-                    if c[0] < T:
+                    if c < tags:
                         ech.store(rem, c)
                     elif j <= dcap:
                         kernel.setdefault(j, []).append(
-                            {(k2, u2): x for (_, k2, u2), x in rem.items()})
+                            {key - tags: x for key, x in rem.items()})
             cands = candidates.get(j, ())
             for g in cands:
                 # past layer 1 the candidates are a basis of a space that
@@ -153,7 +181,7 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
                 if i > 1 and len(ech.rows) == len(cands):
                     break
                 rem, c = ech.reduce(g)
-                if c is not None and c[0] < T:
+                if c is not None and c < tags:
                     ech.store(rem, c)
                     shifts.append(j)
                     gens.append(g)
@@ -171,15 +199,21 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
 
 def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]:
     """Shifts of minimal generators of a graded submodule K, from a basis of
-    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1."""
+    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1.
+    The products lie in K_j, so once their rank reaches dim K_j no more are
+    formed."""
     shifts: list[int] = []
+    products, ones = _products(A), A.component(1)
     for j in sorted(K):
         ech = Echelon(A.field)
+        full = len(K[j])
         for v in K.get(j - 1, ()):
-            for row in _products(A, v, A.component(1)):
-                if row:
-                    ech.add(row)
-        shifts.extend([j] * (len(K[j]) - len(ech.rows)))
+            if len(ech.rows) == full:
+                break
+            for row in products(v, ones):
+                if row and ech.add(row) and len(ech.rows) == full:
+                    break
+        shifts.extend([j] * (full - len(ech.rows)))
     return shifts
 
 
@@ -231,7 +265,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
     if not all(rel.is_homogeneous() for rel in A.relations):
         raise GradingError("residue-field resolution needs homogeneous relations")
 
-    first = [{(0, b): A.field.one()} for b in A.component(1)]
+    first = [{b: A.field.one()} for b in A.component(1)]
     betti, ranks, pd = _resolve(A, {1: first}, hcap, dcap)
     e = len(first)
     if not (pd == e and ranks == [comb(e, i) for i in range(e + 1)]
@@ -270,7 +304,7 @@ def _quotient_resolution(p: Presentation, hd: HilbertData,
         candidates: dict[int, list[Element]] = {}
         for g in p.gens:
             candidates.setdefault(g.degree(), []).append(
-                {(0, index[mono]): c for mono, c in g.terms.items()})
+                {index[mono]: c for mono, c in g.terms.items()})
         betti, ranks, pd = _resolve(A, candidates, r + 2, dcap)
         maxdeg = max((j for (_, j) in betti), default=0)
         if pd is not None and maxdeg <= dcap - 2 \

@@ -389,7 +389,7 @@ def _irreducible_by_trial_division(poly, p):
                             for cand in _fp_monic_polys(d, p))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_rabin_test_agrees_with_trial_division(p):
     for m in range(1, 5):
         first = None
@@ -399,6 +399,43 @@ def test_rabin_test_agrees_with_trial_division(p):
             if expected and first is None:
                 first = tuple(poly)
         assert canonical_minpoly(p, m) == first
+
+
+# canonical minimal polynomials as the Rabin test without its early reject
+# of polynomials with a root chose them
+CANONICAL_MINPOLYS = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1), (3, 1): (0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1), (5, 1): (0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1), (7, 1): (0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1), (7, 6): (2, 0, 0, 0, 0, 0, 1), (11, 1): (0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1), (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1), (13, 1): (0, 1), (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1), (13, 4): (2, 0, 0, 0, 1), (13, 5): (2, 4, 0, 0, 0, 1),
+    (101, 3): (1, 1, 0, 1), (1613, 2): (2, 0, 1), (1613, 3): (1, 1, 0, 1),
+    (32003, 2): (1, 0, 1)}
+
+
+def test_canonical_minpolys_are_pinned():
+    for (p, m), mp in CANONICAL_MINPOLYS.items():
+        assert canonical_minpoly(p, m) == mp, (p, m)
+
+
+@pytest.mark.parametrize("poly,p,powers", [
+    ((1, 0, 0, 1), 2, 1),          # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    ((0, 1, 0, 0, 1), 3, 1),       # x^4 + x: root 0
+    ((1, 0, 1, 0, 1), 2, 4),       # (x^2 + x + 1)^2, no root: every power
+    ((1, 1, 0, 1), 2, 3),          # irreducible: every power
+])
+def test_a_root_rejects_after_one_frobenius_power(monkeypatch, poly, p, powers):
+    calls = []
+    powmod = exactcore._fp_powmod
+    monkeypatch.setattr(exactcore, "_fp_powmod", lambda *a: calls.append(a) or powmod(*a))
+    assert _fp_is_irreducible(poly, p) == _irreducible_by_trial_division(list(poly), p)
+    assert len(calls) == powers
 
 
 def test_canonical_minpoly_is_deterministic_and_irreducible():

@@ -322,13 +322,39 @@ def test_every_iso_verdict_verifies_its_witness_once(monkeypatch, a, b, order, s
     q = parse_presentation(a[:a.index("ideal: ")] + "ideal: " + b)
     A, B = jet(p, order), jet(q, order)
     calls = []
-    verify = iso.verify_witness
-    monkeypatch.setattr(iso, "verify_witness", lambda *a: calls.append(a) or verify(*a))
+    verify = iso._verify_extended
+    monkeypatch.setattr(iso, "_verify_extended", lambda *a: calls.append(a) or verify(*a))
     swapped = []
     for S, T in ((A, B), (B, A)):
         calls.clear()
         assert _decide(S, T).status == status
         assert len(calls) == (status == "ISO")
+        swapped.append(iso._precedes(T, S))
+    assert sorted(swapped) == [False, True]
+
+
+def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
+    # -1 is no square in F_3, so x^2 + y^2 and x*y meet only over F_9; the
+    # rung's extended pair serves the inversion and the verification too,
+    # where each extended both algebras again
+    p = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    q = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    A, B = jet(p, 3), jet(q, 3)
+    calls = []
+    map_scalars = iso._map_scalars
+    monkeypatch.setattr(iso, "_map_scalars", lambda *a: calls.append(a) or map_scalars(*a))
+    # the verdicts and witnesses of the search that extended six times
+    want = {(A, B): [[(1, 2), (2, 2)], [(1, 3), (2, 6)]],
+            (B, A): [[(1, 6), (2, 1)], [(1, 3), (2, 1)]]}
+    swapped = []
+    for (S, T), images in want.items():
+        calls.clear()
+        v = decide_isomorphism(S, T, SearchBudget(ext_degree_max=2))
+        assert v.status == "ISO" and v.witness == Witness(images=images, ext_multiple=2)
+        assert v.search_bounds == {"ext_degree_tried": 2, "candidates_tried": 1075,
+                                   "space_exhausted": False}
+        assert len(calls) == 2
+        assert verify_witness(S, T, v.witness)
         swapped.append(iso._precedes(T, S))
     assert sorted(swapped) == [False, True]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import resolution
-from jetmetric.artin import jet, socle
+from jetmetric.artin import ArtinAlgebra, jet, socle
 from jetmetric.errors import (
     CapacityError,
     GradingError,
@@ -427,7 +427,19 @@ def _reference_layers(A, candidates_by_degree, top, dcap):
     return layers, None
 
 
+def _pairs(A, elem):
+    """A module element in the engine's flat keys k*n + b as (k, b) keys."""
+    return {divmod(key, A.dim): x for key, x in elem.items()}
+
+
+def _flat(A, elem):
+    """A module element with (k, b) keys in the engine's flat keys."""
+    return {k * A.dim + b: x for (k, b), x in elem.items()}
+
+
 def _reference_resolve(A, candidates_by_degree, top, dcap):
+    candidates_by_degree = {d: [_pairs(A, g) for g in gs]
+                            for d, gs in candidates_by_degree.items()}
     layers, pd = _reference_layers(A, candidates_by_degree, top, dcap)
     betti = {}
     for i, shifts in enumerate(layers):
@@ -518,7 +530,7 @@ def _draw_element(A, data):
 
 def _assert_rows_match(A, g, us):
     entry = Echelon(A.field)._entry
-    rows = resolution._products(A, g, us)
+    rows = [_pairs(A, row) for row in resolution._products(A)(_flat(A, g), us)]
     assert len(rows) == len(us)
     for u, row in zip(us, rows):
         want = _reference_mult(A, u, g)
@@ -574,7 +586,7 @@ def test_product_rows_keep_a_sum_that_cancels(name):
         for u in range(A.dim) for b1 in range(A.dim) for b2 in range(b1 + 1, A.dim)
         for t in sorted(dict(A.mult_basis(b1, u)).keys() & dict(A.mult_basis(b2, u))))
     g = {(0, b1): w2, (0, b2): fld.neg(w1)}
-    row = resolution._products(A, g, (u,))[0]
+    row = _pairs(A, resolution._products(A)(_flat(A, g), (u,))[0])
     assert fld.is_zero(row[(0, t)])
     assert (0, t) not in _reference_mult(A, u, g)
     _assert_rows_match(A, g, A.component(A.degrees()[u]))
@@ -591,16 +603,24 @@ def test_zero_products_stay_out_of_the_echelon(m):
     B = A if m == 1 else base_change(A, m)
     reduce, products = Echelon.reduce, resolution._products
     tag_only, zero_rows = [], []
+    product_rows = {}  # id -> row, held so that no id is reused
 
     def watched_reduce(self, v):
-        # element keys are pairs, tags (T, k, u) triples
-        tag_only.append(not any(len(key) == 2 for key in v))
+        # a product row reaches the echelon with its one tag: tag only
+        # when that is its only key
+        if id(v) in product_rows:
+            tag_only.append(len(v) == 1)
         return reduce(self, v)
 
-    def watched_products(A, g, us):
-        rows = products(A, g, us)
-        zero_rows.extend(row for row in rows if not row)
-        return rows
+    def watched_products(A):
+        rows_of = products(A)
+
+        def watched(g, us):
+            rows = rows_of(g, us)
+            zero_rows.extend(row for row in rows if not row)
+            product_rows.update((id(row), row) for row in rows)
+            return rows
+        return watched
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Echelon, "reduce", watched_reduce)
@@ -610,3 +630,40 @@ def test_zero_products_stay_out_of_the_echelon(m):
     assert not any(tag_only)
     want = _with_reference_engine(lambda: betti_residue_field(B, 4))
     assert _outcome(got) == _outcome(want)
+
+
+# -- degree pruning: a basis pair whose degrees add up past the ring's top
+# degree has a zero product, and is never multiplied
+
+PRUNED = [
+    ("ring Q[x, y]\ngraded\nideal: x^2, x*y, y^2", 1),
+    ("ring F_2[x, y]\ngraded\nideal: x^2 + x*y, y^3", 4),
+    (ZERO_PRODUCTS, 2),
+    ("ring F_3[x, y, z]\ngraded\nideal: x^2 - y*z, y^3, z^3 + x*y^2", 1),
+]
+
+
+@pytest.mark.parametrize("text,m", PRUNED, ids=["Q", "F_16", "F_4", "F_3"])
+def test_no_basis_pair_past_the_top_degree_is_multiplied(text, m):
+    p = _pres(text)
+    A = jet(p, 5)
+    B = A if m == 1 else base_change(A, m)
+    mult_basis = ArtinAlgebra.mult_basis
+    calls, past = [], []
+
+    def counted(self, i, j):
+        degrees = self.degrees()
+        calls.append((i, j))
+        if degrees[i] + degrees[j] > max(degrees):
+            past.append((i, j))
+        return mult_basis(self, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ArtinAlgebra, "mult_basis", counted)
+        got = [_outcome(betti_residue_field(src, 4)) for src in (p, A, B)]
+        got.append(_outcome(minimal_resolution_of_quotient(p)))
+    assert calls and not past
+    want = _with_reference_engine(
+        lambda: [_outcome(betti_residue_field(src, 4)) for src in (p, A, B)]
+        + [_outcome(minimal_resolution_of_quotient(p))])
+    assert got == want
