@@ -56,9 +56,9 @@ from .standard import hilbert_numerator
 # index k, ring basis index b, n = A.dim) to a nonzero coefficient in the
 # field's values, the coefficient of basis[b] times the k-th generator.
 # Sorted keys follow the flattened coordinate order: blocks in generator
-# order, each block in ascending basis index, as the pairs (k, b) did.  A
-# product row of `_products` has the same keys but raw entries (unreduced
-# over F_p, possibly zero) until `Echelon` converts it.
+# order, each block in ascending basis index.  A product row of `_products`
+# has the same keys but raw entries (unreduced over F_p, possibly zero)
+# until `Echelon` converts it.
 Element = dict
 
 

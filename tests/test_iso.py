@@ -335,15 +335,14 @@ def test_every_iso_verdict_verifies_its_witness_once(monkeypatch, a, b, order, s
 
 def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
     # -1 is no square in F_3, so x^2 + y^2 and x*y meet only over F_9; the
-    # rung's extended pair serves the inversion and the verification too,
-    # where each extended both algebras again
+    # rung's extended pair serves the inversion and the verification too
     p = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
     q = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
     A, B = jet(p, 3), jet(q, 3)
     calls = []
     map_scalars = iso._map_scalars
     monkeypatch.setattr(iso, "_map_scalars", lambda *a: calls.append(a) or map_scalars(*a))
-    # the verdicts and witnesses of the search that extended six times
+    # the verdicts and witnesses found when each step extended on its own
     want = {(A, B): [[(1, 2), (2, 2)], [(1, 3), (2, 6)]],
             (B, A): [[(1, 6), (2, 1)], [(1, 3), (2, 1)]]}
     swapped = []
