@@ -506,6 +506,14 @@ class SearchBudget:
                              f"got {self.effort!r}")
 
 
+def _same_quotient(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
+    """Whether A and B, over one field, are the same quotient of k[x] with
+    the same tuple images: equal nvars, cap, basis, normal forms and tuple
+    images.  Their relations may differ."""
+    return (A.nvars == B.nvars and A.cap == B.cap and A.basis == B.basis
+            and A.nf == B.nf and A.tuple_images == B.tuple_images)
+
+
 def _precedes(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
     """Whether A sorts strictly before B in the order that orients a pair:
     nvars, cap and basis, then the normal forms by monomial with their
@@ -851,7 +859,8 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if A.field != B.field:
         raise FieldMismatchError(
             f"cannot compare algebras over {A.field.label()} and {B.field.label()}")
-    sep = find_separator(A, B, _EAGER)
+    same = _same_quotient(A, B)
+    sep = None if same else find_separator(A, B, _EAGER)
     if sep is None and match_tuples:
         ta, tb = A.tuple_images or [], B.tuple_images or []
         if len(ta) != len(tb):
@@ -866,7 +875,7 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
         verdict = IsoVerdict(status="ISO", witness=Witness(
             images=[[] for _ in range(A.nvars)] if A.dim else []))
     else:
-        swapped = _precedes(B, A)
+        swapped = not same and _precedes(B, A)
         first, second = (B, A) if swapped else (A, B)
         try:
             verdict, extended = _decide_oriented(first, second, budget, match_tuples,

@@ -265,6 +265,9 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
                 if i is not None:
                     row[i] = c
             rows.append(row)
+    if not rows:
+        # no generator below the cap: the quotient is k[x]/m^cap
+        return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=list(monos), nf={})
     red = ExactMatrix.of_row_form(field, rows, n_mono).rref()
     free = red.free_columns()
     basis = [monos[c] for c in free]
