@@ -44,12 +44,22 @@ step, with the arithmetic of charging them one by one, so the effort spent,
 the point where it runs out and the first witness are those of the
 candidate-by-candidate search.
 
+Two jets are often the same quotient of k[x]: equal nvars, cap, basis,
+normal forms and tuple images, with relations that may differ.  Such a pair
+skips the eager separators, each a function of the basis and the normal
+forms alone, so none can separate it, and the orientation.  The identity
+is an isomorphism exactly when I + m^n = J + m^n, which the unique reduced
+normal forms decide, so the search in the caller's order accepts it as its
+first candidate, B's variable images, the witness either orientation
+finds; the search and its bounds are those of the full path.
+
 A candidate is accepted on its relations alone.  Every candidate spans
 m/m^2 (the identity, the permutations and the scaled ones are built from
 B's variable images; the enumeration keeps only images whose degree-1
 rows span it), so it maps onto B by Nakayama's lemma, and it is bijective
-because the separators have matched the lengths.  Every ISO verdict then
-leaves `decide_isomorphism` through one `verify_witness`, the full check.
+because the lengths are equal: the separators have matched them, or the
+pair is one quotient.  Every ISO verdict then leaves `decide_isomorphism`
+through one `verify_witness`, the full check.
 
 Candidates and witnesses are `Sparse` elements, the one element form of
 `artin`, in every field; only the CLI writes a witness out, as text.
@@ -178,8 +188,9 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
 # The separating invariants as (name, function), in the order
 # `find_separator` compares them and `InvariantSignature` lists them; each is
 # defined on the zero ring too.  Cheap invariants come first.
-# `decide_isomorphism` compares those of `_EAGER` before its search, and the
-# last only once the identity and the permutations have failed.
+# `decide_isomorphism` compares those of `_EAGER` before its search, unless
+# the pair is one quotient, and the last only once the identity and the
+# permutations have failed.
 INVARIANTS = (
     ("length", lambda A: A.dim),
     ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
@@ -853,6 +864,11 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     With match_tuples=True the search is constrained to maps carrying the
     recorded deformation-tuple images of A to those of B, the morphism
     condition for deformation pairs.
+
+    A pair that is one quotient (`_same_quotient`) compares no eager
+    separator and is searched unoriented: the separators read only the
+    basis and the normal forms, and the identity, the first candidate,
+    is a witness in either orientation.
     """
     if budget is None:
         budget = SearchBudget()

@@ -14,7 +14,10 @@ is memoized, and every truncated quotient of one shape, a number of
 variables and a cap, reads one frame built on first use: the grlex monomials
 below the cap, their column index and the number of them below each degree.
 Frames depend on those two integers alone, so every jet still builds and
-eliminates its own Macaulay matrix; both caches are bounded.
+eliminates its own Macaulay matrix; both caches are bounded.  A jet with no
+generator of order below its cap has no Macaulay row: it is k[x]/m^cap,
+whose basis is the frame's monomials, and it is returned with no
+elimination.
 """
 
 from __future__ import annotations
@@ -239,7 +242,10 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     Each generator's coefficients go through the field's row ``entry`` once
     (:attr:`Field.row_arithmetic`), and every row of that generator is built
     from them: shifted and truncated, a row stays in row form, so the
-    elimination converts no row again.
+    elimination converts no row again.  With no row, no generator has order
+    below the cap, and the quotient is k[x]/m^cap: every monomial of the
+    frame is a basis monomial and no normal form is stored, as the
+    elimination of no rows would give.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")

@@ -1,6 +1,6 @@
 import random
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, permutations, product
@@ -1427,3 +1427,122 @@ def test_derivation_rows_make_no_multiply(monkeypatch):
                         lambda self, u, v: calls.append(1) or multiply(self, u, v))
     assert (iso.derivation_dimension(A), iso.derivation_dimension(B)) == (22, 20)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# equal jets: decided without separators or orientation
+
+# a tuple entry's coefficients, one of which scales the entry
+_TUPLE_SCALES = {"Q": ["", "2*", "-1/2*"], "F_3": ["", "2*"], "F_4": ["", "a*"]}
+
+
+@st.composite
+def _equal_jet_pairs(draw):
+    """(A, B, match_tuples): over Q, F_3 or F_4, graded or local, the jets
+    of order n of p and of q, or with match_tuples their deformation jets
+    for one tuple of scaled variables, where q is p with one more generator
+    that lies in I + m^n, placed first or last: a multiple of one of p's
+    relations (with match_tuples the n-th powers of the tuple among them),
+    or for jets a monomial of degree n."""
+    field = draw(st.sampled_from(sorted(_TUPLE_SCALES)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nvars = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["graded", "local"]))
+    defpair = draw(st.booleans())
+    text = random_presentation_text(rng, field, nvars, mode, max_deg=3)
+    if defpair:
+        text += "\ntuple: " + ", ".join(rng.choice(_TUPLE_SCALES[field]) + v
+                                        for v in ["x", "y", "z"][:nvars])
+    p = parse_presentation(text)
+    F = p.field
+    # mostly past order 1, where every jet is the field
+    n = draw(st.sampled_from([1, 2, 2, 2] if defpair else [1, 2, 3, 3, 4, 4]))
+    # the relations of the jet, or of the deformation jet, below the cap
+    bases = [*p.gens, *(t.pow(n) for t in p.tuple or ())]
+    if bases and (defpair or draw(st.booleans())):
+        g = draw(st.sampled_from(bases))
+        u = Poly.constant(F, nvars, F.from_int(draw(st.integers(1, 2))))
+        for _ in range(draw(st.integers(0, 2))):
+            u = u * Poly.variable(F, nvars, draw(st.integers(0, nvars - 1)))
+        extra = u * g
+    else:
+        bars = draw(st.lists(st.integers(0, nvars - 1), min_size=n, max_size=n))
+        extra = Poly(F, nvars, {tuple(bars.count(k) for k in range(nvars)): F.one()})
+    gens = [extra, *p.gens] if draw(st.booleans()) else [*p.gens, extra]
+    q = replace(p, gens=gens)
+    make = defpair_jet if defpair else jet
+    return make(p, n), make(q, n), defpair
+
+
+def _decide_full_path(A, B, budget, match_tuples):
+    """decide_isomorphism with no pair taken for the same quotient."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(iso, "_same_quotient", lambda A, B: False)
+        return decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples)
+
+
+@given(pair=_equal_jet_pairs())
+@settings(max_examples=150, deadline=None)
+def test_equal_jets_decide_as_the_full_path(pair):
+    # the separators cannot tell equal jets apart, and the identity is the
+    # first candidate in either orientation, so the verdict, the witness
+    # and the bounds are those of the full path, at the effort-0 edge too
+    A, B, match_tuples = pair
+    assert iso._same_quotient(A, B) and iso._same_quotient(B, A)
+    for S, T in ((A, B), (B, A)):
+        for ext, effort in product((1, 2), (0, 1)):
+            budget = SearchBudget(ext_degree_max=ext, effort=effort)
+            got = decide_isomorphism(S, T, budget=budget, match_tuples=match_tuples)
+            assert (_verdict_fields(got)
+                    == _verdict_fields(_decide_full_path(S, T, budget, match_tuples)))
+            if effort:
+                assert got.status == "ISO"
+                assert verify_witness(S, T, got.witness, match_tuples)
+
+
+def test_equal_jets_compute_no_separator_and_no_orientation(monkeypatch):
+    calls = []
+    for name in ("find_separator", "_precedes"):
+        fn = getattr(iso, name)
+        monkeypatch.setattr(iso, name,
+                            lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+    # the second presentation adds 2x times the first generator and x^5
+    ring = "ring Q[x, y]\nlocal\n"
+    p = parse_presentation(ring + "ideal: y^2 - x^3\ntuple: x, y")
+    q = parse_presentation(ring + "ideal: y^2 - x^3, 2*x*y^2 - 2*x^4, x^5\ntuple: x, y")
+    for n in range(1, 6):
+        A, B = jet(p, n), jet(q, n)
+        assert iso._same_quotient(A, B)
+        for S, T in ((A, B), (B, A)):
+            assert decide_isomorphism(S, T, BUDGET).status == "ISO"
+    for n in (1, 2):
+        A, B = defpair_jet(p, n), defpair_jet(q, n)
+        assert iso._same_quotient(A, B) and A.relations != B.relations
+        assert decide_isomorphism(A, B, BUDGET, match_tuples=True).status == "ISO"
+    assert calls == []
+    # an unequal pair of one length still runs both
+    a = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 2*y^2")
+    b = parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 - 8*y^2")
+    A, B = jet(a, 3), jet(b, 3)
+    assert A.dim == B.dim and not iso._same_quotient(A, B)
+    assert decide_isomorphism(A, B, BUDGET).status == "ISO"
+    assert {"find_separator", "_precedes"} <= set(calls)
+
+
+@pytest.mark.parametrize("ring", ["Q", "F_3"])
+def test_tuple_images_keep_a_pair_off_the_equal_quotient_rule(ring):
+    # at the even order 2, the pairs (x^3, x) and (x^3, -x) have the same
+    # relations x^3, x^2 and the same normal forms; only their tuple images
+    # x and -x differ, and the map x -> -x carries one to the other
+    a = parse_presentation(f"ring {ring}[x]\nlocal\nideal: x^3\ntuple: x")
+    b = parse_presentation(f"ring {ring}[x]\nlocal\nideal: x^3\ntuple: -x")
+    A, B = defpair_jet(a, 2), defpair_jet(b, 2)
+    assert A.relations == B.relations and A.basis == B.basis and A.nf == B.nf
+    assert A.tuple_images != B.tuple_images
+    assert not iso._same_quotient(A, B) and not iso._same_quotient(B, A)
+    forward = decide_isomorphism(A, B, BUDGET, match_tuples=True)
+    backward = decide_isomorphism(B, A, BUDGET, match_tuples=True)
+    assert forward.status == backward.status == "ISO"
+    assert forward.witness.images == backward.witness.images == [B.tuple_images[0]]
+    assert verify_witness(A, B, forward.witness, match_tuples=True)
+    assert verify_witness(B, A, backward.witness, match_tuples=True)

@@ -289,6 +289,41 @@ def test_a_jet_converts_each_generator_once(monkeypatch, name):
                              if not g.is_zero() and g.order() < cap], case
 
 
+def _row_free_cases(F):
+    """(nvars, generators, cap) with no generator of order below the cap."""
+    one, two = F.one(), F.from_int(2)
+    return [
+        (2, [], 4),
+        (2, [Poly(F, 2, {(1, 0): one})], 0),
+        (2, [Poly(F, 2, {(1, 0): one, (0, 2): two}), Poly(F, 2, {})], 1),
+        (3, [Poly(F, 3, {(2, 1, 0): one, (0, 0, 4): two})], 3),
+        (1, [Poly(F, 1, {(5,): one})], 4),
+        (0, [], 0),
+        (0, [Poly(F, 0, {})], 1),
+        (0, [], 3),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FORM_RINGS))
+def test_row_free_jets_match_the_reference_without_an_elimination(monkeypatch, name):
+    # with no generator below the cap the jet is k[x]/m^cap: every monomial
+    # below the cap is a basis monomial and nothing is eliminated
+    F = _row_form_field(name)
+    calls = []
+    rref = ExactMatrix.rref
+    monkeypatch.setattr(ExactMatrix, "rref", lambda self: calls.append(self) or rref(self))
+    for nvars, gens, cap in _row_free_cases(F):
+        got = truncated_quotient(F, nvars, gens, cap)
+        assert calls == [], (nvars, cap)
+        ref = _reference_truncated_quotient(F, nvars, gens, cap)
+        assert (got.basis, got.nf) == (ref.basis, ref.nf) == (list(monomials_below(nvars, cap)), {})
+        calls.clear()
+    p = parse_presentation(f"ring {ROW_FORM_RINGS[name]}[x, y]\nlocal\nideal: y^2 - x^3")
+    assert jet(p, 2).dim == 3 and calls == []
+    # one generator below the cap gives one elimination
+    assert jet(p, 3).dim == 5 and len(calls) == 1
+
+
 @pytest.fixture
 def enumerations(monkeypatch):
     """The calls that enumerate monomials, counted from empty caches."""
