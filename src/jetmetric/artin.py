@@ -36,6 +36,14 @@ normalize each entry once at the end: over F_p the sums stay unreduced until
 one `% p`, so a non-canonical residue in an input still gives the exact
 result.
 
+Extension of scalars is the algebra's own operation, as it is the field's:
+`extension(k)` is the algebra over `Field.extension(k)`, with every scalar
+(normal forms, relations, tuple images) sent through `Field.embedding` and
+basis, cap and origin kept.  It is built once per degree and kept with the
+algebra, as its products are, and it is the algebra itself when the field
+does not grow.  This module builds every algebra: `jet`, `defpair_jet` and
+`extension`.
+
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
 jet of the localization; lengths and colengths come from `standard`.
@@ -109,6 +117,7 @@ class ArtinAlgebra:
             comps[d].append(i)
         self._components = [tuple(c) for c in comps]
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
+        self._extensions: dict[int, ArtinAlgebra] = {}
         self._one: Sparse = ([(self._index[(0,) * nvars], field.one())]
                              if self.basis else [])
         # the scratch accumulator of multiply and combine, copied, never written
@@ -147,6 +156,33 @@ class ArtinAlgebra:
     def var_image(self, k: int) -> Sparse:
         """The class of the variable x_k."""
         return self.reduce_monomial(_unit_monomials(self.nvars)[1][k])
+
+    # -- extension of scalars ----------------------------------------------
+
+    def extension(self, k: int) -> ArtinAlgebra:
+        """This algebra over the field of degree k over its own, built once
+        per k: every scalar (normal forms, relations, tuple images) goes
+        through `Field.embedding`, and basis, cap and origin are kept.  It is
+        the algebra itself when that field is its own, and `Field.extension`
+        raises FieldError for a k that is not a positive int, or is above 1
+        over Q."""
+        f = self.field
+        dst = f.extension(k)
+        if dst is f:
+            return self
+        got = self._extensions.get(k)
+        if got is None:
+            emb = f.embedding(dst)
+            nf = {mono: [emb(c) for c in vec] for mono, vec in self.nf.items()}
+            tq = TruncatedQuotient(field=dst, nvars=self.nvars, cap=self.cap,
+                                   basis=list(self.basis), nf=nf)
+            got = ArtinAlgebra(dst, self.nvars, tq,
+                               [g.map_coefficients(dst, emb) for g in self.relations],
+                               self.origin)
+            if self.tuple_images is not None:
+                got.tuple_images = [[(i, emb(c)) for i, c in v] for v in self.tuple_images]
+            self._extensions[k] = got
+        return got
 
     # -- multiplication ----------------------------------------------------
 

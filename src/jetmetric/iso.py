@@ -15,11 +15,13 @@ outcome, since bigger coefficient fields might still glue the two algebras.
 The allowed extensions are a ladder over one effort: rung k searches both
 algebras with their extension degree multiplied by k, for k up to
 ext_degree_max over F_q; over Q, where base change is out of scope, the
-ladder is one rung.  Base change is the field's own operation: the field of
-degree k over the coefficients is `Field.extension(k)`, and the scalars go
-into it through `Field.embedding`, so this module names no field kind; where
-Q and F_q part ways (the ladder, the candidate lists, the checks of a
-witness's extension) it reads `Field.order`, None for Q.
+ladder is one rung.  Base change is the algebra's own operation:
+`ArtinAlgebra.extension(k)` is the algebra over the field's
+`Field.extension(k)`, built once per algebra and degree, so a rung's search,
+the inversion of its witness and the verification share one extended pair,
+and this module builds no algebra and names no field kind; where Q and F_q
+part ways (the ladder, the candidate lists, the checks of a witness's
+extension) it reads `Field.order`, None for Q.
 
 Over finite fields the search enumerates candidate images of the source
 variables in a deterministic integer-encoding order: linear images first
@@ -83,7 +85,7 @@ from .artin import (
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
 from .exactcore import Echelon, ExactMatrix, Field
-from .poly import Monomial, TruncatedQuotient, monomials_of_degree
+from .poly import Monomial, monomials_of_degree
 from .presentation import poly_to_str
 
 QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -119,9 +121,6 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
     lin = A.component(1)
     for d in range(1, max(A.degrees())):
         mid, out = A.component(d), A.component(d + 1)
-        if not lin or not mid or not out:
-            profile.append(0)
-            continue
         pos = {i: j for j, i in enumerate(out)}
         rows = [{pos[k]: c for k, c in A.mult_basis(i, j) if k in pos}
                 for i in lin for j in mid]
@@ -228,19 +227,6 @@ def find_separator(A: ArtinAlgebra, B: ArtinAlgebra,
 # base change
 
 
-def _map_scalars(A: ArtinAlgebra, dst: Field, emb) -> ArtinAlgebra:
-    """A with every scalar (normal forms, relations, tuple images) sent
-    through emb into dst; basis, truncation and origin are kept."""
-    nf = {mono: [emb(c) for c in vec] for mono, vec in A.nf.items()}
-    tq = TruncatedQuotient(field=dst, nvars=A.nvars, cap=A.cap,
-                           basis=list(A.basis), nf=nf)
-    relations = [g.map_coefficients(dst, emb) for g in A.relations]
-    out = ArtinAlgebra(dst, A.nvars, tq, relations=relations, origin=A.origin)
-    if A.tuple_images is not None:
-        out.tuple_images = [[(i, emb(c)) for i, c in v] for v in A.tuple_images]
-    return out
-
-
 def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
     """Extend coefficients from F_{p^m} to F_{p^{m'}} (m | m'); the basis,
     normal forms, and every rank-type invariant are unchanged."""
@@ -252,17 +238,7 @@ def base_change(A: ArtinAlgebra, m_prime: int) -> ArtinAlgebra:
         raise FieldError(f"extension degree must be a positive integer, got {m_prime!r}")
     if m_prime % m != 0:
         raise FieldError(f"extension degree {m_prime} is not a multiple of {m}")
-    return _extend(A, m_prime // m)
-
-
-def _extend(A: ArtinAlgebra, k: int) -> ArtinAlgebra:
-    """A over the field of degree k over its own, the base change a witness
-    records: the field names that field and maps the scalars into it, and
-    raises FieldError for a k that is not a positive int, or is above 1
-    over Q."""
-    f = A.field
-    dst = f.extension(k)
-    return A if dst is f else _map_scalars(A, dst, f.embedding(dst))
+    return A.extension(m_prime // m)
 
 
 # An exact plan over the exponents a_0, a_1, ... its terms meet: for
@@ -438,12 +414,7 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     m = w.ext_multiple
     if not isinstance(m, int) or m < 1 or (m > 1 and A.field.order is None):
         return False
-    return _verify_extended(_extend(A, m), _extend(B, m), w, match_tuples)
-
-
-def _verify_extended(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
-                     match_tuples: bool) -> bool:
-    """verify_witness of w on A and B already extended by w.ext_multiple."""
+    A, B = A.extension(m), B.extension(m)
     if A.dim != B.dim:
         return False
     if A.dim == 0:
@@ -459,24 +430,21 @@ def _verify_extended(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
 
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
-    """Witness for B -> A inverse to w (both sides base-changed as recorded)."""
-    return _invert_extended(_extend(A, w.ext_multiple), _extend(B, w.ext_multiple), w)
-
-
-def _invert_extended(A0: ArtinAlgebra, B0: ArtinAlgebra, w: Witness) -> Witness:
-    """invert_witness of w on A0 and B0 already extended by w.ext_multiple."""
-    image = B0.monomial_map(w.images)
-    n, r = A0.dim, B0.nvars
+    """Witness for B -> A inverse to w (both sides base-changed as recorded;
+    the change keeps A's basis, so only B's scalars are read extended)."""
+    B = B.extension(w.ext_multiple)
+    image = B.monomial_map(w.images)
+    n, r = A.dim, B.nvars
     # solve L X = [classes of y_k] by rref of [L | targets], which ends in
     # [I | X]; row i of L holds coordinate i of each basis image
     aug: list[dict] = [{} for _ in range(n)]
-    for j, mono in enumerate(A0.basis):
+    for j, mono in enumerate(A.basis):
         for i, c in image(mono):
             aug[i][j] = c
     for k in range(r):
-        for i, c in B0.var_image(k):
+        for i, c in B.var_image(k):
             aug[i][n + k] = c
-    red = ExactMatrix(B0.field, aug, n + r).rref()
+    red = ExactMatrix(B.field, aug, n + r).rref()
     images = [[(i, row[n + k]) for i, row in enumerate(red.rows) if n + k in row]
               for k in range(r)]
     return Witness(images=images, ext_multiple=w.ext_multiple)
@@ -487,8 +455,9 @@ def project_witness(w: Witness, B_high: ArtinAlgebra, B_low: ArtinAlgebra) -> Wi
     presentation: compose with the quotient map B_high -> B_low, which sends
     each basis monomial of B_high to its normal form in B_low.  (For plain
     jets this is coordinate truncation by degree; for deformation pairs the
-    ideals genuinely grow, so reduction is needed.)"""
-    B_high, B_low = _extend(B_high, w.ext_multiple), _extend(B_low, w.ext_multiple)
+    ideals genuinely grow, so reduction is needed.)  Only B_low's normal
+    forms are read extended: the base change keeps B_high's basis."""
+    B_low = B_low.extension(w.ext_multiple)
     if not set(B_low.basis) <= set(B_high.basis):
         raise InternalInconsistencyError("jet bases are not nested")
     images = [B_low.combine(((B_high.basis[i], c) for i, c in img),
@@ -884,8 +853,6 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     if sep is not None:
         return IsoVerdict(status="NOT_ISO", separator=sep)
 
-    # A and B extended by the ISO witness's ext_multiple: the rung's pair
-    extended = (A, B)
     if A.dim <= 1:
         # the zero ring or the field itself: every variable goes to 0
         verdict = IsoVerdict(status="ISO", witness=Witness(
@@ -894,28 +861,23 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
         swapped = not same and _precedes(B, A)
         first, second = (B, A) if swapped else (A, B)
         try:
-            verdict, extended = _decide_oriented(first, second, budget, match_tuples,
-                                                 _late_separator(A, B))
+            verdict = _decide_oriented(first, second, budget, match_tuples,
+                                       _late_separator(A, B))
         except _Separated as e:
             return IsoVerdict(status="NOT_ISO", separator=e.args[0])
         if swapped and verdict.status == "ISO":
-            verdict.witness = _invert_extended(*extended, verdict.witness)
-            extended = extended[::-1]
-    if verdict.status == "ISO" and not _verify_extended(*extended, verdict.witness,
-                                                        match_tuples):
+            verdict.witness = invert_witness(B, A, verdict.witness)
+    if verdict.status == "ISO" and not verify_witness(A, B, verdict.witness, match_tuples):
         raise InternalInconsistencyError("the witness found fails verification")
     return verdict
 
 
 def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
-                     match_tuples: bool, late_check: Callable[[], None]
-                     ) -> tuple[IsoVerdict, tuple[ArtinAlgebra, ArtinAlgebra]]:
+                     match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
     """The extension ladder: rung k searches A and B extended by k, for
     k = 1..ext_degree_max over F_q and k = 1 over Q, all rungs drawing on
     one effort.  Only rung 1 runs late_check: a later rung runs only after
-    rung 1 went past its permutations with effort left, so past the check.
-    Returns the verdict with the last rung's extended pair, the one an ISO
-    witness maps between."""
+    rung 1 went past its permutations with effort left, so past the check."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
     rational = f.order is None
@@ -923,8 +885,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     effort_left = budget.effort
     exhausted_all, ran_out = True, False
     for k in range(1, rungs + 1):
-        extended = (_extend(A, k), _extend(B, k))
-        searcher = _Searcher(*extended, effort_left, match_tuples,
+        searcher = _Searcher(A.extension(k), B.extension(k), effort_left, match_tuples,
                              late_check if k == 1 else lambda: None)
         try:
             w, seen_all = searcher.run(graded)
@@ -937,7 +898,7 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
         if w is not None:
             w.ext_multiple = k
             return IsoVerdict(status="ISO", witness=w,
-                              search_bounds=None if rational else bounds), extended
+                              search_bounds=None if rational else bounds)
         exhausted_all = exhausted_all and seen_all
         if effort_left <= 0:
             # a rung that never ran has not seen its space
@@ -948,4 +909,4 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     else:
         stopped_by = "space" if exhausted_all else "effort"
     return IsoVerdict(status="UNKNOWN", search_bounds={
-        **bounds, "space_exhausted": exhausted_all, "stopped_by": stopped_by}), extended
+        **bounds, "space_exhausted": exhausted_all, "stopped_by": stopped_by})

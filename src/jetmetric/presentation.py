@@ -388,12 +388,6 @@ class Presentation:
     def base_field(self) -> Field:
         return self.field
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Presentation)
-                and self.field == other.field and self.vars == other.vars
-                and self.gens == other.gens and self.mode == other.mode
-                and self.tuple == other.tuple)
-
 
 def _parse_field(cur: _Parser) -> Field:
     """The field after 'ring': Q, F_p, or F_p^m minpoly <poly in a>."""

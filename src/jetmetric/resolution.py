@@ -106,8 +106,6 @@ def _products(A: ArtinAlgebra) -> Callable[[Element, tuple[int, ...]], list[Elem
         # can survive: basis[u] * basis[b] lies in the block at key - b + t
         items = [(key - b, b, c) for key, c in g.items()
                  if degrees[b := key % n] <= room]
-        if not items:
-            return [{} for _ in us]
         rows: list[Element] = []
         for u in us:
             row: Element = {}
@@ -200,20 +198,17 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
 def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]:
     """Shifts of minimal generators of a graded submodule K, from a basis of
     each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1.
-    The products lie in K_j, so once their rank reaches dim K_j no more are
-    formed."""
+    Every product is formed: a degree with a new minimal generator needs
+    all of them before its rank is known."""
     shifts: list[int] = []
     products, ones = _products(A), A.component(1)
     for j in sorted(K):
         ech = Echelon(A.field)
-        full = len(K[j])
         for v in K.get(j - 1, ()):
-            if len(ech.rows) == full:
-                break
             for row in products(v, ones):
-                if row and ech.add(row) and len(ech.rows) == full:
-                    break
-        shifts.extend([j] * (full - len(ech.rows)))
+                if row:
+                    ech.add(row)
+        shifts.extend([j] * (len(K[j]) - len(ech.rows)))
     return shifts
 
 

@@ -1,11 +1,14 @@
+import ast
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetmetric import artin
 from jetmetric.artin import (
     defpair_jet,
     hf_by_degree_count,
@@ -15,8 +18,8 @@ from jetmetric.artin import (
     socle,
     socle_dimension,
 )
-from jetmetric.errors import CapacityError, TupleError, ZeroRingError
-from jetmetric.exactcore import ExactMatrix, PrimeField
+from jetmetric.errors import CapacityError, FieldError, TupleError, ZeroRingError
+from jetmetric.exactcore import ExactMatrix, PrimeField, finite_field
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 
@@ -239,6 +242,47 @@ def test_powers_past_the_nilpotency_index_cost_no_multiply(w):
     at_vars = A.monomial_map([A.var_image(0), A.var_image(1)])
     assert A.evaluate(rel, at_vars) == []
     assert len(calls) == 1
+
+
+# -- extension of scalars
+
+
+def test_an_algebra_keeps_its_extension_of_each_degree():
+    A = jet(parse_presentation("ring F_2[x, y]\ngraded\nideal: x^2 + x*y"), 3)
+    assert A.extension(1) is A
+    E = A.extension(2)
+    assert E is A.extension(2) and E.field is finite_field(2, 2)
+    assert (E.basis, E.cap, E.origin) == (A.basis, A.cap, A.origin)
+    assert A.extension(4) is not E and A.extension(4).field is finite_field(2, 4)
+
+
+def test_extension_degrees_are_checked_by_the_field():
+    Q = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: x^2 + y^2"), 3)
+    F = jet(parse_presentation("ring F_2[x, y]\ngraded\nideal: x*y"), 3)
+    assert Q.extension(1) is Q
+    with pytest.raises(FieldError, match="^base change along extensions of Q is out of scope$"):
+        Q.extension(2)
+    for A in (Q, F):
+        for k in (0, "2"):
+            with pytest.raises(FieldError, match="extension degree must be a positive integer"):
+                A.extension(k)
+
+
+# modules that may call each constructor: an algebra is built by `jet`,
+# `defpair_jet` and `ArtinAlgebra.extension`, a truncated quotient by `poly`
+# and, for an extension, by `artin`
+BUILDERS = {"ArtinAlgebra": {"artin"}, "TruncatedQuotient": {"artin", "poly"}}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in Path(artin.__file__).parent.glob("*.py")))
+def test_only_artin_builds_algebras(module):
+    path = Path(artin.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            assert module in BUILDERS.get(name, {module}), (name, node.lineno)
 
 
 def test_defpair_jet_quotients_by_tuple_powers():

@@ -322,8 +322,8 @@ def test_every_iso_verdict_verifies_its_witness_once(monkeypatch, a, b, order, s
     q = parse_presentation(a[:a.index("ideal: ")] + "ideal: " + b)
     A, B = jet(p, order), jet(q, order)
     calls = []
-    verify = iso._verify_extended
-    monkeypatch.setattr(iso, "_verify_extended", lambda *a: calls.append(a) or verify(*a))
+    verify = iso.verify_witness
+    monkeypatch.setattr(iso, "verify_witness", lambda *a: calls.append(a) or verify(*a))
     swapped = []
     for S, T in ((A, B), (B, A)):
         calls.clear()
@@ -334,28 +334,32 @@ def test_every_iso_verdict_verifies_its_witness_once(monkeypatch, a, b, order, s
 
 
 def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
-    # -1 is no square in F_3, so x^2 + y^2 and x*y meet only over F_9; the
-    # rung's extended pair serves the inversion and the verification too
+    # -1 is no square in F_3, so x^2 + y^2 and x*y meet only over F_9; each
+    # algebra keeps its extension, which serves the search, the inversion
+    # and the verification of both orientations
     p = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
     q = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
     A, B = jet(p, 3), jet(q, 3)
     calls = []
-    map_scalars = iso._map_scalars
-    monkeypatch.setattr(iso, "_map_scalars", lambda *a: calls.append(a) or map_scalars(*a))
+    init = ArtinAlgebra.__init__
+
+    def counted_init(self, field, *args, **kwargs):
+        calls.append(field)
+        init(self, field, *args, **kwargs)
+    monkeypatch.setattr(ArtinAlgebra, "__init__", counted_init)
     # the verdicts and witnesses found when each step extended on its own
     want = {(A, B): [[(1, 2), (2, 2)], [(1, 3), (2, 6)]],
             (B, A): [[(1, 6), (2, 1)], [(1, 3), (2, 1)]]}
     swapped = []
     for (S, T), images in want.items():
-        calls.clear()
         v = decide_isomorphism(S, T, SearchBudget(ext_degree_max=2))
         assert v.status == "ISO" and v.witness == Witness(images=images, ext_multiple=2)
         assert v.search_bounds == {"ext_degree_tried": 2, "candidates_tried": 1075,
                                    "space_exhausted": False}
-        assert len(calls) == 2
         assert verify_witness(S, T, v.witness)
         swapped.append(iso._precedes(T, S))
     assert sorted(swapped) == [False, True]
+    assert calls == [finite_field(3, 2)] * 2
 
 
 def test_witness_images_are_sparse_elements():
@@ -522,18 +526,44 @@ def test_base_change_errors_are_pinned():
         base_change(F4, 3)
     # a witness's extension over Q meets the same refusal, from the field
     with pytest.raises(FieldError, match="^base change along extensions of Q is out of scope$"):
-        iso._extend(Q, 2)
+        Q.extension(2)
     assert not verify_witness(Q, Q, Witness(images=[[(1, 1)], [(2, 1)]], ext_multiple=2))
 
 
 def test_extending_an_f4_algebra_by_2_is_base_change_to_f16():
     text = "ring F_2^2 minpoly a^2 + a + 1 [x, y]\ngraded\nideal: x^2 + a*y^2, x*y^2"
     A = jet(parse_presentation(text), 4)
-    E, B = iso._extend(A, 2), base_change(A, 4)
+    E, B = A.extension(2), base_change(A, 4)
     assert E.field is B.field is finite_field(2, 4)
     assert (E.basis, E.nf, E.relations) == (B.basis, B.nf, B.relations)
     assert E.nf != {mono: list(v) for mono, v in A.nf.items()}
     assert witness_field(A, Witness(images=[], ext_multiple=2)) is finite_field(2, 4)
+
+
+def test_base_change_sends_tuple_images_through_the_embedding():
+    # tuple images are scalars too; with them carried over, the variable
+    # images match the tuple over F_9
+    A = defpair_jet(parse_presentation("ring F_3[x, y]\nlocal\nideal: x^2 + y^2\ntuple: x"), 2)
+    E = A.extension(2)
+    emb = A.field.embedding(E.field)
+    assert A.tuple_images
+    assert E.tuple_images == [[(i, emb(c)) for i, c in v] for v in A.tuple_images]
+    w = Witness(images=[A.var_image(k) for k in range(A.nvars)], ext_multiple=2)
+    assert verify_witness(A, A, w, match_tuples=True)
+
+
+@pytest.mark.parametrize("field, status, tried", [("Q", "UNKNOWN", 0), ("F_3", "ISO", 2)])
+def test_a_search_between_variable_counts_that_differ(field, status, tried):
+    # the identity, the permutations and the scaled candidates need equal
+    # variable counts, so over Q nothing is tried; over F_3 the enumeration
+    # runs
+    a = parse_presentation(f"ring {field}[x]\nlocal\nideal: x^2")
+    b = parse_presentation(f"ring {field}[x, y]\nlocal\nideal: y, x^2")
+    A, B = jet(a, 3), jet(b, 3)
+    for S, T in ((A, B), (B, A)):
+        v = decide_isomorphism(S, T)
+        assert v.status == status and v.search_bounds["candidates_tried"] == tried
+        assert v.search_bounds.get("stopped_by") == ("candidates" if field == "Q" else None)
 
 
 def test_base_change_past_the_field_order_bound_is_refused_at_once():
