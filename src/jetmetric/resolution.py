@@ -30,6 +30,15 @@ it is a unit syzygy and goes straight into the kernel.  Degree components
 come from `ArtinAlgebra.component`.  This module does no row reduction of
 its own: every elimination is an `exactcore.Echelon`.
 
+A minimal generator g of degree s with A_1 g = 0, read through `Echelon`'s
+entry conversion so that a raw product which cancels counts as zero, is
+split off the residue-field resolution.  Its layer then generates k(-s)
+plus the module M' of the other generators (c g in M' for a scalar c != 0
+would make g redundant), so the resolution from there on is that of k(-s)
+plus that of M': g forms no products, and each later layer i + t inherits
+the residue field's own layer t shifted by s.  Its unit syzygies never
+reach the kernel; those of other generators still do.
+
 Completeness of a finite resolution is certified, not assumed: the
 alternating sum of its Betti polynomials must reproduce the Hilbert-series
 numerator of the certified leading ideal, and the internal degree cap must
@@ -136,29 +145,54 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     the dependency {k*n + u: 1}; when every term of g multiplies past the
     top degree, every u of the degree gives one and no product is formed.
     Dependencies count up to dcap; layer-1 candidates above it are still
-    taken."""
+    taken.
+
+    A new generator g of degree s with A_1 g = 0 is split off.  The module
+    its layer generates is then k(-s) plus the module M' of the other
+    generators (c g in M' for a scalar c != 0 would make g redundant), so
+    its minimal resolution is that of k(-s) plus that of M'.  g keeps its
+    shift but forms no products, and every later layer i + t, t >= 1,
+    inherits the shifts s + j <= dcap of layers[t], which holds when
+    layers[t] resolves the residue field, as it does for
+    `betti_residue_field`.  The quotient resolution never splits: each of
+    its generators has a term below the truncated polynomial ring's top
+    degree dcap, and that term times a variable survives.  The test's
+    products of a generator that is not split off are its products in
+    degree s + 1.  A layer without generators stops the resolution only
+    when it inherits nothing, and a vanished kernel only when the next
+    layer inherits nothing."""
     one = A.field.one()
-    n, products = A.dim, _products(A)
-    layers, pd = [[0]], None
+    entry = A.field.row_arithmetic[0]
+    n, products, ones = A.dim, _products(A), A.component(1)
+    # layers[i]: every shift of F_i; socles[i]: the shifts split off F_i
+    layers, socles, pd = [[0]], [[]], None
+
+    def inherited(i: int) -> list[int]:
+        return [s + j for h in range(1, i) for s in socles[h]
+                for j in layers[i - h] if s + j <= dcap]
+
     candidates = candidates_by_degree
     for i in range(1, top + 1):
         if i == top > 1:
-            layers.append(_count_generators(A, candidates))
+            layers.append(_count_generators(A, candidates, products) + inherited(i))
             break
         tags = len(layers[-1]) * n
         shifts: list[int] = []
-        gens: list[Element] = []
+        socle: list[int] = []
+        # (block, shift, image, its products with A_1) of each generator
+        # that is not split off
+        gens: list[tuple[int, int, Element, list[Element]]] = []
         kernel: dict[int, list[Element]] = {}
         degrees = set(candidates).union(range(1, dcap + 1) if i < top else ())
         for j in sorted(degrees):
             ech = Echelon(A.field)
             # every generator so far has degree below j
-            for k, (s, g) in enumerate(zip(shifts, gens)):
+            for block, s, g, first in gens:
                 us = A.component(j - s)
                 if not us:
                     continue
-                block = k * n
-                for u, row in zip(us, products(g, us)):
+                rows = first if j - s == 1 else products(g, us)
+                for u, row in zip(us, rows):
                     if not row:
                         # no stored row has a tag pivot, so a zero product
                         # would reduce to its tag alone: a unit syzygy
@@ -181,13 +215,19 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
                 rem, c = ech.reduce(g)
                 if c is not None and c < tags:
                     ech.store(rem, c)
+                    first = products(g, ones)
+                    if any(map(entry, first)):
+                        gens.append((len(shifts) * n, j, g, first))
+                    else:
+                        socle.append(j)
                     shifts.append(j)
-                    gens.append(g)
+        socles.append(socle)
+        shifts += inherited(i)
         if not shifts:
             pd = i - 1
             break
         layers.append(shifts)
-        if not kernel and i < top:
+        if not kernel and i < top and not inherited(i + 1):
             pd = i
             break
         candidates = kernel
@@ -195,13 +235,16 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     return dict(betti), [len(shifts) for shifts in layers], pd
 
 
-def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]:
+def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]],
+                      products: Callable[[Element, tuple[int, ...]], list[Element]]
+                      ) -> list[int]:
     """Shifts of minimal generators of a graded submodule K, from a basis of
-    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1.
-    Every product is formed: a degree with a new minimal generator needs
-    all of them before its rank is known."""
+    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1;
+    products is the resolution's `_products(A)`.  Every product is formed:
+    a degree with a new minimal generator needs all of them before its rank
+    is known.  Nothing is split off: a counted generator has no products."""
     shifts: list[int] = []
-    products, ones = _products(A), A.component(1)
+    ones = A.component(1)
     for j in sorted(K):
         ech = Echelon(A.field)
         for v in K.get(j - 1, ()):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import resolution
-from jetmetric.artin import ArtinAlgebra, jet, socle
+from jetmetric.artin import ArtinAlgebra, hf_by_degree_count, jet, socle
 from jetmetric.errors import (
     CapacityError,
     GradingError,
@@ -667,3 +667,122 @@ def test_no_basis_pair_past_the_top_degree_is_multiplied(text, m):
         lambda: [_outcome(betti_residue_field(src, 4)) for src in (p, A, B)]
         + [_outcome(minimal_resolution_of_quotient(p))])
     assert got == want
+
+
+# -- split socle generators: a generator g of degree s with A_1 g = 0 forms
+# no products, and each later layer i + t inherits layers[t] shifted by s
+
+# dcap of a presentation source: None takes betti_residue_field's default
+EDGE_DCAPS = [None, 1, 2, 3, 5]
+
+
+def _classified(p):
+    c = depth_and_classify(p)
+    return c.depth, c.dim, c.embdim, c.pd, c.regular, c.cohen_macaulay, c.gorenstein
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(EXTENSIONS)), st.integers(1, 3),
+       st.integers(2, 6), st.integers(1, 5), st.sampled_from(EDGE_DCAPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_resolution_matches_the_reference_at_the_edges(seed, field, nvars, order,
+                                                             hcap, dcap, data):
+    p = random_presentation(random.Random(seed), field, nvars, "graded")
+    A = jet(p, order)
+    m = data.draw(st.sampled_from(EXTENSIONS[field]), label="extension degree")
+    B = A if m == 1 else base_change(A, m)
+    runs = [lambda: _outcome(betti_residue_field(p, hcap, dcap))]
+    runs += [lambda src=src: _outcome(betti_residue_field(src, hcap)) for src in (A, B)]
+    runs += [lambda: _outcome(minimal_resolution_of_quotient(p)), lambda: _classified(p)]
+    for run in runs:
+        assert run() == _with_reference_engine(run)
+
+
+@pytest.mark.parametrize("text,hcap,dcap,shifts", [
+    # layer 2's generator x^3 e_1 is a socle element; layer 5 would inherit
+    # 9, past dcap 8, so the resolution stops at layer 4 with no trailing
+    # empty layer
+    ("ring F_3[x]\ngraded\nideal: x^4", 5, None, [0, 1, 4, 5, 8]),
+    ("ring F_3[x]\ngraded\nideal: x^3", 4, 5, [0, 1, 3, 4]),
+    ("ring Q[x, y, z]\ngraded\nideal: -2*z^2 + x*z, 4*y, 11/2*x", 3, 2, [0, 1, 2]),
+])
+def test_split_resolution_regressions(text, hcap, dcap, shifts):
+    p = _pres(text)
+    res = betti_residue_field(p, hcap, dcap)
+    assert res.ranks == [1] * len(shifts)
+    assert res.betti == {(i, j): 1 for i, j in enumerate(shifts)}
+    want = _with_reference_engine(lambda: betti_residue_field(p, hcap, dcap))
+    assert _outcome(res) == _outcome(want)
+
+
+def _watched_builder(mp, calls):
+    """Record (g, us, rows) of every call of the resolution's product
+    builder: g itself, which the builder never changes, and copies of
+    the rows, which the resolution tags."""
+    products = resolution._products
+
+    def watched_products(A):
+        rows_of = products(A)
+
+        def watched(g, us):
+            rows = rows_of(g, us)
+            calls.append((g, tuple(us), [dict(row) for row in rows]))
+            return rows
+        return watched
+    mp.setattr(resolution, "_products", watched_products)
+
+
+def test_double_point_forms_only_the_layer_one_socle_test():
+    # over Q[x]/(x^2) the one generator x of layer 1 has x * x = 0: every
+    # later layer is a shifted copy, and no product is formed past the test
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _watched_builder(mp, calls)
+        res = betti_residue_field(_pres("ring Q[x]\ngraded\nideal: x^2"), 10)
+    assert res.ranks == [1] * 11 and not res.complete
+    assert res.betti == {(i, i): 1 for i in range(11)}
+    (g, us, rows), = calls
+    assert len(g) == 1 and len(us) == 1 and rows == [{}]
+
+
+def test_split_keeps_the_criterion_13_table_and_forms_fewer_rows():
+    # the criterion-13 member with Hilbert function [1, 3, 6, 8]; the
+    # engine without the split formed 2,431 product rows here at F_2, F_4
+    # and F_16 alike
+    A = jet(_pres(ZERO_PRODUCTS), 4)
+    assert hf_by_degree_count(A) == [1, 3, 6, 8]
+    for B in (A, base_change(A, 2), base_change(A, 4)):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _watched_builder(mp, calls)
+            got = betti_residue_field(B, 4)
+        assert got.ranks == [1, 3, 15, 56, 245]
+        assert _outcome(got) == _outcome(_with_reference_engine(
+            lambda: betti_residue_field(B, 4)))
+        assert sum(len(us) for _, us, _ in calls) < 2431 // 4
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_socle_test_reads_a_raw_product_that_cancels_as_zero(name):
+    # x^2 = x*y = y^2: layer 2 of the residue field starts with the syzygy
+    # (y - x) e_1, whose raw products with x and with y are the one basis
+    # term of degree 2 with the entries 1 and -1 summed, nonempty rows whose
+    # entries cancel.  Read through the field's row conversion it is a
+    # socle element: its one builder call is the socle test, and no
+    # product of it is formed in degree 3.
+    base, m = PRODUCT_FIELDS[name]
+    A = jet(_pres(f"ring {RINGS.get(base, base)}[x, y]\ngraded\n"
+                  "ideal: x^2 - x*y, y^2 - x*y"), 4)
+    A = A if m == 1 else base_change(A, m)
+    entry = A.field.row_arithmetic[0]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _watched_builder(mp, calls)
+        got = betti_residue_field(A, 4)
+    cancelled = [g for g, _, rows in calls
+                 if all(rows) and not any(map(entry, rows))]
+    assert cancelled
+    for g in cancelled:
+        # the socle test and nothing after it
+        assert [us for h, us, _ in calls if h is g] == [tuple(A.component(1))]
+    assert _outcome(got) == _outcome(_with_reference_engine(
+        lambda: betti_residue_field(A, 4)))
