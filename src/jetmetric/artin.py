@@ -8,7 +8,11 @@ the one table of products of basis pairs, kept sparse (the nonzero
 (index, value) entries only) and memoized on first use instead of being
 tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
-basis indices of each degree component.
+basis indices of each degree component.  One builder, `product_rows`, turns
+that table into the raw rows basis[u] * g of a module element g for
+`Echelon`: the resolution's products and the rows of the derivation space
+both come from it.  A normal form never lowers the degree, so it drops
+every term whose product lies past the top degree, in every jet.
 
 An element has one form, `Sparse`: the ascending list of its nonzero
 (index, value) pairs over the basis.  Classes of monomials
@@ -210,6 +214,47 @@ class ArtinAlgebra:
                 for k, w in mult_basis(i, j):
                     acc[k] = add(acc[k], mul(c, w))
         return _normalized(acc, p)
+
+    def product_rows(self) -> Callable[[dict, Sequence[int]], list[dict]]:
+        """A fresh function of (g, us) giving basis[u] * g for every u in us,
+        basis indices of one degree, with g a module element over this
+        algebra under flat keys k*n + b (basis[b] times the k-th generator,
+        n = dim) and the rows under the same keys.  The rows are raw, for
+        `Echelon`: each entry is a sum in the field's raw arithmetic
+        (unreduced over F_p) and may cancel to zero.  A row is empty exactly
+        when every product basis[u] * basis[b] over g's support vanishes.
+
+        A term of g whose degree plus deg u is past the top degree is
+        dropped before any product is looked up.  That holds for every jet,
+        local and deformation jets included: a normal form's entries lie at
+        grlex-larger columns of the reduced Macaulay matrix, so a normal
+        form never lowers the degree, and a product past the top degree has
+        no basis monomial to land on.  The function is not kept: held by
+        the algebra it would hold the algebra, a reference cycle."""
+        n, degrees = self.dim, self._degrees
+        top = nilpotency_index(self) - 1
+        mult_basis = self.mult_basis
+        add, mul, _ = self.field.raw_arithmetic
+
+        def products(g: dict, us: Sequence[int]) -> list[dict]:
+            if not us:
+                return []
+            room = top - degrees[us[0]]
+            # (key of the block's basis[0], b, coefficient) of the terms that
+            # can survive: basis[u] * basis[b] lies in the block at key - b + t
+            items = [(key - b, b, c) for key, c in g.items()
+                     if degrees[b := key % n] <= room]
+            rows: list[dict] = []
+            for u in us:
+                row: dict = {}
+                for base, b, c in items:
+                    for t, w in mult_basis(b, u):
+                        key, x = base + t, mul(c, w)
+                        row[key] = add(row[key], x) if key in row else x
+                rows.append(row)
+            return rows
+
+        return products
 
     def mult_matrix(self, u: Sparse) -> list[list]:
         """Row-major matrix of multiplication by the element u."""

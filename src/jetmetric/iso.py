@@ -5,8 +5,9 @@ invariant whose value is stable under coefficient-field extension (lengths,
 Hilbert function, nilpotency, socle dimension, embedding dimension,
 multiplication-rank profile, dimension of the derivation space), so a NOT_ISO
 verdict rules out isomorphism after any base change as well.  The derivation
-space is the costliest: one rank on r * dim A rows, read off the sparse
-product table with one normalization per entry, so it is compared only when
+space is the costliest: one rank on r * dim A rows, the algebra's own
+product rows (`ArtinAlgebra.product_rows`, which the resolution reads too)
+with one normalization per entry, so it is compared only when
 the identity and the variable permutations have failed, before the larger
 candidate lists, and at most once per decision.  ISO comes with an explicit
 generator-image witness that is re-verified mechanically.  Exhausting the search space over
@@ -119,7 +120,7 @@ def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
     profile = []
     f = A.field
     lin = A.component(1)
-    for d in range(1, max(A.degrees())):
+    for d in range(1, nilpotency_index(A) - 1):
         mid, out = A.component(d), A.component(d + 1)
         pos = {i: j for j, i in enumerate(out)}
         rows = [{pos[k]: c for k, c in A.mult_basis(i, j) if k in pos}
@@ -141,46 +142,35 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
     dim Der = r dim A - rank.  A rank over k does not change under field
     extension, nor does the dimension depend on the presentation.
 
-    The rows are read off the sparse table of basis-pair products: the class
-    of dg/dx_i is summed once per (i, g) from the classes of its monomials,
-    and each of its entries c b_l adds c times basis[l] * basis[j] to row
-    (i, j) in g's block of columns.  A pair whose degrees reach the cap is
-    skipped: its product is a monomial at or above the cap, zero in A.  The
-    entries of the partials and of the rows are sums in the field's
-    `raw_arithmetic`, and `Echelon`'s entry conversion is their one
-    normalization.
+    The rows are the algebra's product rows (`ArtinAlgebra.product_rows`):
+    the classes of dg/dx_i over all g form one module element, the class of
+    dg/dx_i under the flat keys g*n + l, summed once per (i, g) from the
+    classes of its monomials, and its products with the basis monomials b_j
+    of one degree are the rows (i, j).  The entries of the partials and of
+    the rows are sums in the field's `raw_arithmetic`, and `Echelon`'s entry
+    conversion is their one normalization.
     """
     if A.is_zero_ring():
         return 0
-    f, r, n, cap = A.field, A.nvars, A.dim, A.cap
+    f, r, n = A.field, A.nvars, A.dim
     add, mul, _ = f.raw_arithmetic
-    mult_basis, deg = A.mult_basis, A.degrees()
+    products = A.product_rows()
     gens = [list(g.terms.items()) for g in A.relations]
-    gens += [[(m, f.one())] for m in monomials_of_degree(r, cap)]
-    # below[d]: the basis indices of degree below d
-    below = [[j for e in range(d) for j in A.component(e)] for d in range(cap + 1)]
+    gens += [[(m, f.one())] for m in monomials_of_degree(r, A.cap)]
     rows: list[dict] = []
     for i in range(r):
-        block: list[dict] = [{} for _ in range(n)]
+        # the class of dg/dx_i for every g, at the keys g*n + l
+        dg: dict = {}
         for g, terms in enumerate(gens):
-            # the class of dg/dx_i
-            dg: dict = {}
             for a, c in terms:
                 if a[i]:
                     s = mul(c, f.from_int(a[i]))
                     for l, w in A.reduce_monomial(a[:i] + (a[i] - 1,) + a[i + 1:]):
-                        x = mul(s, w)
-                        dg[l] = add(dg[l], x) if l in dg else x
-            base = g * n
-            for l, c in dg.items():
-                if not c:
-                    continue
-                for j in below[cap - deg[l]]:
-                    row = block[j]
-                    for k, w in mult_basis(l, j):
-                        key, x = base + k, mul(c, w)
-                        row[key] = add(row[key], x) if key in row else x
-        rows += block
+                        key, x = g * n + l, mul(s, w)
+                        dg[key] = add(dg[key], x) if key in dg else x
+        dg = {key: c for key, c in dg.items() if c}
+        for d in range(nilpotency_index(A)):
+            rows += products(dg, A.component(d))
     return r * n - ExactMatrix(f, rows, len(gens) * n).rank()
 
 

@@ -16,19 +16,17 @@ regular / Cohen-Macaulay / Gorenstein classification.
 Module elements are sparse: only the nonzero coefficients are stored, each
 under one flat integer key, k*n + b for basis[b] times the k-th generator
 (n the ring's dimension), and the products basis[u] * g of a generator g
-with the monomials u of one degree are formed together (`_products`) from
-the ring's own sparse table of basis-pair products (`ArtinAlgebra.mult_basis`,
-shared with the invariants and the witness search), so no work is spent on
-the zero blocks of generators in other degrees.  The ring is graded, so a
-term of g whose degree plus deg u is past the ring's top degree has a zero
-product and is dropped before any product is looked up.  A product row is
-raw: its entries are sums in the field's `raw_arithmetic`, chosen by
-`exactcore`, unreduced over F_p and possibly zero; `Echelon`'s entry
-conversion is the one normalization of every row.  A product with no entry
-at all never reaches the elimination: it would reduce to its tag alone, so
-it is a unit syzygy and goes straight into the kernel.  Degree components
-come from `ArtinAlgebra.component`.  This module does no row reduction of
-its own: every elimination is an `exactcore.Echelon`.
+with the monomials u of one degree are formed together by the ring's own
+row builder (`ArtinAlgebra.product_rows`, which also builds the rows of the
+derivation space), so no work is spent on the zero blocks of generators in
+other degrees, nor on a term whose product lies past the ring's top degree.
+A product row is raw: its entries are sums in the field's `raw_arithmetic`,
+chosen by `exactcore`, unreduced over F_p and possibly zero; `Echelon`'s
+entry conversion is the one normalization of every row.  A product with no
+entry at all never reaches the elimination: it would reduce to its tag
+alone, so it is a unit syzygy and goes straight into the kernel.  Degree
+components come from `ArtinAlgebra.component`.  This module does no row
+reduction of its own: every elimination is an `exactcore.Echelon`.
 
 A minimal generator g of degree s with A_1 g = 0, read through `Echelon`'s
 entry conversion so that a raw product which cancels counts as zero, is
@@ -51,9 +49,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .artin import ArtinAlgebra, jet, socle_dimension
+from .artin import ArtinAlgebra, jet, nilpotency_index, socle_dimension
 from .errors import GradingError, InternalInconsistencyError, RangeError, ZeroRingError
 from .exactcore import Echelon
 from .hilbert import HilbertData, hilbert_series
@@ -65,9 +63,9 @@ from .standard import hilbert_numerator
 # index k, ring basis index b, n = A.dim) to a nonzero coefficient in the
 # field's values, the coefficient of basis[b] times the k-th generator.
 # Sorted keys follow the flattened coordinate order: blocks in generator
-# order, each block in ascending basis index.  A product row of `_products`
-# has the same keys but raw entries (unreduced over F_p, possibly zero)
-# until `Echelon` converts it.
+# order, each block in ascending basis index.  A row of
+# `ArtinAlgebra.product_rows` has the same keys but raw entries (unreduced
+# over F_p, possibly zero) until `Echelon` converts it.
 Element = dict
 
 
@@ -93,47 +91,16 @@ class ResolutionData:
         return self.ranks[i] if i < len(self.ranks) else 0
 
 
-def _products(A: ArtinAlgebra) -> Callable[[Element, tuple[int, ...]], list[Element]]:
-    """The product rows of a graded A: a function of (g, us) giving
-    basis[u] * g for every u in us, basis monomials of one degree, read from
-    the algebra's sparse basis-pair products, as raw rows for `Echelon`,
-    whose entry conversion is the one normalization: the entries are sums in
-    the field's raw arithmetic (unreduced over F_p) and may cancel to zero.
-    A term of g whose degree plus deg u is past A's top degree multiplies to
-    zero and is dropped first.  A row is empty exactly when every basis
-    product basis[u] * basis[b] of g's support vanishes."""
-    n, degrees = A.dim, A.degrees()
-    top = max(degrees, default=0)
-    mult_basis = A.mult_basis
-    add, mul, _ = A.field.raw_arithmetic
-
-    def products(g: Element, us: tuple[int, ...]) -> list[Element]:
-        if not us:
-            return []
-        room = top - degrees[us[0]]
-        # (key of the block's basis[0], b, coefficient) of the terms that
-        # can survive: basis[u] * basis[b] lies in the block at key - b + t
-        items = [(key - b, b, c) for key, c in g.items()
-                 if degrees[b := key % n] <= room]
-        rows: list[Element] = []
-        for u in us:
-            row: Element = {}
-            for base, b, c in items:
-                for t, w in mult_basis(b, u):
-                    key, x = base + t, mul(c, w)
-                    row[key] = add(row[key], x) if key in row else x
-            rows.append(row)
-        return rows
-
-    return products
-
-
 def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
              top: int, dcap: int) -> tuple[dict, list[int], Optional[int]]:
     """Betti table and ranks of a minimal resolution through homological
     degree top: degree 0 in layer 0, layer 1 minimally generated by the
     candidates (elements of F_0, by degree); and the projective dimension,
     the first i with ker d_i = 0 up to dcap (0 without generators), or None.
+    Below the top layer a layer visits the degrees of its candidates and
+    those from the least of them to the largest plus A's top degree, up to
+    dcap: every generator is a candidate, and its products lie at most the
+    top degree above it, so a layer without candidates visits none.
 
     Per layer i and degree j one `Echelon` over (F_{i-1})_j: first the
     products u * g of lower generators, each tagged at the flat key
@@ -163,7 +130,8 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     layer inherits nothing."""
     one = A.field.one()
     entry = A.field.row_arithmetic[0]
-    n, products, ones = A.dim, _products(A), A.component(1)
+    n, products, ones = A.dim, A.product_rows(), A.component(1)
+    reach = nilpotency_index(A) - 1
     # layers[i]: every shift of F_i; socles[i]: the shifts split off F_i
     layers, socles, pd = [[0]], [[]], None
 
@@ -174,7 +142,7 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     candidates = candidates_by_degree
     for i in range(1, top + 1):
         if i == top > 1:
-            layers.append(_count_generators(A, candidates, products) + inherited(i))
+            layers.append(_count_generators(A, candidates) + inherited(i))
             break
         tags = len(layers[-1]) * n
         shifts: list[int] = []
@@ -183,7 +151,10 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
         # that is not split off
         gens: list[tuple[int, int, Element, list[Element]]] = []
         kernel: dict[int, list[Element]] = {}
-        degrees = set(candidates).union(range(1, dcap + 1) if i < top else ())
+        degrees = set(candidates)
+        if candidates and i < top:
+            last = min(max(candidates) + reach, dcap)
+            degrees.update(range(min(candidates), last + 1))
         for j in sorted(degrees):
             ech = Echelon(A.field)
             # every generator so far has degree below j
@@ -235,16 +206,14 @@ def _resolve(A: ArtinAlgebra, candidates_by_degree: dict[int, list[Element]],
     return dict(betti), [len(shifts) for shifts in layers], pd
 
 
-def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]],
-                      products: Callable[[Element, tuple[int, ...]], list[Element]]
-                      ) -> list[int]:
+def _count_generators(A: ArtinAlgebra, K: dict[int, list[Element]]) -> list[int]:
     """Shifts of minimal generators of a graded submodule K, from a basis of
-    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1;
-    products is the resolution's `_products(A)`.  Every product is formed:
-    a degree with a new minimal generator needs all of them before its rank
-    is known.  Nothing is split off: a counted generator has no products."""
+    each degree: dim K_j - rank(A_1 K_{j-1}), as A is generated in degree 1,
+    with the products from `ArtinAlgebra.product_rows`.  Every product is
+    formed: a degree with a new minimal generator needs all of them before
+    its rank is known.  Nothing is split off: a counted generator has no products."""
     shifts: list[int] = []
-    ones = A.component(1)
+    products, ones = A.product_rows(), A.component(1)
     for j in sorted(K):
         ech = Echelon(A.field)
         for v in K.get(j - 1, ()):
@@ -297,7 +266,7 @@ def betti_residue_field(src: Union[ArtinAlgebra, Presentation], hcap: int,
         A = src
         if A.is_zero_ring():
             raise ZeroRingError("residue-field resolution over the zero ring")
-        nilp = max(A.degrees()) + 1
+        nilp = nilpotency_index(A)
         if dcap is None:
             dcap = hcap * max(nilp - 1, 1) + 1
     if not all(rel.is_homogeneous() for rel in A.relations):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 from fractions import Fraction
 from math import comb
@@ -20,10 +21,13 @@ from jetmetric.artin import (
 )
 from jetmetric.errors import CapacityError, FieldError, TupleError, ZeroRingError
 from jetmetric.exactcore import ExactMatrix, PrimeField, finite_field
+from jetmetric.iso import base_change, invariant_signature
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
+from jetmetric.resolution import betti_residue_field
 
-from conftest import _random_mono, dense_product, random_presentation, to_dense, to_sparse
+from conftest import (_random_mono, dense_product, random_presentation,
+                      random_presentation_text, to_dense, to_sparse)
 
 
 def test_jet_of_free_ring_counts_monomials(plane):
@@ -392,6 +396,59 @@ def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
     for d, c in enumerate(comps):
         assert list(c) == [i for i, m in enumerate(A.basis) if mono_deg(m) == d]
     assert A.component(-1) == ()
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3", "F_4", "F_16"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_no_basis_product_lies_past_the_top_degree(seed, field, mode, nvars, order,
+                                                   pair_order):
+    # a normal form never lowers the degree, so a basis pair whose degrees
+    # add up past the top degree has no product: the premise of the pruning
+    # in `product_rows`, checked on local jets, whose relations mix degrees,
+    # and on deformation jets; the rows of a basis monomial are then its
+    # basis-pair products in every degree
+    text = random_presentation_text(random.Random(seed), field, nvars, mode,
+                                    max_deg=3, min_deg=2)
+    names = ", ".join(["x", "y", "z"][:nvars])
+    for A in (jet(parse_presentation(text), order),
+              defpair_jet(parse_presentation(f"{text}\ntuple: {names}"), pair_order)):
+        degrees, top = A.degrees(), nilpotency_index(A) - 1
+        one, products = A.field.one(), A.product_rows()
+        for i in range(A.dim):
+            for j in range(A.dim):
+                if degrees[i] + degrees[j] > top:
+                    assert A.mult_basis(i, j) == []
+            for d in range(top + 1):
+                us = A.component(d)
+                assert products({i: one}, us) == [dict(A.mult_basis(i, u)) for u in us]
+
+
+def test_algebras_leave_no_reference_cycles():
+    # jets, a base change, their invariants and Betti tables are freed by
+    # reference counting alone: a product-row builder kept on the algebra,
+    # holding its bound `mult_basis`, would make every algebra cyclic garbage
+    texts = ["ring F_2[x, y, z]\ngraded\nideal: y^2*z, x*y*z",
+             "ring Q[x, y]\nlocal\nideal: x^2 - y^3 + x*y^2"]
+
+    def build():
+        for text in texts:
+            A = jet(parse_presentation(text), 4)
+            for B in (A, base_change(A, 2)) if A.field.order else (A,):
+                invariant_signature(B)
+                if "graded" in text:
+                    betti_residue_field(B, 3)
+
+    # the first pass fills the process-wide caches (fields, monomial frames)
+    build()
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_element(rng: random.Random, f, dim: int) -> list:

@@ -1459,6 +1459,67 @@ def test_derivation_rows_make_no_multiply(monkeypatch):
     assert calls == []
 
 
+def _pairwise_derivation_dimension(A):
+    """dim_k Der_k(A) with each row (i, j) summed pair by pair off
+    `mult_basis`: every entry c b_l of the class of dg/dx_i adds c times
+    basis[l] * basis[j] to row (i, j) in g's block of columns, for each j
+    whose degree stays below the cap less deg l.  No product-row builder and
+    no top-degree pruning: the reference `derivation_dimension`'s rows from
+    `ArtinAlgebra.product_rows` are checked against."""
+    if A.is_zero_ring():
+        return 0
+    f, r, n, cap = A.field, A.nvars, A.dim, A.cap
+    add, mul, _ = f.raw_arithmetic
+    mult_basis, deg = A.mult_basis, A.degrees()
+    gens = [list(g.terms.items()) for g in A.relations]
+    gens += [[(m, f.one())] for m in monomials_of_degree(r, cap)]
+    # below[d]: the basis indices of degree below d
+    below = [[j for e in range(d) for j in A.component(e)] for d in range(cap + 1)]
+    rows = []
+    for i in range(r):
+        block = [{} for _ in range(n)]
+        for g, terms in enumerate(gens):
+            # the class of dg/dx_i
+            dg = {}
+            for a, c in terms:
+                if a[i]:
+                    s = mul(c, f.from_int(a[i]))
+                    for l, w in A.reduce_monomial(a[:i] + (a[i] - 1,) + a[i + 1:]):
+                        x = mul(s, w)
+                        dg[l] = add(dg[l], x) if l in dg else x
+            base = g * n
+            for l, c in dg.items():
+                if not c:
+                    continue
+                for j in below[cap - deg[l]]:
+                    row = block[j]
+                    for k, w in mult_basis(l, j):
+                        key, x = base + k, mul(c, w)
+                        row[key] = add(row[key], x) if key in row else x
+        rows += block
+    return r * n - ExactMatrix(f, rows, len(gens) * n).rank()
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_derivation_rows_match_the_pairwise_rows(seed, field, mode, nvars, order,
+                                                pair_order):
+    # the jet, the pair quotient by the powers of the variables and, over a
+    # finite field, the jet base-changed to the field of degree 2 over its
+    # own; local relations mix degrees from 1 to 3
+    text = random_presentation_text(random.Random(seed), field, nvars, mode,
+                                    max_deg=3, min_deg=1)
+    names = ", ".join(["x", "y", "z"][:nvars])
+    A = jet(parse_presentation(text), order)
+    algebras = [A, defpair_jet(parse_presentation(f"{text}\ntuple: {names}"), pair_order)]
+    if A.field.order is not None:
+        algebras.append(base_change(A, 2 * A.field.m))
+    for B in algebras:
+        assert iso.derivation_dimension(B) == _pairwise_derivation_dimension(B)
+
+
 # ---------------------------------------------------------------------------
 # equal jets: decided without separators or orientation
 

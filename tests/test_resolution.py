@@ -505,16 +505,18 @@ def _product_values(fld):
     return list(range(1, fld.order))
 
 
-def _draw_element(A, data):
+def _draw_element(A, data, mixed=False):
     """A module element over two generators, each homogeneous as the
-    resolution's are, whose coefficients come in pairs c, -c often, so that
-    products of neighbouring entries cancel."""
+    resolution's are, or of mixed degrees when mixed is set, as the
+    derivation space's are, whose coefficients come in pairs c, -c often, so
+    that products of neighbouring entries cancel."""
     fld = A.field
     # positive degrees below the top, so that a positive-degree u meets them
     degrees = range(1, max(max(A.degrees()), 2))
     keys = []
     for k in range(data.draw(st.integers(1, 2), label="generators")):
-        comp = A.component(data.draw(st.sampled_from(degrees), label="degree"))
+        comp = ([b for d in degrees for b in A.component(d)] if mixed else
+                A.component(data.draw(st.sampled_from(degrees), label="degree")))
         keys += [(k, b) for b in data.draw(
             st.lists(st.sampled_from(comp), min_size=1, max_size=4, unique=True),
             label="support")]
@@ -530,7 +532,7 @@ def _draw_element(A, data):
 
 def _assert_rows_match(A, g, us):
     entry = Echelon(A.field)._entry
-    rows = [_pairs(A, row) for row in resolution._products(A)(_flat(A, g), us)]
+    rows = [_pairs(A, row) for row in A.product_rows()(_flat(A, g), us)]
     assert len(rows) == len(us)
     for u, row in zip(us, rows):
         want = _reference_mult(A, u, g)
@@ -550,25 +552,31 @@ QUADRIC_COEFFS = {"Q": ["1", "-1", "2", "-3", "1/2"], "F_2": ["1"], "F_3": ["1",
 RINGS = {"F_4": "F_2^2 minpoly a^2 + a + 1"}
 
 
-def _quadrics(rng, base, nvars, count):
+def _quadrics(rng, base, nvars, count, mode="graded"):
     """Relations with every degree-2 monomial: each normal form in degree 2
-    and up has several terms, so the products of g's entries meet."""
+    and up has several terms, so the products of g's entries meet.  In local
+    mode each relation also has a cubic term, so the normal forms of degree 2
+    have terms of degree 3."""
     names = "xyz"[:nvars]
+    coeffs = QUADRIC_COEFFS[base]
     monos = [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]]
-    rels = [" + ".join(f"({rng.choice(QUADRIC_COEFFS[base])})*{m}" for m in monos)
+    rels = [" + ".join(f"({rng.choice(coeffs)})*{m}" for m in monos)
             for _ in range(count)]
-    return _pres(f"ring {RINGS.get(base, base)}[{', '.join(names)}]\ngraded\n"
+    if mode == "local":
+        rels = [f"{rel} + ({rng.choice(coeffs)})*{'*'.join(rng.choices(names, k=3))}"
+                for rel in rels]
+    return _pres(f"ring {RINGS.get(base, base)}[{', '.join(names)}]\n{mode}\n"
                  f"ideal: {', '.join(rels)}")
 
 
 @given(st.sampled_from(sorted(PRODUCT_FIELDS)), st.integers(0, 10**6), st.integers(2, 3),
-       st.integers(1, 2), st.data())
-@settings(max_examples=80, deadline=None)
-def test_product_rows_match_the_field_method_product(name, seed, nvars, count, data):
+       st.integers(1, 2), st.sampled_from(["graded", "local"]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_product_rows_match_the_field_method_product(name, seed, nvars, count, mode, data):
     base, m = PRODUCT_FIELDS[name]
-    A = jet(_quadrics(random.Random(seed), base, nvars, count), 4)
+    A = jet(_quadrics(random.Random(seed), base, nvars, count, mode), 4)
     A = A if m == 1 else base_change(A, m)
-    g = _draw_element(A, data)
+    g = _draw_element(A, data, mixed=mode == "local")
     d = data.draw(st.integers(1, 3 - min(A.degrees()[b] for _, b in g)), label="degree")
     _assert_rows_match(A, g, A.component(d))
 
@@ -586,7 +594,7 @@ def test_product_rows_keep_a_sum_that_cancels(name):
         for u in range(A.dim) for b1 in range(A.dim) for b2 in range(b1 + 1, A.dim)
         for t in sorted(dict(A.mult_basis(b1, u)).keys() & dict(A.mult_basis(b2, u))))
     g = {(0, b1): w2, (0, b2): fld.neg(w1)}
-    row = _pairs(A, resolution._products(A)(_flat(A, g), (u,))[0])
+    row = _pairs(A, A.product_rows()(_flat(A, g), (u,))[0])
     assert fld.is_zero(row[(0, t)])
     assert (0, t) not in _reference_mult(A, u, g)
     _assert_rows_match(A, g, A.component(A.degrees()[u]))
@@ -601,7 +609,7 @@ ZERO_PRODUCTS = "ring F_2[x, y, z]\ngraded\nideal: y^2*z, x*y*z"
 def test_zero_products_stay_out_of_the_echelon(m):
     A = jet(_pres(ZERO_PRODUCTS), 4)
     B = A if m == 1 else base_change(A, m)
-    reduce, products = Echelon.reduce, resolution._products
+    reduce, products = Echelon.reduce, ArtinAlgebra.product_rows
     tag_only, zero_rows = [], []
     product_rows = {}  # id -> row, held so that no id is reused
 
@@ -624,7 +632,7 @@ def test_zero_products_stay_out_of_the_echelon(m):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Echelon, "reduce", watched_reduce)
-        mp.setattr(resolution, "_products", watched_products)
+        mp.setattr(ArtinAlgebra, "product_rows", watched_products)
         got = betti_residue_field(B, 4)
     assert zero_rows and tag_only
     assert not any(tag_only)
@@ -711,10 +719,10 @@ def test_split_resolution_regressions(text, hcap, dcap, shifts):
 
 
 def _watched_builder(mp, calls):
-    """Record (g, us, rows) of every call of the resolution's product
+    """Record (g, us, rows) of every call of the algebra's product-row
     builder: g itself, which the builder never changes, and copies of
     the rows, which the resolution tags."""
-    products = resolution._products
+    products = ArtinAlgebra.product_rows
 
     def watched_products(A):
         rows_of = products(A)
@@ -724,7 +732,7 @@ def _watched_builder(mp, calls):
             calls.append((g, tuple(us), [dict(row) for row in rows]))
             return rows
         return watched
-    mp.setattr(resolution, "_products", watched_products)
+    mp.setattr(ArtinAlgebra, "product_rows", watched_products)
 
 
 def test_double_point_forms_only_the_layer_one_socle_test():
