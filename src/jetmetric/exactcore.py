@@ -37,8 +37,8 @@ at the end) and over F_p (residues with a unit pivot), the field's own
 arithmetic on codes over F_{p^m}.  A row enters that form through the
 field's row ``entry`` once: a caller that builds many rows from one
 polynomial (the Macaulay rows of a generator) converts its coefficients
-once and hands the rows over in row form (:meth:`Echelon.insert`,
-:meth:`ExactMatrix.of_row_form`); every other row is converted as it
+once and hands the rows over in row form to :meth:`Echelon.insert`; every
+other row, an :class:`ExactMatrix` row among them, is converted as it
 enters.  :func:`rank_gf2` keeps F_2 graded ranks on bitmask rows.  No
 floating point anywhere.
 """
@@ -504,6 +504,28 @@ TABLE_MAX_ORDER = 1 << 12
 EXTENSION_MAX_ORDER = 1 << 32
 
 
+def _extension_key(p: int, m: int, minpoly: Sequence[int] | None) -> tuple:
+    """The key (p, m, minpoly) of F_{p^m}, with the canonical minimal
+    polynomial when none is given; FieldError unless p is prime, m at least
+    2, the field within the order bound and minpoly monic, irreducible and
+    of degree m.  Nothing is built."""
+    if not _is_prime(p):
+        raise FieldError(f"{p} is not prime")
+    if m < 2:
+        raise FieldError("extension degree must be at least 2 (use a prime field)")
+    # p^m >= 2^m, past the bound for every m beyond its bit length
+    if m >= EXTENSION_MAX_ORDER.bit_length() or p**m > EXTENSION_MAX_ORDER:
+        raise FieldError(f"F_{p}^{m} has more than {EXTENSION_MAX_ORDER} elements")
+    if minpoly is None:
+        return (p, m, canonical_minpoly(p, m))      # irreducible by its search
+    mp = tuple(c % p for c in minpoly)
+    if len(mp) != m + 1 or mp[-1] != 1:
+        raise FieldError("minimal polynomial must be monic of degree m")
+    if not _fp_is_irreducible(mp, p):
+        raise FieldError(f"minimal polynomial {list(mp)} is reducible over F_{p}")
+    return (p, m, mp)
+
+
 class ExtensionField(Field):
     """F_{p^m} = F_p[a]/(minpoly) with elements as integer codes.
 
@@ -518,26 +540,21 @@ class ExtensionField(Field):
     """
 
     def __init__(self, p: int, m: int, minpoly: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
-        if m < 2:
-            raise FieldError("extension degree must be at least 2 (use a prime field)")
-        # p^m >= 2^m, past the bound for every m beyond its bit length
-        if m >= EXTENSION_MAX_ORDER.bit_length() or p**m > EXTENSION_MAX_ORDER:
-            raise FieldError(f"F_{p}^{m} has more than {EXTENSION_MAX_ORDER} elements")
-        if minpoly is None:
-            mp = canonical_minpoly(p, m)        # irreducible by its search
-        else:
-            mp = tuple(c % p for c in minpoly)
-            if len(mp) != m + 1 or mp[-1] != 1:
-                raise FieldError("minimal polynomial must be monic of degree m")
-            if not _fp_is_irreducible(mp, p):
-                raise FieldError(f"minimal polynomial {list(mp)} is reducible over F_{p}")
+        self._build(_extension_key(p, m, minpoly))
+
+    @classmethod
+    def _of_key(cls, key: tuple) -> "ExtensionField":
+        """The field of a key from :func:`_extension_key`, not checked again."""
+        out = cls.__new__(cls)
+        out._build(key)
+        return out
+
+    def _build(self, key: tuple) -> None:
+        p, m, mp = self.key = key
         self.p = p
         self.m = m
         self.minpoly = mp
         self.order = p**m
-        self.key = (p, m, mp)
         self._init_digits()
         self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
         self.mul, self.inv = self._mul_digits, self._inv_digits
@@ -767,14 +784,24 @@ def rationals() -> RationalField:
 def finite_field(p: int, m: int, minpoly: Sequence[int] | None = None) -> Field:
     """F_{p^m} with the monic minimal polynomial minpoly (coefficients
     c_0, ..., c_m), by default the canonical one; the prime field for m = 1
-    with none.  Each field is built once, under its key and under the
-    arguments that named it: an extension field's irreducibility check and
-    tables cost far more than the arithmetic of a typical caller."""
+    with none.  Each field is built once and kept under the arguments that
+    named it, an extension field also under its key: its irreducibility
+    check and tables cost far more than the arithmetic of a typical caller.
+    A new spelling of an extension field resolves its key first (the
+    canonical minimal polynomial, or the given one checked) and builds
+    nothing when the key is held: a field's bound arithmetic makes it
+    cyclic, so a field built and then discarded would stay in memory until
+    a collection."""
     args = (p, m, None if minpoly is None else tuple(minpoly))
     got = _FIELDS.get(args)
     if got is None:
-        got = PrimeField(p) if m == 1 and minpoly is None else ExtensionField(p, m, minpoly)
-        got = _FIELDS.setdefault(got.key, got)
+        if m == 1 and minpoly is None:
+            got = PrimeField(p)             # a prime field has one spelling
+        else:
+            key = _extension_key(p, m, minpoly)
+            got = _FIELDS.get(key)
+            if got is None:
+                got = _FIELDS[key] = ExtensionField._of_key(key)
         _FIELDS[args] = got
     return got
 
@@ -801,10 +828,7 @@ class RrefResult:
 class ExactMatrix:
     """Exact matrix over a :class:`Field` with sparse rows: each row is a
     dict {column: value} of raw values, absent columns zero (explicit zero
-    values are allowed, and keys may come in any order).  A matrix made by
-    :meth:`of_row_form` holds rows already in the field's row form
-    (:attr:`Field.row_arithmetic`), converted once by their caller, and
-    skips the per-row conversion; over Q such a row may have content above 1.
+    values are allowed, and keys may come in any order).
 
     :meth:`rref`, :meth:`rank` and :meth:`kernel_basis` all feed the rows
     to one :class:`Echelon`: the rank is its forward pass alone, the
@@ -813,20 +837,10 @@ class ExactMatrix:
     never changed.
     """
 
-    _row_form = False
-
     def __init__(self, field: Field, rows: list[dict], ncols: int):
         self.field = field
         self.rows = rows
         self.ncols = ncols
-
-    @classmethod
-    def of_row_form(cls, field: Field, rows: list[dict], ncols: int) -> "ExactMatrix":
-        """The matrix of rows in the field's row form: nonzero entries only,
-        each produced by the field's row ``entry``, keys in any order."""
-        out = cls(field, rows, ncols)
-        out._row_form = True
-        return out
 
     @property
     def nrows(self) -> int:
@@ -834,9 +848,7 @@ class ExactMatrix:
 
     def _echelon(self) -> "Echelon":
         ech = Echelon(self.field)
-        # a row already in row form is copied: the elimination may change it
-        enter = dict if self._row_form else ech._entry
-        insert = ech.insert
+        enter, insert = ech._entry, ech.insert
         for row in self.rows:
             insert(enter(row))
         return ech

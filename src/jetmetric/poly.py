@@ -9,6 +9,15 @@ grlex-smallest monomial of each row, so an inhomogeneous relation rewrites its
 lowest-order term into higher-order ones (the local convention: y^2 - x^3
 pivots at y^2 and stores nf(y^2) = x^3).
 
+The Macaulay rows go into one echelon a generator at a time, and a
+generator's rows skip every multiplier that is already a pivot of the
+earlier generators' rows: such a row lies in the span of those rows and of
+the generator's rows with grlex-larger multipliers, so the span, and with it
+the unique reduced echelon form, is unchanged.  This is the signature
+criterion of Faugere's F5 (ISSAC 2002) on Lazard's Macaulay matrices
+(EUROCAL 1983); it drops the Koszul rows g_i * g_j, which would otherwise
+each be built and reduced to zero.
+
 This module is the one place monomials are enumerated.  `monomials_of_degree`
 is memoized, and every truncated quotient of one shape, a number of
 variables and a cap, reads one frame built on first use: the grlex monomials
@@ -30,7 +39,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
-from .exactcore import ExactMatrix, Field, rank_gf2
+from .exactcore import Echelon, ExactMatrix, Field, rank_gf2
 
 Monomial = tuple[int, ...]
 # an element of a quotient as the ascending list of its nonzero
@@ -246,6 +255,20 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     below the cap, and the quotient is k[x]/m^cap: every monomial of the
     frame is a basis monomial and no normal form is stored, as the
     elimination of no rows would give.
+
+    The rows go into one :class:`Echelon` a generator at a time, and the
+    rows of g_j skip every multiplier u whose column is a pivot of the
+    echelon before g_j's first row (Faugere's F5 signature criterion, ISSAC
+    2002, applied to Lazard's Macaulay matrices, EUROCAL 1983).  Such a u is
+    the lowest monomial of some h in (g_1, ..., g_{j-1}) below the cap, say
+    h = u + sum_{w > u} c_w w, so u*g_j = h*g_j - sum c_w w*g_j mod m^cap.
+    There h*g_j lies in the earlier rows' span, and each w*g_j is a row of
+    g_j with a grlex-larger multiplier or is zero past the cap; downward
+    induction over the finitely many multipliers puts every skipped row in
+    the span of the rows entered.  The row space is unchanged, so is its
+    unique reduced echelon form, and so are the basis and the normal forms.
+    Only the earlier generators' pivots may be used: a pivot of g_j's own
+    rows gives no such h.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -258,29 +281,35 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     monos, index, below = _frame(nvars, cap)
     get = index.get
     entry = field.row_arithmetic[0]
-    rows = []
+    ech = Echelon(field)
+    insert, pivots = ech.insert, ech.rows
     for g in gens:
         if g.is_zero() or (e := g.order()) >= cap:
             continue
         terms = entry(g.terms).items()
+        # the earlier generators' pivots; the multiplier monos[k] is column k
+        spanned = set(pivots)
         # each row holds t * u for a lowest term t of g, so none is empty
-        for u in monos[:below[cap - e]]:
+        for k in range(below[cap - e]):
+            if k in spanned:
+                continue
+            u = monos[k]
             row = {}
             for t, c in terms:
                 i = get(mono_mul(t, u))
                 if i is not None:
                     row[i] = c
-            rows.append(row)
-    if not rows:
+            insert(row)
+    if not pivots:
         # no generator below the cap: the quotient is k[x]/m^cap
         return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=list(monos), nf={})
-    red = ExactMatrix.of_row_form(field, rows, n_mono).rref()
-    free = red.free_columns()
+    red = ech.reduced()
+    free = [c for c in range(n_mono) if c not in red]
     basis = [monos[c] for c in free]
     pos = {c: j for j, c in enumerate(free)}
     zero, neg = field.zero(), field.neg
     nf: dict[Monomial, list] = {}
-    for row, pc in zip(red.rows, red.pivots):
+    for pc, row in red.items():
         # a reduced row vanishes at every other pivot column
         v = [zero] * len(free)
         for c, x in row.items():

@@ -1,4 +1,5 @@
 import ast
+import gc
 import operator
 import random
 import time
@@ -360,6 +361,31 @@ def test_fields_are_built_once_per_description():
     assert finite_field(3, 1) is finite_field(3, 1)
     # a minimal polynomial given in other residues names the same field
     assert finite_field(3, 2, (4, 0, -2)) is finite_field(3, 2, (1, 0, 1))
+
+
+def test_a_second_spelling_of_a_field_builds_no_field(monkeypatch):
+    # from an empty cache, F_4 named by its minimal polynomial and then by
+    # default: the second call resolves the canonical minimal polynomial,
+    # finds the key and builds nothing, so no discarded field is left as
+    # cyclic garbage
+    monkeypatch.setattr(exactcore, "_FIELDS", {})
+    built = []
+    init_digits = ExtensionField._init_digits
+    monkeypatch.setattr(ExtensionField, "_init_digits",
+                        lambda self: built.append(self) or init_digits(self))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        F = finite_field(2, 2, (1, 1, 1))
+        assert len(built) == 1
+        built.clear()
+        assert finite_field(2, 2) is F and finite_field(2, 2, [1, 1, 1]) is F
+        assert built == []
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # x^32 + x^7 + x^3 + x^2 + 1, irreducible over F_2
@@ -897,7 +923,16 @@ def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
 
 
 # -- rows in row form: converted once by their caller, then shifted and
-# truncated, they give the RREF of the raw rows they came from
+# truncated, and handed to Echelon.insert, they give the RREF of the raw
+# rows they came from
+
+
+def _inserted(F, rows):
+    """An echelon holding rows, each a row in row form handed to insert."""
+    ech = Echelon(F)
+    for row in rows:
+        ech.insert(row)
+    return ech
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_FIELDS))
@@ -915,15 +950,15 @@ def test_row_form_rows_match_the_raw_rows_they_came_from(name, data):
         keep = {c for c in r if rnd.random() < 0.8}
         raw.append({c: x for c, x in r.items() if c in keep})
         entered.append({c: x for c, x in entry(r).items() if c in keep})
-    held = [dict(r) for r in entered]
-    M = ExactMatrix.of_row_form(F, entered, n)
+    ech = _inserted(F, entered)
+    held = {c: dict(v) for c, v in ech.rows.items()}
     want = ExactMatrix(F, raw, n).rref()
-    assert M.rank() == want.rank
+    assert len(ech.rows) == want.rank
     for _ in range(2):
-        got = M.rref()
-        assert (got.rows, got.pivots, got.ncols) == (want.rows, want.pivots, n)
-        assert entered == held
-    _assert_value_types(F, got.rows)
+        got = ech.reduced()
+        assert (list(got.values()), list(got)) == (want.rows, want.pivots)
+        assert ech.rows == held
+    _assert_value_types(F, list(got.values()))
 
 
 def test_row_form_rows_of_content_above_one_over_q():
@@ -933,12 +968,12 @@ def test_row_form_rows_of_content_above_one_over_q():
     assert g == {0: 3, 1: 2, 2: -5}
     # the truncations {0: 3, 2: -5} and {0: 3}, the latter of content 3
     rows = [{c: x for c, x in g.items() if c != 1}, {0: g[0]}, {1: 4, 2: 6}]
-    M = ExactMatrix.of_row_form(Q, rows, 3)
-    red = M.rref()
-    assert red.pivots == [0, 1, 2] and M.rank() == 3
-    assert red.rows == [{0: 1}, {1: 1}, {2: 1}] == M.rref().rows
+    ech = _inserted(Q, rows)
+    red = ech.reduced()
+    assert list(red) == [0, 1, 2] and len(ech.rows) == 3
+    assert list(red.values()) == [{0: 1}, {1: 1}, {2: 1}] == list(ech.reduced().values())
     # each pivot entry is the field's one object
-    assert all(row[pc] is Q.one() for row, pc in zip(red.rows, red.pivots))
+    assert all(row[pc] is Q.one() for pc, row in red.items())
     ech = Echelon(Q)
     assert ech.insert({0: 6, 3: 4}) and ech.rows == {0: {0: 6, 3: 4}}
     assert ech.reduced() == {0: {0: 1, 3: Fraction(2, 3)}}

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from jetmetric import poly
 from jetmetric.artin import defpair_jet, jet
 from jetmetric.errors import CapacityError
-from jetmetric.exactcore import ExactMatrix, ExtensionField, PrimeField, finite_field, rationals
+from jetmetric.exactcore import (Echelon, ExactMatrix, ExtensionField, PrimeField, finite_field,
+                                 rationals)
 from jetmetric.poly import (
     Poly,
     TruncatedQuotient,
@@ -310,8 +311,8 @@ def test_row_free_jets_match_the_reference_without_an_elimination(monkeypatch, n
     # below the cap is a basis monomial and nothing is eliminated
     F = _row_form_field(name)
     calls = []
-    rref = ExactMatrix.rref
-    monkeypatch.setattr(ExactMatrix, "rref", lambda self: calls.append(self) or rref(self))
+    reduced = Echelon.reduced
+    monkeypatch.setattr(Echelon, "reduced", lambda self: calls.append(self) or reduced(self))
     for nvars, gens, cap in _row_free_cases(F):
         got = truncated_quotient(F, nvars, gens, cap)
         assert calls == [], (nvars, cap)
@@ -322,6 +323,91 @@ def test_row_free_jets_match_the_reference_without_an_elimination(monkeypatch, n
     assert jet(p, 2).dim == 3 and calls == []
     # one generator below the cap gives one elimination
     assert jet(p, 3).dim == 5 and len(calls) == 1
+
+
+# the signature criterion: a generator's rows skip the multipliers that are
+# pivots of the earlier generators' rows, and the quotient is unchanged
+
+_CRITERION_FIELDS = (rationals(), PrimeField(3), finite_field(2, 2), PrimeField(32003))
+
+
+@st.composite
+def _spanned_generators(draw):
+    """A field, a number of variables, a cap from 0 to 8 and generators
+    built so that later ones are partly spanned by earlier ones: a complete
+    intersection x_i^a_i + (terms in later variables of degree a_i when
+    graded, of degree a_i + 1 or a_i + 2 in any variables when local) or a
+    few random generators, followed by repeats, monomial multiples and sums
+    of monomial multiples of generators already drawn, in a drawn order."""
+    F = draw(st.sampled_from(_CRITERION_FIELDS))
+    nvars, cap = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    graded = draw(st.booleans())
+    scalar = _scalars(F).filter(lambda c: not F.is_zero(c))
+
+    def monomial(d, first=0):
+        bars = draw(st.lists(st.integers(first, nvars - 1), min_size=d, max_size=d))
+        return tuple(bars.count(k) for k in range(nvars))
+
+    gens = []
+    if draw(st.booleans()):
+        for i in range(nvars):
+            a = draw(st.integers(1, 4))
+            terms = {tuple(a if k == i else 0 for k in range(nvars)): F.one()}
+            for _ in range(draw(st.integers(0, 2))):
+                if graded and i + 1 < nvars:
+                    terms.setdefault(monomial(a, i + 1), draw(scalar))
+                elif not graded:
+                    terms.setdefault(monomial(a + draw(st.integers(1, 2))), draw(scalar))
+            gens.append(Poly(F, nvars, terms))
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.integers(1, 4))
+            terms = {}
+            for _ in range(draw(st.integers(1, 3))):
+                terms[monomial(d + (0 if graded else draw(st.integers(0, 2))))] = draw(scalar)
+            gens.append(Poly(F, nvars, terms))
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from(gens))
+        how = draw(st.sampled_from(["repeat", "multiple", "sum"]))
+        if how == "repeat":
+            gens.append(g)
+        elif how == "multiple":
+            gens.append(g * Poly(F, nvars, {monomial(draw(st.integers(1, 3))): draw(scalar)}))
+        else:
+            h = draw(st.sampled_from(gens))
+            if h.degree() > g.degree():
+                g, h = h, g
+            u = monomial(g.degree() - h.degree() if graded else draw(st.integers(0, 2)))
+            gens.append(g.scale(draw(scalar)) + h * Poly(F, nvars, {u: draw(scalar)}))
+    order = draw(st.permutations(range(len(gens))))
+    return F, nvars, [gens[k] for k in order], cap
+
+
+@given(_spanned_generators())
+@settings(max_examples=120, deadline=None)
+def test_skipped_multipliers_leave_the_quotient_of_all_rows(case):
+    F, nvars, gens, cap = case
+    got = truncated_quotient(F, nvars, gens, cap)
+    ref = _reference_truncated_quotient(F, nvars, gens, cap)
+    assert got.basis == ref.basis
+    assert got.nf == ref.nf
+
+
+def test_a_complete_intersection_enters_no_row_that_reduces_to_zero(monkeypatch):
+    # (x^2 - y^3, y^2 - z^3, z^2 - x^3) at cap 12: its three generators have
+    # 660 multipliers below the cap, and all rows would leave 304 of them
+    # reducing to zero, the Koszul syzygies; the criterion skips all 304
+    inserted = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, v: inserted.append(insert(self, v)) or inserted[-1])
+    p = parse_presentation("ring Q[x, y, z]\nlocal\nideal: y^3 - x^2, z^3 - y^2, x^3 - z^2")
+    tq = truncated_quotient(p.base_field(), 3, p.gens, 12)
+    assert sum(count_monomials_below(3, 12 - g.order()) for g in p.gens) == 660
+    assert len(inserted) == 356 and inserted.count(False) == 0
+    assert tq.dim == count_monomials_below(3, 12) - 356 == 8
+    ref = _reference_truncated_quotient(p.base_field(), 3, p.gens, 12)
+    assert (tq.basis, tq.nf) == (ref.basis, ref.nf)
 
 
 @pytest.fixture
