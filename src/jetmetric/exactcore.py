@@ -39,7 +39,9 @@ field's row ``entry`` once: a caller that builds many rows from one
 polynomial (the Macaulay rows of a generator) converts its coefficients
 once and hands the rows over in row form to :meth:`Echelon.insert`; every
 other row, an :class:`ExactMatrix` row among them, is converted as it
-enters.  :func:`rank_gf2` keeps F_2 graded ranks on bitmask rows.  No
+enters.  :func:`rank_gf2` ranks F_2 rows held as bitmasks; its one caller
+is ``poly.graded_component_rank``, the brute-force reference for graded
+Hilbert functions, which no other routine of the package calls.  No
 floating point anywhere.
 """
 

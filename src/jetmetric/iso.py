@@ -1,14 +1,13 @@
 """Isomorphism testing for Artinian algebras over a common coefficient field.
 
 Verdicts are tri-state.  NOT_ISO is only ever produced by a separating
-invariant whose value is stable under coefficient-field extension (lengths,
-Hilbert function, nilpotency, socle dimension, embedding dimension,
-multiplication-rank profile, dimension of the derivation space), so a NOT_ISO
-verdict rules out isomorphism after any base change as well.  The derivation
-space is the costliest: one rank on r * dim A rows, the algebra's own
-product rows (`ArtinAlgebra.product_rows`, which the resolution reads too)
-with one normalization per entry, so it is compared only when
-the identity and the variable permutations have failed, before the larger
+invariant whose value is stable under coefficient-field extension (length,
+Hilbert function, socle dimension, dimension of the derivation space), so a
+NOT_ISO verdict rules out isomorphism after any base change as well.  The
+derivation space is the costliest: one rank on r * dim A rows, the
+algebra's own product rows (`ArtinAlgebra.product_rows`, which the
+resolution reads too) with one normalization per entry, so it is compared
+only when the identity and the variable permutations have failed, before the larger
 candidate lists, and at most once per decision.  ISO comes with an explicit
 generator-image witness that is re-verified mechanically.  Exhausting the search space over
 the allowed extensions without finding a witness yields UNKNOWN — the honest
@@ -101,32 +100,16 @@ QQ_SCALINGS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 @dataclass(frozen=True)
 class InvariantSignature:
     """The values of the separating invariants in `INVARIANTS`, in its
-    order; each field name is the separator name it reports."""
+    order; each field name is the separator name it reports.  The
+    nilpotency index, the embedding dimension and the ranks of
+    multiplication by m/m^2 in the associated graded are not listed: they
+    are len(hilbert_function), hilbert_function[1] and
+    hilbert_function[2:], so they agree whenever it does."""
 
     length: int
     hilbert_function: tuple[int, ...]
-    nilpotency_index: int
     socle_dimension: int
-    embedding_dimension: int
-    multiplication_rank_profile: tuple[int, ...]
     derivation_dimension: int
-
-
-def _mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
-    """For each degree d >= 1, the rank of the multiplication pairing
-    (m/m^2) x (m^d/m^{d+1}) -> m^{d+1}/m^{d+2} in the associated graded."""
-    if A.is_zero_ring():
-        return ()
-    profile = []
-    f = A.field
-    lin = A.component(1)
-    for d in range(1, nilpotency_index(A) - 1):
-        mid, out = A.component(d), A.component(d + 1)
-        pos = {i: j for j, i in enumerate(out)}
-        rows = [{pos[k]: c for k, c in A.mult_basis(i, j) if k in pos}
-                for i in lin for j in mid]
-        profile.append(ExactMatrix(f, rows, len(out)).rank())
-    return tuple(profile)
 
 
 def derivation_dimension(A: ArtinAlgebra) -> int:
@@ -183,18 +166,11 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
 INVARIANTS = (
     ("length", lambda A: A.dim),
     ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
-    ("nilpotency_index", lambda A: 0 if A.is_zero_ring() else nilpotency_index(A)),
     ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle_dimension(A)),
-    ("embedding_dimension", lambda A: len(A.component(1))),
-    ("multiplication_rank_profile", _mult_rank_profile),
     ("derivation_dimension", derivation_dimension),
 )
 
-# All but the last, less the nilpotency index and the embedding dimension:
-# they are the length of the Hilbert function and its entry at 1, so they
-# agree whenever the Hilbert function, compared before them, does.
-_EAGER = tuple(inv for inv in INVARIANTS[:-1]
-               if inv[0] not in ("nilpotency_index", "embedding_dimension"))
+_EAGER = INVARIANTS[:-1]
 
 
 def invariant_signature(A: ArtinAlgebra) -> InvariantSignature:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetmetric import iso
-from jetmetric.artin import ArtinAlgebra, defpair_jet, jet
+from jetmetric.artin import (ArtinAlgebra, defpair_jet, hf_by_degree_count, jet, nilpotency_index,
+                             socle_dimension)
 from jetmetric.iso import (
     QQ_SCALINGS,
     SearchBudget,
@@ -44,11 +45,14 @@ def _decide(A, B, budget=BUDGET):
 
 
 def test_signature_of_cusp_jet(cusp):
-    sig = invariant_signature(jet(cusp, 4))
+    A = jet(cusp, 4)
+    sig = invariant_signature(A)
     assert sig.length == 7
     assert sig.hilbert_function == (1, 2, 2, 2)
-    assert sig.nilpotency_index == 4
-    assert sig.embedding_dimension == 2
+    # the nilpotency index and the embedding dimension, read off the
+    # Hilbert function
+    assert nilpotency_index(A) == len(sig.hilbert_function) == 4
+    assert sig.hilbert_function[1] == 2
 
 
 def test_identity_is_found_immediately(cusp):
@@ -1111,6 +1115,111 @@ def test_search_witnesses_are_bijective(pair, effort):
         image = B.monomial_map(w.images)
         assert iso._bijective(A, B, image)
         assert verify_witness(A, B, w, match_tuples)
+
+
+# ---------------------------------------------------------------------------
+# the invariants the Hilbert function decides
+
+
+def _reference_mult_rank_profile(A: ArtinAlgebra) -> tuple[int, ...]:
+    """For each degree d >= 1, the rank of the multiplication pairing
+    (m/m^2) x (m^d/m^{d+1}) -> m^{d+1}/m^{d+2} in the associated graded."""
+    if A.is_zero_ring():
+        return ()
+    profile = []
+    f = A.field
+    lin = A.component(1)
+    for d in range(1, nilpotency_index(A) - 1):
+        mid, out = A.component(d), A.component(d + 1)
+        pos = {i: j for j, i in enumerate(out)}
+        rows = [{pos[k]: c for k, c in A.mult_basis(i, j) if k in pos}
+                for i in lin for j in mid]
+        profile.append(ExactMatrix(f, rows, len(out)).rank())
+    return tuple(profile)
+
+
+# the four separating invariants with the three that the Hilbert function
+# decides (its length, its entry at 1 and its entries from 2 on) in their
+# places among them: the reference the four are checked against
+_REFERENCE_INVARIANTS = (
+    ("length", lambda A: A.dim),
+    ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
+    ("nilpotency_index", lambda A: 0 if A.is_zero_ring() else nilpotency_index(A)),
+    ("socle_dimension", lambda A: 0 if A.is_zero_ring() else socle_dimension(A)),
+    ("embedding_dimension", lambda A: len(A.component(1))),
+    ("multiplication_rank_profile", _reference_mult_rank_profile),
+    ("derivation_dimension", iso.derivation_dimension),
+)
+
+
+@st.composite
+def _hf_shapes(draw, low=0):
+    """(field, nvars, kind, order, extended) for `_hf_jet`, the order at
+    least low."""
+    field = draw(st.sampled_from(["Q", "F_2", "F_3", "F_4"]))
+    kind = draw(st.sampled_from(["graded", "local", "graded", "local", "defpair"]))
+    order = draw(st.integers(low, 3 if kind == "defpair" else 5))
+    extended = field != "Q" and kind != "defpair" and draw(st.booleans())
+    return field, draw(st.integers(1, 3)), kind, order, extended
+
+
+def _hf_jet(rng, shape):
+    """A jet of the given order of a random graded or local presentation,
+    extended to degree 2 over its finite field if asked, or a deformation
+    jet, its tuple x_k + x_(k+1)^2."""
+    field, nvars, kind, order, extended = shape
+    if kind == "defpair":
+        names = ["x", "y", "z"][:nvars]
+        text = random_presentation_text(rng, field, nvars, "local", max_deg=3, min_deg=2)
+        text += "\ntuple: " + ", ".join(f"{v} + {w}^2"
+                                        for v, w in zip(names, names[1:] + names[:1]))
+        return defpair_jet(parse_presentation(text), order)
+    A = jet(random_presentation(rng, field, nvars, kind, max_deg=3, min_deg=2), order)
+    return A.extension(2) if extended else A
+
+
+@st.composite
+def _hf_pairs(draw):
+    """Two `_hf_jet`s of one shape, of order at least 3, B the first of a
+    few draws with A's length, so that their Hilbert functions often agree;
+    or a pair of `_search_pairs`."""
+    if draw(st.integers(0, 3)) == 0:
+        A, B, _ = draw(_search_pairs())
+        return A, B
+    shape, rng = draw(_hf_shapes(3)), random.Random(draw(st.integers(0, 2**32)))
+    A = _hf_jet(rng, shape)
+    for _ in range(10):
+        B = _hf_jet(rng, shape)
+        if B.dim == A.dim:
+            break
+    return A, B
+
+
+def test_signature_fields_are_the_invariants_in_order():
+    names = [name for name, _ in iso.INVARIANTS]
+    assert [x.name for x in fields(iso.InvariantSignature)] == names
+    assert names == ["length", "hilbert_function", "socle_dimension", "derivation_dimension"]
+    assert iso._EAGER == iso.INVARIANTS[:-1]
+
+
+@given(seed=st.integers(0, 2**32), shape=_hf_shapes())
+@settings(max_examples=150, deadline=None)
+def test_the_dropped_invariants_are_read_off_the_hilbert_function(seed, shape):
+    A = _hf_jet(random.Random(seed), shape)
+    ref = dict(_REFERENCE_INVARIANTS)
+    hf = invariant_signature(A).hilbert_function
+    assert ref["nilpotency_index"](A) == len(hf)
+    assert ref["embedding_dimension"](A) == (hf[1] if len(hf) > 1 else 0)
+    assert ref["multiplication_rank_profile"](A) == tuple(hf[2:])
+
+
+@given(pair=_hf_pairs())
+@settings(max_examples=80, deadline=None)
+def test_the_four_invariants_separate_as_the_seven_did(pair):
+    A, B = pair
+    assert find_separator(A, B) == find_separator(A, B, _REFERENCE_INVARIANTS)
+    assert (find_separator(A, B, iso._EAGER)
+            == find_separator(A, B, _REFERENCE_INVARIANTS[:-1]))
 
 
 # ---------------------------------------------------------------------------
