@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Optional, Sequence
 
 from .errors import (
@@ -112,14 +112,11 @@ class HilbertData:
         return series(self.numerator, self.pole_order, n)
 
     def length(self, n: int) -> int:
-        """Length of the order-n jet."""
+        """Length of the order-n jet: the coefficient of t^n in
+        t Q(t)/(1 - t)^(d+1), sum_{k<n} q_k C(n - 1 - k + d, d)."""
         _check_order(n)
-        if n < self.poly_from:
-            return sum(self.hf_prefix(n))
-        v = poly_eval(self.cumulative, n)
-        if v.denominator != 1:
-            raise InternalInconsistencyError(f"non-integral length {v} at order {n}")
-        return int(v)
+        d = self.pole_order
+        return sum(q * comb(n - 1 - k + d, d) for k, q in enumerate(self.numerator[:n]))
 
     def nilpotency_at(self, n: int) -> int:
         """Nilpotency index of the order-n jet.  By Nakayama a local ring's

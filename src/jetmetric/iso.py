@@ -35,6 +35,18 @@ already stores, so a per-permutation plan lists each coordinate's terms
 once, with denominators cleared, and sums integer products of them with the
 scalings' powers.  A nonzero sum rejects the candidate.
 
+Over F_q a graded pair whose algebras both have m^3 = 0 first gets one
+constructed candidate, at every rung, after the identity, the permutations
+and the late separator.  Such an algebra is Sym(A_1)/(K + m^3), fixed by
+its degree-1 space A_1 and its quadrics K = ker(Sym^2 A_1 -> A_2), so a
+linear bijection A_1 -> B_1 whose square carries K_A onto K_B is an
+isomorphism.  `_quadric_candidate` writes one down when K is 0 or all of
+Sym^2 A_1, or one quadric on each side whose linear factors over the rung's
+field are alike (independent on both sides, or a square on both); any other
+pair gets none.  The candidate is charged as one candidate, and when there
+is none, or it fails, the enumeration runs as it would without it, so the
+construction never decides an UNKNOWN or a NOT_ISO of its own.
+
 Both lists are walked as trees of prefixes in their own order, and each
 prefix is decided once.  Over Q a prefix of the scalings decides every plan
 coordinate whose terms differ in no later exponent; over F_q a prefix of
@@ -57,8 +69,9 @@ finds; the search and its bounds are those of the full path.
 
 A candidate is accepted on its relations alone.  Every candidate spans
 m/m^2 (the identity, the permutations and the scaled ones are built from
-B's variable images; the enumeration keeps only images whose degree-1
-rows span it), so it maps onto B by Nakayama's lemma, and it is bijective
+B's variable images; the constructed one is a bijection of the degree-1
+spaces; the enumeration keeps only images whose degree-1 rows span it),
+so it maps onto B by Nakayama's lemma, and it is bijective
 because the lengths are equal: the separators have matched them, or the
 pair is one quotient.  Every ISO verdict then leaves `decide_isomorphism`
 through one `verify_witness`, the full check.
@@ -84,7 +97,7 @@ from .artin import (
     socle_dimension,
 )
 from .errors import FieldError, FieldMismatchError, InternalInconsistencyError, RangeError
-from .exactcore import Echelon, ExactMatrix, Field
+from .exactcore import TABLE_MAX_ORDER, Echelon, ExactMatrix, Field
 from .poly import Monomial, monomials_of_degree
 from .presentation import poly_to_str
 
@@ -526,6 +539,158 @@ def _plan_vanishes(coords: Sequence[PlanCoordinate], scale: Sequence[int]) -> bo
     return True
 
 
+# ---------------------------------------------------------------------------
+# graded pairs with m^3 = 0: a linear form is a dict {position: value} over
+# the degree-1 basis monomials, `component(1)` in order, and a quadric a dict
+# {(a, b): value}, a <= b, over their products
+
+
+def _quadrics(A: ArtinAlgebra) -> list[dict]:
+    """A basis of K = ker(Sym^2 A_1 -> A_2): the product e_a e_b of each
+    pair of degree-1 basis monomials enters an echelon tagged by (a, b), and
+    a row whose products all cancel leaves its tags, a quadric of K."""
+    lin, one = A.component(1), A.field.one()
+    ech, out = Echelon(A.field), []
+    for a, i in enumerate(lin):
+        for b in range(a, len(lin)):
+            row = {(0, k): c for k, c in A.mult_basis(i, lin[b])}
+            row[(1, a, b)] = one
+            v, c = ech.reduce(row)
+            if c[0]:
+                out.append({key[1:]: x for key, x in v.items()})
+            else:
+                ech.store(v, c)
+    return out
+
+
+def _combination(f: Field, terms) -> dict:
+    """The sum of c v over the pairs (c, v) of a scalar and a linear form."""
+    out: dict = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = f.add(out.get(k, f.zero()), f.mul(c, x))
+    return {k: x for k, x in out.items() if not f.is_zero(x)}
+
+
+def _product(f: Field, u: dict, v: dict) -> dict:
+    """The quadric u v of two linear forms."""
+    out: dict = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            key = (a, b) if a <= b else (b, a)
+            out[key] = f.add(out.get(key, f.zero()), f.mul(x, y))
+    return {key: x for key, x in out.items() if not f.is_zero(x)}
+
+
+def _linear_factors(f: Field, q: dict) -> Optional[list[dict]]:
+    """[l] with q = c l^2, or independent [l1, l2] with q = c l1 l2, for a
+    nonzero quadric q and some c in f^x; None when q has no linear factor
+    over f, or when that needs a root of a binary quadratic in a field of
+    more than TABLE_MAX_ORDER elements.
+
+    q lies in Sym^2 of the span W of its partials dq/de_k whenever it
+    factors: W is the span of l1 and l2, or of l in odd characteristic,
+    and W = 0 for q = l^2 in characteristic 2, where l is the sum of the
+    square roots of q's diagonal coefficients times the e_k.  With W's
+    reduced rows w1, w2 at pivots p1 < p2, q = a w1^2 + b w1 w2 + c w2^2
+    reads a, b and c at e_p1^2, e_p1 e_p2 and e_p2^2, and factors with the
+    roots of a t^2 + b t + c.  Every answer is checked by expanding it."""
+    zero = f.zero()
+    partials = Echelon(f)
+    n = 1 + max(b for _, b in q)
+    for k in range(n):
+        d = {}
+        for (a, b), x in q.items():
+            if a == b == k:
+                d[k] = f.add(x, x)
+            elif k in (a, b):
+                d[a + b - k] = x
+        partials.add(d)
+    rows = list(partials.reduced().items())
+    if not rows:
+        # characteristic 2: every square root of x is x^(q/2)
+        factors = [{a: f.pow(x, f.order // 2) for (a, b), x in q.items() if a == b}]
+    elif len(rows) == 1:
+        factors = [rows[0][1]]
+    elif len(rows) == 2:
+        (p1, w1), (p2, w2) = rows
+        a, b, c = (q.get(key, zero) for key in ((p1, p1), (p1, p2), (p2, p2)))
+        if f.is_zero(a):
+            # b u v + c v^2 = v (b u + c v)
+            factors = [w2, _combination(f, ((b, w1), (c, w2)))]
+        else:
+            if f.order > TABLE_MAX_ORDER:
+                return None
+            roots = [t for t in range(f.order)
+                     if f.is_zero(f.add(f.mul(f.add(f.mul(a, t), b), t), c))]
+            if not roots:
+                return None
+            # a t^2 + b t + c = a (t - t1)(t - t2), so t2 = -b/a - t1
+            t1 = roots[0]
+            t2 = f.sub(f.neg(f.mul(b, f.inv(a))), t1)
+            factors = [_combination(f, ((f.one(), w1), (f.neg(t), w2)))
+                       for t in ((t1,) if t1 == t2 else (t1, t2))]
+    else:
+        return None
+    got, k0 = _product(f, factors[0], factors[-1]), min(q)
+    if set(got) != set(q) or any(f.mul(got[k], q[k0]) != f.mul(q[k], got[k0]) for k in q):
+        return None
+    return factors
+
+
+def _completed(f: Field, n: int, vectors: list[dict]) -> list[dict]:
+    """The independent vectors, then the unit vectors e_k outside their
+    span in the order of k: a basis of f^n."""
+    ech, out = Echelon(f), list(vectors)
+    for v in vectors:
+        ech.add(v)
+    for k in range(n):
+        if ech.add({k: f.one()}):
+            out.append({k: f.one()})
+    return out
+
+
+def _quadric_candidate(A: ArtinAlgebra, B: ArtinAlgebra) -> Optional[list[Sparse]]:
+    """Generator images of an isomorphism from A to B, for graded A and B
+    over F_q with m^3 = 0, or None.
+
+    Such an algebra is Sym(A_1)/(K + m^3), so a linear bijection phi from
+    A_1 to B_1 whose square Sym^2 phi maps K_A onto K_B is an isomorphism,
+    with x_k going to phi of its class in A_1.  Any phi does when K is 0 or
+    all of Sym^2 A_1, and the degree-1 basis monomials are matched in order;
+    when K is one quadric on each side, phi sends the linear factors of q_A
+    to those of q_B, completed to bases by `_completed`, which needs both
+    to factor alike: into independent factors, or as squares.  Any other
+    pair, or a field too large for `_linear_factors`, gets None."""
+    if A.component(3) or B.component(3):
+        return None
+    f, la, lb = B.field, A.component(1), B.component(1)
+    n = len(la)
+    ka, kb = _quadrics(A), _quadrics(B)
+    if len(lb) != n or len(kb) != len(ka):
+        return None
+    fa = fb = []
+    if 0 < len(ka) < n * (n + 1) // 2:
+        if len(ka) > 1:
+            return None
+        fa, fb = _linear_factors(f, ka[0]), _linear_factors(f, kb[0])
+        if fa is None or fb is None or len(fa) != len(fb):
+            return None
+    # row reduce [U | I], U's rows the basis u_t of A_1: the reduced row at
+    # pivot (0, i) is e_i = sum_t c_t u_t in the tags (1, t), so phi(e_i) is
+    # sum_t c_t v_t over the basis v_t of B_1
+    ech = Echelon(f)
+    for t, u in enumerate(_completed(f, n, fa)):
+        ech.add({**{(0, k): x for k, x in u.items()}, (1, t): f.one()})
+    vs = [{lb[k]: x for k, x in v.items()} for v in _completed(f, n, fb)]
+    phi = {la[i]: _combination(f, ((c, vs[t]) for (side, t), c in row.items() if side))
+           for (_, i), row in ech.reduced().items()}
+    classes = [A.var_image(k) for k in range(A.nvars)]
+    if any(i not in phi for v in classes for i, _ in v):
+        return None
+    return [sorted(_combination(f, ((c, phi[i]) for i, c in v)).items()) for v in classes]
+
+
 # how many enumerated F_q images (sparse form, degree-1 row, memoized powers)
 # one search keeps from one block to the next
 _KEPT_VECTORS = 1 << 12
@@ -537,16 +702,17 @@ class _Searcher:
     Candidates are lists of sparse generator images, tried in a fixed order:
     the identity, the variable permutations (the identity among them again),
     then, after `late_check` (which may end the search with _Separated), the
-    scaled candidates over Q or the enumerated ones over F_q.  Every
-    candidate in that order counts against the effort, whether or not it is
-    built.
+    scaled candidates over Q, or over F_q the constructed candidate of a
+    graded pair with m^3 = 0 (`_quadric_candidate`, where there is one) and
+    the enumerated ones.  Every candidate in that order counts against the
+    effort, whether or not it is built.
 
-    The last two lists are walked as trees of prefixes in their own order,
-    and each prefix is decided once.  A prefix that fails for every
-    completion is charged as one block by `_charge_block`, whose arithmetic
-    is that of as many single charges, so `tried`, the effort left, the
-    point where the effort runs out and the first witness are those of the
-    list walked one candidate at a time.
+    The scaled and the enumerated lists are walked as trees of prefixes in
+    their own order, and each prefix is decided once.  A prefix that fails
+    for every completion is charged as one block by `_charge_block`, whose
+    arithmetic is that of as many single charges, so `tried`, the effort
+    left, the point where the effort runs out and the first witness are
+    those of the list walked one candidate at a time.
 
     Over Q a prefix of the scalings decides the plan coordinates of its
     level (`_scaled_plan`, built once per permutation when the search
@@ -561,7 +727,8 @@ class _Searcher:
     candidate v.  Every candidate spans m/m^2, so one that kills the
     relations is a witness: a scaled candidate whose plan vanishes, or an
     enumerated one that passes the filter with no tuple condition, is
-    returned as it is, and the others go through `_check`.
+    returned as it is, and the others, the constructed one among them, go
+    through `_check`.
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
@@ -785,6 +952,12 @@ class _Searcher:
         self.late_check()
         if self.field.order is None:
             return self._scaled_search(), False  # rational search is never exhaustive
+        if graded:
+            images = _quadric_candidate(self.A, self.B)
+            if images is not None:
+                self._charge_block(1)
+                if self._check(images):
+                    return Witness(images=images), False
         coords = self.lin_idx if graded else self.max_idx
         seen_all = self.field.order ** (self.A.nvars * len(coords)) <= self.effort_left
         w = self._coordinate_search(coords)

@@ -181,8 +181,9 @@ def test_criterion_01_verdicts_match_the_recorded_file():
         want = GOLDEN_VERDICTS.read_text().splitlines()
         got = criterion01_verdict_lines()
         assert len(got) == len(want) == 600
-        for g, w in zip(got, want):
-            assert g == w
+        # every differing line number at once, so one run shows the whole diff
+        differing = [n for n, (g, w) in enumerate(zip(got, want), 1) if g != w]
+        assert not differing, f"lines {differing} differ from {GOLDEN_VERDICTS.name}"
         ok = True
     finally:
         _report(1, ok, "every pair's per-order status, witness, separator and "

@@ -135,8 +135,8 @@ def test_extension_witness_prints_only_its_nonzero_terms(tmp_path):
     assert code == 0
     order3 = json.loads(out)["evidence"]["per_order"][2]
     assert order3["witness"] == {"ext_multiple": 2,
-                                 "images": {"x": "(2,0)*y + (2,0)*x",
-                                            "y": "(0,1)*y + (0,2)*x"}}
+                                 "images": {"x": "(0,1)*y + (0,2)*x",
+                                            "y": "(2,0)*y + (2,0)*x"}}
 
 
 @pytest.mark.parametrize("p, a, b", [

@@ -20,6 +20,7 @@ from jetmetric.hilbert import (
     hilbert_series,
     hs_polynomial_from_jets,
     hs_polynomial_from_series,
+    length_model,
     poly_eval,
 )
 from jetmetric.presentation import parse_presentation
@@ -167,3 +168,15 @@ def test_degreewise_polynomial_agrees_beyond_its_threshold(seed, field):
         return
     for n in range(hd.degreewise_valid_from(), len(hd.series_prefix)):
         assert poly_eval(hd.degreewise, n) == hd.series_prefix[n]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_length_is_the_prefix_sum_then_the_cumulative_polynomial(seed, field, mode, nvars):
+    # one integer sum over the numerator at every order: the sum of the
+    # Hilbert function below poly_from, the cumulative polynomial from it on
+    hd = length_model(random_presentation(random.Random(seed), field, nvars, mode))
+    for n in range(hd.poly_from + 8):
+        want = sum(hd.hf_prefix(n)) if n < hd.poly_from else poly_eval(hd.cumulative, n)
+        assert hd.length(n) == want and type(hd.length(n)) is int, n

@@ -221,7 +221,7 @@ def test_only_rung_one_runs_the_late_separator(monkeypatch):
     A, B = jet(a, 3), jet(b, 3)
     v = decide_isomorphism(A, B, SearchBudget(ext_degree_max=3))
     assert (v.status, v.witness.ext_multiple, v.search_bounds["candidates_tried"]) == \
-        ("ISO", 2, 1075)
+        ("ISO", 2, 88)
     assert len(seen) == 2 and {id(X) for X in seen} == {id(A), id(B)}
 
 
@@ -352,13 +352,13 @@ def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
         init(self, field, *args, **kwargs)
     monkeypatch.setattr(ArtinAlgebra, "__init__", counted_init)
     # the verdicts and witnesses found when each step extended on its own
-    want = {(A, B): [[(1, 2), (2, 2)], [(1, 3), (2, 6)]],
-            (B, A): [[(1, 6), (2, 1)], [(1, 3), (2, 1)]]}
+    want = {(A, B): [[(1, 3), (2, 6)], [(1, 2), (2, 2)]],
+            (B, A): [[(1, 1), (2, 6)], [(1, 1), (2, 3)]]}
     swapped = []
     for (S, T), images in want.items():
         v = decide_isomorphism(S, T, SearchBudget(ext_degree_max=2))
         assert v.status == "ISO" and v.witness == Witness(images=images, ext_multiple=2)
-        assert v.search_bounds == {"ext_degree_tried": 2, "candidates_tried": 1075,
+        assert v.search_bounds == {"ext_degree_tried": 2, "candidates_tried": 88,
                                    "space_exhausted": False}
         assert verify_witness(S, T, v.witness)
         swapped.append(iso._precedes(T, S))
@@ -692,7 +692,9 @@ class _ReferenceSearcher(iso._Searcher):
     scalings' columns, and every candidate goes through the full exact
     check, relations and bijectivity.  Block pruning, and acceptance on the
     relations alone, must reproduce its `tried`, its effort left, where its
-    effort runs out and its first witness."""
+    effort runs out and its first witness.  The constructed candidate of a
+    graded pair over F_q is `iso._quadric_candidate`'s, which
+    `test_every_quadric_candidate_verifies` checks on its own."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -788,6 +790,13 @@ class _ReferenceSearcher(iso._Searcher):
     def space_size(self, coords_idx):
         return self.field.order ** (self.A.nvars * len(coords_idx))
 
+    def _coordinate_search(self, coords):
+        for images in self.coordinate_candidates(coords):
+            w = self._try(images)
+            if w is not None:
+                return w
+        return None
+
     def run(self, graded):
         ident = self.identity_candidate()
         if ident is not None:
@@ -805,13 +814,16 @@ class _ReferenceSearcher(iso._Searcher):
                 if w is not None:
                     return w, False
             return None, False
+        if graded:
+            images = iso._quadric_candidate(self.A, self.B)
+            if images is not None:
+                w = self._try(images)
+                if w is not None:
+                    return w, False
         coords = self.lin_idx if graded else self.max_idx
         seen_all = self.space_size(coords) <= self.effort_left
-        for images in self.coordinate_candidates(coords):
-            w = self._try(images)
-            if w is not None:
-                return w, False
-        return None, seen_all
+        w = self._coordinate_search(coords)
+        return w, w is None and seen_all
 
 
 class _ExactOnlySearcher(_ReferenceSearcher):
@@ -1032,14 +1044,26 @@ def _block_sizes(s, graded):
     return [s.field.order ** (width * k) for k in range(r + 1)]
 
 
-def _outcome(searcher, A, B, effort, match_tuples, graded):
+def _outcome(searcher, A, B, effort, match_tuples, graded, enumeration=False):
+    """(witness images or None, space exhausted), tried and effort left of
+    the search; with enumeration, of `_coordinate_search` alone, which
+    reports no exhaustion (None)."""
     s = searcher(A, B, effort, match_tuples)
     try:
-        w, seen_all = s.run(graded)
+        if enumeration:
+            w, seen_all = s._coordinate_search(s.lin_idx if graded else s.max_idx), None
+        else:
+            w, seen_all = s.run(graded)
         got = (None if w is None else w.images, seen_all)
     except iso._EffortExceeded:
         got = "effort"
     return got, s.tried, s.effort_left
+
+
+def _candidate_wins(A, B, graded):
+    """Whether the constructed candidate ends the search before the F_q
+    enumeration; the enumeration is then compared by itself."""
+    return graded and A.field.order is not None and iso._quadric_candidate(A, B) is not None
 
 
 @given(pair=_search_pairs(), data=st.data())
@@ -1051,7 +1075,8 @@ def test_block_pruning_matches_the_one_by_one_search(pair, data):
     graded = iso._is_graded_input(A) and iso._is_graded_input(B) and not match_tuples
     probe = iso._Searcher(A, B, 0, match_tuples)
     r = A.nvars
-    before = 1 + factorial(r) if r == B.nvars and r <= 6 else 0
+    enumeration = _candidate_wins(A, B, graded)
+    before = 1 + factorial(r) if r == B.nvars and r <= 6 and not enumeration else 0
     sizes = [n for n in _block_sizes(probe, graded) if before + 3 * n < 3200]
     size = data.draw(st.sampled_from(sizes))
     blocks = data.draw(st.integers(1, 3))
@@ -1059,8 +1084,8 @@ def test_block_pruning_matches_the_one_by_one_search(pair, data):
     effort = before + blocks * size + (1 if where == "past" else 0)
     if where == "inside" and size > 1:
         effort -= data.draw(st.integers(1, size - 1))
-    got = _outcome(iso._Searcher, A, B, effort, match_tuples, graded)
-    want = _outcome(_ReferenceSearcher, A, B, effort, match_tuples, graded)
+    got = _outcome(iso._Searcher, A, B, effort, match_tuples, graded, enumeration)
+    want = _outcome(_ReferenceSearcher, A, B, effort, match_tuples, graded, enumeration)
     assert got == want
     budget = SearchBudget(ext_degree_max=1, effort=effort)
     assert (_verdict_fields(decide_isomorphism(A, B, budget=budget, match_tuples=match_tuples))
@@ -1069,7 +1094,9 @@ def test_block_pruning_matches_the_one_by_one_search(pair, data):
 
 @pytest.mark.parametrize("a, b, ext, order", [
     # b is a under a linear change that is no permutation, such as
-    # x -> x + y, so the first witness comes from the enumeration
+    # x -> x + y, so the first witness comes from the enumeration; where the
+    # constructed candidate comes first (the F_3 pairs with m^3 = 0), from
+    # the enumeration run by itself
     ("ring F_2[x, y]\ngraded\nideal: x^3 + x*y^2", "x^3 + x^2*y", 1, 4),
     ("ring F_2[x, y]\ngraded\nideal: x^3 + x*y^2", "x^3 + x^2*y", 2, 4),
     ("ring F_2[x, y]\nlocal\nideal: x*y + y^3", "x*y + y^2 + y^3", 2, 3),
@@ -1088,14 +1115,16 @@ def test_block_pruning_matches_after_base_change(a, b, ext, order):
         A, B = base_change(A, ext), base_change(B, ext)
         graded = iso._is_graded_input(A) and iso._is_graded_input(B)
         s = iso._Searcher(A, B, 0, False)
-        before = 1 + factorial(A.nvars)
-        (w, _), tried, _ = _outcome(_ReferenceSearcher, A, B, 5000, False, graded)
+        enumeration = _candidate_wins(A, B, graded)
+        before = 0 if enumeration else 1 + factorial(A.nvars)
+        (w, _), tried, _ = _outcome(_ReferenceSearcher, A, B, 5000, False, graded, enumeration)
         assert w is not None and tried > before
         marks = {0, 1, before, tried}
         marks |= {before + m * n for n in _block_sizes(s, graded) for m in (1, 2)}
         for effort in sorted(e + d for e in marks for d in (-1, 0, 1) if 0 <= e + d <= 5000):
-            assert (_outcome(iso._Searcher, A, B, effort, False, graded)
-                    == _outcome(_ReferenceSearcher, A, B, effort, False, graded)), effort
+            assert (_outcome(iso._Searcher, A, B, effort, False, graded, enumeration)
+                    == _outcome(_ReferenceSearcher, A, B, effort, False, graded,
+                                enumeration)), effort
 
 
 @given(pair=_search_pairs(), effort=st.integers(0, 3000))
@@ -1115,6 +1144,113 @@ def test_search_witnesses_are_bijective(pair, effort):
         image = B.monomial_map(w.images)
         assert iso._bijective(A, B, image)
         assert verify_witness(A, B, w, match_tuples)
+
+
+# ---------------------------------------------------------------------------
+# the constructed candidate of graded pairs with m^3 = 0
+
+
+def test_triple_194_at_order_3_is_iso_from_its_quadrics():
+    # the corpus's one effort-bound F_q order: each side's quadrics are one
+    # quadric with independent factors, y(x + 2y) against yz, and the 3^9
+    # linear images of the enumeration ran past the corpus's effort of 4,000
+    a = parse_presentation("ring F_3[x, y, z]\ngraded\n"
+                           "ideal: 2*x*y*z + 2*x^2*z + 2*x^2*y, 2*y^2 + x*y")
+    b = parse_presentation("ring F_3[x, y, z]\ngraded\nideal: 2*y*z")
+    A, B = jet(a, 3), jet(b, 3)
+    v = decide_isomorphism(A, B, SearchBudget(ext_degree_max=1, effort=4000))
+    assert v.status == "ISO" and verify_witness(A, B, v.witness)
+    assert v.search_bounds["candidates_tried"] <= 8
+
+
+def _quadric_space(A):
+    """K = ker(Sym^2 A_1 -> A_2) as `ExactMatrix.kernel_basis` vectors
+    {(a, b): value}, a <= b positions in `component(1)`, from the normal
+    forms of the products of degree-1 basis monomials."""
+    lin, f = A.component(1), A.field
+    pairs = [(a, b) for a in range(len(lin)) for b in range(a, len(lin))]
+    rows = {}
+    for col, (a, b) in enumerate(pairs):
+        mono = tuple(x + y for x, y in zip(A.basis[lin[a]], A.basis[lin[b]]))
+        for i, c in A.reduce_monomial(mono):
+            rows.setdefault(i, {})[col] = c
+    kernel = ExactMatrix(f, list(rows.values()), len(pairs)).kernel_basis()
+    return [{pairs[col]: c for col, c in v.items() if not f.is_zero(c)} for v in kernel]
+
+
+def _has_linear_factor(f, n, q):
+    """Whether a linear form divides the quadric q, tried over every form
+    l whose first nonzero coefficient, at j, is one: l divides q exactly
+    when q vanishes under e_j -> e_j - l."""
+    for j in range(n):
+        for rest in product(range(f.order), repeat=n - 1 - j):
+            sub = {j: {j + 1 + k: f.neg(c) for k, c in enumerate(rest) if c}}
+            out = {}
+            for (a, b), c in q.items():
+                for ka, xa in sub.get(a, {a: f.one()}).items():
+                    for kb, xb in sub.get(b, {b: f.one()}).items():
+                        key = (min(ka, kb), max(ka, kb))
+                        out[key] = f.add(out.get(key, f.zero()), f.mul(c, f.mul(xa, xb)))
+            if all(f.is_zero(x) for x in out.values()):
+                return True
+    return False
+
+
+@st.composite
+def _square_zero_pairs(draw):
+    """(A, B, related): over F_2, F_3 or F_4, or after `extension(2)`,
+    graded jets of order 3, where m^3 = 0, or of order 2, of a presentation
+    p of up to two random quadrics (one in most draws) and maybe a random
+    linear form, and of q, p under an invertible linear change (related) or
+    the first of a few draws of p's shape whose jet has p's length."""
+    field = draw(st.sampled_from(["F_2", "F_3", "F_4"]))
+    nvars, ext = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    order = draw(st.sampled_from([2, 3, 3, 3]))
+    degrees = [2] * draw(st.sampled_from([0, 1, 1, 1, 2])) + [1] * draw(st.integers(0, 1))
+    related = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = {"F_4": "F_2^2 minpoly a^2 + a + 1"}.get(field, field)
+    blank = f"ring {ring}[{', '.join('xyz'[:nvars])}]\ngraded\nideal: ;"
+
+    def draw_presentation():
+        p = parse_presentation(blank)
+        f = p.base_field()
+        forms = [Poly(f, nvars, {m: rng.randrange(f.order) for m in monomials_of_degree(nvars, d)})
+                 for d in degrees]
+        p.gens = [g for g in forms if not g.is_zero()]
+        return p
+
+    p = draw_presentation()
+    A = jet(p, order)
+    for _ in range(20):
+        B = jet(_linear_change(p, rng) if related else draw_presentation(), order)
+        if B.dim == A.dim:
+            break
+    return A.extension(ext), B.extension(ext), related
+
+
+@given(pair=_square_zero_pairs())
+@settings(max_examples=150, deadline=None)
+def test_every_quadric_candidate_verifies(pair):
+    A, B, related = pair
+    images = iso._quadric_candidate(A, B)
+    if images is not None:
+        assert verify_witness(A, B, Witness(images=images))
+    # an isomorphism the enumeration finds (or, under a linear change, one
+    # known to exist), with K_A 0, all of Sym^2 A_1 or one quadric that has
+    # a linear factor over the field, has the candidate; the enumeration,
+    # like the search, assumes the eager separators agree
+    if find_separator(A, B, iso._EAGER) is not None:
+        return
+    s = iso._Searcher(A, B, 3000, False)
+    try:
+        found = s._coordinate_search(s.lin_idx) is not None
+    except iso._EffortExceeded:
+        found = False
+    n, kernel = len(A.component(1)), _quadric_space(A)
+    if (found or related) and (len(kernel) in (0, n * (n + 1) // 2) or (
+            len(kernel) == 1 and _has_linear_factor(A.field, n, kernel[0]))):
+        assert images is not None
 
 
 # ---------------------------------------------------------------------------
