@@ -47,8 +47,8 @@ pair gets none.  The candidate is charged as one candidate, and when there
 is none, or it fails, the enumeration runs as it would without it, so the
 construction never decides an UNKNOWN or a NOT_ISO of its own.
 
-Both lists are walked as trees of prefixes in their own order, and each
-prefix is decided once.  Over Q a prefix of the scalings decides every plan
+The scaled and the enumerated lists are walked as trees of prefixes in
+their own order, and each prefix is decided once.  Over Q a prefix of the scalings decides every plan
 coordinate whose terms differ in no later exponent; over F_q a prefix of
 generator images fails when its degree-1 rows, with one more row for each
 image still free, cannot span m/m^2, and the last image meets the relations
@@ -71,9 +71,9 @@ A candidate is accepted on its relations alone.  Every candidate spans
 m/m^2 (the identity, the permutations and the scaled ones are built from
 B's variable images; the constructed one is a bijection of the degree-1
 spaces; the enumeration keeps only images whose degree-1 rows span it),
-so it maps onto B by Nakayama's lemma, and it is bijective
-because the lengths are equal: the separators have matched them, or the
-pair is one quotient.  Every ISO verdict then leaves `decide_isomorphism`
+so it maps onto B by Nakayama's lemma, and it is bijective because the
+lengths are equal: the separators have matched them, or the pair is one
+quotient.  Every ISO verdict then leaves `decide_isomorphism`
 through one `verify_witness`, the full check.
 
 Candidates and witnesses are `Sparse` elements, the one element form of
