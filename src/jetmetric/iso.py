@@ -4,15 +4,16 @@ Verdicts are tri-state.  NOT_ISO is only ever produced by a separating
 invariant whose value is stable under coefficient-field extension (length,
 Hilbert function, socle dimension, dimension of the derivation space), so a
 NOT_ISO verdict rules out isomorphism after any base change as well.  The
-derivation space is the costliest: one rank on r * dim A rows, the
-algebra's own product rows (`ArtinAlgebra.product_rows`, which the
-resolution reads too) with one normalization per entry, so it is compared
-only when the identity and the variable permutations have failed, before the larger
-candidate lists, and at most once per decision.  ISO comes with an explicit
-generator-image witness that is re-verified mechanically.  Exhausting the search space over
-the allowed extensions without finding a witness yields UNKNOWN — the honest
-outcome, since bigger coefficient fields might still glue the two algebras.
-The allowed extensions are a ladder over one effort: rung k searches both
+derivation space is the costliest: one rank on r * dim A rows, the algebra's
+own product rows (`ArtinAlgebra.product_rows`, which the resolution reads
+too) with one normalization per entry, so it is compared only when every
+listed candidate has failed (the identity, the variable permutations and the
+constructed one below), before the enumerated candidates, and at most once
+per decision.  ISO comes with an explicit generator-image witness that is
+re-verified mechanically.  Exhausting the search space over the allowed
+extensions without finding a witness yields UNKNOWN — the honest outcome,
+since bigger coefficient fields might still glue the two algebras.  The
+allowed extensions are a ladder over one effort: rung k searches both
 algebras with their extension degree multiplied by k, for k up to
 ext_degree_max over F_q; over Q, where base change is out of scope, the
 ladder is one rung.  Base change is the algebra's own operation:
@@ -35,16 +36,18 @@ already stores, so a per-permutation plan lists each coordinate's terms
 once, with denominators cleared, and sums integer products of them with the
 scalings' powers.  A nonzero sum rejects the candidate.
 
-Over F_q a graded pair whose algebras both have m^3 = 0 first gets one
-constructed candidate, at every rung, after the identity, the permutations
-and the late separator.  Such an algebra is Sym(A_1)/(K + m^3), fixed by
-its degree-1 space A_1 and its quadrics K = ker(Sym^2 A_1 -> A_2), so a
-linear bijection A_1 -> B_1 whose square carries K_A onto K_B is an
+Over F_q a graded pair whose algebras both have m^3 = 0 gets one
+constructed candidate at every rung, the last listed one, after the
+identity and the permutations.  Such an algebra is Sym(A_1)/(K + m^3),
+fixed by its degree-1 space A_1 and its quadrics K = ker(Sym^2 A_1 -> A_2),
+so a linear bijection A_1 -> B_1 whose square carries K_A onto K_B is an
 isomorphism.  `_quadric_candidate` writes one down when K is 0 or all of
 Sym^2 A_1, or one quadric on each side whose linear factors over the rung's
 field are alike (independent on both sides, or a square on both); any other
-pair gets none.  The candidate is charged as one candidate, and when there
-is none, or it fails, the enumeration runs as it would without it, so the
+pair gets none.  Every candidate it builds is thus an isomorphism, which no
+invariant separates, so it comes before the late separator.  The candidate
+is charged as one candidate, and when there is none, or it fails, the late
+separator and the enumeration run as they would without it, so the
 construction never decides an UNKNOWN or a NOT_ISO of its own.
 
 The scaled and the enumerated lists are walked as trees of prefixes in
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .artin import (
     ArtinAlgebra,
@@ -174,8 +177,8 @@ def derivation_dimension(A: ArtinAlgebra) -> int:
 # `find_separator` compares them and `InvariantSignature` lists them; each is
 # defined on the zero ring too.  Cheap invariants come first.
 # `decide_isomorphism` compares those of `_EAGER` before its search, unless
-# the pair is one quotient, and the last only once the identity and the
-# permutations have failed.
+# the pair is one quotient, and the last only once the listed candidates
+# have failed.
 INVARIANTS = (
     ("length", lambda A: A.dim),
     ("hilbert_function", lambda A: tuple(hf_by_degree_count(A))),
@@ -510,23 +513,6 @@ class _EffortExceeded(Exception):
     pass
 
 
-class _Separated(Exception):
-    """The late separator told the pair apart; args[0] is the separator."""
-
-
-def _late_separator(A: ArtinAlgebra, B: ArtinAlgebra) -> Callable[[], None]:
-    """The check rung 1 of the search runs once the identity and the
-    permutations have failed: it compares the last of `INVARIANTS` on A and
-    B, in the caller's order and before any base change, and raises
-    _Separated when it differs."""
-
-    def check() -> None:
-        sep = find_separator(A, B, INVARIANTS[-1:])
-        if sep is not None:
-            raise _Separated(sep)
-    return check
-
-
 def _plan_vanishes(coords: Sequence[PlanCoordinate], scale: Sequence[int]) -> bool:
     """Whether every plan coordinate sums to zero against the column
     product scale."""
@@ -699,13 +685,15 @@ _KEPT_VECTORS = 1 << 12
 class _Searcher:
     """Deterministic witness search from A to B over one coefficient field.
 
-    Candidates are lists of sparse generator images, tried in a fixed order:
-    the identity, the variable permutations (the identity among them again),
-    then, after `late_check` (which may end the search with _Separated), the
-    scaled candidates over Q, or over F_q the constructed candidate of a
-    graded pair with m^3 = 0 (`_quadric_candidate`, where there is one) and
-    the enumerated ones.  Every candidate in that order counts against the
-    effort, whether or not it is built.
+    Candidates are lists of sparse generator images, tried in a fixed order
+    from two lists.  `listed` tries the identity, the variable permutations
+    (the identity among them again) and over F_q the constructed candidate
+    of a graded pair with m^3 = 0 (`_quadric_candidate`, where there is
+    one), each charged and checked in turn; `enumerated` then walks the
+    scaled candidates over Q, or the enumerated ones over F_q.  Between the
+    two, at rung 1, `_decide_oriented` compares the late separator.  Every
+    candidate in that order counts against the effort, whether or not it
+    is built.
 
     The scaled and the enumerated lists are walked as trees of prefixes in
     their own order, and each prefix is decided once.  A prefix that fails
@@ -732,7 +720,7 @@ class _Searcher:
     """
 
     def __init__(self, A: ArtinAlgebra, B: ArtinAlgebra, effort_left: int,
-                 tuple_constraint: bool, late_check: Callable[[], None] = lambda: None):
+                 tuple_constraint: bool):
         self.A = A
         self.B = B
         self.field = B.field
@@ -742,7 +730,9 @@ class _Searcher:
         self.lin_idx = B.component(1)
         self.lin_pos = {i: j for j, i in enumerate(self.lin_idx)}
         self.max_idx = B.maxideal_basis
-        self.late_check = late_check
+        # the variable permutations, of both lists, for at most 6 variables
+        r = A.nvars
+        self.perms = list(permutations(range(r))) if r == B.nvars and r <= 6 else []
 
     def _charge_block(self, n: int) -> None:
         """Charge n candidates as n single charges would: when fewer are
@@ -772,11 +762,9 @@ class _Searcher:
         level k do not vanish charges its 10^(r-1-k) completions at once."""
         A, B = self.A, self.B
         r, n = A.nvars, len(QQ_SCALINGS)
-        if r != B.nvars or r > 6:
-            return None
         scaled = [[[(i, c * v) for i, v in img] for c in QQ_SCALINGS]
                   for img in self._var_images()]
-        for perm in permutations(range(r)):
+        for perm in self.perms:
             plan = _scaled_plan(A, B, perm, self.tuple_constraint)
             if plan is None:
                 self._charge_block(n ** r)
@@ -935,29 +923,34 @@ class _Searcher:
 
         return walk(r, Echelon(f))
 
-    def run(self, graded: bool) -> tuple[Optional[Witness], bool]:
-        """(witness or None, whole space exhausted?); raises _EffortExceeded
-        when the effort runs out first and _Separated when the late check
-        separates the pair."""
-        r = self.A.nvars
-        if r == self.B.nvars:
-            # the identity, then every permutation for at most 6 variables
-            # (the identity again)
-            var = self._var_images()
-            perms = permutations(range(r)) if r <= 6 else ()
-            for images in [var, *([var[k] for k in p] for p in perms)]:
-                self._charge_block(1)
-                if self._check(images):
-                    return Witness(images=images), False
-        self.late_check()
+    def listed(self, graded: bool) -> Optional[Witness]:
+        """The first listed candidate that is a witness, or None; raises
+        _EffortExceeded when the effort runs out first."""
+        A, B = self.A, self.B
+
+        def candidates():
+            if A.nvars == B.nvars:
+                var = self._var_images()
+                yield var
+                for p in self.perms:
+                    yield [var[k] for k in p]
+            if graded and self.field.order is not None:
+                images = _quadric_candidate(A, B)
+                if images is not None:
+                    yield images
+
+        for images in candidates():
+            self._charge_block(1)
+            if self._check(images):
+                return Witness(images=images)
+        return None
+
+    def enumerated(self, graded: bool) -> tuple[Optional[Witness], bool]:
+        """(witness or None, whole space exhausted?) of the scaled or the
+        enumerated candidates; raises _EffortExceeded when the effort runs
+        out first."""
         if self.field.order is None:
             return self._scaled_search(), False  # rational search is never exhaustive
-        if graded:
-            images = _quadric_candidate(self.A, self.B)
-            if images is not None:
-                self._charge_block(1)
-                if self._check(images):
-                    return Witness(images=images), False
         coords = self.lin_idx if graded else self.max_idx
         seen_all = self.field.order ** (self.A.nvars * len(coords)) <= self.effort_left
         w = self._coordinate_search(coords)
@@ -999,24 +992,25 @@ def decide_isomorphism(A: ArtinAlgebra, B: ArtinAlgebra,
     else:
         swapped = not same and _precedes(B, A)
         first, second = (B, A) if swapped else (A, B)
-        try:
-            verdict = _decide_oriented(first, second, budget, match_tuples,
-                                       _late_separator(A, B))
-        except _Separated as e:
-            return IsoVerdict(status="NOT_ISO", separator=e.args[0])
+        verdict = _decide_oriented(first, second, budget, match_tuples)
         if swapped and verdict.status == "ISO":
             verdict.witness = invert_witness(B, A, verdict.witness)
+        elif swapped and verdict.separator is not None:
+            name, vb, va = verdict.separator
+            verdict.separator = (name, va, vb)
     if verdict.status == "ISO" and not verify_witness(A, B, verdict.witness, match_tuples):
         raise InternalInconsistencyError("the witness found fails verification")
     return verdict
 
 
 def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
-                     match_tuples: bool, late_check: Callable[[], None]) -> IsoVerdict:
+                     match_tuples: bool) -> IsoVerdict:
     """The extension ladder: rung k searches A and B extended by k, for
     k = 1..ext_degree_max over F_q and k = 1 over Q, all rungs drawing on
-    one effort.  Only rung 1 runs late_check: a later rung runs only after
-    rung 1 went past its permutations with effort left, so past the check."""
+    one effort.  Between its listed and its enumerated candidates, rung 1
+    compares the late separator, the last of `INVARIANTS`, on A and B; a
+    later rung runs only after rung 1 went past its listed candidates with
+    effort left, so past the separator, which no base change moves."""
     graded = _is_graded_input(A) and _is_graded_input(B) and not match_tuples
     f = A.field
     rational = f.order is None
@@ -1024,10 +1018,14 @@ def _decide_oriented(A: ArtinAlgebra, B: ArtinAlgebra, budget: SearchBudget,
     effort_left = budget.effort
     exhausted_all, ran_out = True, False
     for k in range(1, rungs + 1):
-        searcher = _Searcher(A.extension(k), B.extension(k), effort_left, match_tuples,
-                             late_check if k == 1 else lambda: None)
+        searcher = _Searcher(A.extension(k), B.extension(k), effort_left, match_tuples)
         try:
-            w, seen_all = searcher.run(graded)
+            w, seen_all = searcher.listed(graded), False
+            if w is None:
+                sep = find_separator(A, B, INVARIANTS[-1:]) if k == 1 else None
+                if sep is not None:
+                    return IsoVerdict(status="NOT_ISO", separator=sep)
+                w, seen_all = searcher.enumerated(graded)
         except _EffortExceeded:
             w, seen_all, ran_out = None, False, True
         effort_left -= searcher.tried

@@ -225,6 +225,36 @@ def test_only_rung_one_runs_the_late_separator(monkeypatch):
     assert len(seen) == 2 and {id(X) for X in seen} == {id(A), id(B)}
 
 
+def test_a_constructed_witness_skips_the_late_separator(monkeypatch):
+    # x^2 - y^2 = (x - y)(x + y) against x*y over F_3: one quadric with
+    # independent factors on each side, so the constructed candidate, the
+    # last listed one, is a witness after the identity and the six
+    # permutations, and the last invariant is never computed; x(x + y)
+    # against the square y^2 gets no candidate, and the late separator
+    # tells them apart; each pair is swapped in one of its orientations
+    name, last = iso.INVARIANTS[-1]
+    seen = []
+
+    def counted(A):
+        seen.append(A)
+        return last(A)
+    monkeypatch.setattr(iso, "INVARIANTS", iso.INVARIANTS[:-1] + ((name, counted),))
+    ring = "ring F_3[x, y, z]\ngraded\nideal: "
+    A, B = (jet(parse_presentation(ring + t), 3) for t in ("x^2 - y^2", "x*y"))
+    for S, T in ((A, B), (B, A)):
+        v = _decide(S, T)
+        assert (v.status, v.search_bounds["candidates_tried"]) == ("ISO", 8)
+        assert verify_witness(S, T, v.witness)
+    assert seen == []
+    A, B = (jet(parse_presentation(ring + t), 3) for t in ("x^2 + x*y", "y^2"))
+    assert iso._quadric_candidate(A, B) is None
+    for S, T, want in ((A, B, (20, 22)), (B, A, (22, 20))):
+        seen.clear()
+        v = _decide(S, T)
+        assert (v.status, v.separator) == ("NOT_ISO", ("derivation_dimension", *want))
+        assert len(seen) == 2
+
+
 def test_mismatched_fields_are_an_error():
     from jetmetric.errors import FieldMismatchError
     a = parse_presentation("ring F_2[x]\ngraded\nideal: x^2")
@@ -687,14 +717,16 @@ def _scaled_images(B, perm, scals):
 
 class _ReferenceSearcher(iso._Searcher):
     """The witness search one candidate at a time, in `iso._Searcher`'s
-    order: every candidate is built and charged by itself, a scaled one is
-    screened by its permutation's whole plan at the full product of its
-    scalings' columns, and every candidate goes through the full exact
-    check, relations and bijectivity.  Block pruning, and acceptance on the
-    relations alone, must reproduce its `tried`, its effort left, where its
-    effort runs out and its first witness.  The constructed candidate of a
-    graded pair over F_q is `iso._quadric_candidate`'s, which
-    `test_every_quadric_candidate_verifies` checks on its own."""
+    order, through its own `listed` and `enumerated`, the two methods
+    `_decide_oriented` calls: every candidate is built and charged by
+    itself, a scaled one is screened by its permutation's whole plan at the
+    full product of its scalings' columns, and every candidate goes through
+    the full exact check, relations and bijectivity.  Block pruning, and
+    acceptance on the relations alone, must reproduce its `tried`, its
+    effort left, where its effort runs out and its first witness.  The
+    constructed candidate of a graded pair over F_q is
+    `iso._quadric_candidate`'s, which `test_every_quadric_candidate_verifies`
+    checks on its own."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -797,29 +829,29 @@ class _ReferenceSearcher(iso._Searcher):
                 return w
         return None
 
-    def run(self, graded):
+    def listed(self, graded):
         ident = self.identity_candidate()
         if ident is not None:
             w = self._try(ident)
             if w is not None:
-                return w, False
+                return w
         for images in self.permutation_candidates():
             w = self._try(images)
             if w is not None:
-                return w, False
-        self.late_check()
+                return w
+        if graded and not isinstance(self.field, RationalField):
+            images = iso._quadric_candidate(self.A, self.B)
+            if images is not None:
+                return self._try(images)
+        return None
+
+    def enumerated(self, graded):
         if isinstance(self.field, RationalField):
             for images, scaled in self.rational_candidates():
                 w = self._try(images, scaled)
                 if w is not None:
                     return w, False
             return None, False
-        if graded:
-            images = iso._quadric_candidate(self.A, self.B)
-            if images is not None:
-                w = self._try(images)
-                if w is not None:
-                    return w, False
         coords = self.lin_idx if graded else self.max_idx
         seen_all = self.space_size(coords) <= self.effort_left
         w = self._coordinate_search(coords)
@@ -832,6 +864,14 @@ class _ExactOnlySearcher(_ReferenceSearcher):
 
     def _vanishes(self, perm, scals):
         return True
+
+
+def _run(s, graded):
+    """(witness or None, space exhausted) of searcher s's listed, then its
+    enumerated candidates: rung 1 of the ladder when the late separator,
+    which `_decide_oriented` compares between the two, does not fire."""
+    w = s.listed(graded)
+    return (w, False) if w is not None else s.enumerated(graded)
 
 
 def _decide_with(searcher, A, B, budget, match_tuples=False):
@@ -988,16 +1028,16 @@ def test_a_single_term_plan_coordinate_charges_its_permutation_at_once():
 
     charges = []
     s = Recording(A, B, 1000, False)
-    assert s.run(graded=True) == (None, False)
+    assert _run(s, graded=True) == (None, False)
     assert charges == [1, 1, 1, 100, 100]
     ref = _ReferenceSearcher(A, B, 1000, False)
-    assert ref.run(graded=True) == (None, False)
+    assert _run(ref, graded=True) == (None, False)
     assert (s.tried, s.effort_left) == (ref.tried, ref.effort_left) == (203, 797)
     # an effort that ends inside the first block charges what is left
     charges = []
     s = Recording(A, B, 50, False)
     with pytest.raises(iso._EffortExceeded):
-        s.run(graded=True)
+        _run(s, graded=True)
     assert charges == [1, 1, 1, 100] and (s.tried, s.effort_left) == (50, 0)
 
 
@@ -1035,8 +1075,8 @@ def _search_pairs(draw):
 
 
 def _block_sizes(s, graded):
-    """The sizes of the blocks `_Searcher.run` may charge at once after the
-    identity and the permutations."""
+    """The sizes of the blocks `_Searcher.enumerated` may charge at once
+    after the listed candidates."""
     r = s.A.nvars
     if isinstance(s.field, RationalField):
         return [len(QQ_SCALINGS) ** k for k in range(r + 1)]
@@ -1053,7 +1093,7 @@ def _outcome(searcher, A, B, effort, match_tuples, graded, enumeration=False):
         if enumeration:
             w, seen_all = s._coordinate_search(s.lin_idx if graded else s.max_idx), None
         else:
-            w, seen_all = s.run(graded)
+            w, seen_all = _run(s, graded)
         got = (None if w is None else w.images, seen_all)
     except iso._EffortExceeded:
         got = "effort"
@@ -1127,6 +1167,19 @@ def test_block_pruning_matches_after_base_change(a, b, ext, order):
                                 enumeration)), effort
 
 
+def test_the_reference_exhausts_the_space_at_the_same_effort():
+    # x^2 + y^2 against x*y over F_3 has no witness at rung 1, whose 84
+    # candidates (the identity, 2 permutations and 81 images) see its whole
+    # space at effort 84 and not at 83; rung 2 over F_9 finds one
+    a = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + y^2")
+    b = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    A, B = jet(a, 3), jet(b, 3)
+    for ext, effort in product((1, 2), (83, 84, 85, 90)):
+        budget = SearchBudget(ext_degree_max=ext, effort=effort)
+        assert (_verdict_fields(_decide(A, B, budget))
+                == _verdict_fields(_decide_with(_ReferenceSearcher, A, B, budget))), (ext, effort)
+
+
 @given(pair=_search_pairs(), effort=st.integers(0, 3000))
 @settings(max_examples=60, deadline=None)
 def test_search_witnesses_are_bijective(pair, effort):
@@ -1137,7 +1190,7 @@ def test_search_witnesses_are_bijective(pair, effort):
         return
     graded = iso._is_graded_input(A) and iso._is_graded_input(B) and not match_tuples
     try:
-        w, _ = iso._Searcher(A, B, effort, match_tuples).run(graded)
+        w, _ = _run(iso._Searcher(A, B, effort, match_tuples), graded)
     except iso._EffortExceeded:
         return
     if w is not None:
