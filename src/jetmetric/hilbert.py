@@ -7,11 +7,14 @@ certified leading ideal of `standard`; the series prefix is its expansion.
 
 Two polynomials are kept, clearly labeled: the degreewise polynomial (degree
 d-1, value = dimension of the degree-n piece for large n) and the cumulative
-polynomial (degree d, value = length of the order-n jet).  One `HilbertData`
-serves graded series and local length models alike: the order-n jet's
-Hilbert function is the series' first n coefficients.  The Euler
-characteristic of the polarized scheme is the degreewise polynomial at 0, and
-for pole order 2 (a curve) the genus 1 - chi is reported as well.
+polynomial (degree d, value = length of the order-n jet).  The numerator, the
+series and the lengths are integers, and so are (d-1)! times the degreewise
+polynomial and d! times the cumulative one: `hs_polynomial_from_series` sums
+those integer coefficients and divides by the factorial once, at its output.
+One `HilbertData` serves graded series and local length models alike: the
+order-n jet's Hilbert function is the series' first n coefficients.  The
+Euler characteristic of the polarized scheme is the degreewise polynomial at
+0, and for pole order 2 (a curve) the genus 1 - chi is reported as well.
 """
 
 from __future__ import annotations
@@ -44,34 +47,6 @@ def poly_eval(coeffs: Sequence[Fraction], n) -> Fraction:
     out = Fraction(0)
     for c in reversed(coeffs):
         out = out * n + c
-    return out
-
-
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_scale(a: Sequence[Fraction], s: Fraction) -> list[Fraction]:
-    return [] if s == 0 else [c * s for c in a]
-
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -109,6 +84,7 @@ class HilbertData:
 
     def hf_prefix(self, n: int) -> list[int]:
         """Hilbert function of the order-n jet: the first n coefficients."""
+        _check_order(n)
         return series(self.numerator, self.pole_order, n)
 
     def length(self, n: int) -> int:
@@ -177,19 +153,26 @@ def hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list
     The coefficient of t^n in Q(t)/(1 - t)^d is sum_k q_k C(n - k + d - 1, d - 1),
     and C(n - k + d - 1, d - 1) = (n - k + 1) ... (n - k + d - 1) / (d - 1)!
     is a polynomial in n, so P(n) is that sum over the numerator's terms.
-    Pole order 0 (Artinian section ring) yields the zero polynomial — callers
-    that need a nonempty scheme treat that as an error themselves.
+    The sum (d - 1)! P(n) is formed first, with integer coefficients for an
+    integer numerator (a rational numerator is accepted too), and divided
+    by (d - 1)! once.  Pole order 0 (Artinian section ring) yields the zero
+    polynomial — callers that need a nonempty scheme treat that as an error
+    themselves.
     """
     if pole_order == 0:
         return []
-    out: list[Fraction] = []
+    out = [0] * pole_order
     for k, q in enumerate(numerator):
         if q:
-            term = [Fraction(q)]
-            for i in range(1, pole_order):
-                term = poly_mul(term, [Fraction(i - k), Fraction(1)])
-            out = poly_add(out, term)
-    return poly_scale(out, Fraction(1, factorial(pole_order - 1)))
+            term = [q]
+            for a in range(1 - k, pole_order - k):  # times (n + a)
+                term = [a * c + b for c, b in zip(term + [0], [0] + term)]
+            for i, c in enumerate(term):
+                out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    scale = factorial(pole_order - 1)
+    return [Fraction(c, scale) for c in out]
 
 
 def cumulative_polynomial(numerator: Sequence[int], pole_order: int) -> list[Fraction]:

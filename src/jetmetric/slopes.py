@@ -9,9 +9,17 @@ turns delta0 at a single sufficiently large even order (n >= 10*rho) into the
 dimension itself.
 
 All values are exact rationals; the only decimals are reporting artifacts
-(log2 printed to 12 places).  Decisions — in particular the half-integer
-rounding of log2 — are made by integer comparisons against powers of two, not
-by floating point.
+(log2 printed to 12 places, with ln 2 computed once per precision).
+Decisions — in particular the half-integer rounding of log2 — are made by
+integer comparisons against powers of two, not by floating point.
+
+rho is computed in integers: d! times the cumulative polynomial has integer
+coefficients, so the defect numerator N = d! * cumulative - e * n^d and its
+difference numerator are integer polynomials, their root bounds are exact
+integer ceilings, and the scan compares |d! * length(n) - e * n^d| / (e *
+n^(d-1)) across orders by cross-multiplying.  The divisions happen once, at
+the output: one Fraction for the tail limit N's lead over e, and one for the
+supremum.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import ceil, comb, factorial, isqrt
 from typing import Callable, Optional, Sequence
 
@@ -31,13 +39,22 @@ from .errors import (
     NilpotencyOneError,
     RangeError,
 )
-from .hilbert import HilbertData, length_model, poly_add, poly_mul, poly_scale
+from .hilbert import HilbertData, length_model
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
 
 
 # ---------------------------------------------------------------------------
 # exact log2 reporting and rounding
+
+
+@lru_cache(maxsize=8)
+def _ln2(prec: int) -> Decimal:
+    """ln 2 to `prec` significant digits (correctly rounded, so the same in
+    every context of that precision)."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return Decimal(2).ln()
 
 
 def log2_decimal(ratio: Fraction, digits: int = 12) -> str:
@@ -47,7 +64,7 @@ def log2_decimal(ratio: Fraction, digits: int = 12) -> str:
     with localcontext() as ctx:
         ctx.prec = digits + 20
         v = (Decimal(ratio.numerator).ln() - Decimal(ratio.denominator).ln()) \
-            / Decimal(2).ln()
+            / _ln2(ctx.prec)
         q = v.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
     return str(q)
 
@@ -132,26 +149,15 @@ def eps0_at_order(model: HilbertData, n: int) -> Fraction:
 # rho: exact sup-norm defect of jet lengths against n^d
 
 
-def _root_bound(coeffs: Sequence[Fraction]) -> int:
-    """Integer B with all real roots of the polynomial in [-B, B] (Cauchy)."""
+def _root_bound(coeffs: Sequence[int]) -> int:
+    """Integer B with all real roots of the integer polynomial in [-B, B]:
+    Cauchy's bound 1 + max |c_i| / |lead|, rounded up exactly."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) <= 1:
         return 0
-    lead = abs(cs[-1])
-    return ceil(1 + max(abs(c) / lead for c in cs[:-1]))
-
-
-def _poly_shift_one(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """p(n + 1) from p(n)."""
-    out: list[Fraction] = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        binom_row = [Fraction(comb(k, i)) for i in range(k + 1)]
-        out = poly_add(out, poly_scale(binom_row, c))
-    return out
+    return 1 - (-max(map(abs, cs[:-1])) // abs(cs[-1]))
 
 
 @dataclass(frozen=True)
@@ -184,27 +190,35 @@ def _rho(model: HilbertData) -> RhoResult:
             "the defect normalizes by n^(dim-1); the quotient is Artinian")
 
     # f(n) = d! * length(n) / (e * n^(d-1)) - n; on the polynomial range this
-    # is N(n) / (e * n^(d-1)) with N of degree <= d - 1.
-    numer = poly_scale(model.cumulative, Fraction(factorial(d)))
-    monic = [Fraction(0)] * d + [Fraction(e)]
-    numer = poly_add(numer, poly_scale(monic, Fraction(-1)))
+    # is N(n) / (e * n^(d-1)) with N = d! * cumulative - e * n^d of degree
+    # <= d - 1, an integer polynomial since d! * cumulative is one.
+    scale = factorial(d)
+    numer = [scale // c.denominator * c.numerator for c in model.cumulative]
+    numer += [0] * (d + 1 - len(numer))
+    numer[d] -= e
+    while numer and numer[-1] == 0:
+        numer.pop()
     if len(numer) > d:
         raise InternalInconsistencyError("defect numerator has full degree")
-    tail_limit = (numer[d - 1] if len(numer) == d else Fraction(0)) / e
+    tail_limit = Fraction(numer[d - 1] if len(numer) == d else 0, e)
 
     # difference numerator: N(n+1) * n^(d-1) - N(n) * (n+1)^(d-1)
-    n_pow = [Fraction(0)] * (d - 1) + [Fraction(1)]
-    diff = poly_add(poly_mul(_poly_shift_one(numer), n_pow),
-                    poly_scale(poly_mul(numer, _poly_shift_one(n_pow)), Fraction(-1)))
+    diff = [0] * (d - 1) + [sum(c * comb(k, i) for k, c in enumerate(numer))
+                            for i in range(len(numer))]
+    for i, c in enumerate(numer):
+        for j in range(d):
+            diff[i + j] -= c * comb(d - 1, j)
     scan_bound = max(model.poly_from + d + 2, _root_bound(numer),
                      _root_bound(diff), 12)
 
-    best = Fraction(0)
-    argmax: Optional[int] = None
+    # |f(n)| = |d! * length(n) - e * n^d| / (e * n^(d-1)), compared as the
+    # pair (top, bottom) by cross-multiplying
+    top, bottom, argmax = 0, 1, None
     for n in range(1, scan_bound + 1):
-        f = abs(defect_at(model, n))
-        if f > best or argmax is None:
-            best, argmax = f, n
+        t, b = abs(scale * model.length(n) - e * n ** d), e * n ** (d - 1)
+        if argmax is None or t * bottom > top * b:
+            top, bottom, argmax = t, b, n
+    best = Fraction(top, bottom)
     if best >= abs(tail_limit):
         return RhoResult(best, True, argmax, tail_limit, scan_bound)
     return RhoResult(abs(tail_limit), False, None, tail_limit, scan_bound)

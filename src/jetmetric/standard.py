@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, ConstantTermError
+from .errors import CapacityError, ConstantTermError, RangeError
 from .exactcore import Echelon, Field
 from .poly import DEFAULT_CAPACITY, Monomial, Poly, grlex_key, mono_mul, monomials_of_degree
 
@@ -159,6 +159,8 @@ def hilbert_numerator(field: Field, nvars: int, gens: Sequence[Poly],
 
 def series(numerator: Sequence[int], pole_order: int, count: int) -> list[int]:
     """The first `count` coefficients of Q(t)/(1 - t)^d."""
+    if count < 0:
+        raise RangeError(f"coefficient count must be nonnegative, got {count}")
     out = (list(numerator) + [0] * count)[:count]
     for _ in range(pole_order):
         out = list(accumulate(out))

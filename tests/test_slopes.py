@@ -19,6 +19,7 @@ from jetmetric.errors import (
 )
 from jetmetric.hilbert import hs_polynomial_from_jets
 from jetmetric.presentation import parse_presentation
+from jetmetric.standard import series
 from jetmetric.slopes import (
     defect_at,
     delta0,
@@ -103,10 +104,11 @@ def test_nilpotency_at_tracks_jet_order():
 
 def test_negative_orders_are_out_of_range_and_order_zero_is_the_zero_ring():
     m = length_model(CUSP)
-    for read in (m.length, m.nilpotency_at):
+    for read in (m.length, m.nilpotency_at, m.hf_prefix,
+                 lambda n: series(m.numerator, m.pole_order, n)):
         with pytest.raises(RangeError, match="-1"):
             read(-1)
-    assert m.length(0) == 0
+    assert m.length(0) == 0 and m.hf_prefix(0) == []
     with pytest.raises(ZeroRingError):
         m.nilpotency_at(0)
 
