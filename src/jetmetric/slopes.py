@@ -202,7 +202,8 @@ def _rho(model: HilbertData) -> RhoResult:
         raise InternalInconsistencyError("defect numerator has full degree")
     tail_limit = Fraction(numer[d - 1] if len(numer) == d else 0, e)
 
-    # difference numerator: N(n+1) * n^(d-1) - N(n) * (n+1)^(d-1)
+    # difference numerator: N(n+1) * n^(d-1) - N(n) * (n+1)^(d-1), where
+    # N(n+1) has the coefficients sum_k N_k C(k, i)
     diff = [0] * (d - 1) + [sum(c * comb(k, i) for k, c in enumerate(numer))
                             for i in range(len(numer))]
     for i, c in enumerate(numer):
