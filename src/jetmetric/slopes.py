@@ -18,8 +18,8 @@ coefficients, so the defect numerator N = d! * cumulative - e * n^d and its
 difference numerator are integer polynomials, their root bounds are exact
 integer ceilings, and the scan compares |d! * length(n) - e * n^d| / (e *
 n^(d-1)) across orders by cross-multiplying.  The divisions happen once, at
-the output: one Fraction for the tail limit N's lead over e, and one for the
-supremum.
+the output: one Fraction for the tail limit (the n^(d-1) coefficient of N
+over e) and one for the supremum.
 """
 
 from __future__ import annotations
