@@ -2,9 +2,9 @@
 arithmetic, against the dense `Fraction` versions they replaced.
 
 The references below are those versions, kept verbatim with the polynomial
-helpers they called, so every integer path is compared with the path it
-replaced: the same values, the same types (compared by `repr`) and the same
-errors.
+helpers they called (the three the package still names carry a `reference_`
+prefix), so every integer path is compared with the path it replaced: the
+same values, the same types (compared by `repr`) and the same errors.
 """
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
@@ -55,6 +55,14 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 def reference_hs_polynomial_from_series(numerator: Sequence[int],
                                         pole_order: int) -> list[Fraction]:
+    """Degreewise Hilbert polynomial from the rational normal form.
+
+    The coefficient of t^n in Q(t)/(1 - t)^d is sum_k q_k C(n - k + d - 1, d - 1),
+    and C(n - k + d - 1, d - 1) = (n - k + 1) ... (n - k + d - 1) / (d - 1)!
+    is a polynomial in n, so P(n) is that sum over the numerator's terms.
+    Pole order 0 (Artinian section ring) yields the zero polynomial — callers
+    that need a nonempty scheme treat that as an error themselves.
+    """
     if pole_order == 0:
         return []
     out: list[Fraction] = []
@@ -131,6 +139,9 @@ def reference_rho(model: HilbertData) -> RhoResult:
 
 
 def reference_log2_decimal(ratio: Fraction, digits: int = 12) -> str:
+    """log2 of a positive rational as a decimal string with `digits` places."""
+    if ratio <= 0:
+        raise ValueError("log2 of a non-positive ratio")
     with localcontext() as ctx:
         ctx.prec = digits + 20
         v = (Decimal(ratio.numerator).ln() - Decimal(ratio.denominator).ln()) \
