@@ -8,7 +8,9 @@ the one table of products of basis pairs, kept sparse (the nonzero
 (index, value) entries only) and memoized on first use instead of being
 tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
-basis indices of each degree component.  One builder, `product_rows`, turns
+basis indices of each degree component.  The basis is in ascending grlex
+order, so each component is a run of it, read off once per algebra, and
+a nonzero algebra's unit is its first basis monomial.  One builder, `product_rows`, turns
 that table into the raw rows basis[u] * g of a module element g for
 `Echelon`: the resolution's products and the rows of the derivation space
 both come from it.  A normal form never lowers the degree, so it drops
@@ -55,6 +57,7 @@ jet of the localization; lengths and colengths come from `standard`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -115,15 +118,14 @@ class ArtinAlgebra:
         self.origin = origin
         self.tuple_images = tuple_images
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self._degrees = list(map(sum, self.basis))
-        comps: list[list[int]] = [[] for _ in range(max(self._degrees, default=-1) + 1)]
-        for i, d in enumerate(self._degrees):
-            comps[d].append(i)
-        self._components = [tuple(c) for c in comps]
+        degrees = self._degrees = list(map(sum, self.basis))
+        # the basis is ascending grlex, so each degree component is a run
+        # of it, and a nonzero jet's first basis monomial is 1
+        starts = [bisect_left(degrees, d) for d in range(degrees[-1] + 2 if degrees else 0)]
+        self._components = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
         self._extensions: dict[int, ArtinAlgebra] = {}
-        self._one: Sparse = ([(self._index[(0,) * nvars], field.one())]
-                             if self.basis else [])
+        self._one: Sparse = [(0, field.one())] if self.basis else []
         # the scratch accumulator of multiply and combine, copied, never written
         self._zeros = [field.zero()] * len(self.basis)
 

@@ -894,9 +894,11 @@ class Echelon:
     a row in row form, which a caller converts once (for example once per
     generator of a Macaulay matrix) and :meth:`reduce` converts per row.
     :meth:`insert` and :meth:`add` are eliminate and reduce plus
-    :meth:`store`.  :meth:`reduced` is the one back-substitution, with the
-    same :attr:`clear`.  A stored row is never changed, so :meth:`copy`
-    shares them.
+    :meth:`store`.  ``_back_substitution`` is the one back-substitution,
+    with the same :attr:`clear`; :meth:`reduced` divides its rows by their
+    pivots, and ``_normal_forms`` gives a truncated quotient the negated
+    quotients in the same one division per entry.  A stored row is never
+    changed, so :meth:`copy` shares them.
     """
 
     def __init__(self, field: Field):
@@ -944,13 +946,9 @@ class Echelon:
         out.rows = dict(self.rows)
         return out
 
-    def reduced(self) -> dict[object, dict]:
-        """Back-substitution: the reduced row echelon form as pivot -> row
-        ({key: value} of its nonzero field values, one at the pivot, keys
-        ascending), in ascending pivot order, each row cleared at every
-        other pivot.  Over Q each entry off the pivot is divided by its
-        row's pivot once, here, as ``Fraction(x, lead)``, and the pivot
-        entry is the field's one."""
+    def _back_substitution(self) -> dict[object, dict]:
+        """The one back-substitution: pivot -> its row in row form, cleared
+        at every other pivot, in descending pivot order."""
         rows, clear = self.rows, self.clear
         done: dict[object, dict] = {}
         for pc in sorted(rows, reverse=True):
@@ -963,6 +961,15 @@ class Echelon:
                 for j in later:
                     v = clear(v, done[j], j)
             done[pc] = v
+        return done
+
+    def reduced(self) -> dict[object, dict]:
+        """The reduced row echelon form as pivot -> row ({key: value} of its
+        nonzero field values, one at the pivot, keys ascending), in
+        ascending pivot order, each row cleared at every other pivot.  Over
+        Q each entry off the pivot is divided by its row's pivot once, here,
+        as ``Fraction(x, lead)``, and the pivot entry is the field's one."""
+        done = self._back_substitution()
         out = {}
         for pc in reversed(done):
             v = done[pc]
@@ -972,6 +979,26 @@ class Echelon:
                            for c in sorted(v)}
             else:
                 out[pc] = {c: v[c] for c in sorted(v)}
+        return out
+
+    def _normal_forms(self) -> dict[object, list]:
+        """The normal forms the reduced rows give, for a truncated quotient:
+        pivot -> the ascending (key, value) pairs of -x for each entry x off
+        the pivot of its row in :meth:`reduced`, in ascending pivot order.
+        Each value is divided and negated at once: over Q one
+        ``Fraction(-x, lead)`` per entry of the fraction-free row."""
+        done = self._back_substitution()
+        out = {}
+        if self._unit is None:
+            for pc in reversed(done):
+                v = done[pc]
+                lead = -v[pc]
+                out[pc] = [(c, Fraction(v[c], lead)) for c in sorted(v) if c != pc]
+        else:
+            neg = self.field.neg
+            for pc in reversed(done):
+                v = done[pc]
+                out[pc] = [(c, neg(v[c])) for c in sorted(v) if c != pc]
         return out
 
 

@@ -21,12 +21,16 @@ each be built and reduced to zero.
 This module is the one place monomials are enumerated.  `monomials_of_degree`
 is memoized, and every truncated quotient of one shape, a number of
 variables and a cap, reads one frame built on first use: the grlex monomials
-below the cap, their column index and the number of them below each degree.
-Frames depend on those two integers alone, so every jet still builds and
-eliminates its own Macaulay matrix; both caches are bounded.  A jet with no
-generator of order below its cap has no Macaulay row: it is k[x]/m^cap,
-whose basis is the frame's monomials, and it is returned with no
-elimination.
+below the cap, their packed codes with the column of each code, and the
+number of them below each degree.  A code is the Kronecker substitution
+sum_i e_i B^i with base B = 2*cap - 1, so the code of a product is the sum
+of the codes of its factors as long as no digit carries: a Macaulay row
+entry is one integer addition and one integer-keyed lookup, and monomials
+stay exponent tuples everywhere else.  Frames depend on those two integers
+alone, so every jet still builds and eliminates its own Macaulay matrix;
+both caches are bounded.  A jet with no generator of order below its cap
+has no Macaulay row: it is k[x]/m^cap, whose basis is the frame's
+monomials, and it is returned with no elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
@@ -98,10 +102,15 @@ def count_monomials_below(nvars: int, degmax: int) -> int:
 def _frame(nvars: int, cap: int) -> tuple:
     """The monomial data of the shape (nvars, cap), read by every truncated
     quotient of that shape and never handed out: the monomials below the cap
-    in ascending grlex order, their index, and below[d], the number of them
+    in ascending grlex order; the digit weights B^i of their packed codes
+    sum_i e_i B^i, B = 2*cap - 1 (1 for caps 0 and 1); the code of each
+    monomial and the column of each code; and below[d], the number of them
     of degree < d, for d <= cap."""
     monos = monomials_below(nvars, cap)
-    return (monos, {m: i for i, m in enumerate(monos)},
+    base = max(2 * cap - 1, 1)
+    weights = tuple(base ** i for i in range(nvars))
+    codes = tuple(sum(map(mul, m, weights)) for m in monos)
+    return (monos, weights, codes, {c: i for i, c in enumerate(codes)},
             tuple(count_monomials_below(nvars, d) for d in range(cap + 1)))
 
 
@@ -246,15 +255,26 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     quotient.  Raises CapacityError before building anything too large.
 
     The monomials come from the frame of (nvars, cap): the multipliers of a
-    generator of order e are its first below[cap - e] monomials, and one
-    index lookup both places a product and drops it when it reaches the cap.
-    Each generator's coefficients go through the field's row ``entry`` once
-    (:attr:`Field.row_arithmetic`), and every row of that generator is built
-    from them: shifted and truncated, a row stays in row form, so the
+    generator of order e are its first below[cap - e] monomials, and the
+    entry of a term t in the row of a multiplier u sits at the column of
+    the code code(t) + code(u), or is dropped when that sum has no column.
+    A generator's terms of degree >= cap are dropped before they are coded,
+    as every product of theirs lies past the cap.  Every other exponent of
+    a term is at most cap - 1 and every exponent of a multiplier at most
+    cap - 2 (e >= 1, as no generator has a constant term), so each digit of
+    the sum is at most 2*cap - 3, below the base 2*cap - 1: no digit
+    carries, the sum is the code of t*u, and it has a column exactly when
+    t*u lies below the cap.  (No row exists at caps 0 and 1, whose base is
+    1.)  Each generator's coefficients go through the field's row ``entry``
+    once (:attr:`Field.row_arithmetic`), and every row of that generator is
+    built from them: shifted and truncated, a row stays in row form, so the
     elimination converts no row again.  With no row, no generator has order
     below the cap, and the quotient is k[x]/m^cap: every monomial of the
     frame is a basis monomial and no normal form is stored, as the
-    elimination of no rows would give.
+    elimination of no rows would give.  Otherwise each normal-form entry is
+    divided once: the echelon's back-substitution leaves its rows
+    fraction-free over Q, and each entry x off a pivot becomes -x/lead in
+    one step, where dividing and then negating made two values.
 
     The rows go into one :class:`Echelon` a generator at a time, and the
     rows of g_j skip every multiplier u whose column is a pivot of the
@@ -278,43 +298,39 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     n_mono = count_monomials_below(nvars, cap)
     if n_mono > capacity:
         raise CapacityError(n_mono, capacity, f"cap {cap} in {nvars} variables")
-    monos, index, below = _frame(nvars, cap)
-    get = index.get
+    monos, weights, codes, column, below = _frame(nvars, cap)
+    get = column.get
     entry = field.row_arithmetic[0]
     ech = Echelon(field)
     insert, pivots = ech.insert, ech.rows
     for g in gens:
         if g.is_zero() or (e := g.order()) >= cap:
             continue
-        terms = entry(g.terms).items()
+        # a term at or past the cap lands past it in every row; the others
+        # have exponents below the cap, so no code digit carries
+        terms = [(sum(map(mul, t, weights)), c) for t, c in entry(g.terms).items()
+                 if sum(t) < cap]
         # the earlier generators' pivots; the multiplier monos[k] is column k
         spanned = set(pivots)
         # each row holds t * u for a lowest term t of g, so none is empty
         for k in range(below[cap - e]):
             if k in spanned:
                 continue
-            u = monos[k]
-            row = {}
-            for t, c in terms:
-                i = get(mono_mul(t, u))
-                if i is not None:
-                    row[i] = c
-            insert(row)
+            u = codes[k]
+            insert({i: c for t, c in terms if (i := get(t + u)) is not None})
     if not pivots:
         # no generator below the cap: the quotient is k[x]/m^cap
         return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=list(monos), nf={})
-    red = ech.reduced()
-    free = [c for c in range(n_mono) if c not in red]
+    forms = ech._normal_forms()
+    free = [c for c in range(n_mono) if c not in forms]
     basis = [monos[c] for c in free]
     pos = {c: j for j, c in enumerate(free)}
-    zero, neg = field.zero(), field.neg
+    zero = field.zero()
     nf: dict[Monomial, list] = {}
-    for pc, row in red.items():
-        # a reduced row vanishes at every other pivot column
+    for pc, form in forms.items():
         v = [zero] * len(free)
-        for c, x in row.items():
-            if c != pc:
-                v[pos[c]] = neg(x)
+        for c, x in form:
+            v[pos[c]] = x
         nf[monos[pc]] = v
     return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis, nf=nf)
 

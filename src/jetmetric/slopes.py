@@ -226,10 +226,13 @@ def _rho(model: HilbertData) -> RhoResult:
 
 
 def defect_at(model: HilbertData, n: int) -> Fraction:
-    """The signed defect f(n); rho is the sup of its absolute value."""
+    """The signed defect f(n); rho is the sup of its absolute value.  It
+    divides by n^(d-1), so order 0 is refused in dimension 2 or more."""
     d, e = model.dim, model.mult
     if d == 0:
         raise DimensionZeroError("defect undefined for an Artinian quotient")
+    if n == 0 and d > 1:
+        raise RangeError(f"defect undefined at order 0 in dimension {d}")
     return Fraction(factorial(d) * model.length(n), e * n ** (d - 1)) - n
 
 

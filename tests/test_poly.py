@@ -5,12 +5,12 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetmetric import poly
 from jetmetric.artin import defpair_jet, jet
-from jetmetric.errors import CapacityError
+from jetmetric.errors import CapacityError, ConstantTermError
 from jetmetric.exactcore import (Echelon, ExactMatrix, ExtensionField, PrimeField, finite_field,
                                  rationals)
 from jetmetric.poly import (
@@ -196,10 +196,10 @@ def _scalars(F):
 
 @st.composite
 def _presentation_and_cap(draw):
-    """A field, a number of variables, generators (zero ones and ones of
-    order at or above the cap among them) and a cap from 0 to 6."""
+    """A field, one to four variables, generators (zero ones and ones of
+    order at or above the cap among them) and a cap from 0 to 8."""
     F = draw(st.sampled_from(_FIELDS))
-    nvars, cap = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    nvars, cap = draw(st.integers(1, 4)), draw(st.integers(0, 8))
     graded = draw(st.booleans())
     gens = []
     for _ in range(draw(st.integers(0, 4))):
@@ -215,7 +215,26 @@ def _presentation_and_cap(draw):
     return F, nvars, gens, cap
 
 
+def _case(F, nvars, cap, *gens):
+    """(F, nvars, generators, cap) for generators given as {exponents: int}."""
+    return F, nvars, [Poly(F, nvars, {m: F.from_int(c) for m, c in g.items()})
+                      for g in gens], cap
+
+
+# The rows add packed monomial codes with digits in base 2*cap - 1, which
+# holds every exponent of a product below the cap only once the terms at or
+# past the cap are dropped: x^5 at cap 3 in k[x, y] has the code of y.
+_Q, _F3, _F4 = rationals(), PrimeField(3), finite_field(2, 2)
+
+
 @given(_presentation_and_cap())
+@example(_case(_Q, 2, 3, {(1, 0): 1, (5, 0): 1}))
+@example(_case(_F3, 3, 4, {(0, 1, 0): 1, (7, 0, 0): 2}, {(0, 0, 2): 1, (0, 0, 7): 1}))
+@example(_case(_Q, 2, 4, {(0, 1): 1, (3, 0): -2}))
+@example(_case(_F4, 3, 4, {(1, 1, 0): 1, (4, 1, 0): 3}, {(0, 0, 1): 1, (2, 0, 4): 2}))
+@example(_case(_Q, 2, 0, {(1, 0): 1, (0, 2): 3}))
+@example(_case(_F3, 3, 1, {(1, 1, 0): 1, (0, 0, 1): 2}))
+@example(_case(_F4, 4, 5))
 @settings(max_examples=150, deadline=None)
 def test_truncated_quotient_matches_the_reference_build(case):
     F, nvars, gens, cap = case
@@ -311,8 +330,9 @@ def test_row_free_jets_match_the_reference_without_an_elimination(monkeypatch, n
     # below the cap is a basis monomial and nothing is eliminated
     F = _row_form_field(name)
     calls = []
-    reduced = Echelon.reduced
-    monkeypatch.setattr(Echelon, "reduced", lambda self: calls.append(self) or reduced(self))
+    solve = Echelon._back_substitution
+    monkeypatch.setattr(Echelon, "_back_substitution",
+                        lambda self: calls.append(self) or solve(self))
     for nvars, gens, cap in _row_free_cases(F):
         got = truncated_quotient(F, nvars, gens, cap)
         assert calls == [], (nvars, cap)
@@ -447,6 +467,20 @@ def test_a_cap_over_the_capacity_builds_no_frame(enumerations):
         with pytest.raises(CapacityError):
             truncated_quotient(rationals(), nvars, [], cap)
         assert enumerations == [] and poly._frame.cache_info().currsize == 0
+
+
+def test_truncated_quotient_checks_the_cap_then_constant_terms_then_the_capacity():
+    F = rationals()
+    unit = Poly(F, 2, {(0, 0): F.one(), (1, 0): F.one()})
+    x = Poly.variable(F, 2, 0)
+    with pytest.raises(ValueError) as refused:
+        truncated_quotient(F, 2, [x, unit], -1, capacity=0)
+    assert type(refused.value) is ValueError
+    # a constant term is refused even where the cap is also over the capacity
+    with pytest.raises(ConstantTermError):
+        truncated_quotient(F, 2, [x, unit], 64)
+    with pytest.raises(CapacityError):
+        truncated_quotient(F, 2, [x, x], 64)
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from math import comb, factorial, log2
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,8 @@ from jetmetric.slopes import (
 )
 
 from conftest import random_presentation
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent.parent / "docs" / "golden" / "inputs"
 
 KX = parse_presentation("ring Q[x]\ngraded\nideal: ;")
 KXY = parse_presentation("ring Q[x, y]\ngraded\nideal: ;")
@@ -176,6 +179,19 @@ def test_rho_bound_is_tight():
         m = length_model(p)
         smaller = r.value - Fraction(1, 1000)
         assert abs(defect_at(m, r.argmax_n)) > smaller
+
+
+def test_defect_at_order_zero_is_a_range_error_from_dimension_two():
+    # the defect divides by n^(d-1): at order 0 that is 0 from d = 2 on
+    plane = parse_presentation((GOLDEN_INPUTS / "plane.pres").read_text())
+    for p in (plane, KXYZ):
+        m = length_model(p)
+        assert m.dim >= 2
+        with pytest.raises(RangeError):
+            defect_at(m, 0)
+        with pytest.raises(RangeError):
+            defect_at(m, -1)
+    assert defect_at(length_model(KX), 0) == 0
 
 
 def test_quasi_dimension_frozen_cases():
