@@ -9,11 +9,11 @@ the one table of products of basis pairs, kept sparse (the nonzero
 tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
 basis indices of each degree component.  The basis is in ascending grlex
-order, so each component is a run of it, read off once per algebra, and
-a nonzero algebra's unit is its first basis monomial.  One builder, `product_rows`, turns
-that table into the raw rows basis[u] * g of a module element g for
-`Echelon`: the resolution's products and the rows of the derivation space
-both come from it.  A normal form never lowers the degree, so it drops
+order, so each component is a run of it, read off once per algebra, and a
+nonzero algebra's unit is its first basis monomial.  One builder,
+`product_rows`, turns that table into the raw rows basis[u] * g of a module
+element g for `Echelon`: the resolution's products and the rows of the
+derivation space both come from it.  A normal form never lowers the degree, so it drops
 every term whose product lies past the top degree, in every jet.
 
 An element has one form, `Sparse`: the ascending list of its nonzero
