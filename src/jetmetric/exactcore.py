@@ -954,8 +954,9 @@ class Echelon:
         for pc in sorted(rows, reverse=True):
             v = rows[pc]
             # the finished rows (pivots above pc) vanish at every other
-            # pivot, so clearing one leaves v's entries at the others
-            later = [j for j in v if j in done]
+            # pivot, so clearing one leaves v's entries at the others; a
+            # row of its pivot alone is reduced already
+            later = [j for j in v if j in done] if len(v) > 1 else ()
             if later:
                 v = dict(v)
                 for j in later:
@@ -988,16 +989,16 @@ class Echelon:
         Each value is divided and negated at once: over Q one
         ``Fraction(-x, lead)`` per entry of the fraction-free row."""
         done = self._back_substitution()
+        fraction_free, neg = self._unit is None, self.field.neg
         out = {}
-        if self._unit is None:
-            for pc in reversed(done):
-                v = done[pc]
+        for pc in reversed(done):
+            v = done[pc]
+            if len(v) == 1:
+                out[pc] = []
+            elif fraction_free:
                 lead = -v[pc]
                 out[pc] = [(c, Fraction(v[c], lead)) for c in sorted(v) if c != pc]
-        else:
-            neg = self.field.neg
-            for pc in reversed(done):
-                v = done[pc]
+            else:
                 out[pc] = [(c, neg(v[c])) for c in sorted(v) if c != pc]
         return out
 
