@@ -21,14 +21,16 @@ An element has one form, `Sparse`: the ascending list of its nonzero
 (`reduce_monomial`, `var_image`), products (`mult_basis`, `multiply`), sums
 (`combine`, `evaluate`), socle vectors, tuple images and witness images all
 take and return it.  Dense coordinates appear only as scratch accumulators
-inside `multiply` and `combine`, in the matrix `mult_matrix` returns, and
-where text is printed.  Zero tests are truthiness, since zero is falsy in
-all three scalar types (Fraction, int residue, int code) and the zero
-element is the empty list.  The one dense table is `nf`, the normal form of
-each non-basis monomial below the cap as `truncated_quotient` builds it,
-one entry per basis monomial: the recorded jet digests of the benchmark
-hash those rows as coefficient sequences, so they keep that shape, and
-`reduce_monomial` reads their nonzero entries.
+inside `multiply` and `combine`, in the matrix `mult_matrix` returns, in the
+`nf` view and where text is printed.  Zero tests are truthiness, since zero
+is falsy in all three scalar types (Fraction, int residue, int code) and the
+zero element is the empty list.  The class of each non-basis monomial below
+the cap is kept as `truncated_quotient` builds it, and `reduce_monomial`
+hands out that stored list: an element is read, never changed in place.
+`nf` is a read-only dense view of those classes, one coordinate per basis
+monomial, built on each access for the recorded jet digests of the
+benchmark, which hash its rows as coefficient sequences; no module of the
+package reads it.
 
 Every algebra map into an ArtinAlgebra (evaluating relations at generator
 images, the linear map of an isomorphism witness) goes through one
@@ -113,7 +115,7 @@ class ArtinAlgebra:
         self.nvars = nvars
         self.cap = tq.cap
         self.basis = tq.basis
-        self.nf = tq.nf
+        self._classes = tq.classes
         self.relations = list(relations)
         self.origin = origin
         self.tuple_images = tuple_images
@@ -126,7 +128,8 @@ class ArtinAlgebra:
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
         self._extensions: dict[int, ArtinAlgebra] = {}
         self._one: Sparse = [(0, field.one())] if self.basis else []
-        # the scratch accumulator of multiply and combine, copied, never written
+        # the scratch accumulator of multiply, combine and the nf view,
+        # copied, never written
         self._zeros = [field.zero()] * len(self.basis)
 
     # -- basic structure ---------------------------------------------------
@@ -149,15 +152,25 @@ class ArtinAlgebra:
     def maxideal_basis(self) -> list[int]:
         return [i for i, d in enumerate(self._degrees) if d > 0]
 
+    @property
+    def nf(self) -> dict[Monomial, list]:
+        """The class of every non-basis monomial below the cap as a dense
+        coordinate vector over the basis: a read-only view, built on each
+        access."""
+        out = {m: self._zeros.copy() for m in self._classes}
+        for m, cls in self._classes.items():
+            for k, w in cls:
+                out[m][k] = w
+        return out
+
     def reduce_monomial(self, m: Monomial) -> Sparse:
         """The class of the monomial m: a basis monomial, zero at or above
-        the cap, else the nonzero entries of its normal form."""
+        the cap, else its stored class, which the caller must not change."""
         if m in self._index:
             return [(self._index[m], self.field.one())]
         if sum(m) >= self.cap:
             return []
-        is_zero = self.field.is_zero
-        return [(k, w) for k, w in enumerate(self.nf[m]) if not is_zero(w)]
+        return self._classes[m]
 
     def var_image(self, k: int) -> Sparse:
         """The class of the variable x_k."""
@@ -179,9 +192,10 @@ class ArtinAlgebra:
         got = self._extensions.get(k)
         if got is None:
             emb = f.embedding(dst)
-            nf = {mono: [emb(c) for c in vec] for mono, vec in self.nf.items()}
+            classes = {mono: [(i, emb(c)) for i, c in cls]
+                       for mono, cls in self._classes.items()}
             tq = TruncatedQuotient(field=dst, nvars=self.nvars, cap=self.cap,
-                                   basis=list(self.basis), nf=nf)
+                                   basis=list(self.basis), classes=classes)
             got = ArtinAlgebra(dst, self.nvars, tq,
                                [g.map_coefficients(dst, emb) for g in self.relations],
                                self.origin)

@@ -470,25 +470,28 @@ class SearchBudget:
 
 def _same_quotient(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
     """Whether A and B, over one field, are the same quotient of k[x] with
-    the same tuple images: equal nvars, cap, basis, normal forms and tuple
-    images.  Their relations may differ."""
+    the same tuple images: equal nvars, cap, basis, classes of the other
+    monomials below the cap and tuple images.  Their relations may differ."""
     return (A.nvars == B.nvars and A.cap == B.cap and A.basis == B.basis
-            and A.nf == B.nf and A.tuple_images == B.tuple_images)
+            and A._classes == B._classes and A.tuple_images == B.tuple_images)
 
 
 def _precedes(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
     """Whether A sorts strictly before B in the order that orients a pair:
-    nvars, cap and basis, then the normal forms by monomial with their
-    coefficients compared as printed, then the relations as printed, each
-    sequence ordered as a tuple.  Equal bases and caps store normal forms of
-    the same monomials, every other one below the cap, in vectors of one
-    length.  A coefficient is printed only where the two values differ, and
-    a relation only where the earlier ones print alike."""
+    nvars, cap and basis, then the classes by monomial with their dense
+    coordinates compared as printed, then the relations as printed, each
+    sequence ordered as a tuple.  Equal bases and caps store the classes of
+    the same monomials, every other one below the cap, over one basis.  A
+    coordinate is printed only where the two values differ, a zero one as
+    the field's zero, and a relation only where the earlier ones print
+    alike."""
     a, b = (A.nvars, A.cap, tuple(A.basis)), (B.nvars, B.cap, tuple(B.basis))
     if a != b:
         return a < b
-    for mono in sorted(A.nf):
-        for ca, cb in zip(A.nf[mono], B.nf[mono]):
+    for mono in sorted(A._classes):
+        va, vb = dict(A._classes[mono]), dict(B._classes[mono])
+        for k in sorted(va.keys() | vb.keys()):
+            ca, cb = va.get(k, A.field.zero()), vb.get(k, B.field.zero())
             if ca != cb:
                 sa, sb = A.field.to_str(ca), B.field.to_str(cb)
                 if sa != sb:

@@ -7,7 +7,7 @@ computed from the Macaulay matrix whose rows are the monomial multiples of the
 ideal generators truncated below degree n; row reduction pivots on the
 grlex-smallest monomial of each row, so an inhomogeneous relation rewrites its
 lowest-order term into higher-order ones (the local convention: y^2 - x^3
-pivots at y^2 and stores nf(y^2) = x^3).
+pivots at y^2 and stores the class of y^2 as x^3).
 
 The Macaulay rows go into one echelon a generator at a time, and a
 generator's rows skip every multiplier that is already a pivot of the
@@ -225,24 +225,17 @@ class Poly:
 class TruncatedQuotient:
     """Basis data for k[x_1..x_r]/(I + m^cap).
 
-    basis: the non-pivot monomials of degree < cap, ascending grlex.
-    nf:    for every pivot monomial, its normal form as a coordinate vector
-           over `basis`.  Basis monomials reduce to themselves; monomials of
-           degree >= cap reduce to zero.
+    basis:   the non-pivot monomials of degree < cap, ascending grlex.
+    classes: for every pivot monomial, its class as a `Sparse` element over
+             `basis`.  Basis monomials reduce to themselves; monomials of
+             degree >= cap reduce to zero.
     """
 
     field: Field
     nvars: int
     cap: int
     basis: list[Monomial]
-    nf: dict[Monomial, list]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def basis_index(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis)}
+    classes: dict[Monomial, Sparse]
 
 
 def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
@@ -270,11 +263,13 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
     built from them: shifted and truncated, a row stays in row form, so the
     elimination converts no row again.  With no row, no generator has order
     below the cap, and the quotient is k[x]/m^cap: every monomial of the
-    frame is a basis monomial and no normal form is stored, as the
-    elimination of no rows would give.  Otherwise each normal-form entry is
-    divided once: the echelon's back-substitution leaves its rows
-    fraction-free over Q, and each entry x off a pivot becomes -x/lead in
-    one step, where dividing and then negating made two values.
+    frame is a basis monomial and no class is stored, as the elimination
+    of no rows would give.  Otherwise each normal-form entry is divided
+    once: the echelon's back-substitution leaves its rows fraction-free over
+    Q, and each entry x off a pivot becomes -x/lead in one step, where
+    dividing and then negating made two values.  A pivot monomial's class
+    is those entries at their basis indices, its nonzero values only: no
+    dense coordinate vector is built.
 
     The rows go into one :class:`Echelon` a generator at a time, and the
     rows of g_j skip every multiplier u whose column is a pivot of the
@@ -320,19 +315,15 @@ def truncated_quotient(field: Field, nvars: int, gens: Sequence[Poly], cap: int,
             insert({i: c for t, c in terms if (i := get(t + u)) is not None})
     if not pivots:
         # no generator below the cap: the quotient is k[x]/m^cap
-        return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=list(monos), nf={})
+        return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=list(monos),
+                                 classes={})
     forms = ech._normal_forms()
     free = [c for c in range(n_mono) if c not in forms]
-    basis = [monos[c] for c in free]
+    # a free column's basis index; ascending, so each class stays ascending
     pos = {c: j for j, c in enumerate(free)}
-    zero = field.zero()
-    nf: dict[Monomial, list] = {}
-    for pc, form in forms.items():
-        v = [zero] * len(free)
-        for c, x in form:
-            v[pos[c]] = x
-        nf[monos[pc]] = v
-    return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis, nf=nf)
+    return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=[monos[c] for c in free],
+                             classes={monos[pc]: [(pos[c], x) for c, x in form]
+                                      for pc, form in forms.items()})
 
 
 def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
@@ -377,16 +368,12 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
 def reduce_poly(tq: TruncatedQuotient, g: Poly) -> Sparse:
     """The class of g modulo (I + m^cap) over tq.basis."""
     f = tq.field
-    vec = [f.zero()] * tq.dim
-    pos = tq.basis_index()
+    vec = [f.zero()] * len(tq.basis)
+    pos = {m: i for i, m in enumerate(tq.basis)}
     for m, c in g.terms.items():
-        if mono_deg(m) >= tq.cap:
-            continue
         if m in pos:
-            j = pos[m]
-            vec[j] = f.add(vec[j], c)
-        else:
-            for j, v in enumerate(tq.nf[m]):
-                if not f.is_zero(v):
-                    vec[j] = f.add(vec[j], f.mul(c, v))
+            vec[pos[m]] = f.add(vec[pos[m]], c)
+        elif sum(m) < tq.cap:
+            for j, v in tq.classes[m]:
+                vec[j] = f.add(vec[j], f.mul(c, v))
     return [(j, c) for j, c in enumerate(vec) if not f.is_zero(c)]

@@ -16,11 +16,9 @@ once per call, and every row x^u * g is built from them in row form and
 handed to `Echelon.insert`; the minimal rows are the echelon's stored rows,
 an S-pair is one `Echelon.clear` of a shifted row by another and division
 is repeated clearing, so over Q S-pairs are cleared fraction-free on
-integer rows.  A basis row's shift by x^u is built once per call and
-shared only as the pivot row of a clear, which never changes it.
-k[x]/L(I) has the Hilbert-Samuel function of I (Greuel-Pfister, ch. 5),
-with series from N(L + (m)) = N(L) - t^deg(m) N(L : m) (Bayer-Stillman,
-J. Symb. Comput. 14, 1992).
+integer rows.  k[x]/L(I) has the Hilbert-Samuel function of I
+(Greuel-Pfister, ch. 5), with series from N(L + (m)) = N(L) - t^deg(m)
+N(L : m) (Bayer-Stillman, J. Symb. Comput. 14, 1992).
 """
 
 from __future__ import annotations
@@ -56,34 +54,25 @@ def _over(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _shifted(shifts: dict, b: Monomial, row: dict, u: Monomial) -> dict:
-    """x^u * row for the basis row with pivot b, built once per key (b, u):
-    shared, so it may only be handed to clear as the pivot row."""
-    got = shifts.get((b, u))
-    if got is None:
-        got = shifts[b, u] = _shift(row, u)
-    return got
-
-
-def _reduces_to_zero(clear, h: dict, e: int, basis: list, shifts: dict) -> bool:
+def _reduces_to_zero(clear, h: dict, e: int, basis: list) -> bool:
     """Homogeneous division of the degree-e element h of J: t^a x^b divides
     its leading monomial t^(e - |m|) x^m when b divides m and a <= e - |m|."""
     while h:
         deg, m = lead = min(h)
         for a, b, row in basis:
             if a <= e - deg and _divides(b, m):
-                h = clear(h, _shifted(shifts, b, row, _over(m, b)), lead)
+                h = clear(h, _shift(row, _over(m, b)), lead)
                 break
         else:
             return False
     return True
 
 
-def _pairs_reduce(clear, basis: list, d: int, verified: set, shifts: dict) -> bool:
+def _pairs_reduce(clear, basis: list, d: int, verified: set) -> bool:
     """Whether every S-pair of the basis, (a, b, row) per row of J with a
     minimal leading monomial t^a x^b (the echelon's stored row, keyed by
     grlex_key, its pivot at b), above degree d reduces to zero.  A reduced
-    pair stays verified; shifts holds the shared shifted basis rows."""
+    pair stays verified."""
     for j, (aj, bj, rj) in enumerate(basis):
         for ai, bi, ri in basis[:j]:
             lcm = tuple(map(max, bi, bj))
@@ -91,10 +80,8 @@ def _pairs_reduce(clear, basis: list, d: int, verified: set, shifts: dict) -> bo
             coprime = e == ai + aj + sum(bi) + sum(bj)
             if coprime or e <= d or (bi, bj) in verified:
                 continue
-            # clear changes its first row: that one is built fresh
-            s = clear(_shift(ri, _over(lcm, bi)), _shifted(shifts, bj, rj, _over(lcm, bj)),
-                      grlex_key(lcm))
-            if not _reduces_to_zero(clear, s, e, basis, shifts):
+            s = clear(_shift(ri, _over(lcm, bi)), _shift(rj, _over(lcm, bj)), grlex_key(lcm))
+            if not _reduces_to_zero(clear, s, e, basis):
                 return False
             verified.add((bi, bj))
     return True
@@ -112,7 +99,7 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
     entry = field.row_arithmetic[0]
     # each nonzero generator's degree and coefficients in row form
     rowed = [(g.degree(), entry(g.terms).items()) for g in gens if not g.is_zero()]
-    ech, basis, verified, shifts, d = Echelon(field), [], set(), {}, 0
+    ech, basis, verified, d = Echelon(field), [], set(), 0
     while True:
         before = set(ech.rows)
         for deg, terms in rowed:
@@ -126,7 +113,7 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
         for deg, b in sorted(k for k in ech.rows if k not in before):
             if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
                 basis.append((d - deg, b, ech.rows[(deg, b)]))
-        if d >= top and _pairs_reduce(ech.clear, basis, d, verified, shifts):
+        if d >= top and _pairs_reduce(ech.clear, basis, d, verified):
             return _minimal(b for _, b, _ in basis)
         d += 1
 

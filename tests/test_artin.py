@@ -1,4 +1,5 @@
 import ast
+import copy
 import gc
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetmetric import artin
+from jetmetric import artin, iso
 from jetmetric.artin import (
     defpair_jet,
     hf_by_degree_count,
@@ -21,7 +22,8 @@ from jetmetric.artin import (
 )
 from jetmetric.errors import CapacityError, FieldError, TupleError, ZeroRingError
 from jetmetric.exactcore import ExactMatrix, PrimeField, finite_field
-from jetmetric.iso import base_change, invariant_signature
+from jetmetric.iso import SearchBudget, base_change, invariant_signature
+from jetmetric.metric import jet_distance
 from jetmetric.poly import mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 from jetmetric.resolution import betti_residue_field
@@ -124,13 +126,14 @@ def test_jet_basis_is_prefix_of_larger_jet(seed, field, mode, nvars, top):
     # jet's Hilbert function
     p = random_presentation(random.Random(seed), field, nvars, mode)
     big = jet(p, top)
+    big_nf = big.nf
     hf = hf_by_degree_count(big)
     lengths = [sum(hf[:n]) for n in range(top + 1)]
     for n in range(top + 1):
         small = jet(p, n)
         assert small.basis == [m for m in big.basis if mono_deg(m) < n]
         assert small.basis == big.basis[:small.dim]
-        assert small.nf == {m: v[:small.dim] for m, v in big.nf.items()
+        assert small.nf == {m: v[:small.dim] for m, v in big_nf.items()
                             if mono_deg(m) < n}
         assert lengths[n] == small.dim
 
@@ -289,6 +292,38 @@ def test_only_artin_builds_algebras(module):
             assert module in BUILDERS.get(name, {module}), (name, node.lineno)
 
 
+def test_handing_out_classes_changes_none_of_them(monkeypatch):
+    # reduce_monomial returns the stored classes themselves: the search,
+    # the inversion of a witness, the resolution and the socle only read
+    # them.  Every algebra built is snapshot as it is built.
+    built = []
+    init = artin.ArtinAlgebra.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, copy.deepcopy(self._classes)))
+    monkeypatch.setattr(artin.ArtinAlgebra, "__init__", recorded)
+    swaps = []
+    precedes = iso._precedes
+    monkeypatch.setattr(iso, "_precedes", lambda A, B: swaps.append(precedes(A, B)) or swaps[-1])
+    # x^2 + x*y + 2*y^2 has no root in F_3: the order-3 jets meet only
+    # over F_9, at rung 2
+    p = parse_presentation("ring F_3[x, y]\ngraded\nideal: x^2 + x*y + 2*y^2")
+    q = parse_presentation("ring F_3[x, y]\ngraded\nideal: x*y")
+    for a, b in ((p, q), (q, p)):
+        v = jet_distance(a, b, 3, SearchBudget(ext_degree_max=2))
+        assert [w.status for _, w in v.per_order] == ["ISO"] * 3
+    assert True in swaps and False in swaps
+    assert finite_field(3, 2) in {A.field for A, _ in built}
+    A = jet(parse_presentation("ring F_2[x, y, z]\ngraded\nideal: x^2 + y*z + z^2, y^2 + x*y + x*z"), 4)
+    for B in (A, base_change(A, 2), base_change(A, 4)):
+        betti_residue_field(B, 4)
+        socle(B)
+    assert max(len(cls) for cls in A._classes.values()) == 3
+    for B, classes in built:
+        assert B._classes == classes, B.field
+
+
 def test_defpair_jet_quotients_by_tuple_powers():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: ;\ntuple: x, y")
     A = defpair_jet(p, 2)
@@ -367,7 +402,7 @@ def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
     f = A.field
     # the basis-pair products are the nonzero entries of the dense normal
     # forms: a basis monomial, zero at or above the cap, else its nf row
-    dense = {}
+    nf, dense = A.nf, {}
     for i, mi in enumerate(A.basis):
         for j, mj in enumerate(A.basis):
             m = mono_mul(mi, mj)
@@ -376,7 +411,7 @@ def test_sparse_basis_products_agree_with_dense_normal_forms(seed, field, mode,
             elif mono_deg(m) >= A.cap:
                 dense[i, j] = [f.zero()] * A.dim
             else:
-                dense[i, j] = A.nf[m]
+                dense[i, j] = nf[m]
             want = [(k, w) for k, w in enumerate(dense[i, j]) if not f.is_zero(w)]
             assert A.mult_basis(i, j) == A.reduce_monomial(m) == want
     # multiply agrees with a dense bilinear product

@@ -1,4 +1,5 @@
 import ast
+import copy
 import itertools
 from fractions import Fraction
 from math import comb
@@ -26,7 +27,7 @@ from jetmetric.poly import (
     reduce_poly,
     truncated_quotient,
 )
-from jetmetric.presentation import parse_presentation
+from jetmetric.presentation import Presentation, parse_presentation
 
 from conftest import row_form_cases
 
@@ -105,7 +106,7 @@ def test_truncated_quotient_cusp_normal_forms():
     x, y = (Poly.variable(F, 2, i) for i in range(2))
     tq = truncated_quotient(F, 2, [y * y - x * x * x], 4, capacity=500)
     # 10 monomials below degree 4, minus y^2, y^3 and x*y^2
-    assert tq.dim == 7
+    assert len(tq.basis) == 7
     nf = reduce_poly(tq, y * y)
     assert [(tq.basis[i], c) for i, c in nf] == [((3, 0), Fraction(1))]
     # a basis term and a reducible one cancel to the zero element
@@ -115,7 +116,7 @@ def test_truncated_quotient_cusp_normal_forms():
 def test_truncated_quotient_zero_ideal_is_free():
     F = PrimeField(2)
     tq = truncated_quotient(F, 2, [], 3, capacity=500)
-    assert tq.dim == count_monomials_below(2, 3)
+    assert len(tq.basis) == count_monomials_below(2, 3)
 
 
 def test_graded_component_rank_full_polynomial_ring():
@@ -149,10 +150,11 @@ def test_component_rank_of_empty_ideal_counts_monomials(nvars, d):
 # replaced
 
 
-def _reference_truncated_quotient(field, nvars, gens, cap):
-    """k[x]/(I + m^cap) as built before the frames: its own grlex monomial
-    list and index per call, the multipliers of each generator counted by
-    `comb`, and a degree test on every product."""
+def _reference_dense(field, nvars, gens, cap):
+    """(basis, nf) of k[x]/(I + m^cap) as built before the frames: its own
+    grlex monomial list and index per call, the multipliers of each
+    generator counted by `comb`, a degree test on every product, and each
+    normal form as a dense coordinate vector over the basis."""
     monos = sorted((e for e in itertools.product(range(cap), repeat=nvars) if sum(e) < cap),
                    key=grlex_key)
     index = {m: i for i, m in enumerate(monos)}
@@ -179,8 +181,19 @@ def _reference_truncated_quotient(field, nvars, gens, cap):
             if c != pc:
                 v[pos[c]] = field.neg(x)
         nf[monos[pc]] = v
-    return TruncatedQuotient(field=field, nvars=nvars, cap=cap,
-                             basis=[monos[c] for c in free], nf=nf)
+    return [monos[c] for c in free], nf
+
+
+def _classes_of(field, nf):
+    """Each dense normal form's nonzero (basis index, value) entries."""
+    return {m: [(j, x) for j, x in enumerate(v) if not field.is_zero(x)] for m, v in nf.items()}
+
+
+def _reference_truncated_quotient(field, nvars, gens, cap):
+    """The reference build with each normal form kept as its class."""
+    basis, nf = _reference_dense(field, nvars, gens, cap)
+    return TruncatedQuotient(field=field, nvars=nvars, cap=cap, basis=basis,
+                             classes=_classes_of(field, nf))
 
 
 _FIELDS = (rationals(), PrimeField(3), finite_field(2, 2), PrimeField(32003))
@@ -224,7 +237,7 @@ def _case(F, nvars, cap, *gens):
 # The rows add packed monomial codes with digits in base 2*cap - 1, which
 # holds every exponent of a product below the cap only once the terms at or
 # past the cap are dropped: x^5 at cap 3 in k[x, y] has the code of y.
-_Q, _F3, _F4 = rationals(), PrimeField(3), finite_field(2, 2)
+_Q, _F2, _F3, _F4 = rationals(), PrimeField(2), PrimeField(3), finite_field(2, 2)
 
 
 @given(_presentation_and_cap())
@@ -241,7 +254,50 @@ def test_truncated_quotient_matches_the_reference_build(case):
     got = truncated_quotient(F, nvars, gens, cap)
     ref = _reference_truncated_quotient(F, nvars, gens, cap)
     assert got.basis == ref.basis
-    assert got.nf == ref.nf
+    assert got.classes == ref.classes
+
+
+@st.composite
+def _class_cases(draw):
+    """A field among Q, F_2, F_3 and F_4, one to four variables, a cap from 0
+    to 8 and one to three generators of order below the cap where it
+    allows one, each of one to five nonzero terms: of one degree when
+    graded, of up to two degrees more when local."""
+    F = draw(st.sampled_from((_Q, _F2, _F3, _F4)))
+    nvars, cap = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    graded = draw(st.booleans())
+    scalar = _scalars(F).filter(lambda c: not F.is_zero(c))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, max(cap - 1, 1)))
+        terms = {}
+        for _ in range(draw(st.integers(1, 5))):
+            e = d if graded else d + draw(st.integers(0, 2))
+            bars = draw(st.lists(st.integers(0, nvars - 1), min_size=e, max_size=e))
+            terms[tuple(bars.count(k) for k in range(nvars))] = draw(scalar)
+        gens.append(Poly(F, nvars, terms))
+    return F, nvars, gens, cap
+
+
+@given(_class_cases())
+@example(_case(_Q, 2, 5, {(0, 2): 1, (3, 0): -1, (2, 1): 2}))
+@example(_case(_F2, 3, 4, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): 1},
+               {(0, 2, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}))
+@example(_case(_F4, 2, 4, {(2, 0): 1, (1, 1): 2, (0, 2): 3}))
+@settings(max_examples=150, deadline=None)
+def test_classes_are_the_nonzero_entries_of_the_dense_reference(case):
+    # the kernel keeps each class sparse; an algebra hands out those
+    # classes, and its nf view rebuilds the dense table of the reference
+    F, nvars, gens, cap = case
+    basis, nf = _reference_dense(F, nvars, gens, cap)
+    classes = _classes_of(F, nf)
+    tq = truncated_quotient(F, nvars, gens, cap)
+    assert (tq.basis, tq.classes) == (basis, classes)
+    mode = "graded" if all(g.is_homogeneous() for g in gens) else "local"
+    A = jet(Presentation(F, tuple(f"x{k}" for k in range(nvars)), gens, mode), cap)
+    assert A.basis == basis
+    assert {m: A.reduce_monomial(m) for m in classes} == classes
+    assert A.nf == nf
 
 
 @given(st.sampled_from(_FIELDS), st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
@@ -255,7 +311,7 @@ def test_defpair_jet_matches_the_reference_build(F, a, b, n, ideal):
     A = defpair_jet(p, n)
     ref = _reference_truncated_quotient(A.field, A.nvars, A.relations, A.cap)
     assert A.basis == ref.basis
-    assert A.nf == ref.nf
+    assert A._classes == ref.classes
 
 
 # Macaulay rows built from each generator's row form against the reference,
@@ -276,7 +332,7 @@ def test_row_form_macaulay_rows_match_the_raw_row_build(name, case):
     got = truncated_quotient(F, nvars, gens, cap)
     ref = _reference_truncated_quotient(F, nvars, gens, cap)
     assert got.basis == ref.basis
-    assert got.nf == ref.nf
+    assert got.classes == ref.classes
 
 
 def test_a_truncated_row_of_content_above_one_reduces_to_its_pivot():
@@ -284,7 +340,7 @@ def test_a_truncated_row_of_content_above_one_reduces_to_its_pivot():
     nvars, gens, cap = row_form_cases(rationals())["content_above_one"]
     tq = truncated_quotient(rationals(), nvars, gens, cap)
     assert tq.basis == [(0,), (1,)]
-    assert tq.nf == {(2,): [0, 0]}
+    assert tq.classes == {(2,): []}
 
 
 @pytest.mark.parametrize("name", sorted(ROW_FORM_RINGS))
@@ -337,7 +393,8 @@ def test_row_free_jets_match_the_reference_without_an_elimination(monkeypatch, n
         got = truncated_quotient(F, nvars, gens, cap)
         assert calls == [], (nvars, cap)
         ref = _reference_truncated_quotient(F, nvars, gens, cap)
-        assert (got.basis, got.nf) == (ref.basis, ref.nf) == (list(monomials_below(nvars, cap)), {})
+        assert ((got.basis, got.classes) == (ref.basis, ref.classes)
+                == (list(monomials_below(nvars, cap)), {}))
         calls.clear()
     p = parse_presentation(f"ring {ROW_FORM_RINGS[name]}[x, y]\nlocal\nideal: y^2 - x^3")
     assert jet(p, 2).dim == 3 and calls == []
@@ -407,7 +464,7 @@ def test_skipped_multipliers_leave_the_quotient_of_all_rows(case):
     got = truncated_quotient(F, nvars, gens, cap)
     ref = _reference_truncated_quotient(F, nvars, gens, cap)
     assert got.basis == ref.basis
-    assert got.nf == ref.nf
+    assert got.classes == ref.classes
 
 
 def test_a_complete_intersection_enters_no_row_that_reduces_to_zero(monkeypatch):
@@ -422,9 +479,9 @@ def test_a_complete_intersection_enters_no_row_that_reduces_to_zero(monkeypatch)
     tq = truncated_quotient(p.base_field(), 3, p.gens, 12)
     assert sum(count_monomials_below(3, 12 - g.order()) for g in p.gens) == 660
     assert len(inserted) == 356 and inserted.count(False) == 0
-    assert tq.dim == count_monomials_below(3, 12) - 356 == 8
+    assert len(tq.basis) == count_monomials_below(3, 12) - 356 == 8
     ref = _reference_truncated_quotient(p.base_field(), 3, p.gens, 12)
-    assert (tq.basis, tq.nf) == (ref.basis, ref.nf)
+    assert (tq.basis, tq.classes) == (ref.basis, ref.classes)
 
 
 @pytest.fixture
@@ -450,16 +507,16 @@ def test_two_presentations_of_one_shape_enumerate_monomials_once(enumerations):
 def test_mutating_a_jet_leaves_the_next_jet_of_its_shape_alone():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3")
     A = jet(p, 5)
-    basis, nf = list(A.basis), {m: list(v) for m, v in A.nf.items()}
+    basis, classes, nf = list(A.basis), copy.deepcopy(A._classes), A.nf
     A.basis.reverse()
     A.basis.append((9, 9))
-    for v in A.nf.values():
-        v[:] = [Fraction(7)] * len(v)
-    A.nf[(9, 9)] = []
+    for cls in A._classes.values():
+        cls[:] = [(0, Fraction(7))]
+    A._classes[(9, 9)] = []
     B = jet(p, 5)
-    assert B.basis == basis and B.nf == nf
+    assert B.basis == basis and B._classes == classes and B.nf == nf
     free = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: ;"), 5)
-    assert free.basis == list(monomials_below(2, 5)) and free.nf == {}
+    assert free.basis == list(monomials_below(2, 5)) and free._classes == free.nf == {}
 
 
 def test_a_cap_over_the_capacity_builds_no_frame(enumerations):
@@ -481,6 +538,26 @@ def test_truncated_quotient_checks_the_cap_then_constant_terms_then_the_capacity
         truncated_quotient(F, 2, [x, unit], 64)
     with pytest.raises(CapacityError):
         truncated_quotient(F, 2, [x, x], 64)
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in Path(poly.__file__).parent.glob("*.py")))
+def test_only_the_nf_view_reads_dense_normal_forms(module):
+    # classes stay sparse from the jet kernel on: no module reads an nf,
+    # and the dense view on ArtinAlgebra reads only the classes
+    tree = ast.parse(Path(poly.__file__).with_name(f"{module}.py").read_text())
+    view = set()
+    if module == "artin":
+        cls, = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ArtinAlgebra")
+        view = {id(n) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "nf"
+                for n in ast.walk(f)}
+        assert view
+    for node in ast.walk(tree):
+        if id(node) in view:
+            continue
+        assert not (isinstance(node, ast.Attribute) and node.attr == "nf"), node.lineno
+        assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                    and any(getattr(a, "value", None) == "nf" for a in node.args)), node.lineno
 
 
 @pytest.mark.parametrize("module", sorted(
