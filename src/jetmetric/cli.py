@@ -256,7 +256,7 @@ def _run_classify(args):
 
 def _run_euler(args):
     p, digest = _load(args.file)
-    chi, genus = euler_characteristic(p, args.prefix_len)
+    chi, genus = euler_characteristic(p)
     return {"chi": chi, "genus": genus}, None, {args.file: digest}
 
 
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("euler", help="Euler characteristic and genus")
     sp.add_argument("file")
-    sp.add_argument("--prefix-len", type=int, default=None)
 
     sp = sub.add_parser("limit", help="stabilized jet of a parameterized family")
     sp.add_argument("--template", required=True)

@@ -39,10 +39,10 @@ field's row ``entry`` once: a caller that builds many rows from one
 polynomial (the Macaulay rows of a generator) converts its coefficients
 once and hands the rows over in row form to :meth:`Echelon.insert`; every
 other row, an :class:`ExactMatrix` row among them, is converted as it
-enters.  :func:`rank_gf2` ranks F_2 rows held as bitmasks; its one caller
-is ``poly.graded_component_rank``, the brute-force reference for graded
-Hilbert functions, which no other routine of the package calls.  No
-floating point anywhere.
+enters.  :func:`rank_gf2` ranks F_2 rows held as bitmasks; no routine of
+the package calls it (every rank, over F_2 too, is an :class:`Echelon`'s),
+and it stays only because the benchmark's tracer wraps it.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -635,15 +635,11 @@ class ExtensionField(Field):
         slot = ((2 * m - 1) * (p - 1) ** 2).bit_length()
         self._slot, self._slot_mask = slot, (1 << slot) - 1
         self._low_mask = (1 << (slot * m)) - 1
-        # packed digits of a^k for m <= k <= 2m-2, so a product reduces
-        # without polynomial division
-        red, cur = [], [(-c) % p for c in self.minpoly[:-1]]
-        for _ in range(m - 1):
-            red.append(cur)
-            lead, cur = cur[-1], [0] + cur[:-1]
-            if lead:
-                cur = [(x + lead * t) % p for x, t in zip(cur, red[0])]
-        self._red = [sum(c << (slot * i) for i, c in enumerate(row)) for row in red]
+        # packed digits of a^k mod minpoly for m <= k <= 2m-2, reduced once
+        # here so that a product reduces without polynomial division
+        self._red = [sum(c << (slot * i) for i, c in
+                         enumerate(_fp_mod([0] * k + [1], self.minpoly, p)))
+                     for k in range(m, 2 * m - 1)]
 
     def _pack(self, a: int) -> int:
         p, slot = self.p, self._slot

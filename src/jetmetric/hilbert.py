@@ -197,11 +197,10 @@ def dim_mult(hd: HilbertData) -> tuple[int, int]:
     return hd.dim, hd.mult
 
 
-def euler_characteristic(p: Presentation,
-                         prefix_len: Optional[int] = None) -> tuple[int, Optional[int]]:
+def euler_characteristic(p: Presentation) -> tuple[int, Optional[int]]:
     """chi of the polarized scheme with section ring p, and the genus when the
     scheme is a curve (pole order 2)."""
-    hd = hilbert_series(p, prefix_len)
+    hd = hilbert_series(p)
     if hd.pole_order == 0:
         raise PoleOrderZeroError("empty scheme: section ring is Artinian")
     chi = poly_eval(hd.degreewise, 0)

@@ -43,7 +43,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .errors import CapacityError, ConstantTermError, NonHomogeneousError
-from .exactcore import Echelon, ExactMatrix, Field, rank_gf2
+from .exactcore import Echelon, ExactMatrix, Field
 
 Monomial = tuple[int, ...]
 # an element of a quotient as the ascending list of its nonzero
@@ -339,29 +339,10 @@ def graded_component_rank(field: Field, nvars: int, gens: Sequence[Poly],
             raise NonHomogeneousError("generator mixes degrees")
     cols = monomials_of_degree(nvars, d)
     index = {m: i for i, m in enumerate(cols)}
-    use_gf2 = field.order == 2
-    rows_int: list[int] = []
-    rows_gen: list[dict] = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        e = g.degree()
-        if e > d:
-            continue
-        for u in monomials_of_degree(nvars, d - e):
-            if use_gf2:
-                bits = 0
-                for t, c in g.terms.items():
-                    if c % 2:
-                        bits |= 1 << index[mono_mul(t, u)]
-                if bits:
-                    rows_int.append(bits)
-            else:
-                rows_gen.append({index[mono_mul(t, u)]: c for t, c in g.terms.items()})
-    if use_gf2:
-        rank = rank_gf2(rows_int)
-    else:
-        rank = ExactMatrix(field, rows_gen, len(cols)).rank()
+    rows = [{index[mono_mul(t, u)]: c for t, c in g.terms.items()}
+            for g in gens if not g.is_zero() and g.degree() <= d
+            for u in monomials_of_degree(nvars, d - g.degree())]
+    rank = ExactMatrix(field, rows, len(cols)).rank()
     return rank, len(cols) - rank
 
 

@@ -99,7 +99,9 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
     entry = field.row_arithmetic[0]
     # each nonzero generator's degree and coefficients in row form
     rowed = [(g.degree(), entry(g.terms).items()) for g in gens if not g.is_zero()]
-    ech, basis, verified, d = Echelon(field), [], set(), 0
+    # no row enters below the least generator degree
+    ech, basis, verified = Echelon(field), [], set()
+    d = min((deg for deg, _ in rowed), default=0)
     while True:
         before = set(ech.rows)
         for deg, terms in rowed:
@@ -120,19 +122,23 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
 
 def _numerator(gens: tuple[Monomial, ...], memo: dict) -> list[int]:
     """N(t) with series N(t)/(1 - t)^r of k[x]/(gens), for minimal monomial
-    generators ascending in grlex order."""
-    if gens and gens not in memo:
-        *rest, m = gens
-        s, out = sum(m), list(_numerator(tuple(rest), memo))
-        colon = _minimal(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest)
-        low = _numerator(colon, memo)
-        out += [0] * (s + len(low) - len(out))
-        for i, c in enumerate(low):
-            out[s + i] -= c
+    generators ascending in grlex order.  The generators are taken in one
+    loop, each m turning N(I) into N(I + (m)) for the ideal I of those before
+    it, so only the colon ideals I : m recurse and the depth does not grow
+    with the number of generators."""
+    if gens not in memo:
+        out = [1]
+        for j, m in enumerate(gens):
+            s = sum(m)
+            low = _numerator(_minimal(tuple(max(x - y, 0) for x, y in zip(g, m))
+                                      for g in gens[:j]), memo)
+            out += [0] * (s + len(low) - len(out))
+            for i, c in enumerate(low):
+                out[s + i] -= c
         while out and out[-1] == 0:
             out.pop()
         memo[gens] = out
-    return memo[gens] if gens else [1]
+    return memo[gens]
 
 
 def hilbert_numerator(field: Field, nvars: int, gens: Sequence[Poly],

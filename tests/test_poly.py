@@ -209,21 +209,24 @@ def _scalars(F):
 
 @st.composite
 def _presentation_and_cap(draw):
-    """A field, one to four variables, generators (zero ones and ones of
-    order at or above the cap among them) and a cap from 0 to 8."""
+    """A field, one to four variables, a cap from 0 to 8 and generators of
+    order below the cap where it allows one, with zero ones and one in four
+    of order at or past the cap among them."""
     F = draw(st.sampled_from(_FIELDS))
     nvars, cap = draw(st.integers(1, 4)), draw(st.integers(0, 8))
     graded = draw(st.booleans())
+    scalar = _scalars(F).filter(lambda c: not F.is_zero(c))
     gens = []
     for _ in range(draw(st.integers(0, 4))):
-        degs = [draw(st.integers(1, 7))]
-        degs *= draw(st.integers(0, 3))
+        below = cap > 1 and draw(st.sampled_from((True, True, True, False)))
+        degs = [draw(st.integers(1, cap - 1) if below else st.integers(max(cap, 1), cap + 2))]
+        degs *= draw(st.integers(0, 5))
         if not graded:
             degs = [d + draw(st.integers(0, 2)) for d in degs]
         terms = {}
         for d in degs:
             bars = draw(st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d))
-            terms[tuple(bars.count(k) for k in range(nvars))] = draw(_scalars(F))
+            terms[tuple(bars.count(k) for k in range(nvars))] = draw(scalar)
         gens.append(Poly(F, nvars, terms))
     return F, nvars, gens, cap
 
@@ -558,6 +561,17 @@ def test_only_the_nf_view_reads_dense_normal_forms(module):
         assert not (isinstance(node, ast.Attribute) and node.attr == "nf"), node.lineno
         assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
                     and any(getattr(a, "value", None) == "nf" for a in node.args)), node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in Path(poly.__file__).parent.glob("*.py")))
+def test_no_module_ranks_through_the_bitmask_routine(module):
+    # every rank, over F_2 too, is an Echelon's: rank_gf2 is defined, never
+    # imported, called or passed on
+    for node in ast.walk(ast.parse(Path(poly.__file__).with_name(f"{module}.py").read_text())):
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else getattr(node, "id", None))
+        assert name != "rank_gf2", node.lineno
 
 
 @pytest.mark.parametrize("module", sorted(

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+import time
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -8,11 +11,12 @@ from hypothesis import strategies as st
 from jetmetric.artin import jet
 from jetmetric.errors import CapacityError, ConstantTermError
 from jetmetric.exactcore import finite_field, rationals
-from jetmetric.hilbert import hilbert_series
+from jetmetric.hilbert import hilbert_series, length_model
 from jetmetric.poly import (DEFAULT_CAPACITY, graded_component_rank, grlex_key, mono_mul,
                             monomials_of_degree)
 from jetmetric.presentation import parse_presentation
-from jetmetric.standard import _divides, _minimal, hilbert_numerator, leading_ideal, series
+from jetmetric.standard import (_divides, _minimal, _numerator as numerator_of, hilbert_numerator,
+                                leading_ideal, series)
 
 from conftest import random_presentation, row_form_cases
 
@@ -50,6 +54,28 @@ def test_numerators_of_monomial_ideals():
     assert _numerator("ring Q[x, y]\ngraded\nideal: x^2, x*y, y^2") == ([1, 2], 0)
     assert _numerator("ring Q[x, y, z]\ngraded\nideal: x*y, x*z, y*z") == ([1, 2], 1)
     assert _numerator("ring Q[x, y]\nlocal\nideal: x^10") == ([1] * 10, 1)
+
+
+def test_numerator_stack_does_not_grow_with_the_generators():
+    # N(t) of k[x, y]/m^d is 1 - (d + 1) t^d + d t^(d + 1); its d + 1
+    # generators are taken in a loop, so the stack holds only colon ideals
+    d = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        got = numerator_of(_minimal(monomials_of_degree(2, d)), {})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [1] + [0] * (d - 1) + [-(d + 1), d]
+
+
+def test_degree_climb_starts_at_the_least_generator_degree():
+    # no row enters below degree 10^7, so no pass is made there
+    p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^10000000")
+    start = time.process_time()
+    hd = length_model(p)
+    assert time.process_time() - start < 1
+    assert (hd.numerator, hd.pole_order) == ([1, 1], 1)
 
 
 def test_series_expands_the_rational_form():
