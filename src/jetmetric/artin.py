@@ -9,8 +9,13 @@ the one table of products of basis pairs, kept sparse (the nonzero
 tabulated up front, which keeps large jets affordable; the witness search,
 the invariants and the graded resolution all read it, together with the
 basis indices of each degree component.  The basis is in ascending grlex
-order, so each component is a run of it, read off once per algebra, and a
-nonzero algebra's unit is its first basis monomial.  One builder,
+order, so each component is a run of it, and a nonzero algebra's unit is
+its first basis monomial.  The tables of a basis (the index of each basis
+monomial, the degree of each, the indices of each degree component) depend
+on the basis alone, so they are built once per basis, as `poly` builds one
+frame per shape, and kept in one bounded memo: every algebra on that basis,
+whatever its field, cap or relations, its extensions of scalars among them,
+shares them read-only.  One builder,
 `product_rows`, turns that table into the raw rows basis[u] * g of a module
 element g for `Echelon`: the resolution's products and the rows of the
 derivation space both come from it.  A normal form never lowers the degree, so it drops
@@ -68,6 +73,7 @@ from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, Zero
 from .exactcore import ExactMatrix, Field
 from .poly import (
     DEFAULT_CAPACITY,
+    FRAME_CACHE_SIZE,
     Monomial,
     Poly,
     Sparse,
@@ -96,6 +102,24 @@ def _normalized(acc: list, modulus: Optional[int]) -> Sparse:
     return [(k, r) for k, x in enumerate(acc) if (r := x % modulus)]
 
 
+# how many basis tables stay cached, as many as `poly`'s frames
+TABLE_CACHE_SIZE = FRAME_CACHE_SIZE
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _basis_table(basis: tuple[Monomial, ...]) -> tuple[dict[Monomial, int], tuple[int, ...],
+                                                      tuple[tuple[int, ...], ...]]:
+    """The tables of one basis, shared read-only by every algebra on it:
+    the index of each basis monomial, the degree of each, and the indices
+    of each degree component.  The basis is ascending grlex, so each
+    component is a run of it, and a nonzero jet's first basis monomial is
+    1."""
+    degrees = tuple(map(sum, basis))
+    starts = [bisect_left(degrees, d) for d in range(degrees[-1] + 2 if degrees else 0)]
+    return ({m: i for i, m in enumerate(basis)}, degrees,
+            tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:])))
+
+
 @dataclass
 class AlgebraOrigin:
     """How an ArtinAlgebra was built: which presentation, which order."""
@@ -119,12 +143,7 @@ class ArtinAlgebra:
         self.relations = list(relations)
         self.origin = origin
         self.tuple_images = tuple_images
-        self._index = {m: i for i, m in enumerate(self.basis)}
-        degrees = self._degrees = list(map(sum, self.basis))
-        # the basis is ascending grlex, so each degree component is a run
-        # of it, and a nonzero jet's first basis monomial is 1
-        starts = [bisect_left(degrees, d) for d in range(degrees[-1] + 2 if degrees else 0)]
-        self._components = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+        self._index, self._degrees, self._components = _basis_table(tuple(self.basis))
         self._pair_cache: dict[tuple[int, int], Sparse] = {}
         self._extensions: dict[int, ArtinAlgebra] = {}
         self._one: Sparse = [(0, field.one())] if self.basis else []
@@ -367,10 +386,11 @@ def hilbert_function(A: ArtinAlgebra) -> tuple[int, list[int]]:
 
 
 def nilpotency_index(A: ArtinAlgebra) -> int:
-    """Least n with m^n = 0; equals 1 + top basis-monomial degree."""
+    """Least n with m^n = 0; equals 1 + top basis-monomial degree, the
+    number of degree components."""
     if A.is_zero_ring():
         raise ZeroRingError("nilpotency index of the zero ring")
-    return 1 + max(A._degrees)
+    return len(A._components)
 
 
 def _socle_matrix(A: ArtinAlgebra) -> ExactMatrix:

@@ -77,7 +77,13 @@ spaces; the enumeration keeps only images whose degree-1 rows span it),
 so it maps onto B by Nakayama's lemma, and it is bijective because the
 lengths are equal: the separators have matched them, or the pair is one
 quotient.  Every ISO verdict then leaves `decide_isomorphism`
-through one `verify_witness`, the full check.
+through one `verify_witness`, the full check, which reads bijectivity by
+the same argument: once images in m_B kill the relations and the
+truncation ideal of A, the map is an algebra map, onto exactly when the
+degree-1 coordinates of the images span m_B/m_B^2 (an Artinian local
+algebra is generated by lifts of a basis of m/m^2, Nakayama's lemma), and
+bijective when it is onto and the lengths are equal.  That is one rank of
+r rows of at most embdim entries.
 
 Candidates and witnesses are `Sparse` elements, the one element form of
 `artin`, in every field; only the CLI writes a witness out, as text.
@@ -366,12 +372,24 @@ def _maps_relations(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap,
     return True
 
 
-def _bijective(A: ArtinAlgebra, B: ArtinAlgebra, image: MonomialMap) -> bool:
-    """Whether the linear map of image is bijective, for A.dim == B.dim: its
-    rows here are the sparse images of A's basis, the columns of the
-    matrix, and a matrix and its transpose have the same rank."""
-    rows = [dict(image(mono)) for mono in A.basis]
-    return ExactMatrix(B.field, rows, B.dim).rank() == A.dim
+def _spans_cotangent(B: ArtinAlgebra, images: Sequence[Sparse]) -> bool:
+    """Whether the degree-1 coordinates of the images span B's degree-1
+    component, that is m_B/m_B^2: a normal form never lowers the degree,
+    so m_B^2 is spanned by the basis monomials of degree 2 and up, and an
+    element of m_B is read modulo m_B^2 at its degree-1 indices, one run
+    of the basis.  One `Echelon` on len(images) rows of at most embdim
+    entries."""
+    lin = B.component(1)
+    if len(images) < len(lin):
+        return False
+    if not lin:
+        return True
+    first, last = lin[0], lin[-1]
+    ech = Echelon(B.field)
+    for img in images:
+        if ech.add({i: c for i, c in img if first <= i <= last}) and len(ech.rows) == len(lin):
+            return True
+    return False
 
 
 def _in_maximal_ideal(B: ArtinAlgebra, v: Sparse) -> bool:
@@ -391,8 +409,18 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     """Mechanical check that w defines an isomorphism A -> B (after the
     recorded base change): images lie in the maximal ideal, relations die,
     the truncation ideal dies, with match_tuples A's deformation-tuple
-    images go to B's, and the induced linear map is bijective.  A base
-    change that is not a positive int, or any over Q, is rejected."""
+    images go to B's, and the induced map is bijective.  A base change
+    that is not a positive int, or any over Q, is rejected.
+
+    Bijectivity is read on the cotangent space.  The checks before it make
+    w an algebra map A = k[x]/(I + m^cap) -> B of local algebras of equal
+    length.  Its image is a subalgebra S with m_B = (S ∩ m_B) + m_B^2
+    exactly when the degree-1 coordinates of the images span m_B/m_B^2
+    (`_spans_cotangent`); then m_B = (S ∩ m_B) + m_B^d for every d by
+    induction, and m_B^d = 0 for large d, so S = B (Nakayama's lemma: an
+    Artinian local algebra is generated by lifts of a basis of m/m^2).
+    Conversely an onto map sends m_A onto m_B and so onto m_B/m_B^2.  An
+    onto linear map between spaces of equal dimension is bijective."""
     m = w.ext_multiple
     if not isinstance(m, int) or m < 1 or (m > 1 and A.field.order is None):
         return False
@@ -408,7 +436,7 @@ def verify_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness,
     if nilpotency_index(B) > A.cap:
         return False
     image = B.monomial_map(w.images)
-    return _maps_relations(A, B, image, match_tuples) and _bijective(A, B, image)
+    return _maps_relations(A, B, image, match_tuples) and _spans_cotangent(B, w.images)
 
 
 def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:

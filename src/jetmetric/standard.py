@@ -72,9 +72,13 @@ def _pairs_reduce(clear, basis: list, d: int, verified: set) -> bool:
     """Whether every S-pair of the basis, (a, b, row) per row of J with a
     minimal leading monomial t^a x^b (the echelon's stored row, keyed by
     grlex_key, its pivot at b), above degree d reduces to zero.  A reduced
-    pair stays verified."""
+    pair stays verified.  The S-polynomial of two single-term rows is zero,
+    so such a pair is skipped: a monomial ideal makes no reduction."""
     for j, (aj, bj, rj) in enumerate(basis):
+        single = len(rj) == 1
         for ai, bi, ri in basis[:j]:
+            if single and len(ri) == 1:
+                continue
             lcm = tuple(map(max, bi, bj))
             e = max(ai, aj) + sum(lcm)
             coprime = e == ai + aj + sum(bi) + sum(bj)

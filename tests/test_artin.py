@@ -275,6 +275,61 @@ def test_extension_degrees_are_checked_by_the_field():
                 A.extension(k)
 
 
+def test_algebras_on_one_basis_share_its_tables():
+    # y^2 - x^3 and y^2 + 2*x^5 pivot at y^2 alike, so their jets of order
+    # 4 have one basis, whatever the field; an extension keeps the basis
+    texts = ["ring Q[x, y]\nlocal\nideal: y^2 - x^3", "ring Q[x, y]\nlocal\nideal: y^2 + 2*x^5",
+             "ring F_2[x, y]\nlocal\nideal: y^2 + x^3"]
+    A, *others = [jet(parse_presentation(text), 4) for text in texts]
+    others.append(others[-1].extension(2))
+    for B in others:
+        assert B.basis == A.basis
+        assert B._index is A._index
+        assert B._degrees is A._degrees
+        assert B._components is A._components
+
+
+def test_every_basis_table_stays_as_it_was_built(monkeypatch):
+    # the tables are shared read-only: after corpus-shaped distance runs, a
+    # base-change ladder's resolutions and a jet over F_32003, each table
+    # handed out equals one built afresh from its basis
+    handed = []
+    table = artin._basis_table
+
+    def recorded(basis):
+        handed.append((basis, table(basis)))
+        return handed[-1][1]
+    monkeypatch.setattr(artin, "_basis_table", recorded)
+    rng = random.Random(20260814)
+    budget = SearchBudget(ext_degree_max=1, effort=4000)
+    for _ in range(8):
+        field, nvars = rng.choice(["Q", "F_2", "F_3"]), rng.randint(1, 3)
+        mode = rng.choice(["graded", "local"])
+        ps = [random_presentation(rng, field, nvars, mode) for _ in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            jet_distance(ps[i], ps[j], 3, budget)
+    A = jet(parse_presentation("ring F_2[x, y, z]\ngraded\nideal: x^2 + y*z + z^2, y^2 + x*y + x*z"), 4)
+    for B in (A, base_change(A, 2), base_change(A, 4)):
+        betti_residue_field(B, 4)
+        socle(B)
+    B = jet(parse_presentation("ring F_32003[x, y, z]\nlocal\nideal: x^2 - y^3 + z^4, y*z - x^3"), 6)
+    invariant_signature(B)
+    assert len({basis for basis, _ in handed}) < len(handed)
+    for basis, got in handed:
+        assert got == table.__wrapped__(basis), basis
+
+
+def test_the_basis_table_memo_is_bounded():
+    # k[x]/m^n has a basis of its own for each n
+    p = parse_presentation("ring Q[x]\ngraded\nideal: ;")
+    bound = artin.TABLE_CACHE_SIZE
+    for n in range(1, bound + 9):
+        assert jet(p, n).dim == n
+    info = artin._basis_table.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize == bound
+
+
 # modules that may call each constructor: an algebra is built by `jet`,
 # `defpair_jet` and `ArtinAlgebra.extension`, a truncated quotient by `poly`
 # and, for an extension, by `artin`

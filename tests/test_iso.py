@@ -715,6 +715,15 @@ def _scaled_images(B, perm, scals):
 # the one-by-one reference search
 
 
+def _reference_bijective(A, B, image):
+    """Whether the linear map of image is bijective, for A.dim == B.dim, by
+    the n x n rank of the images of A's basis: the rows here are the
+    columns of the map's matrix, and a matrix and its transpose have the
+    same rank."""
+    rows = [dict(image(mono)) for mono in A.basis]
+    return ExactMatrix(B.field, rows, B.dim).rank() == A.dim
+
+
 class _ReferenceSearcher(iso._Searcher):
     """The witness search one candidate at a time, in `iso._Searcher`'s
     order, through its own `listed` and `enumerated`, the two methods
@@ -759,7 +768,7 @@ class _ReferenceSearcher(iso._Searcher):
         A, B = self.A, self.B
         image = B.monomial_map(images)
         return (iso._maps_relations(A, B, image, self.tuple_constraint)
-                and iso._bijective(A, B, image))
+                and _reference_bijective(A, B, image))
 
     def identity_candidate(self):
         if self.A.nvars != self.B.nvars:
@@ -1195,8 +1204,68 @@ def test_search_witnesses_are_bijective(pair, effort):
         return
     if w is not None:
         image = B.monomial_map(w.images)
-        assert iso._bijective(A, B, image)
+        assert _reference_bijective(A, B, image)
         assert verify_witness(A, B, w, match_tuples)
+
+
+# ---------------------------------------------------------------------------
+# bijectivity read on m/m^2 against the n x n rank
+
+_RING_TEXT = {"Q": "Q", "F_3": "F_3", "F_4": "F_2^2 minpoly a^2 + a + 1"}
+_IMAGE_KINDS = ["var", "var", "random", "deep", "top", "zero"]
+
+
+def _drawn_image(rng, B, kind, var):
+    """An element of B's maximal ideal of one kind: var, the class of a
+    variable, plus random terms of degree 2 and up ("var"); random terms of
+    every positive degree ("random"), of degree 2 and up only, into m^2
+    ("deep"), or of the top degree only ("top"); or zero, a dropped
+    variable ("zero")."""
+    f, degrees = B.field, B.degrees()
+    low = {"var": 2, "random": 1, "deep": 2, "top": degrees[-1]}.get(kind)
+    out = dict(var) if kind == "var" else {}
+    if low is not None:
+        for i, d in enumerate(degrees):
+            if d >= max(low, 1) and rng.random() < 0.5:
+                out[i] = f.add(out.get(i, f.zero()), _random_scalar(rng, f))
+    return sorted((i, c) for i, c in out.items() if not f.is_zero(c))
+
+
+@st.composite
+def _verification_cases(draw):
+    """(A, B, images) over Q, F_3 or F_4: A and B one power quotient
+    k[x]/m^n, which every map into B's maximal ideal maps, or corpus-shaped
+    jets of order 2 to 4 of a random presentation p and of p itself or p
+    after an invertible linear change of variables; and one drawn image in
+    B's maximal ideal per variable, permuted variable classes among them."""
+    field = draw(st.sampled_from(sorted(_RING_TEXT)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nvars, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        names = ", ".join("xyz"[:nvars])
+        p = q = parse_presentation(f"ring {_RING_TEXT[field]}[{names}]\ngraded\nideal: ;")
+    else:
+        mode = draw(st.sampled_from(["graded", "local"]))
+        p = random_presentation(rng, field, nvars, mode, max_deg=3, min_deg=2)
+        q = _linear_change(p, rng) if draw(st.booleans()) else p
+    A, B = jet(p, n), jet(q, n)
+    perm = draw(st.permutations(range(nvars)))
+    kinds = draw(st.lists(st.sampled_from(_IMAGE_KINDS), min_size=nvars, max_size=nvars))
+    return A, B, [_drawn_image(rng, B, kind, B.var_image(perm[k]))
+                  for k, kind in enumerate(kinds)]
+
+
+@given(case=_verification_cases())
+@settings(max_examples=200, deadline=None)
+def test_cotangent_check_agrees_with_the_reference_rank(case):
+    # images in the maximal ideal of equal-length jets of one order: the
+    # map is a witness exactly when it kills the relations and its linear
+    # map on the bases has full rank
+    A, B, images = case
+    assert A.dim == B.dim and nilpotency_index(B) <= A.cap
+    image = B.monomial_map(images)
+    want = iso._maps_relations(A, B, image, False) and _reference_bijective(A, B, image)
+    assert verify_witness(A, B, Witness(images=images)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@ import random
 import sys
 import time
 from heapq import heapify, heappop, heappush
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetmetric import standard
 from jetmetric.artin import jet
 from jetmetric.errors import CapacityError, ConstantTermError
 from jetmetric.exactcore import finite_field, rationals
 from jetmetric.hilbert import hilbert_series, length_model
-from jetmetric.poly import (DEFAULT_CAPACITY, graded_component_rank, grlex_key, mono_mul,
+from jetmetric.poly import (DEFAULT_CAPACITY, Poly, graded_component_rank, grlex_key, mono_mul,
                             monomials_of_degree)
 from jetmetric.presentation import parse_presentation
 from jetmetric.standard import (_divides, _minimal, _numerator as numerator_of, hilbert_numerator,
@@ -76,6 +79,19 @@ def test_degree_climb_starts_at_the_least_generator_degree():
     hd = length_model(p)
     assert time.process_time() - start < 1
     assert (hd.numerator, hd.pole_order) == ([1, 1], 1)
+
+
+def test_a_monomial_ideal_makes_no_reduction(monkeypatch):
+    # every row of m^12 is one term, and the S-polynomial of two such rows
+    # is zero, so no pair is reduced; k[x, y, z]/m^12 has the Hilbert
+    # function binomial(d + 2, 2) for d < 12 and no pole
+    def refused(*args):
+        raise AssertionError("an S-pair of two single-term rows was reduced")
+    monkeypatch.setattr(standard, "_reduces_to_zero", refused)
+    f = rationals()
+    gens = [Poly(f, 3, {m: f.one()}) for m in monomials_of_degree(3, 12)]
+    assert leading_ideal(f, 3, gens) == monomials_of_degree(3, 12)
+    assert hilbert_numerator(f, 3, gens) == ([comb(d + 2, 2) for d in range(12)], 0)
 
 
 def test_series_expands_the_rational_form():
@@ -240,6 +256,41 @@ def test_leading_ideal_matches_the_field_arithmetic_reference(seed, field, mode,
     p = random_presentation(random.Random(seed), field, nvars, mode)
     assert _generators_or_guard(leading_ideal, p, capacity) == \
         _generators_or_guard(_reference_leading_ideal, p, capacity)
+
+
+def _unguarded_pairs_reduce(clear, basis, d, verified):
+    """`standard._pairs_reduce` reducing every S-pair it does not skip for
+    its degree, coprimality or an earlier check, those of two single-term
+    rows among them."""
+    for j, (aj, bj, rj) in enumerate(basis):
+        for ai, bi, ri in basis[:j]:
+            lcm = tuple(map(max, bi, bj))
+            e = max(ai, aj) + sum(lcm)
+            if e == ai + aj + sum(bi) + sum(bj) or e <= d or (bi, bj) in verified:
+                continue
+            over_i = tuple(x - y for x, y in zip(lcm, bi))
+            over_j = tuple(x - y for x, y in zip(lcm, bj))
+            h = clear(standard._shift(ri, over_i), standard._shift(rj, over_j), grlex_key(lcm))
+            if not standard._reduces_to_zero(clear, h, e, basis):
+                return False
+            verified.add((bi, bj))
+    return True
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_3", "F_4"]),
+       st.sampled_from(["local", "graded"]), st.integers(1, 3),
+       st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_skipping_monomial_pairs_keeps_the_leading_ideal(seed, field, mode, nvars, exponents):
+    # a random ideal with monomial generators beside it, so single-term rows
+    # meet rows of several terms
+    p = random_presentation(random.Random(seed), field, nvars, mode)
+    f = p.base_field()
+    p.gens = p.gens + [Poly(f, nvars, {tuple(e[:nvars]): f.one()})
+                       for e in exponents if sum(e[:nvars])]
+    got = _generators_or_guard(leading_ideal, p, DEFAULT_CAPACITY)
+    with mock.patch.object(standard, "_pairs_reduce", _unguarded_pairs_reduce):
+        assert got == _generators_or_guard(leading_ideal, p, DEFAULT_CAPACITY)
 
 
 @pytest.mark.parametrize("field", ["Q", "F_3"])

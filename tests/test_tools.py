@@ -1,6 +1,8 @@
+import re
 import runpy
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -29,10 +31,29 @@ def test_code_lines_drops_docstrings_comments_and_blank_lines():
     assert code_lines(SOURCE) == 6
 
 
-def test_profiler_names_the_jet_kernel():
-    done = subprocess.run([sys.executable, str(TOOLS / "prof.py"), "jet-growth"],
+@lru_cache(maxsize=None)
+def _profiled_jet_growth():
+    return subprocess.run([sys.executable, str(TOOLS / "prof.py"), "jet-growth"],
                           capture_output=True, text=True, timeout=120)
+
+
+def test_profiler_names_the_jet_kernel():
+    done = _profiled_jet_growth()
     assert done.returncode == 0, done.stderr
     head, profile = done.stdout.split("\nprofiled pass", 1)
     assert "median" in head
     assert "(truncated_quotient)" in profile
+
+
+def test_profiler_counts_the_basis_tables():
+    # every jet of the workload reads one table; its bases are fewer than
+    # its jets, and fewer than the bound, so the memo keeps each of them
+    done = _profiled_jet_growth()
+    assert done.returncode == 0, done.stderr
+    memos = done.stdout.split("\nmemos from the set-up on", 1)[1]
+    got = re.search(r"artin\._basis_table: (\d+) hits, (\d+) misses, size (\d+) of (\d+)",
+                    memos)
+    assert got is not None, memos
+    hits, misses, size, bound = map(int, got.groups())
+    assert hits > misses > 0
+    assert size == misses <= bound

@@ -7,7 +7,10 @@ Sets the workload up at the benchmark's seed through the harness in bench/
 and prints their CPU times and the median.  Then it profiles one more pass
 under cProfile and prints the functions under src/jetmetric with the most
 cumulative time.  cProfile inflates small calls, so compare shares within
-one profile, not seconds across profiles.
+one profile, not seconds across profiles.  Last come the hits, misses and
+size of each package memo, counted from the set-up on: one frame per
+shape, the monomials of each degree, one basis table per basis and the
+colengths of deformation pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ def main(argv: list[str]) -> int:
     print(f"profiled pass {profiled:.4f} s CPU")
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(re.escape(str(ROOT / "src" / "jetmetric")), TOP)
+    print("memos from the set-up on (set-up, warm-up and every pass):")
+    for name, memo in (("poly._frame", jm.poly._frame),
+                       ("poly.monomials_of_degree", jm.poly.monomials_of_degree),
+                       ("artin._basis_table", jm.artin._basis_table),
+                       ("artin._colength", jm.artin._colength)):
+        info = memo.cache_info()
+        print(f"  {name}: {info.hits} hits, {info.misses} misses, "
+              f"size {info.currsize} of {info.maxsize}")
     return 0
 
 
