@@ -112,8 +112,7 @@ def _basis_table(basis: tuple[Monomial, ...]) -> tuple[dict[Monomial, int], tupl
     """The tables of one basis, shared read-only by every algebra on it:
     the index of each basis monomial, the degree of each, and the indices
     of each degree component.  The basis is ascending grlex, so each
-    component is a run of it, and a nonzero jet's first basis monomial is
-    1."""
+    component is a run of it."""
     degrees = tuple(map(sum, basis))
     starts = [bisect_left(degrees, d) for d in range(degrees[-1] + 2 if degrees else 0)]
     return ({m: i for i, m in enumerate(basis)}, degrees,

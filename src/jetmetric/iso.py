@@ -380,8 +380,6 @@ def _spans_cotangent(B: ArtinAlgebra, images: Sequence[Sparse]) -> bool:
     of the basis.  One `Echelon` on len(images) rows of at most embdim
     entries."""
     lin = B.component(1)
-    if len(images) < len(lin):
-        return False
     if not lin:
         return True
     first, last = lin[0], lin[-1]
