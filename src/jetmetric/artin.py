@@ -55,7 +55,11 @@ Extension of scalars is the algebra's own operation, as it is the field's:
 basis, cap and origin kept.  It is built once per degree and kept with the
 algebra, as its products are, and it is the algebra itself when the field
 does not grow.  This module builds every algebra: `jet`, `defpair_jet` and
-`extension`.
+`extension`.  There is one jet per presentation and order: `jet` keeps the
+jets it builds in one bounded memo, keyed on the presentation object, and
+every caller shares them read-only, as it shares the stored classes and the
+basis tables, so a presentation compared with several others reuses its
+jets and the products they have already reduced.
 
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
@@ -67,6 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, NotPrimaryError, RangeError, TupleError, ZeroRingError
@@ -362,10 +367,47 @@ class ArtinAlgebra:
 # constructors
 
 
+# how many jets stay cached: fewer than the distinct jets of any benchmark
+# workload's pass, so the benchmark still times the builds
+JET_CACHE_SIZE = 16
+
+
+class _PresentationKey:
+    """A presentation as a memo key, by identity: hashed on its id and equal
+    only to a key of the same object whose field, variables, generators and
+    mode are still the objects they were when the key was made, so
+    reassigning `p.gens` gives a fresh jet.  A content key would hash every
+    generator's terms on each call."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, p: Presentation):
+        self.parts = (p, p.field, p.vars, p.gens, p.mode)
+
+    def __hash__(self) -> int:
+        return id(self.parts[0])
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, _PresentationKey)
+                and all(map(is_, self.parts, other.parts)))
+
+
 def jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> ArtinAlgebra:
-    """The n-th jet R/(I + m^n) of a presented algebra R = k[x]/I."""
+    """The n-th jet R/(I + m^n) of a presented algebra R = k[x]/I.
+
+    One jet per presentation, order and capacity: the jet is built once and
+    kept in a bounded memo, so every caller shares it, read-only, with its
+    memoized products and extensions of scalars.  An input that raises
+    caches nothing."""
     if n < 0:
         raise RangeError("jet order must be nonnegative")
+    return _jet(_PresentationKey(p), n, capacity)
+
+
+@lru_cache(maxsize=JET_CACHE_SIZE)
+def _jet(key: _PresentationKey, n: int, capacity: int) -> ArtinAlgebra:
+    """The jet of `jet`, built on a memo miss."""
+    p = key.parts[0]
     fld = p.base_field()
     tq = truncated_quotient(fld, p.nvars, p.gens, n, capacity=capacity)
     origin = AlgebraOrigin(presentation=p, order=n, kind="jet")

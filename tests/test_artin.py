@@ -20,11 +20,12 @@ from jetmetric.artin import (
     socle,
     socle_dimension,
 )
-from jetmetric.errors import CapacityError, FieldError, TupleError, ZeroRingError
+from jetmetric.errors import (CapacityError, ConstantTermError, FieldError, RangeError,
+                              TupleError, ZeroRingError)
 from jetmetric.exactcore import ExactMatrix, PrimeField, finite_field
-from jetmetric.iso import SearchBudget, base_change, invariant_signature
+from jetmetric.iso import SearchBudget, base_change, invariant_signature, verify_witness
 from jetmetric.metric import jet_distance
-from jetmetric.poly import mono_deg, mono_mul
+from jetmetric.poly import DEFAULT_CAPACITY, Poly, mono_deg, mono_mul
 from jetmetric.presentation import parse_presentation
 from jetmetric.resolution import betti_residue_field
 
@@ -328,6 +329,108 @@ def test_the_basis_table_memo_is_bounded():
     info = artin._basis_table.cache_info()
     assert info.maxsize == bound
     assert info.currsize == bound
+
+
+# -- one jet per presentation and order
+
+CUSP = "ring Q[x, y]\nlocal\nideal: y^2 - x^3"
+
+
+def _same_jet(A, B):
+    return A.basis == B.basis and A._classes == B._classes
+
+
+def test_a_jet_is_built_once_per_presentation_order_and_capacity():
+    p = parse_presentation(CUSP)
+    A = jet(p, 4)
+    assert jet(p, 4) is A and jet(p, 4, capacity=DEFAULT_CAPACITY) is A
+    assert A.origin.presentation is p
+    for B in (jet(p, 3), jet(p, 4, capacity=DEFAULT_CAPACITY + 1),
+              jet(parse_presentation(CUSP), 4)):
+        assert B is not A
+    assert _same_jet(jet(p, 4, capacity=DEFAULT_CAPACITY + 1), A)
+    assert _same_jet(jet(parse_presentation(CUSP), 4), A)
+    assert not _same_jet(jet(p, 3), A)
+
+
+def test_reassigning_the_generators_gives_the_jet_of_the_new_ideal():
+    # the pattern of the transformed copies in test_iso and test_standard
+    p = parse_presentation(CUSP)
+    A = jet(p, 4)
+    other = parse_presentation("ring Q[x, y]\nlocal\nideal: x*y, y^2 + x^4")
+    p.gens = list(other.gens)
+    B = jet(p, 4)
+    assert B is not A and B is jet(p, 4)
+    assert _same_jet(B, jet(other, 4)) and not _same_jet(B, A)
+    assert B.relations == p.gens
+
+
+def _unit_ideal():
+    # the parser refuses a constant term, so the unit is assigned after it
+    p = parse_presentation("ring Q[x, y]\nlocal\nideal: x")
+    p.gens = [Poly(p.field, 2, {(0, 0): p.field.one(), (1, 0): p.field.one()})]
+    return p
+
+
+@pytest.mark.parametrize("make, n, capacity, error", [
+    (lambda: parse_presentation(CUSP), -1, DEFAULT_CAPACITY, RangeError),
+    (_unit_ideal, 3, DEFAULT_CAPACITY, ConstantTermError),
+    (lambda: parse_presentation("ring Q[x, y]\ngraded\nideal: x^2"), 6, 10, CapacityError),
+], ids=["negative-order", "constant-term", "over-capacity"])
+def test_a_jet_that_raises_caches_nothing(make, n, capacity, error):
+    p = make()
+    artin._jet.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error):
+            jet(p, n, capacity)
+    assert artin._jet.cache_info().currsize == 0
+
+
+def test_the_jet_memo_is_bounded():
+    p = parse_presentation(CUSP)
+    A = jet(p, 3)
+    bound = artin.JET_CACHE_SIZE
+    for _ in range(bound - 1):
+        jet(parse_presentation(CUSP), 3)
+    assert jet(p, 3) is A
+    for _ in range(bound):
+        jet(parse_presentation(CUSP), 3)
+    B = jet(p, 3)
+    assert B is not A and _same_jet(B, A)
+    info = artin._jet.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["Q", "F_2", "F_3", "F_4"]),
+       st.sampled_from(["graded", "local"]), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_shared_jets_decide_corpus_triples_as_fresh_ones(seed, field, mode, nvars):
+    # the corpus order (0, 1), (0, 2), (1, 2) reads each member's jets from
+    # the memo in its second pair; clearing the memo before each call
+    # builds every jet afresh
+    rng = random.Random(seed)
+    texts = [random_presentation_text(rng, field, nvars, mode, max_deg=3) for _ in range(3)]
+    budget = SearchBudget(ext_degree_max=1, effort=4000)
+    pairs = ((0, 1), (0, 2), (1, 2))
+
+    def run(fresh):
+        ps = [parse_presentation(t) for t in texts]
+        out = []
+        for i, j in pairs:
+            if fresh:
+                artin._jet.cache_clear()
+            out.append(jet_distance(ps[i], ps[j], 3, budget))
+        return ps, out
+
+    artin._jet.cache_clear()
+    ps, shared = run(fresh=False)
+    _, fresh = run(fresh=True)
+    for (i, j), v, w in zip(pairs, shared, fresh):
+        assert (v.lower, v.upper, v.exact) == (w.lower, w.upper, w.exact)
+        assert v.per_order == w.per_order
+        for n, verdict in v.per_order:
+            if verdict.status == "ISO":
+                assert verify_witness(jet(ps[i], n), jet(ps[j], n), verdict.witness)
 
 
 # modules that may call each constructor: an algebra is built by `jet`,

@@ -508,15 +508,17 @@ def test_two_presentations_of_one_shape_enumerate_monomials_once(enumerations):
 
 
 def test_mutating_a_jet_leaves_the_next_jet_of_its_shape_alone():
-    p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3")
-    A = jet(p, 5)
+    # a jet is shared per presentation object, so the second jet comes
+    # from a second parse: it shares the frame and the basis table only
+    text = "ring Q[x, y]\nlocal\nideal: y^2 - x^3"
+    A = jet(parse_presentation(text), 5)
     basis, classes, nf = list(A.basis), copy.deepcopy(A._classes), A.nf
     A.basis.reverse()
     A.basis.append((9, 9))
     for cls in A._classes.values():
         cls[:] = [(0, Fraction(7))]
     A._classes[(9, 9)] = []
-    B = jet(p, 5)
+    B = jet(parse_presentation(text), 5)
     assert B.basis == basis and B._classes == classes and B.nf == nf
     free = jet(parse_presentation("ring Q[x, y]\ngraded\nideal: ;"), 5)
     assert free.basis == list(monomials_below(2, 5)) and free._classes == free.nf == {}

@@ -57,3 +57,16 @@ def test_profiler_counts_the_basis_tables():
     hits, misses, size, bound = map(int, got.groups())
     assert hits > misses > 0
     assert size == misses <= bound
+
+
+def test_profiler_counts_the_jets():
+    # the workload builds each of its jets once per pass, so every pass
+    # misses, and the memo holds no more than its bound
+    done = _profiled_jet_growth()
+    assert done.returncode == 0, done.stderr
+    memos = done.stdout.split("\nmemos from the set-up on", 1)[1]
+    got = re.search(r"artin\._jet: (\d+) hits, (\d+) misses, size (\d+) of (\d+)", memos)
+    assert got is not None, memos
+    hits, misses, size, bound = map(int, got.groups())
+    assert misses > 0
+    assert size <= bound

@@ -9,8 +9,8 @@ under cProfile and prints the functions under src/jetmetric with the most
 cumulative time.  cProfile inflates small calls, so compare shares within
 one profile, not seconds across profiles.  Last come the hits, misses and
 size of each package memo, counted from the set-up on: one frame per
-shape, the monomials of each degree, one basis table per basis and the
-colengths of deformation pairs.
+shape, the monomials of each degree, one basis table per basis, one jet
+per presentation and order, and the colengths of deformation pairs.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def main(argv: list[str]) -> int:
     for name, memo in (("poly._frame", jm.poly._frame),
                        ("poly.monomials_of_degree", jm.poly.monomials_of_degree),
                        ("artin._basis_table", jm.artin._basis_table),
+                       ("artin._jet", jm.artin._jet),
                        ("artin._colength", jm.artin._colength)):
         info = memo.cache_info()
         print(f"  {name}: {info.hits} hits, {info.misses} misses, "
