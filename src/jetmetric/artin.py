@@ -376,8 +376,9 @@ class _PresentationKey:
     """A presentation as a memo key, by identity: hashed on its id and equal
     only to a key of the same object whose field, variables, generators and
     mode are still the objects they were when the key was made, so
-    reassigning `p.gens` gives a fresh jet.  A content key would hash every
-    generator's terms on each call."""
+    reassigning `p.gens` gives a fresh jet; a generator list changed in
+    place is not seen.  A content key would hash every generator's terms on
+    each call."""
 
     __slots__ = ("parts",)
 

@@ -345,12 +345,11 @@ def test_a_jet_is_built_once_per_presentation_order_and_capacity():
     A = jet(p, 4)
     assert jet(p, 4) is A and jet(p, 4, capacity=DEFAULT_CAPACITY) is A
     assert A.origin.presentation is p
-    for B in (jet(p, 3), jet(p, 4, capacity=DEFAULT_CAPACITY + 1),
-              jet(parse_presentation(CUSP), 4)):
-        assert B is not A
-    assert _same_jet(jet(p, 4, capacity=DEFAULT_CAPACITY + 1), A)
-    assert _same_jet(jet(parse_presentation(CUSP), 4), A)
-    assert not _same_jet(jet(p, 3), A)
+    lower, *equal = (jet(p, 3), jet(p, 4, capacity=DEFAULT_CAPACITY + 1),
+                     jet(parse_presentation(CUSP), 4))
+    assert lower is not A and not _same_jet(lower, A)
+    for B in equal:
+        assert B is not A and _same_jet(B, A)
 
 
 def test_reassigning_the_generators_gives_the_jet_of_the_new_ideal():
