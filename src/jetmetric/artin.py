@@ -367,8 +367,9 @@ class ArtinAlgebra:
 # constructors
 
 
-# how many jets stay cached: fewer than the distinct jets of any benchmark
-# workload's pass, so the benchmark still times the builds
+# how many jets stay cached: at least 9, the least bound that keeps every jet
+# a distance triple reads again at orders 1-3, and fewer than the distinct
+# jets of any benchmark pass, so the benchmark still times the builds
 JET_CACHE_SIZE = 16
 
 
