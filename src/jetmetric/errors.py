@@ -55,7 +55,8 @@ class RangeError(JetMetricError):
 class CapacityError(JetMetricError):
     """A computation would exceed the configured capacity: a truncated
     quotient, the leading-ideal engine's span, a family's size, a slope
-    trace's size or a Hilbert series prefix's length."""
+    trace's size, a Hilbert series prefix's length or a Hilbert numerator's
+    degree."""
 
     def __init__(self, needed: int, cap: int, context: str = "",
                  what: str = "jet dimension"):

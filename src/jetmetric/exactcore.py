@@ -31,7 +31,10 @@ entries they hold, and reduced rows and kernel vectors carry their nonzero
 entries only.  This module is the only one that row-reduces, with one
 engine, :class:`Echelon`: one forward loop that takes a row's smallest
 column as its pivot, so an elimination touches only the nonzero entries,
-and one back-substitution.  The field picks only its row arithmetic: sparse
+one back-substitution, and one division pass, whose normal forms every
+reduced output reads: the normal forms of a truncated quotient, the reduced
+rows of :meth:`Echelon.reduced` (which :meth:`ExactMatrix.rref` returns) and
+the kernel basis.  The field picks only its row arithmetic: sparse
 integer rows {column: int} over Q (fraction-free, one division per entry
 at the end) and over F_p (residues with a unit pivot), the field's own
 arithmetic on codes over F_{p^m}.  A row enters that form through the
@@ -48,7 +51,6 @@ point anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -808,30 +810,14 @@ def finite_field(p: int, m: int, minpoly: Sequence[int] | None = None) -> Field:
 # exact matrices
 
 
-@dataclass
-class RrefResult:
-    rows: list[dict]          # the nonzero reduced rows, in echelon order
-    pivots: list[int]         # pivot column of each row, strictly increasing
-    ncols: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def free_columns(self) -> list[int]:
-        pset = set(self.pivots)
-        return [c for c in range(self.ncols) if c not in pset]
-
-
 class ExactMatrix:
     """Exact matrix over a :class:`Field` with sparse rows: each row is a
     dict {column: value} of raw values, absent columns zero (explicit zero
     values are allowed, and keys may come in any order).
 
-    :meth:`rref`, :meth:`rank` and :meth:`kernel_basis` all feed the rows
-    to one :class:`Echelon`: the rank is its forward pass alone, the
-    reduced rows its back-substitution, as dicts of their nonzero entries
-    with the pivot entry one and the columns ascending.  The rows are
+    A view of one :class:`Echelon` the rows are added to: :meth:`rank` is
+    its forward pass alone, :meth:`rref` its :meth:`Echelon.reduced` dict
+    and :meth:`kernel_basis` is read off its normal forms.  The rows are
     never changed.
     """
 
@@ -846,14 +832,13 @@ class ExactMatrix:
 
     def _echelon(self) -> "Echelon":
         ech = Echelon(self.field)
-        enter, insert = ech._entry, ech.insert
         for row in self.rows:
-            insert(enter(row))
+            ech.add(row)
         return ech
 
-    def rref(self) -> RrefResult:
-        red = self._echelon().reduced()
-        return RrefResult(rows=list(red.values()), pivots=list(red), ncols=self.ncols)
+    def rref(self) -> dict[int, dict]:
+        """The reduced rows as pivot -> row, :meth:`Echelon.reduced`."""
+        return self._echelon().reduced()
 
     def rank(self) -> int:
         """The rank, from the forward elimination only: no back-substitution,
@@ -863,16 +848,15 @@ class ExactMatrix:
     def kernel_basis(self) -> list[dict]:
         """Canonical kernel basis: per free column, in ascending order, the
         sparse vector {column: value} with the free variable set to 1 and, at
-        each pivot, the negated reduced-row entry there when it is nonzero."""
-        red = self.rref()
-        f = self.field
-        neg = f.neg
-        basis = {free: {free: f.one()} for free in red.free_columns()}
-        for row, pc in zip(red.rows, red.pivots):
-            # a reduced row's entries off its pivot lie in free columns
-            for c, x in row.items():
-                if c != pc:
-                    basis[c][pc] = neg(x)
+        each pivot, the normal-form entry there (the negated reduced-row
+        entry) when it is nonzero."""
+        forms = self._echelon()._normal_forms()
+        one = self.field.one()
+        basis = {free: {free: one} for free in range(self.ncols) if free not in forms}
+        for pc, form in forms.items():
+            # a normal form's entries lie in free columns
+            for c, x in form:
+                basis[c][pc] = x
         return list(basis.values())
 
 
@@ -891,10 +875,11 @@ class Echelon:
     generator of a Macaulay matrix) and :meth:`reduce` converts per row.
     :meth:`insert` and :meth:`add` are eliminate and reduce plus
     :meth:`store`.  ``_back_substitution`` is the one back-substitution,
-    with the same :attr:`clear`; :meth:`reduced` divides its rows by their
-    pivots, and ``_normal_forms`` gives a truncated quotient the negated
-    quotients in the same one division per entry.  A stored row is never
-    changed, so :meth:`copy` shares them.
+    with the same :attr:`clear`, and ``_normal_forms`` the one division
+    pass, one division per entry: the negated quotients a truncated
+    quotient stores, which :meth:`reduced` negates back beside a one at
+    each pivot.  A stored row is never changed, so :meth:`copy` shares
+    them.
     """
 
     def __init__(self, field: Field):
@@ -963,27 +948,18 @@ class Echelon:
     def reduced(self) -> dict[object, dict]:
         """The reduced row echelon form as pivot -> row ({key: value} of its
         nonzero field values, one at the pivot, keys ascending), in
-        ascending pivot order, each row cleared at every other pivot.  Over
-        Q each entry off the pivot is divided by its row's pivot once, here,
-        as ``Fraction(x, lead)``, and the pivot entry is the field's one."""
-        done = self._back_substitution()
-        out = {}
-        for pc in reversed(done):
-            v = done[pc]
-            if self._unit is None:
-                lead = v[pc]
-                out[pc] = {c: Fraction(v[c], lead) if c != pc else _ONE
-                           for c in sorted(v)}
-            else:
-                out[pc] = {c: v[c] for c in sorted(v)}
-        return out
+        ascending pivot order, each row cleared at every other pivot: the
+        field's one at the pivot and the negated normal form off it."""
+        one, neg = self.field.one(), self.field.neg
+        return {pc: {pc: one, **{c: neg(x) for c, x in form}}
+                for pc, form in self._normal_forms().items()}
 
     def _normal_forms(self) -> dict[object, list]:
-        """The normal forms the reduced rows give, for a truncated quotient:
-        pivot -> the ascending (key, value) pairs of -x for each entry x off
-        the pivot of its row in :meth:`reduced`, in ascending pivot order.
+        """The one division pass, which every reduced output reads: pivot ->
+        the ascending (key, value) pairs of -x/lead for each entry x off the
+        pivot lead of its back-substituted row, in ascending pivot order.
         Each value is divided and negated at once: over Q one
-        ``Fraction(-x, lead)`` per entry of the fraction-free row."""
+        ``Fraction(x, -lead)`` per entry of the fraction-free row."""
         done = self._back_substitution()
         fraction_free, neg = self._unit is None, self.field.neg
         out = {}

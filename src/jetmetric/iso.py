@@ -453,7 +453,7 @@ def invert_witness(A: ArtinAlgebra, B: ArtinAlgebra, w: Witness) -> Witness:
         for i, c in B.var_image(k):
             aug[i][n + k] = c
     red = ExactMatrix(B.field, aug, n + r).rref()
-    images = [[(i, row[n + k]) for i, row in enumerate(red.rows) if n + k in row]
+    images = [[(i, row[n + k]) for i, row in red.items() if n + k in row]
               for k in range(r)]
     return Witness(images=images, ext_multiple=w.ext_multiple)
 

@@ -42,6 +42,7 @@ from .errors import (
 from .hilbert import HilbertData, length_model
 from .poly import DEFAULT_CAPACITY
 from .presentation import Presentation
+from .standard import series
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +150,36 @@ def eps0_at_order(model: HilbertData, n: int) -> Fraction:
 # rho: exact sup-norm defect of jet lengths against n^d
 
 
+def _root_ceil(a: int, b: int, i: int) -> int:
+    """The i-th root of a / b rounded up, for a >= 0 and b > 0: the least
+    integer r >= 0 with b * r^i >= a, by integer bisection."""
+    lo, hi = 0, 1
+    while b * hi ** i < a:
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if b * mid ** i >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _root_bound(coeffs: Sequence[int]) -> int:
-    """Integer B with all real roots of the integer polynomial in [-B, B]:
-    Cauchy's bound 1 + max |c_i| / |lead|, rounded up exactly."""
+    """Integer B with all complex roots of the integer polynomial in |z| <= B:
+    the smaller of Cauchy's bound 1 + max_i |c_i| / |lead| and Fujiwara's
+    2 max_i (|c_{n-i}| / |lead|)^(1/i), each rounded up exactly.  Cauchy's
+    grows with the coefficients, so factorially with the dimension in a
+    defect numerator; Fujiwara's with their roots."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) <= 1:
         return 0
-    return 1 - (-max(map(abs, cs[:-1])) // abs(cs[-1]))
+    lead, n = abs(cs[-1]), len(cs) - 1
+    cauchy = 1 - (-max(map(abs, cs[:-1])) // lead)
+    fujiwara = 2 * max(_root_ceil(abs(cs[n - i]), lead, i) for i in range(1, n + 1))
+    return min(cauchy, fujiwara)
 
 
 @dataclass(frozen=True)
@@ -213,10 +235,12 @@ def _rho(model: HilbertData) -> RhoResult:
                      _root_bound(diff), 12)
 
     # |f(n)| = |d! * length(n) - e * n^d| / (e * n^(d-1)), compared as the
-    # pair (top, bottom) by cross-multiplying
+    # pair (top, bottom) by cross-multiplying; the lengths are the series
+    # t Q(t)/(1 - t)^(d+1), expanded once
+    lengths = series([0, *model.numerator], d + 1, scan_bound + 1)
     top, bottom, argmax = 0, 1, None
     for n in range(1, scan_bound + 1):
-        t, b = abs(scale * model.length(n) - e * n ** d), e * n ** (d - 1)
+        t, b = abs(scale * lengths[n] - e * n ** d), e * n ** (d - 1)
         if argmax is None or t * bottom > top * b:
             top, bottom, argmax = t, b, n
     best = Fraction(top, bottom)

@@ -124,19 +124,31 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
         d += 1
 
 
+# N(t) is a dense list as long as its degree, which one generator's degree
+# can set alone: x^(20!) would ask for 2^61 entries.  On a 2-core Xeon host
+# graded x^1000000 in Q[x, y] takes 1.8 s under `euler` and 3.4 s under
+# `hilbert`, and x^(2^22) 8 s in 280 MiB and 13 s in 890 MiB (a report of
+# 94 MiB); past this degree, CapacityError before any list grows.
+NUMERATOR_MAX_DEGREE = 1 << 22
+
+
 def _numerator(gens: tuple[Monomial, ...], memo: dict) -> list[int]:
     """N(t) with series N(t)/(1 - t)^r of k[x]/(gens), for minimal monomial
     generators ascending in grlex order.  The generators are taken in one
     loop, each m turning N(I) into N(I + (m)) for the ideal I of those before
     it, so only the colon ideals I : m recurse and the depth does not grow
-    with the number of generators."""
+    with the number of generators.  CapacityError before a list is extended
+    past NUMERATOR_MAX_DEGREE."""
     if gens not in memo:
         out = [1]
         for j, m in enumerate(gens):
             s = sum(m)
             low = _numerator(_minimal(tuple(max(x - y, 0) for x, y in zip(g, m))
                                       for g in gens[:j]), memo)
-            out += [0] * (s + len(low) - len(out))
+            deg = s + len(low) - 1
+            if deg > NUMERATOR_MAX_DEGREE:
+                raise CapacityError(deg, NUMERATOR_MAX_DEGREE, what="Hilbert numerator degree")
+            out += [0] * (deg + 1 - len(out))
             for i, c in enumerate(low):
                 out[s + i] -= c
         while out and out[-1] == 0:

@@ -1,5 +1,7 @@
 import os
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +30,27 @@ def src_env() -> dict:
         [str(Path(__file__).resolve().parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+class CpuLimitExceeded(Exception):
+    """A block run under `cpu_limit` used up its CPU time."""
+
+
+@contextmanager
+def cpu_limit(seconds: float):
+    """Run the block under an alarm on this process's CPU time: past
+    `seconds` the block raises CpuLimitExceeded, so a hang fails its test
+    instead of stalling the suite."""
+    def expired(signum, frame):
+        raise CpuLimitExceeded(f"more than {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGPROF, expired)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 @pytest.fixture

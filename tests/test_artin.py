@@ -155,7 +155,7 @@ def _hilbert_function_by_powers(A):
                     if (w := A.multiply(xk, v))]
         if nxt_rows:
             red = ExactMatrix(A.field, nxt_rows, A.dim).rref()
-            current = [sorted(r.items()) for r in red.rows]
+            current = [sorted(r.items()) for r in red.values()]
         else:
             current = []
     hf = [dims[i] - (dims[i + 1] if i + 1 < len(dims) else 0) for i in range(len(dims))]

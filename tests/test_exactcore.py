@@ -20,7 +20,6 @@ from jetmetric.exactcore import (
     Field,
     PrimeField,
     TABLE_MAX_ORDER,
-    RrefResult,
     _fp_is_irreducible,
     _fp_mod,
     _fp_monic_polys,
@@ -515,9 +514,9 @@ def test_rref_known_matrix_over_q():
             {1: Fraction(1), 2: Fraction(1)}]
     M = ExactMatrix(F, rows, 3)
     res = M.rref()
-    assert res.rank == 2
-    assert res.pivots == [0, 1]
-    assert res.rows == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert len(res) == 2
+    assert list(res) == [0, 1]
+    assert list(res.values()) == [{0: 1, 2: 1}, {1: 1, 2: 1}]
 
 
 def _sparse_rows(F, rows):
@@ -528,6 +527,11 @@ def _sparse_rows(F, rows):
 
 def _dense_row(F, row, n):
     return [row.get(c, F.zero()) for c in range(n)]
+
+
+def _free_columns(red, n):
+    """The columns below n that are no pivot of the pivot -> row dict red."""
+    return [c for c in range(n) if c not in red]
 
 
 def _mul_vec(F, rows, vec):
@@ -593,7 +597,8 @@ def test_gf2_rank_matches_generic_path(a, b, c):
 
 
 def _dense_rref(field, in_rows, ncols):
-    """Reference RREF: dense Gauss-Jordan in the field's own arithmetic."""
+    """Reference RREF: dense Gauss-Jordan in the field's own arithmetic, as
+    pivot -> dense row in ascending pivot order."""
     rows = [list(r) for r in in_rows if not all(field.is_zero(a) for a in r)]
     pivots: list[int] = []
     piv_r = 0
@@ -618,7 +623,7 @@ def _dense_rref(field, in_rows, ncols):
         piv_r += 1
         if piv_r == len(rows):
             break
-    return RrefResult(rows=rows[:piv_r], pivots=pivots, ncols=ncols)
+    return dict(zip(pivots, rows[:piv_r]))
 
 
 _BIG = 2**64
@@ -706,29 +711,30 @@ def _assert_same_rref(F, rows, n):
     Fractions over Q and residues in [0, p) over F_p."""
     got = ExactMatrix(F, _sparse_rows(F, rows), n).rref()
     want = _dense_rref(F, rows, n)
-    assert got.pivots == want.pivots
-    assert [_dense_row(F, r, n) for r in got.rows] == want.rows
-    assert not any(F.is_zero(x) for r in got.rows for x in r.values())
-    assert got.ncols == n
-    _assert_value_types(F, got.rows)
+    assert list(got) == list(want)
+    assert [_dense_row(F, r, n) for r in got.values()] == list(want.values())
+    assert not any(F.is_zero(x) for r in got.values() for x in r.values())
+    assert all(c < n for r in got.values() for c in r)
+    _assert_value_types(F, got.values())
 
 
 def _echelon_rref(F, rows, n):
-    """The engine's RREF, fed the nonzero entries of each row and densified."""
+    """The engine's RREF, fed the nonzero entries of each row and densified,
+    as pivot -> dense row."""
     ech = Echelon(F)
     for row in rows:
         ech.add({c: x for c, x in enumerate(row) if not F.is_zero(x)})
     red = ech.reduced()
     assert list(red) == sorted(red)
-    out = []
+    out = {}
     for pc, entries in red.items():
         assert entries[pc] == F.one()
         assert not any(F.is_zero(x) for x in entries.values())
         dense = [F.zero()] * n
         for c, x in entries.items():
             dense[c] = x
-        out.append(dense)
-    return RrefResult(rows=out, pivots=list(red), ncols=n)
+        out[pc] = dense
+    return out
 
 
 _SHAPES = [([[3, Fraction(-1, 2), 0, _BIG + 1]], 4),          # 1 x n
@@ -756,7 +762,7 @@ def test_integer_kernel_matches_generic_rref_on_edge_shapes():
             mat = rows if F == rationals() else [[v % F.order for v in r] for r in int_rows]
             want = _dense_rref(F, mat, n)
             got = _echelon_rref(F, mat, n)
-            assert (got.pivots, got.rows) == (want.pivots, want.rows)
+            assert list(got.items()) == list(want.items())
             if isinstance(F, ExtensionField):
                 _assert_same_rref(F, mat, n)
 
@@ -790,8 +796,8 @@ def test_echelon_engine_matches_dense_reference(name, data):
     rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
     want = _dense_rref(F, rows, n)
     got = _echelon_rref(F, rows, n)
-    assert got.pivots == want.pivots
-    assert got.rows == want.rows
+    assert list(got) == list(want)
+    assert list(got.values()) == list(want.values())
     if name in ("F_4", "F_9"):
         # ExactMatrix reduces over F_{p^m} with the engine
         _assert_same_rref(F, rows, n)
@@ -833,7 +839,7 @@ def test_forward_only_rank_matches_rref_pivots(name, data):
     F = RANK_FIELDS[name]
     rows, n = data.draw(_any_rows(F))
     m = ExactMatrix(F, _sparse_rows(F, rows), n)
-    assert m.rank() == len(m.rref().pivots) == len(_dense_rref(F, rows, n).pivots)
+    assert m.rank() == len(m.rref()) == len(_dense_rref(F, rows, n))
 
 
 @pytest.mark.parametrize("name", ["F_4", "F_9"])
@@ -844,12 +850,12 @@ def test_sparse_kernel_is_read_from_the_reduced_rows(name, data):
     rows, n = data.draw(_dependent_rows(*_engine_entries(F)))
     red = _dense_rref(F, rows, n)
     ker = ExactMatrix(F, _sparse_rows(F, rows), n).kernel_basis()
-    assert len(ker) == n - red.rank
-    for v, free in zip(ker, red.free_columns()):
+    assert len(ker) == n - len(red)
+    for v, free in zip(ker, _free_columns(red, n)):
         assert v[free] == F.one()
         assert not any(F.is_zero(x) for x in v.values())
-        assert set(v) <= set(red.pivots) | {free}
-        for row, pc in zip(red.rows, red.pivots):
+        assert set(v) <= set(red) | {free}
+        for pc, row in red.items():
             assert v.get(pc, F.zero()) == F.neg(row[free])
         assert all(F.is_zero(c) for c in _mul_vec(F, rows, v))
 
@@ -878,12 +884,13 @@ def _any_rows(F):
     return st.one_of(_dependent_rows(entry, combine), _macaulay_rows(F))
 
 
-def _reference_kernel(F, red):
-    """The canonical kernel basis read off a dense reference RREF."""
+def _reference_kernel(F, red, n):
+    """The canonical kernel basis read off a dense reference RREF of n
+    columns."""
     basis = []
-    for free in red.free_columns():
+    for free in _free_columns(red, n):
         v = {free: F.one()}
-        for row, pc in zip(red.rows, red.pivots):
+        for pc, row in red.items():
             if not F.is_zero(row[free]):
                 v[pc] = F.neg(row[free])
         basis.append(v)
@@ -911,15 +918,15 @@ def test_sparse_rows_in_any_form_match_the_dense_reference(name, data):
     for _ in range(data.draw(st.integers(0, 2))):
         sparse_rows.insert(data.draw(st.integers(0, len(sparse_rows))), {})
     M = ExactMatrix(F, sparse_rows, n)
-    assert M.rank() == want.rank
+    assert M.rank() == len(want)
     got = M.rref()
-    assert got.pivots == want.pivots
-    assert [_dense_row(F, r, n) for r in got.rows] == want.rows
-    for row, pc in zip(got.rows, got.pivots):
+    assert list(got) == list(want)
+    assert [_dense_row(F, r, n) for r in got.values()] == list(want.values())
+    for pc, row in got.items():
         assert row[pc] == F.one()
         assert not any(F.is_zero(x) for x in row.values())
-    _assert_value_types(F, got.rows)
-    assert M.kernel_basis() == _reference_kernel(F, want)
+    _assert_value_types(F, got.values())
+    assert M.kernel_basis() == _reference_kernel(F, want, n)
 
 
 # -- rows in row form: converted once by their caller, then shifted and
@@ -953,10 +960,10 @@ def test_row_form_rows_match_the_raw_rows_they_came_from(name, data):
     ech = _inserted(F, entered)
     held = {c: dict(v) for c, v in ech.rows.items()}
     want = ExactMatrix(F, raw, n).rref()
-    assert len(ech.rows) == want.rank
+    assert len(ech.rows) == len(want)
     for _ in range(2):
         got = ech.reduced()
-        assert (list(got.values()), list(got)) == (want.rows, want.pivots)
+        assert list(got.items()) == list(want.items())
         assert ech.rows == held
     _assert_value_types(F, list(got.values()))
 
@@ -988,11 +995,10 @@ def test_sparse_rows_edge_forms():
         for rows in ([], [{}], [{}, {}], [{2: z, 0: z}]):
             M = ExactMatrix(F, rows, 3)
             assert M.rank() == 0
-            got = M.rref()
-            assert (got.rows, got.pivots) == ([], [])
+            assert M.rref() == {}
             assert M.kernel_basis() == [{0: one}, {1: one}, {2: one}]
         # keys in descending order, a zero among them, an empty row between
         M = ExactMatrix(F, [{2: one, 1: z, 0: one}, {}, {2: one}], 3)
         assert M.rank() == 2
-        assert M.rref().rows == [{0: one}, {2: one}]
+        assert list(M.rref().values()) == [{0: one}, {2: one}]
         assert M.kernel_basis() == [{1: one}]

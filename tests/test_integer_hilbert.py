@@ -4,7 +4,10 @@ arithmetic, against the dense `Fraction` versions they replaced.
 The references below are those versions, kept verbatim with the polynomial
 helpers they called (the three the package still names carry a `reference_`
 prefix), so every integer path is compared with the path it replaced: the
-same values, the same types (compared by `repr`) and the same errors.
+same values, the same types (compared by `repr`) and the same errors.  The
+one change is the reference's root bound, which takes the smaller of
+Cauchy's and Fujiwara's bounds as the package's does, so the scan bounds
+the two report agree.
 """
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
@@ -75,15 +78,26 @@ def reference_hs_polynomial_from_series(numerator: Sequence[int],
     return poly_scale(out, Fraction(1, factorial(pole_order - 1)))
 
 
+def _root_up(q: Fraction, i: int) -> int:
+    """The least integer r >= 0 with r^i >= q, counted up from 0."""
+    r = 0
+    while r ** i < q:
+        r += 1
+    return r
+
+
 def _root_bound(coeffs: Sequence[Fraction]) -> int:
-    """Integer B with all real roots of the polynomial in [-B, B] (Cauchy)."""
+    """Integer B with all roots of the polynomial in |z| <= B: the smaller of
+    Cauchy's bound and Fujiwara's, 2 max_i ceil((|c_{n-i}| / |lead|)^(1/i))."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) <= 1:
         return 0
-    lead = abs(cs[-1])
-    return ceil(1 + max(abs(c) / lead for c in cs[:-1]))
+    lead, n = abs(cs[-1]), len(cs) - 1
+    cauchy = ceil(1 + max(abs(c) / lead for c in cs[:-1]))
+    fujiwara = 2 * max(_root_up(abs(cs[n - i]) / lead, i) for i in range(1, n + 1))
+    return min(cauchy, fujiwara)
 
 
 def _poly_shift_one(coeffs: Sequence[Fraction]) -> list[Fraction]:

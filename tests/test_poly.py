@@ -172,10 +172,10 @@ def _reference_dense(field, nvars, gens, cap):
             if row:
                 rows.append(row)
     red = ExactMatrix(field, rows, len(monos)).rref()
-    free = red.free_columns()
+    free = [c for c in range(len(monos)) if c not in red]
     pos = {c: j for j, c in enumerate(free)}
     nf = {}
-    for row, pc in zip(red.rows, red.pivots):
+    for pc, row in red.items():
         v = [field.zero()] * len(free)
         for c, x in row.items():
             if c != pc:

@@ -6,9 +6,10 @@ of the package: for j < k, y^(j+1) lies in m^(j+1), so the jets of A_j and
 A_k agree through order j + 1, and so on for the other families.  The
 distance does not depend on coordinates, but the witness search does, so
 the second germ of each pair is also run in disguise, moved by the linear
-change x -> x + 2y, y -> y - x: a disguised run may leave an order UNKNOWN,
-but it may never contradict the normal-form run, and every interval it
-brackets exactly must be the normal-form one.
+change x -> x + 2y, y -> y - x and by the nonlinear change
+x -> x + 2y + y^2, y -> y - x + xy: a disguised run may leave an order
+UNKNOWN, but it may never contradict the normal-form run, and every
+interval it brackets exactly must be the normal-form one.
 """
 
 from fractions import Fraction
@@ -32,10 +33,13 @@ NORMAL_FORMS = {
 # characteristic 0
 BUDGET = SearchBudget(ext_degree_max=1, effort=4000)
 FIELDS = ["Q", "F_7"]
+# the images of x and y under each change of coordinates; the linear part
+# of both has determinant 3, a unit over Q and F_7
+DISGUISES = [("(x + 2*y)", "(y - x)"), ("(x + 2*y + y^2)", "(y - x + x*y)")]
 
 
-def _germ(field, name, disguised=False):
-    x, y = ("(x + 2*y)", "(y - x)") if disguised else ("x", "y")
+def _germ(field, name, change=("x", "y")):
+    x, y = change
     text = NORMAL_FORMS[name].replace("X", x).replace("Y", y)
     return parse_presentation(f"ring {field}[x, y]\nlocal\nideal: {text}")
 
@@ -72,19 +76,21 @@ def test_the_normal_forms_have_their_known_distances(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_a_disguise_contradicts_no_normal_form_verdict(field):
-    # at max order 5, for every ordered pair, the germ against the other
-    # in disguise: the normal-form distance 2^-b makes orders 1..b ISO and
-    # every higher order NOT_ISO; each germ against its own disguise is
-    # ISO at every order
+    # at max order 5, for every ordered pair and each change, the germ
+    # against the other in disguise: the normal-form distance 2^-b makes
+    # orders 1..b ISO and every higher order NOT_ISO; each germ against its
+    # own disguise is ISO at every order
     distances = _normal_form_distances(field)
-    for a, b in permutations(NORMAL_FORMS, 2):
-        v = jet_distance(_germ(field, a), _germ(field, b, disguised=True), 5, BUDGET)
-        known = distances.get((a, b)) or distances[b, a]
-        top = known.upper.denominator.bit_length() - 1
-        for n, o in v.per_order:
-            assert o.status in ("UNKNOWN", "ISO" if n <= top else "NOT_ISO"), (a, b, n)
-        if v.exact:
-            assert (v.lower, v.upper) == (known.lower, known.upper), (a, b)
-    for a in NORMAL_FORMS:
-        v = jet_distance(_germ(field, a), _germ(field, a, disguised=True), 5, BUDGET)
-        assert all(o.status != "NOT_ISO" for _, o in v.per_order), a
+    for change in DISGUISES:
+        for a, b in permutations(NORMAL_FORMS, 2):
+            v = jet_distance(_germ(field, a), _germ(field, b, change), 5, BUDGET)
+            known = distances.get((a, b)) or distances[b, a]
+            top = known.upper.denominator.bit_length() - 1
+            for n, o in v.per_order:
+                assert o.status in ("UNKNOWN", "ISO" if n <= top else "NOT_ISO"), \
+                    (change, a, b, n)
+            if v.exact:
+                assert (v.lower, v.upper) == (known.lower, known.upper), (change, a, b)
+        for a in NORMAL_FORMS:
+            v = jet_distance(_germ(field, a), _germ(field, a, change), 5, BUDGET)
+            assert all(o.status != "NOT_ISO" for _, o in v.per_order), (change, a)

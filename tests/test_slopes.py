@@ -35,7 +35,7 @@ from jetmetric.slopes import (
     slope_trace,
 )
 
-from conftest import random_presentation
+from conftest import cpu_limit, random_presentation
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent.parent / "docs" / "golden" / "inputs"
 
@@ -155,6 +155,27 @@ def test_rho_of_the_cusp_is_one_half():
     r = rho(CUSP)
     assert r.value == Fraction(1, 2)
     assert r.tail_limit == Fraction(-1, 2)
+
+
+V12 = ", ".join(f"v{i}" for i in range(12))
+
+
+@pytest.mark.parametrize("text, want", [
+    # Cauchy's root bound on the defect numerator is 3,747,543 here: it
+    # grows factorially with the dimension, Fujiwara's with the roots
+    (f"ring Q[{V12}]\nlocal\nideal: v0^2", (19958399, True, 1, Fraction(99, 2))),
+    (f"ring Q[{V12}]\ngraded\nideal: ;", (479001599, True, 1, 66)),
+    # 4,002 orders, whose lengths are read off one expansion of the series
+    ("ring Q[x, y]\ngraded\nideal: x^4000",
+     (Fraction(3999, 2), True, 3999, Fraction(-3999, 2))),
+], ids=["12_local", "12_graded", "x4000"])
+def test_rho_and_quasi_dimension_in_many_variables_or_of_long_numerators(text, want):
+    p = parse_presentation(text)
+    with cpu_limit(1.0):
+        r = rho(p)
+        dim, cert = quasi_dimension(p)
+    assert (r.value, r.attained, r.argmax_n, r.tail_limit) == want
+    assert dim == length_model(p).dim and cert["satisfied"]
 
 
 def test_rho_rejects_dimension_zero(fat_point):

@@ -72,6 +72,22 @@ def test_numerator_stack_does_not_grow_with_the_generators():
     assert got == [1] + [0] * (d - 1) + [-(d + 1), d]
 
 
+FACTORIAL_20 = "*".join(str(k) for k in range(2, 21))
+
+
+def test_a_numerator_past_its_degree_bound_is_refused_before_it_grows():
+    # x^(20!) would make N(t) a list of 2^61 entries
+    bound = standard.NUMERATOR_MAX_DEGREE
+    for text in (f"ring Q[x]\ngraded\nideal: x^({FACTORIAL_20})",
+                 f"ring Q[x, y]\nlocal\nideal: x^({FACTORIAL_20}), y^({FACTORIAL_20})"):
+        with pytest.raises(CapacityError, match=r"Hilbert numerator degree 24329020081766"):
+            _numerator(text)
+    # a numerator of the bound's degree is built, one past it is refused
+    assert len(numerator_of(((bound,),), {})) == bound + 1
+    with pytest.raises(CapacityError, match=f"degree {bound + 1} exceeds capacity {bound}"):
+        numerator_of(((bound + 1,),), {})
+
+
 def test_degree_climb_starts_at_the_least_generator_degree():
     # no row enters below degree 10^7, so no pass is made there
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^10000000")
