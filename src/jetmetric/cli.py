@@ -24,16 +24,15 @@ from .artin import hf_by_degree_count, jet, nilpotency_index, socle_dimension
 from .errors import JetMetricError, PresentationSyntaxError, RangeError
 from .hilbert import euler_characteristic, hilbert_series
 from .iso import SearchBudget, Witness, witness_field
-from .metric import _distance, limit_jets
+from .metric import DEFAULT_TAIL, _distance, limit_jets
 from .poly import DEFAULT_CAPACITY
 from .presentation import FamilyTemplate, Presentation, mono_to_str, parse_presentation
 from .resolution import (betti_residue_field, depth_and_classify,
                          minimal_resolution_of_quotient)
-from .slopes import (delta0_at_order, eps0_at_order, length_model, rho,
+from .slopes import (LOG2_DIGITS, delta0_at_order, eps0_at_order, length_model, rho,
                      round_log2, quasi_dimension, slope_trace)
 
 SCHEMA = "jetmetric/1"
-LOG2_DIGITS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +44,8 @@ def _enc_fraction(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _enc_decimal(s: str, digits: int = LOG2_DIGITS) -> dict:
-    return {"decimal": s, "digits": digits}
+def _enc_decimal(s: str) -> dict:
+    return {"decimal": s, "digits": LOG2_DIGITS}
 
 
 def _scalar_str(field, c) -> str:
@@ -293,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="monomial capacity guard for jet construction")
 
     def searchy(sp):
-        sp.add_argument("--ext", type=int, default=1,
+        sp.add_argument("--ext", type=int, default=SearchBudget.ext_degree_max,
                         help="largest coefficient-field extension degree to try")
-        sp.add_argument("--effort", type=int, default=1_000_000,
+        sp.add_argument("--effort", type=int, default=SearchBudget.effort,
                         help="candidate budget for the isomorphism search")
 
     sp = sub.add_parser("jets", help="order-n jet of a presentation")
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--template", required=True)
     sp.add_argument("--range", type=_parse_span, required=True, metavar="a..b")
     sp.add_argument("--order", "-n", type=int, required=True)
-    sp.add_argument("--tail", type=int, default=3)
+    sp.add_argument("--tail", type=int, default=DEFAULT_TAIL)
     searchy(sp)
     common(sp)
     for sp in sub.choices.values():

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -315,6 +314,22 @@ class Field:
     tuple (c_0, ..., c_{m-1}, 1) of the monic minimal polynomial.  Fields
     compare and hash on their key, () for Q, (p,) for F_p and (p, m, minpoly)
     for F_{p^m}.
+
+    Each kind sets its own two arithmetics.  row_arithmetic is (entry, unit,
+    clear) for the rows of an :class:`Echelon`.  entry(row) is a new row of
+    the nonzero entries with the span of row, in row form: integers of
+    content 1 over Q, residues in [0, p) over F_p, nonzero codes over
+    F_{p^m}.  Its keys may be anything, so a caller can convert a
+    polynomial's coefficients once and build many rows from them: a row
+    whose keys are moved or some of whose entries are dropped stays in row
+    form (over Q its content may then exceed 1, which the elimination
+    allows).  unit(v, col) scales v to the entry one at col; it is None
+    over Q, whose rows stay fraction-free.  clear(v, prow, col) eliminates v
+    at col by the pivot row prow and returns the result, reusing v where it
+    can; stored rows are only ever passed as prow.  raw_arithmetic is (add,
+    mul, modulus) for sums of products normalized once at the end: a sum is
+    taken with add and mul, then reduced mod modulus unless it is None,
+    which it is except over F_p.
     """
 
     p: int | None
@@ -322,6 +337,8 @@ class Field:
     minpoly: tuple[int, ...] | None = None
     key: tuple
     order: int | None           # the number of elements, None for Q
+    row_arithmetic: tuple       # (entry, unit, clear)
+    raw_arithmetic: tuple       # (add, mul, modulus)
 
     # subclasses implement: zero one add sub neg mul inv is_zero from_int to_str extension
     def pow(self, a, e: int):
@@ -340,32 +357,6 @@ class Field:
         of it: ``dst.from_int``, since the values of Q and of F_p are numbers
         every extension reads as they are."""
         return dst.from_int
-
-    @cached_property
-    def row_arithmetic(self) -> tuple:
-        """(entry, unit, clear) for the rows of an :class:`Echelon`.
-
-        entry(row) is a new row of the nonzero entries with the span of row,
-        in row form: integers of content 1 over Q, residues in [0, p) over
-        F_p, nonzero codes over F_{p^m}.  Its keys may be anything, so a
-        caller can convert a polynomial's coefficients once and build many
-        rows from them: a row whose keys are moved or some of whose entries
-        are dropped stays in row form (over Q its content may then exceed 1,
-        which the elimination allows).  unit(v, col) scales v to the entry
-        one at col; it is None over Q, whose rows stay fraction-free.
-        clear(v, prow, col) eliminates v at col by the pivot row prow and
-        returns the result, reusing v where it can; stored rows are only
-        ever passed as prow.  By default rows of values in the field's own
-        arithmetic.
-        """
-        return _code_arithmetic(self.sub, self.mul, self.inv)
-
-    @cached_property
-    def raw_arithmetic(self) -> tuple:
-        """(add, mul, modulus) for sums of products normalized once at the
-        end: a sum is taken with add and mul, then reduced mod modulus
-        unless it is None.  By default the field's own add and mul."""
-        return self.add, self.mul, None
 
     @property
     def characteristic(self) -> int:
@@ -439,7 +430,24 @@ class RationalField(Field):
     row_arithmetic = (_int_row, None, _clear)
 
 
-class PrimeField(Field):
+class _FiniteField(Field):
+    """What F_p and F_{p^m} share: an integer n reads as n mod p, and the
+    degree-k extension is the field of p^(mk) elements."""
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n: int):
+        return n % self.p
+
+    def extension(self, k: int) -> Field:
+        return self if _degree(k) == 1 else finite_field(self.p, self.m * k)
+
+
+class PrimeField(_FiniteField):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -449,12 +457,6 @@ class PrimeField(Field):
         # native int + and *, unreduced until one % p per sum
         self.raw_arithmetic = (operator.add, operator.mul, p)
         self.row_arithmetic = _residue_arithmetic(p)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -477,14 +479,8 @@ class PrimeField(Field):
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def to_str(self, a) -> str:
         return str(a % self.p)
-
-    def extension(self, k: int) -> Field:
-        return self if _degree(k) == 1 else finite_field(self.p, k)
 
 
 # Fields of at most this many elements do their arithmetic through tables
@@ -530,7 +526,7 @@ def _extension_key(p: int, m: int, minpoly: Sequence[int] | None) -> tuple:
     return (p, m, mp)
 
 
-class ExtensionField(Field):
+class ExtensionField(_FiniteField):
     """F_{p^m} = F_p[a]/(minpoly) with elements as integer codes.
 
     The element c_0 + c_1 a + ... + c_{m-1} a^{m-1} (0 <= c_i < p) has the
@@ -570,18 +566,11 @@ class ExtensionField(Field):
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = _identity
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+        self.raw_arithmetic = (self.add, self.mul, None)
+        self.row_arithmetic = _code_arithmetic(self.sub, self.mul, self.inv)
 
     def generator(self):
         return self.p
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def coeffs(self, a) -> tuple[int, ...]:
         """The digits (c_0, ..., c_{m-1}) of the element a = sum c_i a^i."""
@@ -598,9 +587,6 @@ class ExtensionField(Field):
                 pw = "a" if i == 1 else f"a^{i}"
                 terms.append(pw if c == 1 else f"{c}*{pw}")
         return "+".join(terms) if terms else "0"
-
-    def extension(self, k: int) -> Field:
-        return self if _degree(k) == 1 else finite_field(self.p, self.m * k)
 
     def embedding(self, dst: Field) -> Callable:
         """The canonical map into dst = F_{p^n}, m | n: the generator goes to

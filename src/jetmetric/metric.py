@@ -42,6 +42,9 @@ from .iso import (
 from .poly import DEFAULT_CAPACITY
 from .presentation import FamilyTemplate, Presentation, instantiate_template
 
+# how many of a family's last jets limit_jets requires isomorphic to the last
+DEFAULT_TAIL = 3
+
 
 @dataclass
 class DistanceVerdict:
@@ -162,7 +165,7 @@ def defpair_distance(p: Presentation, q: Presentation, max_n: int,
 
 def limit_jets(tpl: FamilyTemplate, order: int,
                budget: Optional[SearchBudget] = None,
-               tail: int = 3,
+               tail: int = DEFAULT_TAIL,
                capacity: int = DEFAULT_CAPACITY) -> tuple[ArtinAlgebra, int]:
     """Jet of the limit of a parameterized family.
 

@@ -142,14 +142,7 @@ class Poly:
         f = self.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                s = f.add(out[m], c)
-                if f.is_zero(s):
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
+            out[m] = f.add(out[m], c) if m in out else c
         return Poly(f, self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -162,14 +155,7 @@ class Poly:
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 c = f.mul(c1, c2)
-                if m in out:
-                    s = f.add(out[m], c)
-                    if f.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-                elif not f.is_zero(c):
-                    out[m] = c
+                out[m] = f.add(out[m], c) if m in out else c
         return Poly(f, self.nvars, out)
 
     def scale(self, c) -> "Poly":

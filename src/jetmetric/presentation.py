@@ -512,13 +512,8 @@ def parse_presentation(text: str) -> Presentation:
 
 def _coeff_to_str(field: Field, c) -> tuple[str, bool]:
     """(text, negative) for a coefficient; text never carries a leading '-'."""
-    if field.order is None:
-        f: Fraction = c
-        neg = f < 0
-        f = -f if neg else f
-        return (str(f.numerator) if f.denominator == 1
-                else f"{f.numerator}/{f.denominator}"), neg
-    return field.to_str(c), False
+    text = field.to_str(c)
+    return text.lstrip("-"), text.startswith("-")
 
 
 def mono_to_str(mono: Sequence[int], varnames: Sequence[str]) -> str:

@@ -48,6 +48,9 @@ from .standard import series
 # ---------------------------------------------------------------------------
 # exact log2 reporting and rounding
 
+# decimal places of every reported log2
+LOG2_DIGITS = 12
+
 
 @lru_cache(maxsize=8)
 def _ln2(prec: int) -> Decimal:
@@ -58,7 +61,7 @@ def _ln2(prec: int) -> Decimal:
         return Decimal(2).ln()
 
 
-def log2_decimal(ratio: Fraction, digits: int = 12) -> str:
+def log2_decimal(ratio: Fraction, digits: int = LOG2_DIGITS) -> str:
     """log2 of a positive rational as a decimal string with `digits` places."""
     if ratio <= 0:
         raise ValueError("log2 of a non-positive ratio")

@@ -23,7 +23,7 @@ N(L : m) (Bayer-Stillman, J. Symb. Comput. 14, 1992).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, ConstantTermError, RangeError
@@ -107,7 +107,7 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
     ech, basis, verified = Echelon(field), [], set()
     d = min((deg for deg, _ in rowed), default=0)
     while True:
-        before = set(ech.rows)
+        before = len(ech.rows)     # a new pivot joins the rows at their end
         for deg, terms in rowed:
             if deg <= d:
                 for u in monomials_of_degree(nvars, d - deg):
@@ -116,7 +116,7 @@ def leading_ideal(field: Field, nvars: int, gens: Sequence[Poly],
                         raise CapacityError(len(ech.rows), capacity,
                                             f"degree {d} in {nvars} variables",
                                             what="leading-ideal row count")
-        for deg, b in sorted(k for k in ech.rows if k not in before):
+        for deg, b in sorted(islice(ech.rows, before, None)):
             if not any(a <= d - deg and _divides(bg, b) for a, bg, _ in basis):
                 basis.append((d - deg, b, ech.rows[(deg, b)]))
         if d >= top and _pairs_reduce(ech.clear, basis, d, verified):

@@ -81,21 +81,75 @@ def test_characteristic_past_the_exact_primality_bound_is_refused():
 
 
 def test_raw_arithmetic_defaults_to_the_field_methods():
-    class Doubled(Field):
-        def add(self, a, b):
-            return a + b
-
-        def mul(self, a, b):
-            return 2 * a * b
-
-    f = Doubled()
-    add, mul, modulus = f.raw_arithmetic
-    assert (add, mul, modulus) == (f.add, f.mul, None)
-    assert f.raw_arithmetic is f.raw_arithmetic
     assert rationals().raw_arithmetic == (operator.add, operator.mul, None)
     assert PrimeField(7).raw_arithmetic == (operator.add, operator.mul, 7)
     F16 = finite_field(2, 4)
     assert F16.raw_arithmetic == (F16.add, F16.mul, None)
+
+
+# tables and digit arithmetic, p = 2 and odd p: every kind sets its own
+# arithmetic tuples
+ARITHMETIC_FIELDS = {"Q": (None, None), "F_7": (7, 1), "F_4": (2, 2), "F_16": (2, 4),
+                     "F_2^13": (2, 13), "F_3^7": (3, 7), "F_67^2": (67, 2)}
+
+
+def _field(name):
+    p, m = ARITHMETIC_FIELDS[name]
+    return rationals() if p is None else finite_field(p, m)
+
+
+def _element(F, rng):
+    if F.order is None:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return rng.randrange(F.order)
+
+
+def _row(F, rng, cols=6):
+    return {c: _element(F, rng) for c in rng.sample(range(1, 10), cols)}
+
+
+def _assert_same_span_entrywise(F, got, want):
+    """got is want over a finite field; over Q, an integer row proportional
+    to it."""
+    want = {i: x for i, x in want.items() if not F.is_zero(x)}
+    assert set(got) == set(want)
+    if F.order is not None:
+        assert got == want
+    elif got:
+        i = min(got)
+        ratio = Fraction(got[i]) / want[i]
+        assert ratio and all(isinstance(x, int) and x == ratio * want[j]
+                             for j, x in got.items())
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_FIELDS))
+def test_each_field_kind_sets_arithmetics_that_agree_with_its_methods(name):
+    F = _field(name)
+    rng = random.Random(name)
+    add, mul, modulus = F.raw_arithmetic
+    assert (modulus is None) == (F.m != 1)
+    entry, unit, clear = F.row_arithmetic
+    assert (unit is None) == (F.order is None)
+    for _ in range(40):
+        pairs = [(_element(F, rng), _element(F, rng)) for _ in range(rng.randint(1, 6))]
+        raw = reduce(add, (mul(a, b) for a, b in pairs), F.zero())
+        exact = reduce(F.add, (F.mul(a, b) for a, b in pairs), F.zero())
+        assert (raw if modulus is None else raw % modulus) == exact
+        # rows nonzero at their pivot column 0
+        v, prow = ({0: F.one(), **_row(F, rng)} for _ in range(2))
+        v_row = entry(v)
+        _assert_same_span_entrywise(F, v_row, v)
+        if unit is not None:
+            lead = F.inv(v_row[0])
+            assert unit(dict(v_row), 0) == {i: F.mul(lead, x) for i, x in v_row.items()}
+        stored = entry(prow) if unit is None else unit(entry(prow), 0)
+        # over Q the rows hold integers, which Fraction reads exactly
+        lift = Fraction if F.order is None else (lambda x: x)
+        x = F.mul(lift(v_row[0]), F.inv(lift(stored[0])))
+        want = {i: F.sub(lift(v_row.get(i, 0)), F.mul(x, lift(stored.get(i, 0))))
+                for i in set(v_row) | set(stored)}
+        assert F.is_zero(want.pop(0))
+        _assert_same_span_entrywise(F, clear(dict(v_row), stored, 0), want)
 
 
 # every module but the one that defines the field kinds: the parser and

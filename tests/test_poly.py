@@ -92,6 +92,61 @@ def test_ring_axioms_over_f5(p, q, r):
     assert (p - p).is_zero()
 
 
+# Q, tables (F_3, F_4) and digit arithmetic (F_2^13, F_3^9)
+_ZERO_FILTER_FIELDS = (rationals(), PrimeField(3), finite_field(2, 2), finite_field(2, 13),
+                       finite_field(3, 9))
+
+
+def _coefficient_pool(F):
+    """A few values and their negatives, so that sums cancel often."""
+    if F.order is None:
+        base = [Fraction(1), Fraction(2), Fraction(1, 2)]
+    else:
+        # the code p is the generator a of F_{p^m}
+        base = [F.one(), F.from_int(2)] + ([F.p] if F.m > 1 else [])
+    return base + [F.neg(c) for c in base]
+
+
+@st.composite
+def _field_and_polys(draw):
+    F = draw(st.sampled_from(_ZERO_FILTER_FIELDS))
+    pool = _coefficient_pool(F)
+    polys = [Poly(F, 2, draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                             st.sampled_from(pool), max_size=4)))
+             for _ in range(2)]
+    return F, *polys, draw(st.integers(0, 3))
+
+
+def _reference(F, products):
+    """The plain-dict sum of (monomial, value) pairs: accumulated, then
+    filtered once at the end."""
+    out = {}
+    for m, c in products:
+        out[m] = F.add(out[m], c) if m in out else c
+    return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
+def _reference_product(F, a, b):
+    return _reference(F, [(mono_mul(m1, m2), F.mul(c1, c2))
+                          for m1, c1 in a.items() for m2, c2 in b.items()])
+
+
+@given(_field_and_polys())
+@settings(max_examples=150, deadline=None)
+def test_poly_arithmetic_stores_no_zero_and_matches_the_plain_dict_reference(case):
+    F, p, q, k = case
+    power = {(0, 0): F.one()}
+    for _ in range(k):
+        power = _reference_product(F, power, p.terms)
+    negated = [(m, F.neg(c)) for m, c in q.terms.items()]
+    for got, want in [(p + q, _reference(F, [*p.terms.items(), *q.terms.items()])),
+                      (p - q, _reference(F, [*p.terms.items(), *negated])),
+                      (p * q, _reference_product(F, p.terms, q.terms)),
+                      (p.pow(k), power)]:
+        assert not any(F.is_zero(c) for c in got.terms.values())
+        assert got.terms == want
+
+
 def test_equal_polys_over_separately_built_equal_fields_hash_alike():
     for F, G in [(PrimeField(5), finite_field(5, 1)),
                  (ExtensionField(2, 2, (1, 1, 1)), finite_field(2, 2))]:

@@ -11,12 +11,28 @@ from jetmetric.exactcore import ExtensionField, PrimeField, finite_field, ration
 from jetmetric.presentation import (
     FamilyTemplate,
     Presentation,
+    _coeff_to_str,
     instantiate_template,
     parse_presentation,
     print_presentation,
 )
 
 from conftest import random_presentation_text
+
+
+def _q_coeff_to_str(c: Fraction) -> tuple[str, bool]:
+    """The rule that printed rationals before their text was read off
+    Field.to_str, kept as it was."""
+    neg = c < 0
+    c = -c if neg else c
+    return (str(c.numerator) if c.denominator == 1
+            else f"{c.numerator}/{c.denominator}"), neg
+
+
+@given(st.fractions(max_denominator=50) | st.integers(-10**30, 10**30).map(Fraction))
+@settings(max_examples=200, deadline=None)
+def test_rational_coefficient_text_matches_the_old_rule(c):
+    assert _coeff_to_str(rationals(), c) == _q_coeff_to_str(c)
 
 
 def test_parse_minimal_graded():

@@ -10,8 +10,11 @@ MAX_CHARACTERISTIC, extension fields near TABLE_MAX_ORDER given with their
 minimal polynomials (so Rabin's test costs milliseconds), nesting at
 MAX_NESTING and one past it, 12 and 13 variables, one-term powers of degree
 20!, and large orders, windows, tails and extension degrees with small
-efforts.  `--cap` stays at or below its default: raising it is the user
-lifting the guard.
+efforts.  Extension fields past EXTENSION_MAX_ORDER are named without a
+minimal polynomial, which the order bound refuses before any search.
+`limit` templates put w in an exponent of the first or the last variable,
+in a coefficient, or in the ring head (F_w).  `--cap` stays at or below its
+default: raising it is the user lifting the guard.
 """
 
 import io
@@ -22,7 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from jetmetric import cli
-from jetmetric.exactcore import MAX_CHARACTERISTIC
+from jetmetric.exactcore import EXTENSION_MAX_ORDER, MAX_CHARACTERISTIC
 from jetmetric.poly import DEFAULT_CAPACITY
 from jetmetric.presentation import MAX_COEFF_BITS, MAX_INT_DIGITS, MAX_NESTING
 
@@ -50,7 +53,12 @@ RINGS = [
     ("F_3^7 minpoly a^7 + a^2 + 2", ["1", "a", "2*a"]),
     ("F_67^2 minpoly a^2 + 1", ["1", "a"]),
     ("F_2^32 minpoly a^32 + a^7 + a^3 + a^2 + 1", ["1", "a"]),
+    # past EXTENSION_MAX_ORDER, refused before the canonical search
+    (f"F_2^{EXTENSION_MAX_ORDER.bit_length()}", ["1", "a"]),
+    ("F_65537^2", ["1", "a"]),
 ]
+# where a limit template puts w
+TEMPLATE_SHAPES = ["exponent", "second exponent", "coefficient", "ring"]
 NVARS = [1, 2, 3, 12, 13]
 CAPS = [10, 200, DEFAULT_CAPACITY]
 BIG = [10**6, 10**18]
@@ -89,14 +97,21 @@ def _generator(rng, names, pool, homogeneous):
 
 
 def _presentation(rng, template=False):
-    """Presentation text from the grammar; a template has w in an exponent."""
-    head, pool = rng.choice(RINGS)
+    """Presentation text from the grammar; a template has w in one of the
+    TEMPLATE_SHAPES."""
+    shape = rng.choice(TEMPLATE_SHAPES) if template else None
+    head, pool = ("F_w", ["1", "2"]) if shape == "ring" else rng.choice(RINGS)
     names = _names(rng.choice(NVARS))
     mode = rng.choice(["local", "graded"])
     gens = [_generator(rng, names, pool, mode == "graded")
             for _ in range(rng.randint(0, 3))]
-    if template:
-        gens.append(f"{names[0]}^w + {rng.choice(pool)}*{names[-1]}^2")
+    c, x, y = rng.choice(pool), names[0], names[-1]
+    if shape == "second exponent":
+        gens.append(f"{x}^2 + {c}*{y}^w")
+    elif shape == "coefficient":
+        gens.append(f"w*{x}^2 + {c}*{y}^3")
+    elif shape is not None:
+        gens.append(f"{x}^w + {c}*{y}^2")
     text = f"ring {head}[{', '.join(names)}]\n{mode}\nideal: {', '.join(gens)};\n"
     if rng.random() < 0.5:
         text += f"tuple: {', '.join(names[:2])}\n"

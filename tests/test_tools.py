@@ -70,3 +70,24 @@ def test_profiler_counts_the_jets():
     hits, misses, size, bound = map(int, got.groups())
     assert misses > 0
     assert size <= bound
+
+
+def test_profiler_lists_every_package_memo():
+    # each memo of the package appears once, under the module defining it,
+    # whether or not the workload reads it
+    import importlib
+    import pkgutil
+
+    import jetmetric
+    modules = {info.name: importlib.import_module(f"jetmetric.{info.name}")
+               for info in pkgutil.iter_modules(jetmetric.__path__)}
+    memos = {id(v) for module in modules.values() for v in vars(module).values()
+             if hasattr(v, "cache_info")}
+    done = _profiled_jet_growth()
+    assert done.returncode == 0, done.stderr
+    section = done.stdout.split("\nmemos from the set-up on", 1)[1]
+    names = re.findall(r"^  (\w+)\.(\w+): \d+ hits", section, re.MULTILINE)
+    assert {id(getattr(modules[mod], attr)) for mod, attr in names} == memos
+    assert len(names) == len(memos)
+    assert {"artin._unit_monomials", "slopes._ln2", "cli._parser"} <= \
+        {f"{mod}.{attr}" for mod, attr in names}

@@ -8,9 +8,11 @@ and prints their CPU times and the median.  Then it profiles one more pass
 under cProfile and prints the functions under src/jetmetric with the most
 cumulative time.  cProfile inflates small calls, so compare shares within
 one profile, not seconds across profiles.  Last come the hits, misses and
-size of each package memo, counted from the set-up on: one frame per
-shape, the monomials of each degree, one basis table per basis, one jet
-per presentation and order, and the colengths of deformation pairs.
+size of each package memo, counted from the set-up on: every module-level
+callable with a ``cache_info`` in the loaded jetmetric modules, found by
+looking (one frame per shape, one basis table per basis, one jet per
+presentation and order, ln 2 per precision, the parser and the rest), each
+printed as module._name under the module that defines it.
 """
 
 from __future__ import annotations
@@ -58,15 +60,26 @@ def main(argv: list[str]) -> int:
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(re.escape(str(ROOT / "src" / "jetmetric")), TOP)
     print("memos from the set-up on (set-up, warm-up and every pass):")
-    for name, memo in (("poly._frame", jm.poly._frame),
-                       ("poly.monomials_of_degree", jm.poly.monomials_of_degree),
-                       ("artin._basis_table", jm.artin._basis_table),
-                       ("artin._jet", jm.artin._jet),
-                       ("artin._colength", jm.artin._colength)):
+    for name, memo in _memos():
         info = memo.cache_info()
         print(f"  {name}: {info.hits} hits, {info.misses} misses, "
               f"size {info.currsize} of {info.maxsize}")
     return 0
+
+
+def _memos() -> list[tuple[str, object]]:
+    """(module._name, memo) for every module-level callable with a
+    cache_info in the loaded jetmetric modules, listed once, under the
+    module that defines it (not under one that imports it)."""
+    out = []
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("jetmetric."):
+            continue
+        for attr, value in vars(module).items():
+            if (callable(value) and hasattr(value, "cache_info")
+                    and getattr(value, "__module__", None) == modname):
+                out.append((f"{modname.removeprefix('jetmetric.')}.{attr}", value))
+    return sorted(out, key=lambda t: t[0])
 
 
 if __name__ == "__main__":
