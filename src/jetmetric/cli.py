@@ -4,14 +4,16 @@ run.
 Reports are deterministic (sorted keys, no timestamps) so byte-identical
 output certifies reproducibility.  Every number is exact — integers, or
 fractions rendered "a/b" — except decimal approximations, which are emitted
-as objects carrying their digit count.  Exit status: 0 on success, 1 when the
-computation raised a typed error (the error appears in the report), 2 on
-usage errors.
+as objects carrying their digit count.  A result holds the fields of the
+library result it reports, plus the few extras its handler names.  Exit
+status: 0 on success, 1 when the computation raised a typed error (the error
+appears in the report), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -29,8 +31,8 @@ from .poly import DEFAULT_CAPACITY
 from .presentation import FamilyTemplate, Presentation, mono_to_str, parse_presentation
 from .resolution import (betti_residue_field, depth_and_classify,
                          minimal_resolution_of_quotient)
-from .slopes import (LOG2_DIGITS, delta0_at_order, eps0_at_order, length_model, rho,
-                     round_log2, quasi_dimension, slope_trace)
+from .slopes import (LOG2_DIGITS, Delta0Value, delta0_at_order, eps0_at_order,
+                     length_model, rho, quasi_dimension, slope_trace)
 
 SCHEMA = "jetmetric/1"
 
@@ -39,13 +41,17 @@ SCHEMA = "jetmetric/1"
 # encoding
 
 
-def _enc_fraction(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _enc_decimal(s: str) -> dict:
-    return {"decimal": s, "digits": LOG2_DIGITS}
+def _json(x):
+    """The JSON value of a library value `json` cannot write itself: a
+    fraction as an integer or "a/b", a delta0 value with its decimal log2
+    and digit count, any other dataclass as its fields."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Delta0Value):
+        return {**vars(x), "log2": {"decimal": x.log2, "digits": LOG2_DIGITS}}
+    if dataclasses.is_dataclass(x):
+        return vars(x)
+    raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
 def _scalar_str(field, c) -> str:
@@ -110,9 +116,9 @@ def _read(path: str) -> tuple[str, str]:
     return text, "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _load(path: str) -> tuple[Presentation, str]:
-    text, digest = _read(path)
-    return parse_presentation(text), digest
+# each input-file argument, in argument order, and how its text is read
+_FILES = {"file": parse_presentation, "a": parse_presentation,
+          "b": parse_presentation, "template": str}
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -127,50 +133,32 @@ def _budget(args) -> SearchBudget:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result, evidence)
+# subcommand handlers: each takes the arguments and the read inputs, and
+# returns (result, evidence)
 
 
-def _run_jets(args):
-    p, digest = _load(args.file)
+def _run_jets(args, p):
     A = jet(p, args.order, capacity=args.cap)
     result = {"order": args.order, "dim": A.dim, "basis_size": A.dim,
               "hilbert_function": hf_by_degree_count(A),
               "nilpotency_index": nilpotency_index(A),
               "socle_dimension": socle_dimension(A)}
-    return result, None, {args.file: digest}
+    return result, None
 
 
-def _run_hilbert(args):
-    p, digest = _load(args.file)
+def _run_hilbert(args, p):
     hd = hilbert_series(p, args.prefix_len)
-    result = {
-        "series_prefix": hd.series_prefix,
-        "numerator": hd.numerator,
-        "pole_order": hd.pole_order,
-        "dim": hd.dim,
-        "mult": hd.mult,
-        "degreewise": None if hd.degreewise is None
-        else [_enc_fraction(c) for c in hd.degreewise],
-        "cumulative": [_enc_fraction(c) for c in hd.cumulative],
-        "degreewise_valid_from": hd.degreewise_valid_from(),
-        "source": hd.source,
-    }
-    return result, None, {args.file: digest}
+    return {**vars(hd), "degreewise_valid_from": hd.degreewise_valid_from()}, None
 
 
-def _run_distance(args, defpair: bool):
-    p, dp = _load(args.a)
-    q, dq = _load(args.b)
+def _run_distance(args, p, q, defpair: bool):
     verdict, targets = _distance(p, q, args.max_order, _budget(args), args.cap, defpair)
-    result = {"lower": _enc_fraction(verdict.lower),
-              "upper": _enc_fraction(verdict.upper),
-              "exact": verdict.exact}
+    result = {"lower": verdict.lower, "upper": verdict.upper, "exact": verdict.exact}
     evidence = {"per_order": _enc_per_order(verdict.per_order, p, q, targets)}
-    return result, evidence, {args.a: dp, args.b: dq}
+    return result, evidence
 
 
-def _run_slopes(args):
-    p, digest = _load(args.file)
+def _run_slopes(args, p):
     which = args.which
     if which in ("delta0", "eps0"):
         if args.order is None:
@@ -178,54 +166,24 @@ def _run_slopes(args):
         model = length_model(p, capacity=args.cap)
         if which == "delta0":
             v = delta0_at_order(model, args.order)
-            result = {"order": args.order, "length": v.length,
-                      "half_length": v.half_length,
-                      "ratio": _enc_fraction(v.ratio),
-                      "log2": _enc_decimal(v.log2),
-                      "rounded": round_log2(v.ratio)}
-        else:
-            val = eps0_at_order(model, args.order)
-            result = {"order": args.order, "value": _enc_fraction(val)}
-        return result, None, {args.file: digest}
+            return {**_json(v), "order": args.order, "rounded": v.rounded()}, None
+        return {"order": args.order, "value": eps0_at_order(model, args.order)}, None
     if which == "rho":
-        r = rho(p, capacity=args.cap)
-        result = {"value": _enc_fraction(r.value), "attained": r.attained,
-                  "argmax_n": r.argmax_n,
-                  "tail_limit": _enc_fraction(r.tail_limit),
-                  "scan_bound": r.scan_bound}
-        return result, None, {args.file: digest}
+        return rho(p, capacity=args.cap), None
     if which == "quasidim":
         value, cert = quasi_dimension(p, capacity=args.cap)
-        result = {"value": value,
-                  "certificate": {"n_used": cert["n_used"],
-                                  "rho_value": _enc_fraction(cert["rho_value"]),
-                                  "satisfied": cert["satisfied"]}}
-        return result, None, {args.file: digest}
+        return {"value": value, "certificate": cert}, None
     # trace
     if args.window is None:
         raise UsageError("--which trace requires --window a..b")
     if args.stride < 1:
         raise UsageError("--stride must be at least 1")
     lo, hi = args.window
-    t = slope_trace(p, args.trace_of, range(lo, hi + 1, args.stride),
-                    capacity=args.cap)
-    if args.trace_of == "delta0":
-        values = [{"length": v.length, "half_length": v.half_length,
-                   "ratio": _enc_fraction(v.ratio), "log2": _enc_decimal(v.log2)}
-                  for v in t.values]
-    elif args.trace_of == "eps0":
-        values = [_enc_fraction(v) for v in t.values]
-    else:
-        values = t.values
-    result = {"slope": t.slope, "orders": t.orders, "values": values,
-              "limit_claim": None if t.limit_claim is None
-              else [_enc_fraction(t.limit_claim[0]), t.limit_claim[1]],
-              "agreement_order": t.agreement_order}
-    return result, None, {args.file: digest}
+    return slope_trace(p, args.trace_of, range(lo, hi + 1, args.stride),
+                       capacity=args.cap), None
 
 
-def _run_resolve(args):
-    p, digest = _load(args.file)
+def _run_resolve(args, p):
     # only the residue-field resolution reads the caps; --hcap is checked in
     # both modes and stays accepted without --residue-field, --dcap is not
     if args.hcap < 1:
@@ -236,39 +194,31 @@ def _run_resolve(args):
         res = betti_residue_field(p, args.hcap, args.dcap, capacity=args.cap)
     else:
         res = minimal_resolution_of_quotient(p, capacity=args.cap)
-    result = {"module": res.module,
-              "betti": [[i, j, b] for (i, j), b in sorted(res.betti.items())],
-              "ranks": res.ranks, "pd": res.pd, "complete": res.complete,
-              "homological_cap": res.homological_cap,
-              "internal_degree_cap": res.internal_degree_cap}
-    return result, None, {args.file: digest}
+    # the table's keys are (i, j) pairs, which JSON cannot key an object by
+    return {**vars(res),
+            "betti": [[i, j, b] for (i, j), b in sorted(res.betti.items())]}, None
 
 
-def _run_classify(args):
-    p, digest = _load(args.file)
+def _run_classify(args, p):
     c = depth_and_classify(p, capacity=args.cap)
-    result = {"depth": c.depth, "dim": c.dim, "embdim": c.embdim, "pd": c.pd,
-              "regular": c.regular, "cohen_macaulay": c.cohen_macaulay,
-              "gorenstein": "UNKNOWN" if c.gorenstein is None else c.gorenstein}
-    return result, None, {args.file: digest}
+    return {**vars(c),
+            "gorenstein": "UNKNOWN" if c.gorenstein is None else c.gorenstein}, None
 
 
-def _run_euler(args):
-    p, digest = _load(args.file)
+def _run_euler(args, p):
     chi, genus = euler_characteristic(p)
-    return {"chi": chi, "genus": genus}, None, {args.file: digest}
+    return {"chi": chi, "genus": genus}, None
 
 
-def _run_limit(args):
+def _run_limit(args, body):
     lo, hi = args.range
-    body, digest = _read(args.template)
     tpl = FamilyTemplate(body, lo, hi)
     last, w0 = limit_jets(tpl, args.order, _budget(args), tail=args.tail,
                           capacity=args.cap)
     result = {"order": args.order, "stabilizes_at": w0, "dim": last.dim,
               "hilbert_function": hf_by_degree_count(last)}
     evidence = {"range": [lo, hi], "tail_checked": args.tail}
-    return result, evidence, {args.template: digest}
+    return result, evidence
 
 
 class UsageError(Exception):
@@ -367,8 +317,8 @@ _parser = functools.cache(build_parser)
 _HANDLERS = {
     "jets": _run_jets,
     "hilbert": _run_hilbert,
-    "distance": lambda a: _run_distance(a, defpair=False),
-    "defpair-distance": lambda a: _run_distance(a, defpair=True),
+    "distance": functools.partial(_run_distance, defpair=False),
+    "defpair-distance": functools.partial(_run_distance, defpair=True),
     "slopes": _run_slopes,
     "resolve": _run_resolve,
     "classify": _run_classify,
@@ -378,7 +328,7 @@ _HANDLERS = {
 
 
 def _parameters(args) -> dict:
-    skip = {"subcommand", "usage", "file", "a", "b", "template"}
+    skip = {"subcommand", "usage", *_FILES}
     out = {}
     for k, v in sorted(vars(args).items()):
         if k in skip or v is None:
@@ -392,8 +342,16 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     report = {"schema": SCHEMA, "subcommand": args.subcommand,
               "parameters": _parameters(args), "inputs": {}}
+    digests, inputs = {}, []
     try:
-        result, evidence, inputs = _HANDLERS[args.subcommand](args)
+        # each file is parsed before the next is read, so the first bad
+        # input named is the one reported
+        for name, read in _FILES.items():
+            path = getattr(args, name, None)
+            if path is not None:
+                text, digests[path] = _read(path)
+                inputs.append(read(text))
+        result, evidence = _HANDLERS[args.subcommand](args, *inputs)
     except UsageError as e:
         args.usage.error(str(e))   # exits 2
     except OSError as e:
@@ -401,13 +359,13 @@ def run(argv=None) -> int:
         return 2
     except JetMetricError as e:
         report["error"] = {"type": type(e).__name__, "message": str(e)}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=_json))
         return 1
-    report["inputs"] = inputs
+    report["inputs"] = digests
     report["result"] = result
     if evidence is not None:
         report["evidence"] = evidence
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2, default=_json))
     return 0
 
 

@@ -76,17 +76,17 @@ def ball_descriptor(A: ArtinAlgebra) -> BallDescriptor:
     return BallDescriptor(residue_ring=A, radius=Fraction(1, 2 ** (n - 1)))
 
 
-def _field_gate(p: Presentation, q: Presentation) -> Optional[DistanceVerdict]:
-    """None if comparable over one field; a distance-1 verdict for different
-    fields of equal characteristic; an error across characteristics."""
+def _same_field(p: Presentation, q: Presentation) -> bool:
+    """Whether p and q are over one field; different fields of equal
+    characteristic are at distance 1, and across characteristics the
+    distance is an error."""
     if p.field == q.field:
-        return None
+        return True
     ca, cb = p.field.characteristic, q.field.characteristic
     if ca != cb:
         raise CrossCharacteristicError(
             f"cannot compare characteristic {ca} with characteristic {cb}")
-    return DistanceVerdict(lower=Fraction(1), upper=Fraction(1),
-                           per_order=[], exact=True)
+    return False
 
 
 def _check_max_order(max_order: int):
@@ -111,12 +111,8 @@ def _distance(p: Presentation, q: Presentation, max_order: int,
     _check_max_order(max_order)
     if defpair and (p.tuple is None or q.tuple is None):
         raise TupleError("defpair distance needs tuples on both presentations")
-    gate = _field_gate(p, q)
-    if gate is None and defpair and len(p.tuple) != len(q.tuple):
-        gate = DistanceVerdict(lower=Fraction(1), upper=Fraction(1),
-                               per_order=[], exact=True)
-    if gate is not None:
-        return gate, []
+    if not _same_field(p, q) or defpair and len(p.tuple) != len(q.tuple):
+        return DistanceVerdict(Fraction(1), Fraction(1), [], True), []
     make = defpair_jet if defpair else jet
     per_order: list[tuple[int, IsoVerdict]] = []
     algebras: list[tuple[ArtinAlgebra, ArtinAlgebra]] = []

@@ -35,6 +35,28 @@ GOLDEN_COMMANDS = {
 }
 
 
+# reports of the modes and options no golden covers; they stay out of
+# GOLDEN_COMMANDS, which the acceptance suite and the benchmark read
+REPORTS = GOLDEN / "reports"
+REPORT_COMMANDS = {
+    "slopes-delta0": ["slopes", f"{INPUTS}/cusp.pres", "--which", "delta0", "--order", "6"],
+    "slopes-eps0": ["slopes", f"{INPUTS}/cusp.pres", "--which", "eps0", "--order", "6"],
+    "slopes-rho-attained": ["slopes", f"{INPUTS}/cusp.pres", "--which", "rho"],
+    "slopes-rho-tail": ["slopes", f"{INPUTS}/quartic.pres", "--which", "rho"],
+    "slopes-quasidim": ["slopes", f"{INPUTS}/cusp.pres", "--which", "quasidim"],
+    "slopes-trace-delta0": ["slopes", f"{INPUTS}/quartic.pres", "--which", "trace",
+                            "--trace-of", "delta0", "--window", "2..8", "--stride", "2"],
+    "slopes-trace-eps0": ["slopes", f"{INPUTS}/quartic.pres", "--which", "trace",
+                          "--trace-of", "eps0", "--window", "2..8", "--stride", "2"],
+    "slopes-trace-hilbert": ["slopes", f"{INPUTS}/quartic.pres", "--which", "trace",
+                             "--trace-of", "hilbert", "--window", "2..6"],
+    "resolve-residue-field": ["resolve", f"{INPUTS}/quartic.pres", "--residue-field",
+                              "--hcap", "4"],
+    "hilbert-prefix": ["hilbert", f"{INPUTS}/cubic.pres", "--prefix-len", "12"],
+    "classify-cone": ["classify", "docs/golden/reports/cone.pres"],
+}
+
+
 @pytest.fixture(autouse=True)
 def _from_repo_root(monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -64,6 +86,13 @@ def test_output_is_byte_deterministic(golden_name):
     _, first, _ = _capture(argv)
     _, second, _ = _capture(argv)
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_COMMANDS))
+def test_report_matches_its_recorded_bytes(name):
+    code, out, _ = _capture(REPORT_COMMANDS[name])
+    assert code == 0
+    assert out == (REPORTS / f"{name}.json").read_text()
 
 
 def test_every_report_carries_schema_and_input_digests():
@@ -243,11 +272,29 @@ def test_usage_failure_exits_two():
     assert "order" in err
 
 
-def test_missing_file_exits_two():
-    code, _, err = _capture(["jets", f"{INPUTS}/no-such-file.pres",
-                             "--order", "2"])
-    assert code == 2
-    assert err != ""
+MISSING = f"{INPUTS}/no-such-file.pres"
+# the text of each malformed input an argv names in capitals
+MALFORMED = {"JUNK": b"ring Q[x]\n\xff\xfe\x00junk",  # not UTF-8
+             "BAD": b"ring Q[x]\ngraded\nideal: %\n"}  # a syntax error
+
+
+def _malformed(tmp_path, argv):
+    """argv with each name of MALFORMED replaced by a file of its text."""
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_bytes(text)
+    return [str(tmp_path / a) if a in MALFORMED else a for a in argv]
+
+
+# the inputs are read and parsed in argument order, so the first bad one is
+# reported: a missing first file wins over a malformed second one
+@pytest.mark.parametrize("argv", [
+    ["jets", MISSING, "--order", "2"],
+    ["distance", MISSING, "BAD", "--max-order", "2"],
+], ids=["jets", "distance-first"])
+def test_missing_file_exits_two(tmp_path, argv):
+    code, out, err = _capture(_malformed(tmp_path, argv))
+    assert (code, out) == (2, "")
+    assert "no-such-file.pres" in err
 
 
 def test_unknown_subcommand_exits_two():
@@ -275,15 +322,28 @@ def test_syntax_error_payload_names_the_line(tmp_path):
     assert "line" in doc["error"]["message"] or "3" in doc["error"]["message"]
 
 
-def test_binary_file_reports_structured_error(tmp_path):
+# a malformed first file wins over a missing second one
+@pytest.mark.parametrize("argv, message", [
+    (["jets", "JUNK", "--order", "2"], "JUNK is not UTF-8 text"),
+    (["distance", f"{INPUTS}/x2.pres", "JUNK", "--max-order", "2"],
+     "JUNK is not UTF-8 text"),
+    (["distance", "BAD", MISSING, "--max-order", "2"], "unexpected character '%'"),
+], ids=["jets", "distance-second", "distance-first"])
+def test_binary_file_reports_structured_error(tmp_path, argv, message):
     # a non-UTF-8 input should get the JSON envelope, not a traceback
-    bad = tmp_path / "junk.pres"
-    bad.write_bytes(b"ring Q[x]\n\xff\xfe\x00junk")
-    code, out, _ = _capture(["jets", str(bad), "--order", "2"])
+    code, out, _ = _capture(_malformed(tmp_path, argv))
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["type"] == "PresentationSyntaxError"
-    assert "UTF-8" in doc["error"]["message"]
+    assert message in doc["error"]["message"]
+    assert doc["inputs"] == {}
+
+
+def test_an_input_named_twice_is_listed_once():
+    path = f"{INPUTS}/x2.pres"
+    code, out, _ = _capture(["distance", path, path, "--max-order", "2"])
+    assert code == 0
+    assert list(json.loads(out)["inputs"]) == [path]
 
 
 def test_negative_order_reports_structured_error():
