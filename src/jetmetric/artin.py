@@ -55,11 +55,14 @@ Extension of scalars is the algebra's own operation, as it is the field's:
 basis, cap and origin kept.  It is built once per degree and kept with the
 algebra, as its products are, and it is the algebra itself when the field
 does not grow.  This module builds every algebra: `jet`, `defpair_jet` and
-`extension`.  There is one jet per presentation and order: `jet` keeps the
-jets it builds in one bounded memo, keyed on the presentation object, and
-every caller shares them read-only, as it shares the stored classes and the
-basis tables, so a presentation compared with several others reuses its
-jets and the products they have already reduced.
+`extension`, each through the one constructor.  Every algebra is a jet of a
+presentation: its required `origin` names the presentation and the order,
+and a deformation jet is the one whose `tuple_images` is not None (the
+empty list at order 0).  There is one jet per presentation and order: `jet`
+keeps the jets it builds in one bounded memo, keyed on the presentation
+object, and every caller shares them read-only, as it shares the stored
+classes and the basis tables, so a presentation compared with several others
+reuses its jets and the products they have already reduced.
 
 Soundness note for local (non-graded) inputs: R/(I + m^n) is supported only
 at the origin, so the globally computed truncated quotient already equals the
@@ -126,21 +129,22 @@ def _basis_table(basis: tuple[Monomial, ...]) -> tuple[dict[Monomial, int], tupl
 
 @dataclass
 class AlgebraOrigin:
-    """How an ArtinAlgebra was built: which presentation, which order."""
+    """The germ an ArtinAlgebra is a jet of: which presentation, which
+    order."""
 
-    presentation: Optional[Presentation]
+    presentation: Presentation
     order: int
-    kind: str = "jet"          # "jet" | "defpair"
 
 
 class ArtinAlgebra:
-    """Finite-dimensional local algebra with a monomial normal-form basis."""
+    """Finite-dimensional local algebra with a monomial normal-form basis:
+    a jet of its origin's presentation, a deformation jet exactly when its
+    `tuple_images` is not None."""
 
-    def __init__(self, field: Field, nvars: int, tq: TruncatedQuotient,
-                 relations: Sequence[Poly], origin: Optional[AlgebraOrigin] = None,
-                 tuple_images: Optional[list[Sparse]] = None):
-        self.field = field
-        self.nvars = nvars
+    def __init__(self, tq: TruncatedQuotient, relations: Sequence[Poly],
+                 origin: AlgebraOrigin, tuple_images: Optional[list[Sparse]] = None):
+        self.field = field = tq.field
+        self.nvars = tq.nvars
         self.cap = tq.cap
         self.basis = tq.basis
         self._classes = tq.classes
@@ -219,8 +223,7 @@ class ArtinAlgebra:
                        for mono, cls in self._classes.items()}
             tq = TruncatedQuotient(field=dst, nvars=self.nvars, cap=self.cap,
                                    basis=list(self.basis), classes=classes)
-            got = ArtinAlgebra(dst, self.nvars, tq,
-                               [g.map_coefficients(dst, emb) for g in self.relations],
+            got = ArtinAlgebra(tq, [g.map_coefficients(dst, emb) for g in self.relations],
                                self.origin)
             if self.tuple_images is not None:
                 got.tuple_images = [[(i, emb(c)) for i, c in v] for v in self.tuple_images]
@@ -412,8 +415,7 @@ def _jet(key: _PresentationKey, n: int, capacity: int) -> ArtinAlgebra:
     p = key.parts[0]
     fld = p.base_field()
     tq = truncated_quotient(fld, p.nvars, p.gens, n, capacity=capacity)
-    origin = AlgebraOrigin(presentation=p, order=n, kind="jet")
-    return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin)
+    return ArtinAlgebra(tq, p.gens, AlgebraOrigin(p, n))
 
 
 def hf_by_degree_count(A: ArtinAlgebra) -> list[int]:
@@ -489,24 +491,19 @@ def defpair_jet(p: Presentation, n: int, capacity: int = DEFAULT_CAPACITY) -> Ar
     for t in p.tuple:
         if not t.is_zero() and not fld.is_zero(t.constant_term()):
             raise TupleError("deformation tuple entries must lie in the maximal ideal")
-    s = len(p.tuple)
-    if n == 0:
-        tq = truncated_quotient(fld, p.nvars, p.gens, 0, capacity=capacity)
-        origin = AlgebraOrigin(presentation=p, order=0, kind="defpair")
-        return ArtinAlgebra(fld, p.nvars, tq, relations=p.gens, origin=origin,
-                            tuple_images=[])
-    colength = _colength(fld, p.nvars, (*p.gens, *p.tuple), capacity)
-    powered = [t.pow(n) for t in p.tuple]
-    gens_n = p.gens + powered
-    # colength c puts m^c in I + (t), so m^(c s n) lies in (I + (t))^(s n),
-    # inside I + (t^n): the cut at cap loses nothing
-    cap = colength * s * n + 1
-    if count_monomials_below(p.nvars, cap) > capacity:
-        raise CapacityError(count_monomials_below(p.nvars, cap), capacity,
-                            f"deformation order {n} needs internal cap {cap}")
-    tq = truncated_quotient(fld, p.nvars, gens_n, cap, capacity=capacity)
-    origin = AlgebraOrigin(presentation=p, order=n, kind="defpair")
-    A = ArtinAlgebra(fld, p.nvars, tq, relations=gens_n, origin=origin)
-    image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])
-    A.tuple_images = [A.evaluate(t, image) for t in p.tuple]
+    gens, cap = p.gens, 0
+    if n >= 1:
+        colength = _colength(fld, p.nvars, (*p.gens, *p.tuple), capacity)
+        gens = p.gens + [t.pow(n) for t in p.tuple]
+        # colength c puts m^c in I + (t), so m^(c s n) lies in (I + (t))^(s n),
+        # inside I + (t^n): the cut at cap loses nothing
+        cap = colength * len(p.tuple) * n + 1
+        if count_monomials_below(p.nvars, cap) > capacity:
+            raise CapacityError(count_monomials_below(p.nvars, cap), capacity,
+                                f"deformation order {n} needs internal cap {cap}")
+    tq = truncated_quotient(fld, p.nvars, gens, cap, capacity=capacity)
+    A = ArtinAlgebra(tq, gens, AlgebraOrigin(p, n), tuple_images=[])
+    if n >= 1:
+        image = A.monomial_map([A.var_image(k) for k in range(p.nvars)])
+        A.tuple_images = [A.evaluate(t, image) for t in p.tuple]
     return A

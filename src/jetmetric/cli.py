@@ -71,9 +71,7 @@ def _vec_str(vec, field, basis, varnames) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _enc_witness(w: Optional[Witness], B, src_vars, dst_vars) -> Optional[dict]:
-    if w is None:
-        return None
+def _enc_witness(w: Witness, B, src_vars, dst_vars) -> dict:
     fld = witness_field(B, w)
     return {"ext_multiple": w.ext_multiple,
             "images": {v: _vec_str(img, fld, B.basis, dst_vars)

@@ -150,6 +150,17 @@ def _digits(code: int, p: int, m: int) -> list[int]:
     return out
 
 
+def _a_term(i: int, c: int) -> str:
+    pw = "a" if i == 1 else f"a^{i}"
+    return str(c) if i == 0 else pw if c == 1 else f"{c}*{pw}"
+
+
+def a_terms(coeffs: Sequence[int]) -> list[str]:
+    """The nonzero terms c*a^i of the polynomial in a with the given
+    coefficients (constant first), as text in ascending degree."""
+    return [_a_term(i, c) for i, c in enumerate(coeffs) if c]
+
+
 def _fp_monic_polys(deg: int, p: int) -> Iterable[list[int]]:
     # all monic polynomials of the given degree, in integer-encoding order of
     # the low coefficients (c_0 least significant)
@@ -577,16 +588,7 @@ class ExtensionField(_FiniteField):
         return tuple(_digits(a, self.p, self.m))
 
     def to_str(self, a) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs(a)):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                pw = "a" if i == 1 else f"a^{i}"
-                terms.append(pw if c == 1 else f"{c}*{pw}")
-        return "+".join(terms) if terms else "0"
+        return "+".join(a_terms(self.coeffs(a))) or "0"
 
     def embedding(self, dst: Field) -> Callable:
         """The canonical map into dst = F_{p^n}, m | n: the generator goes to

@@ -531,11 +531,8 @@ def _precedes(A: ArtinAlgebra, B: ArtinAlgebra) -> bool:
 
 
 def _is_graded_input(A: ArtinAlgebra) -> bool:
-    if A.origin is not None and A.origin.presentation is not None:
-        if A.origin.kind != "jet":
-            return False
-        return A.origin.presentation.mode == "graded"
-    return all(g.is_homogeneous() for g in A.relations)
+    """Whether A is a jet, not a deformation jet, of a graded presentation."""
+    return A.tuple_images is None and A.origin.presentation.mode == "graded"
 
 
 class _EffortExceeded(Exception):

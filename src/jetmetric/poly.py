@@ -75,6 +75,9 @@ def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
     """All exponent tuples of total degree d, in ascending grlex order."""
     if nvars == 0:
         return ((),) if d == 0 else ()
+    # one variable: x^d alone, without its d-long tuple of bars
+    if nvars == 1 and d >= 0:
+        return ((d,),)
     out = []
     # choose positions via stars and bars; generate then sort for clarity
     for bars in combinations_with_replacement(range(nvars), d):

@@ -35,7 +35,7 @@ from .errors import (
     PresentationSyntaxError,
     RangeError,
 )
-from .exactcore import Field, finite_field, rationals
+from .exactcore import Field, a_terms, finite_field, rationals
 from .poly import DEFAULT_CAPACITY, Poly
 
 
@@ -546,25 +546,12 @@ def poly_to_str(p: Poly, varnames: Sequence[str]) -> str:
     return out
 
 
-def _minpoly_to_str(minpoly: Sequence[int]) -> str:
-    terms = []
-    for i in range(len(minpoly) - 1, -1, -1):
-        c = minpoly[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            pw = "a" if i == 1 else f"a^{i}"
-            terms.append(pw if c == 1 else f"{c}*{pw}")
-    return " + ".join(terms)
-
-
 def print_presentation(p: Presentation) -> str:
     """Canonical text form; parse_presentation inverts this exactly."""
     f, names = p.field, ",".join(p.vars)
     if f.minpoly is not None:
-        ring = f"ring F_{f.p}^{f.m} minpoly {_minpoly_to_str(f.minpoly)} [{names}]"
+        minpoly = " + ".join(reversed(a_terms(f.minpoly)))
+        ring = f"ring F_{f.p}^{f.m} minpoly {minpoly} [{names}]"
     else:
         ring = f"ring {f.label()}[{names}]"
     lines = [ring, p.mode]

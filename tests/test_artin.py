@@ -494,7 +494,7 @@ def test_defpair_jet_of_order_zero_is_the_zero_ring():
     p = parse_presentation("ring Q[x, y]\nlocal\nideal: y^2 - x^3\ntuple: x, y")
     A = defpair_jet(p, 0)
     assert A.is_zero_ring() and A.tuple_images == []
-    assert (A.origin.kind, A.origin.order) == ("defpair", 0)
+    assert (A.origin.presentation, A.origin.order) == (p, 0)
 
 
 def test_defpair_jet_requires_a_tuple(plane):

@@ -377,9 +377,9 @@ def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
     calls = []
     init = ArtinAlgebra.__init__
 
-    def counted_init(self, field, *args, **kwargs):
-        calls.append(field)
-        init(self, field, *args, **kwargs)
+    def counted_init(self, tq, *args, **kwargs):
+        calls.append(tq.field)
+        init(self, tq, *args, **kwargs)
     monkeypatch.setattr(ArtinAlgebra, "__init__", counted_init)
     # the verdicts and witnesses found when each step extended on its own
     want = {(A, B): [[(1, 3), (2, 6)], [(1, 2), (2, 2)]],
@@ -394,6 +394,22 @@ def test_an_iso_at_a_higher_rung_extends_each_algebra_once(monkeypatch):
         swapped.append(iso._precedes(T, S))
     assert sorted(swapped) == [False, True]
     assert calls == [finite_field(3, 2)] * 2
+
+
+def test_graded_input_is_a_jet_of_a_graded_presentation():
+    # the search's graded rule on every kind of algebra the package builds:
+    # a jet of a graded presentation and its extensions are graded; a local
+    # jet is not, homogeneous generators or not, and a deformation jet never
+    # is, at any order, extended or not
+    graded = "ring Q[x, y]\ngraded\nideal: x^2 + y^2\ntuple: x, y"
+    local = "ring Q[x, y]\nlocal\nideal: x^2 + y^2"
+    f2 = "ring F_2[x, y]\ngraded\nideal: x*y\ntuple: x, y"
+    p, q, r = map(parse_presentation, (graded, local, f2))
+    cases = [(jet(p, 3), True), (jet(q, 3), False),
+             (defpair_jet(p, 0), False), (defpair_jet(p, 2), False),
+             (jet(r, 3).extension(2), True), (defpair_jet(r, 2).extension(2), False)]
+    assert all(g.is_homogeneous() for g in jet(q, 3).relations)
+    assert [iso._is_graded_input(A) for A, _ in cases] == [want for _, want in cases]
 
 
 def test_witness_images_are_sparse_elements():

@@ -3,7 +3,8 @@ digest with `bench/jet_growth_digests.json`; an algebra's digest reads its
 normal forms as dense coordinate lists.  Recomputing the recorded digests
 here makes a change to those results fail the tests, not only the
 benchmark.  The CLI items are left out: the golden tests cover their
-output."""
+output, and a second test holds the benchmark's copy of their command
+table equal to theirs."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+from test_cli import GOLDEN_COMMANDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -38,3 +41,9 @@ def test_jet_growth_items_reproduce_the_recorded_digests(monkeypatch):
     assert items
     got = {it.label: workloads.digest(it.run()) for it in items}
     assert got == {label: recorded["digests"][label] for label in got}
+
+
+def test_the_benchmark_runs_the_golden_commands(monkeypatch):
+    _load(monkeypatch, "corpus")
+    workloads = _load(monkeypatch, "workloads")
+    assert workloads.GOLDEN_COMMANDS == GOLDEN_COMMANDS

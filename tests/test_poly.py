@@ -38,6 +38,9 @@ def test_monomials_of_degree_count_and_order():
     keys = [grlex_key(m) for m in ms]
     assert keys == sorted(keys)
     assert all(mono_deg(m) == 2 for m in ms)
+    # one variable: the one monomial x^d, at d = 0 too
+    assert monomials_of_degree(1, 0) == ((0,),)
+    assert monomials_of_degree(1, 7) == ((7,),)
 
 
 def test_monomials_below_is_graded_prefix():
