@@ -504,6 +504,16 @@ class PrimeField(_FiniteField):
 # through the tables.
 TABLE_MAX_ORDER = 1 << 12
 
+# Larger fields pack a code's digits for a product k at a time, through a
+# table of the packed form of each of the p^k values of k digits, with p^k at
+# most this (k = 8 for p = 2, 5 for p = 3; past p = 16 k = 1, a digit packs
+# as itself and no table is built); over F_2 the product is also reduced and
+# unpacked k digits at a time.  On the host above a product costs 8.4 us over
+# F_2^13 and 17.6 us over F_2^32 a digit at a time, 5.2 and 12.2 us with
+# chunked packing alone, and 2.1 and 3.6 us with the F_2 reduction as well;
+# over F_3^9 chunked packing takes it from 4.8 to 3.2 us.
+PACK_CHUNK_MAX = 1 << 8
+
 # Extension fields of more elements are refused before their minimal
 # polynomial is searched for or tested.  The search for the canonical one
 # tries candidates in code order and can run through p of them (when no
@@ -630,14 +640,36 @@ class ExtensionField(_FiniteField):
         self._red = [sum(c << (slot * i) for i, c in
                          enumerate(_fp_mod([0] * k + [1], self.minpoly, p)))
                      for k in range(m, 2 * m - 1)]
+        # a code is packed k digits at a time, through the packed form of
+        # each of the p^k chunk values (p^k <= PACK_CHUNK_MAX, k <= m); a
+        # single digit packs as itself, so k = 1 needs no table
+        k = 1
+        while k < m and p ** (k + 1) <= PACK_CHUNK_MAX:
+            k += 1
+        packed = range(p)
+        if k > 1:
+            packed = [0]
+            for c in range(1, p**k):
+                packed.append(packed[c // p] << slot | c % p)
+        self._chunk, self._chunk_shift, self._chunk_packed = p**k, slot * k, packed
+        if p == 2:
+            # a digit of a product is the parity of its slot, so the low bits
+            # of the slots are reduced and unpacked k at a time: _folds[j]
+            # maps k parities of the high digits jk.. to the sum of their
+            # reductions, _unpack maps k parities to their k digits
+            self._ones = sum(1 << (slot * i) for i in range(m))
+            self._unpack = {v: c for c, v in enumerate(packed)}
+            self._folds = [{v: sum(self._red[j + i] for i in range(min(k, m - 1 - j))
+                                   if c >> i & 1) & self._ones
+                            for c, v in enumerate(packed)} for j in range(0, m - 1, k)]
 
     def _pack(self, a: int) -> int:
-        p, slot = self.p, self._slot
+        chunk, step, packed = self._chunk, self._chunk_shift, self._chunk_packed
         out = shift = 0
         while a:
-            a, c = divmod(a, p)
-            out |= c << shift
-            shift += slot
+            a, c = divmod(a, chunk)
+            out |= packed[c] << shift
+            shift += step
         return out
 
     def _add_digits(self, a, b):
@@ -676,6 +708,8 @@ class ExtensionField(_FiniteField):
         p, slot, mask = self.p, self._slot, self._slot_mask
         prod = self._pack(a) * self._pack(b)
         low, high = prod & self._low_mask, prod >> (slot * self.m)
+        if p == 2:
+            return self._mul_parities(low, high)
         for red in self._red:
             if not high:
                 break
@@ -687,6 +721,25 @@ class ExtensionField(_FiniteField):
         for w in self._place:
             out += (low & mask) % p * w
             low >>= slot
+        return out
+
+    def _mul_parities(self, low: int, high: int) -> int:
+        """The code of low + high a^m over F_2, from the packed digits of
+        both, k digits at a time."""
+        ones, step, k = self._ones, self._chunk_shift, self._chunk.bit_length() - 1
+        cmask = (1 << step) - 1
+        low &= ones
+        high &= ones
+        for fold in self._folds:
+            if not high:
+                break
+            low ^= fold[high & cmask]
+            high >>= step
+        out = shift = 0
+        while low:
+            out |= self._unpack[low & cmask] << shift
+            low >>= step
+            shift += k
         return out
 
     def _inv_digits(self, a):

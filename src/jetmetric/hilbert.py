@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -153,25 +154,32 @@ def hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list
     The coefficient of t^n in Q(t)/(1 - t)^d is sum_k q_k C(n - k + d - 1, d - 1),
     and C(n - k + d - 1, d - 1) = (n - k + 1) ... (n - k + d - 1) / (d - 1)!
     is a polynomial in n, so P(n) is that sum over the numerator's terms.
-    The sum (d - 1)! P(n) is formed first, with integer coefficients for an
-    integer numerator (a rational numerator is accepted too), and divided
-    by (d - 1)! once.  Pole order 0 (Artinian section ring) yields the zero
-    polynomial — callers that need a nonempty scheme treat that as an error
-    themselves.
+    With s_r the coefficients of (x + 1) ... (x + d - 1) and the power sums
+    M_u = sum_k q_k k^u, the sum (d - 1)! P(n) is
+    sum_r s_r sum_t C(r, t) (-k)^(r - t) n^t summed over k, that is
+    sum_t n^t sum_r s_r C(r, t) (-1)^(r - t) M_(r - t): exact integers for
+    an integer numerator (a rational numerator is accepted too), divided by
+    (d - 1)! once.  Each M_u is one C-level pass over the running products
+    q_k k^u, so no list is built per term.  Pole order 0 (Artinian section
+    ring) yields the zero polynomial — callers that need a nonempty scheme
+    treat that as an error themselves.
     """
     if pole_order == 0:
         return []
-    out = [0] * pole_order
-    for k, q in enumerate(numerator):
-        if q:
-            term = [q]
-            for a in range(1 - k, pole_order - k):  # times (n + a)
-                term = [a * c + b for c, b in zip(term + [0], [0] + term)]
-            for i, c in enumerate(term):
-                out[i] += c
+    d = pole_order
+    sums, running = [], list(numerator)
+    for u in range(d):
+        sums.append(sum(running))
+        if u + 1 < d:
+            running = list(map(mul, running, range(len(running))))
+    s = [1]
+    for a in range(1, d):                           # times (x + a)
+        s = [a * c + b for c, b in zip(s + [0], [0] + s)]
+    out = [sum(s[r] * comb(r, t) * (-1) ** (r - t) * sums[r - t] for r in range(t, d))
+           for t in range(d)]
     while out and out[-1] == 0:
         out.pop()
-    scale = factorial(pole_order - 1)
+    scale = factorial(d - 1)
     return [Fraction(c, scale) for c in out]
 
 

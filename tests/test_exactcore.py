@@ -408,6 +408,47 @@ def test_fields_above_the_table_bound_match_tuple_reference(p, m):
             assert F.mul(a, F.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 4), (3, 3), (7, 2)])
+def test_digit_products_match_the_log_tables_on_every_pair(p, m):
+    # F_4, F_16, F_27 and F_49 keep their log tables; the digit product,
+    # packed and (over F_2) unpacked k digits at a time, must agree with them
+    F = ExtensionField(p, m)
+    assert F.mul == F._mul_log
+    for a in range(F.order):
+        assert [F._mul_digits(a, b) for b in range(F.order)] == \
+            [F._mul_log(a, b) for b in range(F.order)]
+
+
+# a^32 + a^7 + a^3 + a^2 + 1, the minimal polynomial of the three-exit grammar
+F_2_32 = (1, 0, 1, 1, 0, 0, 0, 1) + (0,) * 24 + (1,)
+
+
+@pytest.mark.parametrize("p,m,minpoly", [(2, 32, F_2_32), (3, 9, None), (67, 2, None),
+                                         (65521, 2, None)])
+def test_digit_products_match_the_schoolbook_on_large_fields(p, m, minpoly):
+    F = finite_field(p, m, minpoly)
+    assert F.mul == F._mul_digits and F.order > exactcore.TABLE_MAX_ORDER
+    R = TupleField(p, m, F.minpoly)
+
+    def enc(t):
+        return sum(c * p ** i for i, c in enumerate(t))
+
+    rng = random.Random(p ** m)
+    top = p ** m - 1
+    samples = [0, 1, p - 1, p, top, top - 1] + [rng.randrange(p ** m) for _ in range(300)]
+    for a, b in zip(samples, samples[1:] + samples[:1]):
+        assert F._mul_digits(a, b) == enc(R.mul(R.from_code(a), R.from_code(b))), (a, b)
+
+
+def test_fields_past_the_chunk_bound_pack_one_digit_without_a_table():
+    # a chunk of one digit packs as itself, so a field with p > PACK_CHUNK_MAX
+    # keeps no p-entry table
+    for p in (257, 32003, 65521):
+        F = finite_field(p, 2)
+        assert p > exactcore.PACK_CHUNK_MAX and F._chunk == p
+        assert F._chunk_packed == range(p)
+
+
 def test_fields_are_built_once_per_description():
     mp = canonical_minpoly(2, 4)
     assert finite_field(2, 4, mp) is finite_field(2, 4, list(mp)) is finite_field(2, 4)

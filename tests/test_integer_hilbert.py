@@ -201,6 +201,46 @@ def test_integer_polynomials_match_the_fraction_reference(numerator, d, as_fract
         repr(reference_hs_polynomial_from_series([0] + list(numerator), d + 1))
 
 
+def two_walk_hs_polynomial_from_series(numerator: Sequence[int], pole_order: int) -> list[Fraction]:
+    """Degreewise Hilbert polynomial from the rational normal form.
+
+    The coefficient of t^n in Q(t)/(1 - t)^d is sum_k q_k C(n - k + d - 1, d - 1),
+    and C(n - k + d - 1, d - 1) = (n - k + 1) ... (n - k + d - 1) / (d - 1)!
+    is a polynomial in n, so P(n) is that sum over the numerator's terms.
+    The sum (d - 1)! P(n) is formed first, with integer coefficients for an
+    integer numerator (a rational numerator is accepted too), and divided
+    by (d - 1)! once.  Pole order 0 (Artinian section ring) yields the zero
+    polynomial — callers that need a nonempty scheme treat that as an error
+    themselves.
+    """
+    if pole_order == 0:
+        return []
+    out = [0] * pole_order
+    for k, q in enumerate(numerator):
+        if q:
+            term = [q]
+            for a in range(1 - k, pole_order - k):  # times (n + a)
+                term = [a * c + b for c, b in zip(term + [0], [0] + term)]
+            for i, c in enumerate(term):
+                out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    scale = factorial(pole_order - 1)
+    return [Fraction(c, scale) for c in out]
+
+
+@given(st.lists(st.integers(-10**6, 10**6) | st.fractions(max_denominator=30), max_size=40),
+       st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_power_sums_match_the_two_walk_expansion(numerator, d):
+    # the power-sum expansion against the per-term expansion it replaced,
+    # over integer, rational and mixed numerators at pole orders 0-6
+    assert repr(hs_polynomial_from_series(numerator, d)) == \
+        repr(two_walk_hs_polynomial_from_series(numerator, d))
+    assert repr(cumulative_polynomial(numerator, d)) == \
+        repr(two_walk_hs_polynomial_from_series([0] + list(numerator), d + 1))
+
+
 def test_the_twisted_cubic_numerator_matches_at_every_pole_order():
     numerator = [Fraction(1), Fraction(2)]
     for d in range(7):

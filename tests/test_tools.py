@@ -91,3 +91,26 @@ def test_profiler_lists_every_package_memo():
     assert len(names) == len(memos)
     assert {"artin._unit_monomials", "slopes._ln2", "cli._parser"} <= \
         {f"{mod}.{attr}" for mod, attr in names}
+
+
+def test_profiler_splits_the_set_up():
+    # the full run prints the set-up split before the passes
+    done = _profiled_jet_growth()
+    assert done.returncode == 0, done.stderr
+    head = done.stdout.split("\nprofiled set-up", 1)[0]
+    assert re.search(r"^jet-growth: set-up CPU over \d+ set-ups: import median [0-9.]+ s, "
+                     r"inputs median [0-9.]+ s$", head, re.MULTILINE), head
+
+
+def test_profiler_traces_the_distance_corpus_set_up_to_the_parser():
+    # the set-up profile alone, in a process of its own (it re-imports the
+    # package), without the workload's passes
+    code = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import prof; "
+            "prof.profile_setup(*prof.harness(), 'distance-corpus')")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    head, profile = done.stdout.split("\nprofiled set-up (inputs):", 1)
+    assert re.search(r"^distance-corpus: set-up CPU over \d+ set-ups: import median "
+                     r"[0-9.]+ s, inputs median [0-9.]+ s$", head, re.MULTILINE), head
+    assert "presentation.py" in profile and "(parse_presentation)" in profile
